@@ -25,6 +25,7 @@ from .errors import (
 from .fcalc import (
     fc_semicontinuous_detailed,
     saddle_build,
+    saddle_eval,
     saddle_from_json,
     saddle_to_json,
 )
@@ -156,9 +157,7 @@ def _cmd_saddle_eval(args):
     x = _parse_vector(args.x, "--x")
     if x.size != S.dim:
         raise _InputError(f"--x has dim {x.size}, saddle has dim {S.dim}")
-    M = S.coeffs @ x
-    infsup = float(M.max(axis=1).min())
-    supinf = float(M.min(axis=0).max())
+    infsup, supinf = saddle_eval(S, x)
     _emit({"infsup": infsup, "supinf": supinf}, args.out)
     return EXIT_OK
 

@@ -25,6 +25,9 @@ PROJECT_MAX_ITER = 100_000
 FEASIBLE_MAX_ITER = 10_000
 _STALL_WINDOW = 50
 _STALL_REL = 1e-12
+# Largest number of values a batched kernel (support, family scan, saddle)
+# holds in one block, so that the working set stays small for any batch.
+_BLOCK_CELLS = 8192
 
 
 class VPolytope:
@@ -78,27 +81,50 @@ def _check_point(s, x, op):
     return x
 
 
+def _dot_columns(A, X):
+    """A (..., n) against X (n,) or (n, k): shape (...) or (..., k).
+
+    Sums coordinate by coordinate in a fixed order with elementwise
+    products, never through BLAS, so an entry does not depend on how many
+    columns share the call.
+    """
+    out = np.multiply.outer(A[..., 0], X[0])
+    for d in range(1, A.shape[-1]):
+        out += np.multiply.outer(A[..., d], X[d])
+    return out
+
+
 def support(s, x):
-    """Support value max{a.x : a in s}."""
+    """Support value max{a.x : a in s}: the one-point case of support_batch."""
     x = _check_point(s, x, "support")
-    if isinstance(s, VPolytope):
-        return float(np.max(s.vertices @ x))
-    if isinstance(s, Ball):
-        return float(s.center @ x + s.radius * np.linalg.norm(x))
-    raise TypeError(f"unsupported set type {type(s).__name__}")
+    return float(support_batch(s, x[None, :])[0])
 
 
 def support_batch(s, points):
-    """Support values for each row of `points`, shape (k, n) -> (k,)."""
+    """Support values for each row of `points`, shape (k, n) -> (k,).
+
+    A row's value does not depend on the other rows: sums run coordinate by
+    coordinate, and polytopes are evaluated in blocks of at most
+    _BLOCK_CELLS vertex-by-point cells.
+    """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != s.dim:
         raise DimensionMismatch(
             "support", f"points have shape {pts.shape}, set has dim {s.dim}"
         )
+    cols = pts.T
     if isinstance(s, VPolytope):
-        return np.max(s.vertices @ pts.T, axis=0)
+        V = s.vertices
+        out = np.empty(cols.shape[1])
+        step = max(1, _BLOCK_CELLS // V.shape[0])
+        for c in range(0, cols.shape[1], step):
+            out[c : c + step] = _dot_columns(V, cols[:, c : c + step]).max(axis=0)
+        return out
     if isinstance(s, Ball):
-        return pts @ s.center + s.radius * np.linalg.norm(pts, axis=1)
+        sq = cols[0] * cols[0]
+        for d in range(1, s.dim):
+            sq += cols[d] * cols[d]
+        return _dot_columns(s.center, cols) + s.radius * np.sqrt(sq)
     raise TypeError(f"unsupported set type {type(s).__name__}")
 
 

@@ -1,15 +1,16 @@
 """Functional calculus: lifting PH functions to vector lattices.
 
 The lift acts per coordinate: on R^m through the m coordinate columns, on
-step functions through the columns of the common refinement.  Both element
-kinds route every column through the same scalar evaluation, so embedding a
-step tuple on a grid and lifting commute bitwise.
+step functions through the columns of the common refinement.  A lift
+evaluates all its columns as one batch, and every batched kernel (family
+scan, support, saddle) gives a column the same bits whatever batch it sits
+in, so embedding a step tuple on a grid and lifting commute bitwise.
 """
 
 import numpy as np
 
 from . import convexsets
-from .convexsets import feasible_point, set_from_json, set_to_json, support
+from .convexsets import _BLOCK_CELLS, _dot_columns, feasible_point
 from .errors import (
     DimensionMismatch,
     EmptyFamily,
@@ -18,15 +19,7 @@ from .errors import (
     SaddleGap,
     SchemaError,
 )
-from .homog import (
-    PHFunction,
-    SublinearMap,
-    SuperlinearMap,
-    eval_family_detailed,
-    map_from_json,
-    map_to_json,
-    sphere_grid,
-)
+from .homog import SublinearMap, SuperlinearMap, _default_density, _eval_columns, sphere_grid
 from .lattice import RmElement, StepFunction, common_refinement
 
 DEFAULT_TOL = 1e-9
@@ -62,8 +55,7 @@ def fc_sublinear(phi, elements):
         raise DimensionMismatch(
             "fc_sublinear", f"{cols.shape[0]} elements, map expects {phi.dim}"
         )
-    out = np.array([support(phi.subdiff, cols[:, k]) for k in range(cols.shape[1])])
-    return _wrap(kind, bp, out)
+    return _wrap(kind, bp, phi(cols))
 
 
 def fc_superlinear(psi, elements):
@@ -73,33 +65,32 @@ def fc_superlinear(psi, elements):
         raise DimensionMismatch(
             "fc_superlinear", f"{cols.shape[0]} elements, map expects {psi.dim}"
         )
-    out = np.array([-support(psi.superdiff, -cols[:, k]) for k in range(cols.shape[1])])
-    return _wrap(kind, bp, out)
+    return _wrap(kind, bp, psi(cols))
 
 
 def fc_semicontinuous(h, elements, tol=DEFAULT_TOL, side="auto"):
-    """Lift a PH function through its representing family, per coordinate."""
+    """Lift a PH function through its representing family, per coordinate.
+
+    All columns go through one batched family scan; a column gets the same
+    value as eval_family at that column alone.
+    """
     element, _ = fc_semicontinuous_detailed(h, elements, tol=tol, side=side)
     return element
 
 
 def fc_semicontinuous_detailed(h, elements, tol=DEFAULT_TOL, side="auto"):
-    """(element, diagnostics): terms actually enumerated and oracle residual."""
+    """(element, diagnostics): terms actually enumerated and oracle residual.
+
+    The oracle is called once over all columns; drift beyond 10*tol raises
+    one RepresentationWarning per call, naming the worst residual.
+    """
     kind, bp, cols = _columns(elements)
     if cols.shape[0] != h.dim:
         raise DimensionMismatch(
             "fc_semicontinuous", f"{cols.shape[0]} elements, function expects {h.dim}"
         )
-    out = np.empty(cols.shape[1])
-    terms_max = 0
-    for k in range(cols.shape[1]):
-        out[k], terms = eval_family_detailed(h, cols[:, k], tol=tol, side=side)
-        terms_max = max(terms_max, terms)
-    diagnostics = {"family_terms_used": terms_max, "max_residual": None}
-    if h.oracle is not None:
-        diagnostics["max_residual"] = float(
-            np.abs(out - np.asarray(h.oracle(cols.T), dtype=float)).max()
-        )
+    out, terms, residual = _eval_columns(h, cols, tol, side)
+    diagnostics = {"family_terms_used": int(terms.max()), "max_residual": residual}
     return _wrap(kind, bp, out), diagnostics
 
 
@@ -156,7 +147,7 @@ def saddle_build(phis, psis, grid_density=None, tol=DEFAULT_TOL):
         raise DimensionMismatch("saddle_build", f"mixed map dimensions {sorted(dims)}")
     n = dims.pop()
 
-    density = (720 if n <= 2 else 2000) if grid_density is None else int(grid_density)
+    density = _default_density(n) if grid_density is None else int(grid_density)
     grid = sphere_grid(n, density)
     phi_vals = np.array([convexsets.support_batch(p.subdiff, grid) for p in phis])
     psi_vals = np.array([-convexsets.support_batch(q.superdiff, -grid) for q in psis])
@@ -178,9 +169,7 @@ def saddle_build(phis, psis, grid_density=None, tol=DEFAULT_TOL):
         phi_labels=[p.label or f"phi{i}" for i, p in enumerate(phis)],
         psi_labels=[q.label or f"psi{j}" for j, q in enumerate(psis)],
     )
-    inner = np.einsum("ijn,un->iju", coeffs, grid)
-    infsup = inner.max(axis=1).min(axis=0)
-    supinf = inner.min(axis=0).max(axis=0)
+    infsup, supinf = saddle_eval(S, grid)
     lo = psi_vals.max(axis=0)
     hi = phi_vals.min(axis=0)
     slack = tol * (1.0 + np.abs(hi).max())
@@ -197,13 +186,33 @@ def saddle_build(phis, psis, grid_density=None, tol=DEFAULT_TOL):
 
 
 def saddle_eval(S, x):
-    """(infsup, supinf) of the coefficient matrix at a point."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != S.dim:
-        raise DimensionMismatch("saddle_eval", f"point has dim {x.size}, saddle has dim {S.dim}")
-    M = S.coeffs @ x
-    infsup = float(M.max(axis=1).min())
-    supinf = float(M.min(axis=0).max())
+    """(infsup, supinf) of the coefficient matrix at a point or at many.
+
+    x of shape (n,) gives two floats; points of shape (k, n) give two arrays
+    of shape (k,).  Points go in blocks of at most _BLOCK_CELLS
+    coefficient-by-point cells, summed coordinate by coordinate, so a
+    point's values do not depend on the other points.  Raises ValueError on
+    a NaN or infinite point.
+    """
+    pts = np.asarray(x, dtype=float)
+    single = pts.ndim <= 1
+    pts = pts.reshape(1, -1) if single else pts
+    if pts.ndim != 2 or pts.shape[1] != S.dim:
+        raise DimensionMismatch(
+            "saddle_eval", f"points have shape {pts.shape}, saddle has dim {S.dim}"
+        )
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("saddle_eval: points must be finite")
+    P, Q = S.shape
+    infsup = np.empty(pts.shape[0])
+    supinf = np.empty(pts.shape[0])
+    step = max(1, _BLOCK_CELLS // (P * Q))
+    for c in range(0, pts.shape[0], step):
+        M = _dot_columns(S.coeffs, pts[c : c + step].T)
+        infsup[c : c + step] = M.max(axis=1).min(axis=0)
+        supinf[c : c + step] = M.min(axis=0).max(axis=0)
+    if single:
+        return float(infsup[0]), float(supinf[0])
     return infsup, supinf
 
 
@@ -216,21 +225,16 @@ def fc_saddle(S, elements, tol=SADDLE_TOL):
     kind, bp, cols = _columns(elements)
     if cols.shape[0] != S.dim:
         raise DimensionMismatch("fc_saddle", f"{cols.shape[0]} elements, saddle expects {S.dim}")
-    out = np.empty(cols.shape[1])
-    worst = 0.0
-    worst_k = -1
-    for k in range(cols.shape[1]):
-        infsup, supinf = saddle_eval(S, cols[:, k])
-        gap = abs(infsup - supinf)
-        if gap > worst:
-            worst, worst_k = gap, k
-        out[k] = infsup
-    if worst > tol:
+    infsup, supinf = saddle_eval(S, cols.T)
+    gap = np.abs(infsup - supinf)
+    # a NaN gap (an overflowed column) must not hide a real gap elsewhere
+    k = int(np.argmax(np.where(gap > tol, gap, -1.0)))
+    if gap[k] > tol:
         raise SaddleGap(
             "fc_saddle",
-            f"min-max and max-min differ by {worst:.3e} at coordinate {worst_k} (tol {tol:g})",
+            f"min-max and max-min differ by {gap[k]:.3e} at coordinate {k} (tol {tol:g})",
         )
-    return _wrap(kind, bp, out)
+    return _wrap(kind, bp, infsup)
 
 
 def saddle_to_json(S):

@@ -11,13 +11,21 @@ Semicontinuity cannot be certified from finitely many samples; the kind tag
 is declarative and only the oracle/family agreement is checked numerically.
 """
 
+import functools
 import warnings
 
 import numpy as np
 from scipy.special import ndtri
 
-from . import convexsets
-from .convexsets import Ball, VPolytope, set_from_json, set_to_json, support
+from .convexsets import (
+    _BLOCK_CELLS,
+    Ball,
+    VPolytope,
+    _dot_columns,
+    set_from_json,
+    set_to_json,
+    support_batch,
+)
 from .errors import DimensionMismatch, EmptyFamily, EnvelopeViolation, SchemaError, UnknownBuiltin
 
 DEFAULT_TOL = 1e-9
@@ -31,8 +39,17 @@ class RepresentationWarning(UserWarning):
     """Family evaluation drifted from the declared oracle beyond 10*tol."""
 
 
+def _per_column(values, x):
+    # a point (n,) gives a float, columns (n, k) give an array (k,)
+    return float(values[0]) if x.ndim == 1 else values
+
+
 class SublinearMap:
-    """Support function of `subdiff`: x -> max{a.x : a in subdiff}."""
+    """Support function of `subdiff`: x -> max{a.x : a in subdiff}.
+
+    Called at x of shape (n,) it returns a float, at x of shape (n, k) the
+    values at the k columns.
+    """
 
     def __init__(self, subdiff, label=""):
         if not isinstance(subdiff, (VPolytope, Ball)):
@@ -45,14 +62,18 @@ class SublinearMap:
         return self.subdiff.dim
 
     def __call__(self, x):
-        return support(self.subdiff, x)
+        x = np.asarray(x, dtype=float)
+        return _per_column(support_batch(self.subdiff, x.reshape(x.shape[0], -1).T), x)
 
     def __repr__(self):
         return f"SublinearMap({self.label or self.subdiff!r})"
 
 
 class SuperlinearMap:
-    """Minimum over `superdiff`: x -> min{a.x : a in superdiff}."""
+    """Minimum over `superdiff`: x -> min{a.x : a in superdiff}.
+
+    Takes x of shape (n,) or (n, k), as SublinearMap does.
+    """
 
     def __init__(self, superdiff, label=""):
         if not isinstance(superdiff, (VPolytope, Ball)):
@@ -65,8 +86,8 @@ class SuperlinearMap:
         return self.superdiff.dim
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float).reshape(-1)
-        return -support(self.superdiff, -x)
+        x = np.asarray(x, dtype=float)
+        return _per_column(-support_batch(self.superdiff, -x.reshape(x.shape[0], -1).T), x)
 
     def __repr__(self):
         return f"SuperlinearMap({self.label or self.superdiff!r})"
@@ -86,8 +107,10 @@ def eval_superlinear(psi, x):
 class FiniteFamily:
     """Explicit finite list of maps; evaluation visits every member.
 
-    `block_fn(x, a, b)`, when given, must return the same values as calling
-    maps[a:b] one by one; it exists purely to batch large angle grids.
+    `values(x, a, b)` gives maps a..b-1 at x of shape (n,) or (n, k), as an
+    array of shape (b-a,) or (b-a, k).  `block_fn(x, a, b)`, when given,
+    must return the same values as calling maps[a:b] one by one; it exists
+    purely to batch large angle grids.
     """
 
     is_generated = False
@@ -115,9 +138,12 @@ class FiniteFamily:
 class GeneratedFamily:
     """Deterministic enumeration of maps, evaluated lazily up to `budget`.
 
-    block_fn(x, a, b) -> values of maps a..b-1 at x; map_at(k) materializes
-    the k-th map.  Evaluation stops at the budget or after `window`
-    consecutive maps without an improvement beyond the working tolerance.
+    block_fn(x, a, b) -> values of maps a..b-1 at x, shape (b-a,) for x of
+    shape (n,) and (b-a, k) for x of shape (n, k); a block that ignores x
+    and returns shape (b-a,) is broadcast over the columns.  map_at(k)
+    materializes the k-th map.  Evaluation stops at the budget or after
+    `window` consecutive maps without an improvement beyond the working
+    tolerance.
     Re-entrant: no state is mutated during evaluation.
     """
 
@@ -189,50 +215,86 @@ def _pick_side(h, side):
     raise ValueError(f"side must be 'auto', 'inf' or 'sup', got {side!r}")
 
 
-def _scan_family(family, x, tol, minimize):
-    """Running extremum with the generated-family stopping rule.
+def _scan_columns(family, X, tol, minimize):
+    """Running extremum of the family at every column of X, shape (n, k).
 
-    Returns (value, terms).  Semantics match a scalar scan over the
-    enumeration: the running best includes every map seen; the stall counter
-    resets only on improvements larger than tol, and evaluation stops once
-    `window` consecutive maps fail to improve (generated families only).
+    Returns (values, terms), both of shape (k,).  Each column gets what a
+    scan of the enumeration at that column alone gives.  The running best
+    includes every member seen; an improvement counts only when it beats
+    the running best by more than tol.  A generated family stops a column
+    at the first member index s with s - (last improvement at or before s)
+    >= window, after s + 1 terms; a finite family visits every member.
+
+    Columns go in groups of at most _EVAL_CHUNK and members in blocks of at
+    most _BLOCK_CELLS member-by-column cells; a column that has stopped
+    drops out of later blocks.  Every step is elementwise and ties keep the
+    later member, as one accumulate over the whole enumeration would, so a
+    column's result does not depend on its batch or on the block bounds.
     """
-    sign = 1.0 if minimize else -1.0
+    k = X.shape[1]
     total = family.size
-    if not family.is_generated:
-        best = np.inf
-        for a in range(0, total, _EVAL_CHUNK):
-            vals = sign * np.asarray(family.values(x, a, min(a + _EVAL_CHUNK, total)), dtype=float)
-            if vals.size:
-                best = min(best, float(vals.min()))
-        return sign * best, total
+    window = family.window if family.is_generated else None
+    values = np.empty(k)
+    terms = np.full(k, total)
+    for c0 in range(0, k, _EVAL_CHUNK):
+        cols = np.arange(c0, min(c0 + _EVAL_CHUNK, k))
+        best = np.full(cols.size, np.inf)
+        last_imp = np.full(cols.size, -1)
+        a = 0
+        while a < total and cols.size:
+            b = min(a + min(_EVAL_CHUNK, _BLOCK_CELLS // cols.size), total)
+            vals = np.asarray(family.values(X[:, cols], a, b), dtype=float).reshape(b - a, -1)
+            vals = np.broadcast_to(vals if minimize else -vals, (b - a, cols.size))
+            run = np.minimum.accumulate(vals, axis=0)
+            np.minimum(best, run, out=run)
+            if window is not None:
+                gain = np.vstack((best, run[:-1]))
+                gain -= vals
+                index = np.arange(a, b)[:, None]
+                last = np.where(gain > tol, index, -1)
+                del gain
+                np.maximum.accumulate(last, axis=0, out=last)
+                np.maximum(last_imp, last, out=last)
+                stalled = last <= index - window
+                done = stalled.any(axis=0)
+                if done.any():
+                    hit = np.nonzero(done)[0]
+                    s = stalled[:, hit].argmax(axis=0)
+                    values[cols[hit]] = run[s, hit]
+                    terms[cols[hit]] = a + s + 1
+                    keep = ~done
+                    cols, run, last = cols[keep], run[:, keep], last[:, keep]
+                last_imp = last[-1]
+            best = run[-1]
+            a = b
+        values[cols] = best
+    return (values if minimize else -values), terms
 
-    window = family.window
-    best = np.inf
-    last_imp = -1
-    a = 0
-    while a < total:
-        b = min(a + _EVAL_CHUNK, total)
-        vals = sign * np.asarray(family.values(x, a, b), dtype=float)
-        run = np.minimum(np.minimum.accumulate(vals), best)
-        prev = np.concatenate(([best], run[:-1]))
-        improving = np.nonzero(prev - vals > tol)[0]
-        stop = None
-        for j in improving:
-            g = a + int(j)
-            if g - last_imp > window:
-                stop = last_imp + window
-                break
-            last_imp = g
-        if stop is None and (b - 1) - last_imp >= window:
-            stop = last_imp + window
-        if stop is not None:
-            # stop is always inside the current chunk: a previous chunk end
-            # would have tripped the same test earlier.
-            return sign * float(run[stop - a]), stop + 1
-        best = float(run[-1])
-        a = b
-    return sign * best, total
+
+def _eval_columns(h, X, tol, side):
+    """(values, terms, max oracle residual or None) of h at the columns of X.
+
+    One batched scan and one oracle call for all k columns of X (n, k).  A
+    residual beyond 10*tol raises one RepresentationWarning naming the
+    worst one.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be > 0")
+    chosen, family = _pick_side(h, side)
+    if not np.all(np.isfinite(X)):
+        raise ValueError(f"{h.name}: points must be finite")
+    values, terms = _scan_columns(family, X, tol, minimize=(chosen == "inf"))
+    residual = None
+    if h.oracle is not None:
+        residual = float(np.abs(values - np.asarray(h.oracle(X.T), dtype=float)).max())
+        if residual > 10.0 * tol:
+            warnings.warn(
+                RepresentationWarning(
+                    f"{h.name}: family value deviates from oracle by {residual:.3e}"
+                ),
+                stacklevel=3,
+            )
+    return values, terms, residual
 
 
 def eval_family(h, x, tol=DEFAULT_TOL, side="auto"):
@@ -242,24 +304,16 @@ def eval_family(h, x, tol=DEFAULT_TOL, side="auto"):
 
 
 def eval_family_detailed(h, x, tol=DEFAULT_TOL, side="auto"):
-    """(value, terms used); flags a RepresentationWarning on oracle drift."""
+    """(value, terms used) at one point: the one-column batched scan.
+
+    Raises ValueError on a NaN or infinite point; flags a
+    RepresentationWarning on oracle drift.
+    """
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != h.dim:
         raise DimensionMismatch("eval_family", f"point has dim {x.size}, function has dim {h.dim}")
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-    chosen, family = _pick_side(h, side)
-    value, terms = _scan_family(family, x, tol, minimize=(chosen == "inf"))
-    if h.oracle is not None:
-        residual = abs(value - float(h.oracle(x)))
-        if residual > 10.0 * tol:
-            warnings.warn(
-                RepresentationWarning(
-                    f"{h.name}: family value deviates from oracle by {residual:.3e}"
-                ),
-                stacklevel=2,
-            )
-    return value, terms
+    values, terms, _ = _eval_columns(h, x[:, None], tol, side)
+    return float(values[0]), int(terms[0])
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +361,7 @@ def sphere_grid(n, density):
 def _values_on_grid(h, grid, tol=DEFAULT_TOL):
     if h.oracle is not None:
         return np.asarray(h.oracle(grid), dtype=float)
-    return np.array([eval_family(h, u, tol=tol) for u in grid], dtype=float)
+    return _eval_columns(h, grid.T, tol, "auto")[0]
 
 
 def _default_density(n):
@@ -351,17 +405,18 @@ def domination_envelopes(h, grid_density=None):
             "domination_envelopes",
             f"{h.name}: grid values escape [-m, M] envelope by {worst:.3e}",
         )
-    if h.oracle is not None and (h.inf_family is not None or h.sup_family is not None):
+    if h.oracle is not None:
         stride = max(1, density // 128)
-        for u in grid[::stride]:
-            fam = eval_family(h, u)
-            orc = float(h.oracle(u))
-            if abs(fam - orc) > 1e-6 * (1.0 + abs(orc)):
-                raise EnvelopeViolation(
-                    "domination_envelopes",
-                    f"{h.name}: family and oracle disagree by {abs(fam - orc):.3e} "
-                    "on the sphere grid (bad oracle or coarse family)",
-                )
+        fam = _eval_columns(h, grid[::stride].T, DEFAULT_TOL, "auto")[0]
+        orc = vals[::stride]
+        diff = np.abs(fam - orc)
+        bad = np.nonzero(diff > 1e-6 * (1.0 + np.abs(orc)))[0]
+        if bad.size:
+            raise EnvelopeViolation(
+                "domination_envelopes",
+                f"{h.name}: family and oracle disagree by {diff[bad[0]]:.3e} "
+                "on the sphere grid (bad oracle or coarse family)",
+            )
     return psi, phi
 
 
@@ -395,7 +450,18 @@ def check_positive_homogeneity(h, samples=200, tol=DEFAULT_TOL, seed=0):
 
 # ---------------------------------------------------------------------------
 # built-in functions
+#
+# The enumerations are memoised per argument and returned read-only, so that
+# every builtin() call shares them.  Blocks take x of shape (n,) or (n, k)
+# through np.multiply.outer, elementwise, so a column's values do not depend
+# on the columns next to it.
 
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+@functools.lru_cache(maxsize=8)
 def _diag_ray_pairs(budget):
     # diagonal order on N^2 (m+n ascending, then m ascending) interleaved with
     # geometric rays (2^e, 1), (1, 2^e); the rays make the infimum attainable
@@ -412,7 +478,7 @@ def _diag_ray_pairs(budget):
         ms.append(1.0)
         ns.append(2.0**e)
         d += 1
-    return np.array(ms[:budget]), np.array(ns[:budget])
+    return _read_only(np.array(ms[:budget])), _read_only(np.array(ns[:budget]))
 
 
 def quadrant_sum(budget=DEFAULT_BUDGET, window=DEFAULT_WINDOW):
@@ -425,7 +491,7 @@ def quadrant_sum(budget=DEFAULT_BUDGET, window=DEFAULT_WINDOW):
     M, N = _diag_ray_pairs(budget)
 
     def block(x, a, b):
-        return np.maximum(M[a:b] * x[0] + N[a:b] * x[1], 0.0)
+        return np.maximum(np.multiply.outer(M[a:b], x[0]) + np.multiply.outer(N[a:b], x[1]), 0.0)
 
     def map_at(k):
         return SublinearMap(
@@ -445,6 +511,7 @@ def quadrant_sum(budget=DEFAULT_BUDGET, window=DEFAULT_WINDOW):
     )
 
 
+@functools.lru_cache(maxsize=8)
 def _lambda_ray_pairs(budget):
     # (lambda, n) with lambda in {0,1}, n ascending, plus geometric n-rays.
     lams, ns = [], []
@@ -454,7 +521,7 @@ def _lambda_ray_pairs(budget):
         lams.extend([0.0, 1.0, 0.0, 1.0])
         ns.extend([float(j), float(j), 2.0**e, 2.0**e])
         j += 1
-    return np.array(lams[:budget]), np.array(ns[:budget])
+    return _read_only(np.array(lams[:budget])), _read_only(np.array(ns[:budget]))
 
 
 def sign_switch(budget=DEFAULT_BUDGET, window=DEFAULT_WINDOW):
@@ -466,7 +533,7 @@ def sign_switch(budget=DEFAULT_BUDGET, window=DEFAULT_WINDOW):
     L, N = _lambda_ray_pairs(budget)
 
     def block(x, a, b):
-        return np.minimum(L[a:b] * x[0], N[a:b] * x[1])
+        return np.minimum(np.multiply.outer(L[a:b], x[0]), np.multiply.outer(N[a:b], x[1]))
 
     def map_at(k):
         return SuperlinearMap(
@@ -486,6 +553,7 @@ def sign_switch(budget=DEFAULT_BUDGET, window=DEFAULT_WINDOW):
     )
 
 
+@functools.lru_cache(maxsize=8)
 def _bit_reversed_angles(count):
     bits = count.bit_length() - 1
     if 1 << bits != count:
@@ -494,7 +562,7 @@ def _bit_reversed_angles(count):
     rev = np.zeros(count, dtype=np.int64)
     for b in range(bits):
         rev |= ((idx >> b) & 1) << (bits - 1 - b)
-    return rev * (2.0 * np.pi / count)
+    return _read_only(rev * (2.0 * np.pi / count))
 
 
 def disk_map():
@@ -511,7 +579,7 @@ def angle_superlinear_family(count):
     ]
 
     def block(x, a, b):
-        return C[a:b] * x[0] + S[a:b] * x[1]
+        return np.multiply.outer(C[a:b], x[0]) + np.multiply.outer(S[a:b], x[1])
 
     return FiniteFamily(maps, block_fn=block)
 
@@ -533,7 +601,7 @@ def square_mean(sup_angles=512, window=DEFAULT_WINDOW):
     C, S = np.cos(theta), np.sin(theta)
 
     def block(x, a, b):
-        return C[a:b] * x[0] + S[a:b] * x[1]
+        return np.multiply.outer(C[a:b], x[0]) + np.multiply.outer(S[a:b], x[1])
 
     def map_at(k):
         return SuperlinearMap(VPolytope([[C[k], S[k]]]), label=f"tangent-bitrev-{k}")
@@ -559,7 +627,7 @@ def abs_sum(n=2):
     sup_maps = [SuperlinearMap(VPolytope([s]), label=f"sign{k}") for k, s in enumerate(signs)]
 
     def block(x, a, b):
-        return signs[a:b] @ np.asarray(x, dtype=float)
+        return _dot_columns(signs[a:b], np.asarray(x, dtype=float))
 
     def oracle(pts):
         return np.abs(np.asarray(pts, dtype=float)).sum(axis=-1)

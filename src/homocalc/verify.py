@@ -30,6 +30,7 @@ from .homog import (
     RepresentationWarning,
     SublinearMap,
     SuperlinearMap,
+    _default_density,
     angle_superlinear_family,
     builtin,
     circumscribed_polygon_map,
@@ -267,8 +268,9 @@ def check_sublattice_invariance(trials=200, seed=0):
 
     Random step tuples with independent partitions; the grid samples every
     piece of the common refinement at its left endpoint and midpoint.  Both
-    paths push identical columns through identical scalar evaluations, so
-    equality is exact, not approximate.
+    paths push identical columns through the batched evaluation, whose
+    per-column results do not depend on the batch, so equality is exact,
+    not approximate.
     """
     rng = _rng(seed, "sublattice-invariance")
     names = ["example-7.1", "example-7.2", "square-mean", "abs-sum", "max-coord"]
@@ -328,10 +330,8 @@ def check_saddle(trials=20, tol=1e-9, seed=0, corrupt=False):
         phi = SublinearMap(P, label="polytope-support")
         psis = [SuperlinearMap(VPolytope([v]), label=f"vertex{i}") for i, v in enumerate(verts)]
         S = saddle_build([phi], psis)
-        grid = sphere_grid(n, 720 if n == 2 else 2000)
-        inner = np.einsum("ijn,un->iju", S.coeffs, grid)
-        infsup = inner.max(axis=1).min(axis=0)
-        supinf = inner.min(axis=0).max(axis=0)
+        grid = sphere_grid(n, _default_density(n))
+        infsup, supinf = saddle_eval(S, grid)
         gap = max(
             float(np.abs(infsup - supinf).max()),
             float(np.abs(infsup - support_batch(P, grid)).max()),
@@ -353,13 +353,16 @@ def check_saddle(trials=20, tol=1e-9, seed=0, corrupt=False):
     angle_fam = angle_superlinear_family(32)
     S32 = saddle_build([disk_map()], list(angle_fam.maps))
     circle = sphere_grid(2, 720)
-    gaps = [abs(a - b) for a, b in (saddle_eval(S32, u) for u in circle)]
+    infsup, supinf = saddle_eval(S32, circle)
     data = rng.uniform(-5.0, 5.0, size=(2, 8))
     fs = [RmElement(row) for row in data]
     via_saddle = fc_saddle(S32, fs)
     h32 = PHFunction("angle-32", 2, sup_family=angle_fam)
     via_family = fc_semicontinuous(h32, fs, side="sup")
-    worst = max(max(gaps), float(np.abs(via_saddle.coords - via_family.coords).max()))
+    worst = max(
+        float(np.abs(infsup - supinf).max()),
+        float(np.abs(via_saddle.coords - via_family.coords).max()),
+    )
     if worst > max(tol, 1e-12):
         failures.append(CheckFailure(_digest(circle, data), worst, 0.0, max(tol, 1e-12)))
 

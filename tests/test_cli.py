@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from homocalc.cli import main
+from homocalc.fcalc import saddle_build, saddle_to_json
 from homocalc.homog import angle_superlinear_family, disk_map, map_to_json
 
 
@@ -68,6 +69,20 @@ def test_saddle_build_and_eval(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["infsup"] == pytest.approx(1.0, abs=1e-9)
     assert doc["supinf"] == pytest.approx(doc["infsup"], abs=1e-9)
+
+
+def test_non_finite_points_exit_2_with_nothing_on_stdout(capsys, tmp_path):
+    saddle_path = tmp_path / "saddle.json"
+    S = saddle_build([disk_map()], list(angle_superlinear_family(8).maps))
+    saddle_path.write_text(json.dumps(saddle_to_json(S)))
+    for argv in (
+        ["eval", "--builtin", "example-7.1", "--x", "nan,1"],
+        ["saddle-eval", "--family", str(saddle_path), "--x", "inf,0"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "finite" in json.loads(err)["error"]["message"]
 
 
 def test_saddle_build_not_ordered_exits_3(capsys, tmp_path):

@@ -161,6 +161,19 @@ def test_saddle_eval_square_mean_grid():
     assert supinf == pytest.approx(1.0, abs=1e-9)
 
 
+def test_saddle_eval_batches_points_and_rejects_non_finite():
+    S = saddle_build([disk_map()], list(angle_superlinear_family(32).maps))
+    pts = np.array([[1.0, 0.0], [-2.5, 0.7], [0.3, -4.0]])
+    infsup, supinf = saddle_eval(S, pts)
+    assert infsup.shape == supinf.shape == (3,)
+    assert [saddle_eval(S, p) for p in pts] == list(zip(infsup, supinf))
+    for bad in ([np.nan, 1.0], [np.inf, 0.0], [[1.0, 0.0], [0.0, -np.inf]]):
+        with pytest.raises(ValueError, match="finite"):
+            saddle_eval(S, bad)
+    with pytest.raises(DimensionMismatch):
+        saddle_eval(S, [1.0, 2.0, 3.0])
+
+
 def test_fc_saddle_singleton_linear():
     a = np.array([1.5, -0.5])
     S = SaddleFamily(a.reshape(1, 1, 2))

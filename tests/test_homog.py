@@ -115,6 +115,14 @@ def test_eval_family_side_errors():
         eval_family(h, [1.0, 1.0], tol=0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eval_family_rejects_non_finite_points(bad):
+    # a batched running minimum would carry NaN through silently
+    for name, x in (("example-7.1", [bad, 1.0]), ("square-mean", [3.0, bad])):
+        with pytest.raises(ValueError, match="finite"):
+            eval_family_detailed(builtin(name), x)
+
+
 def test_generated_family_stall_semantics():
     # constant tail: stop window terms after the last improvement
     vals = np.ones(10_000)
