@@ -17,14 +17,16 @@ from .errors import (
     SchemaError,
 )
 
-# Defaults pinned for the projection solve: duality-gap tolerance and
-# iteration cap for the projected-gradient loop over simplex weights.
+# Defaults pinned for the projection solve: Frank-Wolfe gap tolerance and
+# cap on the major cycles of Wolfe's min-norm-point method.
 PROJECT_TOL = 1e-9
 PROJECT_MAX_ITER = 100_000
-
-FEASIBLE_MAX_ITER = 10_000
-_STALL_WINDOW = 50
-_STALL_REL = 1e-12
+# Rounding floor of that gap, relative to the largest squared distance from
+# p to a vertex: 1024 machine epsilons.
+_GAP_FLOOR = 2.0**-42
+# A sum of squares in this range has neither overflowed nor lost a square
+# that matters to underflow.
+_SAFE_SUM = (2.0**-960, 2.0**960)
 # Largest number of values a batched kernel (support, family scan, saddle)
 # holds in one block, so that the working set stays small for any batch.
 _BLOCK_CELLS = 8192
@@ -94,6 +96,34 @@ def _dot_columns(A, X):
     return out
 
 
+def _sum_squares(cols):
+    sq = cols[0] * cols[0]
+    for d in range(1, cols.shape[0]):
+        sq += cols[d] * cols[d]
+    return sq
+
+
+def _norms(cols):
+    """Norms of the columns of cols (n, k), squares summed coordinate by coordinate.
+
+    Columns whose sum falls outside _SAFE_SUM are summed again after an
+    exact power-of-two scaling; the others keep the plain sum, bit for bit.
+    """
+    with np.errstate(over="ignore"):
+        sq = _sum_squares(cols)
+    out = np.sqrt(sq)
+    odd = np.flatnonzero(~(sq >= _SAFE_SUM[0]) | (sq > _SAFE_SUM[1]))
+    if odd.size:
+        exp = np.frexp(np.abs(cols[:, odd]).max(axis=0))[1]
+        out[odd] = np.ldexp(np.sqrt(_sum_squares(np.ldexp(cols[:, odd], -exp))), exp)
+    return out
+
+
+def _norm(x):
+    """Euclidean norm of a vector, as _norms computes it."""
+    return float(_norms(np.asarray(x, dtype=float).reshape(-1, 1))[0])
+
+
 def support(s, x):
     """Support value max{a.x : a in s}: the one-point case of support_batch."""
     x = _check_point(s, x, "support")
@@ -121,10 +151,7 @@ def support_batch(s, points):
             out[c : c + step] = _dot_columns(V, cols[:, c : c + step]).max(axis=0)
         return out
     if isinstance(s, Ball):
-        sq = cols[0] * cols[0]
-        for d in range(1, s.dim):
-            sq += cols[d] * cols[d]
-        return _dot_columns(s.center, cols) + s.radius * np.sqrt(sq)
+        return _dot_columns(s.center, cols) + s.radius * _norms(cols)
     raise TypeError(f"unsupported set type {type(s).__name__}")
 
 
@@ -139,186 +166,155 @@ def support_argmax(s, x):
         idx = int(np.argmax(s.vertices @ x))
         return s.vertices[idx].copy()
     if isinstance(s, Ball):
-        nrm = np.linalg.norm(x)
+        nrm = _norm(x)
         if nrm == 0.0:
             return s.center.copy()
-        return s.center + (s.radius / nrm) * x
+        return s.center + s.radius * (x / nrm)
     raise TypeError(f"unsupported set type {type(s).__name__}")
 
 
-def _project_simplex(y):
-    # Euclidean projection onto the probability simplex, sort-based.
-    u = np.sort(y)[::-1]
-    css = np.cumsum(u) - 1.0
-    ks = np.arange(1, y.size + 1)
-    rho = np.nonzero(u - css / ks > 0)[0][-1]
-    tau = css[rho] / (rho + 1.0)
-    return np.maximum(y - tau, 0.0)
+def _affine_weights(P):
+    """Weights v, sum 1, minimizing ||v @ P||, and a basis of the edges' span.
+
+    Least squares on the edges from the first row, by SVD with lstsq's rank
+    cut, so duplicate, collinear or coplanar rows are no error.
+    """
+    if P.shape[0] == 1:
+        return np.ones(1), None
+    E = (P[1:] - P[0]).T
+    U, sv, Vt = np.linalg.svd(E, full_matrices=False)
+    r = int(np.count_nonzero(sv > sv[0] * max(E.shape) * np.finfo(float).eps))
+    z = -(Vt[:r].T @ ((U[:, :r].T @ P[0]) / sv[:r]))
+    return np.concatenate(([1.0 - z.sum()], z)), U[:, :r]
 
 
-def _fw_gap(grad, w):
-    # Frank-Wolfe duality gap over the simplex: certifies f(w) - f* <= gap.
-    return float(grad @ w - grad.min())
+def _min_norm_weights(D, tol, max_iter, op):
+    """Wolfe's nearest point x = w @ D[corral] to 0 in the hull of D's rows.
 
-
-def _polish_face(G, c, w):
-    # Solve the equality-constrained least squares on the active face.
-    # Returns an improved weight vector or None if the face solve is infeasible.
-    S = np.nonzero(w > 1e-12)[0]
-    k = S.size
-    A = np.zeros((k + 1, k + 1))
-    A[:k, :k] = G[np.ix_(S, S)]
-    A[:k, k] = 1.0
-    A[k, :k] = 1.0
-    rhs = np.concatenate([c[S], [1.0]])
-    sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    ws = sol[:k]
-    if not np.all(np.isfinite(ws)) or ws.min() < -1e-10:
-        return None
-    ws = np.maximum(ws, 0.0)
-    tot = ws.sum()
-    if tot <= 0:
-        return None
-    out = np.zeros_like(w)
-    out[S] = ws / tot
-    return out
-
-
-def _project_polytope(P, p, tol, max_iter):
-    V = P.vertices
-    k = V.shape[0]
-    if k == 1:
-        return V[0].copy()
-
-    # minimize f(w) = 0.5 * ||w V - p||^2 over the simplex.
-    G = V @ V.T
-    c = V @ p
-
-    def fval(w):
-        r = w @ V - p
-        return 0.5 * float(r @ r)
-
-    # Warm start at the nearest vertex (ties -> lowest index); projecting a
-    # vertex of the hull then terminates immediately with zero gap.
-    d2 = np.einsum("ij,ij->i", V - p, V - p)
-    w = np.zeros(k)
-    w[int(np.argmin(d2))] = 1.0
-
-    L = float(np.linalg.eigvalsh(G)[-1])
-    if L <= 0.0:
-        # all vertices are the origin
-        return (w @ V).copy()
-    step = 1.0 / L
-
-    def try_polish(w):
-        w2 = _polish_face(G, c, w)
-        if w2 is not None and fval(w2) <= fval(w) + 1e-15 * (1.0 + abs(fval(w))):
-            return w2
-        return w
-
-    gap = np.inf
-    for it in range(max_iter):
-        grad = G @ w - c
-        gap = _fw_gap(grad, w)
-        if gap <= tol:
-            w = try_polish(w)
-            return w @ V
-        if it > 0 and it % 200 == 0:
-            w2 = try_polish(w)
-            if fval(w2) < fval(w):
-                w = w2
-                grad = G @ w - c
-                gap = _fw_gap(grad, w)
-                if gap <= tol:
-                    return w @ V
-        w = _project_simplex(w - step * grad)
-
-    grad = G @ w - c
-    gap = _fw_gap(grad, w)
-    if gap <= tol:
-        return w @ V
+    Returns the corral (row indices) and its weights, all > 0.  A major
+    cycle adds the row with the smallest x.d; minor cycles move to the
+    corral's affine minimizer, dropping rows until every weight is > 0.
+    Stops at a Frank-Wolfe gap x.x - min_i x.d_i (which bounds
+    (||x||^2 - min ||.||^2) / 2) of at most tol, or of at most _GAP_FLOOR
+    max_i ||d_i||^2 once rounding stops progress (the chosen row is in the
+    corral, or ||x|| did not fall).  Else raises NoConvergence, as it does
+    after max_iter major cycles.
+    """
+    sq = np.einsum("ij,ij->i", D, D)
+    floor = _GAP_FLOOR * float(sq.max())
+    corral = [int(np.argmin(sq))]
+    w, span = np.ones(1), None
+    last = np.inf
+    for cycle in range(max_iter + 1):
+        x = w @ D[corral]
+        if span is not None:
+            # x is the corral's affine minimizer, so it is orthogonal to the
+            # corral's edges; removing the rounding along them makes x.d_i
+            # exact to rounding in ||x|| max ||d_i||, not in max ||d_i||^2.
+            x -= span @ (span.T @ x)
+        g = D @ x
+        j = int(np.argmin(g))
+        xx = float(x @ x)
+        gap = xx - float(g[j])
+        stalled = j in corral or xx >= last
+        if gap <= tol or (stalled and gap <= floor):
+            return corral, w
+        if stalled or cycle == max_iter:
+            break
+        last = xx
+        corral.append(j)
+        w = np.append(w, 0.0)
+        while True:
+            v, basis = _affine_weights(D[corral])
+            if v.min() > 0:
+                w, span = v, basis
+                break
+            # Step from w towards v until the first weight reaches 0, drop it.
+            out = np.flatnonzero(v <= 0)
+            ratio = w[out] / np.maximum(w[out] - v[out], np.finfo(float).tiny)
+            k = int(np.argmin(ratio))
+            w = w + ratio[k] * (v - w)
+            w[out[k]] = 0.0
+            keep = np.flatnonzero(w > 0)
+            corral = [corral[i] for i in keep]
+            w = w[keep]
     raise NoConvergence(
-        "project",
-        f"optimality gap {gap:.3e} above {tol:.1e} after {max_iter} iterations",
+        op, f"optimality gap {gap:.3e} above {tol:.1e} after {cycle} major cycles"
     )
 
 
 def project(s, p, tol=PROJECT_TOL, max_iter=PROJECT_MAX_ITER):
-    """Nearest point of s to p.
+    """Nearest point q of s to p.
 
-    Balls are handled in closed form.  Polytopes run projected gradient over
-    simplex weights (step 1/lambda_max of the Gram matrix) until the duality
-    gap drops below `tol`, with an active-face polish that makes the generic
-    desk-scale case exact; raises NoConvergence if the gap stays above tol.
+    Balls are handled in closed form.  Polytopes run Wolfe's finite
+    min-norm-point method on the vertices minus p; q is a convex combination
+    of vertices.  Certificate: the Frank-Wolfe gap x.x - min_i x.(v_i - p)
+    at x = q - p is at most tol, or, where rounding stops progress first,
+    at most 2^-42 max_i ||v_i - p||^2.  Raises NoConvergence otherwise, and
+    when max_iter major cycles run out.
     """
     p = _check_point(s, p, "project")
     if isinstance(s, Ball):
         d = p - s.center
-        nrm = np.linalg.norm(d)
+        nrm = _norm(d)
         if nrm <= s.radius:
             return p.copy()
         return s.center + (s.radius / nrm) * d
     if isinstance(s, VPolytope):
-        return _project_polytope(s, p, tol, max_iter)
+        corral, w = _min_norm_weights(s.vertices - p, tol, max_iter, "project")
+        return w @ s.vertices[corral]
     raise TypeError(f"unsupported set type {type(s).__name__}")
 
 
-def _dist(s, p, gap_tol=1e-12):
-    """Distance from p to s, via projection with a tightened gap."""
-    if isinstance(s, Ball):
-        return max(0.0, float(np.linalg.norm(np.asarray(p, float) - s.center)) - s.radius)
-    q = project(s, p, tol=gap_tol)
-    return float(np.linalg.norm(np.asarray(p, float) - q))
-
-
 def contains(s, a, tol):
-    """Membership test: dist(a, s) <= tol."""
+    """Membership test: dist(a, s) <= tol, projecting with a gap of tol^2 in [1e-16, 1e-12]."""
     a = _check_point(s, a, "contains")
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    return _dist(s, a, gap_tol=max(min(tol * tol, 1e-12), 1e-16)) <= tol
-
-
-def _representative(s):
     if isinstance(s, Ball):
-        return s.center.copy()
-    return s.vertices.mean(axis=0)
+        return _norm(a - s.center) - s.radius <= tol
+    return _norm(a - project(s, a, tol=max(min(tol * tol, 1e-12), 1e-16))) <= tol
 
 
-def feasible_point(set_a, set_b, tol=PROJECT_TOL, max_iter=FEASIBLE_MAX_ITER):
-    """A point within tol of both sets, by alternating projections.
+def feasible_point(set_a, set_b, tol=PROJECT_TOL):
+    """A point within tol of both sets, from exact cases.
 
-    Raises EmptyIntersection when the residual stalls above tol (relative
-    improvement below 1e-12 over 50 consecutive iterations) or the iteration
-    cap runs out.  For intersecting convex sets the residual is monotone
-    nonincreasing, so the stall test is a reliable emptiness signal.
+    Two balls: the middle of the stretch of the segment between the centres
+    that lies in both.  A ball and a polytope: the centre projected onto the
+    polytope.  Two polytopes: Wolfe's method (see project) on the
+    differences a_i - b_j; its weights give a in set_a and b in set_b with
+    ||a - b|| the sets' distance, and a is returned.  Raises
+    EmptyIntersection when the distance is above tol.
     """
     if set_a.dim != set_b.dim:
         raise DimensionMismatch(
             "feasible_point", f"sets have dims {set_a.dim} and {set_b.dim}"
         )
-    x = _representative(set_a)
-    best = np.inf
-    stall = 0
-    residual = np.inf
-    for _ in range(max_iter):
-        b = project(set_b, x, tol=1e-12)
-        a = project(set_a, b, tol=1e-12)
-        residual = float(np.linalg.norm(a - b))
-        if residual <= tol:
-            return a
-        if best - residual <= _STALL_REL * max(best, 1.0):
-            stall += 1
-            if stall >= _STALL_WINDOW:
-                break
-        else:
-            stall = 0
-        best = min(best, residual)
-        x = a
-    raise EmptyIntersection(
-        "feasible_point",
-        f"alternating-projection residual {residual:.3e} stalled above {tol:.1e}",
-    )
+    if isinstance(set_a, Ball) and isinstance(set_b, Ball):
+        d = set_b.center - set_a.center
+        nrm = _norm(d)
+        dist = nrm - set_a.radius - set_b.radius
+        point = set_a.center.copy()
+        if nrm > 0:
+            # distances from set_a's centre, along d, that lie in both balls
+            lo, hi = max(nrm - set_b.radius, 0.0), min(set_a.radius, nrm)
+            point += ((hi if lo > hi else 0.5 * (lo + hi)) / nrm) * d
+    elif isinstance(set_a, Ball) or isinstance(set_b, Ball):
+        ball, poly = (set_a, set_b) if isinstance(set_a, Ball) else (set_b, set_a)
+        point = project(poly, ball.center, tol=0.0)
+        dist = _norm(point - ball.center) - ball.radius
+    else:
+        A, B = set_a.vertices, set_b.vertices
+        D = (A[:, None, :] - B[None, :, :]).reshape(-1, A.shape[1])
+        corral, w = _min_norm_weights(D, 0.0, PROJECT_MAX_ITER, "feasible_point")
+        rows = np.array(corral)
+        point = w @ A[rows // B.shape[0]]
+        dist = _norm(point - w @ B[rows % B.shape[0]])
+    if dist > tol:
+        raise EmptyIntersection(
+            "feasible_point", f"the sets are {dist:.3e} apart, above {tol:.1e}"
+        )
+    return point
 
 
 def coordinate_bound(s, k):

@@ -25,7 +25,7 @@ class NoConvergence(CalculusError):
 
 
 class EmptyIntersection(CalculusError):
-    """Alternating projections stalled above tolerance; sets likely disjoint."""
+    """Two sets are farther apart than the tolerance; the distance is computed exactly."""
 
 
 class EmptyFamily(CalculusError):

@@ -8,6 +8,7 @@ equality), no epsilon snapping.
 
 import numpy as np
 
+from .convexsets import _expect_number_list
 from .errors import DimensionMismatch, IndexOutOfRange, LatticeMismatch, SchemaError
 
 
@@ -235,19 +236,11 @@ def element_to_json(f):
     raise TypeError(f"unsupported element type {type(f).__name__}")
 
 
-def _num_list(obj, source, path):
-    if not isinstance(obj, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj
-    ):
-        raise SchemaError(source, path, "expected a list of numbers")
-    return [float(v) for v in obj]
-
-
 def element_from_json(obj, source="<inline>", path="element"):
     if not isinstance(obj, dict):
         raise SchemaError(source, path, "expected an object")
     if "rm" in obj:
-        coords = _num_list(obj["rm"], source, f"{path}.rm")
+        coords = _expect_number_list(obj["rm"], source, f"{path}.rm")
         if not coords:
             raise SchemaError(source, f"{path}.rm", "expected a nonempty list")
         return RmElement(coords)
@@ -257,8 +250,8 @@ def element_from_json(obj, source="<inline>", path="element"):
             raise SchemaError(
                 source, f"{path}.step", "expected {'breakpoints': [...], 'values': [...]}"
             )
-        bp = _num_list(body["breakpoints"], source, f"{path}.step.breakpoints")
-        vals = _num_list(body["values"], source, f"{path}.step.values")
+        bp = _expect_number_list(body["breakpoints"], source, f"{path}.step.breakpoints")
+        vals = _expect_number_list(body["values"], source, f"{path}.step.values")
         try:
             return StepFunction(bp, vals)
         except ValueError as exc:

@@ -85,6 +85,22 @@ def test_non_finite_points_exit_2_with_nothing_on_stdout(capsys, tmp_path):
         assert "finite" in json.loads(err)["error"]["message"]
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize(
+    "x, value",
+    [("1e-300,3e300", 3e300), ("1e-300,1e-300", 1.4142135623730951e-300)],
+)
+def test_square_mean_at_extreme_magnitudes(capsys, x, value):
+    # Squares of these coordinates overflow or underflow unless rescaled.
+    code, out, err = run(capsys, "eval", "--builtin", "square-mean", "--x", x)
+    assert code == 0 and err == ""
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert doc["value"] == pytest.approx(value, rel=1e-12, abs=0.0)
+
+
 def test_saddle_build_not_ordered_exits_3(capsys, tmp_path):
     doc = {
         "phis": [{"sublinear": {"subdiff": {"ball": {"center": [0.0, 0.0], "radius": 0.5}}}}],

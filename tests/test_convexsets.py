@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homocalc.convexsets import (
+    PROJECT_TOL,
     Ball,
     VPolytope,
     contains,
@@ -86,6 +87,22 @@ def test_project_no_convergence_with_tiny_iteration_cap():
         project(SQUARE, [2.0, 0.0], max_iter=0)
 
 
+def test_project_thin_triangle_gap_at_tight_tol():
+    # An iterative method stalls here far above the 1e-12 gap.
+    tri = VPolytope(
+        [
+            [0.47410345865830655, -0.00810366661777852],
+            [0.3441160968967407, -0.2898434775120157],
+            [0.30974720018562935, -0.3643256232866426],
+        ]
+    )
+    p = np.array([0.3897486148023525, -0.16807201777335612])
+    q = project(tri, p, tol=1e-12)
+    assert contains(tri, q, 1e-12)
+    # nearest: no vertex lies beyond the plane through q normal to p - q
+    assert ((tri.vertices - q) @ (p - q)).max() <= 1e-15
+
+
 def test_contains_requires_positive_tol():
     with pytest.raises(ValueError):
         contains(SQUARE, [0.0, 0.0], 0.0)
@@ -111,6 +128,52 @@ def test_feasible_point_singletons_forced():
 def test_feasible_point_empty_intersection():
     with pytest.raises(EmptyIntersection):
         feasible_point(Ball([0.0, 0.0], 1.0), Ball([5.0, 0.0], 1.0))
+
+
+def test_feasible_point_two_balls():
+    a = feasible_point(Ball([0.0, 0.0], 2.0), Ball([3.0, 0.0], 2.0))
+    assert np.array_equal(a, [1.5, 0.0])
+    # touching from outside: the point of contact
+    assert np.array_equal(feasible_point(Ball([0.0, 0.0], 1.0), Ball([3.0, 0.0], 2.0)), [1.0, 0.0])
+    # one ball inside the other
+    a = feasible_point(Ball([0.0, 0.0], 5.0), Ball([1.0, 1.0], 0.5))
+    assert contains(Ball([1.0, 1.0], 0.5), a, 1e-12)
+
+
+def test_feasible_point_ball_and_polytope():
+    ball = Ball([0.0, 0.0], 1.0)
+    for args in ((ball, SEGMENT), (SEGMENT, ball)):
+        a = feasible_point(*args)
+        assert a == pytest.approx([0.5, 0.5], abs=1e-15)
+    with pytest.raises(EmptyIntersection):
+        feasible_point(ball, VPolytope([[2.0, 0.0], [0.0, 2.0]]))
+
+
+def _touching_pair(rng, n):
+    """Two polytopes in R^n that meet only at their first vertices.
+
+    A lies in the half-space u.x <= u.t and B in u.x >= u.t, each with
+    exactly one vertex, t, on the plane.  Returns A, B, t and u.
+    """
+    u = rng.normal(size=n)
+    u /= np.linalg.norm(u)
+    t = rng.uniform(-2.0, 2.0, n)
+    A = rng.uniform(-2.0, 2.0, size=(n + 2, n))
+    B = rng.uniform(-2.0, 2.0, size=(n + 2, n))
+    A -= ((A - t) @ u - rng.uniform(-2.0, -0.1, n + 2))[:, None] * u
+    B -= ((B - t) @ u - rng.uniform(0.1, 2.0, n + 2))[:, None] * u
+    A[0] = B[0] = t
+    return A, B, t, u
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(2, 4))
+def test_feasible_point_touching_polytopes(seed, n):
+    A, B, t, u = _touching_pair(np.random.default_rng(seed), n)
+    a = feasible_point(VPolytope(A), VPolytope(B))
+    assert a == pytest.approx(t, abs=1e-12)
+    with pytest.raises(EmptyIntersection):
+        feasible_point(VPolytope(A), VPolytope(B + 1e-6 * u), tol=1e-9)
 
 
 def test_coordinate_bound_values():
@@ -171,15 +234,39 @@ def test_support_witness_attains_value(x):
         assert float(a @ x) == pytest.approx(support(s, x), abs=1e-9 * (1 + np.abs(x).sum()))
 
 
+def _vertex_set(rng, shape):
+    """Five vertices in R^3: generic, with repeats, on a line, on a plane or thin."""
+    V = rng.uniform(-3, 3, size=(5, 3))
+    if shape == "duplicate":
+        V = V[[0, 1, 1, 2, 0]]
+    elif shape == "collinear":
+        V = V[0] + rng.uniform(-1, 2, size=(5, 1)) * (V[1] - V[0])
+    elif shape == "coplanar":
+        st_ = rng.uniform(-1, 2, size=(5, 2))
+        V = V[0] + st_[:, :1] * (V[1] - V[0]) + st_[:, 1:] * (V[2] - V[0])
+    elif shape == "thin":
+        # a simplex squashed to 1e-8 across one plane, then turned
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        V = V[:4] * [1.0, 1.0, 1e-8] @ q.T
+    return V
+
+
 @settings(max_examples=40, deadline=None)
-@given(finite_vec(3), st.integers(0, 2**31 - 1))
-def test_projection_is_nearest(p, seed):
+@given(
+    finite_vec(3),
+    st.integers(0, 2**31 - 1),
+    st.sampled_from(["generic", "duplicate", "collinear", "coplanar", "thin"]),
+    st.sampled_from([1e-6, 1.0, 1e6]),
+)
+def test_projection_is_nearest(p, seed, shape, scale):
     rng = np.random.default_rng(seed)
-    P = VPolytope(rng.uniform(-3, 3, size=(5, 3)))
-    q = project(P, p)
+    P = VPolytope(scale * _vertex_set(rng, shape))
+    p = scale * p
+    # the gap tolerance is absolute: scale it with the squared distances
+    q = project(P, p, tol=PROJECT_TOL * scale**2)
     assert contains(P, q, 1e-7)
     d = np.linalg.norm(p - q)
-    w = rng.dirichlet(np.ones(5), size=8)
+    w = rng.dirichlet(np.ones(len(P.vertices)), size=8)
     others = np.linalg.norm(w @ P.vertices - p, axis=1)
     assert d <= others.min() + 1e-7
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homocalc.convexsets import Ball, VPolytope
+from homocalc.convexsets import Ball, VPolytope, contains
 from homocalc.errors import (
     DimensionMismatch,
     EmptyFamily,
@@ -145,6 +145,19 @@ def test_saddle_build_angle_grid_forced_to_angles():
     theta = np.arange(16) * (2 * np.pi / 16)
     expected = np.column_stack([np.cos(theta), np.sin(theta)])
     assert S.coeffs[0] == pytest.approx(expected, abs=1e-9)
+
+
+def test_saddle_build_random_polytopes_around_a_shared_base():
+    # An ordered pair whose coefficient an iterative projection cannot
+    # certify to a 1e-12 gap.
+    rng = np.random.default_rng(5)
+    base = rng.uniform(-1, 1, size=(6, 3))
+    phis = [VPolytope(np.vstack([base, rng.uniform(-3, 3, size=(6, 3))])) for _ in range(7)]
+    psis = [VPolytope(base[rng.choice(6, 3, replace=False)]) for _ in range(7)]
+    S = saddle_build([SublinearMap(phis[0])], [SuperlinearMap(psis[6])])
+    a = S.coeffs[0, 0]
+    assert contains(phis[0], a, 1e-9)
+    assert contains(psis[6], a, 1e-9)
 
 
 def test_saddle_build_not_ordered():
