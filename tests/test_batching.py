@@ -14,7 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homocalc.convexsets import Ball, VPolytope
-from homocalc.fcalc import fc_saddle, fc_sublinear, fc_superlinear, saddle_build
+from homocalc.fcalc import (
+    fc_saddle,
+    fc_semicontinuous,
+    fc_sublinear,
+    fc_superlinear,
+    saddle_build,
+)
 from homocalc.homog import (
     DEFAULT_TOL,
     FiniteFamily,
@@ -28,7 +34,7 @@ from homocalc.homog import (
     disk_map,
     eval_family_detailed,
 )
-from homocalc.lattice import RmElement
+from homocalc.lattice import RmElement, StepFunction, common_refinement
 
 BUILTINS = [
     builtin("example-7.1"),
@@ -121,6 +127,25 @@ def test_map_and_saddle_lifts_equal_single_column_lifts(n):
     lifts = ((fc_sublinear, phi), (fc_superlinear, psi), (fc_sublinear, ball), (fc_saddle, S))
     for lift, m in lifts:
         assert _bits(lift(m, fs).coords) == _bits(_lifted_alone(lift, m, X))
+
+
+@pytest.mark.parametrize("h", BUILTINS, ids=lambda h: h.name)
+def test_step_lift_equals_lift_of_refinement_columns(h):
+    # the lift of a step tuple is the R^m lift of its common refinement's
+    # columns, wrapped on the refinement's breakpoints
+    rng = np.random.default_rng(21)
+    for _ in range(5):
+        fs = []
+        for _ in range(h.dim):
+            bp = np.concatenate(([0.0], np.unique(rng.uniform(0.0, 1.0, size=6)), [1.0]))
+            fs.append(StepFunction(bp, rng.uniform(-5.0, 5.0, size=bp.size - 1)))
+        bp, vals = common_refinement(fs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RepresentationWarning)
+            on_steps = fc_semicontinuous(h, fs)
+            via_columns = StepFunction(bp, fc_semicontinuous(h, [RmElement(r) for r in vals]).coords)
+        assert _bits(on_steps.breakpoints) == _bits(via_columns.breakpoints)
+        assert _bits(on_steps.values) == _bits(via_columns.values)
 
 
 _MAGNITUDE = st.builds(

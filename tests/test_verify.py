@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from homocalc.cli import main
 from homocalc.homog import builtin
 from homocalc.lattice import RmElement, StepFunction
 from homocalc.verify import (
@@ -140,3 +142,45 @@ def test_default_suite_deterministic():
     a = [r.to_json() for r in default_suite(seed=2)]
     b = [r.to_json() for r in default_suite(seed=2)]
     assert json.dumps(a) == json.dumps(b)
+
+
+# SHA-256 pins of whole outputs.  The checks lift all their trials in one
+# batched call per function; these pins hold the bytes to what one lift per
+# trial gave, failure records included.
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_suite_cli_stdout_is_pinned(capsys):
+    assert main(["suite", "--seed", "0"]) == 0
+    out = capsys.readouterr().out
+    assert _sha256(out) == "2ac6133a54a2055f180dc5c2c7709a77a58e5c8a71320a5a7b5406769d86a41d"
+
+
+@pytest.mark.parametrize(
+    "run, failures, digest",
+    [
+        (
+            lambda: check_engine_vs_oracle("square-mean", tol=0.0, seed=1),
+            341,
+            "6fc357492416098281fea48c6a3fcc6c8f36dedf32161563470f6596c846f846",
+        ),
+        (
+            lambda: check_rep_independence(angles=8, seed=5),
+            50,
+            "b550a03905329511ef42aece3e474646d80a294e9113f452a6b0e47d650ffc96",
+        ),
+        (
+            lambda: check_engine_vs_oracle("square-mean", trials=100, tol=0.0, seed=3, m=5),
+            62,
+            "ce4906bbdfedce70eff649d2305e8687a80239d5699d308e5fb8939c3ebe336c",
+        ),
+    ],
+    ids=["engine-vs-oracle-tol0", "rep-independence-8-angles", "engine-vs-oracle-fixed-m"],
+)
+def test_forced_failure_records_are_pinned(run, failures, digest):
+    report = run()
+    assert len(report.failures) == failures
+    assert _sha256(json.dumps(report.to_json(), sort_keys=True)) == digest
