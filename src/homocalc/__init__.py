@@ -28,6 +28,7 @@ from .errors import (
     IndexOutOfRange,
     LatticeMismatch,
     NoConvergence,
+    NonFiniteResult,
     NotOrdered,
     SaddleGap,
     SchemaError,
@@ -60,8 +61,6 @@ from .homog import (
     domination_envelopes,
     eval_family,
     eval_family_detailed,
-    eval_sublinear,
-    eval_superlinear,
     function_from_json,
     map_from_json,
     map_to_json,

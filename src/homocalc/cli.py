@@ -2,7 +2,8 @@
 
 Exit status: 0 success / checks passed, 1 check failure, 2 input error
 (bad flags, schema violations, dimension mismatches), 3 numerical failure
-(no convergence, saddle gap, empty intersection, ordering violations).
+(no convergence, saddle gap, empty intersection, ordering violations,
+results outside the float range).
 """
 
 import argparse
@@ -18,6 +19,7 @@ from .errors import (
     EmptyIntersection,
     EnvelopeViolation,
     NoConvergence,
+    NonFiniteResult,
     NotOrdered,
     SaddleGap,
     SchemaError,
@@ -37,7 +39,14 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
-_NUMERICAL = (NoConvergence, SaddleGap, EmptyIntersection, NotOrdered, EnvelopeViolation)
+_NUMERICAL = (
+    NoConvergence,
+    SaddleGap,
+    EmptyIntersection,
+    NotOrdered,
+    EnvelopeViolation,
+    NonFiniteResult,
+)
 _GENERATED_BUILTINS = ("example-7.1", "example-7.2")
 
 
@@ -98,7 +107,7 @@ def _load_function(args):
 
 
 def _emit(obj, out_path=None):
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     sys.stdout.write(text)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -162,23 +171,22 @@ def _cmd_saddle_eval(args):
     return EXIT_OK
 
 
+def _tol(args):
+    # without --tol each check keeps its own default
+    return {} if args.tol is None else {"tol": args.tol}
+
+
 _CHECKS = {
     "engine-vs-oracle": lambda args, seed: verify.check_engine_vs_oracle(
-        args.builtin or "example-7.1", tol=args.tol if args.tol is not None else 1e-6, seed=seed
+        args.builtin or "example-7.1", seed=seed, **_tol(args)
     ),
-    "interchange": lambda args, seed: verify.check_interchange(
-        tol=args.tol if args.tol is not None else 1e-12, seed=seed
-    ),
-    "rep-independence": lambda args, seed: verify.check_rep_independence(
-        tol=args.tol if args.tol is not None else 1e-3, seed=seed
-    ),
+    "interchange": lambda args, seed: verify.check_interchange(seed=seed, **_tol(args)),
+    "rep-independence": lambda args, seed: verify.check_rep_independence(seed=seed, **_tol(args)),
     "continuous-agreement": lambda args, seed: verify.check_continuous_agreement(
-        tol=args.tol if args.tol is not None else 1e-6, seed=seed
+        seed=seed, **_tol(args)
     ),
     "sublattice-invariance": lambda args, seed: verify.check_sublattice_invariance(seed=seed),
-    "saddle": lambda args, seed: verify.check_saddle(
-        tol=args.tol if args.tol is not None else 1e-9, seed=seed
-    ),
+    "saddle": lambda args, seed: verify.check_saddle(seed=seed, **_tol(args)),
     "negative-controls": lambda args, seed: verify.negative_controls(seed=seed),
 }
 

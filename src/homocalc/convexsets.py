@@ -108,9 +108,18 @@ def _norms(cols):
 
     Columns whose sum falls outside _SAFE_SUM are summed again after an
     exact power-of-two scaling; the others keep the plain sum, bit for bit.
+    The overflow guard runs only when the largest coordinate lets a sum
+    exceed _SAFE_SUM, and the per-column mask only when some sum may lie
+    outside it.
     """
-    with np.errstate(over="ignore"):
+    top = float(np.maximum.reduce(np.abs(cols), axis=None, initial=0.0))
+    if top * top * cols.shape[0] <= _SAFE_SUM[1] / 2:
         sq = _sum_squares(cols)
+        if not sq.size or sq.min() >= _SAFE_SUM[0]:
+            return np.sqrt(sq)
+    else:
+        with np.errstate(over="ignore"):
+            sq = _sum_squares(cols)
     out = np.sqrt(sq)
     odd = np.flatnonzero(~(sq >= _SAFE_SUM[0]) | (sq > _SAFE_SUM[1]))
     if odd.size:

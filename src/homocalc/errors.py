@@ -28,6 +28,10 @@ class EmptyIntersection(CalculusError):
     """Two sets are farther apart than the tolerance; the distance is computed exactly."""
 
 
+class NonFiniteResult(CalculusError):
+    """A value computed from finite inputs is infinite or NaN: it lies outside the float range."""
+
+
 class EmptyFamily(CalculusError):
     """A family evaluation was asked for with no members on the chosen side."""
 

@@ -15,6 +15,7 @@ from .errors import (
     DimensionMismatch,
     EmptyFamily,
     LatticeMismatch,
+    NonFiniteResult,
     NotOrdered,
     SaddleGap,
     SchemaError,
@@ -192,7 +193,8 @@ def saddle_eval(S, x):
     of shape (k,).  Points go in blocks of at most _BLOCK_CELLS
     coefficient-by-point cells, summed coordinate by coordinate, so a
     point's values do not depend on the other points.  Raises ValueError on
-    a NaN or infinite point.
+    a NaN or infinite point and NonFiniteResult on a value outside the
+    float range.
     """
     pts = np.asarray(x, dtype=float)
     single = pts.ndim <= 1
@@ -207,10 +209,16 @@ def saddle_eval(S, x):
     infsup = np.empty(pts.shape[0])
     supinf = np.empty(pts.shape[0])
     step = max(1, _BLOCK_CELLS // (P * Q))
-    for c in range(0, pts.shape[0], step):
-        M = _dot_columns(S.coeffs, pts[c : c + step].T)
-        infsup[c : c + step] = M.max(axis=1).min(axis=0)
-        supinf[c : c + step] = M.min(axis=0).max(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in range(0, pts.shape[0], step):
+            M = _dot_columns(S.coeffs, pts[c : c + step].T)
+            infsup[c : c + step] = M.max(axis=1).min(axis=0)
+            supinf[c : c + step] = M.min(axis=0).max(axis=0)
+    bad = np.flatnonzero(~(np.isfinite(infsup) & np.isfinite(supinf)))
+    if bad.size:
+        raise NonFiniteResult(
+            "saddle_eval", f"the value at point {bad[0]} is outside the float range"
+        )
     if single:
         return float(infsup[0]), float(supinf[0])
     return infsup, supinf
@@ -227,8 +235,7 @@ def fc_saddle(S, elements, tol=SADDLE_TOL):
         raise DimensionMismatch("fc_saddle", f"{cols.shape[0]} elements, saddle expects {S.dim}")
     infsup, supinf = saddle_eval(S, cols.T)
     gap = np.abs(infsup - supinf)
-    # a NaN gap (an overflowed column) must not hide a real gap elsewhere
-    k = int(np.argmax(np.where(gap > tol, gap, -1.0)))
+    k = int(gap.argmax())
     if gap[k] > tol:
         raise SaddleGap(
             "fc_saddle",

@@ -26,7 +26,14 @@ from .convexsets import (
     set_to_json,
     support_batch,
 )
-from .errors import DimensionMismatch, EmptyFamily, EnvelopeViolation, SchemaError, UnknownBuiltin
+from .errors import (
+    DimensionMismatch,
+    EmptyFamily,
+    EnvelopeViolation,
+    NonFiniteResult,
+    SchemaError,
+    UnknownBuiltin,
+)
 
 DEFAULT_TOL = 1e-9
 DEFAULT_BUDGET = 10_000
@@ -91,14 +98,6 @@ class SuperlinearMap:
 
     def __repr__(self):
         return f"SuperlinearMap({self.label or self.superdiff!r})"
-
-
-def eval_sublinear(phi, x):
-    return phi(x)
-
-
-def eval_superlinear(psi, x):
-    return psi(x)
 
 
 # ---------------------------------------------------------------------------
@@ -276,14 +275,22 @@ def _eval_columns(h, X, tol, side):
 
     One batched scan and one oracle call for all k columns of X (n, k).  A
     residual beyond 10*tol raises one RepresentationWarning naming the
-    worst one.
+    worst one.  Raises ValueError on a NaN or infinite point and
+    NonFiniteResult when a value leaves the float range; members that
+    overflow on the way to a finite value raise nothing.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
     chosen, family = _pick_side(h, side)
     if not np.all(np.isfinite(X)):
         raise ValueError(f"{h.name}: points must be finite")
-    values, terms = _scan_columns(family, X, tol, minimize=(chosen == "inf"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values, terms = _scan_columns(family, X, tol, minimize=(chosen == "inf"))
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise NonFiniteResult(
+            "eval_family", f"{h.name}: the value at column {bad[0]} is outside the float range"
+        )
     residual = None
     if h.oracle is not None:
         residual = float(np.abs(values - np.asarray(h.oracle(X.T), dtype=float)).max())
@@ -306,8 +313,9 @@ def eval_family(h, x, tol=DEFAULT_TOL, side="auto"):
 def eval_family_detailed(h, x, tol=DEFAULT_TOL, side="auto"):
     """(value, terms used) at one point: the one-column batched scan.
 
-    Raises ValueError on a NaN or infinite point; flags a
-    RepresentationWarning on oracle drift.
+    Raises ValueError on a NaN or infinite point and NonFiniteResult on a
+    value outside the float range; flags a RepresentationWarning on oracle
+    drift.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != h.dim:

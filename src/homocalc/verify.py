@@ -5,10 +5,17 @@ applies closed forms pointwise, so engine/oracle agreement is evidence
 rather than tautology.  Each check draws from a counter-based generator
 (Philox) keyed by (seed, check tag); failures carry a digest of the exact
 input bytes so a rerun with the same seed pinpoints the trial.
+
+The lift-heavy checks draw all their trials first, then lift the columns of
+every trial in one batched call per function and split the result back at
+the trial widths.  The lift gives a column the same bits in any batch, so
+each trial's values, digest and failure record are those of a lift of that
+trial alone.
 """
 
 import hashlib
 import warnings
+from functools import partial
 
 import numpy as np
 
@@ -121,6 +128,14 @@ def _resolve(h):
     return builtin(h) if isinstance(h, str) else h
 
 
+def _per_trial(lift, blocks):
+    """lift applied once to the columns of all (n, m_t) blocks, split per block."""
+    if not blocks:
+        return []
+    whole = lift([RmElement(row) for row in np.hstack(blocks)])
+    return np.split(whole.coords, np.cumsum([b.shape[1] for b in blocks[:-1]], dtype=int))
+
+
 def check_engine_vs_oracle(h, trials=500, tol=1e-6, seed=0, m=None):
     """Family-scan engine against the closed-form oracle on random tuples.
 
@@ -130,21 +145,20 @@ def check_engine_vs_oracle(h, trials=500, tol=1e-6, seed=0, m=None):
     """
     h = _resolve(h)
     rng = _rng(seed, "engine-vs-oracle")
-    failures = []
+    data = []
+    for _ in range(trials):
+        mt = int(m) if m is not None else int(rng.integers(1, 17))
+        data.append(rng.uniform(-5.0, 5.0, size=(h.dim, mt)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RepresentationWarning)
-        for _ in range(trials):
-            mt = int(m) if m is not None else int(rng.integers(1, 17))
-            data = rng.uniform(-5.0, 5.0, size=(h.dim, mt))
-            fs = [RmElement(row) for row in data]
-            engine = fc_semicontinuous(h, fs)
-            truth = oracle_fc(h, fs)
-            err = np.abs(engine.coords - truth.coords)
-            k = int(err.argmax())
-            if err[k] > tol:
-                failures.append(
-                    CheckFailure(_digest(data), float(engine.coords[k]), float(truth.coords[k]), tol)
-                )
+        engine = _per_trial(partial(fc_semicontinuous, h), data)
+    truth = _per_trial(partial(oracle_fc, h), data)
+    failures = []
+    for d, got, want in zip(data, engine, truth):
+        err = np.abs(got - want)
+        k = int(err.argmax())
+        if err[k] > tol:
+            failures.append(CheckFailure(_digest(d), float(got[k]), float(want[k]), tol))
     return CheckReport(f"engine-vs-oracle[{h.name}]", trials, failures, seed)
 
 
@@ -208,20 +222,17 @@ def check_rep_independence(trials=100, tol=1e-3, seed=0, angles=720):
     disk_rep = _norm_via([disk_map()])
     poly_rep = _norm_via([circumscribed_polygon_map(angles)])
     both_rep = _norm_via([disk_map(), circumscribed_polygon_map(angles)])
+    data = [rng.uniform(-5.0, 5.0, size=(2, int(rng.integers(1, 9)))) for _ in range(trials)]
+    exact = _per_trial(partial(fc_semicontinuous, disk_rep), data)
+    other = [None] * trials
+    other[0::2] = _per_trial(partial(fc_semicontinuous, poly_rep), data[0::2])
+    other[1::2] = _per_trial(partial(fc_semicontinuous, both_rep), data[1::2])
     failures = []
-    for t in range(trials):
-        m = int(rng.integers(1, 9))
-        data = rng.uniform(-5.0, 5.0, size=(2, m))
-        fs = [RmElement(row) for row in data]
-        other = poly_rep if t % 2 == 0 else both_rep
-        a = fc_semicontinuous(disk_rep, fs)
-        b = fc_semicontinuous(other, fs)
-        err = np.abs(a.coords - b.coords)
+    for t, (d, a, b) in enumerate(zip(data, exact, other)):
+        err = np.abs(a - b)
         k = int(err.argmax())
         if err[k] > tol:
-            failures.append(
-                CheckFailure(_digest(data, [t]), float(b.coords[k]), float(a.coords[k]), tol)
-            )
+            failures.append(CheckFailure(_digest(d, [t]), float(b[k]), float(a[k]), tol))
     return CheckReport("rep-independence", trials, failures, seed)
 
 
@@ -238,22 +249,24 @@ def check_continuous_agreement(trials=100, tol=1e-6, seed=0):
         (builtin("max-coord"), tol),
         (builtin("square-mean"), 2e-3),
     ]
-    failures = []
+    count = len(subjects)
+    data = []
+    for t in range(trials):
+        m = int(rng.integers(1, 9))
+        data.append(rng.uniform(-5.0, 5.0, size=(subjects[t % count][0].dim, m)))
+    lo, hi = [None] * trials, [None] * trials
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RepresentationWarning)
-        for t in range(trials):
-            h, bound = subjects[t % len(subjects)]
-            m = int(rng.integers(1, 9))
-            data = rng.uniform(-5.0, 5.0, size=(h.dim, m))
-            fs = [RmElement(row) for row in data]
-            lo = fc_semicontinuous(h, fs, side="sup")
-            hi = fc_semicontinuous(h, fs, side="inf")
-            err = np.abs(hi.coords - lo.coords)
-            k = int(err.argmax())
-            if err[k] > bound:
-                failures.append(
-                    CheckFailure(_digest(data, [t]), float(lo.coords[k]), float(hi.coords[k]), bound)
-                )
+        for i, (h, _) in enumerate(subjects):
+            lo[i::count] = _per_trial(partial(fc_semicontinuous, h, side="sup"), data[i::count])
+            hi[i::count] = _per_trial(partial(fc_semicontinuous, h, side="inf"), data[i::count])
+    failures = []
+    for t, (d, a, b) in enumerate(zip(data, lo, hi)):
+        bound = subjects[t % count][1]
+        err = np.abs(b - a)
+        k = int(err.argmax())
+        if err[k] > bound:
+            failures.append(CheckFailure(_digest(d, [t]), float(a[k]), float(b[k]), bound))
     return CheckReport("continuous-agreement", trials, failures, seed)
 
 
@@ -267,34 +280,39 @@ def check_sublattice_invariance(trials=200, seed=0):
     """Lift-then-embed equals embed-then-lift, bitwise.
 
     Random step tuples with independent partitions; the grid samples every
-    piece of the common refinement at its left endpoint and midpoint.  Both
-    paths push identical columns through the batched evaluation, whose
-    per-column results do not depend on the batch, so equality is exact,
-    not approximate.
+    piece of the common refinement at its left endpoint and midpoint.  The
+    step side lifts the refinement's columns (what a lift of the step tuple
+    does), the grid side the embedded columns; both go through the batched
+    evaluation, whose per-column results do not depend on the batch, so
+    equality is exact, not approximate.
     """
     rng = _rng(seed, "sublattice-invariance")
-    names = ["example-7.1", "example-7.2", "square-mean", "abs-sum", "max-coord"]
-    failures = []
+    hs = [builtin(name) for name in ("example-7.1", "example-7.2", "square-mean", "abs-sum", "max-coord")]
+    count = len(hs)
+    tuples = [[_random_step(rng) for _ in range(hs[t % count].dim)] for t in range(trials)]
+    refined = [common_refinement(fs) for fs in tuples]
+    grids = [np.sort(np.concatenate([bp[:-1], (bp[:-1] + bp[1:]) / 2.0, [1.0]])) for bp, _ in refined]
+    embedded = [
+        np.vstack([lattice.embed_step_to_grid(f, grid).coords for f in fs])
+        for fs, grid in zip(tuples, grids)
+    ]
+    on_steps, on_grid = [None] * trials, [None] * trials
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RepresentationWarning)
-        for t in range(trials):
-            h = builtin(names[t % len(names)])
-            fs = [_random_step(rng) for _ in range(h.dim)]
-            bp, _ = common_refinement(fs)
-            grid = np.sort(np.concatenate([bp[:-1], (bp[:-1] + bp[1:]) / 2.0, [1.0]]))
-            on_steps = fc_semicontinuous(h, fs)
-            left = lattice.embed_step_to_grid(on_steps, grid)
-            right = fc_semicontinuous(h, [lattice.embed_step_to_grid(f, grid) for f in fs])
-            if not np.array_equal(left.coords, right.coords):
-                worst = int(np.abs(left.coords - right.coords).argmax())
-                failures.append(
-                    CheckFailure(
-                        _digest(grid, *[f.values for f in fs]),
-                        float(right.coords[worst]),
-                        float(left.coords[worst]),
-                        0.0,
-                    )
+        for i, h in enumerate(hs):
+            lift = partial(fc_semicontinuous, h)
+            on_steps[i::count] = _per_trial(lift, [vals for _, vals in refined[i::count]])
+            on_grid[i::count] = _per_trial(lift, embedded[i::count])
+    failures = []
+    for fs, (bp, _), grid, vals, right in zip(tuples, refined, grids, on_steps, on_grid):
+        left = lattice.embed_step_to_grid(StepFunction(bp, vals), grid).coords
+        if not np.array_equal(left, right):
+            worst = int(np.abs(left - right).argmax())
+            failures.append(
+                CheckFailure(
+                    _digest(grid, *[f.values for f in fs]), float(right[worst]), float(left[worst]), 0.0
                 )
+            )
     return CheckReport("sublattice-invariance", trials, failures, seed)
 
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -99,6 +100,32 @@ def test_square_mean_at_extreme_magnitudes(capsys, x, value):
     assert code == 0 and err == ""
     doc = json.loads(out, parse_constant=_reject_constant)
     assert doc["value"] == pytest.approx(value, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--builtin", "square-mean", "--x", "1.7e308,1.7e308"],
+        ["eval", "--builtin", "abs-sum", "--x", "1.7e308,1.7e308"],
+        ["fc", "--builtin", "square-mean", "--f", "1.7e308,1", "--f", "1.7e308,1"],
+        ["saddle-eval", "--family", "SADDLE", "--x", "1.7e308,1.7e308"],
+    ],
+    ids=["eval-square-mean", "eval-abs-sum", "fc-square-mean", "saddle-eval"],
+)
+def test_values_beyond_the_float_range_exit_3(capsys, tmp_path, argv):
+    # the true values (about 2.4e308 and 3.4e308) exceed the largest float
+    saddle_path = tmp_path / "saddle.json"
+    S = saddle_build([disk_map()], list(angle_superlinear_family(8).maps))
+    saddle_path.write_text(json.dumps(saddle_to_json(S)))
+    argv = [str(saddle_path) if a == "SADDLE" else a for a in argv]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "outside the float range" in json.loads(err)["error"]["message"]
+    assert [str(w.message) for w in caught] == []
 
 
 def test_saddle_build_not_ordered_exits_3(capsys, tmp_path):

@@ -28,8 +28,6 @@ from homocalc.homog import (
     domination_envelopes,
     eval_family,
     eval_family_detailed,
-    eval_sublinear,
-    eval_superlinear,
     function_from_json,
     map_from_json,
     map_to_json,
@@ -40,14 +38,14 @@ from homocalc.homog import (
 
 def test_sublinear_map_evaluates_support():
     phi = SublinearMap(VPolytope([[1.0, 1.0], [0.0, 0.0]]))
-    assert eval_sublinear(phi, [2.0, 3.0]) == pytest.approx(5.0)
-    assert eval_sublinear(phi, [-2.0, 1.0]) == pytest.approx(0.0)
+    assert phi([2.0, 3.0]) == pytest.approx(5.0)
+    assert phi([-2.0, 1.0]) == pytest.approx(0.0)
 
 
 def test_superlinear_map_evaluates_min():
     psi = SuperlinearMap(VPolytope([[1.0, 0.0], [0.0, 2.0]]))
-    assert eval_superlinear(psi, [1.0, 1.0]) == pytest.approx(1.0)
-    assert eval_superlinear(psi, [4.0, 1.0]) == pytest.approx(2.0)
+    assert psi([1.0, 1.0]) == pytest.approx(1.0)
+    assert psi([4.0, 1.0]) == pytest.approx(2.0)
 
 
 def test_map_types_are_checked():
