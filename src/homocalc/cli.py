@@ -40,12 +40,7 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
 _NUMERICAL = (
-    NoConvergence,
-    SaddleGap,
-    EmptyIntersection,
-    NotOrdered,
-    EnvelopeViolation,
-    NonFiniteResult,
+    NoConvergence, SaddleGap, EmptyIntersection, NotOrdered, EnvelopeViolation, NonFiniteResult
 )
 _GENERATED_BUILTINS = ("example-7.1", "example-7.2")
 

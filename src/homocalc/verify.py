@@ -287,11 +287,14 @@ def check_sublattice_invariance(trials=200, seed=0):
     equality is exact, not approximate.
     """
     rng = _rng(seed, "sublattice-invariance")
-    hs = [builtin(name) for name in ("example-7.1", "example-7.2", "square-mean", "abs-sum", "max-coord")]
+    names = ["example-7.1", "example-7.2", "square-mean", "abs-sum", "max-coord"]
+    hs = [builtin(name) for name in names]
     count = len(hs)
     tuples = [[_random_step(rng) for _ in range(hs[t % count].dim)] for t in range(trials)]
     refined = [common_refinement(fs) for fs in tuples]
-    grids = [np.sort(np.concatenate([bp[:-1], (bp[:-1] + bp[1:]) / 2.0, [1.0]])) for bp, _ in refined]
+    grids = [
+        np.sort(np.concatenate([bp[:-1], (bp[:-1] + bp[1:]) / 2.0, [1.0]])) for bp, _ in refined
+    ]
     embedded = [
         np.vstack([lattice.embed_step_to_grid(f, grid).coords for f in fs])
         for fs, grid in zip(tuples, grids)
@@ -308,11 +311,8 @@ def check_sublattice_invariance(trials=200, seed=0):
         left = lattice.embed_step_to_grid(StepFunction(bp, vals), grid).coords
         if not np.array_equal(left, right):
             worst = int(np.abs(left - right).argmax())
-            failures.append(
-                CheckFailure(
-                    _digest(grid, *[f.values for f in fs]), float(right[worst]), float(left[worst]), 0.0
-                )
-            )
+            digest = _digest(grid, *[f.values for f in fs])
+            failures.append(CheckFailure(digest, float(right[worst]), float(left[worst]), 0.0))
     return CheckReport("sublattice-invariance", trials, failures, seed)
 
 
