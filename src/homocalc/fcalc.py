@@ -7,9 +7,10 @@ scan, support, saddle) gives a column the same bits whatever batch it sits
 in, so embedding a step tuple on a grid and lifting commute bitwise.
 """
 
+from functools import partial
+
 import numpy as np
 
-from . import convexsets
 from .convexsets import _BLOCK_CELLS, _dot_columns, feasible_point
 from .errors import (
     DimensionMismatch,
@@ -27,8 +28,10 @@ DEFAULT_TOL = 1e-9
 SADDLE_TOL = 1e-6
 
 
-def _columns(elements):
-    """(kind, breakpoints_or_None, value matrix of shape (p, cols))."""
+def _lift_columns(op, what, dim, elements):
+    """(wrap, columns) of a lattice tuple: its value matrix, checked to have
+    dim rows, and the function that wraps one value per column back into
+    the tuple's lattice (R^m, or the common refinement of step functions)."""
     elements = tuple(elements)
     if not elements:
         raise EmptyFamily("fc", "no lattice elements given")
@@ -36,37 +39,27 @@ def _columns(elements):
         dims = {f.m for f in elements}
         if len(dims) != 1:
             raise LatticeMismatch("fc", f"mixed R^m dimensions {sorted(dims)}")
-        return "rm", None, np.vstack([f.coords for f in elements])
-    if all(isinstance(f, StepFunction) for f in elements):
-        bp, vals = common_refinement(elements)
-        return "step", bp, vals
-    raise LatticeMismatch("fc", "elements mix R^m and step functions")
-
-
-def _wrap(kind, bp, vals):
-    if kind == "rm":
-        return RmElement(vals)
-    return StepFunction(bp, vals)
+        wrap, cols = RmElement, np.vstack([f.coords for f in elements])
+    elif all(isinstance(f, StepFunction) for f in elements):
+        bp, cols = common_refinement(elements)
+        wrap = partial(StepFunction, bp)
+    else:
+        raise LatticeMismatch("fc", "elements mix R^m and step functions")
+    if cols.shape[0] != dim:
+        raise DimensionMismatch(op, f"{cols.shape[0]} elements, {what} expects {dim}")
+    return wrap, cols
 
 
 def fc_sublinear(phi, elements):
     """Coordinatewise application of a sublinear map to a lattice tuple."""
-    kind, bp, cols = _columns(elements)
-    if cols.shape[0] != phi.dim:
-        raise DimensionMismatch(
-            "fc_sublinear", f"{cols.shape[0]} elements, map expects {phi.dim}"
-        )
-    return _wrap(kind, bp, phi(cols))
+    wrap, cols = _lift_columns("fc_sublinear", "map", phi.dim, elements)
+    return wrap(phi(cols))
 
 
 def fc_superlinear(psi, elements):
     """Coordinatewise application of a superlinear map to a lattice tuple."""
-    kind, bp, cols = _columns(elements)
-    if cols.shape[0] != psi.dim:
-        raise DimensionMismatch(
-            "fc_superlinear", f"{cols.shape[0]} elements, map expects {psi.dim}"
-        )
-    return _wrap(kind, bp, psi(cols))
+    wrap, cols = _lift_columns("fc_superlinear", "map", psi.dim, elements)
+    return wrap(psi(cols))
 
 
 def fc_semicontinuous(h, elements, tol=DEFAULT_TOL, side="auto"):
@@ -85,14 +78,10 @@ def fc_semicontinuous_detailed(h, elements, tol=DEFAULT_TOL, side="auto"):
     The oracle is called once over all columns; drift beyond 10*tol raises
     one RepresentationWarning per call, naming the worst residual.
     """
-    kind, bp, cols = _columns(elements)
-    if cols.shape[0] != h.dim:
-        raise DimensionMismatch(
-            "fc_semicontinuous", f"{cols.shape[0]} elements, function expects {h.dim}"
-        )
+    wrap, cols = _lift_columns("fc_semicontinuous", "function", h.dim, elements)
     out, terms, residual = _eval_columns(h, cols, tol, side)
     diagnostics = {"family_terms_used": int(terms.max()), "max_residual": residual}
-    return _wrap(kind, bp, out), diagnostics
+    return wrap(out), diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +139,8 @@ def saddle_build(phis, psis, grid_density=None, tol=DEFAULT_TOL):
 
     density = _default_density(n) if grid_density is None else int(grid_density)
     grid = sphere_grid(n, density)
-    phi_vals = np.array([convexsets.support_batch(p.subdiff, grid) for p in phis])
-    psi_vals = np.array([-convexsets.support_batch(q.superdiff, -grid) for q in psis])
+    phi_vals = np.array([p(grid.T) for p in phis])
+    psi_vals = np.array([q(grid.T) for q in psis])
     worst = float((psi_vals[None, :, :] - phi_vals[:, None, :]).max())
     if worst > tol:
         raise NotOrdered(
@@ -163,7 +152,7 @@ def saddle_build(phis, psis, grid_density=None, tol=DEFAULT_TOL):
     coeffs = np.empty((P, Q, n))
     for i in range(P):
         for j in range(Q):
-            coeffs[i, j] = feasible_point(phis[i].subdiff, psis[j].superdiff, tol=tol)
+            coeffs[i, j] = feasible_point(phis[i].set, psis[j].set, tol=tol)
 
     S = SaddleFamily(
         coeffs,
@@ -230,9 +219,7 @@ def fc_saddle(S, elements, tol=SADDLE_TOL):
     Returns the min-max ordering.  A per-coordinate disagreement beyond tol
     raises SaddleGap naming the worst coordinate.
     """
-    kind, bp, cols = _columns(elements)
-    if cols.shape[0] != S.dim:
-        raise DimensionMismatch("fc_saddle", f"{cols.shape[0]} elements, saddle expects {S.dim}")
+    wrap, cols = _lift_columns("fc_saddle", "saddle", S.dim, elements)
     infsup, supinf = saddle_eval(S, cols.T)
     gap = np.abs(infsup - supinf)
     k = int(gap.argmax())
@@ -241,7 +228,7 @@ def fc_saddle(S, elements, tol=SADDLE_TOL):
             "fc_saddle",
             f"min-max and max-min differ by {gap[k]:.3e} at coordinate {k} (tol {tol:g})",
         )
-    return _wrap(kind, bp, infsup)
+    return wrap(infsup)
 
 
 def saddle_to_json(S):

@@ -1,11 +1,15 @@
 """Positively homogeneous functions and their map families.
 
-A sublinear map is the support function of a convex compact set (its
-subdifferential at the origin); a superlinear map is the pointwise minimum
-over its superdifferential.  A PH function is represented by an inf-family
-of sublinear maps (upper semicontinuous side), a sup-family of superlinear
-maps (lower semicontinuous side), or both (continuous), optionally paired
-with a closed-form oracle used for cross-checks only.
+A sublinear map is the support function sigma_C of a convex compact set C
+(its subdifferential at the origin); a superlinear map is the mirror image
+x -> -sigma_C(-x), the pointwise minimum over C (its superdifferential).
+Both are one evaluator with a sign and keep C in `.set`.  A PH function is
+represented by an inf-family of sublinear maps (upper semicontinuous side),
+a sup-family of superlinear maps (lower semicontinuous side), or both
+(continuous), optionally paired with a closed-form oracle used for
+cross-checks only.  A family is an enumeration scanned by one stall rule;
+an explicit finite list is the enumeration whose stall window is its
+length, so its scan visits every member.
 
 Semicontinuity cannot be certified from finitely many samples; the kind tag
 is declarative and only the oracle/family agreement is checked numerically.
@@ -46,93 +50,62 @@ class RepresentationWarning(UserWarning):
     """Family evaluation drifted from the declared oracle beyond 10*tol."""
 
 
-def _per_column(values, x):
-    # a point (n,) gives a float, columns (n, k) give an array (k,)
-    return float(values[0]) if x.ndim == 1 else values
-
-
-class SublinearMap:
-    """Support function of `subdiff`: x -> max{a.x : a in subdiff}.
+class _SupportMap:
+    """x -> sign * max{a.(sign * x) : a in set}, for sign = +1 or -1.
 
     Called at x of shape (n,) it returns a float, at x of shape (n, k) the
-    values at the k columns.
+    values at the k columns.  A finite point whose value leaves the float
+    range raises NonFiniteResult.
     """
 
-    def __init__(self, subdiff, label=""):
-        if not isinstance(subdiff, (VPolytope, Ball)):
-            raise TypeError("subdiff must be a VPolytope or Ball")
-        self.subdiff = subdiff
+    def __init__(self, s, label=""):
+        if not isinstance(s, (VPolytope, Ball)):
+            raise TypeError(f"{self.set_key} must be a VPolytope or Ball")
+        self.set = s
         self.label = str(label)
 
     @property
     def dim(self):
-        return self.subdiff.dim
+        return self.set.dim
+
+    def _values(self, cols):
+        # at the columns of cols (n, k), unchecked: a family scan lets a member
+        # overflow on the way to a finite extremum
+        return self.sign * support_batch(self.set, self.sign * cols.T)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        return _per_column(support_batch(self.subdiff, x.reshape(x.shape[0], -1).T), x)
+        cols = x.reshape(x.shape[0], -1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = self._values(cols)
+        if not np.isfinite(values).all():
+            bad = np.flatnonzero(~np.isfinite(values) & np.isfinite(cols).all(axis=0))
+            if bad.size:
+                raise NonFiniteResult(
+                    type(self).__name__, f"the value at column {bad[0]} is outside the float range"
+                )
+        return float(values[0]) if x.ndim == 1 else values
 
     def __repr__(self):
-        return f"SublinearMap({self.label or self.subdiff!r})"
+        return f"{type(self).__name__}({self.label or self.set!r})"
 
 
-class SuperlinearMap:
-    """Minimum over `superdiff`: x -> min{a.x : a in superdiff}.
+class SublinearMap(_SupportMap):
+    """Support function of its subdifferential `set`: x -> max{a.x : a in set}."""
 
-    Takes x of shape (n,) or (n, k), as SublinearMap does.
-    """
+    sign = 1.0
+    key, set_key = "sublinear", "subdiff"
 
-    def __init__(self, superdiff, label=""):
-        if not isinstance(superdiff, (VPolytope, Ball)):
-            raise TypeError("superdiff must be a VPolytope or Ball")
-        self.superdiff = superdiff
-        self.label = str(label)
 
-    @property
-    def dim(self):
-        return self.superdiff.dim
+class SuperlinearMap(_SupportMap):
+    """Minimum over its superdifferential `set`: x -> min{a.x : a in set}."""
 
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return _per_column(-support_batch(self.superdiff, -x.reshape(x.shape[0], -1).T), x)
-
-    def __repr__(self):
-        return f"SuperlinearMap({self.label or self.superdiff!r})"
+    sign = -1.0
+    key, set_key = "superlinear", "superdiff"
 
 
 # ---------------------------------------------------------------------------
 # family enumerations
-
-class FiniteFamily:
-    """Explicit finite list of maps; evaluation visits every member.
-
-    `values(x, a, b)` gives maps a..b-1 at x of shape (n,) or (n, k), as an
-    array of shape (b-a,) or (b-a, k).  `block_fn(x, a, b)`, when given,
-    must return the same values as calling maps[a:b] one by one; it exists
-    purely to batch large angle grids.
-    """
-
-    is_generated = False
-
-    def __init__(self, maps, block_fn=None):
-        maps = tuple(maps)
-        if not maps:
-            raise ValueError("finite family needs at least one map")
-        self.maps = maps
-        self._block_fn = block_fn
-
-    @property
-    def size(self):
-        return len(self.maps)
-
-    def values(self, x, a, b):
-        if self._block_fn is not None:
-            return self._block_fn(x, a, b)
-        return np.array([m(x) for m in self.maps[a:b]], dtype=float)
-
-    def map_at(self, k):
-        return self.maps[k]
-
 
 class GeneratedFamily:
     """Deterministic enumeration of maps, evaluated lazily up to `budget`.
@@ -145,8 +118,6 @@ class GeneratedFamily:
     tolerance.
     Re-entrant: no state is mutated during evaluation.
     """
-
-    is_generated = True
 
     def __init__(self, block_fn, map_fn, budget=DEFAULT_BUDGET, window=DEFAULT_WINDOW):
         if budget < 1:
@@ -167,6 +138,27 @@ class GeneratedFamily:
 
     def map_at(self, k):
         return self._map_fn(k)
+
+
+class FiniteFamily(GeneratedFamily):
+    """Explicit finite list of maps: a generated family whose budget and
+    window are its length, so every scan visits every member.
+
+    Without `block_fn` a block calls each map's kernel on all its columns.
+    `block_fn(x, a, b)`, when given, must return the same values as calling
+    maps[a:b] one by one; it exists purely for speed.
+    """
+
+    def __init__(self, maps, block_fn=None):
+        maps = tuple(maps)
+        if not maps:
+            raise ValueError("finite family needs at least one map")
+        if block_fn is None:
+            def block_fn(x, a, b):
+                cols = x.reshape(x.shape[0], -1)
+                return np.array([m._values(cols) for m in maps[a:b]]).reshape(b - a, *x.shape[1:])
+        super().__init__(block_fn, maps.__getitem__, budget=len(maps), window=len(maps))
+        self.maps = maps
 
 
 class PHFunction:
@@ -220,9 +212,10 @@ def _scan_columns(family, X, tol, minimize):
     Returns (values, terms), both of shape (k,).  Each column gets what a
     scan of the enumeration at that column alone gives.  The running best
     includes every member seen; an improvement counts only when it beats
-    the running best by more than tol.  A generated family stops a column
-    at the first member index s with s - (last improvement at or before s)
-    >= window, after s + 1 terms; a finite family visits every member.
+    the running best by more than tol.  A column stops at the first member
+    index s with s - (last improvement at or before s) >= window, after
+    s + 1 terms, or at the budget.  A finite family's window is its length,
+    which can end a scan only at its last member, so it visits every member.
 
     Columns go in groups of at most _EVAL_CHUNK and members in blocks of at
     most _BLOCK_CELLS member-by-column cells; a column that has stopped
@@ -232,7 +225,7 @@ def _scan_columns(family, X, tol, minimize):
     """
     k = X.shape[1]
     total = family.size
-    window = family.window if family.is_generated else None
+    window = family.window
     values = np.empty(k)
     terms = np.full(k, total)
     for c0 in range(0, k, _EVAL_CHUNK):
@@ -246,24 +239,23 @@ def _scan_columns(family, X, tol, minimize):
             vals = np.broadcast_to(vals if minimize else -vals, (b - a, cols.size))
             run = np.minimum.accumulate(vals, axis=0)
             np.minimum(best, run, out=run)
-            if window is not None:
-                gain = np.vstack((best, run[:-1]))
-                gain -= vals
-                index = np.arange(a, b)[:, None]
-                last = np.where(gain > tol, index, -1)
-                del gain
-                np.maximum.accumulate(last, axis=0, out=last)
-                np.maximum(last_imp, last, out=last)
-                stalled = last <= index - window
-                done = stalled.any(axis=0)
-                if done.any():
-                    hit = np.nonzero(done)[0]
-                    s = stalled[:, hit].argmax(axis=0)
-                    values[cols[hit]] = run[s, hit]
-                    terms[cols[hit]] = a + s + 1
-                    keep = ~done
-                    cols, run, last = cols[keep], run[:, keep], last[:, keep]
-                last_imp = last[-1]
+            gain = np.vstack((best, run[:-1]))
+            gain -= vals
+            index = np.arange(a, b)[:, None]
+            last = np.where(gain > tol, index, -1)
+            del gain
+            np.maximum.accumulate(last, axis=0, out=last)
+            np.maximum(last_imp, last, out=last)
+            stalled = last <= index - window
+            done = stalled.any(axis=0)
+            if done.any():
+                hit = np.nonzero(done)[0]
+                s = stalled[:, hit].argmax(axis=0)
+                values[cols[hit]] = run[s, hit]
+                terms[cols[hit]] = a + s + 1
+                keep = ~done
+                cols, run, last = cols[keep], run[:, keep], last[:, keep]
+            last_imp = last[-1]
             best = run[-1]
             a = b
         values[cols] = best
@@ -573,6 +565,11 @@ def _bit_reversed_angles(count):
     return _read_only(rev * (2.0 * np.pi / count))
 
 
+def _linear_block(A):
+    # block of the linear members x -> A[k].x
+    return lambda x, a, b: _dot_columns(A[a:b], np.asarray(x, dtype=float))
+
+
 def disk_map():
     return SublinearMap(Ball([0.0, 0.0], 1.0), label="euclidean")
 
@@ -580,16 +577,9 @@ def disk_map():
 def angle_superlinear_family(count):
     """Finite family of tangent linear maps (cos t, sin t) on a uniform grid."""
     theta = np.arange(count) * (2.0 * np.pi / count)
-    C, S = np.cos(theta), np.sin(theta)
-    maps = [
-        SuperlinearMap(VPolytope([[C[k], S[k]]]), label=f"tangent({k}/{count})")
-        for k in range(count)
-    ]
-
-    def block(x, a, b):
-        return np.multiply.outer(C[a:b], x[0]) + np.multiply.outer(S[a:b], x[1])
-
-    return FiniteFamily(maps, block_fn=block)
+    T = np.column_stack([np.cos(theta), np.sin(theta)])
+    maps = [SuperlinearMap(VPolytope([t]), label=f"tangent({k}/{count})") for k, t in enumerate(T)]
+    return FiniteFamily(maps, block_fn=_linear_block(T))
 
 
 def circumscribed_polygon_map(count):
@@ -606,13 +596,10 @@ def square_mean(sup_angles=512, window=DEFAULT_WINDOW):
     """Euclidean norm on R^2 (continuous): disk inf-family plus a generated
     sup-family of tangent maps on a bit-reversal-refined angle grid."""
     theta = _bit_reversed_angles(sup_angles)
-    C, S = np.cos(theta), np.sin(theta)
-
-    def block(x, a, b):
-        return np.multiply.outer(C[a:b], x[0]) + np.multiply.outer(S[a:b], x[1])
+    T = np.column_stack([np.cos(theta), np.sin(theta)])
 
     def map_at(k):
-        return SuperlinearMap(VPolytope([[C[k], S[k]]]), label=f"tangent-bitrev-{k}")
+        return SuperlinearMap(VPolytope([T[k]]), label=f"tangent-bitrev-{k}")
 
     def oracle(pts):
         pts = np.asarray(pts, dtype=float)
@@ -622,7 +609,7 @@ def square_mean(sup_angles=512, window=DEFAULT_WINDOW):
         "square-mean",
         2,
         inf_family=FiniteFamily([disk_map()]),
-        sup_family=GeneratedFamily(block, map_at, budget=sup_angles, window=window),
+        sup_family=GeneratedFamily(_linear_block(T), map_at, budget=sup_angles, window=window),
         oracle=oracle,
     )
 
@@ -634,9 +621,6 @@ def abs_sum(n=2):
     signs = np.array(list(product([-1.0, 1.0], repeat=n)))
     sup_maps = [SuperlinearMap(VPolytope([s]), label=f"sign{k}") for k, s in enumerate(signs)]
 
-    def block(x, a, b):
-        return _dot_columns(signs[a:b], np.asarray(x, dtype=float))
-
     def oracle(pts):
         return np.abs(np.asarray(pts, dtype=float)).sum(axis=-1)
 
@@ -644,7 +628,7 @@ def abs_sum(n=2):
         "abs-sum",
         n,
         inf_family=FiniteFamily([SublinearMap(VPolytope(signs), label="l1")]),
-        sup_family=FiniteFamily(sup_maps, block_fn=block),
+        sup_family=FiniteFamily(sup_maps, block_fn=_linear_block(signs)),
         oracle=oracle,
     )
 
@@ -695,28 +679,21 @@ def builtin(name, **kwargs):
 #        {"family": {"kind": "usc"|"lsc"|"cts", "maps": [...] | {"builtin": name}}}
 
 def map_to_json(m):
-    if isinstance(m, SublinearMap):
-        return {"sublinear": {"subdiff": set_to_json(m.subdiff), "label": m.label}}
-    if isinstance(m, SuperlinearMap):
-        return {"superlinear": {"superdiff": set_to_json(m.superdiff), "label": m.label}}
+    if isinstance(m, _SupportMap):
+        return {m.key: {m.set_key: set_to_json(m.set), "label": m.label}}
     raise TypeError(f"unsupported map type {type(m).__name__}")
 
 
 def map_from_json(obj, source="<inline>", path="map"):
     if not isinstance(obj, dict):
         raise SchemaError(source, path, "expected an object")
-    if "sublinear" in obj:
-        body = obj["sublinear"]
-        if not isinstance(body, dict) or "subdiff" not in body:
-            raise SchemaError(source, f"{path}.sublinear", "expected {'subdiff': <set>}")
-        s = set_from_json(body["subdiff"], source, f"{path}.sublinear.subdiff")
-        return SublinearMap(s, label=str(body.get("label", "")))
-    if "superlinear" in obj:
-        body = obj["superlinear"]
-        if not isinstance(body, dict) or "superdiff" not in body:
-            raise SchemaError(source, f"{path}.superlinear", "expected {'superdiff': <set>}")
-        s = set_from_json(body["superdiff"], source, f"{path}.superlinear.superdiff")
-        return SuperlinearMap(s, label=str(body.get("label", "")))
+    for cls in (SublinearMap, SuperlinearMap):
+        if cls.key in obj:
+            body, where = obj[cls.key], f"{path}.{cls.key}"
+            if not isinstance(body, dict) or cls.set_key not in body:
+                raise SchemaError(source, where, f"expected {{'{cls.set_key}': <set>}}")
+            s = set_from_json(body[cls.set_key], source, f"{where}.{cls.set_key}")
+            return cls(s, label=str(body.get("label", "")))
     raise SchemaError(source, path, "expected a 'sublinear' or 'superlinear' key")
 
 

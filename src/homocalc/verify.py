@@ -20,10 +20,11 @@ from functools import partial
 import numpy as np
 
 from . import lattice
-from .convexsets import Ball, VPolytope, support_batch
+from .convexsets import Ball, VPolytope
 from .errors import SaddleGap
 from .fcalc import (
     SaddleFamily,
+    _lift_columns,
     fc_saddle,
     fc_semicontinuous,
     fc_sublinear,
@@ -116,12 +117,8 @@ def oracle_fc(h, elements):
     """Closed-form lift: apply the oracle per coordinate / per piece."""
     if h.oracle is None:
         raise ValueError(f"{h.name} has no oracle")
-    elements = tuple(elements)
-    if all(isinstance(f, RmElement) for f in elements):
-        pts = np.stack([f.coords for f in elements], axis=-1)
-        return RmElement(np.asarray(h.oracle(pts), dtype=float))
-    bp, vals = common_refinement(elements)
-    return StepFunction(bp, np.asarray(h.oracle(vals.T), dtype=float))
+    wrap, cols = _lift_columns("oracle_fc", "function", h.dim, elements)
+    return wrap(np.asarray(h.oracle(cols.T), dtype=float))
 
 
 def _resolve(h):
@@ -129,10 +126,16 @@ def _resolve(h):
 
 
 def _per_trial(lift, blocks):
-    """lift applied once to the columns of all (n, m_t) blocks, split per block."""
+    """lift applied once to the columns of all (n, m_t) blocks, split per block.
+
+    Oracle drift raises no RepresentationWarning here: the checks compare
+    the values themselves.
+    """
     if not blocks:
         return []
-    whole = lift([RmElement(row) for row in np.hstack(blocks)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RepresentationWarning)
+        whole = lift([RmElement(row) for row in np.hstack(blocks)])
     return np.split(whole.coords, np.cumsum([b.shape[1] for b in blocks[:-1]], dtype=int))
 
 
@@ -149,9 +152,7 @@ def check_engine_vs_oracle(h, trials=500, tol=1e-6, seed=0, m=None):
     for _ in range(trials):
         mt = int(m) if m is not None else int(rng.integers(1, 17))
         data.append(rng.uniform(-5.0, 5.0, size=(h.dim, mt)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RepresentationWarning)
-        engine = _per_trial(partial(fc_semicontinuous, h), data)
+    engine = _per_trial(partial(fc_semicontinuous, h), data)
     truth = _per_trial(partial(oracle_fc, h), data)
     failures = []
     for d, got, want in zip(data, engine, truth):
@@ -175,6 +176,10 @@ def _scaled_set(s, factor):
     return Ball(s.center * factor, s.radius * factor)
 
 
+# (map class, its lift), indexed by whether a trial draws the superlinear side
+_MAP_LIFTS = ((SublinearMap, fc_sublinear), (SuperlinearMap, fc_superlinear))
+
+
 def check_interchange(trials=1000, tol=1e-12, seed=0, fault_injection=False):
     """Coordinate homomorphisms pass through the lift of a single map.
 
@@ -193,15 +198,10 @@ def check_interchange(trials=1000, tol=1e-12, seed=0, fault_injection=False):
         fs = [RmElement(row) for row in data]
         j = int(rng.integers(1, m + 1))
         hom = CoordinateHom(j)
-        superlinear = rng.random() < 0.5
+        cls, lift = _MAP_LIFTS[rng.random() < 0.5]
         s_fc = _scaled_set(s, 1.0 + 1e-3) if fault_injection else s
-        if superlinear:
-            lifted = fc_superlinear(SuperlinearMap(s_fc), fs)
-            point = SuperlinearMap(s)(data[:, j - 1])
-        else:
-            lifted = fc_sublinear(SublinearMap(s_fc), fs)
-            point = SublinearMap(s)(data[:, j - 1])
-        lhs = hom_eval(hom, lifted)
+        lhs = hom_eval(hom, lift(cls(s_fc), fs))
+        point = cls(s)(data[:, j - 1])
         if abs(lhs - point) > tol:
             failures.append(CheckFailure(_digest(data, [j]), float(lhs), float(point), tol))
     return CheckReport("interchange", trials, failures, seed)
@@ -255,11 +255,9 @@ def check_continuous_agreement(trials=100, tol=1e-6, seed=0):
         m = int(rng.integers(1, 9))
         data.append(rng.uniform(-5.0, 5.0, size=(subjects[t % count][0].dim, m)))
     lo, hi = [None] * trials, [None] * trials
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RepresentationWarning)
-        for i, (h, _) in enumerate(subjects):
-            lo[i::count] = _per_trial(partial(fc_semicontinuous, h, side="sup"), data[i::count])
-            hi[i::count] = _per_trial(partial(fc_semicontinuous, h, side="inf"), data[i::count])
+    for i, (h, _) in enumerate(subjects):
+        lo[i::count] = _per_trial(partial(fc_semicontinuous, h, side="sup"), data[i::count])
+        hi[i::count] = _per_trial(partial(fc_semicontinuous, h, side="inf"), data[i::count])
     failures = []
     for t, (d, a, b) in enumerate(zip(data, lo, hi)):
         bound = subjects[t % count][1]
@@ -300,12 +298,10 @@ def check_sublattice_invariance(trials=200, seed=0):
         for fs, grid in zip(tuples, grids)
     ]
     on_steps, on_grid = [None] * trials, [None] * trials
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RepresentationWarning)
-        for i, h in enumerate(hs):
-            lift = partial(fc_semicontinuous, h)
-            on_steps[i::count] = _per_trial(lift, [vals for _, vals in refined[i::count]])
-            on_grid[i::count] = _per_trial(lift, embedded[i::count])
+    for i, h in enumerate(hs):
+        lift = partial(fc_semicontinuous, h)
+        on_steps[i::count] = _per_trial(lift, [vals for _, vals in refined[i::count]])
+        on_grid[i::count] = _per_trial(lift, embedded[i::count])
     failures = []
     for fs, (bp, _), grid, vals, right in zip(tuples, refined, grids, on_steps, on_grid):
         left = lattice.embed_step_to_grid(StepFunction(bp, vals), grid).coords
@@ -352,7 +348,7 @@ def check_saddle(trials=20, tol=1e-9, seed=0, corrupt=False):
         infsup, supinf = saddle_eval(S, grid)
         gap = max(
             float(np.abs(infsup - supinf).max()),
-            float(np.abs(infsup - support_batch(P, grid)).max()),
+            float(np.abs(infsup - phi(grid.T)).max()),
         )
         data = rng.uniform(-5.0, 5.0, size=(n, 6))
         fs = [RmElement(row) for row in data]

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homocalc.convexsets import Ball, VPolytope
+from homocalc.convexsets import Ball, VPolytope, support_batch
 from homocalc.fcalc import (
     fc_saddle,
     fc_semicontinuous,
@@ -165,7 +165,39 @@ def test_extreme_columns_lift_the_same_alone_and_in_a_batch(points):
     for h in BUILTINS[:3]:
         _assert_scan_matches_single_columns(h, X)
     fs = [RmElement(row) for row in X]
-    mirror = SuperlinearMap(POLY.subdiff)
+    mirror = SuperlinearMap(POLY.set)
     with np.errstate(all="ignore"):
         for lift, m in ((fc_sublinear, POLY), (fc_superlinear, mirror), (fc_saddle, SADDLE16)):
             assert _bits(lift(m, fs).coords) == _bits(_lifted_alone(lift, m, X))
+
+
+SETS = (
+    VPolytope(np.random.default_rng(6).uniform(-3.0, 3.0, size=(50, 2))),
+    Ball([0.5, -1.5], 2.0),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(_MAGNITUDE, _MAGNITUDE), min_size=1, max_size=24))
+def test_maps_are_the_signed_support_of_their_set(points):
+    # a superlinear map is x -> -support(-x); one point or many, same bits
+    X = np.array(points, dtype=float).T
+    for s in SETS:
+        sub, sup = SublinearMap(s), SuperlinearMap(s)
+        assert _bits(sub(X)) == _bits(support_batch(s, X.T))
+        assert _bits(sup(X)) == _bits(-support_batch(s, -X.T))
+        for x in X.T:
+            assert _bits(sub(x)) == _bits(support_batch(s, x[None, :]))
+            assert _bits(sup(x)) == _bits(-support_batch(s, -x[None, :]))
+
+
+def test_finite_family_visits_every_member():
+    # 250 maps whose only gain beyond tol is the last one: a stall window of
+    # 200 would stop every column at member 201 with the value x
+    maps = [SublinearMap(VPolytope([[1.0]])) for _ in range(249)]
+    maps.append(SublinearMap(VPolytope([[0.5]])))
+    family = FiniteFamily(maps)
+    X = np.array([[1.0, 3.5, 1e-300, 1e300]])
+    values, terms = _scan_columns(family, X, DEFAULT_TOL, minimize=True)
+    assert _bits(values) == _bits(0.5 * X[0])
+    assert terms.tolist() == [len(maps)] * X.shape[1]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from homocalc.errors import (
     DimensionMismatch,
     EmptyFamily,
     LatticeMismatch,
+    NonFiniteResult,
     NotOrdered,
     SaddleGap,
     SchemaError,
@@ -107,6 +110,39 @@ def test_fc_mismatches():
         fc_sublinear(PHI_11, [RmElement([1.0]), RmElement([1.0, 2.0])])
     with pytest.raises(EmptyFamily):
         fc_sublinear(PHI_11, [])
+
+
+@pytest.mark.parametrize(
+    "s", [VPolytope([[1.0, 1.0]]), Ball([0.0, 0.0], 1.0)], ids=["polytope", "ball"]
+)
+@pytest.mark.parametrize(
+    "cls, lift",
+    [(SublinearMap, fc_sublinear), (SuperlinearMap, fc_superlinear)],
+    ids=["sub", "super"],
+)
+def test_map_values_beyond_the_float_range_raise(cls, lift, s):
+    # at (1.7e308, 1.7e308) the true values, 3.4e308 and 2.4e308 in size,
+    # exceed the largest float; the first column is fine
+    m = cls(s)
+    fs = [RmElement([1.0, 1.7e308]), RmElement([1.0, 1.7e308])]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NonFiniteResult, match="value at column 1 is outside the float range"):
+            lift(m, fs)
+        with pytest.raises(NonFiniteResult, match="value at column 0 is outside the float range"):
+            m([1.7e308, 1.7e308])
+    assert [str(w.message) for w in caught] == []
+
+
+def test_family_member_overflow_on_the_way_to_a_finite_value_raises_nothing():
+    # the ball member overflows at (1e10, 1e10); the inf-family value is finite
+    big = SublinearMap(Ball([0.0, 0.0], 1e300))
+    h = PHFunction("big-and-small", 2, inf_family=FiniteFamily([big, PHI_11]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        lifted = fc_semicontinuous(h, [RmElement([1e10]), RmElement([1e10])])
+    assert lifted.coords.tolist() == [2e10]
+    assert [str(w.message) for w in caught] == []
 
 
 def test_interchange_point_eval_hom():

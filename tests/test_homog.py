@@ -204,7 +204,7 @@ def test_sphere_bounds_examples():
 def test_domination_envelopes_bracket():
     h = builtin("example-7.2")
     psi, phi = domination_envelopes(h)
-    assert isinstance(psi.superdiff, Ball) and isinstance(phi.subdiff, Ball)
+    assert isinstance(psi.set, Ball) and isinstance(phi.set, Ball)
     rng = np.random.default_rng(3)
     for x in rng.uniform(-5, 5, size=(50, 2)):
         hv = h.oracle_at(x)
@@ -216,8 +216,8 @@ def test_domination_envelopes_bracket():
 
 def test_domination_envelopes_clamp_negative_lower_bound():
     psi, phi = domination_envelopes(builtin("square-mean"))
-    assert psi.superdiff.radius == 0.0
-    assert phi.subdiff.radius == pytest.approx(1.0, abs=1e-9)
+    assert psi.set.radius == 0.0
+    assert phi.set.radius == pytest.approx(1.0, abs=1e-9)
 
 
 def test_domination_envelopes_detect_bad_oracle():
@@ -268,6 +268,24 @@ def test_map_json_round_trip():
         assert type(m2) is type(m)
         x = np.array([0.3, -1.2])
         assert m2(x) == m(x)
+
+
+@pytest.mark.parametrize(
+    "doc, path, reason",
+    [
+        ({"sublinear": {"label": "a"}}, "m.sublinear", "expected {'subdiff': <set>}"),
+        ({"sublinear": 3}, "m.sublinear", "expected {'subdiff': <set>}"),
+        ({"superlinear": {"subdiff": {}}}, "m.superlinear", "expected {'superdiff': <set>}"),
+        ({"superlinear": {"superdiff": 5}}, "m.superlinear.superdiff", "expected an object"),
+        ({"linear": {}}, "m", "expected a 'sublinear' or 'superlinear' key"),
+        (7, "m", "expected an object"),
+    ],
+)
+def test_map_from_json_schema_errors(doc, path, reason):
+    with pytest.raises(SchemaError) as exc:
+        map_from_json(doc, "doc.json", "m")
+    assert exc.value.path == path
+    assert str(exc.value) == f"load: doc.json: {path}: {reason}"
 
 
 def test_function_from_json_builtin():
