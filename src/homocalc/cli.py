@@ -3,7 +3,8 @@
 Exit status: 0 success / checks passed, 1 check failure, 2 input error
 (bad flags, schema violations, dimension mismatches), 3 numerical failure
 (no convergence, saddle gap, empty intersection, ordering violations,
-results outside the float range).
+results outside the float range).  Every error, bad flags included, is one
+JSON line on stderr.
 """
 
 import argparse
@@ -46,9 +47,34 @@ _GENERATED_BUILTINS = ("example-7.1", "example-7.2")
 
 
 class _InputError(Exception):
-    def __init__(self, message):
+    def __init__(self, message, operation=None):
         super().__init__(message)
         self.message = message
+        self.operation = operation
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose errors raise _InputError instead of
+    printing usage text and exiting."""
+
+    def error(self, message):
+        raise _InputError(message, operation=self.prog)
+
+
+# argparse takes a value that starts with "-" for a flag unless it is a plain
+# negative number, so "--x -2,5" and "--f -1e-30" would not parse; such a
+# value after one of these flags is joined to it, as "--x=-2,5".
+_VALUE_FLAGS = ("--x", "--f")
+
+
+def _join_dash_values(argv):
+    out = []
+    for arg in argv:
+        if out and out[-1] in _VALUE_FLAGS and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 def _parse_vector(text, what="vector"):
@@ -124,7 +150,7 @@ def _seed(args):
 def _cmd_eval(args):
     h = _load_function(args)
     x = _parse_vector(args.x, "--x")
-    value, terms = eval_family_detailed(h, x, tol=args.tol)
+    value, terms = eval_family_detailed(h, x, **_tol(args))
     _emit({"value": value, "diagnostics": {"family_terms_used": terms}}, args.out)
     return EXIT_OK
 
@@ -134,7 +160,7 @@ def _cmd_fc(args):
     if not args.f:
         raise _InputError("need at least one --f element")
     fs = [_parse_element(f, args.lattice) for f in args.f]
-    element, diagnostics = fc_semicontinuous_detailed(h, fs, tol=args.tol)
+    element, diagnostics = fc_semicontinuous_detailed(h, fs, **_tol(args))
     _emit({"element": element_to_json(element), "diagnostics": diagnostics}, args.out)
     return EXIT_OK
 
@@ -149,7 +175,7 @@ def _cmd_saddle_build(args):
         raise SchemaError(args.family, "phis/psis", "expected lists of maps")
     phis = [map_from_json(o, args.family, f"phis[{i}]") for i, o in enumerate(doc["phis"])]
     psis = [map_from_json(o, args.family, f"psis[{j}]") for j, o in enumerate(doc["psis"])]
-    S = saddle_build(phis, psis, tol=args.tol)
+    S = saddle_build(phis, psis, **_tol(args))
     _emit(saddle_to_json(S), args.out)
     return EXIT_OK
 
@@ -167,7 +193,7 @@ def _cmd_saddle_eval(args):
 
 
 def _tol(args):
-    # without --tol each check keeps its own default
+    # without --tol each operation keeps its own default
     return {} if args.tol is None else {"tol": args.tol}
 
 
@@ -202,14 +228,21 @@ def _cmd_suite(args):
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def _add_common(p, tol_default):
-    p.add_argument("--tol", type=float, default=tol_default, help="tolerance override")
-    p.add_argument("--seed", type=int, default=None, help="seed (default: $HOMOCALC_SEED or 0)")
-    p.add_argument("--out", default=None, help="also write the JSON output to this file")
+_OPTIONS = {
+    "tol": ("--tol", {"type": float, "help": "tolerance override"}),
+    "seed": ("--seed", {"type": int, "help": "seed (default: $HOMOCALC_SEED or 0)"}),
+    "out": ("--out", {"help": "also write the JSON output to this file"}),
+}
+
+
+def _add_options(p, *names):
+    for name in (*names, "out"):
+        flag, kwargs = _OPTIONS[name]
+        p.add_argument(flag, **kwargs)
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="homocalc",
         description="Functional calculus of positively homogeneous functions on vector lattices.",
     )
@@ -220,7 +253,7 @@ def _build_parser():
     p.add_argument("--family", default=None, help="JSON file with a family document")
     p.add_argument("--x", required=True, help="point, comma-separated")
     p.add_argument("--budget", type=int, default=None, help="generated-family budget")
-    _add_common(p, 1e-9)
+    _add_options(p, "tol")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("fc", help="lift a PH function over lattice elements")
@@ -229,28 +262,28 @@ def _build_parser():
     p.add_argument("--f", action="append", default=[], help="lattice element (repeat per argument)")
     p.add_argument("--lattice", choices=("rm", "step"), default="rm")
     p.add_argument("--budget", type=int, default=None)
-    _add_common(p, 1e-9)
+    _add_options(p, "tol")
     p.set_defaults(func=_cmd_fc)
 
     p = sub.add_parser("saddle-build", help="build saddle coefficients from map families")
     p.add_argument("--family", default=None, help="JSON file: {'phis': [maps], 'psis': [maps]}")
-    _add_common(p, 1e-9)
+    _add_options(p, "tol")
     p.set_defaults(func=_cmd_saddle_build)
 
     p = sub.add_parser("saddle-eval", help="evaluate a saddle document at a point")
     p.add_argument("--family", default=None, help="JSON file holding a saddle document")
     p.add_argument("--x", required=True)
-    _add_common(p, 1e-9)
+    _add_options(p)
     p.set_defaults(func=_cmd_saddle_eval)
 
     p = sub.add_parser("check", help="run one verification check")
     p.add_argument("name", choices=sorted(_CHECKS))
     p.add_argument("--builtin", default=None, help="builtin for engine-vs-oracle")
-    _add_common(p, None)
+    _add_options(p, "tol", "seed")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("suite", help="run the full verification suite")
-    _add_common(p, None)
+    _add_options(p, "seed")
     p.set_defaults(func=_cmd_suite)
 
     return parser
@@ -264,8 +297,11 @@ def _fail(code, operation, message):
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = _join_dash_values(sys.argv[1:] if argv is None else argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except _InputError as exc:
+        return _fail(EXIT_INPUT, exc.operation, exc.message)
     try:
         return args.func(args)
     except _InputError as exc:

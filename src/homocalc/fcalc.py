@@ -21,10 +21,9 @@ from .errors import (
     SaddleGap,
     SchemaError,
 )
-from .homog import SublinearMap, SuperlinearMap, _default_density, _eval_columns, sphere_grid
+from .homog import DEFAULT_TOL, SublinearMap, SuperlinearMap, _default_density, _eval_columns, sphere_grid
 from .lattice import RmElement, StepFunction, common_refinement
 
-DEFAULT_TOL = 1e-9
 SADDLE_TOL = 1e-6
 
 
@@ -73,13 +72,18 @@ def fc_semicontinuous(h, elements, tol=DEFAULT_TOL, side="auto"):
 
 
 def fc_semicontinuous_detailed(h, elements, tol=DEFAULT_TOL, side="auto"):
-    """(element, diagnostics): terms actually enumerated and oracle residual.
+    """(element, diagnostics): terms actually enumerated and oracle drift.
 
-    The oracle is called once over all columns; drift beyond 10*tol raises
-    one RepresentationWarning per call, naming the worst residual.
+    The lift reads the family alone.  Then the oracle, when h has one, is
+    called once over all columns, and max_residual is the largest
+    |lift - oracle| over them (None without an oracle).  Drift is data
+    here: no warning is raised.
     """
     wrap, cols = _lift_columns("fc_semicontinuous", "function", h.dim, elements)
-    out, terms, residual = _eval_columns(h, cols, tol, side)
+    out, terms = _eval_columns(h, cols, tol, side)
+    residual = None
+    if h.oracle is not None:
+        residual = float(np.abs(out - np.asarray(h.oracle(cols.T), dtype=float)).max())
     diagnostics = {"family_terms_used": int(terms.max()), "max_residual": residual}
     return wrap(out), diagnostics
 
@@ -114,7 +118,7 @@ class SaddleFamily:
         return self.coeffs.shape[2]
 
 
-def saddle_build(phis, psis, grid_density=None, tol=DEFAULT_TOL):
+def saddle_build(phis, psis, tol=DEFAULT_TOL):
     """Pairwise coefficients for an ordered (psi <= phi) pair of families.
 
     Validates psi_j <= phi_i on a sphere grid first (NotOrdered on failure),
@@ -137,8 +141,7 @@ def saddle_build(phis, psis, grid_density=None, tol=DEFAULT_TOL):
         raise DimensionMismatch("saddle_build", f"mixed map dimensions {sorted(dims)}")
     n = dims.pop()
 
-    density = _default_density(n) if grid_density is None else int(grid_density)
-    grid = sphere_grid(n, density)
+    grid = sphere_grid(n, _default_density(n))
     phi_vals = np.array([p(grid.T) for p in phis])
     psi_vals = np.array([q(grid.T) for q in psis])
     worst = float((psi_vals[None, :, :] - phi_vals[:, None, :]).max())
@@ -213,20 +216,20 @@ def saddle_eval(S, x):
     return infsup, supinf
 
 
-def fc_saddle(S, elements, tol=SADDLE_TOL):
-    """Coordinatewise saddle value; the two orderings must agree within tol.
+def fc_saddle(S, elements):
+    """Coordinatewise saddle value; the two orderings must agree within SADDLE_TOL.
 
-    Returns the min-max ordering.  A per-coordinate disagreement beyond tol
-    raises SaddleGap naming the worst coordinate.
+    Returns the min-max ordering.  A per-coordinate disagreement beyond
+    SADDLE_TOL raises SaddleGap naming the worst coordinate.
     """
     wrap, cols = _lift_columns("fc_saddle", "saddle", S.dim, elements)
     infsup, supinf = saddle_eval(S, cols.T)
     gap = np.abs(infsup - supinf)
     k = int(gap.argmax())
-    if gap[k] > tol:
+    if gap[k] > SADDLE_TOL:
         raise SaddleGap(
             "fc_saddle",
-            f"min-max and max-min differ by {gap[k]:.3e} at coordinate {k} (tol {tol:g})",
+            f"min-max and max-min differ by {gap[k]:.3e} at coordinate {k} (tol {SADDLE_TOL:g})",
         )
     return wrap(infsup)
 

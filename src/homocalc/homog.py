@@ -7,16 +7,17 @@ Both are one evaluator with a sign and keep C in `.set`.  A PH function is
 represented by an inf-family of sublinear maps (upper semicontinuous side),
 a sup-family of superlinear maps (lower semicontinuous side), or both
 (continuous), optionally paired with a closed-form oracle used for
-cross-checks only.  A family is an enumeration scanned by one stall rule;
-an explicit finite list is the enumeration whose stall window is its
-length, so its scan visits every member.
+cross-checks only: evaluation reads the families alone, and a lift reports
+its drift from the oracle as data (fcalc's max_residual).  A family is an
+enumeration scanned by one stall rule; an explicit finite list is the
+enumeration whose stall window is its length, so its scan visits every
+member.
 
 Semicontinuity cannot be certified from finitely many samples; the kind tag
 is declarative and only the oracle/family agreement is checked numerically.
 """
 
 import functools
-import warnings
 
 import numpy as np
 from scipy.special import ndtri
@@ -42,20 +43,23 @@ from .errors import (
 DEFAULT_TOL = 1e-9
 DEFAULT_BUDGET = 10_000
 DEFAULT_WINDOW = 200
+_SQUARE_MEAN_ANGLES = 512
 _RAY_EXP_CAP = 400  # keeps 2**e finite in float64
 _EVAL_CHUNK = 512
 
 
 class RepresentationWarning(UserWarning):
-    """Family evaluation drifted from the declared oracle beyond 10*tol."""
+    """Never raised: drift from the oracle is data, the max_residual of
+    fcalc.fc_semicontinuous_detailed.  Kept defined and exported because the
+    warning filters in bench/workloads.py and bench/test_bench.py name it."""
 
 
 class _SupportMap:
     """x -> sign * max{a.(sign * x) : a in set}, for sign = +1 or -1.
 
     Called at x of shape (n,) it returns a float, at x of shape (n, k) the
-    values at the k columns.  A finite point whose value leaves the float
-    range raises NonFiniteResult.
+    values at the k columns.  A NaN or infinite point raises ValueError, and
+    a finite point whose value leaves the float range NonFiniteResult.
     """
 
     def __init__(self, s, label=""):
@@ -79,11 +83,13 @@ class _SupportMap:
         with np.errstate(over="ignore", invalid="ignore"):
             values = self._values(cols)
         if not np.isfinite(values).all():
-            bad = np.flatnonzero(~np.isfinite(values) & np.isfinite(cols).all(axis=0))
-            if bad.size:
-                raise NonFiniteResult(
-                    type(self).__name__, f"the value at column {bad[0]} is outside the float range"
-                )
+            # a NaN or infinite point always has a non-finite value
+            if not np.isfinite(cols).all():
+                raise ValueError(f"{type(self).__name__}: points must be finite")
+            bad = np.flatnonzero(~np.isfinite(values))
+            raise NonFiniteResult(
+                type(self).__name__, f"the value at column {bad[0]} is outside the float range"
+            )
         return float(values[0]) if x.ndim == 1 else values
 
     def __repr__(self):
@@ -263,13 +269,11 @@ def _scan_columns(family, X, tol, minimize):
 
 
 def _eval_columns(h, X, tol, side):
-    """(values, terms, max oracle residual or None) of h at the columns of X.
+    """(values, terms) of h at the columns of X (n, k), from one batched scan.
 
-    One batched scan and one oracle call for all k columns of X (n, k).  A
-    residual beyond 10*tol raises one RepresentationWarning naming the
-    worst one.  Raises ValueError on a NaN or infinite point and
-    NonFiniteResult when a value leaves the float range; members that
-    overflow on the way to a finite value raise nothing.
+    Raises ValueError on a NaN or infinite point and NonFiniteResult when a
+    value leaves the float range; members that overflow on the way to a
+    finite value raise nothing.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
@@ -283,17 +287,7 @@ def _eval_columns(h, X, tol, side):
         raise NonFiniteResult(
             "eval_family", f"{h.name}: the value at column {bad[0]} is outside the float range"
         )
-    residual = None
-    if h.oracle is not None:
-        residual = float(np.abs(values - np.asarray(h.oracle(X.T), dtype=float)).max())
-        if residual > 10.0 * tol:
-            warnings.warn(
-                RepresentationWarning(
-                    f"{h.name}: family value deviates from oracle by {residual:.3e}"
-                ),
-                stacklevel=3,
-            )
-    return values, terms, residual
+    return values, terms
 
 
 def eval_family(h, x, tol=DEFAULT_TOL, side="auto"):
@@ -306,13 +300,12 @@ def eval_family_detailed(h, x, tol=DEFAULT_TOL, side="auto"):
     """(value, terms used) at one point: the one-column batched scan.
 
     Raises ValueError on a NaN or infinite point and NonFiniteResult on a
-    value outside the float range; flags a RepresentationWarning on oracle
-    drift.
+    value outside the float range.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != h.dim:
         raise DimensionMismatch("eval_family", f"point has dim {x.size}, function has dim {h.dim}")
-    values, terms, _ = _eval_columns(h, x[:, None], tol, side)
+    values, terms = _eval_columns(h, x[:, None], tol, side)
     return float(values[0]), int(terms[0])
 
 
@@ -358,21 +351,19 @@ def sphere_grid(n, density):
     return z / norms[:, None]
 
 
-def _values_on_grid(h, grid, tol=DEFAULT_TOL):
+def _values_on_grid(h, grid):
     if h.oracle is not None:
         return np.asarray(h.oracle(grid), dtype=float)
-    return _eval_columns(h, grid.T, tol, "auto")[0]
+    return _eval_columns(h, grid.T, DEFAULT_TOL, "auto")[0]
 
 
 def _default_density(n):
     return 720 if n <= 2 else 2000
 
 
-def sphere_bounds(h, grid_density=None):
-    """(m, M) with -m = min and M = max of h over the sphere grid."""
-    density = _default_density(h.dim) if grid_density is None else int(grid_density)
-    grid = sphere_grid(h.dim, density)
-    vals = _values_on_grid(h, grid)
+def sphere_bounds(h):
+    """(m, M) with -m = min and M = max of h over the default sphere grid."""
+    vals = _values_on_grid(h, sphere_grid(h.dim, _default_density(h.dim)))
     return float(-vals.min()), float(vals.max())
 
 
@@ -481,7 +472,7 @@ def _diag_ray_pairs(budget):
     return _read_only(np.array(ms[:budget])), _read_only(np.array(ns[:budget]))
 
 
-def quadrant_sum(budget=DEFAULT_BUDGET, window=DEFAULT_WINDOW):
+def quadrant_sum(budget=DEFAULT_BUDGET):
     """x+y on the closed positive quadrant, 0 elsewhere (usc).
 
     Inf-family of maps (mx+ny)^+ over positive integer pairs; the infimum is
@@ -506,7 +497,7 @@ def quadrant_sum(budget=DEFAULT_BUDGET, window=DEFAULT_WINDOW):
     return PHFunction(
         "example-7.1",
         2,
-        inf_family=GeneratedFamily(block, map_at, budget=budget, window=window),
+        inf_family=GeneratedFamily(block, map_at, budget=budget),
         oracle=oracle,
     )
 
@@ -524,7 +515,7 @@ def _lambda_ray_pairs(budget):
     return _read_only(np.array(lams[:budget])), _read_only(np.array(ns[:budget]))
 
 
-def sign_switch(budget=DEFAULT_BUDGET, window=DEFAULT_WINDOW):
+def sign_switch(budget=DEFAULT_BUDGET):
     """x when both coordinates are positive, y when y is negative, else 0 (lsc).
 
     Sup-family of maps min{lambda*x, n*y}, lambda in {0,1}, n a positive
@@ -548,7 +539,7 @@ def sign_switch(budget=DEFAULT_BUDGET, window=DEFAULT_WINDOW):
     return PHFunction(
         "example-7.2",
         2,
-        sup_family=GeneratedFamily(block, map_at, budget=budget, window=window),
+        sup_family=GeneratedFamily(block, map_at, budget=budget),
         oracle=oracle,
     )
 
@@ -592,10 +583,10 @@ def circumscribed_polygon_map(count):
     return SublinearMap(VPolytope(verts), label=f"circumscribed-{count}")
 
 
-def square_mean(sup_angles=512, window=DEFAULT_WINDOW):
+def square_mean():
     """Euclidean norm on R^2 (continuous): disk inf-family plus a generated
-    sup-family of tangent maps on a bit-reversal-refined angle grid."""
-    theta = _bit_reversed_angles(sup_angles)
+    sup-family of 512 tangent maps on a bit-reversal-refined angle grid."""
+    theta = _bit_reversed_angles(_SQUARE_MEAN_ANGLES)
     T = np.column_stack([np.cos(theta), np.sin(theta)])
 
     def map_at(k):
@@ -609,7 +600,7 @@ def square_mean(sup_angles=512, window=DEFAULT_WINDOW):
         "square-mean",
         2,
         inf_family=FiniteFamily([disk_map()]),
-        sup_family=GeneratedFamily(_linear_block(T), map_at, budget=sup_angles, window=window),
+        sup_family=GeneratedFamily(_linear_block(T), map_at, budget=_SQUARE_MEAN_ANGLES),
         oracle=oracle,
     )
 
@@ -664,7 +655,8 @@ _BUILTINS = {
 
 
 def builtin(name, **kwargs):
-    """Named ready-made PHFunctions; kwargs (budget, window, ...) pass through."""
+    """Named ready-made PHFunctions; kwargs pass through to the factory:
+    budget for example-7.1 and example-7.2, n for abs-sum and max-coord."""
     try:
         factory = _BUILTINS[name]
     except KeyError:

@@ -14,7 +14,6 @@ trial alone.
 """
 
 import hashlib
-import warnings
 from functools import partial
 
 import numpy as np
@@ -35,7 +34,6 @@ from .fcalc import (
 from .homog import (
     FiniteFamily,
     PHFunction,
-    RepresentationWarning,
     SublinearMap,
     SuperlinearMap,
     _default_density,
@@ -126,16 +124,10 @@ def _resolve(h):
 
 
 def _per_trial(lift, blocks):
-    """lift applied once to the columns of all (n, m_t) blocks, split per block.
-
-    Oracle drift raises no RepresentationWarning here: the checks compare
-    the values themselves.
-    """
+    """lift applied once to the columns of all (n, m_t) blocks, split per block."""
     if not blocks:
         return []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RepresentationWarning)
-        whole = lift([RmElement(row) for row in np.hstack(blocks)])
+    whole = lift([RmElement(row) for row in np.hstack(blocks)])
     return np.split(whole.coords, np.cumsum([b.shape[1] for b in blocks[:-1]], dtype=int))
 
 

@@ -6,8 +6,6 @@ columns it shares a call with.  Comparisons are on the float64 bytes, so
 they also catch a flipped sign of zero.
 """
 
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +23,6 @@ from homocalc.homog import (
     DEFAULT_TOL,
     FiniteFamily,
     PHFunction,
-    RepresentationWarning,
     SublinearMap,
     SuperlinearMap,
     _scan_columns,
@@ -78,8 +75,7 @@ def _sides(h):
 def _assert_scan_matches_single_columns(h, X):
     for side in _sides(h):
         family = h.inf_family if side == "inf" else h.sup_family
-        with np.errstate(all="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", RepresentationWarning)
+        with np.errstate(all="ignore"):
             values, terms = _scan_columns(family, X, DEFAULT_TOL, minimize=(side == "inf"))
             single = [eval_family_detailed(h, X[:, j], side=side) for j in range(X.shape[1])]
         assert _bits(values) == _bits([v for v, _ in single]), (h.name, side)
@@ -140,10 +136,8 @@ def test_step_lift_equals_lift_of_refinement_columns(h):
             bp = np.concatenate(([0.0], np.unique(rng.uniform(0.0, 1.0, size=6)), [1.0]))
             fs.append(StepFunction(bp, rng.uniform(-5.0, 5.0, size=bp.size - 1)))
         bp, vals = common_refinement(fs)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RepresentationWarning)
-            on_steps = fc_semicontinuous(h, fs)
-            via_columns = StepFunction(bp, fc_semicontinuous(h, [RmElement(r) for r in vals]).coords)
+        on_steps = fc_semicontinuous(h, fs)
+        via_columns = StepFunction(bp, fc_semicontinuous(h, [RmElement(r) for r in vals]).coords)
         assert _bits(on_steps.breakpoints) == _bits(via_columns.breakpoints)
         assert _bits(on_steps.values) == _bits(via_columns.values)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 
@@ -43,6 +44,87 @@ def test_fc_builtin_step(capsys):
     doc = json.loads(out)
     assert doc["element"]["step"]["breakpoints"] == [0.0, 0.5, 1.0]
     assert doc["element"]["step"]["values"] == pytest.approx([2.0, -1.0])
+
+
+# The columns (1, -1e-30) and (1, 1e-30) are where examples 7.1 and 7.2 stop
+# short of their oracles, so these pins hold max_residual's bits as well.
+FC_TUPLE = ("--f", "3,1,1,0,-2,1e300", "--f", "4,-1e-30,1e-30,0,5,3e300")
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("example-7.1", "4df4e17e0708f3a62b939b52cee4c5c9be7613b2a92015dfb55e9763420f9df9"),
+        ("example-7.2", "c4f3110dbed7f23ca6848459a78e9e55eebd62e563a117f769a1889dcf412238"),
+        ("square-mean", "50f839d98524d2f958a045823d4978c726c13248d90b88893510faae35c9795f"),
+        ("abs-sum", "b7aeaeeceee2b103b4ae8718a0495b271efe3b8d7a890b6dcb13590075fe2135"),
+        ("max-coord", "3e7ce5021a63ea6fc267fbe10ace18fb1ea1b48ce2c5d1d864c33653a5e0097e"),
+    ],
+)
+def test_fc_stdout_is_pinned(capsys, name, digest):
+    code, out, _ = run(capsys, "fc", "--builtin", name, *FC_TUPLE)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_drift_is_data_and_stderr_stays_empty(capsys):
+    # both stop short of the oracle at (1, -1e-30); the lift says so in
+    # max_residual, and nothing reaches stderr
+    code, out, err = run(capsys, "eval", "--builtin", "example-7.1", "--x", "1,-1e-30")
+    assert (code, json.loads(out)["value"], err) == (0, 1.0, "")
+    code, out, err = run(capsys, "fc", "--builtin", "example-7.1", "--f", "1", "--f", "-1e-30")
+    assert (code, json.loads(out)["diagnostics"]["max_residual"], err) == (0, 1.0, "")
+
+
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        (
+            ["fc", "--builtin", "example-7.2", "--lattice", "rm", "--f", "2,0,1", "--f", "-1,3,0"],
+            "element",
+            {"rm": [-1.0, 0.0, 0.0]},
+        ),
+        (["eval", "--builtin", "example-7.1", "--x", "-2,5"], "value", 0.0),
+    ],
+    ids=["readme-fc", "eval"],
+)
+def test_values_starting_with_a_minus_sign(capsys, argv, key, value):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)[key] == value
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["suite", "--tol", "1"],
+        ["saddle-eval", "--family", "SADDLE", "--x", "1,0", "--tol", "1"],
+        ["eval", "--builtin", "example-7.1", "--x", "1,1", "--seed", "1"],
+        ["fc", "--builtin", "example-7.1", "--f", "1", "--f", "1", "--seed", "1"],
+        ["saddle-build", "--family", "PAIR", "--seed", "1"],
+        ["saddle-eval", "--family", "SADDLE", "--x", "1,0", "--seed", "1"],
+        ["eval", "--builtin", "example-7.1"],
+        ["check", "no-such-check"],
+        [],
+        ["eval", "--builtin", "example-7.2", "--x", "-inf,5"],
+    ],
+    ids=[
+        "suite-tol", "saddle-eval-tol", "eval-seed", "fc-seed", "saddle-build-seed",
+        "saddle-eval-seed", "missing-x", "bad-choice", "no-command", "x-non-finite",
+    ],
+)
+def test_argument_errors_are_one_json_line_with_exit_2(capsys, tmp_path, argv):
+    # the first six flags were accepted and never read; the files are valid
+    # so that only the flag can fail
+    maps = list(angle_superlinear_family(8).maps)
+    pair, saddle = tmp_path / "pair.json", tmp_path / "saddle.json"
+    pair.write_text(json.dumps({"phis": [map_to_json(disk_map())], "psis": [map_to_json(m) for m in maps]}))
+    saddle.write_text(json.dumps(saddle_to_json(saddle_build([disk_map()], maps))))
+    files = {"PAIR": str(pair), "SADDLE": str(saddle)}
+    code, out, err = run(capsys, *[files.get(a, a) for a in argv])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"]["message"]
 
 
 def test_eval_family_file(capsys, tmp_path):

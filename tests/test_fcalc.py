@@ -35,6 +35,9 @@ from homocalc.homog import (
     angle_superlinear_family,
     builtin,
     disk_map,
+    domination_envelopes,
+    eval_family,
+    eval_family_detailed,
 )
 from homocalc.lattice import PointEvalHom, RmElement, StepFunction, hom_eval
 
@@ -101,6 +104,27 @@ def test_fc_semicontinuous_detailed_diagnostics():
     assert diag["max_residual"] == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("name", ["example-7.1", "example-7.2", "square-mean", "abs-sum", "max-coord"])
+def test_the_oracle_feeds_only_the_lift_residual(name):
+    # family evaluation never calls the oracle; a detailed lift calls it once
+    # over all its columns, for max_residual
+    h = builtin(name)
+    calls = []
+    oracle = h.oracle
+    h.oracle = lambda pts: calls.append(np.shape(pts)) or oracle(pts)
+    for side in ("inf", "sup"):
+        if getattr(h, f"{side}_family") is not None:
+            eval_family(h, [1.0, -1e-30], side=side)
+            eval_family_detailed(h, [3.0, 4.0], side=side)
+    assert calls == []
+    fs = [RmElement([3.0, 1.0, 0.0]), RmElement([4.0, -1e-30, 0.0])]
+    for k in (1, 2):
+        fc_semicontinuous_detailed(h, fs)
+        assert calls == [(3, 2)] * k
+    domination_envelopes(h)  # its grid values come from the oracle, once
+    assert len(calls) == 3
+
+
 def test_fc_mismatches():
     with pytest.raises(DimensionMismatch):
         fc_sublinear(PHI_11, [RmElement([1.0, 2.0])])
@@ -132,6 +156,19 @@ def test_map_values_beyond_the_float_range_raise(cls, lift, s):
         with pytest.raises(NonFiniteResult, match="value at column 0 is outside the float range"):
             m([1.7e308, 1.7e308])
     assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize(
+    "s", [VPolytope([[1.0, 1.0]]), Ball([0.0, 0.0], 1.0)], ids=["polytope", "ball"]
+)
+@pytest.mark.parametrize("cls", [SublinearMap, SuperlinearMap], ids=["sub", "super"])
+def test_map_calls_reject_non_finite_points(cls, s, bad):
+    m = cls(s)
+    with pytest.raises(ValueError, match="points must be finite"):
+        m([bad, 0.0])
+    with pytest.raises(ValueError, match="points must be finite"):
+        m(np.array([[1.0, 2.0, bad], [0.0, 1.0, 1.0]]))
 
 
 def test_family_member_overflow_on_the_way_to_a_finite_value_raises_nothing():

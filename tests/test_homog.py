@@ -13,11 +13,12 @@ from homocalc.errors import (
     SchemaError,
     UnknownBuiltin,
 )
+from homocalc.fcalc import fc_semicontinuous_detailed
 from homocalc.homog import (
+    DEFAULT_TOL,
     FiniteFamily,
     GeneratedFamily,
     PHFunction,
-    RepresentationWarning,
     SublinearMap,
     SuperlinearMap,
     angle_superlinear_family,
@@ -34,6 +35,7 @@ from homocalc.homog import (
     sphere_bounds,
     sphere_grid,
 )
+from homocalc.lattice import RmElement
 
 
 def test_sublinear_map_evaluates_support():
@@ -86,10 +88,13 @@ def test_square_mean_values():
     assert h.oracle_at([1.0, 0.0]) == 1.0
     assert eval_family(h, [3.0, 4.0]) == pytest.approx(5.0)
     # the sup side is an angle grid: close at its resolution, and far enough
-    # from the oracle at the default tol that the drift warning fires
-    with pytest.warns(RepresentationWarning):
+    # from the oracle at the default tol that the lift reports drift, as data
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         v = eval_family(h, [3.0, 4.0], side="sup")
+        _, diag = fc_semicontinuous_detailed(h, [RmElement([3.0]), RmElement([4.0])], side="sup")
     assert v == pytest.approx(5.0, abs=1e-3)
+    assert diag["max_residual"] == abs(v - 5.0) > 10.0 * DEFAULT_TOL
 
 
 def test_abs_sum_and_max_coord():
@@ -168,15 +173,20 @@ def test_finite_family_requires_maps():
 
 
 def test_representation_warning_on_oracle_drift():
-    # declared oracle disagrees with the family by a unit amount
+    # declared oracle disagrees with the family by a unit amount: evaluation
+    # never reads it, and the lift reports the drift as max_residual; no
+    # RepresentationWarning (or any other warning) is raised
     bad = PHFunction(
         "wrong-oracle",
         2,
         inf_family=FiniteFamily([disk_map()]),
         oracle=lambda pts: np.hypot(np.asarray(pts)[..., 0], np.asarray(pts)[..., 1]) + 1.0,
     )
-    with pytest.warns(RepresentationWarning):
-        eval_family(bad, [3.0, 4.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert eval_family(bad, [3.0, 4.0]) == 5.0
+        _, diag = fc_semicontinuous_detailed(bad, [RmElement([3.0, 0.0]), RmElement([4.0, 2.0])])
+    assert diag["max_residual"] == 1.0
 
 
 def test_sphere_grid_shapes_and_norms():
@@ -227,10 +237,8 @@ def test_domination_envelopes_detect_bad_oracle():
         inf_family=FiniteFamily([disk_map()]),
         oracle=lambda pts: 2.0 * np.hypot(np.asarray(pts)[..., 0], np.asarray(pts)[..., 1]),
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RepresentationWarning)
-        with pytest.raises(EnvelopeViolation):
-            domination_envelopes(bad)
+    with pytest.raises(EnvelopeViolation):
+        domination_envelopes(bad)
 
 
 def test_check_positive_homogeneity_passes_for_builtins():
@@ -343,10 +351,8 @@ def test_function_from_json_schema_errors():
 )
 def test_builtin_evaluation_is_positively_homogeneous(x, y, lam):
     h = builtin("example-7.1")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RepresentationWarning)
-        a = eval_family(h, [lam * x, lam * y])
-        b = lam * eval_family(h, [x, y])
+    a = eval_family(h, [lam * x, lam * y])
+    b = lam * eval_family(h, [x, y])
     assert a == pytest.approx(b, abs=1e-7 * (1.0 + lam))
 
 
