@@ -210,12 +210,15 @@ _CHECKS = {
     "saddle": lambda args, seed: verify.check_saddle(seed=seed, **_tol(args)),
     "negative-controls": lambda args, seed: verify.negative_controls(seed=seed),
 }
+_CHECKS_WITHOUT_TOL = ("sublattice-invariance", "negative-controls")
 
 
 def _cmd_check(args):
     runner = _CHECKS.get(args.name)
     if runner is None:
         raise _InputError(f"unknown check {args.name!r}; known: {', '.join(sorted(_CHECKS))}")
+    if args.tol is not None and args.name in _CHECKS_WITHOUT_TOL:
+        raise _InputError(f"check {args.name} has no tolerance; drop --tol")
     report = runner(args, _seed(args))
     _emit(report.to_json(), args.out)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED

@@ -9,9 +9,10 @@ a sup-family of superlinear maps (lower semicontinuous side), or both
 (continuous), optionally paired with a closed-form oracle used for
 cross-checks only: evaluation reads the families alone, and a lift reports
 its drift from the oracle as data (fcalc's max_residual).  A family is an
-enumeration scanned by one stall rule; an explicit finite list is the
-enumeration whose stall window is its length, so its scan visits every
-member.
+enumeration scanned by one stall rule, and a family that declares a
+certified bound per column stops early where the bound is reached; an
+explicit finite list is the enumeration whose stall window is its length,
+so its scan visits every member.
 
 Semicontinuity cannot be certified from finitely many samples; the kind tag
 is declarative and only the oracle/family agreement is checked numerically.
@@ -122,10 +123,19 @@ class GeneratedFamily:
     materializes the k-th map.  Evaluation stops at the budget or after
     `window` consecutive maps without an improvement beyond the working
     tolerance.
+
+    bound_fn(X), when given, is the family's certificate: for X of shape
+    (n, k) it returns, per column, a value no member can beat in floating
+    point (a floor for an inf-family, a ceiling for a sup-family), proven
+    from the member formula and never from an oracle.  A column whose
+    running extremum reaches its bound stops there: the bound is attained,
+    so it is the family's extremum at that column.
     Re-entrant: no state is mutated during evaluation.
     """
 
-    def __init__(self, block_fn, map_fn, budget=DEFAULT_BUDGET, window=DEFAULT_WINDOW):
+    def __init__(
+        self, block_fn, map_fn, budget=DEFAULT_BUDGET, window=DEFAULT_WINDOW, bound_fn=None
+    ):
         if budget < 1:
             raise ValueError("budget must be >= 1")
         if window < 1:
@@ -134,6 +144,7 @@ class GeneratedFamily:
         self._map_fn = map_fn
         self.budget = int(budget)
         self.window = int(window)
+        self.bound_fn = bound_fn
 
     @property
     def size(self):
@@ -218,10 +229,12 @@ def _scan_columns(family, X, tol, minimize):
     Returns (values, terms), both of shape (k,).  Each column gets what a
     scan of the enumeration at that column alone gives.  The running best
     includes every member seen; an improvement counts only when it beats
-    the running best by more than tol.  A column stops at the first member
-    index s with s - (last improvement at or before s) >= window, after
-    s + 1 terms, or at the budget.  A finite family's window is its length,
-    which can end a scan only at its last member, so it visits every member.
+    the running best by more than tol.  A column stops after s + 1 terms at
+    the first member index s where s - (last improvement at or before s)
+    >= window or, for a family with a bound_fn, where the running best
+    reaches the column's bound; otherwise at the budget.  A finite family's
+    window is its length, which can end a scan only at its last member, so
+    without a bound it visits every member.
 
     Columns go in groups of at most _EVAL_CHUNK and members in blocks of at
     most _BLOCK_CELLS member-by-column cells; a column that has stopped
@@ -234,6 +247,10 @@ def _scan_columns(family, X, tol, minimize):
     window = family.window
     values = np.empty(k)
     terms = np.full(k, total)
+    reach = None
+    if family.bound_fn is not None:
+        reach = np.asarray(family.bound_fn(X), dtype=float)
+        reach = reach if minimize else -reach
     for c0 in range(0, k, _EVAL_CHUNK):
         cols = np.arange(c0, min(c0 + _EVAL_CHUNK, k))
         best = np.full(cols.size, np.inf)
@@ -252,11 +269,13 @@ def _scan_columns(family, X, tol, minimize):
             del gain
             np.maximum.accumulate(last, axis=0, out=last)
             np.maximum(last_imp, last, out=last)
-            stalled = last <= index - window
-            done = stalled.any(axis=0)
+            stop = last <= index - window
+            if reach is not None:
+                stop |= run <= reach[cols]
+            done = stop.any(axis=0)
             if done.any():
                 hit = np.nonzero(done)[0]
-                s = stalled[:, hit].argmax(axis=0)
+                s = stop[:, hit].argmax(axis=0)
                 values[cols[hit]] = run[s, hit]
                 terms[cols[hit]] = a + s + 1
                 keep = ~done
@@ -489,6 +508,11 @@ def quadrant_sum(budget=DEFAULT_BUDGET):
             VPolytope([[M[k], N[k]], [0.0, 0.0]]), label=f"pospart(m={M[k]:g},n={N[k]:g})"
         )
 
+    def floor(X):
+        # members are >= 0, and on the closed first quadrant m, n >= 1 makes
+        # each >= x + y (rounding is monotone); member 0, (1, 1), attains it
+        return np.where((X[0] >= 0) & (X[1] >= 0), X[0] + X[1], 0.0)
+
     def oracle(pts):
         pts = np.asarray(pts, dtype=float)
         x, y = pts[..., 0], pts[..., 1]
@@ -497,7 +521,7 @@ def quadrant_sum(budget=DEFAULT_BUDGET):
     return PHFunction(
         "example-7.1",
         2,
-        inf_family=GeneratedFamily(block, map_at, budget=budget),
+        inf_family=GeneratedFamily(block, map_at, budget=budget, bound_fn=floor),
         oracle=oracle,
     )
 
@@ -531,6 +555,13 @@ def sign_switch(budget=DEFAULT_BUDGET):
             VPolytope([[L[k], 0.0], [0.0, N[k]]]), label=f"min(lam={L[k]:g},n={N[k]:g})"
         )
 
+    def ceiling(X):
+        # n >= 1 makes each member <= y when y < 0, and member 0, min(0*x, y),
+        # attains it; lam in {0, 1} makes each <= max(x, 0) when y > 0, and
+        # n*y is a zero when y is
+        x, y = X[0], X[1]
+        return np.where(y < 0, y, np.where(y > 0, np.maximum(x, 0.0), 0.0))
+
     def oracle(pts):
         pts = np.asarray(pts, dtype=float)
         x, y = pts[..., 0], pts[..., 1]
@@ -539,7 +570,7 @@ def sign_switch(budget=DEFAULT_BUDGET):
     return PHFunction(
         "example-7.2",
         2,
-        sup_family=GeneratedFamily(block, map_at, budget=budget),
+        sup_family=GeneratedFamily(block, map_at, budget=budget, bound_fn=ceiling),
         oracle=oracle,
     )
 

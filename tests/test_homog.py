@@ -21,6 +21,7 @@ from homocalc.homog import (
     PHFunction,
     SublinearMap,
     SuperlinearMap,
+    _scan_columns,
     angle_superlinear_family,
     builtin,
     check_positive_homogeneity,
@@ -165,6 +166,74 @@ def test_generated_family_map_at_consistent_with_blocks():
     block = fam.values(x, 0, 40)
     singles = [fam.map_at(k)(x) for k in range(40)]
     assert block == pytest.approx(singles, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# certified stops: the bounds of examples 7.1 and 7.2
+
+def _bits(a):
+    return np.ascontiguousarray(np.asarray(a, dtype=np.float64)).tobytes()
+
+
+def _certificate_columns(rng, k):
+    """k columns in 2-d: every pair of special values (signed zeros, +-1,
+    +-1e-30, +-1e300, subnormals), then uniform on [-5, 5]^2 to k/2, random
+    binary exponents from -1070 to 1020 to 3k/4, and the same with one
+    coordinate zeroed."""
+    specials = [0.0, -0.0, 1.0, -1.0, 1e-30, -1e-30, 1e300, -1e300, 5e-324, -5e-324, 2.5, -2.5]
+    grid = np.array([(a, b) for a in specials for b in specials]).T
+    X = rng.uniform(-5.0, 5.0, size=(2, k))
+    X[:, : grid.shape[1]] = grid
+    X[:, k // 2 :] *= 2.0 ** rng.integers(-1070, 1021, size=(2, k - k // 2))
+    half = np.arange(3 * k // 4, k)
+    X[rng.integers(0, 2, size=half.size), half] = 0.0
+    return X
+
+
+CERTIFIED = [("example-7.1", "inf"), ("example-7.2", "sup")]
+
+
+@pytest.mark.parametrize("name, side", CERTIFIED)
+def test_no_member_in_the_budget_beats_the_bound(name, side):
+    h = builtin(name)
+    family = h.inf_family if side == "inf" else h.sup_family
+    X = _certificate_columns(np.random.default_rng(41), 300)
+    bound = family.bound_fn(X)
+    with np.errstate(all="ignore"):
+        for a in range(0, family.size, 1000):
+            vals = family.values(X, a, a + 1000)
+            beats = vals < bound if side == "inf" else vals > bound
+            assert not beats.any(), (name, a + np.argwhere(beats)[0])
+
+
+@pytest.mark.parametrize("name, side", CERTIFIED)
+def test_certified_scan_equals_the_scan_without_a_bound(name, side):
+    h = builtin(name)
+    family = h.inf_family if side == "inf" else h.sup_family
+    plain = GeneratedFamily(
+        family.values, family.map_at, budget=family.budget, window=family.window
+    )
+    X = _certificate_columns(np.random.default_rng(43), 4000)
+    with np.errstate(all="ignore"):
+        values, terms = _scan_columns(family, X, DEFAULT_TOL, minimize=(side == "inf"))
+        want, want_terms = _scan_columns(plain, X, DEFAULT_TOL, minimize=(side == "inf"))
+    assert _bits(values) == _bits(want)
+    assert (terms <= want_terms).all()
+    assert np.median(terms) == 1 and np.median(want_terms) >= 201
+
+
+@pytest.mark.parametrize(
+    "name, x, value",
+    [
+        ("example-7.1", [2.0, 3.0], 5.0),  # first quadrant: member (1, 1) is x + y
+        ("example-7.1", [-2.0, -3.0], 0.0),  # third quadrant: member (1, 1) is 0
+        ("example-7.2", [5.0, -1.0], -1.0),  # y < 0: member min(0*x, y) is y
+        # member (2, 2) is inf - inf = NaN; the scan stops before it
+        ("example-7.1", [1.7e308, -1.7e308], 0.0),
+    ],
+)
+def test_certified_column_stops_after_one_term(name, x, value):
+    assert eval_family_detailed(builtin(name), x) == (value, 1)
 
 
 def test_finite_family_requires_maps():
