@@ -112,17 +112,16 @@ def _read_json(path):
 
 
 def _load_function(args):
-    if getattr(args, "builtin", None) and getattr(args, "family", None):
+    if args.builtin and args.family:
         raise _InputError("give either --builtin or --family, not both")
-    if getattr(args, "builtin", None):
-        kwargs = {}
-        if getattr(args, "budget", None) is not None:
-            if args.budget < 1:
-                raise _InputError("--budget must be >= 1")
-            if args.builtin in _GENERATED_BUILTINS:
-                kwargs["budget"] = args.budget
-        return builtin(args.builtin, **kwargs)
-    if getattr(args, "family", None):
+    if args.budget is not None:
+        if args.builtin not in _GENERATED_BUILTINS:
+            raise _InputError(f"--budget applies only to --builtin {' or '.join(_GENERATED_BUILTINS)}")
+        if args.budget < 1:
+            raise _InputError("--budget must be >= 1")
+    if args.builtin:
+        return builtin(args.builtin, **({} if args.budget is None else {"budget": args.budget}))
+    if args.family:
         return function_from_json(_read_json(args.family), source=args.family)
     raise _InputError("need --builtin NAME or --family FILE")
 
@@ -150,7 +149,7 @@ def _seed(args):
 def _cmd_eval(args):
     h = _load_function(args)
     x = _parse_vector(args.x, "--x")
-    value, terms = eval_family_detailed(h, x, **_tol(args))
+    value, terms = eval_family_detailed(h, x)
     _emit({"value": value, "diagnostics": {"family_terms_used": terms}}, args.out)
     return EXIT_OK
 
@@ -160,7 +159,7 @@ def _cmd_fc(args):
     if not args.f:
         raise _InputError("need at least one --f element")
     fs = [_parse_element(f, args.lattice) for f in args.f]
-    element, diagnostics = fc_semicontinuous_detailed(h, fs, **_tol(args))
+    element, diagnostics = fc_semicontinuous_detailed(h, fs)
     _emit({"element": element_to_json(element), "diagnostics": diagnostics}, args.out)
     return EXIT_OK
 
@@ -197,29 +196,30 @@ def _tol(args):
     return {} if args.tol is None else {"tol": args.tol}
 
 
+# each check, with the flags it reads besides --seed and --out
 _CHECKS = {
-    "engine-vs-oracle": lambda args, seed: verify.check_engine_vs_oracle(
-        args.builtin or "example-7.1", seed=seed, **_tol(args)
-    ),
-    "interchange": lambda args, seed: verify.check_interchange(seed=seed, **_tol(args)),
-    "rep-independence": lambda args, seed: verify.check_rep_independence(seed=seed, **_tol(args)),
-    "continuous-agreement": lambda args, seed: verify.check_continuous_agreement(
-        seed=seed, **_tol(args)
-    ),
-    "sublattice-invariance": lambda args, seed: verify.check_sublattice_invariance(seed=seed),
-    "saddle": lambda args, seed: verify.check_saddle(seed=seed, **_tol(args)),
-    "negative-controls": lambda args, seed: verify.negative_controls(seed=seed),
+    "engine-vs-oracle": (verify.check_engine_vs_oracle, ("builtin", "tol")),
+    "interchange": (verify.check_interchange, ("tol",)),
+    "rep-independence": (verify.check_rep_independence, ("tol",)),
+    "continuous-agreement": (verify.check_continuous_agreement, ("tol",)),
+    "sublattice-invariance": (verify.check_sublattice_invariance, ()),
+    "saddle": (verify.check_saddle, ("tol",)),
+    "negative-controls": (verify.negative_controls, ()),
 }
-_CHECKS_WITHOUT_TOL = ("sublattice-invariance", "negative-controls")
+# the keyword argument that each of those flags sets
+_CHECK_KEYWORDS = {"builtin": "h", "tol": "tol"}
 
 
 def _cmd_check(args):
-    runner = _CHECKS.get(args.name)
-    if runner is None:
-        raise _InputError(f"unknown check {args.name!r}; known: {', '.join(sorted(_CHECKS))}")
-    if args.tol is not None and args.name in _CHECKS_WITHOUT_TOL:
-        raise _InputError(f"check {args.name} has no tolerance; drop --tol")
-    report = runner(args, _seed(args))
+    check, reads = _CHECKS[args.name]
+    kwargs = {}
+    for flag, keyword in _CHECK_KEYWORDS.items():
+        value = getattr(args, flag)
+        if value is not None:
+            if flag not in reads:
+                raise _InputError(f"check {args.name} does not read --{flag}; drop it")
+            kwargs[keyword] = value
+    report = check(seed=_seed(args), **kwargs)
     _emit(report.to_json(), args.out)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
@@ -256,7 +256,7 @@ def _build_parser():
     p.add_argument("--family", default=None, help="JSON file with a family document")
     p.add_argument("--x", required=True, help="point, comma-separated")
     p.add_argument("--budget", type=int, default=None, help="generated-family budget")
-    _add_options(p, "tol")
+    _add_options(p)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("fc", help="lift a PH function over lattice elements")
@@ -265,7 +265,7 @@ def _build_parser():
     p.add_argument("--f", action="append", default=[], help="lattice element (repeat per argument)")
     p.add_argument("--lattice", choices=("rm", "step"), default="rm")
     p.add_argument("--budget", type=int, default=None)
-    _add_options(p, "tol")
+    _add_options(p)
     p.set_defaults(func=_cmd_fc)
 
     p = sub.add_parser("saddle-build", help="build saddle coefficients from map families")

@@ -175,10 +175,13 @@ def support_argmax(s, x):
         idx = int(np.argmax(s.vertices @ x))
         return s.vertices[idx].copy()
     if isinstance(s, Ball):
-        nrm = _norm(x)
-        if nrm == 0.0:
+        top = np.abs(x).max()
+        if top == 0.0:
             return s.center.copy()
-        return s.center + s.radius * (x / nrm)
+        # an exact power-of-two scaling first, so that a subnormal x still
+        # divides to a unit vector
+        x = np.ldexp(x, -np.frexp(top)[1])
+        return s.center + s.radius * (x / _norm(x))
     raise TypeError(f"unsupported set type {type(s).__name__}")
 
 

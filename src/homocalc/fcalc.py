@@ -61,17 +61,17 @@ def fc_superlinear(psi, elements):
     return wrap(psi(cols))
 
 
-def fc_semicontinuous(h, elements, tol=DEFAULT_TOL, side="auto"):
+def fc_semicontinuous(h, elements, side="auto"):
     """Lift a PH function through its representing family, per coordinate.
 
     All columns go through one batched family scan; a column gets the same
     value as eval_family at that column alone.
     """
-    element, _ = fc_semicontinuous_detailed(h, elements, tol=tol, side=side)
+    element, _ = fc_semicontinuous_detailed(h, elements, side=side)
     return element
 
 
-def fc_semicontinuous_detailed(h, elements, tol=DEFAULT_TOL, side="auto"):
+def fc_semicontinuous_detailed(h, elements, side="auto"):
     """(element, diagnostics): terms actually enumerated and oracle drift.
 
     The lift reads the family alone.  Then the oracle, when h has one, is
@@ -80,7 +80,7 @@ def fc_semicontinuous_detailed(h, elements, tol=DEFAULT_TOL, side="auto"):
     here: no warning is raised.
     """
     wrap, cols = _lift_columns("fc_semicontinuous", "function", h.dim, elements)
-    out, terms = _eval_columns(h, cols, tol, side)
+    out, terms = _eval_columns(h, cols, side)
     residual = None
     if h.oracle is not None:
         residual = float(np.abs(out - np.asarray(h.oracle(cols.T), dtype=float)).max())

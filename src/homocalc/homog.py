@@ -9,10 +9,10 @@ a sup-family of superlinear maps (lower semicontinuous side), or both
 (continuous), optionally paired with a closed-form oracle used for
 cross-checks only: evaluation reads the families alone, and a lift reports
 its drift from the oracle as data (fcalc's max_residual).  A family is an
-enumeration scanned by one stall rule, and a family that declares a
-certified bound per column stops early where the bound is reached; an
-explicit finite list is the enumeration whose stall window is its length,
-so its scan visits every member.
+enumeration up to a budget, and its value at a point is the extremum over
+all the members in the budget; a family that declares a certified bound
+per column stops early where the bound is reached.  An explicit finite list
+is the enumeration whose budget is its length.
 
 Semicontinuity cannot be certified from finitely many samples; the kind tag
 is declarative and only the oracle/family agreement is checked numerically.
@@ -43,7 +43,6 @@ from .errors import (
 
 DEFAULT_TOL = 1e-9
 DEFAULT_BUDGET = 10_000
-DEFAULT_WINDOW = 200
 _SQUARE_MEAN_ANGLES = 512
 _RAY_EXP_CAP = 400  # keeps 2**e finite in float64
 _EVAL_CHUNK = 512
@@ -120,9 +119,8 @@ class GeneratedFamily:
     block_fn(x, a, b) -> values of maps a..b-1 at x, shape (b-a,) for x of
     shape (n,) and (b-a, k) for x of shape (n, k); a block that ignores x
     and returns shape (b-a,) is broadcast over the columns.  map_at(k)
-    materializes the k-th map.  Evaluation stops at the budget or after
-    `window` consecutive maps without an improvement beyond the working
-    tolerance.
+    materializes the k-th map.  Evaluation takes the extremum over the first
+    `budget` maps.
 
     bound_fn(X), when given, is the family's certificate: for X of shape
     (n, k) it returns, per column, a value no member can beat in floating
@@ -133,22 +131,13 @@ class GeneratedFamily:
     Re-entrant: no state is mutated during evaluation.
     """
 
-    def __init__(
-        self, block_fn, map_fn, budget=DEFAULT_BUDGET, window=DEFAULT_WINDOW, bound_fn=None
-    ):
+    def __init__(self, block_fn, map_fn, budget=DEFAULT_BUDGET, bound_fn=None):
         if budget < 1:
             raise ValueError("budget must be >= 1")
-        if window < 1:
-            raise ValueError("window must be >= 1")
         self._block_fn = block_fn
         self._map_fn = map_fn
         self.budget = int(budget)
-        self.window = int(window)
         self.bound_fn = bound_fn
-
-    @property
-    def size(self):
-        return self.budget
 
     def values(self, x, a, b):
         return self._block_fn(x, a, b)
@@ -158,8 +147,8 @@ class GeneratedFamily:
 
 
 class FiniteFamily(GeneratedFamily):
-    """Explicit finite list of maps: a generated family whose budget and
-    window are its length, so every scan visits every member.
+    """Explicit finite list of maps: a generated family whose budget is its
+    length, so every scan visits every member.
 
     Without `block_fn` a block calls each map's kernel on all its columns.
     `block_fn(x, a, b)`, when given, must return the same values as calling
@@ -174,7 +163,7 @@ class FiniteFamily(GeneratedFamily):
             def block_fn(x, a, b):
                 cols = x.reshape(x.shape[0], -1)
                 return np.array([m._values(cols) for m in maps[a:b]]).reshape(b - a, *x.shape[1:])
-        super().__init__(block_fn, maps.__getitem__, budget=len(maps), window=len(maps))
+        super().__init__(block_fn, maps.__getitem__, budget=len(maps))
         self.maps = maps
 
 
@@ -223,18 +212,14 @@ def _pick_side(h, side):
     raise ValueError(f"side must be 'auto', 'inf' or 'sup', got {side!r}")
 
 
-def _scan_columns(family, X, tol, minimize):
-    """Running extremum of the family at every column of X, shape (n, k).
+def _scan_columns(family, X, minimize):
+    """Extremum of the family at every column of X, shape (n, k).
 
-    Returns (values, terms), both of shape (k,).  Each column gets what a
-    scan of the enumeration at that column alone gives.  The running best
-    includes every member seen; an improvement counts only when it beats
-    the running best by more than tol.  A column stops after s + 1 terms at
-    the first member index s where s - (last improvement at or before s)
-    >= window or, for a family with a bound_fn, where the running best
-    reaches the column's bound; otherwise at the budget.  A finite family's
-    window is its length, which can end a scan only at its last member, so
-    without a bound it visits every member.
+    Returns (values, terms), both of shape (k,).  For a family with a
+    bound_fn, a column stops after s + 1 terms at the first member index s
+    where its running extremum reaches the column's bound; the bound is
+    attained there, so that is the family's extremum.  Every other column
+    takes the extremum over all `budget` members.
 
     Columns go in groups of at most _EVAL_CHUNK and members in blocks of at
     most _BLOCK_CELLS member-by-column cells; a column that has stopped
@@ -243,8 +228,7 @@ def _scan_columns(family, X, tol, minimize):
     column's result does not depend on its batch or on the block bounds.
     """
     k = X.shape[1]
-    total = family.size
-    window = family.window
+    total = family.budget
     values = np.empty(k)
     terms = np.full(k, total)
     reach = None
@@ -254,7 +238,6 @@ def _scan_columns(family, X, tol, minimize):
     for c0 in range(0, k, _EVAL_CHUNK):
         cols = np.arange(c0, min(c0 + _EVAL_CHUNK, k))
         best = np.full(cols.size, np.inf)
-        last_imp = np.full(cols.size, -1)
         a = 0
         while a < total and cols.size:
             b = min(a + min(_EVAL_CHUNK, _BLOCK_CELLS // cols.size), total)
@@ -262,45 +245,33 @@ def _scan_columns(family, X, tol, minimize):
             vals = np.broadcast_to(vals if minimize else -vals, (b - a, cols.size))
             run = np.minimum.accumulate(vals, axis=0)
             np.minimum(best, run, out=run)
-            gain = np.vstack((best, run[:-1]))
-            gain -= vals
-            index = np.arange(a, b)[:, None]
-            last = np.where(gain > tol, index, -1)
-            del gain
-            np.maximum.accumulate(last, axis=0, out=last)
-            np.maximum(last_imp, last, out=last)
-            stop = last <= index - window
             if reach is not None:
-                stop |= run <= reach[cols]
-            done = stop.any(axis=0)
-            if done.any():
-                hit = np.nonzero(done)[0]
-                s = stop[:, hit].argmax(axis=0)
-                values[cols[hit]] = run[s, hit]
-                terms[cols[hit]] = a + s + 1
-                keep = ~done
-                cols, run, last = cols[keep], run[:, keep], last[:, keep]
-            last_imp = last[-1]
+                stop = run <= reach[cols]
+                done = stop.any(axis=0)
+                if done.any():
+                    hit = np.nonzero(done)[0]
+                    s = stop[:, hit].argmax(axis=0)
+                    values[cols[hit]] = run[s, hit]
+                    terms[cols[hit]] = a + s + 1
+                    cols, run = cols[~done], run[:, ~done]
             best = run[-1]
             a = b
         values[cols] = best
     return (values if minimize else -values), terms
 
 
-def _eval_columns(h, X, tol, side):
+def _eval_columns(h, X, side):
     """(values, terms) of h at the columns of X (n, k), from one batched scan.
 
     Raises ValueError on a NaN or infinite point and NonFiniteResult when a
     value leaves the float range; members that overflow on the way to a
     finite value raise nothing.
     """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
     chosen, family = _pick_side(h, side)
     if not np.all(np.isfinite(X)):
         raise ValueError(f"{h.name}: points must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
-        values, terms = _scan_columns(family, X, tol, minimize=(chosen == "inf"))
+        values, terms = _scan_columns(family, X, minimize=(chosen == "inf"))
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise NonFiniteResult(
@@ -309,13 +280,13 @@ def _eval_columns(h, X, tol, side):
     return values, terms
 
 
-def eval_family(h, x, tol=DEFAULT_TOL, side="auto"):
+def eval_family(h, x, side="auto"):
     """Value of h at x through its representing family."""
-    value, _ = eval_family_detailed(h, x, tol=tol, side=side)
+    value, _ = eval_family_detailed(h, x, side=side)
     return value
 
 
-def eval_family_detailed(h, x, tol=DEFAULT_TOL, side="auto"):
+def eval_family_detailed(h, x, side="auto"):
     """(value, terms used) at one point: the one-column batched scan.
 
     Raises ValueError on a NaN or infinite point and NonFiniteResult on a
@@ -324,7 +295,7 @@ def eval_family_detailed(h, x, tol=DEFAULT_TOL, side="auto"):
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != h.dim:
         raise DimensionMismatch("eval_family", f"point has dim {x.size}, function has dim {h.dim}")
-    values, terms = _eval_columns(h, x[:, None], tol, side)
+    values, terms = _eval_columns(h, x[:, None], side)
     return float(values[0]), int(terms[0])
 
 
@@ -373,7 +344,7 @@ def sphere_grid(n, density):
 def _values_on_grid(h, grid):
     if h.oracle is not None:
         return np.asarray(h.oracle(grid), dtype=float)
-    return _eval_columns(h, grid.T, DEFAULT_TOL, "auto")[0]
+    return _eval_columns(h, grid.T, "auto")[0]
 
 
 def _default_density(n):
@@ -417,7 +388,7 @@ def domination_envelopes(h, grid_density=None):
         )
     if h.oracle is not None:
         stride = max(1, density // 128)
-        fam = _eval_columns(h, grid[::stride].T, DEFAULT_TOL, "auto")[0]
+        fam = _eval_columns(h, grid[::stride].T, "auto")[0]
         orc = vals[::stride]
         diff = np.abs(fam - orc)
         bad = np.nonzero(diff > 1e-6 * (1.0 + np.abs(orc)))[0]
@@ -495,8 +466,9 @@ def quadrant_sum(budget=DEFAULT_BUDGET):
     """x+y on the closed positive quadrant, 0 elsewhere (usc).
 
     Inf-family of maps (mx+ny)^+ over positive integer pairs; the infimum is
-    attained at finite index for every sign pattern, so family evaluation is
-    exact up to index ratios of 2^400.
+    attained at finite index for every sign pattern.  The rays (2^e, 1) and
+    (1, 2^e) grow with the diagonal, so within the default budget it is
+    attained wherever the coordinates' ratio is below about 2^138.
     """
     M, N = _diag_ray_pairs(budget)
 

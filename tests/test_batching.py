@@ -20,7 +20,6 @@ from homocalc.fcalc import (
     saddle_build,
 )
 from homocalc.homog import (
-    DEFAULT_TOL,
     FiniteFamily,
     PHFunction,
     SublinearMap,
@@ -76,7 +75,7 @@ def _assert_scan_matches_single_columns(h, X):
     for side in _sides(h):
         family = h.inf_family if side == "inf" else h.sup_family
         with np.errstate(all="ignore"):
-            values, terms = _scan_columns(family, X, DEFAULT_TOL, minimize=(side == "inf"))
+            values, terms = _scan_columns(family, X, minimize=(side == "inf"))
             single = [eval_family_detailed(h, X[:, j], side=side) for j in range(X.shape[1])]
         assert _bits(values) == _bits([v for v, _ in single]), (h.name, side)
         assert terms.tolist() == [t for _, t in single], (h.name, side)
@@ -97,7 +96,7 @@ def test_builtin_block_values_equal_stacked_columns(h):
     for family in (h.inf_family, h.sup_family):
         if family is None:
             continue
-        b = min(family.size, 300)
+        b = min(family.budget, 300)
         with np.errstate(all="ignore"):
             block = family.values(X, 0, b)
             stacked = np.stack([family.values(X[:, j], 0, b) for j in range(X.shape[1])], axis=1)
@@ -186,12 +185,12 @@ def test_maps_are_the_signed_support_of_their_set(points):
 
 
 def test_finite_family_visits_every_member():
-    # 250 maps whose only gain beyond tol is the last one: a stall window of
-    # 200 would stop every column at member 201 with the value x
+    # 250 maps whose only improvement is the last one: a scan that stopped
+    # before the end would return the value x
     maps = [SublinearMap(VPolytope([[1.0]])) for _ in range(249)]
     maps.append(SublinearMap(VPolytope([[0.5]])))
     family = FiniteFamily(maps)
     X = np.array([[1.0, 3.5, 1e-300, 1e300]])
-    values, terms = _scan_columns(family, X, DEFAULT_TOL, minimize=True)
+    values, terms = _scan_columns(family, X, minimize=True)
     assert _bits(values) == _bits(0.5 * X[0])
     assert terms.tolist() == [len(maps)] * X.shape[1]

@@ -46,16 +46,17 @@ def test_fc_builtin_step(capsys):
     assert doc["element"]["step"]["values"] == pytest.approx([2.0, -1.0])
 
 
-# The columns (1, -1e-30) and (1, 1e-30) are where examples 7.1 and 7.2 stop
-# short of their oracles, so these pins hold max_residual's bits as well.
+# The columns (1, -1e-30) and (1, 1e-30) are where examples 7.1 and 7.2 need
+# a geometric ray far down their enumerations (the 5250th and 400th
+# members), so these pins hold the value there and family_terms_used too.
 FC_TUPLE = ("--f", "3,1,1,0,-2,1e300", "--f", "4,-1e-30,1e-30,0,5,3e300")
 
 
 @pytest.mark.parametrize(
     "name, digest",
     [
-        ("example-7.1", "78c9fe10d68d185a245cf8582391af41f08f7ea45cc87e1651712d45c4ba949c"),
-        ("example-7.2", "5a2018eb432c511e6d88a4a56bdfc07f87c5c99c5cb82b7ab23d4a05f6711ad2"),
+        ("example-7.1", "5f4a2393f2f6e703b8646a826e4a5075ec8374f5c814a81101114adc03d24a3f"),
+        ("example-7.2", "13b5f3baf27a6d047fc86fca1707ec3b5df7129a4f8dec83872e4a4a3362074d"),
         ("square-mean", "50f839d98524d2f958a045823d4978c726c13248d90b88893510faae35c9795f"),
         ("abs-sum", "b7aeaeeceee2b103b4ae8718a0495b271efe3b8d7a890b6dcb13590075fe2135"),
         ("max-coord", "3e7ce5021a63ea6fc267fbe10ace18fb1ea1b48ce2c5d1d864c33653a5e0097e"),
@@ -68,12 +69,15 @@ def test_fc_stdout_is_pinned(capsys, name, digest):
 
 
 def test_drift_is_data_and_stderr_stays_empty(capsys):
-    # both stop short of the oracle at (1, -1e-30); the lift says so in
-    # max_residual, and nothing reaches stderr
-    code, out, err = run(capsys, "eval", "--builtin", "example-7.1", "--x", "1,-1e-30")
-    assert (code, json.loads(out)["value"], err) == (0, 1.0, "")
-    code, out, err = run(capsys, "fc", "--builtin", "example-7.1", "--f", "1", "--f", "-1e-30")
-    assert (code, json.loads(out)["diagnostics"]["max_residual"], err) == (0, 1.0, "")
+    # at (1e300, -7) the ray that attains the value 0 lies beyond the
+    # 10,000-member budget, so the lift stops short of the oracle; it says so
+    # in max_residual, and nothing reaches stderr
+    code, out, err = run(capsys, "fc", "--builtin", "example-7.1", "--f", "1e300", "--f=-7")
+    doc = json.loads(out)
+    assert (code, doc["diagnostics"]["max_residual"], err) == (0, 1e300, "")
+    assert doc["diagnostics"]["family_terms_used"] == 10_000
+    code, out, err = run(capsys, "eval", "--builtin", "example-7.1", "--x", "1e300,-7")
+    assert (code, err) == (0, "")
 
 
 @pytest.mark.parametrize(
@@ -109,22 +113,45 @@ def test_values_starting_with_a_minus_sign(capsys, argv, key, value):
         ["eval", "--builtin", "example-7.2", "--x", "-inf,5"],
         ["check", "sublattice-invariance", "--tol", "1"],
         ["check", "negative-controls", "--tol", "1"],
+        ["eval", "--builtin", "example-7.1", "--x", "1,1", "--tol", "1e-9"],
+        ["fc", "--builtin", "example-7.1", "--f", "1", "--f", "1", "--tol", "1e-9"],
+        ["eval", "--builtin", "square-mean", "--x", "3,4", "--budget", "1"],
+        ["eval", "--builtin", "abs-sum", "--x", "3,4", "--budget", "1"],
+        ["fc", "--builtin", "max-coord", "--f", "1", "--f", "2", "--budget", "1"],
+        ["eval", "--family", "FAMILY", "--x", "3,4", "--budget", "1"],
+        ["fc", "--family", "FAMILY", "--f", "3", "--f", "4", "--budget", "1"],
+        *[
+            ["check", name, "--builtin", "example-7.2"]
+            for name in (
+                "interchange", "rep-independence", "continuous-agreement",
+                "sublattice-invariance", "saddle", "negative-controls",
+            )
+        ],
+        ["check", "interchange", "--builtin", "nonsense"],
     ],
     ids=[
         "suite-tol", "saddle-eval-tol", "eval-seed", "fc-seed", "saddle-build-seed",
         "saddle-eval-seed", "missing-x", "bad-choice", "no-command", "x-non-finite",
         "check-sublattice-invariance-tol", "check-negative-controls-tol",
+        "eval-tol", "fc-tol", "eval-budget-square-mean", "eval-budget-abs-sum",
+        "fc-budget-max-coord", "eval-budget-family", "fc-budget-family",
+        "check-interchange-builtin", "check-rep-independence-builtin",
+        "check-continuous-agreement-builtin", "check-sublattice-invariance-builtin",
+        "check-saddle-builtin", "check-negative-controls-builtin",
+        "check-interchange-builtin-nonsense",
     ],
 )
 def test_argument_errors_are_one_json_line_with_exit_2(capsys, tmp_path, argv):
-    # the first six flags, and --tol for the two checks that have no
-    # tolerance, were accepted and never read; the files are valid so that
-    # only the flag can fail
+    # every flag here was once accepted and never read (--tol on eval and fc
+    # tuned a scan rule that is gone); the files are valid so that only the
+    # flag can fail
     maps = list(angle_superlinear_family(8).maps)
     pair, saddle = tmp_path / "pair.json", tmp_path / "saddle.json"
+    family = tmp_path / "family.json"
     pair.write_text(json.dumps({"phis": [map_to_json(disk_map())], "psis": [map_to_json(m) for m in maps]}))
     saddle.write_text(json.dumps(saddle_to_json(saddle_build([disk_map()], maps))))
-    files = {"PAIR": str(pair), "SADDLE": str(saddle)}
+    family.write_text(json.dumps({"family": {"kind": "usc", "maps": [map_to_json(disk_map())]}}))
+    files = {"PAIR": str(pair), "SADDLE": str(saddle), "FAMILY": str(family)}
     code, out, err = run(capsys, *[files.get(a, a) for a in argv])
     assert code == 2 and out == ""
     assert err.count("\n") == 1
@@ -295,8 +322,8 @@ def test_output_bytes_identical_and_out_file(capsys, tmp_path):
 
 
 def test_budget_flag_limits_generated_builtin(capsys):
-    # (1, -1e-30) neither reaches its bound 0 nor stalls within 50 members,
-    # so the budget alone ends the scan
+    # (1, -1e-30) reaches its bound 0 only at member 5250, so the budget
+    # ends the scan
     code, out, _ = run(
         capsys, "eval", "--builtin", "example-7.1", "--x", "1,-1e-30", "--budget", "50"
     )
@@ -304,9 +331,6 @@ def test_budget_flag_limits_generated_builtin(capsys):
     assert json.loads(out)["diagnostics"]["family_terms_used"] == 50
 
 
-@pytest.mark.xfail(
-    strict=True, reason="the stall window ends the scan before the ray that attains the value"
-)
 @pytest.mark.parametrize(
     "name, x, want", [("example-7.1", "1,-1e-30", 0.0), ("example-7.2", "1,1e-30", 1.0)]
 )

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homocalc.convexsets import (
@@ -226,6 +226,7 @@ def test_support_is_sublinear_on_random_polytope(x, y, lam):
 
 @settings(max_examples=60, deadline=None)
 @given(finite_vec(3))
+@example(np.array([0.0, 5e-324, 5e-324]))  # the norm rounds to 5e-324, so x / norm was (0, 1, 1)
 def test_support_witness_attains_value(x):
     rng = np.random.default_rng(11)
     for s in (VPolytope(rng.uniform(-3, 3, size=(6, 3))), Ball(rng.uniform(-1, 1, 3), 1.7)):

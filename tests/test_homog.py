@@ -15,7 +15,6 @@ from homocalc.errors import (
 )
 from homocalc.fcalc import fc_semicontinuous_detailed
 from homocalc.homog import (
-    DEFAULT_TOL,
     FiniteFamily,
     GeneratedFamily,
     PHFunction,
@@ -88,14 +87,15 @@ def test_square_mean_values():
     assert h.kind == "cts"
     assert h.oracle_at([1.0, 0.0]) == 1.0
     assert eval_family(h, [3.0, 4.0]) == pytest.approx(5.0)
-    # the sup side is an angle grid: close at its resolution, and far enough
-    # from the oracle at the default tol that the lift reports drift, as data
+    # the sup side is a grid of 512 tangent angles: within its resolution
+    # 5 (1 - cos(pi/512)) of the norm but not at it, so the lift reports the
+    # drift, as data
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         v = eval_family(h, [3.0, 4.0], side="sup")
         _, diag = fc_semicontinuous_detailed(h, [RmElement([3.0]), RmElement([4.0])], side="sup")
-    assert v == pytest.approx(5.0, abs=1e-3)
-    assert diag["max_residual"] == abs(v - 5.0) > 10.0 * DEFAULT_TOL
+    assert 5.0 - 5.0 * (1.0 - np.cos(np.pi / 512)) <= v < 5.0
+    assert diag["max_residual"] == abs(v - 5.0) > 0.0
 
 
 def test_abs_sum_and_max_coord():
@@ -115,8 +115,6 @@ def test_eval_family_side_errors():
         eval_family(h, [1.0, 1.0], side="both")
     with pytest.raises(DimensionMismatch):
         eval_family(h, [1.0, 1.0, 1.0])
-    with pytest.raises(ValueError):
-        eval_family(h, [1.0, 1.0], tol=0.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -127,32 +125,9 @@ def test_eval_family_rejects_non_finite_points(bad):
             eval_family_detailed(builtin(name), x)
 
 
-def test_generated_family_stall_semantics():
-    # constant tail: stop window terms after the last improvement
-    vals = np.ones(10_000)
-    vals[5] = 0.0
-    vals[6:] = 0.0
-    fam = GeneratedFamily(lambda x, a, b: vals[a:b], lambda k: None, budget=10_000, window=10)
-    h = PHFunction("tail", 1, inf_family=fam)
-    value, terms = eval_family_detailed(h, [1.0])
-    assert value == 0.0
-    assert terms == 16  # improvement at index 5, window 10 more
-
-
-def test_generated_family_small_improvements_do_not_reset_stall():
-    tol = 1e-9
-    vals = -np.arange(10_000) * (0.5 * tol)
-    fam = GeneratedFamily(lambda x, a, b: vals[a:b], lambda k: None, budget=10_000, window=200)
-    h = PHFunction("creep", 1, inf_family=fam)
-    value, terms = eval_family_detailed(h, [1.0], tol=tol)
-    assert terms == 201
-    # the running best still includes the sub-tol improvements seen so far
-    assert value == vals[200]
-
-
 def test_generated_family_budget_exhaustion():
     vals = -np.arange(500, dtype=float)  # improves every step
-    fam = GeneratedFamily(lambda x, a, b: vals[a:b], lambda k: None, budget=500, window=200)
+    fam = GeneratedFamily(lambda x, a, b: vals[a:b], lambda k: None, budget=500)
     h = PHFunction("drop", 1, inf_family=fam)
     value, terms = eval_family_detailed(h, [1.0])
     assert terms == 500
@@ -200,7 +175,7 @@ def test_no_member_in_the_budget_beats_the_bound(name, side):
     X = _certificate_columns(np.random.default_rng(41), 300)
     bound = family.bound_fn(X)
     with np.errstate(all="ignore"):
-        for a in range(0, family.size, 1000):
+        for a in range(0, family.budget, 1000):
             vals = family.values(X, a, a + 1000)
             beats = vals < bound if side == "inf" else vals > bound
             assert not beats.any(), (name, a + np.argwhere(beats)[0])
@@ -210,16 +185,13 @@ def test_no_member_in_the_budget_beats_the_bound(name, side):
 def test_certified_scan_equals_the_scan_without_a_bound(name, side):
     h = builtin(name)
     family = h.inf_family if side == "inf" else h.sup_family
-    plain = GeneratedFamily(
-        family.values, family.map_at, budget=family.budget, window=family.window
-    )
+    plain = GeneratedFamily(family.values, family.map_at, budget=family.budget)
     X = _certificate_columns(np.random.default_rng(43), 4000)
     with np.errstate(all="ignore"):
-        values, terms = _scan_columns(family, X, DEFAULT_TOL, minimize=(side == "inf"))
-        want, want_terms = _scan_columns(plain, X, DEFAULT_TOL, minimize=(side == "inf"))
+        values, terms = _scan_columns(family, X, minimize=(side == "inf"))
+        want, want_terms = _scan_columns(plain, X, minimize=(side == "inf"))
     assert _bits(values) == _bits(want)
-    assert (terms <= want_terms).all()
-    assert np.median(terms) == 1 and np.median(want_terms) >= 201
+    assert np.median(terms) == 1 and (want_terms == family.budget).all()
 
 
 @pytest.mark.parametrize(
@@ -234,6 +206,94 @@ def test_certified_scan_equals_the_scan_without_a_bound(name, side):
 )
 def test_certified_column_stops_after_one_term(name, x, value):
     assert eval_family_detailed(builtin(name), x) == (value, 1)
+
+
+# ---------------------------------------------------------------------------
+# the scan contract: a column stops where it reaches its certificate, or else
+# at the budget, with the value of a fold over every member in the budget
+
+def _fold(family, X, minimize):
+    """Running extremum after each of the `budget` members, shape (budget, k):
+    one minimum.accumulate over the whole enumeration, on negated values for
+    a sup-family."""
+    vals = np.asarray(family.values(X, 0, family.budget), dtype=float).reshape(family.budget, -1)
+    sign = 1.0 if minimize else -1.0
+    return np.minimum.accumulate(np.broadcast_to(sign * vals, (family.budget, X.shape[1])), axis=0)
+
+
+def _assert_scan_is_the_full_fold(family, X, minimize):
+    sign = 1.0 if minimize else -1.0
+    cols = np.arange(X.shape[1])
+    with np.errstate(all="ignore"):
+        values, terms = _scan_columns(family, X, minimize=minimize)
+        run = _fold(family, X, minimize)
+        want_terms = np.full(cols.size, family.budget)
+        if family.bound_fn is not None:
+            hit = run <= sign * np.asarray(family.bound_fn(X), dtype=float)
+            want_terms = np.where(hit.any(axis=0), hit.argmax(axis=0) + 1, family.budget)
+    assert terms.tolist() == want_terms.tolist()
+    assert _bits(values) == _bits(sign * run[want_terms - 1, cols])
+    # no member after a certified stop moves the fold; only a NaN member
+    # (inf - inf at the float range's edge) poisons it, and the stop comes
+    # before that member
+    whole = sign * run[-1]
+    kept = ~np.isnan(whole)
+    assert _bits(values[kept]) == _bits(whole[kept])
+    return terms
+
+
+BUILTIN_SIDES = [
+    ("example-7.1", "inf"),
+    ("example-7.2", "sup"),
+    ("square-mean", "inf"),
+    ("square-mean", "sup"),
+    ("abs-sum", "inf"),
+    ("abs-sum", "sup"),
+    ("max-coord", "inf"),
+    ("max-coord", "sup"),
+]
+
+
+@pytest.mark.parametrize("name, side", BUILTIN_SIDES)
+def test_builtin_scan_is_the_fold_over_the_budget(name, side):
+    h = builtin(name)
+    family = h.inf_family if side == "inf" else h.sup_family
+    X = _certificate_columns(np.random.default_rng(47), 300)
+    terms = _assert_scan_is_the_full_fold(family, X, minimize=(side == "inf"))
+    if family.bound_fn is None:
+        assert (terms == family.budget).all()
+
+
+def _segment_family(budget, certified):
+    """Members x -> max(c_k x, -x) on R, c_k = 1 + 1/(k + 1): the support
+    functions of the segments [-1, c_k].  Each is >= |x|, as c_k >= 1, so |x|
+    is a floor; member 0 attains it for x <= 0, and for x > 0 only a member
+    whose c_k x rounds to x does."""
+    c = 1.0 + 1.0 / np.arange(1.0, budget + 1.0)
+
+    def block(x, a, b):
+        return np.maximum(np.multiply.outer(c[a:b], x[0]), -x[0])
+
+    def map_at(k):
+        return SublinearMap(VPolytope([[-1.0], [c[k]]]))
+
+    bound = (lambda X: np.abs(X[0])) if certified else None
+    return GeneratedFamily(block, map_at, budget=budget, bound_fn=bound)
+
+
+@pytest.mark.parametrize("certified", [True, False], ids=["bound", "no-bound"])
+def test_generated_family_scan_is_the_fold_over_the_budget(certified):
+    family = _segment_family(1000, certified)
+    rng = np.random.default_rng(53)
+    specials = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 1.7e308]
+    scaled = rng.uniform(-1.0, 1.0, 300) * 2.0 ** rng.integers(-1074, 1024, 300)
+    X = np.concatenate([specials, rng.uniform(-5.0, 5.0, 300), scaled])
+    terms = _assert_scan_is_the_full_fold(family, X[None, :], minimize=True)
+    if certified:
+        # x <= 0 stops at member 0; x = 1 never reaches its floor
+        assert terms[[0, 1, 3, 5]].tolist() == [1, 1, 1, 1] and terms[2] == family.budget
+    else:
+        assert (terms == family.budget).all()
 
 
 def test_finite_family_requires_maps():
