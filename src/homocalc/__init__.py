@@ -32,6 +32,7 @@ from .errors import (
     NotOrdered,
     SaddleGap,
     SchemaError,
+    UnattainedBound,
     UnknownBuiltin,
 )
 from .fcalc import (
@@ -48,11 +49,11 @@ from .fcalc import (
 )
 from .homog import (
     FiniteFamily,
-    GeneratedFamily,
     PHFunction,
     RepresentationWarning,
     SublinearMap,
     SuperlinearMap,
+    WitnessFamily,
     angle_superlinear_family,
     builtin,
     check_positive_homogeneity,

@@ -3,8 +3,8 @@
 Exit status: 0 success / checks passed, 1 check failure, 2 input error
 (bad flags, schema violations, dimension mismatches), 3 numerical failure
 (no convergence, saddle gap, empty intersection, ordering violations,
-results outside the float range).  Every error, bad flags included, is one
-JSON line on stderr.
+results outside the float range, witnesses that miss their bound).  Every
+error, bad flags included, is one JSON line on stderr.
 """
 
 import argparse
@@ -24,6 +24,7 @@ from .errors import (
     NotOrdered,
     SaddleGap,
     SchemaError,
+    UnattainedBound,
 )
 from .fcalc import (
     fc_semicontinuous_detailed,
@@ -41,9 +42,9 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
 _NUMERICAL = (
-    NoConvergence, SaddleGap, EmptyIntersection, NotOrdered, EnvelopeViolation, NonFiniteResult
+    NoConvergence, SaddleGap, EmptyIntersection, NotOrdered, EnvelopeViolation, NonFiniteResult,
+    UnattainedBound,
 )
-_GENERATED_BUILTINS = ("example-7.1", "example-7.2")
 
 
 class _InputError(Exception):
@@ -114,13 +115,8 @@ def _read_json(path):
 def _load_function(args):
     if args.builtin and args.family:
         raise _InputError("give either --builtin or --family, not both")
-    if args.budget is not None:
-        if args.builtin not in _GENERATED_BUILTINS:
-            raise _InputError(f"--budget applies only to --builtin {' or '.join(_GENERATED_BUILTINS)}")
-        if args.budget < 1:
-            raise _InputError("--budget must be >= 1")
     if args.builtin:
-        return builtin(args.builtin, **({} if args.budget is None else {"budget": args.budget}))
+        return builtin(args.builtin)
     if args.family:
         return function_from_json(_read_json(args.family), source=args.family)
     raise _InputError("need --builtin NAME or --family FILE")
@@ -255,7 +251,6 @@ def _build_parser():
     p.add_argument("--builtin", default=None)
     p.add_argument("--family", default=None, help="JSON file with a family document")
     p.add_argument("--x", required=True, help="point, comma-separated")
-    p.add_argument("--budget", type=int, default=None, help="generated-family budget")
     _add_options(p)
     p.set_defaults(func=_cmd_eval)
 
@@ -264,7 +259,6 @@ def _build_parser():
     p.add_argument("--family", default=None)
     p.add_argument("--f", action="append", default=[], help="lattice element (repeat per argument)")
     p.add_argument("--lattice", choices=("rm", "step"), default="rm")
-    p.add_argument("--budget", type=int, default=None)
     _add_options(p)
     p.set_defaults(func=_cmd_fc)
 

@@ -32,6 +32,10 @@ class NonFiniteResult(CalculusError):
     """A value computed from finite inputs is infinite or NaN: it lies outside the float range."""
 
 
+class UnattainedBound(CalculusError):
+    """A family's witness member does not attain the family's certified bound."""
+
+
 class EmptyFamily(CalculusError):
     """A family evaluation was asked for with no members on the chosen side."""
 

@@ -64,15 +64,15 @@ def fc_superlinear(psi, elements):
 def fc_semicontinuous(h, elements, side="auto"):
     """Lift a PH function through its representing family, per coordinate.
 
-    All columns go through one batched family scan; a column gets the same
-    value as eval_family at that column alone.
+    All columns go through one batched family evaluation; a column gets the
+    same value as eval_family at that column alone.
     """
     element, _ = fc_semicontinuous_detailed(h, elements, side=side)
     return element
 
 
 def fc_semicontinuous_detailed(h, elements, side="auto"):
-    """(element, diagnostics): terms actually enumerated and oracle drift.
+    """(element, diagnostics): family terms per column and oracle drift.
 
     The lift reads the family alone.  Then the oracle, when h has one, is
     called once over all columns, and max_residual is the largest
@@ -84,7 +84,7 @@ def fc_semicontinuous_detailed(h, elements, side="auto"):
     residual = None
     if h.oracle is not None:
         residual = float(np.abs(out - np.asarray(h.oracle(cols.T), dtype=float)).max())
-    diagnostics = {"family_terms_used": int(terms.max()), "max_residual": residual}
+    diagnostics = {"family_terms_used": terms, "max_residual": residual}
     return wrap(out), diagnostics
 
 

@@ -8,17 +8,16 @@ represented by an inf-family of sublinear maps (upper semicontinuous side),
 a sup-family of superlinear maps (lower semicontinuous side), or both
 (continuous), optionally paired with a closed-form oracle used for
 cross-checks only: evaluation reads the families alone, and a lift reports
-its drift from the oracle as data (fcalc's max_residual).  A family is an
-enumeration up to a budget, and its value at a point is the extremum over
-all the members in the budget; a family that declares a certified bound
-per column stops early where the bound is reached.  An explicit finite list
-is the enumeration whose budget is its length.
+its drift from the oracle as data (fcalc's max_residual).  A finite family
+is an explicit list, and its value at a point is the extremum over every
+member.  An infinite family is never enumerated: it names, per point, one
+member that attains its extremum (a witness), and its value is that
+member's value; where it also declares a certified bound, the witness value
+must equal the bound bitwise.
 
 Semicontinuity cannot be certified from finitely many samples; the kind tag
 is declarative and only the oracle/family agreement is checked numerically.
 """
-
-import functools
 
 import numpy as np
 from scipy.special import ndtri
@@ -38,13 +37,11 @@ from .errors import (
     EnvelopeViolation,
     NonFiniteResult,
     SchemaError,
+    UnattainedBound,
     UnknownBuiltin,
 )
 
 DEFAULT_TOL = 1e-9
-DEFAULT_BUDGET = 10_000
-_SQUARE_MEAN_ANGLES = 512
-_RAY_EXP_CAP = 400  # keeps 2**e finite in float64
 _EVAL_CHUNK = 512
 
 
@@ -111,48 +108,16 @@ class SuperlinearMap(_SupportMap):
 
 
 # ---------------------------------------------------------------------------
-# family enumerations
+# families
 
-class GeneratedFamily:
-    """Deterministic enumeration of maps, evaluated lazily up to `budget`.
-
-    block_fn(x, a, b) -> values of maps a..b-1 at x, shape (b-a,) for x of
-    shape (n,) and (b-a, k) for x of shape (n, k); a block that ignores x
-    and returns shape (b-a,) is broadcast over the columns.  map_at(k)
-    materializes the k-th map.  Evaluation takes the extremum over the first
-    `budget` maps.
-
-    bound_fn(X), when given, is the family's certificate: for X of shape
-    (n, k) it returns, per column, a value no member can beat in floating
-    point (a floor for an inf-family, a ceiling for a sup-family), proven
-    from the member formula and never from an oracle.  A column whose
-    running extremum reaches its bound stops there: the bound is attained,
-    so it is the family's extremum at that column.
-    Re-entrant: no state is mutated during evaluation.
-    """
-
-    def __init__(self, block_fn, map_fn, budget=DEFAULT_BUDGET, bound_fn=None):
-        if budget < 1:
-            raise ValueError("budget must be >= 1")
-        self._block_fn = block_fn
-        self._map_fn = map_fn
-        self.budget = int(budget)
-        self.bound_fn = bound_fn
-
-    def values(self, x, a, b):
-        return self._block_fn(x, a, b)
-
-    def map_at(self, k):
-        return self._map_fn(k)
-
-
-class FiniteFamily(GeneratedFamily):
-    """Explicit finite list of maps: a generated family whose budget is its
-    length, so every scan visits every member.
+class FiniteFamily:
+    """Explicit finite list of maps; its value is the extremum over every member.
 
     Without `block_fn` a block calls each map's kernel on all its columns.
     `block_fn(x, a, b)`, when given, must return the same values as calling
-    maps[a:b] one by one; it exists purely for speed.
+    maps[a:b] one by one, shape (b-a,) for x of shape (n,) and (b-a, k) for
+    x of shape (n, k), or (b-a,) broadcast over the columns; it exists
+    purely for speed.
     """
 
     def __init__(self, maps, block_fn=None):
@@ -163,8 +128,29 @@ class FiniteFamily(GeneratedFamily):
             def block_fn(x, a, b):
                 cols = x.reshape(x.shape[0], -1)
                 return np.array([m._values(cols) for m in maps[a:b]]).reshape(b - a, *x.shape[1:])
-        super().__init__(block_fn, maps.__getitem__, budget=len(maps))
         self.maps = maps
+        self.values = block_fn
+
+
+class WitnessFamily:
+    """An infinite family, evaluated at one attaining member per column.
+
+    For X of shape (n, k), witness_fn(X) returns the parameters of one member
+    per column that attains the family's extremum there, and
+    member_fn(params, X) the values of those members, elementwise.
+
+    bound_fn(X), when given, is the family's certificate: per column, a value
+    no member can beat in floating point (a floor for an inf-family, a
+    ceiling for a sup-family), proven from the member formula and never from
+    an oracle.  A witness value is returned only where it equals the bound
+    bitwise; anywhere else evaluation raises UnattainedBound.  Without a
+    bound_fn the witness value is returned as it is, uncertified.
+    """
+
+    def __init__(self, witness_fn, member_fn, bound_fn=None):
+        self.witness_fn = witness_fn
+        self.member_fn = member_fn
+        self.bound_fn = bound_fn
 
 
 class PHFunction:
@@ -213,65 +199,62 @@ def _pick_side(h, side):
 
 
 def _scan_columns(family, X, minimize):
-    """Extremum of the family at every column of X, shape (n, k).
+    """Extremum of a finite family at every column of X, shape (n, k).
 
-    Returns (values, terms), both of shape (k,).  For a family with a
-    bound_fn, a column stops after s + 1 terms at the first member index s
-    where its running extremum reaches the column's bound; the bound is
-    attained there, so that is the family's extremum.  Every other column
-    takes the extremum over all `budget` members.
-
-    Columns go in groups of at most _EVAL_CHUNK and members in blocks of at
-    most _BLOCK_CELLS member-by-column cells; a column that has stopped
-    drops out of later blocks.  Every step is elementwise and ties keep the
-    later member, as one accumulate over the whole enumeration would, so a
-    column's result does not depend on its batch or on the block bounds.
+    The fold of every member in order.  Columns go in groups of at most
+    _EVAL_CHUNK and members in blocks of at most _BLOCK_CELLS
+    member-by-column cells; every step is elementwise and ties keep the
+    later member, so a column's value does not depend on its batch.
     """
     k = X.shape[1]
-    total = family.budget
+    total = len(family.maps)
     values = np.empty(k)
-    terms = np.full(k, total)
-    reach = None
-    if family.bound_fn is not None:
-        reach = np.asarray(family.bound_fn(X), dtype=float)
-        reach = reach if minimize else -reach
     for c0 in range(0, k, _EVAL_CHUNK):
-        cols = np.arange(c0, min(c0 + _EVAL_CHUNK, k))
-        best = np.full(cols.size, np.inf)
-        a = 0
-        while a < total and cols.size:
-            b = min(a + min(_EVAL_CHUNK, _BLOCK_CELLS // cols.size), total)
-            vals = np.asarray(family.values(X[:, cols], a, b), dtype=float).reshape(b - a, -1)
-            vals = np.broadcast_to(vals if minimize else -vals, (b - a, cols.size))
-            run = np.minimum.accumulate(vals, axis=0)
-            np.minimum(best, run, out=run)
-            if reach is not None:
-                stop = run <= reach[cols]
-                done = stop.any(axis=0)
-                if done.any():
-                    hit = np.nonzero(done)[0]
-                    s = stop[:, hit].argmax(axis=0)
-                    values[cols[hit]] = run[s, hit]
-                    terms[cols[hit]] = a + s + 1
-                    cols, run = cols[~done], run[:, ~done]
-            best = run[-1]
-            a = b
-        values[cols] = best
-    return (values if minimize else -values), terms
+        cols = X[:, c0 : c0 + _EVAL_CHUNK]
+        width = cols.shape[1]
+        step = max(1, min(_EVAL_CHUNK, _BLOCK_CELLS // width))
+        best = np.full(width, np.inf)
+        for a in range(0, total, step):
+            b = min(a + step, total)
+            vals = np.asarray(family.values(cols, a, b), dtype=float).reshape(b - a, -1)
+            vals = np.broadcast_to(vals if minimize else -vals, (b - a, width))
+            best = np.minimum(best, np.minimum.accumulate(vals, axis=0)[-1])
+        values[c0 : c0 + width] = best
+    return values if minimize else -values
+
+
+def _witness_columns(name, family, X):
+    """Value of a witness family's member at every column of X (n, k),
+    checked bitwise against the family's bound where it has one."""
+    values = np.asarray(family.member_fn(family.witness_fn(X), X), dtype=float)
+    if family.bound_fn is not None:
+        bound = np.asarray(family.bound_fn(X), dtype=float)
+        miss = np.flatnonzero(values.view(np.int64) != bound.view(np.int64))
+        if miss.size:
+            raise UnattainedBound(
+                "eval_family", f"{name}: the witness at column {miss[0]} misses the family's bound"
+            )
+    return values
 
 
 def _eval_columns(h, X, side):
-    """(values, terms) of h at the columns of X (n, k), from one batched scan.
+    """(values, terms) of h at the columns of X (n, k).
 
-    Raises ValueError on a NaN or infinite point and NonFiniteResult when a
-    value leaves the float range; members that overflow on the way to a
-    finite value raise nothing.
+    A finite family folds all its members, which are its terms; a witness
+    family evaluates one member per column, which counts as one term.
+    Raises ValueError on a NaN or infinite point, UnattainedBound where a
+    witness misses its certified bound, and NonFiniteResult when a value
+    leaves the float range; members that overflow on the way to a finite
+    value raise nothing.
     """
     chosen, family = _pick_side(h, side)
     if not np.all(np.isfinite(X)):
         raise ValueError(f"{h.name}: points must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
-        values, terms = _scan_columns(family, X, minimize=(chosen == "inf"))
+        if isinstance(family, WitnessFamily):
+            values, terms = _witness_columns(h.name, family, X), 1
+        else:
+            values, terms = _scan_columns(family, X, minimize=(chosen == "inf")), len(family.maps)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise NonFiniteResult(
@@ -287,16 +270,17 @@ def eval_family(h, x, side="auto"):
 
 
 def eval_family_detailed(h, x, side="auto"):
-    """(value, terms used) at one point: the one-column batched scan.
+    """(value, terms used) at one point: the one-column batched evaluation.
 
-    Raises ValueError on a NaN or infinite point and NonFiniteResult on a
-    value outside the float range.
+    Raises ValueError on a NaN or infinite point, UnattainedBound where a
+    witness misses its certified bound, and NonFiniteResult on a value
+    outside the float range.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != h.dim:
         raise DimensionMismatch("eval_family", f"point has dim {x.size}, function has dim {h.dim}")
     values, terms = _eval_columns(h, x[:, None], side)
-    return float(values[0]), int(terms[0])
+    return float(values[0]), terms
 
 
 # ---------------------------------------------------------------------------
@@ -432,58 +416,49 @@ def check_positive_homogeneity(h, samples=200, tol=DEFAULT_TOL, seed=0):
 # ---------------------------------------------------------------------------
 # built-in functions
 #
-# The enumerations are memoised per argument and returned read-only, so that
-# every builtin() call shares them.  Blocks take x of shape (n,) or (n, k)
-# through np.multiply.outer, elementwise, so a column's values do not depend
-# on the columns next to it.
+# Examples 7.1 and 7.2 are infinite families with integer member
+# parameters.  Their witnesses are members whose integer parameter is a
+# power of two, 2^k, kept as the exponent k and applied with np.ldexp: the
+# product 2^k y is then exact, or infinite with the right sign, and 2^k
+# itself is never formed, so k may exceed the float range's exponents.
 
-def _read_only(a):
-    a.setflags(write=False)
-    return a
+def _cover_exponent(a, b):
+    """Smallest k >= 0 with 2^k |b| >= |a|, elementwise, for nonzero b.
 
-
-@functools.lru_cache(maxsize=8)
-def _diag_ray_pairs(budget):
-    # diagonal order on N^2 (m+n ascending, then m ascending) interleaved with
-    # geometric rays (2^e, 1), (1, 2^e); the rays make the infimum attainable
-    # within budget for sign-mixed inputs arbitrarily close to an axis.
-    ms, ns = [], []
-    d = 2
-    while len(ms) < budget:
-        for m in range(1, d):
-            ms.append(float(m))
-            ns.append(float(d - m))
-        e = min(d - 1, _RAY_EXP_CAP)
-        ms.append(2.0**e)
-        ns.append(1.0)
-        ms.append(1.0)
-        ns.append(2.0**e)
-        d += 1
-    return _read_only(np.array(ms[:budget])), _read_only(np.array(ns[:budget]))
+    Read from the frexp exponents and mantissas, so the ratio a/b is never
+    formed: with |a| = ma 2^ea and |b| = mb 2^eb (ma, mb in [1/2, 1)),
+    2^(ea - eb) |b| >= |a| exactly when mb >= ma.
+    """
+    ma, ea = np.frexp(np.abs(a))
+    mb, eb = np.frexp(np.abs(b))
+    return np.maximum(ea - eb + (mb < ma), 0)
 
 
-def quadrant_sum(budget=DEFAULT_BUDGET):
+def quadrant_sum():
     """x+y on the closed positive quadrant, 0 elsewhere (usc).
 
-    Inf-family of maps (mx+ny)^+ over positive integer pairs; the infimum is
-    attained at finite index for every sign pattern.  The rays (2^e, 1) and
-    (1, 2^e) grow with the diagonal, so within the default budget it is
-    attained wherever the coordinates' ratio is below about 2^138.
+    Inf-family of maps (mx+ny)^+ over positive integer pairs (m, n).  The
+    witness at a column is (1, 1), except for x > 0 > y, where it is
+    (1, 2^k) with the smallest k >= 0 such that 2^k |y| >= x, whose value
+    is 0; y > 0 > x is the mirror image.  Parameters are the exponents of m
+    and n.
     """
-    M, N = _diag_ray_pairs(budget)
 
-    def block(x, a, b):
-        return np.maximum(np.multiply.outer(M[a:b], x[0]) + np.multiply.outer(N[a:b], x[1]), 0.0)
-
-    def map_at(k):
-        return SublinearMap(
-            VPolytope([[M[k], N[k]], [0.0, 0.0]]), label=f"pospart(m={M[k]:g},n={N[k]:g})"
+    def witness(X):
+        x, y = X
+        return (
+            np.where((y > 0) & (x < 0), _cover_exponent(y, x), 0),
+            np.where((x > 0) & (y < 0), _cover_exponent(x, y), 0),
         )
 
+    def member(exps, X):
+        return np.maximum(np.ldexp(X[0], exps[0]) + np.ldexp(X[1], exps[1]), 0.0)
+
     def floor(X):
-        # members are >= 0, and on the closed first quadrant m, n >= 1 makes
-        # each >= x + y (rounding is monotone); member 0, (1, 1), attains it
-        return np.where((X[0] >= 0) & (X[1] >= 0), X[0] + X[1], 0.0)
+        # every member is >= 0, and on the closed first quadrant m, n >= 1
+        # make it >= (x + y)^+ (rounding is monotone)
+        x, y = X
+        return np.where((x >= 0) & (y >= 0), np.maximum(x + y, 0.0), 0.0)
 
     def oracle(pts):
         pts = np.asarray(pts, dtype=float)
@@ -493,46 +468,34 @@ def quadrant_sum(budget=DEFAULT_BUDGET):
     return PHFunction(
         "example-7.1",
         2,
-        inf_family=GeneratedFamily(block, map_at, budget=budget, bound_fn=floor),
+        inf_family=WitnessFamily(witness, member, bound_fn=floor),
         oracle=oracle,
     )
 
 
-@functools.lru_cache(maxsize=8)
-def _lambda_ray_pairs(budget):
-    # (lambda, n) with lambda in {0,1}, n ascending, plus geometric n-rays.
-    lams, ns = [], []
-    j = 1
-    while len(lams) < budget:
-        e = min(j, _RAY_EXP_CAP)
-        lams.extend([0.0, 1.0, 0.0, 1.0])
-        ns.extend([float(j), float(j), 2.0**e, 2.0**e])
-        j += 1
-    return _read_only(np.array(lams[:budget])), _read_only(np.array(ns[:budget]))
-
-
-def sign_switch(budget=DEFAULT_BUDGET):
+def sign_switch():
     """x when both coordinates are positive, y when y is negative, else 0 (lsc).
 
     Sup-family of maps min{lambda*x, n*y}, lambda in {0,1}, n a positive
-    integer; geometric n-rays make the supremum attained within budget.
+    integer.  The witness at a column with x, y > 0 is (1, 2^k) with the
+    smallest k >= 0 such that 2^k y >= x, whose value is x; at every other
+    column it is (0, 1).  Parameters are lambda and the exponent of n.
     """
-    L, N = _lambda_ray_pairs(budget)
 
-    def block(x, a, b):
-        return np.minimum(np.multiply.outer(L[a:b], x[0]), np.multiply.outer(N[a:b], x[1]))
+    def witness(X):
+        x, y = X
+        pos = (x > 0) & (y > 0)
+        return pos.astype(float), np.where(pos, _cover_exponent(x, y), 0)
 
-    def map_at(k):
-        return SuperlinearMap(
-            VPolytope([[L[k], 0.0], [0.0, N[k]]]), label=f"min(lam={L[k]:g},n={N[k]:g})"
-        )
+    def member(params, X):
+        lam, e = params
+        return np.minimum(lam * X[0], np.ldexp(X[1], e))
 
     def ceiling(X):
-        # n >= 1 makes each member <= y when y < 0, and member 0, min(0*x, y),
-        # attains it; lam in {0, 1} makes each <= max(x, 0) when y > 0, and
-        # n*y is a zero when y is
-        x, y = X[0], X[1]
-        return np.where(y < 0, y, np.where(y > 0, np.maximum(x, 0.0), 0.0))
+        # n >= 1 makes every member <= n*y <= y when y <= 0; lam in {0, 1}
+        # makes it <= lam*x <= max(0*x, x) when y > 0
+        x, y = X
+        return np.where(y > 0, np.maximum(0.0 * x, x), y)
 
     def oracle(pts):
         pts = np.asarray(pts, dtype=float)
@@ -542,21 +505,9 @@ def sign_switch(budget=DEFAULT_BUDGET):
     return PHFunction(
         "example-7.2",
         2,
-        sup_family=GeneratedFamily(block, map_at, budget=budget, bound_fn=ceiling),
+        sup_family=WitnessFamily(witness, member, bound_fn=ceiling),
         oracle=oracle,
     )
-
-
-@functools.lru_cache(maxsize=8)
-def _bit_reversed_angles(count):
-    bits = count.bit_length() - 1
-    if 1 << bits != count:
-        raise ValueError("angle count must be a power of two")
-    idx = np.arange(count)
-    rev = np.zeros(count, dtype=np.int64)
-    for b in range(bits):
-        rev |= ((idx >> b) & 1) << (bits - 1 - b)
-    return _read_only(rev * (2.0 * np.pi / count))
 
 
 def _linear_block(A):
@@ -587,13 +538,14 @@ def circumscribed_polygon_map(count):
 
 
 def square_mean():
-    """Euclidean norm on R^2 (continuous): disk inf-family plus a generated
-    sup-family of 512 tangent maps on a bit-reversal-refined angle grid."""
-    theta = _bit_reversed_angles(_SQUARE_MEAN_ANGLES)
-    T = np.column_stack([np.cos(theta), np.sin(theta)])
+    """Euclidean norm on R^2 (continuous): the disk as inf-family, and as
+    sup-family the tangent linear maps u.x over all unit vectors
+    u = (cos t, sin t).  The sup-family's witness is the tangent at
+    t = atan2(y, x), the direction of the column itself.  It has no
+    bound_fn: its value is the norm only up to rounding."""
 
-    def map_at(k):
-        return SuperlinearMap(VPolytope([T[k]]), label=f"tangent-bitrev-{k}")
+    def member(t, X):
+        return np.cos(t) * X[0] + np.sin(t) * X[1]
 
     def oracle(pts):
         pts = np.asarray(pts, dtype=float)
@@ -603,7 +555,7 @@ def square_mean():
         "square-mean",
         2,
         inf_family=FiniteFamily([disk_map()]),
-        sup_family=GeneratedFamily(_linear_block(T), map_at, budget=_SQUARE_MEAN_ANGLES),
+        sup_family=WitnessFamily(lambda X: np.arctan2(X[1], X[0]), member),
         oracle=oracle,
     )
 
@@ -659,7 +611,7 @@ _BUILTINS = {
 
 def builtin(name, **kwargs):
     """Named ready-made PHFunctions; kwargs pass through to the factory:
-    budget for example-7.1 and example-7.2, n for abs-sum and max-coord."""
+    n for abs-sum and max-coord."""
     try:
         factory = _BUILTINS[name]
     except KeyError:

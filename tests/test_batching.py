@@ -1,6 +1,6 @@
 """One column lifted alone equals the same column inside a batch, bit for bit.
 
-Every batched kernel (family scan, support, saddle) sums coordinate by
+Every batched kernel (family scan or witness, support, saddle) sums coordinate by
 coordinate in a fixed order, so a column's value must not depend on the
 columns it shares a call with.  Comparisons are on the float64 bytes, so
 they also catch a flipped sign of zero.
@@ -24,6 +24,8 @@ from homocalc.homog import (
     PHFunction,
     SublinearMap,
     SuperlinearMap,
+    WitnessFamily,
+    _eval_columns,
     _scan_columns,
     angle_superlinear_family,
     builtin,
@@ -73,12 +75,10 @@ def _sides(h):
 
 def _assert_scan_matches_single_columns(h, X):
     for side in _sides(h):
-        family = h.inf_family if side == "inf" else h.sup_family
-        with np.errstate(all="ignore"):
-            values, terms = _scan_columns(family, X, minimize=(side == "inf"))
-            single = [eval_family_detailed(h, X[:, j], side=side) for j in range(X.shape[1])]
+        values, terms = _eval_columns(h, X, side)
+        single = [eval_family_detailed(h, X[:, j], side=side) for j in range(X.shape[1])]
         assert _bits(values) == _bits([v for v, _ in single]), (h.name, side)
-        assert terms.tolist() == [t for _, t in single], (h.name, side)
+        assert [terms] * X.shape[1] == [t for _, t in single], (h.name, side)
 
 
 @pytest.mark.parametrize(
@@ -92,16 +92,22 @@ def test_batched_scan_equals_single_column_scans(h):
 
 @pytest.mark.parametrize("h", BUILTINS, ids=lambda h: h.name)
 def test_builtin_block_values_equal_stacked_columns(h):
+    # a finite family's block of members, or a witness family's one member
+    # per column
     X = _columns(np.random.default_rng(3), h.dim, 40)
     for family in (h.inf_family, h.sup_family):
         if family is None:
             continue
-        b = min(family.budget, 300)
         with np.errstate(all="ignore"):
-            block = family.values(X, 0, b)
-            stacked = np.stack([family.values(X[:, j], 0, b) for j in range(X.shape[1])], axis=1)
-        assert block.shape == (b, X.shape[1])
-        assert _bits(block) == _bits(stacked)
+            if isinstance(family, WitnessFamily):
+                def block(cols):
+                    return family.member_fn(family.witness_fn(cols), cols)
+            else:
+                def block(cols):
+                    return family.values(cols, 0, len(family.maps))
+            whole = block(X)
+            stacked = np.stack([block(X[:, j : j + 1]) for j in range(X.shape[1])], axis=-1)
+        assert _bits(whole) == _bits(stacked.reshape(whole.shape))
 
 
 def _lifted_alone(lift, m, X):
@@ -189,8 +195,9 @@ def test_finite_family_visits_every_member():
     # before the end would return the value x
     maps = [SublinearMap(VPolytope([[1.0]])) for _ in range(249)]
     maps.append(SublinearMap(VPolytope([[0.5]])))
-    family = FiniteFamily(maps)
+    h = PHFunction("last-improves", 1, inf_family=FiniteFamily(maps))
     X = np.array([[1.0, 3.5, 1e-300, 1e300]])
-    values, terms = _scan_columns(family, X, minimize=True)
+    values, terms = _eval_columns(h, X, "inf")
     assert _bits(values) == _bits(0.5 * X[0])
-    assert terms.tolist() == [len(maps)] * X.shape[1]
+    assert _bits(_scan_columns(h.inf_family, X, minimize=True)) == _bits(values)
+    assert terms == len(maps)

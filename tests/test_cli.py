@@ -5,9 +5,17 @@ import warnings
 import numpy as np
 import pytest
 
+from homocalc import cli
 from homocalc.cli import main
 from homocalc.fcalc import saddle_build, saddle_to_json
-from homocalc.homog import angle_superlinear_family, disk_map, map_to_json
+from homocalc.homog import (
+    PHFunction,
+    WitnessFamily,
+    angle_superlinear_family,
+    builtin,
+    disk_map,
+    map_to_json,
+)
 
 
 def run(capsys, *argv):
@@ -46,17 +54,18 @@ def test_fc_builtin_step(capsys):
     assert doc["element"]["step"]["values"] == pytest.approx([2.0, -1.0])
 
 
-# The columns (1, -1e-30) and (1, 1e-30) are where examples 7.1 and 7.2 need
-# a geometric ray far down their enumerations (the 5250th and 400th
-# members), so these pins hold the value there and family_terms_used too.
+# At the columns (1, -1e-30) and (1, 1e-30) the witnesses of examples 7.1
+# and 7.2 are the members (1, 2^100) and (1, 2^100), far down any
+# enumeration of their families; these pins hold the value there and
+# family_terms_used too.
 FC_TUPLE = ("--f", "3,1,1,0,-2,1e300", "--f", "4,-1e-30,1e-30,0,5,3e300")
 
 
 @pytest.mark.parametrize(
     "name, digest",
     [
-        ("example-7.1", "5f4a2393f2f6e703b8646a826e4a5075ec8374f5c814a81101114adc03d24a3f"),
-        ("example-7.2", "13b5f3baf27a6d047fc86fca1707ec3b5df7129a4f8dec83872e4a4a3362074d"),
+        ("example-7.1", "91eeab69a8ad00cf3bae4af89d568fcd912a8bb42783ae1bc97f08846a75c3aa"),
+        ("example-7.2", "08e08264ca999cbbd0353ecc25a29eaa8fd6d783a23968c0345e9ebb1175ceec"),
         ("square-mean", "50f839d98524d2f958a045823d4978c726c13248d90b88893510faae35c9795f"),
         ("abs-sum", "b7aeaeeceee2b103b4ae8718a0495b271efe3b8d7a890b6dcb13590075fe2135"),
         ("max-coord", "3e7ce5021a63ea6fc267fbe10ace18fb1ea1b48ce2c5d1d864c33653a5e0097e"),
@@ -68,16 +77,28 @@ def test_fc_stdout_is_pinned(capsys, name, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_drift_is_data_and_stderr_stays_empty(capsys):
-    # at (1e300, -7) the ray that attains the value 0 lies beyond the
-    # 10,000-member budget, so the lift stops short of the oracle; it says so
-    # in max_residual, and nothing reaches stderr
+def test_far_ratio_lift_prints_the_closed_form(capsys):
+    # at (1e300, -7) the attaining member (1, 2^994) lies far beyond any
+    # enumeration an engine could scan, and the witness names it directly
     code, out, err = run(capsys, "fc", "--builtin", "example-7.1", "--f", "1e300", "--f=-7")
     doc = json.loads(out)
-    assert (code, doc["diagnostics"]["max_residual"], err) == (0, 1e300, "")
-    assert doc["diagnostics"]["family_terms_used"] == 10_000
-    code, out, err = run(capsys, "eval", "--builtin", "example-7.1", "--x", "1e300,-7")
     assert (code, err) == (0, "")
+    assert doc == {"diagnostics": {"family_terms_used": 1, "max_residual": 0.0}, "element": {"rm": [0.0]}}
+
+
+def test_witness_that_misses_its_bound_exits_3(capsys, monkeypatch):
+    # a family whose witness, member (1, 1) of example 7.1 (exponents 0, 0)
+    # everywhere, is not the member that attains its floor at x > 0 > y
+    family = builtin("example-7.1").inf_family
+
+    def exponents_zero(X):
+        return np.zeros(X.shape, dtype=int)
+
+    lazy = WitnessFamily(exponents_zero, family.member_fn, family.bound_fn)
+    monkeypatch.setattr(cli, "builtin", lambda name: PHFunction(name, 2, inf_family=lazy))
+    code, out, err = run(capsys, "eval", "--builtin", "example-7.1", "--x", "1,-1e-30")
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and "misses the family's bound" in json.loads(err)["error"]["message"]
 
 
 @pytest.mark.parametrize(
@@ -115,6 +136,8 @@ def test_values_starting_with_a_minus_sign(capsys, argv, key, value):
         ["check", "negative-controls", "--tol", "1"],
         ["eval", "--builtin", "example-7.1", "--x", "1,1", "--tol", "1e-9"],
         ["fc", "--builtin", "example-7.1", "--f", "1", "--f", "1", "--tol", "1e-9"],
+        ["eval", "--builtin", "example-7.1", "--x", "1,-1e-30", "--budget", "50"],
+        ["fc", "--builtin", "example-7.2", "--f", "1", "--f", "2", "--budget", "1"],
         ["eval", "--builtin", "square-mean", "--x", "3,4", "--budget", "1"],
         ["eval", "--builtin", "abs-sum", "--x", "3,4", "--budget", "1"],
         ["fc", "--builtin", "max-coord", "--f", "1", "--f", "2", "--budget", "1"],
@@ -133,7 +156,8 @@ def test_values_starting_with_a_minus_sign(capsys, argv, key, value):
         "suite-tol", "saddle-eval-tol", "eval-seed", "fc-seed", "saddle-build-seed",
         "saddle-eval-seed", "missing-x", "bad-choice", "no-command", "x-non-finite",
         "check-sublattice-invariance-tol", "check-negative-controls-tol",
-        "eval-tol", "fc-tol", "eval-budget-square-mean", "eval-budget-abs-sum",
+        "eval-tol", "fc-tol", "eval-budget-example-7.1", "fc-budget-example-7.2",
+        "eval-budget-square-mean", "eval-budget-abs-sum",
         "fc-budget-max-coord", "eval-budget-family", "fc-budget-family",
         "check-interchange-builtin", "check-rep-independence-builtin",
         "check-continuous-agreement-builtin", "check-sublattice-invariance-builtin",
@@ -142,9 +166,9 @@ def test_values_starting_with_a_minus_sign(capsys, argv, key, value):
     ],
 )
 def test_argument_errors_are_one_json_line_with_exit_2(capsys, tmp_path, argv):
-    # every flag here was once accepted and never read (--tol on eval and fc
-    # tuned a scan rule that is gone); the files are valid so that only the
-    # flag can fail
+    # every flag here was once accepted and never read, or read by an engine
+    # that is gone (--tol on eval and fc tuned a scan rule, --budget cut an
+    # enumeration); the files are valid so that only the flag can fail
     maps = list(angle_superlinear_family(8).maps)
     pair, saddle = tmp_path / "pair.json", tmp_path / "saddle.json"
     family = tmp_path / "family.json"
@@ -321,23 +345,20 @@ def test_output_bytes_identical_and_out_file(capsys, tmp_path):
     assert out1 == out2
 
 
-def test_budget_flag_limits_generated_builtin(capsys):
-    # (1, -1e-30) reaches its bound 0 only at member 5250, so the budget
-    # ends the scan
-    code, out, _ = run(
-        capsys, "eval", "--builtin", "example-7.1", "--x", "1,-1e-30", "--budget", "50"
-    )
-    assert code == 0
-    assert json.loads(out)["diagnostics"]["family_terms_used"] == 50
-
-
 @pytest.mark.parametrize(
-    "name, x, want", [("example-7.1", "1,-1e-30", 0.0), ("example-7.2", "1,1e-30", 1.0)]
+    "name, x, want",
+    [
+        ("example-7.1", "1,-1e-30", 0.0),
+        ("example-7.2", "1,1e-30", 1.0),
+        # witnesses (1, 2^333) and (1, 2^432), past any enumeration's reach
+        ("example-7.1", "1,-1e-100", 0.0),
+        ("example-7.2", "1,1e-130", 1.0),
+    ],
 )
 def test_near_axis_values_match_the_closed_form(capsys, name, x, want):
-    code, out, _ = run(capsys, "eval", "--builtin", name, "--x", x)
-    assert code == 0
-    assert json.loads(out)["value"] == want
+    code, out, err = run(capsys, "eval", "--builtin", name, "--x", x)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"diagnostics": {"family_terms_used": 1}, "value": want}
 
 
 def test_fc_requires_elements(capsys):

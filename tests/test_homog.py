@@ -1,3 +1,4 @@
+import functools
 import warnings
 
 import numpy as np
@@ -10,17 +11,21 @@ from homocalc.errors import (
     DimensionMismatch,
     EmptyFamily,
     EnvelopeViolation,
+    NonFiniteResult,
     SchemaError,
+    UnattainedBound,
     UnknownBuiltin,
 )
 from homocalc.fcalc import fc_semicontinuous_detailed
 from homocalc.homog import (
     FiniteFamily,
-    GeneratedFamily,
     PHFunction,
     SublinearMap,
     SuperlinearMap,
+    WitnessFamily,
+    _eval_columns,
     _scan_columns,
+    _witness_columns,
     angle_superlinear_family,
     builtin,
     check_positive_homogeneity,
@@ -87,15 +92,12 @@ def test_square_mean_values():
     assert h.kind == "cts"
     assert h.oracle_at([1.0, 0.0]) == 1.0
     assert eval_family(h, [3.0, 4.0]) == pytest.approx(5.0)
-    # the sup side is a grid of 512 tangent angles: within its resolution
-    # 5 (1 - cos(pi/512)) of the norm but not at it, so the lift reports the
-    # drift, as data
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        v = eval_family(h, [3.0, 4.0], side="sup")
-        _, diag = fc_semicontinuous_detailed(h, [RmElement([3.0]), RmElement([4.0])], side="sup")
-    assert 5.0 - 5.0 * (1.0 - np.cos(np.pi / 512)) <= v < 5.0
-    assert diag["max_residual"] == abs(v - 5.0) > 0.0
+    # the sup side's witness is the tangent at (3, 4) / 5 itself, so the
+    # lift is the norm there and reports no drift
+    v = eval_family_detailed(h, [3.0, 4.0], side="sup")
+    _, diag = fc_semicontinuous_detailed(h, [RmElement([3.0]), RmElement([4.0])], side="sup")
+    assert v == (5.0, 1)
+    assert diag == {"family_terms_used": 1, "max_residual": 0.0}
 
 
 def test_abs_sum_and_max_coord():
@@ -125,73 +127,130 @@ def test_eval_family_rejects_non_finite_points(bad):
             eval_family_detailed(builtin(name), x)
 
 
-def test_generated_family_budget_exhaustion():
-    vals = -np.arange(500, dtype=float)  # improves every step
-    fam = GeneratedFamily(lambda x, a, b: vals[a:b], lambda k: None, budget=500)
-    h = PHFunction("drop", 1, inf_family=fam)
-    value, terms = eval_family_detailed(h, [1.0])
-    assert terms == 500
-    assert value == -499.0
-
-
-def test_generated_family_map_at_consistent_with_blocks():
-    h = builtin("example-7.1")
-    fam = h.inf_family
-    x = np.array([1.5, -2.0])
-    block = fam.values(x, 0, 40)
-    singles = [fam.map_at(k)(x) for k in range(40)]
-    assert block == pytest.approx(singles, abs=0.0)
-
-
 # ---------------------------------------------------------------------------
-# certified stops: the bounds of examples 7.1 and 7.2
+# witness families: examples 7.1 and 7.2 and square-mean's sup side name one
+# member per column that attains the extremum.  The tests hold those members
+# against a test-side enumeration of each family in the order an
+# enumerating engine would visit it.
 
 def _bits(a):
     return np.ascontiguousarray(np.asarray(a, dtype=np.float64)).tobytes()
 
 
-def _certificate_columns(rng, k):
+SPECIALS = [0.0, -0.0, 1.0, -1.0, 1e-30, -1e-30, 1e300, -1e300, 5e-324, -5e-324, 2.5, -2.5]
+
+
+def _extreme_columns(rng, k):
     """k columns in 2-d: every pair of special values (signed zeros, +-1,
-    +-1e-30, +-1e300, subnormals), then uniform on [-5, 5]^2 to k/2, random
-    binary exponents from -1070 to 1020 to 3k/4, and the same with one
+    +-1e-30, +-1e300, subnormals), then coordinates with random binary
+    exponents from -1074 to 1023, the last third of them with one
     coordinate zeroed."""
-    specials = [0.0, -0.0, 1.0, -1.0, 1e-30, -1e-30, 1e300, -1e300, 5e-324, -5e-324, 2.5, -2.5]
-    grid = np.array([(a, b) for a in specials for b in specials]).T
-    X = rng.uniform(-5.0, 5.0, size=(2, k))
+    grid = np.array([(a, b) for a in SPECIALS for b in SPECIALS]).T
+    X = np.ldexp(rng.uniform(-1.0, 1.0, size=(2, k)), rng.integers(-1074, 1024, size=(2, k)))
     X[:, : grid.shape[1]] = grid
-    X[:, k // 2 :] *= 2.0 ** rng.integers(-1070, 1021, size=(2, k - k // 2))
-    half = np.arange(3 * k // 4, k)
-    X[rng.integers(0, 2, size=half.size), half] = 0.0
+    third = np.arange(2 * k // 3, k)
+    X[rng.integers(0, 2, size=third.size), third] = 0.0
     return X
 
 
+def _certificate_columns(rng, k):
+    """k // 2 columns uniform on [-5, 5]^2, then the rest extreme."""
+    return np.hstack([rng.uniform(-5.0, 5.0, size=(2, k // 2)), _extreme_columns(rng, k - k // 2)])
+
+
+# the test-side budget of each infinite family
+BUDGET = {"example-7.1": 10_000, "example-7.2": 10_000, "square-mean": 512}
+
+
+@functools.lru_cache(maxsize=None)
+def _enumeration(name):
+    """The first BUDGET[name] members of an infinite builtin family, as rows
+    of float parameters.
+
+    example-7.1, (m, n) for (mx + ny)^+: the diagonals m + n = d for
+    d = 2, 3, ..., m ascending, each followed by the rays (2^(d-1), 1) and
+    (1, 2^(d-1)).
+    example-7.2, (lambda, n, e) for min(lambda x, 2^e n y): for j = 1, 2, ...
+    the members with n = j and with n = 2^j, each for lambda = 0 and 1; e is
+    the ray's exponent, so rays past the float range stay exact.
+    square-mean, (cos t, sin t) for the tangent maps: t = 2 pi k / 512.
+    """
+    count = BUDGET[name]
+    rows = []
+    if name == "example-7.1":
+        d = 2
+        while len(rows) < count:
+            rows += [(m, d - m) for m in range(1, d)] + [(2.0 ** (d - 1), 1), (1, 2.0 ** (d - 1))]
+            d += 1
+    elif name == "example-7.2":
+        j = 1
+        while len(rows) < count:
+            rows += [(0, j, 0), (1, j, 0), (0, 1, j), (1, 1, j)]
+            j += 1
+    else:
+        theta = np.arange(count) * (2.0 * np.pi / count)
+        rows = list(zip(np.cos(theta), np.sin(theta)))
+    return np.array(rows[:count], dtype=float)
+
+
+def _members(name, X, a, b):
+    """Values of the members a..b-1 of _enumeration(name) at the columns of
+    X (2, k), shape (b - a, k)."""
+    P = _enumeration(name)[a:b]
+    x, y = X
+    with np.errstate(over="ignore", invalid="ignore"):
+        if name == "example-7.1":
+            return np.maximum(np.multiply.outer(P[:, 0], x) + np.multiply.outer(P[:, 1], y), 0.0)
+        if name == "example-7.2":
+            ny = np.ldexp(np.multiply.outer(P[:, 1], y), P[:, 2, None].astype(np.int64))
+            return np.minimum(np.multiply.outer(P[:, 0], x), ny)
+        return np.multiply.outer(P[:, 0], x) + np.multiply.outer(P[:, 1], y)
+
+
+def _budget_fold(name, X, minimize):
+    """Extremum over the whole test-side budget, folded in member order with
+    ties keeping the later member."""
+    sign = 1.0 if minimize else -1.0
+    best = np.full(X.shape[1], np.inf)
+    for a in range(0, BUDGET[name], 1000):
+        vals = sign * _members(name, X, a, min(a + 1000, BUDGET[name]))
+        best = np.minimum(best, np.minimum.accumulate(vals, axis=0)[-1])
+    return sign * best
+
+
+def _family(name, side):
+    h = builtin(name)
+    return h.inf_family if side == "inf" else h.sup_family
+
+
 CERTIFIED = [("example-7.1", "inf"), ("example-7.2", "sup")]
+WITNESSED = [*CERTIFIED, ("square-mean", "sup")]
 
 
 @pytest.mark.parametrize("name, side", CERTIFIED)
 def test_no_member_in_the_budget_beats_the_bound(name, side):
-    h = builtin(name)
-    family = h.inf_family if side == "inf" else h.sup_family
-    X = _certificate_columns(np.random.default_rng(41), 300)
-    bound = family.bound_fn(X)
-    with np.errstate(all="ignore"):
-        for a in range(0, family.budget, 1000):
-            vals = family.values(X, a, a + 1000)
-            beats = vals < bound if side == "inf" else vals > bound
-            assert not beats.any(), (name, a + np.argwhere(beats)[0])
+    family = _family(name, side)
+    rng = np.random.default_rng(41)
+    X = np.hstack([rng.uniform(-5.0, 5.0, size=(2, 1000)), _extreme_columns(rng, 1000)])
+    with np.errstate(over="ignore"):
+        bound = family.bound_fn(X)
+    for a in range(0, BUDGET[name], 1000):
+        vals = _members(name, X, a, a + 1000)
+        beats = vals < bound if side == "inf" else vals > bound
+        assert not beats.any(), (name, a + np.argwhere(beats)[0])
 
 
 @pytest.mark.parametrize("name, side", CERTIFIED)
 def test_certified_scan_equals_the_scan_without_a_bound(name, side):
-    h = builtin(name)
-    family = h.inf_family if side == "inf" else h.sup_family
-    plain = GeneratedFamily(family.values, family.map_at, budget=family.budget)
+    # the bound only decides whether to raise; it never changes a value,
+    # and every witness here attains it
+    family = _family(name, side)
+    plain = WitnessFamily(family.witness_fn, family.member_fn)
     X = _certificate_columns(np.random.default_rng(43), 4000)
-    with np.errstate(all="ignore"):
-        values, terms = _scan_columns(family, X, minimize=(side == "inf"))
-        want, want_terms = _scan_columns(plain, X, minimize=(side == "inf"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _witness_columns(name, family, X)
+        want = _witness_columns(name, plain, X)
     assert _bits(values) == _bits(want)
-    assert np.median(terms) == 1 and (want_terms == family.budget).all()
 
 
 @pytest.mark.parametrize(
@@ -200,7 +259,7 @@ def test_certified_scan_equals_the_scan_without_a_bound(name, side):
         ("example-7.1", [2.0, 3.0], 5.0),  # first quadrant: member (1, 1) is x + y
         ("example-7.1", [-2.0, -3.0], 0.0),  # third quadrant: member (1, 1) is 0
         ("example-7.2", [5.0, -1.0], -1.0),  # y < 0: member min(0*x, y) is y
-        # member (2, 2) is inf - inf = NaN; the scan stops before it
+        # |y| >= x already, so the witness is member (1, 1), which is 0
         ("example-7.1", [1.7e308, -1.7e308], 0.0),
     ],
 )
@@ -208,38 +267,81 @@ def test_certified_column_stops_after_one_term(name, x, value):
     assert eval_family_detailed(builtin(name), x) == (value, 1)
 
 
-# ---------------------------------------------------------------------------
-# the scan contract: a column stops where it reaches its certificate, or else
-# at the budget, with the value of a fold over every member in the budget
+@pytest.mark.parametrize("name, side", WITNESSED)
+def test_witness_members_are_members_of_the_paper_families(name, side):
+    """Each witness is a member of the paper's family, evaluated as its own
+    support map: (m, n) = (2^i, 2^j) with integers i, j >= 0 for 7.1,
+    lambda in {0, 1} and n = 2^e with an integer e >= 0 for 7.2, and a unit
+    vector up to rounding for square-mean."""
+    family = _family(name, side)
+    X = _certificate_columns(np.random.default_rng(59), 600)
+    with np.errstate(over="ignore", invalid="ignore"):
+        params = family.witness_fn(X)
+        values = family.member_fn(params, X)
+    if name == "example-7.1":
+        i, j = params
+        assert i.dtype.kind == j.dtype.kind == "i"
+        assert (i >= 0).all() and (j >= 0).all() and ((i == 0) | (j == 0)).all()
+        vectors = [(2.0**a, 2.0**b) if max(a, b) < 1024 else None for a, b in zip(i, j)]
+        maps = [v and SublinearMap(VPolytope([v, (0.0, 0.0)])) for v in vectors]
+    elif name == "example-7.2":
+        lam, e = params
+        assert set(np.unique(lam)) <= {0.0, 1.0}
+        assert e.dtype.kind == "i" and (e >= 0).all()
+        maps = [
+            SuperlinearMap(VPolytope([(a, 0.0), (0.0, 2.0**b)])) if b < 1024 else None for a, b in zip(lam, e)
+        ]
+    else:
+        u = np.stack([np.cos(params), np.sin(params)])
+        assert np.abs(np.hypot(*u) - 1.0).max() <= 2.0 * np.finfo(float).eps
+        maps = [SuperlinearMap(VPolytope([v])) for v in u.T]
+    # ratios past 2^1023 need a member whose 2^k is not a float
+    assert sum(m is None for m in maps) < len(maps) // 4
+    with np.errstate(over="ignore", invalid="ignore"):
+        for col, m in enumerate(maps):
+            if m is not None:
+                assert m._values(X[:, col : col + 1])[0] == values[col], (col, X[:, col])
 
-def _fold(family, X, minimize):
-    """Running extremum after each of the `budget` members, shape (budget, k):
-    one minimum.accumulate over the whole enumeration, on negated values for
-    a sup-family."""
-    vals = np.asarray(family.values(X, 0, family.budget), dtype=float).reshape(family.budget, -1)
-    sign = 1.0 if minimize else -1.0
-    return np.minimum.accumulate(np.broadcast_to(sign * vals, (family.budget, X.shape[1])), axis=0)
+
+def _signed_binary(low, high):
+    """Signed zeros and floats s * m * 2^e with m in [1, 2), e in [low, high]."""
+    scaled = st.builds(
+        lambda s, m, e: float(s * np.ldexp(m, e)),
+        st.sampled_from([-1.0, 1.0]),
+        st.floats(1.0, 2.0, exclude_max=True),
+        st.integers(low, high),
+    )
+    return st.one_of(st.just(0.0), st.just(-0.0), scaled)
 
 
-def _assert_scan_is_the_full_fold(family, X, minimize):
-    sign = 1.0 if minimize else -1.0
-    cols = np.arange(X.shape[1])
-    with np.errstate(all="ignore"):
-        values, terms = _scan_columns(family, X, minimize=minimize)
-        run = _fold(family, X, minimize)
-        want_terms = np.full(cols.size, family.budget)
-        if family.bound_fn is not None:
-            hit = run <= sign * np.asarray(family.bound_fn(X), dtype=float)
-            want_terms = np.where(hit.any(axis=0), hit.argmax(axis=0) + 1, family.budget)
-    assert terms.tolist() == want_terms.tolist()
-    assert _bits(values) == _bits(sign * run[want_terms - 1, cols])
-    # no member after a certified stop moves the fold; only a NaN member
-    # (inf - inf at the float range's edge) poisons it, and the stop comes
-    # before that member
-    whole = sign * run[-1]
-    kept = ~np.isnan(whole)
-    assert _bits(values[kept]) == _bits(whole[kept])
-    return terms
+@pytest.mark.parametrize("name", ["example-7.1", "example-7.2"])
+@settings(max_examples=300, deadline=None)
+@given(x=_signed_binary(-1074, 1023), y=_signed_binary(-1074, 1023))
+def test_certified_builtins_match_the_oracle_at_any_binary_exponent(name, x, y):
+    # exact equality: equal nonzero floats have equal bits; a zero's sign is
+    # the family's own (7.2's member 0*x is -0.0 for x < 0), not the oracle's
+    h = builtin(name)
+    with np.errstate(over="ignore"):
+        want = h.oracle_at([x, y])
+    if np.isfinite(want):
+        assert eval_family(h, [x, y]) == want
+    else:
+        with pytest.raises(NonFiniteResult):
+            eval_family(h, [x, y])
+
+
+@pytest.mark.parametrize("name, side", WITNESSED)
+@settings(max_examples=200, deadline=None)
+@given(x=_signed_binary(-1022, 1021), y=_signed_binary(-1022, 1021), data=st.data())
+def test_witness_evaluation_commutes_with_power_of_two_scaling(name, side, x, y, data):
+    # k keeps every nonzero coordinate normal, below 2^1022, so the values
+    # stay normal and finite too
+    exps = [int(np.frexp(c)[1]) - 1 for c in (x, y) if c != 0.0]
+    k = data.draw(st.integers(-1022 - min(exps, default=0), 1021 - max(exps, default=0)))
+    h = builtin(name)
+    value = eval_family(h, [x, y], side=side)
+    scaled = eval_family(h, [np.ldexp(x, k), np.ldexp(y, k)], side=side)
+    assert _bits(scaled) == _bits(np.ldexp(value, k))
 
 
 BUILTIN_SIDES = [
@@ -256,44 +358,83 @@ BUILTIN_SIDES = [
 
 @pytest.mark.parametrize("name, side", BUILTIN_SIDES)
 def test_builtin_scan_is_the_fold_over_the_budget(name, side):
+    """A finite side is the fold over every member, bitwise.  A witness side
+    is held to the fold over its test-side budget: a certified side equals
+    it bitwise wherever it reaches the bound, as it does on every uniform
+    column, and is never beaten by it; square-mean's sup side is at least
+    the best of its 512 tangents, less 4 ulp, on 10^4 uniform columns."""
     h = builtin(name)
-    family = h.inf_family if side == "inf" else h.sup_family
-    X = _certificate_columns(np.random.default_rng(47), 300)
-    terms = _assert_scan_is_the_full_fold(family, X, minimize=(side == "inf"))
-    if family.bound_fn is None:
-        assert (terms == family.budget).all()
+    family = _family(name, side)
+    minimize = side == "inf"
+    rng = np.random.default_rng(47)
+    if isinstance(family, FiniteFamily):
+        X = _certificate_columns(rng, 300)
+        total = len(family.maps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = _scan_columns(family, X, minimize=minimize)
+            vals = np.asarray(family.values(X, 0, total), dtype=float).reshape(total, -1)
+        sign = 1.0 if minimize else -1.0
+        fold = sign * np.minimum.accumulate(np.broadcast_to(sign * vals, (total, X.shape[1])), axis=0)[-1]
+        assert _bits(values) == _bits(fold)
+        assert _eval_columns(h, X[:, :150], side)[1] == total
+    elif name == "square-mean":
+        X = rng.uniform(-5.0, 5.0, size=(2, 10_000))
+        values, terms = _eval_columns(h, X, side)
+        best = _budget_fold(name, X, minimize=False)
+        assert terms == 1 and (values >= best - 4.0 * np.spacing(best)).all()
+    else:
+        X = np.hstack([rng.uniform(-5.0, 5.0, size=(2, 1000)), _extreme_columns(rng, 1000)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = _witness_columns(name, family, X)
+            bound = family.bound_fn(X)
+        fold = _budget_fold(name, X, minimize)
+        reached = fold == bound
+        assert reached[:1000].all()
+        assert _bits(values[reached]) == _bits(fold[reached])
+        assert not (fold < values if minimize else fold > values).any()
 
 
-def _segment_family(budget, certified):
+def _segment_family(count):
     """Members x -> max(c_k x, -x) on R, c_k = 1 + 1/(k + 1): the support
-    functions of the segments [-1, c_k].  Each is >= |x|, as c_k >= 1, so |x|
-    is a floor; member 0 attains it for x <= 0, and for x > 0 only a member
-    whose c_k x rounds to x does."""
-    c = 1.0 + 1.0 / np.arange(1.0, budget + 1.0)
+    functions of the segments [-1, c_k], with a block_fn."""
+    c = 1.0 + 1.0 / np.arange(1.0, count + 1.0)
 
     def block(x, a, b):
         return np.maximum(np.multiply.outer(c[a:b], x[0]), -x[0])
 
-    def map_at(k):
-        return SublinearMap(VPolytope([[-1.0], [c[k]]]))
-
-    bound = (lambda X: np.abs(X[0])) if certified else None
-    return GeneratedFamily(block, map_at, budget=budget, bound_fn=bound)
+    return FiniteFamily([SublinearMap(VPolytope([[-1.0], [ck]])) for ck in c], block_fn=block)
 
 
-@pytest.mark.parametrize("certified", [True, False], ids=["bound", "no-bound"])
-def test_generated_family_scan_is_the_fold_over_the_budget(certified):
-    family = _segment_family(1000, certified)
+def test_finite_family_scan_is_the_fold_over_every_member():
+    family = _segment_family(1000)
     rng = np.random.default_rng(53)
     specials = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 1.7e308]
-    scaled = rng.uniform(-1.0, 1.0, 300) * 2.0 ** rng.integers(-1074, 1024, 300)
-    X = np.concatenate([specials, rng.uniform(-5.0, 5.0, 300), scaled])
-    terms = _assert_scan_is_the_full_fold(family, X[None, :], minimize=True)
-    if certified:
-        # x <= 0 stops at member 0; x = 1 never reaches its floor
-        assert terms[[0, 1, 3, 5]].tolist() == [1, 1, 1, 1] and terms[2] == family.budget
-    else:
-        assert (terms == family.budget).all()
+    scaled = np.ldexp(rng.uniform(-1.0, 1.0, 300), rng.integers(-1074, 1024, 300))
+    X = np.concatenate([specials, rng.uniform(-5.0, 5.0, 300), scaled])[None, :]
+    with np.errstate(over="ignore"):
+        values = _scan_columns(family, X, minimize=True)
+        vals = family.values(X, 0, 1000)
+        one_by_one = np.array([m._values(X) for m in family.maps])
+    assert (vals == one_by_one).all()
+    assert _bits(values) == _bits(np.minimum.accumulate(vals, axis=0)[-1])
+
+
+def test_witness_that_misses_its_bound_raises():
+    # the first segment map, max(2x, -x), as the witness everywhere, with the
+    # floor |x|: it attains the floor for x <= 0 only
+    witness = WitnessFamily(
+        lambda X: np.zeros(X.shape[1], dtype=int),
+        lambda k, X: np.maximum(2.0 * X[0], -X[0]),
+        bound_fn=lambda X: np.abs(X[0]),
+    )
+    h = PHFunction("segments", 1, inf_family=witness)
+    assert eval_family_detailed(h, [-3.0]) == (3.0, 1)
+    assert _bits(eval_family(h, [-0.0])) == _bits(0.0)
+    with pytest.raises(UnattainedBound, match="column 1"):
+        fc_semicontinuous_detailed(h, [RmElement([-1.0, 2.0])])
+    # without a bound the same witness is returned, uncertified
+    plain = PHFunction("segments", 1, inf_family=WitnessFamily(witness.witness_fn, witness.member_fn))
+    assert eval_family(plain, [2.0]) == 4.0
 
 
 def test_finite_family_requires_maps():
@@ -489,10 +630,8 @@ def test_builtin_evaluation_is_positively_homogeneous(x, y, lam):
 @given(st.integers(0, 2**31 - 1))
 def test_builtin_families_bracket_oracle(seed):
     rng = np.random.default_rng(seed)
-    x = rng.uniform(-5, 5, size=2)
+    x = rng.uniform(-5, 5, size=(2, 1))
     h1 = builtin("example-7.1")  # inf-family: every member dominates h
-    first = h1.inf_family.values(x, 0, 64)
-    assert h1.oracle_at(x) <= first.min() + 1e-12
+    assert h1.oracle_at(x[:, 0]) <= _members("example-7.1", x, 0, 64).min() + 1e-12
     h2 = builtin("example-7.2")  # sup-family: every member is below h
-    first = h2.sup_family.values(x, 0, 64)
-    assert first.max() <= h2.oracle_at(x) + 1e-12
+    assert _members("example-7.2", x, 0, 64).max() <= h2.oracle_at(x[:, 0]) + 1e-12
