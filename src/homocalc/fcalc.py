@@ -16,12 +16,19 @@ from .errors import (
     DimensionMismatch,
     EmptyFamily,
     LatticeMismatch,
-    NonFiniteResult,
     NotOrdered,
     SaddleGap,
     SchemaError,
 )
-from .homog import DEFAULT_TOL, SublinearMap, SuperlinearMap, _default_density, _eval_columns, sphere_grid
+from .homog import (
+    DEFAULT_TOL,
+    SublinearMap,
+    SuperlinearMap,
+    _default_density,
+    _eval_columns,
+    _finite_values,
+    sphere_grid,
+)
 from .lattice import RmElement, StepFunction, common_refinement
 
 SADDLE_TOL = 1e-6
@@ -195,22 +202,18 @@ def saddle_eval(S, x):
         raise DimensionMismatch(
             "saddle_eval", f"points have shape {pts.shape}, saddle has dim {S.dim}"
         )
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("saddle_eval: points must be finite")
     P, Q = S.shape
-    infsup = np.empty(pts.shape[0])
-    supinf = np.empty(pts.shape[0])
     step = max(1, _BLOCK_CELLS // (P * Q))
-    with np.errstate(over="ignore", invalid="ignore"):
+
+    def evaluate():
+        out = np.empty((2, pts.shape[0]))
         for c in range(0, pts.shape[0], step):
             M = _dot_columns(S.coeffs, pts[c : c + step].T)
-            infsup[c : c + step] = M.max(axis=1).min(axis=0)
-            supinf[c : c + step] = M.min(axis=0).max(axis=0)
-    bad = np.flatnonzero(~(np.isfinite(infsup) & np.isfinite(supinf)))
-    if bad.size:
-        raise NonFiniteResult(
-            "saddle_eval", f"the value at point {bad[0]} is outside the float range"
-        )
+            out[0, c : c + step] = M.max(axis=1).min(axis=0)
+            out[1, c : c + step] = M.min(axis=0).max(axis=0)
+        return out
+
+    infsup, supinf = _finite_values(evaluate, pts, "saddle_eval", unit="point")
     if single:
         return float(infsup[0]), float(supinf[0])
     return infsup, supinf

@@ -9,11 +9,13 @@ a sup-family of superlinear maps (lower semicontinuous side), or both
 (continuous), optionally paired with a closed-form oracle used for
 cross-checks only: evaluation reads the families alone, and a lift reports
 its drift from the oracle as data (fcalc's max_residual).  A finite family
-is an explicit list, and its value at a point is the extremum over every
-member.  An infinite family is never enumerated: it names, per point, one
-member that attains its extremum (a witness), and its value is that
-member's value; where it also declares a certified bound, the witness value
-must equal the bound bitwise.
+is an explicit list of maps, and its value at a point is the extremum over
+every member's value; members that are linear maps of one class are
+evaluated as one stacked matrix, in their own arithmetic.  An infinite
+family is never enumerated: it names, per point, one member that attains
+its extremum (a witness), and its value is that member's value; where it
+also declares a certified bound, the witness value must equal the bound
+bitwise.
 
 Semicontinuity cannot be certified from finitely many samples; the kind tag
 is declarative and only the oracle/family agreement is checked numerically.
@@ -51,6 +53,34 @@ class RepresentationWarning(UserWarning):
     warning filters in bench/workloads.py and bench/test_bench.py name it."""
 
 
+def _finite_values(evaluate, points, op, name="", unit="column", lazy=False):
+    """evaluate() at finite points, with every value inside the float range.
+
+    A NaN or infinite point raises ValueError before evaluate() runs, or,
+    with lazy=True, only once some value is not finite (a support map's
+    value at such a point is never finite).  A value outside the float range raises
+    NonFiniteResult naming the first bad column (or point); values of shape
+    (r, k) are checked per column.  Overflow on the way to a finite value
+    raises nothing.
+    """
+
+    def check_points():
+        if not np.isfinite(points).all():
+            raise ValueError(f"{name or op}: points must be finite")
+
+    if not lazy:
+        check_points()
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = evaluate()
+    finite = np.isfinite(values)
+    if not finite.all():
+        check_points()
+        bad = np.flatnonzero(~np.atleast_2d(finite).all(axis=0))
+        where = f"{name}: " if name else ""
+        raise NonFiniteResult(op, f"{where}the value at {unit} {bad[0]} is outside the float range")
+    return values
+
+
 class _SupportMap:
     """x -> sign * max{a.(sign * x) : a in set}, for sign = +1 or -1.
 
@@ -77,16 +107,7 @@ class _SupportMap:
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         cols = x.reshape(x.shape[0], -1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = self._values(cols)
-        if not np.isfinite(values).all():
-            # a NaN or infinite point always has a non-finite value
-            if not np.isfinite(cols).all():
-                raise ValueError(f"{type(self).__name__}: points must be finite")
-            bad = np.flatnonzero(~np.isfinite(values))
-            raise NonFiniteResult(
-                type(self).__name__, f"the value at column {bad[0]} is outside the float range"
-            )
+        values = _finite_values(lambda: self._values(cols), cols, type(self).__name__, lazy=True)
         return float(values[0]) if x.ndim == 1 else values
 
     def __repr__(self):
@@ -113,23 +134,29 @@ class SuperlinearMap(_SupportMap):
 class FiniteFamily:
     """Explicit finite list of maps; its value is the extremum over every member.
 
-    Without `block_fn` a block calls each map's kernel on all its columns.
-    `block_fn(x, a, b)`, when given, must return the same values as calling
-    maps[a:b] one by one, shape (b-a,) for x of shape (n,) and (b-a, k) for
-    x of shape (n, k), or (b-a,) broadcast over the columns; it exists
-    purely for speed.
+    values(cols, a, b) is the values of maps[a:b] at the columns of cols
+    (n, k), shape (b-a, k), each row bitwise the member's own values.  When
+    every member is a linear map of one class (each set a one-vertex
+    VPolytope, and all SublinearMap or all SuperlinearMap), a block is one
+    stacked matrix of their vertices, sign * (V . (sign * x)), the maps' own
+    arithmetic; otherwise each member evaluates the columns in turn.
     """
 
-    def __init__(self, maps, block_fn=None):
+    def __init__(self, maps):
         maps = tuple(maps)
         if not maps:
             raise ValueError("finite family needs at least one map")
-        if block_fn is None:
-            def block_fn(x, a, b):
-                cols = x.reshape(x.shape[0], -1)
-                return np.array([m._values(cols) for m in maps[a:b]]).reshape(b - a, *x.shape[1:])
         self.maps = maps
-        self.values = block_fn
+        self._stack = None
+        linear = all(isinstance(m.set, VPolytope) and len(m.set.vertices) == 1 for m in maps)
+        if linear and len({(type(m), m.dim) for m in maps}) == 1:
+            self._stack = np.vstack([m.set.vertices for m in maps])
+
+    def values(self, cols, a, b):
+        if self._stack is None:
+            return np.array([m._values(cols) for m in self.maps[a:b]])
+        sign = self.maps[0].sign
+        return sign * _dot_columns(self._stack[a:b], sign * cols)
 
 
 class WitnessFamily:
@@ -215,10 +242,8 @@ def _scan_columns(family, X, minimize):
         step = max(1, min(_EVAL_CHUNK, _BLOCK_CELLS // width))
         best = np.full(width, np.inf)
         for a in range(0, total, step):
-            b = min(a + step, total)
-            vals = np.asarray(family.values(cols, a, b), dtype=float).reshape(b - a, -1)
-            vals = np.broadcast_to(vals if minimize else -vals, (b - a, width))
-            best = np.minimum(best, np.minimum.accumulate(vals, axis=0)[-1])
+            vals = family.values(cols, a, min(a + step, total))
+            best = np.minimum(best, np.minimum.accumulate(vals if minimize else -vals, axis=0)[-1])
         values[c0 : c0 + width] = best
     return values if minimize else -values
 
@@ -248,19 +273,11 @@ def _eval_columns(h, X, side):
     value raise nothing.
     """
     chosen, family = _pick_side(h, side)
-    if not np.all(np.isfinite(X)):
-        raise ValueError(f"{h.name}: points must be finite")
-    with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(family, WitnessFamily):
-            values, terms = _witness_columns(h.name, family, X), 1
-        else:
-            values, terms = _scan_columns(family, X, minimize=(chosen == "inf")), len(family.maps)
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise NonFiniteResult(
-            "eval_family", f"{h.name}: the value at column {bad[0]} is outside the float range"
-        )
-    return values, terms
+    if isinstance(family, WitnessFamily):
+        terms, evaluate = 1, lambda: _witness_columns(h.name, family, X)
+    else:
+        terms, evaluate = len(family.maps), lambda: _scan_columns(family, X, chosen == "inf")
+    return _finite_values(evaluate, X, "eval_family", h.name), terms
 
 
 def eval_family(h, x, side="auto"):
@@ -510,11 +527,6 @@ def sign_switch():
     )
 
 
-def _linear_block(A):
-    # block of the linear members x -> A[k].x
-    return lambda x, a, b: _dot_columns(A[a:b], np.asarray(x, dtype=float))
-
-
 def disk_map():
     return SublinearMap(Ball([0.0, 0.0], 1.0), label="euclidean")
 
@@ -524,7 +536,7 @@ def angle_superlinear_family(count):
     theta = np.arange(count) * (2.0 * np.pi / count)
     T = np.column_stack([np.cos(theta), np.sin(theta)])
     maps = [SuperlinearMap(VPolytope([t]), label=f"tangent({k}/{count})") for k, t in enumerate(T)]
-    return FiniteFamily(maps, block_fn=_linear_block(T))
+    return FiniteFamily(maps)
 
 
 def circumscribed_polygon_map(count):
@@ -574,7 +586,7 @@ def abs_sum(n=2):
         "abs-sum",
         n,
         inf_family=FiniteFamily([SublinearMap(VPolytope(signs), label="l1")]),
-        sup_family=FiniteFamily(sup_maps, block_fn=_linear_block(signs)),
+        sup_family=FiniteFamily(sup_maps),
         oracle=oracle,
     )
 
@@ -585,9 +597,6 @@ def max_coord(n=2):
     eye = np.eye(n)
     sup_maps = [SuperlinearMap(VPolytope([eye[k]]), label=f"coord{k + 1}") for k in range(n)]
 
-    def block(x, a, b):
-        return np.asarray(x, dtype=float)[a:b]
-
     def oracle(pts):
         return np.asarray(pts, dtype=float).max(axis=-1)
 
@@ -595,7 +604,7 @@ def max_coord(n=2):
         "max-coord",
         n,
         inf_family=FiniteFamily([SublinearMap(VPolytope(eye), label="max")]),
-        sup_family=FiniteFamily(sup_maps, block_fn=block),
+        sup_family=FiniteFamily(sup_maps),
         oracle=oracle,
     )
 

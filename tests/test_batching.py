@@ -57,7 +57,7 @@ def _columns(rng, n, k):
 
 
 def _map_family(rng, n):
-    """A PHFunction on both sides from plain maps, with no block_fn."""
+    """A PHFunction on both sides from polytope and ball maps."""
     subs = [
         SublinearMap(VPolytope(rng.uniform(-3.0, 3.0, size=(5, n)))),
         SublinearMap(Ball(rng.uniform(-1.0, 1.0, n), 2.0)),
@@ -67,6 +67,17 @@ def _map_family(rng, n):
         SuperlinearMap(Ball(np.zeros(n), 0.5)),
     ]
     return PHFunction("plain-maps", n, inf_family=FiniteFamily(subs), sup_family=FiniteFamily(sups))
+
+
+def _mixed_linear_family(rng, n):
+    """Linear maps of both classes on each side, so no side is one stacked
+    matrix and every member evaluates in turn."""
+    V = rng.uniform(-3.0, 3.0, size=(6, n))
+    inf_maps = [(SublinearMap if k % 2 else SuperlinearMap)(VPolytope([v])) for k, v in enumerate(V)]
+    sup_maps = [(SuperlinearMap if k % 3 else SublinearMap)(VPolytope([v])) for k, v in enumerate(V)]
+    return PHFunction(
+        "mixed-linear-maps", n, inf_family=FiniteFamily(inf_maps), sup_family=FiniteFamily(sup_maps)
+    )
 
 
 def _sides(h):
@@ -82,7 +93,9 @@ def _assert_scan_matches_single_columns(h, X):
 
 
 @pytest.mark.parametrize(
-    "h", [*BUILTINS, _map_family(np.random.default_rng(11), 3)], ids=lambda h: h.name
+    "h",
+    [*BUILTINS, _map_family(np.random.default_rng(11), 3), _mixed_linear_family(np.random.default_rng(13), 3)],
+    ids=lambda h: h.name,
 )
 def test_batched_scan_equals_single_column_scans(h):
     # 530 columns: more than one column group, and blocks of every height

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import warnings
 
 import numpy as np
@@ -372,9 +373,9 @@ def test_builtin_scan_is_the_fold_over_the_budget(name, side):
         total = len(family.maps)
         with np.errstate(over="ignore", invalid="ignore"):
             values = _scan_columns(family, X, minimize=minimize)
-            vals = np.asarray(family.values(X, 0, total), dtype=float).reshape(total, -1)
+            vals = family.values(X, 0, total)
         sign = 1.0 if minimize else -1.0
-        fold = sign * np.minimum.accumulate(np.broadcast_to(sign * vals, (total, X.shape[1])), axis=0)[-1]
+        fold = sign * np.minimum.accumulate(sign * vals, axis=0)[-1]
         assert _bits(values) == _bits(fold)
         assert _eval_columns(h, X[:, :150], side)[1] == total
     elif name == "square-mean":
@@ -396,13 +397,9 @@ def test_builtin_scan_is_the_fold_over_the_budget(name, side):
 
 def _segment_family(count):
     """Members x -> max(c_k x, -x) on R, c_k = 1 + 1/(k + 1): the support
-    functions of the segments [-1, c_k], with a block_fn."""
+    functions of the segments [-1, c_k]."""
     c = 1.0 + 1.0 / np.arange(1.0, count + 1.0)
-
-    def block(x, a, b):
-        return np.maximum(np.multiply.outer(c[a:b], x[0]), -x[0])
-
-    return FiniteFamily([SublinearMap(VPolytope([[-1.0], [ck]])) for ck in c], block_fn=block)
+    return FiniteFamily([SublinearMap(VPolytope([[-1.0], [ck]])) for ck in c])
 
 
 def test_finite_family_scan_is_the_fold_over_every_member():
@@ -417,6 +414,34 @@ def test_finite_family_scan_is_the_fold_over_every_member():
         one_by_one = np.array([m._values(X) for m in family.maps])
     assert (vals == one_by_one).all()
     assert _bits(values) == _bits(np.minimum.accumulate(vals, axis=0)[-1])
+
+
+_SIGNED_ZERO_GRID = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 1.7e308, 3.0, -3.0]
+
+
+def _finite_family_sides():
+    for n in (1, 2, 3, 4):
+        for name in ("abs-sum", "max-coord"):
+            h = builtin(name, n=n)
+            yield pytest.param(h.inf_family, n, id=f"{name}-{n}-inf")
+            yield pytest.param(h.sup_family, n, id=f"{name}-{n}-sup")
+    for count in (32, 720):
+        yield pytest.param(angle_superlinear_family(count), 2, id=f"angles-{count}")
+    # linear maps of both classes: never one stack
+    signs = itertools.product([-1.0, 1.0], repeat=2)
+    mixed = [(SublinearMap if k % 2 else SuperlinearMap)(VPolytope([s])) for k, s in enumerate(signs)]
+    yield pytest.param(FiniteFamily(mixed), 2, id="mixed-linear")
+
+
+@pytest.mark.parametrize("family, n", _finite_family_sides())
+def test_finite_family_block_is_its_members_values(family, n):
+    # a family evaluates its members in their own arithmetic: a stacked
+    # block is bitwise every member's value, signed zeros included
+    X = np.array(list(itertools.product(_SIGNED_ZERO_GRID, repeat=n))).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        block = family.values(X, 0, len(family.maps))
+        members = np.array([m._values(X) for m in family.maps])
+    assert _bits(block) == _bits(members)
 
 
 def test_witness_that_misses_its_bound_raises():
