@@ -227,8 +227,19 @@ def _cmd_suite(args):
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
+def _tolerance(text):
+    """The --tol value: a finite number >= 0."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = np.nan
+    if not np.isfinite(tol) or tol < 0:
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return tol
+
+
 _OPTIONS = {
-    "tol": ("--tol", {"type": float, "help": "tolerance override"}),
+    "tol": ("--tol", {"type": _tolerance, "help": "tolerance override, finite and >= 0"}),
     "seed": ("--seed", {"type": int, "help": "seed (default: $HOMOCALC_SEED or 0)"}),
     "out": ("--out", {"help": "also write the JSON output to this file"}),
 }

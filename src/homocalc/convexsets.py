@@ -86,13 +86,22 @@ def _check_point(s, x, op):
 def _dot_columns(A, X):
     """A (..., n) against X (n,) or (n, k): shape (...) or (..., k).
 
+    The outer-product form of _dot_paired: every row of A meets every column
+    of X.
+    """
+    return _dot_paired(A if X.ndim == 1 else A[..., None, :], X)
+
+
+def _dot_paired(A, X):
+    """sum_d A[..., d] * X[d], broadcast: A (..., n) against X (n, ...).
+
     Sums coordinate by coordinate in a fixed order with elementwise
     products, never through BLAS, so an entry does not depend on how many
     columns share the call.
     """
-    out = np.multiply.outer(A[..., 0], X[0])
+    out = A[..., 0] * X[0]
     for d in range(1, A.shape[-1]):
-        out += np.multiply.outer(A[..., d], X[d])
+        out += A[..., d] * X[d]
     return out
 
 
@@ -142,26 +151,65 @@ def support(s, x):
 def support_batch(s, points):
     """Support values for each row of `points`, shape (k, n) -> (k,).
 
-    A row's value does not depend on the other rows: sums run coordinate by
-    coordinate, and polytopes are evaluated in blocks of at most
-    _BLOCK_CELLS vertex-by-point cells.
+    The one-set case of _support_stack: the arrays of s are broadcast over
+    every column.  A row's value does not depend on the other rows.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != s.dim:
         raise DimensionMismatch(
             "support", f"points have shape {pts.shape}, set has dim {s.dim}"
         )
-    cols = pts.T
     if isinstance(s, VPolytope):
-        V = s.vertices
-        out = np.empty(cols.shape[1])
-        step = max(1, _BLOCK_CELLS // V.shape[0])
-        for c in range(0, cols.shape[1], step):
-            out[c : c + step] = _dot_columns(V, cols[:, c : c + step]).max(axis=0)
-        return out
+        return _support_stack(pts.T, vertices=s.vertices[:, None, :])
     if isinstance(s, Ball):
-        return _dot_columns(s.center, cols) + s.radius * _norms(cols)
+        return _support_stack(pts.T, centers=s.center[None, :], radii=s.radius)
     raise TypeError(f"unsupported set type {type(s).__name__}")
+
+
+def _stack_sets(sets):
+    """The arrays of `sets`, one set per column, as keywords of _support_stack.
+
+    The sets share one type, one dimension and, for polytopes, one vertex
+    count: polytopes give vertices of shape (k, c, n), balls centers (c, n)
+    and radii (c,).
+    """
+    kind = type(sets[0])
+    if any(type(s) is not kind for s in sets):
+        raise TypeError("stacked sets must share one type")
+    # np.stack raises ValueError when the dimensions or vertex counts differ
+    if kind is VPolytope:
+        return {"vertices": np.stack([s.vertices for s in sets], axis=1)}
+    if kind is not Ball:
+        raise TypeError(f"unsupported set type {kind.__name__}")
+    return {
+        "centers": np.stack([s.center for s in sets]),
+        "radii": np.array([s.radius for s in sets]),
+    }
+
+
+def _support_stack(cols, vertices=None, centers=None, radii=None):
+    """Support value of the i-th stacked set at column i of cols (n, c), shape (c,).
+
+    Give polytope vertices (k, c, n), or ball centers (c, n) and radii (c,);
+    a set axis of length 1 (and a scalar radius) broadcasts one set over
+    every column.  Sums run coordinate by coordinate (_dot_paired) and
+    polytopes take the maximum over vertices in blocks of at most
+    _BLOCK_CELLS vertex-by-column cells, so a column's value does not
+    depend on the other columns or sets.
+    """
+    sets, n = (centers if vertices is None else vertices[0]).shape
+    if cols.ndim != 2 or cols.shape[0] != n or sets not in (1, cols.shape[1]):
+        raise DimensionMismatch(
+            "support", f"columns have shape {cols.shape}, stack has {sets} sets in R^{n}"
+        )
+    if vertices is None:
+        return _dot_paired(centers, cols) + radii * _norms(cols)
+    out = np.empty(cols.shape[1])
+    step = max(1, _BLOCK_CELLS // vertices.shape[0])
+    for c in range(0, cols.shape[1], step):
+        block = vertices if vertices.shape[1] == 1 else vertices[:, c : c + step]
+        out[c : c + step] = _dot_paired(block, cols[:, c : c + step]).max(axis=0)
+    return out
 
 
 def support_argmax(s, x):

@@ -14,7 +14,10 @@ The lift-heavy checks draw all their trials first, then lift the columns of
 every trial in one batched call per function and split the result back at
 the trial widths.  The lift gives a column the same bits in any batch, so
 each trial's values, digest and failure record are those of a lift of that
-trial alone.
+trial alone.  check_interchange draws all its trials first as well, groups
+them by (set type, dimension, vertex count, side) and evaluates each group
+with two calls to the stacked support kernel, one over the group's lift
+columns and one over its point columns.
 """
 
 import hashlib
@@ -23,7 +26,7 @@ from functools import partial
 import numpy as np
 
 from . import lattice
-from .convexsets import Ball, VPolytope
+from .convexsets import Ball, VPolytope, _stack_sets, _support_stack
 from .errors import SaddleGap
 from .fcalc import (
     SaddleFamily,
@@ -166,40 +169,48 @@ def _random_set(rng, n):
     return Ball(rng.uniform(-2.0, 2.0, size=n), float(rng.uniform(0.0, 2.0)))
 
 
-def _scaled_set(s, factor):
-    if isinstance(s, VPolytope):
-        return VPolytope(s.vertices * factor)
-    return Ball(s.center * factor, s.radius * factor)
-
-
-# (map class, its lift), indexed by whether a trial draws the superlinear side
-_MAP_LIFTS = ((SublinearMap, fc_sublinear), (SuperlinearMap, fc_superlinear))
-
-
 def check_interchange(trials=1000, tol=1e-12, seed=0, fault_injection=False):
     """Coordinate homomorphisms pass through the lift of a single map.
 
-    For random (set, tuple, coordinate) triples: evaluating the lifted
-    element at a coordinate equals evaluating the map at that coordinate's
-    column.  fault_injection evaluates the lattice side with support data
-    scaled by 1+1e-3, which must be caught.
+    For random draws of a set, a tuple, a coordinate and a side (the
+    sublinear or the superlinear map of the set): evaluating the lifted
+    element at the coordinate equals evaluating the map at that
+    coordinate's column.  fault_injection evaluates the lattice side with support data scaled by
+    1+1e-3, which must be caught.
+
+    All trials are drawn first and grouped by (set type, dimension, vertex
+    count, side).  Each group makes two _support_stack calls, one over the
+    lift columns of all its trials and one over their point columns; a
+    column's value is bitwise what the map gives it alone.
     """
     rng = _rng(seed, "interchange")
-    failures = []
-    for _ in range(trials):
+    draws, groups = [], {}
+    for t in range(trials):
         n = int(rng.integers(1, 5))
         m = int(rng.integers(1, 9))
         s = _random_set(rng, n)
         data = rng.uniform(-5.0, 5.0, size=(n, m))
-        fs = [RmElement(row) for row in data]
         j = int(rng.integers(1, m + 1))
-        hom = CoordinateHom(j)
-        cls, lift = _MAP_LIFTS[rng.random() < 0.5]
-        s_fc = _scaled_set(s, 1.0 + 1e-3) if fault_injection else s
-        lhs = hom_eval(hom, lift(cls(s_fc), fs))
-        point = cls(s)(data[:, j - 1])
-        if abs(lhs - point) > tol:
-            failures.append(CheckFailure(_digest(data, [j]), float(lhs), float(point), tol))
+        sign = -1.0 if rng.random() < 0.5 else 1.0
+        draws.append((s, data, j))
+        k = s.vertices.shape[0] if isinstance(s, VPolytope) else 0
+        groups.setdefault((type(s), n, k, sign), []).append(t)
+    lhs, point = np.empty(trials), np.empty(trials)
+    for (_, _, _, sign), members in groups.items():
+        sets, blocks, js = zip(*(draws[t] for t in members))
+        widths = [b.shape[1] for b in blocks]
+        lift_stack = _stack_sets([s for s, w in zip(sets, widths) for _ in range(w)])
+        if fault_injection:
+            lift_stack = {key: a * (1.0 + 1e-3) for key, a in lift_stack.items()}
+        values = sign * _support_stack(sign * np.hstack(blocks), **lift_stack)
+        for t, j, v in zip(members, js, np.split(values, np.cumsum(widths[:-1]))):
+            lhs[t] = hom_eval(CoordinateHom(j), RmElement(v))
+        at = np.column_stack([b[:, j - 1] for b, j in zip(blocks, js)])
+        point[members] = sign * _support_stack(sign * at, **_stack_sets(sets))
+    failures = []
+    for (_, data, j), got, expected in zip(draws, lhs, point):
+        if abs(got - expected) > tol:
+            failures.append(CheckFailure(_digest(data, [j]), float(got), float(expected), tol))
     return CheckReport("interchange", trials, failures, seed)
 
 

@@ -6,12 +6,15 @@ columns it shares a call with.  Comparisons are on the float64 bytes, so
 they also catch a flipped sign of zero.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homocalc.convexsets import Ball, VPolytope, support_batch
+from homocalc.convexsets import Ball, VPolytope, _stack_sets, _support_stack, support_batch
+from homocalc.errors import DimensionMismatch
 from homocalc.fcalc import (
     fc_saddle,
     fc_semicontinuous,
@@ -214,3 +217,83 @@ def test_finite_family_visits_every_member():
     assert _bits(values) == _bits(0.5 * X[0])
     assert _bits(_scan_columns(h.inf_family, X, minimize=True)) == _bits(values)
     assert terms == len(maps)
+
+
+# The stacked support kernel against one support_batch call per set.  Its
+# columns are signed (x and -x), the two sides of a map.  The grid is that
+# of test_homog.py::test_finite_family_block_is_its_members_values.
+
+_SIGNED_ZERO_GRID = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 1.7e308, 3.0, -3.0]
+_STACK_KINDS = [(n, k) for n in (1, 2, 3, 4) for k in (1, 2, 3, 4, 5, 6, 0)]  # k = 0: balls
+
+
+def _random_sets(rng, n, k, count, values=None):
+    """count polytopes with k vertices in R^n (balls for k = 0), with entries
+    uniform in [-3, 3] or drawn from values."""
+
+    def draw(shape):
+        return rng.uniform(-3.0, 3.0, size=shape) if values is None else rng.choice(values, size=shape)
+
+    if k:
+        return [VPolytope(draw((k, n))) for _ in range(count)]
+    return [Ball(draw(n), float(np.abs(draw(())))) for _ in range(count)]
+
+
+def _value_bits(a):
+    # bitwise, except that every NaN is one NaN: where inf - inf meets a
+    # maximum, the NaN's sign bit depends on the batch width in
+    # support_batch itself, and every caller rejects a NaN value
+    a = np.asarray(a, dtype=np.float64)
+    return _bits(np.where(np.isnan(a), np.nan, a))
+
+
+def _assert_stack_is_per_set(sets, widths, cols):
+    """_support_stack over sets repeated by widths equals support_batch of
+    each set at its own columns, for x and -x."""
+    repeated = [s for s, w in zip(sets, widths) for _ in range(w)]
+    edges = np.cumsum([0, *widths])
+    for sign in (1.0, -1.0):
+        stacked = _support_stack(sign * cols, **_stack_sets(repeated))
+        for s, a, b in zip(sets, edges[:-1], edges[1:]):
+            alone = support_batch(s, sign * cols[:, a:b].T)
+            assert _value_bits(stacked[a:b]) == _value_bits(alone), (s, sign, cols[:, a:b])
+
+
+@pytest.mark.parametrize("n, k", _STACK_KINDS, ids=lambda v: str(v))
+def test_stacked_support_is_per_set_support(n, k):
+    rng = np.random.default_rng(100 * n + k)
+    sets = _random_sets(rng, n, k, 40)
+    _assert_stack_is_per_set(sets, [1] * 40, rng.uniform(-5.0, 5.0, size=(n, 40)))
+
+
+@pytest.mark.parametrize("n, k", _STACK_KINDS, ids=lambda v: str(v))
+def test_stacked_support_of_sets_spanning_several_columns(n, k):
+    # the layout of a lift: each set answers its own run of 1..8 columns
+    rng = np.random.default_rng(200 * n + k)
+    sets = _random_sets(rng, n, k, 30)
+    widths = [int(w) for w in rng.integers(1, 9, size=30)]
+    _assert_stack_is_per_set(sets, widths, _columns(rng, n, sum(widths)))
+
+
+@pytest.mark.parametrize("n, k", _STACK_KINDS, ids=lambda v: str(v))
+def test_stacked_support_on_the_signed_zero_grid(n, k):
+    # sets and points with signed zeros, subnormals and huge entries; the
+    # sign of a zero value must match too
+    rng = np.random.default_rng(300 * n + k)
+    grid = np.array(list(itertools.product(_SIGNED_ZERO_GRID, repeat=n))).T
+    cols = grid if grid.shape[1] <= 2000 else grid[:, rng.choice(grid.shape[1], 2000, replace=False)]
+    sets = _random_sets(rng, n, k, cols.shape[1], values=_SIGNED_ZERO_GRID)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _assert_stack_is_per_set(sets, [1] * cols.shape[1], cols)
+
+
+def test_stack_needs_one_kind_of_set_and_matching_columns():
+    square = VPolytope([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]])
+    with pytest.raises(TypeError):
+        _stack_sets([square, Ball([0.0, 0.0], 1.0)])
+    with pytest.raises(ValueError):
+        _stack_sets([square, VPolytope([[1.0, 1.0]])])
+    with pytest.raises(DimensionMismatch):
+        _support_stack(np.ones((2, 3)), **_stack_sets([square, square]))
+    with pytest.raises(DimensionMismatch):
+        _support_stack(np.ones((3, 2)), **_stack_sets([square, square]))

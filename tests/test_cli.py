@@ -119,6 +119,11 @@ def test_values_starting_with_a_minus_sign(capsys, argv, key, value):
     assert json.loads(out)[key] == value
 
 
+# the checks that read --tol, and values it must refuse
+_TOL_CHECKS = ("engine-vs-oracle", "interchange", "rep-independence", "continuous-agreement", "saddle")
+_BAD_TOLS = ("nan", "inf", "-1")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -151,6 +156,8 @@ def test_values_starting_with_a_minus_sign(capsys, argv, key, value):
             )
         ],
         ["check", "interchange", "--builtin", "nonsense"],
+        *[["check", name, f"--tol={tol}"] for name in _TOL_CHECKS for tol in _BAD_TOLS],
+        *[["saddle-build", "--family", "PAIR", f"--tol={tol}"] for tol in _BAD_TOLS],
     ],
     ids=[
         "suite-tol", "saddle-eval-tol", "eval-seed", "fc-seed", "saddle-build-seed",
@@ -163,6 +170,8 @@ def test_values_starting_with_a_minus_sign(capsys, argv, key, value):
         "check-continuous-agreement-builtin", "check-sublattice-invariance-builtin",
         "check-saddle-builtin", "check-negative-controls-builtin",
         "check-interchange-builtin-nonsense",
+        *[f"check-{name}-tol-{tol}" for name in _TOL_CHECKS for tol in _BAD_TOLS],
+        *[f"saddle-build-tol-{tol}" for tol in _BAD_TOLS],
     ],
 )
 def test_argument_errors_are_one_json_line_with_exit_2(capsys, tmp_path, argv):

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,10 +157,25 @@ def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+SUITE_SEED_0_SHA256 = "2ac6133a54a2055f180dc5c2c7709a77a58e5c8a71320a5a7b5406769d86a41d"
+
+
 def test_suite_cli_stdout_is_pinned(capsys):
     assert main(["suite", "--seed", "0"]) == 0
     out = capsys.readouterr().out
-    assert _sha256(out) == "2ac6133a54a2055f180dc5c2c7709a77a58e5c8a71320a5a7b5406769d86a41d"
+    assert _sha256(out) == SUITE_SEED_0_SHA256
+
+
+def test_python_m_homocalc_runs_the_cli():
+    # a checkout with nothing installed: python -m homocalc with src on the path
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "homocalc", "suite", "--seed", "0"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert _sha256(done.stdout) == SUITE_SEED_0_SHA256
 
 
 @pytest.mark.parametrize(
@@ -177,8 +196,20 @@ def test_suite_cli_stdout_is_pinned(capsys):
             62,
             "ce4906bbdfedce70eff649d2305e8687a80239d5699d308e5fb8939c3ebe336c",
         ),
+        (
+            # every record holds the trial's scaled lift value and its point
+            # value, so this pins both sides of the check bitwise
+            lambda: check_interchange(trials=1000, seed=3, fault_injection=True),
+            1000,
+            "8f8f75de94febeea42daec38ab410ca04bf5b1f207720be5c7642710ea43a906",
+        ),
     ],
-    ids=["engine-vs-oracle-tol0", "rep-independence-8-angles", "engine-vs-oracle-fixed-m"],
+    ids=[
+        "engine-vs-oracle-tol0",
+        "rep-independence-8-angles",
+        "engine-vs-oracle-fixed-m",
+        "interchange-fault-injection",
+    ],
 )
 def test_forced_failure_records_are_pinned(run, failures, digest):
     report = run()
