@@ -28,7 +28,8 @@ _GAP_FLOOR = 2.0**-42
 # that matters to underflow.
 _SAFE_SUM = (2.0**-960, 2.0**960)
 # Largest number of values a batched kernel (support, family scan, saddle)
-# holds in one block, so that the working set stays small for any batch.
+# holds in one block, so that the working set stays small for any batch;
+# a block of one index may hold more (see _blocks).
 _BLOCK_CELLS = 8192
 
 
@@ -83,13 +84,12 @@ def _check_point(s, x, op):
     return x
 
 
-def _dot_columns(A, X):
-    """A (..., n) against X (n,) or (n, k): shape (...) or (..., k).
-
-    The outer-product form of _dot_paired: every row of A meets every column
-    of X.
-    """
-    return _dot_paired(A if X.ndim == 1 else A[..., None, :], X)
+def _blocks(count, cells):
+    """Slices of range(count) in blocks of max(1, _BLOCK_CELLS // cells)
+    indices: the block policy of every batched kernel, where an index
+    stands for `cells` values."""
+    step = max(1, _BLOCK_CELLS // cells)
+    return [slice(a, a + step) for a in range(0, count, step)]
 
 
 def _dot_paired(A, X):
@@ -105,13 +105,6 @@ def _dot_paired(A, X):
     return out
 
 
-def _sum_squares(cols):
-    sq = cols[0] * cols[0]
-    for d in range(1, cols.shape[0]):
-        sq += cols[d] * cols[d]
-    return sq
-
-
 def _norms(cols):
     """Norms of the columns of cols (n, k), squares summed coordinate by coordinate.
 
@@ -123,17 +116,18 @@ def _norms(cols):
     """
     top = float(np.maximum.reduce(np.abs(cols), axis=None, initial=0.0))
     if top * top * cols.shape[0] <= _SAFE_SUM[1] / 2:
-        sq = _sum_squares(cols)
+        sq = _dot_paired(cols.T, cols)
         if not sq.size or sq.min() >= _SAFE_SUM[0]:
             return np.sqrt(sq)
     else:
         with np.errstate(over="ignore"):
-            sq = _sum_squares(cols)
+            sq = _dot_paired(cols.T, cols)
     out = np.sqrt(sq)
     odd = np.flatnonzero(~(sq >= _SAFE_SUM[0]) | (sq > _SAFE_SUM[1]))
     if odd.size:
         exp = np.frexp(np.abs(cols[:, odd]).max(axis=0))[1]
-        out[odd] = np.ldexp(np.sqrt(_sum_squares(np.ldexp(cols[:, odd], -exp))), exp)
+        scaled = np.ldexp(cols[:, odd], -exp)
+        out[odd] = np.ldexp(np.sqrt(_dot_paired(scaled.T, scaled)), exp)
     return out
 
 
@@ -152,18 +146,15 @@ def support_batch(s, points):
     """Support values for each row of `points`, shape (k, n) -> (k,).
 
     The one-set case of _support_stack: the arrays of s are broadcast over
-    every column.  A row's value does not depend on the other rows.
+    every column.  A row's value does not depend on the other rows, except
+    for the sign bit of a NaN (see _support_stack).
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != s.dim:
         raise DimensionMismatch(
             "support", f"points have shape {pts.shape}, set has dim {s.dim}"
         )
-    if isinstance(s, VPolytope):
-        return _support_stack(pts.T, vertices=s.vertices[:, None, :])
-    if isinstance(s, Ball):
-        return _support_stack(pts.T, centers=s.center[None, :], radii=s.radius)
-    raise TypeError(f"unsupported set type {type(s).__name__}")
+    return _support_stack(pts.T, **_stack_sets([s]))
 
 
 def _stack_sets(sets):
@@ -191,11 +182,12 @@ def _support_stack(cols, vertices=None, centers=None, radii=None):
     """Support value of the i-th stacked set at column i of cols (n, c), shape (c,).
 
     Give polytope vertices (k, c, n), or ball centers (c, n) and radii (c,);
-    a set axis of length 1 (and a scalar radius) broadcasts one set over
-    every column.  Sums run coordinate by coordinate (_dot_paired) and
-    polytopes take the maximum over vertices in blocks of at most
-    _BLOCK_CELLS vertex-by-column cells, so a column's value does not
-    depend on the other columns or sets.
+    a set axis of length 1 broadcasts one set over every column.  Sums run
+    coordinate by coordinate (_dot_paired) and polytopes take the maximum
+    over vertices in _blocks of vertex-by-column cells, so a column's value
+    does not depend on the other columns or sets.  The one exception is a
+    NaN, where inf - inf meets the vertex maximum: its sign bit can depend
+    on the batch width.  Every caller rejects a NaN value.
     """
     sets, n = (centers if vertices is None else vertices[0]).shape
     if cols.ndim != 2 or cols.shape[0] != n or sets not in (1, cols.shape[1]):
@@ -205,10 +197,9 @@ def _support_stack(cols, vertices=None, centers=None, radii=None):
     if vertices is None:
         return _dot_paired(centers, cols) + radii * _norms(cols)
     out = np.empty(cols.shape[1])
-    step = max(1, _BLOCK_CELLS // vertices.shape[0])
-    for c in range(0, cols.shape[1], step):
-        block = vertices if vertices.shape[1] == 1 else vertices[:, c : c + step]
-        out[c : c + step] = _dot_paired(block, cols[:, c : c + step]).max(axis=0)
+    for b in _blocks(cols.shape[1], vertices.shape[0]):
+        block = vertices if vertices.shape[1] == 1 else vertices[:, b]
+        out[b] = _dot_paired(block, cols[:, b]).max(axis=0)
     return out
 
 

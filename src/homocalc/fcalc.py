@@ -11,7 +11,7 @@ from functools import partial
 
 import numpy as np
 
-from .convexsets import _BLOCK_CELLS, _dot_columns, feasible_point
+from .convexsets import _blocks, _dot_paired, feasible_point
 from .errors import (
     DimensionMismatch,
     EmptyFamily,
@@ -24,10 +24,9 @@ from .homog import (
     DEFAULT_TOL,
     SublinearMap,
     SuperlinearMap,
-    _default_density,
+    _default_grid,
     _eval_columns,
     _finite_values,
-    sphere_grid,
 )
 from .lattice import RmElement, StepFunction, common_refinement
 
@@ -148,10 +147,11 @@ def saddle_build(phis, psis, tol=DEFAULT_TOL):
         raise DimensionMismatch("saddle_build", f"mixed map dimensions {sorted(dims)}")
     n = dims.pop()
 
-    grid = sphere_grid(n, _default_density(n))
-    phi_vals = np.array([p(grid.T) for p in phis])
-    psi_vals = np.array([q(grid.T) for q in psis])
-    worst = float((psi_vals[None, :, :] - phi_vals[:, None, :]).max())
+    grid = _default_grid(n)
+    hi = np.min([p(grid.T) for p in phis], axis=0)
+    lo = np.max([q(grid.T) for q in psis], axis=0)
+    # rounded subtraction is monotone, so this is the largest psi_j - phi_i
+    worst = float((lo - hi).max())
     if worst > tol:
         raise NotOrdered(
             "saddle_build",
@@ -170,8 +170,6 @@ def saddle_build(phis, psis, tol=DEFAULT_TOL):
         psi_labels=[q.label or f"psi{j}" for j, q in enumerate(psis)],
     )
     infsup, supinf = saddle_eval(S, grid)
-    lo = psi_vals.max(axis=0)
-    hi = phi_vals.min(axis=0)
     slack = tol * (1.0 + np.abs(hi).max())
     if (
         np.any(infsup < lo - slack)
@@ -189,11 +187,10 @@ def saddle_eval(S, x):
     """(infsup, supinf) of the coefficient matrix at a point or at many.
 
     x of shape (n,) gives two floats; points of shape (k, n) give two arrays
-    of shape (k,).  Points go in blocks of at most _BLOCK_CELLS
-    coefficient-by-point cells, summed coordinate by coordinate, so a
-    point's values do not depend on the other points.  Raises ValueError on
-    a NaN or infinite point and NonFiniteResult on a value outside the
-    float range.
+    of shape (k,).  Points go in _blocks of coefficient-by-point cells,
+    summed coordinate by coordinate, so a point's values do not depend on
+    the other points.  Raises ValueError on a NaN or infinite point and
+    NonFiniteResult on a value outside the float range.
     """
     pts = np.asarray(x, dtype=float)
     single = pts.ndim <= 1
@@ -203,14 +200,13 @@ def saddle_eval(S, x):
             "saddle_eval", f"points have shape {pts.shape}, saddle has dim {S.dim}"
         )
     P, Q = S.shape
-    step = max(1, _BLOCK_CELLS // (P * Q))
 
     def evaluate():
         out = np.empty((2, pts.shape[0]))
-        for c in range(0, pts.shape[0], step):
-            M = _dot_columns(S.coeffs, pts[c : c + step].T)
-            out[0, c : c + step] = M.max(axis=1).min(axis=0)
-            out[1, c : c + step] = M.min(axis=0).max(axis=0)
+        for b in _blocks(pts.shape[0], P * Q):
+            M = _dot_paired(S.coeffs[..., None, :], pts[b].T)
+            out[0, b] = M.max(axis=1).min(axis=0)
+            out[1, b] = M.min(axis=0).max(axis=0)
         return out
 
     infsup, supinf = _finite_values(evaluate, pts, "saddle_eval", unit="point")

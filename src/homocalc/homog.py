@@ -21,14 +21,16 @@ Semicontinuity cannot be certified from finitely many samples; the kind tag
 is declarative and only the oracle/family agreement is checked numerically.
 """
 
+from functools import lru_cache
+
 import numpy as np
 from scipy.special import ndtri
 
 from .convexsets import (
-    _BLOCK_CELLS,
     Ball,
     VPolytope,
-    _dot_columns,
+    _blocks,
+    _dot_paired,
     set_from_json,
     set_to_json,
     support_batch,
@@ -44,7 +46,6 @@ from .errors import (
 )
 
 DEFAULT_TOL = 1e-9
-_EVAL_CHUNK = 512
 
 
 class RepresentationWarning(UserWarning):
@@ -53,28 +54,20 @@ class RepresentationWarning(UserWarning):
     warning filters in bench/workloads.py and bench/test_bench.py name it."""
 
 
-def _finite_values(evaluate, points, op, name="", unit="column", lazy=False):
+def _finite_values(evaluate, points, op, name="", unit="column"):
     """evaluate() at finite points, with every value inside the float range.
 
-    A NaN or infinite point raises ValueError before evaluate() runs, or,
-    with lazy=True, only once some value is not finite (a support map's
-    value at such a point is never finite).  A value outside the float range raises
-    NonFiniteResult naming the first bad column (or point); values of shape
-    (r, k) are checked per column.  Overflow on the way to a finite value
-    raises nothing.
+    A NaN or infinite point raises ValueError before evaluate() runs.  A
+    value outside the float range raises NonFiniteResult naming the first
+    bad column (or point); values of shape (r, k) are checked per column.
+    Overflow on the way to a finite value raises nothing.
     """
-
-    def check_points():
-        if not np.isfinite(points).all():
-            raise ValueError(f"{name or op}: points must be finite")
-
-    if not lazy:
-        check_points()
+    if not np.isfinite(points).all():
+        raise ValueError(f"{name or op}: points must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
         values = evaluate()
     finite = np.isfinite(values)
     if not finite.all():
-        check_points()
         bad = np.flatnonzero(~np.atleast_2d(finite).all(axis=0))
         where = f"{name}: " if name else ""
         raise NonFiniteResult(op, f"{where}the value at {unit} {bad[0]} is outside the float range")
@@ -107,7 +100,7 @@ class _SupportMap:
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         cols = x.reshape(x.shape[0], -1)
-        values = _finite_values(lambda: self._values(cols), cols, type(self).__name__, lazy=True)
+        values = _finite_values(lambda: self._values(cols), cols, type(self).__name__)
         return float(values[0]) if x.ndim == 1 else values
 
     def __repr__(self):
@@ -134,12 +127,13 @@ class SuperlinearMap(_SupportMap):
 class FiniteFamily:
     """Explicit finite list of maps; its value is the extremum over every member.
 
-    values(cols, a, b) is the values of maps[a:b] at the columns of cols
-    (n, k), shape (b-a, k), each row bitwise the member's own values.  When
-    every member is a linear map of one class (each set a one-vertex
-    VPolytope, and all SublinearMap or all SuperlinearMap), a block is one
-    stacked matrix of their vertices, sign * (V . (sign * x)), the maps' own
-    arithmetic; otherwise each member evaluates the columns in turn.
+    values(cols, members) is the values of maps[members], for a slice
+    `members`, at the columns of cols (n, k), one row per member, each row
+    bitwise the member's own values.  When every member is a linear map of
+    one class (each set a one-vertex VPolytope, and all SublinearMap or all
+    SuperlinearMap), a block is one stacked matrix of their vertices,
+    sign * (V . (sign * x)), the maps' own arithmetic; otherwise each member
+    evaluates the columns in turn.
     """
 
     def __init__(self, maps):
@@ -152,11 +146,11 @@ class FiniteFamily:
         if linear and len({(type(m), m.dim) for m in maps}) == 1:
             self._stack = np.vstack([m.set.vertices for m in maps])
 
-    def values(self, cols, a, b):
+    def values(self, cols, members):
         if self._stack is None:
-            return np.array([m._values(cols) for m in self.maps[a:b]])
+            return np.array([m._values(cols) for m in self.maps[members]])
         sign = self.maps[0].sign
-        return sign * _dot_columns(self._stack[a:b], sign * cols)
+        return sign * _dot_paired(self._stack[members, None, :], sign * cols)
 
 
 class WitnessFamily:
@@ -228,24 +222,16 @@ def _pick_side(h, side):
 def _scan_columns(family, X, minimize):
     """Extremum of a finite family at every column of X, shape (n, k).
 
-    The fold of every member in order.  Columns go in groups of at most
-    _EVAL_CHUNK and members in blocks of at most _BLOCK_CELLS
-    member-by-column cells; every step is elementwise and ties keep the
-    later member, so a column's value does not depend on its batch.
+    The fold of every member in order, over all columns at once, in member
+    _blocks of k values per member: a block holds at most
+    max(_BLOCK_CELLS, k) values.  Every step is elementwise and ties keep
+    the later member, so a column's value does not depend on its batch.
     """
-    k = X.shape[1]
-    total = len(family.maps)
-    values = np.empty(k)
-    for c0 in range(0, k, _EVAL_CHUNK):
-        cols = X[:, c0 : c0 + _EVAL_CHUNK]
-        width = cols.shape[1]
-        step = max(1, min(_EVAL_CHUNK, _BLOCK_CELLS // width))
-        best = np.full(width, np.inf)
-        for a in range(0, total, step):
-            vals = family.values(cols, a, min(a + step, total))
-            best = np.minimum(best, np.minimum.accumulate(vals if minimize else -vals, axis=0)[-1])
-        values[c0 : c0 + width] = best
-    return values if minimize else -values
+    best = np.full(X.shape[1], np.inf)
+    for members in _blocks(len(family.maps), X.shape[1]):
+        vals = family.values(X, members)
+        best = np.minimum(best, np.minimum.accumulate(vals if minimize else -vals, axis=0)[-1])
+    return best if minimize else -best
 
 
 def _witness_columns(name, family, X):
@@ -348,13 +334,17 @@ def _values_on_grid(h, grid):
     return _eval_columns(h, grid.T, "auto")[0]
 
 
-def _default_density(n):
-    return 720 if n <= 2 else 2000
+@lru_cache(maxsize=None)
+def _default_grid(n):
+    """The default sphere grid of R^n, built once and read-only."""
+    grid = sphere_grid(n, 720 if n <= 2 else 2000)
+    grid.flags.writeable = False
+    return grid
 
 
 def sphere_bounds(h):
     """(m, M) with -m = min and M = max of h over the default sphere grid."""
-    vals = _values_on_grid(h, sphere_grid(h.dim, _default_density(h.dim)))
+    vals = _values_on_grid(h, _default_grid(h.dim))
     return float(-vals.min()), float(vals.max())
 
 
@@ -367,8 +357,7 @@ def domination_envelopes(h, grid_density=None):
     cross-checked on a grid subsample; disagreement raises
     EnvelopeViolation, as does an actual bracket violation on the grid.
     """
-    density = _default_density(h.dim) if grid_density is None else int(grid_density)
-    grid = sphere_grid(h.dim, density)
+    grid = _default_grid(h.dim) if grid_density is None else sphere_grid(h.dim, int(grid_density))
     vals = _values_on_grid(h, grid)
     m, M = float(-vals.min()), float(vals.max())
     m_env = max(m, 0.0)
@@ -388,7 +377,7 @@ def domination_envelopes(h, grid_density=None):
             f"{h.name}: grid values escape [-m, M] envelope by {worst:.3e}",
         )
     if h.oracle is not None:
-        stride = max(1, density // 128)
+        stride = max(1, len(grid) // 128)
         fam = _eval_columns(h, grid[::stride].T, "auto")[0]
         orc = vals[::stride]
         diff = np.abs(fam - orc)

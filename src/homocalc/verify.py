@@ -43,12 +43,11 @@ from .homog import (
     PHFunction,
     SublinearMap,
     SuperlinearMap,
-    _default_density,
+    _default_grid,
     angle_superlinear_family,
     builtin,
     circumscribed_polygon_map,
     disk_map,
-    sphere_grid,
 )
 from .lattice import CoordinateHom, RmElement, StepFunction, common_refinement, hom_eval
 
@@ -138,6 +137,19 @@ def _per_trial(lift, blocks):
     return np.split(whole.coords, np.cumsum([b.shape[1] for b in blocks[:-1]], dtype=int))
 
 
+def _worst_coordinate_failures(trials, tol):
+    """CheckFailures of the trials (digest inputs, observed, expected) whose
+    worst coordinate |observed - expected| is above tol; the digest is taken
+    for a failing trial only."""
+    failures = []
+    for inputs, got, want in trials:
+        err = np.abs(got - want)
+        k = int(err.argmax())
+        if err[k] > tol:
+            failures.append(CheckFailure(_digest(*inputs), float(got[k]), float(want[k]), tol))
+    return failures
+
+
 def check_engine_vs_oracle(h="example-7.1", trials=500, tol=1e-6, seed=0, m=None):
     """Family-scan engine against the closed-form oracle on random tuples.
 
@@ -153,12 +165,7 @@ def check_engine_vs_oracle(h="example-7.1", trials=500, tol=1e-6, seed=0, m=None
         data.append(rng.uniform(-5.0, 5.0, size=(h.dim, mt)))
     engine = _per_trial(partial(fc_semicontinuous, h), data)
     truth = _per_trial(partial(oracle_fc, h), data)
-    failures = []
-    for d, got, want in zip(data, engine, truth):
-        err = np.abs(got - want)
-        k = int(err.argmax())
-        if err[k] > tol:
-            failures.append(CheckFailure(_digest(d), float(got[k]), float(want[k]), tol))
+    failures = _worst_coordinate_failures(zip([(d,) for d in data], engine, truth), tol)
     return CheckReport(f"engine-vs-oracle[{h.name}]", trials, failures, seed)
 
 
@@ -234,12 +241,8 @@ def check_rep_independence(trials=100, tol=1e-3, seed=0, angles=720):
     other = [None] * trials
     other[0::2] = _per_trial(partial(fc_semicontinuous, poly_rep), data[0::2])
     other[1::2] = _per_trial(partial(fc_semicontinuous, both_rep), data[1::2])
-    failures = []
-    for t, (d, a, b) in enumerate(zip(data, exact, other)):
-        err = np.abs(a - b)
-        k = int(err.argmax())
-        if err[k] > tol:
-            failures.append(CheckFailure(_digest(d, [t]), float(b[k]), float(a[k]), tol))
+    inputs = [(d, [t]) for t, d in enumerate(data)]
+    failures = _worst_coordinate_failures(zip(inputs, other, exact), tol)
     return CheckReport("rep-independence", trials, failures, seed)
 
 
@@ -261,12 +264,8 @@ def check_continuous_agreement(trials=100, tol=1e-6, seed=0):
     for i, h in enumerate(hs):
         lo[i::count] = _per_trial(partial(fc_semicontinuous, h, side="sup"), data[i::count])
         hi[i::count] = _per_trial(partial(fc_semicontinuous, h, side="inf"), data[i::count])
-    failures = []
-    for t, (d, a, b) in enumerate(zip(data, lo, hi)):
-        err = np.abs(b - a)
-        k = int(err.argmax())
-        if err[k] > tol:
-            failures.append(CheckFailure(_digest(d, [t]), float(a[k]), float(b[k]), tol))
+    inputs = [(d, [t]) for t, d in enumerate(data)]
+    failures = _worst_coordinate_failures(zip(inputs, lo, hi), tol)
     return CheckReport("continuous-agreement", trials, failures, seed)
 
 
@@ -304,13 +303,12 @@ def check_sublattice_invariance(trials=200, seed=0):
         lift = partial(fc_semicontinuous, h)
         on_steps[i::count] = _per_trial(lift, [vals for _, vals in refined[i::count]])
         on_grid[i::count] = _per_trial(lift, embedded[i::count])
-    failures = []
-    for fs, (bp, _), grid, vals, right in zip(tuples, refined, grids, on_steps, on_grid):
-        left = lattice.embed_step_to_grid(StepFunction(bp, vals), grid).coords
-        if not np.array_equal(left, right):
-            worst = int(np.abs(left - right).argmax())
-            digest = _digest(grid, *[f.values for f in fs])
-            failures.append(CheckFailure(digest, float(right[worst]), float(left[worst]), 0.0))
+    inputs = [(grid, *[f.values for f in fs]) for fs, grid in zip(tuples, grids)]
+    on_steps_at_grid = [
+        lattice.embed_step_to_grid(StepFunction(bp, vals), grid).coords
+        for (bp, _), grid, vals in zip(refined, grids, on_steps)
+    ]
+    failures = _worst_coordinate_failures(zip(inputs, on_grid, on_steps_at_grid), 0.0)
     return CheckReport("sublattice-invariance", trials, failures, seed)
 
 
@@ -346,7 +344,7 @@ def check_saddle(trials=20, tol=1e-9, seed=0, corrupt=False):
         phi = SublinearMap(P, label="polytope-support")
         psis = [SuperlinearMap(VPolytope([v]), label=f"vertex{i}") for i, v in enumerate(verts)]
         S = saddle_build([phi], psis)
-        grid = sphere_grid(n, _default_density(n))
+        grid = _default_grid(n)
         infsup, supinf = saddle_eval(S, grid)
         gap = max(
             float(np.abs(infsup - supinf).max()),
@@ -368,7 +366,7 @@ def check_saddle(trials=20, tol=1e-9, seed=0, corrupt=False):
     cases += 1
     angle_fam = angle_superlinear_family(32)
     S32 = saddle_build([disk_map()], list(angle_fam.maps))
-    circle = sphere_grid(2, 720)
+    circle = _default_grid(2)
     infsup, supinf = saddle_eval(S32, circle)
     data = rng.uniform(-5.0, 5.0, size=(2, 8))
     fs = [RmElement(row) for row in data]

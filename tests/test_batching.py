@@ -6,14 +6,24 @@ columns it shares a call with.  Comparisons are on the float64 bytes, so
 they also catch a flipped sign of zero.
 """
 
+import ast
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homocalc.convexsets import Ball, VPolytope, _stack_sets, _support_stack, support_batch
+import homocalc
+from homocalc.convexsets import (
+    _BLOCK_CELLS,
+    Ball,
+    VPolytope,
+    _stack_sets,
+    _support_stack,
+    support_batch,
+)
 from homocalc.errors import DimensionMismatch
 from homocalc.fcalc import (
     fc_saddle,
@@ -101,7 +111,8 @@ def _assert_scan_matches_single_columns(h, X):
     ids=lambda h: h.name,
 )
 def test_batched_scan_equals_single_column_scans(h):
-    # 530 columns: more than one column group, and blocks of every height
+    # 530 columns in one call, in member blocks of 8192 // 530, against one
+    # call per column, in member blocks of 8192
     X = _columns(np.random.default_rng(7), h.dim, 530)
     _assert_scan_matches_single_columns(h, X)
 
@@ -120,7 +131,7 @@ def test_builtin_block_values_equal_stacked_columns(h):
                     return family.member_fn(family.witness_fn(cols), cols)
             else:
                 def block(cols):
-                    return family.values(cols, 0, len(family.maps))
+                    return family.values(cols, slice(None))
             whole = block(X)
             stacked = np.stack([block(X[:, j : j + 1]) for j in range(X.shape[1])], axis=-1)
         assert _bits(whole) == _bits(stacked.reshape(whole.shape))
@@ -219,6 +230,39 @@ def test_finite_family_visits_every_member():
     assert terms == len(maps)
 
 
+def _ball_polytope_family(rng, n, cls):
+    """Maps of one class on polytopes and balls alike: never one stack."""
+    sets = [VPolytope(rng.uniform(-3.0, 3.0, size=(k, n))) for k in (1, 4, 7)]
+    sets += [Ball(rng.uniform(-1.0, 1.0, n), r) for r in (0.0, 0.5, 2.0)]
+    return FiniteFamily([cls(s) for s in sets])
+
+
+@pytest.mark.parametrize(
+    "family, minimize",
+    [
+        (angle_superlinear_family(32), False),
+        (angle_superlinear_family(720), False),
+        (_ball_polytope_family(np.random.default_rng(17), 2, SublinearMap), True),
+        (_ball_polytope_family(np.random.default_rng(19), 2, SuperlinearMap), False),
+    ],
+    ids=["angles-32", "angles-720", "balls-polytopes-inf", "balls-polytopes-sup"],
+)
+def test_scan_past_one_block_is_the_member_by_member_fold(family, minimize):
+    # _BLOCK_CELLS + 1 columns leave room for one member per block, and one
+    # column for the most; both must be the fold of the members in order.
+    # The one column is (0, 0), where the members tie in signed zeros.
+    rng = np.random.default_rng(29)
+    grid = np.array(list(itertools.product(_SIGNED_ZERO_GRID, repeat=2))).T
+    X = np.hstack([grid, _columns(rng, 2, _BLOCK_CELLS + 1 - grid.shape[1])])
+    sign = 1.0 if minimize else -1.0
+    for cols in (X, X[:, :1]):
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = _scan_columns(family, cols, minimize)
+            members = np.array([m._values(cols) for m in family.maps])
+        fold = sign * np.minimum.accumulate(sign * members, axis=0)[-1]
+        assert _bits(values) == _bits(fold)
+
+
 # The stacked support kernel against one support_batch call per set.  Its
 # columns are signed (x and -x), the two sides of a map.  The grid is that
 # of test_homog.py::test_finite_family_block_is_its_members_values.
@@ -297,3 +341,23 @@ def test_stack_needs_one_kind_of_set_and_matching_columns():
         _support_stack(np.ones((2, 3)), **_stack_sets([square, square]))
     with pytest.raises(DimensionMismatch):
         _support_stack(np.ones((3, 2)), **_stack_sets([square, square]))
+
+
+def _names_read(path):
+    """Every name a module reads: bare names, attributes and imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names |= {a.name for a in node.names}
+    return names
+
+
+def test_only_convexsets_reads_the_block_size():
+    # one block policy: the other kernels loop over convexsets._blocks
+    src = Path(homocalc.__file__).parent
+    readers = [path.name for path in sorted(src.glob("*.py")) if "_BLOCK_CELLS" in _names_read(path)]
+    assert readers == ["convexsets.py"]

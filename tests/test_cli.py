@@ -282,8 +282,13 @@ def test_saddle_build_not_ordered_exits_3(capsys, tmp_path):
     inp = tmp_path / "bad.json"
     inp.write_text(json.dumps(doc))
     code, out, err = run(capsys, "saddle-build", "--family", str(inp))
-    assert code == 3
-    assert "error" in err
+    assert (code, out) == (3, "")
+    # the worst psi - phi gap on the default grid: the vertex's unit length
+    # against the ball's radius
+    assert err == (
+        '{"error": {"message": "some psi exceeds some phi by 5.000e-01 on the sphere grid", '
+        '"operation": "saddle_build"}}\n'
+    )
 
 
 def test_unknown_builtin_exits_2(capsys):

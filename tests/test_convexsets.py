@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +10,7 @@ from homocalc.convexsets import (
     PROJECT_TOL,
     Ball,
     VPolytope,
+    _norms,
     contains,
     coordinate_bound,
     feasible_point,
@@ -49,6 +53,32 @@ def test_support_batch_matches_pointwise():
     for s in (SQUARE, Ball([1.0, -1.0], 2.0)):
         batched = support_batch(s, pts)
         assert batched == pytest.approx([support(s, p) for p in pts])
+
+
+_EXTREME_GRID = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1.1e-318, 0.1, -0.7, 1 / 3, 1.0, -3.0, 1e300, -1e300, 1.7e308]
+_BALL_RADII = [0.0, 5e-324, 1.0, 1e300, 1.7e308]
+_EXTREME_SHA256 = {
+    1: "5832167882b110783cdead2b4b126680060b98d03f931c0967055a137bd68ba1",
+    2: "27b2f976b7a3897f18d071ffe6d40a88198794df4cd5c7f849b78ce8e8b32c07",
+    3: "f3b1b2017a72aab2442efe0aee4caede46d8123331fcf55b917463e1568c13e4",
+}
+
+
+@pytest.mark.parametrize("n", sorted(_EXTREME_SHA256))
+def test_norms_and_ball_support_bytes_are_pinned(n):
+    # every column of signed zeros, subnormals, huge entries and values
+    # whose squares round (so the sum order shows in R^3), and balls
+    # centred on every 7th of them, at x and -x: the bytes of the values,
+    # overflows and NaN patterns included
+    cols = np.array(list(itertools.product(_EXTREME_GRID, repeat=n))).T
+    sha = hashlib.sha256()
+    with np.errstate(over="ignore", invalid="ignore"):
+        sha.update(_norms(cols).tobytes())
+        for center, r in zip(cols.T[::7], itertools.cycle(_BALL_RADII)):
+            ball = Ball(center, r)
+            for sign in (1.0, -1.0):
+                sha.update(support_batch(ball, sign * cols.T).tobytes())
+    assert sha.hexdigest() == _EXTREME_SHA256[n]
 
 
 def test_support_argmax_tie_lowest_index():

@@ -373,7 +373,7 @@ def test_builtin_scan_is_the_fold_over_the_budget(name, side):
         total = len(family.maps)
         with np.errstate(over="ignore", invalid="ignore"):
             values = _scan_columns(family, X, minimize=minimize)
-            vals = family.values(X, 0, total)
+            vals = family.values(X, slice(0, total))
         sign = 1.0 if minimize else -1.0
         fold = sign * np.minimum.accumulate(sign * vals, axis=0)[-1]
         assert _bits(values) == _bits(fold)
@@ -410,7 +410,7 @@ def test_finite_family_scan_is_the_fold_over_every_member():
     X = np.concatenate([specials, rng.uniform(-5.0, 5.0, 300), scaled])[None, :]
     with np.errstate(over="ignore"):
         values = _scan_columns(family, X, minimize=True)
-        vals = family.values(X, 0, 1000)
+        vals = family.values(X, slice(0, 1000))
         one_by_one = np.array([m._values(X) for m in family.maps])
     assert (vals == one_by_one).all()
     assert _bits(values) == _bits(np.minimum.accumulate(vals, axis=0)[-1])
@@ -439,7 +439,7 @@ def test_finite_family_block_is_its_members_values(family, n):
     # block is bitwise every member's value, signed zeros included
     X = np.array(list(itertools.product(_SIGNED_ZERO_GRID, repeat=n))).T
     with np.errstate(over="ignore", invalid="ignore"):
-        block = family.values(X, 0, len(family.maps))
+        block = family.values(X, slice(None))
         members = np.array([m._values(X) for m in family.maps])
     assert _bits(block) == _bits(members)
 
@@ -534,6 +534,20 @@ def test_domination_envelopes_detect_bad_oracle():
     )
     with pytest.raises(EnvelopeViolation):
         domination_envelopes(bad)
+
+
+@pytest.mark.parametrize("grid_density", [None, 1000])
+def test_domination_envelopes_cross_check_both_points_of_the_line(grid_density):
+    # the sphere of R^1 is {1, -1} at any density; an oracle that is wrong
+    # at -1 alone (x in place of |x|) must still be caught
+    bad = PHFunction(
+        "bad-oracle-1d",
+        1,
+        inf_family=FiniteFamily([SublinearMap(VPolytope([[1.0], [-1.0]]))]),
+        oracle=lambda pts: np.asarray(pts, dtype=float)[..., 0],
+    )
+    with pytest.raises(EnvelopeViolation, match="disagree"):
+        domination_envelopes(bad, grid_density=grid_density)
 
 
 def test_check_positive_homogeneity_passes_for_builtins():
