@@ -314,8 +314,6 @@ def main(argv=None):
         return args.func(args)
     except _InputError as exc:
         return _fail(EXIT_INPUT, args.command, exc.message)
-    except SchemaError as exc:
-        return _fail(EXIT_INPUT, "load", exc.message)
     except _NUMERICAL as exc:
         return _fail(EXIT_NUMERICAL, exc.operation, exc.message)
     except CalculusError as exc:

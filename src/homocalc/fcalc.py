@@ -243,27 +243,27 @@ def saddle_to_json(S):
     }
 
 
-def saddle_from_json(obj, source="<inline>", path="saddle"):
+def saddle_from_json(obj, source="<inline>"):
     if not isinstance(obj, dict) or "saddle" not in obj:
-        raise SchemaError(source, path, "expected a 'saddle' object")
+        raise SchemaError(source, "$", "expected a 'saddle' object")
     body = obj["saddle"]
     if not isinstance(body, dict) or "coeffs" not in body:
-        raise SchemaError(source, f"{path}.saddle", "expected {'coeffs': [[[...]]]}")
+        raise SchemaError(source, "saddle", "expected {'coeffs': [[[...]]]}")
     try:
         coeffs = np.asarray(body["coeffs"], dtype=float)
     except (TypeError, ValueError):
-        raise SchemaError(source, f"{path}.saddle.coeffs", "expected a numeric 3-d array") from None
+        raise SchemaError(source, "saddle.coeffs", "expected a numeric 3-d array") from None
     if coeffs.ndim != 3:
-        raise SchemaError(source, f"{path}.saddle.coeffs", "expected shape (P, Q, n)")
+        raise SchemaError(source, "saddle.coeffs", "expected shape (P, Q, n)")
     if not np.all(np.isfinite(coeffs)):
-        raise SchemaError(source, f"{path}.saddle.coeffs", "coefficients must be finite")
+        raise SchemaError(source, "saddle.coeffs", "coefficients must be finite")
     labels = {}
     for key in ("phi_labels", "psi_labels"):
         if key in body:
             val = body[key]
             if not isinstance(val, list) or not all(isinstance(s, str) for s in val):
-                raise SchemaError(source, f"{path}.saddle.{key}", "expected a list of strings")
+                raise SchemaError(source, f"saddle.{key}", "expected a list of strings")
             if len(val) != coeffs.shape[0 if key == "phi_labels" else 1]:
-                raise SchemaError(source, f"{path}.saddle.{key}", "label count mismatch")
+                raise SchemaError(source, f"saddle.{key}", "label count mismatch")
             labels[key] = val
     return SaddleFamily(coeffs, **labels)

@@ -22,9 +22,9 @@ is declarative and only the oracle/family agreement is checked numerically.
 """
 
 from functools import lru_cache
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .convexsets import (
     Ball,
@@ -224,14 +224,16 @@ def _scan_columns(family, X, minimize):
 
     The fold of every member in order, over all columns at once, in member
     _blocks of k values per member: a block holds at most
-    max(_BLOCK_CELLS, k) values.  Every step is elementwise and ties keep
-    the later member, so a column's value does not depend on its batch.
+    max(_BLOCK_CELLS, k) values.  Each block is reduced along its member
+    axis, and the blocks are folded from +inf (minimize) or -inf.  Every
+    step is elementwise and ties keep the later member, so a column's value
+    does not depend on its batch.
     """
-    best = np.full(X.shape[1], np.inf)
+    fold, start = (np.minimum, np.inf) if minimize else (np.maximum, -np.inf)
+    best = np.full(X.shape[1], start)
     for members in _blocks(len(family.maps), X.shape[1]):
-        vals = family.values(X, members)
-        best = np.minimum(best, np.minimum.accumulate(vals if minimize else -vals, axis=0)[-1])
-    return best if minimize else -best
+        best = fold(best, fold.reduce(family.values(X, members), axis=0))
+    return best
 
 
 def _witness_columns(name, family, X):
@@ -299,7 +301,9 @@ def _kronecker_alphas(n):
 
 def sphere_grid(n, density):
     """Deterministic unit-sphere sample: uniform angles (n=2), Fibonacci
-    spiral (n=3), Kronecker lattice through the Gaussian (n>=4)."""
+    spiral (n=3), Kronecker lattice through the Gaussian (n>=4), mapped by
+    the standard library's inverse normal, statistics.NormalDist().inv_cdf
+    (Wichura's AS 241)."""
     if density < 8:
         raise ValueError("grid density must be >= 8")
     if n == 1:
@@ -318,7 +322,7 @@ def sphere_grid(n, density):
     alphas = _kronecker_alphas(n)
     i = np.arange(1, density + 1, dtype=float)
     u = (0.5 + np.outer(i, alphas)) % 1.0
-    z = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
+    z = np.vectorize(NormalDist().inv_cdf, otypes=[float])(np.clip(u, 1e-12, 1.0 - 1e-12))
     norms = np.linalg.norm(z, axis=1)
     bad = norms < 1e-9
     if np.any(bad):
@@ -656,50 +660,46 @@ def _family_from_map_list(objs, side, source, path):
     return FiniteFamily(maps), dims.pop()
 
 
-def function_from_json(obj, source="<inline>", path="family"):
+def function_from_json(obj, source="<inline>"):
     if not isinstance(obj, dict) or "family" not in obj:
-        raise SchemaError(source, path, "expected a 'family' object")
+        raise SchemaError(source, "$", "expected a 'family' object")
     body = obj["family"]
     if not isinstance(body, dict):
-        raise SchemaError(source, f"{path}.family", "expected an object")
+        raise SchemaError(source, "family", "expected an object")
     maps = body.get("maps", body if "builtin" in body else None)
     if isinstance(maps, dict) and "builtin" in maps:
         name = maps["builtin"]
         if not isinstance(name, str):
-            raise SchemaError(source, f"{path}.family.maps.builtin", "expected a string")
+            raise SchemaError(source, "family.maps.builtin", "expected a string")
         try:
             h = builtin(name)
         except UnknownBuiltin as exc:
-            raise SchemaError(source, f"{path}.family.maps.builtin", exc.message) from exc
+            raise SchemaError(source, "family.maps.builtin", exc.message) from exc
         kind = body.get("kind")
         if kind is not None and kind != h.kind:
-            raise SchemaError(
-                source, f"{path}.family.kind", f"builtin {name!r} has kind {h.kind!r}, not {kind!r}"
-            )
+            raise SchemaError(source, "family.kind", f"builtin {name!r} has kind {h.kind!r}, not {kind!r}")
         return h
     kind = body.get("kind")
     if kind not in ("usc", "lsc", "cts"):
-        raise SchemaError(source, f"{path}.family.kind", "expected 'usc', 'lsc' or 'cts'")
+        raise SchemaError(source, "family.kind", "expected 'usc', 'lsc' or 'cts'")
     if maps is None:
-        raise SchemaError(source, f"{path}.family.maps", "expected a map list or {'builtin': name}")
+        raise SchemaError(source, "family.maps", "expected a map list or {'builtin': name}")
     if kind == "cts":
         if not isinstance(maps, dict) or "inf" not in maps or "sup" not in maps:
-            raise SchemaError(
-                source, f"{path}.family.maps", "continuous kind needs {'inf': [...], 'sup': [...]}"
-            )
+            raise SchemaError(source, "family.maps", "continuous kind needs {'inf': [...], 'sup': [...]}")
         if not isinstance(maps["inf"], list) or not maps["inf"]:
-            raise SchemaError(source, f"{path}.family.maps.inf", "expected a nonempty list")
+            raise SchemaError(source, "family.maps.inf", "expected a nonempty list")
         if not isinstance(maps["sup"], list) or not maps["sup"]:
-            raise SchemaError(source, f"{path}.family.maps.sup", "expected a nonempty list")
-        inf_fam, dim_inf = _family_from_map_list(maps["inf"], "inf", source, f"{path}.family.maps.inf")
-        sup_fam, dim_sup = _family_from_map_list(maps["sup"], "sup", source, f"{path}.family.maps.sup")
+            raise SchemaError(source, "family.maps.sup", "expected a nonempty list")
+        inf_fam, dim_inf = _family_from_map_list(maps["inf"], "inf", source, "family.maps.inf")
+        sup_fam, dim_sup = _family_from_map_list(maps["sup"], "sup", source, "family.maps.sup")
         if dim_inf != dim_sup:
-            raise SchemaError(source, f"{path}.family.maps", "inf and sup sides have different dims")
+            raise SchemaError(source, "family.maps", "inf and sup sides have different dims")
         return PHFunction("user-family", dim_inf, inf_family=inf_fam, sup_family=sup_fam)
     if not isinstance(maps, list) or not maps:
-        raise SchemaError(source, f"{path}.family.maps", "expected a nonempty list")
+        raise SchemaError(source, "family.maps", "expected a nonempty list")
     side = "inf" if kind == "usc" else "sup"
-    fam, dim = _family_from_map_list(maps, side, source, f"{path}.family.maps")
+    fam, dim = _family_from_map_list(maps, side, source, "family.maps")
     if kind == "usc":
         return PHFunction("user-family", dim, inf_family=fam)
     return PHFunction("user-family", dim, sup_family=fam)

@@ -184,12 +184,8 @@ def refine(f, g):
     """Rewrite two step functions on the union of their breakpoints."""
     if not (isinstance(f, StepFunction) and isinstance(g, StepFunction)):
         raise LatticeMismatch("refine", "refine applies to StepFunctions")
-    bp = np.union1d(f.breakpoints, g.breakpoints)
-    lefts = bp[:-1]
-    return (
-        StepFunction(bp, f.values_at(lefts)),
-        StepFunction(bp, g.values_at(lefts)),
-    )
+    bp, (fv, gv) = common_refinement([f, g])
+    return StepFunction(bp, fv), StepFunction(bp, gv)
 
 
 def common_refinement(fs):

@@ -312,6 +312,25 @@ def test_schema_violation_reports_source_and_path(capsys, tmp_path):
     assert "maps[0]" in doc["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "command, doc, where",
+    [
+        (["eval", "--x", "1,2"], {"family": {"kind": "usc", "maps": []}}, "family.maps: expected a nonempty list"),
+        (["eval", "--x", "1,2"], {"maps": []}, "$: expected a 'family' object"),
+        (["saddle-eval", "--x", "1,0"], {"saddle": {"coeffs": [[1.0, 2.0]]}}, "saddle.coeffs: expected shape (P, Q, n)"),
+        (["saddle-eval", "--x", "1,0"], {"coeffs": []}, "$: expected a 'saddle' object"),
+    ],
+    ids=["family-maps", "family-missing", "saddle-coeffs", "saddle-missing"],
+)
+def test_schema_error_paths_start_at_the_document_root(capsys, tmp_path, command, doc, where):
+    inp = tmp_path / "bad.json"
+    inp.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command[0], "--family", str(inp), *command[1:])
+    assert (code, out) == (2, "")
+    want = {"error": {"message": f"{inp}: {where}", "operation": "load"}}
+    assert err == json.dumps(want, sort_keys=True) + "\n"
+
+
 def test_dimension_mismatch_exits_2(capsys):
     code, _, err = run(capsys, "eval", "--builtin", "example-7.1", "--x", "1,2,3")
     assert code == 2

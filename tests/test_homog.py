@@ -494,6 +494,35 @@ def test_sphere_grid_shapes_and_norms():
         sphere_grid(2, 4)
 
 
+# rows of the Kronecker grids as scipy.special.ndtri built them; the standard
+# library's inverse normal is within a few ulps of ndtri, so the grids agree
+# to 4.5e-16
+@pytest.mark.parametrize(
+    "n, density, row, want",
+    [
+        (4, 2000, 0, [-0.16318654101519137, -0.32253856331072994, -0.5030827302351272, -0.785013881755041]),
+        (4, 2000, 1, [-0.3715573955542179, 0.8644055572895822, 0.32628646552786716, 0.09102349558869607]),
+        (4, 2000, 7, [-0.3728184838366674, -0.32592813607039045, 0.0737386963043052, 0.865644172217864]),
+        (4, 2000, 500, [0.4494582880486209, -0.8111980261063658, -0.03981904244099369, -0.37196700606992134]),
+        (4, 2000, 1234, [-0.008051273120158658, 0.5245013520504744, 0.8241627982391639, 0.21351625394091253]),
+        (4, 2000, 1999, [0.5523882586500951, -0.305069901746099, 0.7267424003076105, 0.27137621551874097]),
+        (6, 100, 0, [-0.09355432935861585, -0.18312335880565853, -0.27427815587004767,
+                     -0.37413797013756983, -0.49730836954402363, -0.7036974357018244]),
+        (6, 100, 13, [-0.6529756708932924, 0.4035570630218261, 0.19308179686286195,
+                      0.1557681955005284, 0.2520826937840251, 0.5344852426325348]),
+        (6, 100, 57, [0.1710218967136157, -0.22784419429303748, 0.1289230240977451,
+                      -0.2474482618416532, -0.009625202867433976, -0.9170027813535965]),
+        (6, 100, 99, [-0.14779514424119522, -0.2791475800309966, -0.6233034682134165,
+                      0.2481475210194794, -0.529802143703037, -0.41165338180833955]),
+    ],
+)
+def test_kronecker_grid_rows_are_pinned(n, density, row, want):
+    g = sphere_grid(n, density)
+    assert g.shape == (density, n)
+    assert g[row] == pytest.approx(want, rel=0, abs=4.5e-16)
+    assert np.linalg.norm(g, axis=1) == pytest.approx(np.ones(density), rel=0, abs=1e-15)
+
+
 def test_sphere_bounds_examples():
     m, M = sphere_bounds(builtin("example-7.1"))
     assert m == pytest.approx(0.0, abs=1e-12)

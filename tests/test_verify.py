@@ -178,6 +178,40 @@ def test_python_m_homocalc_runs_the_cli():
     assert _sha256(done.stdout) == SUITE_SEED_0_SHA256
 
 
+_BLOCK_SCIPY = """
+import sys
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError("scipy is blocked")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
+from homocalc import cli
+
+code = cli.main(["suite", "--seed", "0"])
+loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+sys.stderr.write(repr(loaded))
+sys.exit(code)
+"""
+
+
+def test_suite_runs_without_scipy():
+    # numpy is the package's one dependency: with every scipy import made to
+    # fail, the suite still prints its pinned bytes and loads no scipy module
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", _BLOCK_SCIPY],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "[]")
+    assert _sha256(done.stdout) == SUITE_SEED_0_SHA256
+
+
 @pytest.mark.parametrize(
     "run, failures, digest",
     [
