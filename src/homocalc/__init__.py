@@ -56,7 +56,6 @@ from .homog import (
     WitnessFamily,
     angle_superlinear_family,
     builtin,
-    check_positive_homogeneity,
     circumscribed_polygon_map,
     disk_map,
     domination_envelopes,

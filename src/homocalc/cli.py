@@ -8,6 +8,7 @@ error, bad flags included, is one JSON line on stderr.
 """
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -192,27 +193,28 @@ def _tol(args):
     return {} if args.tol is None else {"tol": args.tol}
 
 
-# each check, with the flags it reads besides --seed and --out
 _CHECKS = {
-    "engine-vs-oracle": (verify.check_engine_vs_oracle, ("builtin", "tol")),
-    "interchange": (verify.check_interchange, ("tol",)),
-    "rep-independence": (verify.check_rep_independence, ("tol",)),
-    "continuous-agreement": (verify.check_continuous_agreement, ("tol",)),
-    "sublattice-invariance": (verify.check_sublattice_invariance, ()),
-    "saddle": (verify.check_saddle, ("tol",)),
-    "negative-controls": (verify.negative_controls, ()),
+    "engine-vs-oracle": verify.check_engine_vs_oracle,
+    "interchange": verify.check_interchange,
+    "rep-independence": verify.check_rep_independence,
+    "continuous-agreement": verify.check_continuous_agreement,
+    "sublattice-invariance": verify.check_sublattice_invariance,
+    "saddle": verify.check_saddle,
+    "negative-controls": verify.negative_controls,
 }
-# the keyword argument that each of those flags sets
+# the keyword argument that each flag besides --seed and --out sets; a check
+# reads the flag when its signature has that keyword
 _CHECK_KEYWORDS = {"builtin": "h", "tol": "tol"}
 
 
 def _cmd_check(args):
-    check, reads = _CHECKS[args.name]
+    check = _CHECKS[args.name]
+    keywords = inspect.signature(check).parameters
     kwargs = {}
     for flag, keyword in _CHECK_KEYWORDS.items():
         value = getattr(args, flag)
         if value is not None:
-            if flag not in reads:
+            if keyword not in keywords:
                 raise _InputError(f"check {args.name} does not read --{flag}; drop it")
             kwargs[keyword] = value
     report = check(seed=_seed(args), **kwargs)

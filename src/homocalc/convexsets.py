@@ -17,13 +17,18 @@ from .errors import (
     SchemaError,
 )
 
-# Defaults pinned for the projection solve: Frank-Wolfe gap tolerance and
-# cap on the major cycles of Wolfe's min-norm-point method.
-PROJECT_TOL = 1e-9
+# Default bound on the distance between two sets that feasible_point (and
+# so saddle_build) still counts as meeting.
+FEASIBLE_TOL = 1e-9
+# Cap on the major cycles of Wolfe's min-norm-point method.
 PROJECT_MAX_ITER = 100_000
-# Rounding floor of that gap, relative to the largest squared distance from
-# p to a vertex: 1024 machine epsilons.
+# Rounding floor of Wolfe's Frank-Wolfe gap, relative to the largest squared
+# distance from p to a vertex: 1024 machine epsilons.
 _GAP_FLOOR = 2.0**-42
+# Wolfe's method runs on its data as given while their largest squared row
+# norm lies in this range, far inside the float range; outside it the data
+# are first scaled by an exact power of two.
+_SAFE_SQ = (2.0**-510, 2.0**510)
 # A sum of squares in this range has neither overflowed nor lost a square
 # that matters to underflow.
 _SAFE_SUM = (2.0**-960, 2.0**960)
@@ -239,20 +244,27 @@ def _affine_weights(P):
     return np.concatenate(([1.0 - z.sum()], z)), U[:, :r]
 
 
-def _min_norm_weights(D, tol, max_iter, op):
+def _min_norm_weights(D, max_iter, op):
     """Wolfe's nearest point x = w @ D[corral] to 0 in the hull of D's rows.
 
     Returns the corral (row indices) and its weights, all > 0.  A major
     cycle adds the row with the smallest x.d; minor cycles move to the
     corral's affine minimizer, dropping rows until every weight is > 0.
     Stops at a Frank-Wolfe gap x.x - min_i x.d_i (which bounds
-    (||x||^2 - min ||.||^2) / 2) of at most tol, or of at most _GAP_FLOOR
+    (||x||^2 - min ||.||^2) / 2) of at most 0, or of at most _GAP_FLOOR
     max_i ||d_i||^2 once rounding stops progress (the chosen row is in the
     corral, or ||x|| did not fall).  Else raises NoConvergence, as it does
-    after max_iter major cycles.
+    after max_iter major cycles.  The weights do not depend on D's scale:
+    where max_i ||d_i||^2 lies outside _SAFE_SQ, D is first scaled by an
+    exact power of two; inside it the run sees D's own bits.
     """
     sq = np.einsum("ij,ij->i", D, D)
-    floor = _GAP_FLOOR * float(sq.max())
+    top = float(sq.max())
+    if not _SAFE_SQ[0] <= top <= _SAFE_SQ[1]:
+        D = np.ldexp(D, -np.frexp(np.abs(D).max())[1])
+        sq = np.einsum("ij,ij->i", D, D)
+        top = float(sq.max())
+    floor = _GAP_FLOOR * top
     corral = [int(np.argmin(sq))]
     w, span = np.ones(1), None
     last = np.inf
@@ -268,7 +280,7 @@ def _min_norm_weights(D, tol, max_iter, op):
         xx = float(x @ x)
         gap = xx - float(g[j])
         stalled = j in corral or xx >= last
-        if gap <= tol or (stalled and gap <= floor):
+        if gap <= 0 or (stalled and gap <= floor):
             return corral, w
         if stalled or cycle == max_iter:
             break
@@ -289,20 +301,19 @@ def _min_norm_weights(D, tol, max_iter, op):
             keep = np.flatnonzero(w > 0)
             corral = [corral[i] for i in keep]
             w = w[keep]
-    raise NoConvergence(
-        op, f"optimality gap {gap:.3e} above {tol:.1e} after {cycle} major cycles"
-    )
+    raise NoConvergence(op, f"optimality gap {gap:.3e} after {cycle} major cycles")
 
 
-def project(s, p, tol=PROJECT_TOL, max_iter=PROJECT_MAX_ITER):
+def project(s, p, max_iter=PROJECT_MAX_ITER):
     """Nearest point q of s to p.
 
     Balls are handled in closed form.  Polytopes run Wolfe's finite
-    min-norm-point method on the vertices minus p; q is a convex combination
-    of vertices.  Certificate: the Frank-Wolfe gap x.x - min_i x.(v_i - p)
-    at x = q - p is at most tol, or, where rounding stops progress first,
-    at most 2^-42 max_i ||v_i - p||^2.  Raises NoConvergence otherwise, and
-    when max_iter major cycles run out.
+    min-norm-point method (_min_norm_weights) on the vertices minus p; q is
+    a convex combination of vertices.  Certificate: the Frank-Wolfe gap
+    x.x - min_i x.(v_i - p) at x = q - p is at most 0, or, where rounding
+    stops progress first, at most 2^-42 max_i ||v_i - p||^2; both are
+    relative to the data, so the stop is the same at every scale.  Raises
+    NoConvergence otherwise, and when max_iter major cycles run out.
     """
     p = _check_point(s, p, "project")
     if isinstance(s, Ball):
@@ -312,22 +323,22 @@ def project(s, p, tol=PROJECT_TOL, max_iter=PROJECT_MAX_ITER):
             return p.copy()
         return s.center + (s.radius / nrm) * d
     if isinstance(s, VPolytope):
-        corral, w = _min_norm_weights(s.vertices - p, tol, max_iter, "project")
+        corral, w = _min_norm_weights(s.vertices - p, max_iter, "project")
         return w @ s.vertices[corral]
     raise TypeError(f"unsupported set type {type(s).__name__}")
 
 
 def contains(s, a, tol):
-    """Membership test: dist(a, s) <= tol, projecting with a gap of tol^2 in [1e-16, 1e-12]."""
+    """Membership test: dist(a, s) <= tol."""
     a = _check_point(s, a, "contains")
     if tol <= 0:
         raise ValueError("tol must be > 0")
     if isinstance(s, Ball):
         return _norm(a - s.center) - s.radius <= tol
-    return _norm(a - project(s, a, tol=max(min(tol * tol, 1e-12), 1e-16))) <= tol
+    return _norm(a - project(s, a)) <= tol
 
 
-def feasible_point(set_a, set_b, tol=PROJECT_TOL):
+def feasible_point(set_a, set_b, tol=FEASIBLE_TOL):
     """A point within tol of both sets, from exact cases.
 
     Two balls: the middle of the stretch of the segment between the centres
@@ -352,12 +363,12 @@ def feasible_point(set_a, set_b, tol=PROJECT_TOL):
             point += ((hi if lo > hi else 0.5 * (lo + hi)) / nrm) * d
     elif isinstance(set_a, Ball) or isinstance(set_b, Ball):
         ball, poly = (set_a, set_b) if isinstance(set_a, Ball) else (set_b, set_a)
-        point = project(poly, ball.center, tol=0.0)
+        point = project(poly, ball.center)
         dist = _norm(point - ball.center) - ball.radius
     else:
         A, B = set_a.vertices, set_b.vertices
         D = (A[:, None, :] - B[None, :, :]).reshape(-1, A.shape[1])
-        corral, w = _min_norm_weights(D, 0.0, PROJECT_MAX_ITER, "feasible_point")
+        corral, w = _min_norm_weights(D, PROJECT_MAX_ITER, "feasible_point")
         rows = np.array(corral)
         point = w @ A[rows // B.shape[0]]
         dist = _norm(point - w @ B[rows % B.shape[0]])

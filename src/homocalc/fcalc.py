@@ -11,7 +11,7 @@ from functools import partial
 
 import numpy as np
 
-from .convexsets import _blocks, _dot_paired, feasible_point
+from .convexsets import FEASIBLE_TOL, _blocks, _dot_paired, feasible_point
 from .errors import (
     DimensionMismatch,
     EmptyFamily,
@@ -21,7 +21,6 @@ from .errors import (
     SchemaError,
 )
 from .homog import (
-    DEFAULT_TOL,
     SublinearMap,
     SuperlinearMap,
     _default_grid,
@@ -124,7 +123,7 @@ class SaddleFamily:
         return self.coeffs.shape[2]
 
 
-def saddle_build(phis, psis, tol=DEFAULT_TOL):
+def saddle_build(phis, psis, tol=FEASIBLE_TOL):
     """Pairwise coefficients for an ordered (psi <= phi) pair of families.
 
     Validates psi_j <= phi_i on a sphere grid first (NotOrdered on failure),

@@ -45,8 +45,6 @@ from .errors import (
     UnknownBuiltin,
 )
 
-DEFAULT_TOL = 1e-9
-
 
 class RepresentationWarning(UserWarning):
     """Never raised: drift from the oracle is data, the max_residual of
@@ -197,9 +195,6 @@ class PHFunction:
         if self.inf_family is not None and self.sup_family is not None:
             return "cts"
         return "usc" if self.inf_family is not None else "lsc"
-
-    def oracle_at(self, x):
-        return float(self.oracle(np.asarray(x, dtype=float)))
 
     def __repr__(self):
         return f"PHFunction({self.name!r}, kind={self.kind}, dim={self.dim})"
@@ -393,34 +388,6 @@ def domination_envelopes(h, grid_density=None):
                 "on the sphere grid (bad oracle or coarse family)",
             )
     return psi, phi
-
-
-class HomogeneityReport:
-    def __init__(self, name, samples, violations, seed):
-        self.name = name
-        self.samples = samples
-        self.violations = violations
-        self.seed = seed
-
-    @property
-    def passed(self):
-        return not self.violations
-
-
-def check_positive_homogeneity(h, samples=200, tol=DEFAULT_TOL, seed=0):
-    """Sample |h(lam*x) - lam*h(x)| <= tol*(1+lam) through the oracle."""
-    if h.oracle is None:
-        raise ValueError("check_positive_homogeneity needs an oracle")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x504F53]))
-    xs = rng.uniform(-5.0, 5.0, size=(samples, h.dim))
-    lams = rng.uniform(0.0, 10.0, size=samples)
-    violations = []
-    for x, lam in zip(xs, lams):
-        lhs = float(h.oracle(lam * x))
-        rhs = lam * float(h.oracle(x))
-        if abs(lhs - rhs) > tol * (1.0 + lam):
-            violations.append({"x": x.tolist(), "lambda": float(lam), "gap": abs(lhs - rhs)})
-    return HomogeneityReport(h.name, samples, violations, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from . import lattice
 from .convexsets import Ball, VPolytope, _stack_sets, _support_stack
 from .errors import SaddleGap
 from .fcalc import (
+    SADDLE_TOL,
     SaddleFamily,
     _lift_columns,
     fc_saddle,
@@ -390,9 +391,9 @@ def check_saddle(trials=20, tol=1e-9, seed=0, corrupt=False):
         try:
             fc_saddle(S_bad, [RmElement([2.0, 0.0]), RmElement([-1.0, 3.0])])
         except SaddleGap as exc:
-            failures.append(CheckFailure(_digest(bad), str(exc), "no gap", 1e-6))
+            failures.append(CheckFailure(_digest(bad), str(exc), "no gap", SADDLE_TOL))
         else:
-            failures.append(CheckFailure(_digest(bad), "no SaddleGap raised", "SaddleGap", 1e-6))
+            failures.append(CheckFailure(_digest(bad), "no SaddleGap raised", "SaddleGap", SADDLE_TOL))
     return CheckReport("saddle", cases, failures, seed)
 
 

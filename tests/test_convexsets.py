@@ -3,11 +3,10 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from homocalc.convexsets import (
-    PROJECT_TOL,
     Ball,
     VPolytope,
     _norms,
@@ -118,7 +117,7 @@ def test_project_no_convergence_with_tiny_iteration_cap():
 
 
 def test_project_thin_triangle_gap_at_tight_tol():
-    # An iterative method stalls here far above the 1e-12 gap.
+    # An iterative method stalls here far above a 1e-12 gap.
     tri = VPolytope(
         [
             [0.47410345865830655, -0.00810366661777852],
@@ -127,7 +126,7 @@ def test_project_thin_triangle_gap_at_tight_tol():
         ]
     )
     p = np.array([0.3897486148023525, -0.16807201777335612])
-    q = project(tri, p, tol=1e-12)
+    q = project(tri, p)
     assert contains(tri, q, 1e-12)
     # nearest: no vertex lies beyond the plane through q normal to p - q
     assert ((tri.vertices - q) @ (p - q)).max() <= 1e-15
@@ -293,13 +292,46 @@ def test_projection_is_nearest(p, seed, shape, scale):
     rng = np.random.default_rng(seed)
     P = VPolytope(scale * _vertex_set(rng, shape))
     p = scale * p
-    # the gap tolerance is absolute: scale it with the squared distances
-    q = project(P, p, tol=PROJECT_TOL * scale**2)
+    q = project(P, p)
     assert contains(P, q, 1e-7)
     d = np.linalg.norm(p - q)
     w = rng.dirichlet(np.ones(len(P.vertices)), size=8)
     others = np.linalg.norm(w @ P.vertices - p, axis=1)
     assert d <= others.min() + 1e-7
+
+
+def _normal(a):
+    """True when no entry of a is subnormal."""
+    return bool(np.all((a == 0) | (np.abs(a) >= np.finfo(float).tiny)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    finite_vec(3),
+    st.integers(0, 2**31 - 1),
+    st.sampled_from(["generic", "duplicate", "collinear", "coplanar", "thin"]),
+    st.integers(-1000, 1000),
+)
+@example(np.array([4.0, -1.0, 2.5]), 0, "generic", 1000)
+@example(np.array([4.0, -1.0, 2.5]), 0, "generic", -1000)
+def test_projection_commutes_with_power_of_two_scaling(p, seed, shape, k):
+    V = _vertex_set(np.random.default_rng(seed), shape)
+    Vk, pk = np.ldexp(V, k), np.ldexp(p, k)
+    assume(_normal(Vk) and _normal(pk))
+    q = project(VPolytope(V), p)
+    qk = project(VPolytope(Vk), pk)
+    top = max(np.abs(V).max(), np.abs(p).max())
+    assert np.abs(np.ldexp(qk, -k) - q).max() <= 1e-12 * top
+
+
+def test_projection_onto_a_small_polytope_passes_its_nearest_vertex():
+    # 1e-6 across; the nearest vertex is 4.08e-6 from p, so a stop rule
+    # that does not scale with the data can end there
+    rng = np.random.default_rng(1)
+    V = 1e-6 * rng.uniform(-3, 3, (5, 3))
+    p = 1e-6 * rng.uniform(-5, 5, 3)
+    q = project(VPolytope(V), p)
+    assert np.linalg.norm(q - p) == pytest.approx(3.7136e-6, rel=1e-4)
 
 
 @settings(max_examples=40, deadline=None)

@@ -190,7 +190,7 @@ def test_interchange_point_eval_hom():
     for t in (0.0, 0.3, 0.6, 1.0):
         T = PointEvalHom(t)
         col = [hom_eval(T, f), hom_eval(T, g)]
-        assert hom_eval(T, lifted) == pytest.approx(h.oracle_at(col), abs=1e-9)
+        assert hom_eval(T, lifted) == pytest.approx(h.oracle(col), abs=1e-9)
 
 
 def test_saddle_build_singleton_forced():

@@ -29,7 +29,6 @@ from homocalc.homog import (
     _witness_columns,
     angle_superlinear_family,
     builtin,
-    check_positive_homogeneity,
     circumscribed_polygon_map,
     disk_map,
     domination_envelopes,
@@ -72,7 +71,7 @@ def test_builtin_names():
 def test_example_71_values():
     h = builtin("example-7.1")
     assert h.kind == "usc"
-    assert h.oracle_at([1.0, 1.0]) == 2.0
+    assert h.oracle([1.0, 1.0]) == 2.0
     assert eval_family(h, [1.0, 1.0]) == pytest.approx(2.0)
     assert eval_family(h, [-1.0, 2.0]) == pytest.approx(0.0)
     assert eval_family(h, [-0.001, 5.0]) == pytest.approx(0.0, abs=1e-12)
@@ -82,7 +81,7 @@ def test_example_71_values():
 def test_example_72_values():
     h = builtin("example-7.2")
     assert h.kind == "lsc"
-    assert h.oracle_at([-1.0, 1.0]) == 0.0
+    assert h.oracle([-1.0, 1.0]) == 0.0
     assert eval_family(h, [5.0, -1.0]) == pytest.approx(-1.0)
     assert eval_family(h, [2.0, 3.0]) == pytest.approx(2.0)
     assert eval_family(h, [5.0, 1e-7]) == pytest.approx(5.0)
@@ -91,7 +90,7 @@ def test_example_72_values():
 def test_square_mean_values():
     h = builtin("square-mean")
     assert h.kind == "cts"
-    assert h.oracle_at([1.0, 0.0]) == 1.0
+    assert h.oracle([1.0, 0.0]) == 1.0
     assert eval_family(h, [3.0, 4.0]) == pytest.approx(5.0)
     # the sup side's witness is the tangent at (3, 4) / 5 itself, so the
     # lift is the norm there and reports no drift
@@ -323,7 +322,7 @@ def test_certified_builtins_match_the_oracle_at_any_binary_exponent(name, x, y):
     # the family's own (7.2's member 0*x is -0.0 for x < 0), not the oracle's
     h = builtin(name)
     with np.errstate(over="ignore"):
-        want = h.oracle_at([x, y])
+        want = h.oracle([x, y])
     if np.isfinite(want):
         assert eval_family(h, [x, y]) == want
     else:
@@ -541,7 +540,7 @@ def test_domination_envelopes_bracket():
     assert isinstance(psi.set, Ball) and isinstance(phi.set, Ball)
     rng = np.random.default_rng(3)
     for x in rng.uniform(-5, 5, size=(50, 2)):
-        hv = h.oracle_at(x)
+        hv = h.oracle(x)
         assert psi(x) <= hv + 1e-9
         # the sphere sup is approached but never attained, so the default
         # 720-point grid underestimates M by up to 1 - cos(pi/360)
@@ -577,23 +576,6 @@ def test_domination_envelopes_cross_check_both_points_of_the_line(grid_density):
     )
     with pytest.raises(EnvelopeViolation, match="disagree"):
         domination_envelopes(bad, grid_density=grid_density)
-
-
-def test_check_positive_homogeneity_passes_for_builtins():
-    for name in ("example-7.1", "example-7.2", "square-mean", "abs-sum", "max-coord"):
-        report = check_positive_homogeneity(builtin(name), samples=100, seed=5)
-        assert report.passed, report.violations[:2]
-
-
-def test_check_positive_homogeneity_flags_inhomogeneous():
-    shifted = PHFunction(
-        "shifted",
-        2,
-        inf_family=FiniteFamily([disk_map()]),
-        oracle=lambda pts: np.hypot(np.asarray(pts)[..., 0], np.asarray(pts)[..., 1]) + 1.0,
-    )
-    report = check_positive_homogeneity(shifted, samples=50, seed=5)
-    assert not report.passed
 
 
 def test_angle_family_and_polygon_bracket_the_norm():
@@ -700,6 +682,6 @@ def test_builtin_families_bracket_oracle(seed):
     rng = np.random.default_rng(seed)
     x = rng.uniform(-5, 5, size=(2, 1))
     h1 = builtin("example-7.1")  # inf-family: every member dominates h
-    assert h1.oracle_at(x[:, 0]) <= _members("example-7.1", x, 0, 64).min() + 1e-12
+    assert h1.oracle(x[:, 0]) <= _members("example-7.1", x, 0, 64).min() + 1e-12
     h2 = builtin("example-7.2")  # sup-family: every member is below h
-    assert _members("example-7.2", x, 0, 64).max() <= h2.oracle_at(x[:, 0]) + 1e-12
+    assert _members("example-7.2", x, 0, 64).max() <= h2.oracle(x[:, 0]) + 1e-12
