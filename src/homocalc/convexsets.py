@@ -4,8 +4,13 @@ Two concrete representations are supported: V-polytopes (convex hulls of
 finitely many points) and closed Euclidean balls.  Everything downstream
 (sub/superlinear maps, saddle coefficients) reduces to the operations here:
 support values, support witnesses, membership, nearest-point projection,
-and a feasibility routine for intersections.
+and a feasibility routine for intersections.  The deterministic sphere
+grids that checks, envelopes and support plans sample directions from live
+here too.
 """
+
+from functools import lru_cache
+from statistics import NormalDist
 
 import numpy as np
 
@@ -17,8 +22,8 @@ from .errors import (
     SchemaError,
 )
 
-# Default bound on the distance between two sets that feasible_point (and
-# so saddle_build) still counts as meeting.
+# Default bound on the distance between two sets that feasible_point still
+# counts as meeting; saddle_build multiplies it by its maps' scale.
 FEASIBLE_TOL = 1e-9
 # Cap on the major cycles of Wolfe's min-norm-point method.
 PROJECT_MAX_ITER = 100_000
@@ -36,6 +41,11 @@ _SAFE_SUM = (2.0**-960, 2.0**960)
 # holds in one block, so that the working set stays small for any batch;
 # a block of one index may hold more (see _blocks).
 _BLOCK_CELLS = 8192
+# The support plan of a polytope (_support_plan) keeps the vertices that come
+# within this fraction of a grid direction's width of its maximum, and covers
+# the others with boxes of at most _PLAN_GROUP vertices.
+_PLAN_MARGIN = 0.04
+_PLAN_GROUP = 16
 
 
 class VPolytope:
@@ -51,6 +61,9 @@ class VPolytope:
             raise ValueError("vertices must be finite")
         v.flags.writeable = False
         self.vertices = v
+        # support_batch's pruning plan and the columns evaluated without one
+        self._plan = None
+        self._columns = 0
 
     @property
     def dim(self):
@@ -82,10 +95,13 @@ class Ball:
         return f"Ball(center in R^{self.dim}, radius={self.radius})"
 
 
-def _check_point(s, x, op):
+def _check_point(s, x, op, finite=False):
+    """x as a vector of s's dimension; with finite=True, also rejects NaN and inf."""
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != s.dim:
         raise DimensionMismatch(op, f"point has dim {x.size}, set has dim {s.dim}")
+    if finite and not np.isfinite(x).all():
+        raise ValueError(f"{op}: point must be finite")
     return x
 
 
@@ -151,15 +167,159 @@ def support_batch(s, points):
     """Support values for each row of `points`, shape (k, n) -> (k,).
 
     The one-set case of _support_stack: the arrays of s are broadcast over
-    every column.  A row's value does not depend on the other rows, except
-    for the sign bit of a NaN (see _support_stack).
+    every column.  A polytope with a pruning plan (_support_plan) takes
+    _pruned_support instead, which gives the same bits.  A row's value does
+    not depend on the other rows, except for the sign of a NaN or of a zero
+    maximum (see _support_stack).
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != s.dim:
         raise DimensionMismatch(
             "support", f"points have shape {pts.shape}, set has dim {s.dim}"
         )
+    if isinstance(s, VPolytope):
+        plan = _support_plan(s, pts.shape[0])
+        if plan:
+            return _pruned_support(pts.T, s.vertices, *plan)
     return _support_stack(pts.T, **_stack_sets([s]))
+
+
+def _support_plan(s, columns):
+    """The pruning plan of polytope s, built once and cached on s, or ().
+
+    Building a plan costs about one all-vertex evaluation at the directions
+    of the default sphere grid, so s is planned only once it has been
+    evaluated at that many columns: a polytope evaluated once, such as a
+    fresh set in saddle_build or the suite's polygon, keeps the all-vertex
+    fold at the cost of a counter.  Vertices are read-only, so the plan
+    stays valid.
+    """
+    if s._plan is None:
+        # a first call is never planned, so it does not build the grid
+        if not s._columns or s._columns < len(_default_grid(s.dim)):
+            s._columns += columns
+            return ()
+        s._plan = _build_plan(s.vertices, _default_grid(s.dim).T)
+    return s._plan
+
+
+def _build_plan(V, grid):
+    """(kept, boxes, rho) of the vertices V (k, n), or () where pruning cannot pay.
+
+    kept (|K|, 1, n): the vertices within _PLAN_MARGIN of some grid
+    direction's width (max - min of v.g) of that direction's maximum.
+    boxes (B, 1, 2n): rows [centre, half-width] of boxes that cover the
+    other vertices in groups of at most _PLAN_GROUP (_groups, _boxes).
+    Where a box's bound c.g + r.|g| reaches the kept maximum at a grid
+    direction g, its group is halved, and a vertex alone there is kept.
+    rho = 2 n max|v| bounds every box's sum_d (|c_d| + r_d).  The grid
+    (n, g) is read in _blocks, so no k x g array is formed.  Returns () for
+    fewer than two groups' worth of vertices, when the largest vertex entry
+    lies outside [2^-960, 2^960], or once the kept vertices and the box
+    rows (two vertices' work each) exceed half the vertices.
+    """
+    k, n = V.shape
+    top = float(np.abs(V).max())
+    if k < 2 * _PLAN_GROUP or not 2.0**-960 <= top <= 2.0**960:
+        return ()
+    keep = np.zeros(k, dtype=bool)
+    for b in _blocks(grid.shape[1], k):
+        dots = _dot_paired(V[:, None, :], grid[:, b])
+        hi, lo = dots.max(axis=0), dots.min(axis=0)
+        keep |= (dots >= hi - _PLAN_MARGIN * (hi - lo)).any(axis=1)
+    both = np.concatenate([grid, np.abs(grid)])
+    groups = _groups(V, np.flatnonzero(~keep), _PLAN_GROUP)
+    while 2 * (np.count_nonzero(keep) + 2 * len(groups)) <= k:
+        kept, boxes = V[keep][:, None, :], _boxes(V, groups)
+        reach = np.zeros(len(groups), dtype=bool)
+        for b in _blocks(grid.shape[1], max(len(kept), len(boxes))):
+            best = _dot_paired(kept, grid[:, b]).max(axis=0)
+            reach |= (_dot_paired(boxes, both[:, b]) >= best).any(axis=1)
+        if not reach.any():
+            return kept, boxes, 2.0 * n * top
+        split = [g for g, r in zip(groups, reach) if r]
+        groups = [g for g, r in zip(groups, reach) if not r]
+        for g in split:
+            if len(g) == 1:
+                keep[g] = True
+            else:
+                groups += _groups(V, g, (len(g) + 1) // 2)
+    return ()
+
+
+def _groups(V, idx, size):
+    """The vertex indices idx, halved at the median of the widest coordinate
+    of their vertices until each group holds at most `size`."""
+    if len(idx) <= size:
+        return [idx]
+    P = V[idx]
+    idx = idx[np.argsort(P[:, np.argmax(P.max(axis=0) - P.min(axis=0))], kind="stable")]
+    half = len(idx) // 2
+    return _groups(V, idx[:half], size) + _groups(V, idx[half:], size)
+
+
+def _boxes(V, groups):
+    """Rows [centre, half-width], shape (B, 1, 2n), of boxes that hold the
+    vertices of each group exactly: |v_d - c_d| <= r_d, as the half-widths
+    are rounded one step up."""
+    rows = []
+    for g in groups:
+        lo, hi = V[g].min(axis=0), V[g].max(axis=0)
+        c = 0.5 * lo + 0.5 * hi
+        rows.append(np.concatenate([c, np.nextafter(np.maximum(hi - c, c - lo), np.inf)]))
+    return np.array(rows)[:, None, :]
+
+
+def _pruned_support(cols, vertices, kept, boxes, rho):
+    """_support_stack of one polytope at the columns of cols (n, c), bit for bit.
+
+    Takes a plan of _build_plan.  Per column x, with p = rho max_d |x_d|:
+      out = the largest fold (_dot_paired) of a kept vertex with x;
+      U = the largest fold of a box row [c, r] with [x, |x|];
+      the guard holds where fl(U + p (n + 1) 2^-49) < out, out != 0 and
+      2^-900 <= p <= 2^900.
+    A column where the guard holds takes out.  The columns where it fails,
+    NaN and infinite ones included, take the all-vertex fold of
+    _support_stack, as one batch.  Where that gives 0 or NaN, whose sign
+    can depend on the width of a block, each block of an all-vertex call
+    (_blocks) that holds such a column is folded again whole.
+
+    Why out is then the all-vertex value: let v be a dropped vertex in the
+    box (c, r) and u = 2^-53.  Exactly, v.x <= c.x + r.|x| and
+    sum_d |v_d x_d| <= sum_d (|c_d| + r_d) |x_d| <= p.  A fold of m products
+    errs by at most 1.01 m u sum|terms| + m 2^-1074 (underflow), so
+    fl(v.x) <= c.x + r.|x| + 1.01 n u p + n 2^-1074 and
+    U >= c.x + r.|x| - 2.02 n u p - 2n 2^-1074; adding the slack rounds by
+    at most 1.01 u p.  The slack, at least 16 (n + 1) u p (1 - u) with
+    p >= 2^-900, exceeds (3.03 n + 1.01) u p + 3n 2^-1074, so every dropped
+    vertex's rounded value lies strictly below out.  out is neither 0 nor
+    NaN, so the order of the maximum cannot choose between +0 and -0 or
+    between NaN signs.  p <= 2^900 keeps every term finite.  None of this
+    depends on which vertices the plan keeps.
+    """
+    n, count = cols.shape
+    # support_batch passes points.T; the folds run faster on contiguous rows
+    cols = np.ascontiguousarray(cols)
+    out = np.empty(count)
+    bound = np.empty(count)
+    with np.errstate(over="ignore", invalid="ignore"):
+        both = np.concatenate([cols, np.abs(cols)])
+        p = rho * both[n:].max(axis=0)
+        for b in _blocks(count, len(kept)):
+            out[b] = _dot_paired(kept, cols[:, b]).max(axis=0)
+        for b in _blocks(count, len(boxes)):
+            bound[b] = _dot_paired(boxes, both[:, b]).max(axis=0)
+        bound += p * ((n + 1) * 2.0**-49)
+    redo = np.flatnonzero(~((bound < out) & (out != 0) & (p >= 2.0**-900) & (p <= 2.0**900)))
+    if redo.size:
+        out[redo] = _support_stack(cols[:, redo], vertices=vertices[:, None, :])
+        # a maximum of 0 or NaN takes its sign from the width of its block
+        # (see _support_stack): fold the blocks of an all-vertex call again
+        odd = (out == 0) | np.isnan(out)
+        for b in _blocks(count, len(vertices)) if odd.any() else ():
+            if odd[b].any():
+                out[b] = _support_stack(cols[:, b], vertices=vertices[:, None, :])
+    return out
 
 
 def _stack_sets(sets):
@@ -190,9 +350,11 @@ def _support_stack(cols, vertices=None, centers=None, radii=None):
     a set axis of length 1 broadcasts one set over every column.  Sums run
     coordinate by coordinate (_dot_paired) and polytopes take the maximum
     over vertices in _blocks of vertex-by-column cells, so a column's value
-    does not depend on the other columns or sets.  The one exception is a
-    NaN, where inf - inf meets the vertex maximum: its sign bit can depend
-    on the batch width.  Every caller rejects a NaN value.
+    does not depend on the other columns or sets.  The exceptions are a
+    NaN, where inf - inf meets the vertex maximum, and a maximum where
+    vertices tie at +0 and -0 (at x = 0, say): numpy's maximum over a block
+    of one column can return the other sign than over a wider block.  Every
+    caller rejects a NaN value.
     """
     sets, n = (centers if vertices is None else vertices[0]).shape
     if cols.ndim != 2 or cols.shape[0] != n or sets not in (1, cols.shape[1]):
@@ -211,13 +373,13 @@ def _support_stack(cols, vertices=None, centers=None, radii=None):
 def support_argmax(s, x):
     """A point of s attaining the support value in direction x.
 
-    Polytope ties resolve to the lowest vertex index; for a ball with x = 0
-    the center is returned.
+    Polytope vertices are ranked by the support kernel's own fold, so the
+    vertex's fold with x is support(s, x) bitwise, and ties resolve to the
+    lowest vertex index; for a ball with x = 0 the center is returned.
     """
     x = _check_point(s, x, "support_argmax")
     if isinstance(s, VPolytope):
-        idx = int(np.argmax(s.vertices @ x))
-        return s.vertices[idx].copy()
+        return s.vertices[int(np.argmax(_dot_paired(s.vertices, x)))].copy()
     if isinstance(s, Ball):
         top = np.abs(x).max()
         if top == 0.0:
@@ -313,9 +475,10 @@ def project(s, p, max_iter=PROJECT_MAX_ITER):
     x.x - min_i x.(v_i - p) at x = q - p is at most 0, or, where rounding
     stops progress first, at most 2^-42 max_i ||v_i - p||^2; both are
     relative to the data, so the stop is the same at every scale.  Raises
-    NoConvergence otherwise, and when max_iter major cycles run out.
+    NoConvergence otherwise, and when max_iter major cycles run out.  A NaN
+    or infinite p raises ValueError.
     """
-    p = _check_point(s, p, "project")
+    p = _check_point(s, p, "project", finite=True)
     if isinstance(s, Ball):
         d = p - s.center
         nrm = _norm(d)
@@ -329,8 +492,8 @@ def project(s, p, max_iter=PROJECT_MAX_ITER):
 
 
 def contains(s, a, tol):
-    """Membership test: dist(a, s) <= tol."""
-    a = _check_point(s, a, "contains")
+    """Membership test: dist(a, s) <= tol.  A NaN or infinite a raises ValueError."""
+    a = _check_point(s, a, "contains", finite=True)
     if tol <= 0:
         raise ValueError("tol must be > 0")
     if isinstance(s, Ball):
@@ -390,6 +553,58 @@ def coordinate_bound(s, k):
     e = np.zeros(s.dim)
     e[k - 1] = 1.0
     return max(support(s, e), support(s, -e))
+
+
+# ---------------------------------------------------------------------------
+# sphere grids: the directions of saddle checks, envelopes and support plans
+
+def _kronecker_alphas(n):
+    # root of x**(n+1) = x + 1, Newton from 1.5; deterministic
+    phi = 1.5
+    for _ in range(64):
+        phi -= (phi ** (n + 1) - phi - 1.0) / ((n + 1) * phi**n - 1.0)
+    return np.array([(1.0 / phi) ** (j + 1) % 1.0 for j in range(n)])
+
+
+def sphere_grid(n, density):
+    """Deterministic unit-sphere sample: uniform angles (n=2), Fibonacci
+    spiral (n=3), Kronecker lattice through the Gaussian (n>=4), mapped by
+    the standard library's inverse normal, statistics.NormalDist().inv_cdf
+    (Wichura's AS 241)."""
+    if density < 8:
+        raise ValueError("grid density must be >= 8")
+    if n == 1:
+        return np.array([[1.0], [-1.0]])
+    if n == 2:
+        theta = np.arange(density) * (2.0 * np.pi / density)
+        return np.column_stack([np.cos(theta), np.sin(theta)])
+    if n == 3:
+        i = np.arange(density, dtype=float)
+        offset = 2.0 / density
+        increment = np.pi * (3.0 - np.sqrt(5.0))
+        y = i * offset - 1.0 + offset / 2.0
+        r = np.sqrt(np.maximum(1.0 - y * y, 0.0))
+        phi = ((i + 1) % density) * increment
+        return np.column_stack([np.cos(phi) * r, y, np.sin(phi) * r])
+    alphas = _kronecker_alphas(n)
+    i = np.arange(1, density + 1, dtype=float)
+    u = (0.5 + np.outer(i, alphas)) % 1.0
+    z = np.vectorize(NormalDist().inv_cdf, otypes=[float])(np.clip(u, 1e-12, 1.0 - 1e-12))
+    norms = np.linalg.norm(z, axis=1)
+    bad = norms < 1e-9
+    if np.any(bad):
+        z[bad] = 0.0
+        z[bad, 0] = 1.0
+        norms[bad] = 1.0
+    return z / norms[:, None]
+
+
+@lru_cache(maxsize=None)
+def _default_grid(n):
+    """The default sphere grid of R^n, built once and read-only."""
+    grid = sphere_grid(n, 720 if n <= 2 else 2000)
+    grid.flags.writeable = False
+    return grid
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from functools import partial
 
 import numpy as np
 
-from .convexsets import FEASIBLE_TOL, _blocks, _dot_paired, feasible_point
+from .convexsets import FEASIBLE_TOL, _blocks, _default_grid, _dot_paired, feasible_point
 from .errors import (
     DimensionMismatch,
     EmptyFamily,
@@ -23,7 +23,6 @@ from .errors import (
 from .homog import (
     SublinearMap,
     SuperlinearMap,
-    _default_grid,
     _eval_columns,
     _finite_values,
 )
@@ -126,10 +125,14 @@ class SaddleFamily:
 def saddle_build(phis, psis, tol=FEASIBLE_TOL):
     """Pairwise coefficients for an ordered (psi <= phi) pair of families.
 
-    Validates psi_j <= phi_i on a sphere grid first (NotOrdered on failure),
-    then intersects each subdifferential with each superdifferential.  The
-    bracket max_j psi_j <= minmax/maxmin <= min_i phi_i is re-checked on the
-    grid with slack tol.
+    tol is relative to the maps' scale: the largest |phi_i| or |psi_j| on
+    the default sphere grid.  Validates psi_j <= phi_i on that grid first,
+    to tol times the scale (NotOrdered on failure), then intersects each
+    subdifferential with each superdifferential, which may lie tol times
+    the scale apart (EmptyIntersection).  The bracket
+    max_j psi_j <= minmax/maxmin <= min_i phi_i is re-checked on the grid
+    with slack 2 tol times the scale.  So 2^k phi and 2^k psi build the
+    saddle of phi and psi, scaled, or fail the same way.
     """
     phis = list(phis)
     psis = list(psis)
@@ -147,11 +150,13 @@ def saddle_build(phis, psis, tol=FEASIBLE_TOL):
     n = dims.pop()
 
     grid = _default_grid(n)
-    hi = np.min([p(grid.T) for p in phis], axis=0)
-    lo = np.max([q(grid.T) for q in psis], axis=0)
+    vals = np.array([p(grid.T) for p in phis] + [q(grid.T) for q in psis])
+    scale = float(np.abs(vals).max())
+    hi = vals[: len(phis)].min(axis=0)
+    lo = vals[len(phis) :].max(axis=0)
     # rounded subtraction is monotone, so this is the largest psi_j - phi_i
     worst = float((lo - hi).max())
-    if worst > tol:
+    if worst > tol * scale:
         raise NotOrdered(
             "saddle_build",
             f"some psi exceeds some phi by {worst:.3e} on the sphere grid",
@@ -161,7 +166,7 @@ def saddle_build(phis, psis, tol=FEASIBLE_TOL):
     coeffs = np.empty((P, Q, n))
     for i in range(P):
         for j in range(Q):
-            coeffs[i, j] = feasible_point(phis[i].set, psis[j].set, tol=tol)
+            coeffs[i, j] = feasible_point(phis[i].set, psis[j].set, tol=tol * scale)
 
     S = SaddleFamily(
         coeffs,
@@ -169,7 +174,7 @@ def saddle_build(phis, psis, tol=FEASIBLE_TOL):
         psi_labels=[q.label or f"psi{j}" for j, q in enumerate(psis)],
     )
     infsup, supinf = saddle_eval(S, grid)
-    slack = tol * (1.0 + np.abs(hi).max())
+    slack = 2.0 * tol * scale
     if (
         np.any(infsup < lo - slack)
         or np.any(infsup > hi + slack)

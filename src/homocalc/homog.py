@@ -21,18 +21,17 @@ Semicontinuity cannot be certified from finitely many samples; the kind tag
 is declarative and only the oracle/family agreement is checked numerically.
 """
 
-from functools import lru_cache
-from statistics import NormalDist
-
 import numpy as np
 
 from .convexsets import (
     Ball,
     VPolytope,
     _blocks,
+    _default_grid,
     _dot_paired,
     set_from_json,
     set_to_json,
+    sphere_grid,
     support_batch,
 )
 from .errors import (
@@ -284,61 +283,12 @@ def eval_family_detailed(h, x, side="auto"):
 
 
 # ---------------------------------------------------------------------------
-# sphere grids and envelopes
-
-def _kronecker_alphas(n):
-    # root of x**(n+1) = x + 1, Newton from 1.5; deterministic
-    phi = 1.5
-    for _ in range(64):
-        phi -= (phi ** (n + 1) - phi - 1.0) / ((n + 1) * phi**n - 1.0)
-    return np.array([(1.0 / phi) ** (j + 1) % 1.0 for j in range(n)])
-
-
-def sphere_grid(n, density):
-    """Deterministic unit-sphere sample: uniform angles (n=2), Fibonacci
-    spiral (n=3), Kronecker lattice through the Gaussian (n>=4), mapped by
-    the standard library's inverse normal, statistics.NormalDist().inv_cdf
-    (Wichura's AS 241)."""
-    if density < 8:
-        raise ValueError("grid density must be >= 8")
-    if n == 1:
-        return np.array([[1.0], [-1.0]])
-    if n == 2:
-        theta = np.arange(density) * (2.0 * np.pi / density)
-        return np.column_stack([np.cos(theta), np.sin(theta)])
-    if n == 3:
-        i = np.arange(density, dtype=float)
-        offset = 2.0 / density
-        increment = np.pi * (3.0 - np.sqrt(5.0))
-        y = i * offset - 1.0 + offset / 2.0
-        r = np.sqrt(np.maximum(1.0 - y * y, 0.0))
-        phi = ((i + 1) % density) * increment
-        return np.column_stack([np.cos(phi) * r, y, np.sin(phi) * r])
-    alphas = _kronecker_alphas(n)
-    i = np.arange(1, density + 1, dtype=float)
-    u = (0.5 + np.outer(i, alphas)) % 1.0
-    z = np.vectorize(NormalDist().inv_cdf, otypes=[float])(np.clip(u, 1e-12, 1.0 - 1e-12))
-    norms = np.linalg.norm(z, axis=1)
-    bad = norms < 1e-9
-    if np.any(bad):
-        z[bad] = 0.0
-        z[bad, 0] = 1.0
-        norms[bad] = 1.0
-    return z / norms[:, None]
-
+# envelopes on the sphere grid
 
 def _values_on_grid(h, grid):
     if h.oracle is not None:
         return np.asarray(h.oracle(grid), dtype=float)
     return _eval_columns(h, grid.T, "auto")[0]
-
-
-@lru_cache(maxsize=None)
-def _default_grid(n):
-    """The default sphere grid of R^n, built once and read-only."""
-    grid = sphere_grid(n, 720 if n <= 2 else 2000)
-    grid.flags.writeable = False
-    return grid
 
 
 def sphere_bounds(h):

@@ -26,7 +26,7 @@ from functools import partial
 import numpy as np
 
 from . import lattice
-from .convexsets import Ball, VPolytope, _stack_sets, _support_stack
+from .convexsets import Ball, VPolytope, _default_grid, _stack_sets, _support_stack
 from .errors import SaddleGap
 from .fcalc import (
     SADDLE_TOL,
@@ -44,7 +44,6 @@ from .homog import (
     PHFunction,
     SublinearMap,
     SuperlinearMap,
-    _default_grid,
     angle_superlinear_family,
     builtin,
     circumscribed_polygon_map,

@@ -1,15 +1,23 @@
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from homocalc import convexsets
 from homocalc.convexsets import (
     Ball,
     VPolytope,
+    _blocks,
+    _boxes,
+    _default_grid,
+    _dot_paired,
+    _groups,
     _norms,
+    _pruned_support,
     contains,
     coordinate_bound,
     feasible_point,
@@ -27,6 +35,7 @@ from homocalc.errors import (
     NoConvergence,
     SchemaError,
 )
+from homocalc.homog import circumscribed_polygon_map
 
 SQUARE = VPolytope([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
 SEGMENT = VPolytope([[1.0, 0.0], [0.0, 1.0]])
@@ -85,6 +94,22 @@ def test_support_argmax_tie_lowest_index():
     assert np.array_equal(support_argmax(P, [1.0, 1.0]), [1.0, 0.0])
 
 
+def test_support_argmax_attains_the_support_value_bitwise():
+    # a near-tie: a BLAS product ranked vertex 0 first, whose fold is one
+    # ulp below the support value
+    P = VPolytope(
+        [
+            [-0.7523581695908539, -0.16077617166858715, -1.700830195939053],
+            [-0.7523581695908541, -0.16077617166858715, -1.700830195939053],
+            [-0.37617908479542694, -0.08038808583429358, -0.8504150979695265],
+        ]
+    )
+    x = np.array([-3.3426884804772783, 3.071679300934898, -4.773894694531199])
+    a = support_argmax(P, x)
+    assert np.array_equal(a, P.vertices[1])
+    assert float(_dot_paired(a, x)).hex() == support(P, x).hex() == "0x1.44800b515f8ecp+3"
+
+
 def test_support_argmax_ball_zero_direction():
     b = Ball([2.0, 3.0], 1.5)
     assert np.array_equal(support_argmax(b, [0.0, 0.0]), [2.0, 3.0])
@@ -130,6 +155,15 @@ def test_project_thin_triangle_gap_at_tight_tol():
     assert contains(tri, q, 1e-12)
     # nearest: no vertex lies beyond the plane through q normal to p - q
     assert ((tri.vertices - q) @ (p - q)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_project_and_contains_reject_non_finite_points(bad):
+    for s in (SQUARE, Ball([0.0, 0.0], 1.0)):
+        with pytest.raises(ValueError, match="project: point must be finite"):
+            project(s, [bad, 0.0])
+        with pytest.raises(ValueError, match="contains: point must be finite"):
+            contains(s, [0.0, bad], 1e-9)
 
 
 def test_contains_requires_positive_tol():
@@ -341,3 +375,198 @@ def test_coordinate_bound_dominates_vertices(seed, k):
     P = VPolytope(rng.uniform(-4, 4, size=(5, 3)))
     bound = coordinate_bound(P, k)
     assert np.all(np.abs(P.vertices[:, k - 1]) <= bound + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the pruned polytope support path
+
+
+def _all_vertex_fold(V, X):
+    """The reference: every vertex's coordinate-order fold at the columns of
+    X (n, c), maximum per column, block by block as an all-vertex call
+    takes them (the sign of a 0 or NaN maximum depends on a block's width)."""
+    out = np.empty(X.shape[1])
+    for b in _blocks(X.shape[1], len(V)):
+        out[b] = _dot_paired(V[:, None, :], X[:, b]).max(axis=0)
+    return out
+
+
+def _value_bits(a):
+    """Float64 bytes with every NaN collapsed to one NaN."""
+    a = np.array(a, dtype=float)
+    a[np.isnan(a)] = np.nan
+    return a.tobytes()
+
+
+_PRUNE_GRID = [*_EXTREME_GRID, np.inf, -np.inf, np.nan]
+
+
+def _prune_columns(rng, n, count, scale):
+    """Columns (n, c): every pair of _PRUNE_GRID in the first two coordinates
+    (random entries of it after), random binary exponents, and uniform
+    columns at 2^-scale, where the polytope's values are ordinary."""
+    grid = np.array(list(itertools.product(_PRUNE_GRID, repeat=min(n, 2))))
+    grid = np.hstack([grid, rng.choice(_PRUNE_GRID, size=(len(grid), n - len(grid[0])))])
+    binary = np.ldexp(rng.uniform(-1.0, 1.0, (count, n)), rng.integers(-1074, 1025, (count, n)))
+    near = np.ldexp(rng.uniform(-5.0, 5.0, (count, n)), -scale)
+    return np.vstack([grid, binary, near]).T
+
+
+def _prune_vertices(rng, n, k, shape):
+    V = rng.uniform(-3.0, 3.0, size=(k, n))
+    if shape == "interior":
+        V[n + 1 :] *= 0.5
+    elif shape == "duplicate":
+        V[k // 2 :] = V[: k - k // 2]
+    elif shape == "collinear":
+        V[k // 2 :] = V[0] + rng.uniform(0.0, 1.0, (k - k // 2, 1)) * (V[1] - V[0])
+    return V
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(20, 300),
+    st.sampled_from(["generic", "interior", "duplicate", "collinear"]),
+    st.integers(-900, 900),
+    st.integers(0, 2**31 - 1),
+)
+@example(2, 200, "generic", 0, 0)
+@example(4, 300, "interior", -900, 1)
+def test_pruned_support_is_the_all_vertex_fold(n, k, shape, scale, seed):
+    rng = np.random.default_rng(seed)
+    V = np.ldexp(_prune_vertices(rng, n, k, shape), scale)
+    X = _prune_columns(rng, n, 300, scale)
+    P = VPolytope(V)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _all_vertex_fold(V, X)
+        # once through the default grid's worth of columns, so the plan is built
+        support_batch(P, _default_grid(n))
+        assert _value_bits(support_batch(P, X.T)) == _value_bits(want)
+        assert _value_bits(support_batch(P, -X.T)) == _value_bits(_all_vertex_fold(V, -X))
+        # the guard's soundness does not depend on which vertices are kept
+        kept = rng.random(k) < rng.uniform(0.05, 0.95)
+        kept[rng.integers(k)] = True
+        kept[rng.integers(k)] = False
+        boxes = _boxes(V, _groups(V, np.flatnonzero(~kept), 16))
+        plan = V[kept][:, None, :], boxes, 2.0 * n * np.abs(V).max()
+        assert _value_bits(_pruned_support(X, V, *plan)) == _value_bits(want)
+
+
+def test_a_planned_polytope_takes_the_pruned_path(monkeypatch):
+    # 200 points uniform in [-3, 3]^2, as in the lift benchmark: few of them
+    # can attain a maximum, and the guard holds on every uniform column
+    rng = np.random.default_rng(5)
+    P = VPolytope(rng.uniform(-3.0, 3.0, size=(200, 2)))
+    grid = _default_grid(2)
+    support_batch(P, grid)
+    assert P._plan is None  # the plan waits for a grid's worth of columns
+    support_batch(P, grid)
+    kept, boxes, _ = P._plan
+    assert 2 * (len(kept) + 2 * len(boxes)) <= 200
+    X = rng.uniform(-5.0, 5.0, size=(2, 1000))
+    want = _all_vertex_fold(P.vertices, X)
+
+    def no_fallback(*args, **kwargs):
+        raise AssertionError("a column fell back on the all-vertex fold")
+
+    monkeypatch.setattr(convexsets, "_support_stack", no_fallback)
+    assert _value_bits(support_batch(P, X.T)) == _value_bits(want)
+
+
+@pytest.mark.parametrize(
+    "w, v, v_, x",
+    [
+        # v lies at the corner of the box of {v, v_}; the box's rounded bound
+        # falls two ulps below v.x and one below w.x: the slack covers it
+        (
+            [2.7726799071232624, 1.5084788439901458],
+            [2.772679907123263, 1.5084788439901458],
+            [2.7718595993289017, 1.507583481897386],
+            [1.518498715074279, 0.6465755741657495],
+        ),
+        # every product underflows, and the bound's rounding is absolute,
+        # not relative: p below 2^-900 falls back
+        (
+            [0.8281687116424215, 0.8941436398861405],
+            [0.8414892491193056, 0.910185675642783],
+            [0.6574030775873014, 0.8118628254961242],
+            [7e-323, 1.3e-322],
+        ),
+    ],
+    ids=["one-ulp", "subnormal"],
+)
+def test_the_guard_falls_back_where_a_dropped_vertex_beats_the_kept_one(w, v, v_, x):
+    # only w is kept; v is dropped, and its rounded value is above w's
+    V = np.array([w, v, v_])
+    X = np.array(x)[:, None]
+    want = _all_vertex_fold(V, X)
+    assert _dot_paired(V[0], X)[0] < want[0]
+    boxes = _boxes(V, [np.array([1, 2])])
+    assert _dot_paired(boxes[:, 0], np.concatenate([X, np.abs(X)]))[0] < _dot_paired(V[0], X)[0]
+    got = _pruned_support(X, V, V[:1, None, :], boxes, 2.0 * 2 * np.abs(V).max())
+    assert _value_bits(got) == _value_bits(want)
+
+
+def test_a_tie_of_signed_zeros_takes_the_sign_of_the_all_vertex_blocks():
+    # at x = (1, 0) the vertex (0, 1) gives +0 and (-0, -1) gives -0, and
+    # every other vertex less; which zero is the maximum depends on the
+    # width of the block (here +0 alone, -0 in a block of two).  x sits
+    # alone in the last block of an all-vertex call of 41 columns, and in
+    # a block of 40 in the middle of one.
+    rng = np.random.default_rng(0)
+    V = np.column_stack([rng.uniform(-3.0, -0.5, 200), rng.uniform(-1.0, 1.0, 200)])
+    V[98:100] = [[0.0, 1.0], [-0.0, -1.0]]
+    P = VPolytope(V)
+    for _ in range(2):
+        support_batch(P, _default_grid(2))
+    assert P._plan
+    x = np.array([[1.0], [0.0]])
+    U = np.random.default_rng(1).uniform(-5.0, 5.0, (2, 40))
+    for X in (np.hstack([U, x]), np.hstack([U[:, :20], x, U[:, 20:]])):
+        assert _value_bits(support_batch(P, X.T)) == _value_bits(_all_vertex_fold(V, X))
+
+
+def test_small_polytopes_are_never_planned():
+    # fewer than two boxes' worth of vertices: the all-vertex fold always
+    P = VPolytope(np.random.default_rng(2).uniform(-1.0, 1.0, size=(31, 3)))
+    for _ in range(3):
+        support_batch(P, _default_grid(3))
+    assert P._plan == ()
+
+
+# The digest of support_batch on a polytope drawn as the lift benchmark
+# draws its 200 vertices (seed 0), at _prune_columns (seed 17) and their
+# negatives, NaN collapsed; recorded with the all-vertex kernel alone.
+_LIFT_POLY_SHA256 = "3ea68d6c72d64b36d0f000da9efdb7c299d81e2c82b8cdb552bd5a027ada836c"
+
+
+def test_lift_polytope_support_bytes_are_pinned():
+    P = VPolytope(np.random.default_rng([0, 0x11F7]).uniform(-3.0, 3.0, size=(200, 2)))
+    X = _prune_columns(np.random.default_rng(17), 2, 2000, 0)
+    support_batch(P, _default_grid(2))
+    sha = hashlib.sha256()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sign in (1.0, -1.0):
+            sha.update(_value_bits(support_batch(P, sign * X.T)))
+    assert P._plan
+    assert sha.hexdigest() == _LIFT_POLY_SHA256
+
+
+def test_planning_a_polygon_holds_no_vertex_by_grid_array():
+    # the suite's fresh 720-gon on the default circle: the first call folds
+    # every vertex, the second builds the plan (here: none pays).  Peaks
+    # measured with the all-vertex kernel alone: 280,374 bytes for the first
+    # call; the bound adds 64 KiB.  A 720 x 720 array would need 4 MB.
+    grid = _default_grid(2)
+    P = circumscribed_polygon_map(720).set
+    peaks = []
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            support_batch(P, grid)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert P._plan == ()
+    assert max(peaks) <= 280_374 + 65_536

@@ -240,6 +240,23 @@ def test_saddle_build_not_ordered():
         saddle_build([small], [big])
 
 
+def test_saddle_build_tolerance_is_relative_to_the_maps():
+    # the same two pairs at s = 2^k: the tolerance scales with the maps, so
+    # each pair gets the same verdict, and its coefficients scale exactly
+    def near(s):
+        # psi's point lies 2^-40 s outside phi's segment, within the tolerance
+        phi = SublinearMap(VPolytope([[s, 0.0], [0.0, s]]))
+        return saddle_build([phi], [SuperlinearMap(VPolytope([[s * (1.0 + 2.0**-40), 0.0]]))])
+
+    base = near(1.0).coeffs
+    for k in range(-40, 41):
+        s = 2.0**k
+        # psi = (0, s).x exceeds phi = (s, 0).x by up to s sqrt(2)
+        with pytest.raises(NotOrdered):
+            saddle_build([SublinearMap(VPolytope([[s, 0.0]]))], [SuperlinearMap(VPolytope([[0.0, s]]))])
+        assert np.array_equal(near(s).coeffs, s * base)
+
+
 def test_saddle_eval_square_mean_grid():
     S = saddle_build([disk_map()], list(angle_superlinear_family(32).maps))
     infsup, supinf = saddle_eval(S, [1.0, 0.0])
