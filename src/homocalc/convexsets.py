@@ -391,94 +391,181 @@ def support_argmax(s, x):
     raise TypeError(f"unsupported set type {type(s).__name__}")
 
 
-def _affine_weights(P):
-    """Weights v, sum 1, minimizing ||v @ P||, and a basis of the edges' span.
+def _by_key(items, key):
+    """items grouped by key(item), groups and members in order of appearance."""
+    groups = {}
+    for item in items:
+        groups.setdefault(key(item), []).append(item)
+    return groups.values()
 
-    Least squares on the edges from the first row, by SVD with lstsq's rank
-    cut, so duplicate, collinear or coplanar rows are no error.
+
+# what numpy raises on non-finite data: FloatingPointError under
+# np.errstate(all="raise"), RuntimeWarning where warnings are errors, and
+# LinAlgError (a ValueError)
+_NUMPY_ERRORS = (ArithmeticError, ValueError, Warning)
+
+
+class _Wolfe:
+    """The state of one problem of _min_norm_weights: its rows D, the
+    operation named by its NoConvergence, and its corral with the corral's
+    rows P = D[corral], weights, span (U, rank), last ||x||^2 and major
+    cycle count; `end` holds the result."""
+
+    __slots__ = ("D", "op", "floor", "corral", "P", "w", "span", "last", "cycle", "minor", "end")
+
+    def __init__(self, D, op):
+        self.D, self.op = D, op
+        self.w, self.span, self.last, self.cycle = np.ones(1), None, np.inf, 0
+        self.minor, self.end = False, None
+
+
+def _min_norm_weights(problems, max_iter):
+    """Wolfe's nearest point x = w @ D[corral] to 0 in the hull of D's rows,
+    for every (D, op) of problems at once.
+
+    Returns per problem its corral (row indices) and weights, all > 0, or
+    the error it ends in: NoConvergence(op), or what numpy raises on rows
+    that overflowed.  A major cycle adds the row with the smallest x.d;
+    minor cycles move to the corral's affine minimizer, dropping rows until
+    every weight is > 0.  Stops at a Frank-Wolfe gap x.x - min_i x.d_i
+    (which bounds (||x||^2 - min ||.||^2) / 2) of at most 0, or of at most
+    _GAP_FLOOR max_i ||d_i||^2 once rounding stops progress (the chosen row
+    is in the corral, or ||x|| did not fall).  Else ends in NoConvergence,
+    as it does after max_iter major cycles.
+    The weights do not depend on D's scale: where max_i ||d_i||^2 lies
+    outside _SAFE_SQ, D is first scaled by an exact power of two; inside it
+    the run sees D's own bits.
+
+    The problems run in lockstep: each round takes one major cycle of every
+    problem between minor cycles, then one minor cycle of every problem in
+    one.  Each numpy call serves the problems of one exact shape, gathered
+    into contiguous stacks, so matmul, einsum and svd take for every slice
+    the route of a call on that slice alone: a problem's bits do not
+    depend on the other problems.
     """
-    if P.shape[0] == 1:
-        return np.ones(1), None
-    E = (P[1:] - P[0]).T
-    U, sv, Vt = np.linalg.svd(E, full_matrices=False)
-    r = int(np.count_nonzero(sv > sv[0] * max(E.shape) * np.finfo(float).eps))
-    z = -(Vt[:r].T @ ((U[:, :r].T @ P[0]) / sv[:r]))
-    return np.concatenate(([1.0 - z.sum()], z)), U[:, :r]
+    try:
+        return _lockstep(problems, max_iter)
+    except _NUMPY_ERRORS:
+        if len(problems) == 1:
+            raise
+    # rows that overflowed can make numpy raise in one problem (its
+    # RuntimeWarning, where warnings are errors): then each problem runs
+    # alone, and ends in its own result or error
+    ends = []
+    for problem in problems:
+        try:
+            ends += _lockstep([problem], max_iter)
+        except _NUMPY_ERRORS as exc:
+            ends.append(exc)
+    return ends
 
 
-def _min_norm_weights(D, max_iter, op):
-    """Wolfe's nearest point x = w @ D[corral] to 0 in the hull of D's rows.
+def _lockstep(problems, max_iter):
+    """The ends of _min_norm_weights, all problems in one lockstep run."""
+    probs = [_Wolfe(D, op) for D, op in problems]
+    for group in _by_key(probs, lambda p: p.D.shape):
+        D = np.array([p.D for p in group])
+        sq = np.einsum("pij,pij->pi", D, D)
+        for p, top, j in zip(group, sq.max(axis=1).tolist(), sq.argmin(axis=1).tolist()):
+            if not _SAFE_SQ[0] <= top <= _SAFE_SQ[1]:
+                p.D = np.ldexp(p.D, -np.frexp(np.abs(p.D).max())[1])
+                rescaled = np.einsum("ij,ij->i", p.D, p.D)
+                top, j = float(rescaled.max()), int(np.argmin(rescaled))
+            p.floor, p.corral, p.P = _GAP_FLOOR * top, [j], p.D[j : j + 1]
+    run = probs
+    while run:
+        major = [p for p in run if not p.minor]
+        for group in _by_key(major, lambda p: (p.D.shape, len(p.corral), None if p.span is None else p.span[1])):
+            _major_cycles(group, max_iter)
+        for group in _by_key([p for p in run if p.minor], lambda p: (len(p.corral), p.D.shape[1])):
+            _minor_cycles(group)
+        run = [p for p in run if p.end is None]
+    return [p.end for p in probs]
 
-    Returns the corral (row indices) and its weights, all > 0.  A major
-    cycle adds the row with the smallest x.d; minor cycles move to the
-    corral's affine minimizer, dropping rows until every weight is > 0.
-    Stops at a Frank-Wolfe gap x.x - min_i x.d_i (which bounds
-    (||x||^2 - min ||.||^2) / 2) of at most 0, or of at most _GAP_FLOOR
-    max_i ||d_i||^2 once rounding stops progress (the chosen row is in the
-    corral, or ||x|| did not fall).  Else raises NoConvergence, as it does
-    after max_iter major cycles.  The weights do not depend on D's scale:
-    where max_i ||d_i||^2 lies outside _SAFE_SQ, D is first scaled by an
-    exact power of two; inside it the run sees D's own bits.
+
+def _major_cycles(group, max_iter):
+    """One major cycle of each problem of group; they share D's shape, the
+    corral's size and the span's rank."""
+    X = np.matmul(np.array([p.w for p in group])[:, None, :], np.array([p.P for p in group]))[:, 0]
+    if group[0].span is not None:
+        # x is the corral's affine minimizer, so it is orthogonal to the
+        # corral's edges; removing the rounding along them makes x.d_i
+        # exact to rounding in ||x|| max ||d_i||, not in max ||d_i||^2.
+        S = np.array([p.span[0] for p in group])[:, :, : group[0].span[1]]
+        X -= np.matmul(S, np.matmul(S.transpose(0, 2, 1), X[:, :, None]))[:, :, 0]
+    G = np.matmul(np.array([p.D for p in group]), X[:, :, None])[:, :, 0]
+    J = G.argmin(axis=1)
+    XX = np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0]
+    for p, j, g, xx in zip(group, J.tolist(), G[np.arange(len(J)), J].tolist(), XX.tolist()):
+        gap = xx - g
+        stalled = j in p.corral or xx >= p.last
+        if gap <= 0 or (stalled and gap <= p.floor):
+            p.end = p.corral, p.w
+        elif stalled or p.cycle == max_iter:
+            p.end = NoConvergence(p.op, f"optimality gap {gap:.3e} after {p.cycle} major cycles")
+        else:
+            p.last, p.cycle, p.minor = xx, p.cycle + 1, True
+            p.corral.append(j)
+            p.P = np.concatenate((p.P, p.D[j : j + 1]))
+            p.w = np.concatenate((p.w, [0.0]))
+
+
+def _minor_cycles(group):
+    """One minor cycle of each problem of group, whose corrals share a shape.
+
+    The corral's affine minimizer v (weights summing to 1) is least squares
+    on the edges from the first row, by SVD with lstsq's rank cut, so
+    duplicate, collinear or coplanar rows are no error; the solves go by
+    rank.  A v > 0 becomes the weights; else w steps towards v until the
+    first weight reaches 0, and that row leaves the corral.
     """
-    sq = np.einsum("ij,ij->i", D, D)
-    top = float(sq.max())
-    if not _SAFE_SQ[0] <= top <= _SAFE_SQ[1]:
-        D = np.ldexp(D, -np.frexp(np.abs(D).max())[1])
-        sq = np.einsum("ij,ij->i", D, D)
-        top = float(sq.max())
-    floor = _GAP_FLOOR * top
-    corral = [int(np.argmin(sq))]
-    w, span = np.ones(1), None
-    last = np.inf
-    for cycle in range(max_iter + 1):
-        x = w @ D[corral]
-        if span is not None:
-            # x is the corral's affine minimizer, so it is orthogonal to the
-            # corral's edges; removing the rounding along them makes x.d_i
-            # exact to rounding in ||x|| max ||d_i||, not in max ||d_i||^2.
-            x -= span @ (span.T @ x)
-        g = D @ x
-        j = int(np.argmin(g))
-        xx = float(x @ x)
-        gap = xx - float(g[j])
-        stalled = j in corral or xx >= last
-        if gap <= 0 or (stalled and gap <= floor):
-            return corral, w
-        if stalled or cycle == max_iter:
-            break
-        last = xx
-        corral.append(j)
-        w = np.append(w, 0.0)
-        while True:
-            v, basis = _affine_weights(D[corral])
-            if v.min() > 0:
-                w, span = v, basis
-                break
+    P = np.array([p.P for p in group])
+    if P.shape[1] == 1:
+        solved = [(group, np.ones((len(group), 1)), [None] * len(group))]
+    else:
+        E = (P[:, 1:] - P[:, :1]).transpose(0, 2, 1)
+        U, sv, Vt = np.linalg.svd(E, full_matrices=False)
+        ranks = [sum(row) for row in (sv > sv[:, :1] * max(E.shape[1:]) * np.finfo(float).eps).tolist()]
+        solved = []
+        for idx in _by_key(range(len(group)), ranks.__getitem__):
+            r, sel = ranks[idx[0]], slice(None) if len(idx) == len(group) else idx
+            Ur = U[sel]
+            y = np.matmul(Ur[:, :, :r].transpose(0, 2, 1), P[sel][:, 0, :, None])[:, :, 0] / sv[sel][:, :r]
+            z = -np.matmul(Vt[sel][:, :r].transpose(0, 2, 1), y[:, :, None])[:, :, 0]
+            v = np.concatenate([1.0 - z.sum(axis=1, keepdims=True), z], axis=1)
+            solved.append(([group[i] for i in idx], v, [(u, r) for u in Ur]))
+    for members, V, spans in solved:
+        for p, v, span, taken in zip(members, V, spans, (V.min(axis=1) > 0).tolist()):
+            if taken:
+                p.w, p.span, p.minor = v, span, False
+                continue
             # Step from w towards v until the first weight reaches 0, drop it.
             out = np.flatnonzero(v <= 0)
-            ratio = w[out] / np.maximum(w[out] - v[out], np.finfo(float).tiny)
+            ratio = p.w[out] / np.maximum(p.w[out] - v[out], np.finfo(float).tiny)
             k = int(np.argmin(ratio))
-            w = w + ratio[k] * (v - w)
+            w = p.w + ratio[k] * (v - p.w)
             w[out[k]] = 0.0
             keep = np.flatnonzero(w > 0)
-            corral = [corral[i] for i in keep]
-            w = w[keep]
-    raise NoConvergence(op, f"optimality gap {gap:.3e} after {cycle} major cycles")
+            p.corral = [p.corral[i] for i in keep]
+            p.P, p.w = p.P[keep], w[keep]
 
 
 def project(s, p, max_iter=PROJECT_MAX_ITER):
     """Nearest point q of s to p.
 
     Balls are handled in closed form.  Polytopes run Wolfe's finite
-    min-norm-point method (_min_norm_weights) on the vertices minus p; q is
-    a convex combination of vertices.  Certificate: the Frank-Wolfe gap
-    x.x - min_i x.(v_i - p) at x = q - p is at most 0, or, where rounding
-    stops progress first, at most 2^-42 max_i ||v_i - p||^2; both are
-    relative to the data, so the stop is the same at every scale.  Raises
-    NoConvergence otherwise, and when max_iter major cycles run out.  A NaN
-    or infinite p raises ValueError.
+    min-norm-point method (_min_norm_weights, a stack of one problem) on
+    the vertices minus p; q is a convex combination of vertices.
+    Certificate: the Frank-Wolfe gap x.x - min_i x.(v_i - p) at x = q - p
+    is at most 0, or, where rounding stops progress first, at most 2^-42
+    max_i ||v_i - p||^2; both are relative to the data, so the stop is the
+    same at every scale.  Raises NoConvergence otherwise, and when max_iter
+    major cycles run out.  A NaN or infinite p raises ValueError, as does a
+    max_iter that is not an int >= 0.
     """
     p = _check_point(s, p, "project", finite=True)
+    if not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
+        raise ValueError(f"project: max_iter must be an int >= 0, got {max_iter!r}")
     if isinstance(s, Ball):
         d = p - s.center
         nrm = _norm(d)
@@ -486,19 +573,29 @@ def project(s, p, max_iter=PROJECT_MAX_ITER):
             return p.copy()
         return s.center + (s.radius / nrm) * d
     if isinstance(s, VPolytope):
-        corral, w = _min_norm_weights(s.vertices - p, max_iter, "project")
+        (end,) = _min_norm_weights([(s.vertices - p, "project")], max_iter)
+        if isinstance(end, Exception):
+            raise end
+        corral, w = end
         return w @ s.vertices[corral]
     raise TypeError(f"unsupported set type {type(s).__name__}")
 
 
 def contains(s, a, tol):
-    """Membership test: dist(a, s) <= tol.  A NaN or infinite a raises ValueError."""
+    """Membership test: dist(a, s) <= tol.  A NaN or infinite a, or a tol
+    that is not finite and > 0, raises ValueError."""
     a = _check_point(s, a, "contains", finite=True)
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"contains: tol must be finite and > 0, got {tol!r}")
     if isinstance(s, Ball):
         return _norm(a - s.center) - s.radius <= tol
     return _norm(a - project(s, a)) <= tol
+
+
+def _check_tol(tol, op):
+    """Raises ValueError unless tol is finite and >= 0."""
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"{op}: tol must be finite and >= 0, got {tol!r}")
 
 
 def feasible_point(set_a, set_b, tol=FEASIBLE_TOL):
@@ -509,37 +606,69 @@ def feasible_point(set_a, set_b, tol=FEASIBLE_TOL):
     polytope.  Two polytopes: Wolfe's method (see project) on the
     differences a_i - b_j; its weights give a in set_a and b in set_b with
     ||a - b|| the sets' distance, and a is returned.  Raises
-    EmptyIntersection when the distance is above tol.
+    EmptyIntersection when the distance is above tol, and ValueError
+    unless tol is finite and >= 0.  The one-pair case of _feasible_points.
     """
     if set_a.dim != set_b.dim:
         raise DimensionMismatch(
             "feasible_point", f"sets have dims {set_a.dim} and {set_b.dim}"
         )
-    if isinstance(set_a, Ball) and isinstance(set_b, Ball):
-        d = set_b.center - set_a.center
-        nrm = _norm(d)
-        dist = nrm - set_a.radius - set_b.radius
-        point = set_a.center.copy()
-        if nrm > 0:
-            # distances from set_a's centre, along d, that lie in both balls
-            lo, hi = max(nrm - set_b.radius, 0.0), min(set_a.radius, nrm)
-            point += ((hi if lo > hi else 0.5 * (lo + hi)) / nrm) * d
-    elif isinstance(set_a, Ball) or isinstance(set_b, Ball):
-        ball, poly = (set_a, set_b) if isinstance(set_a, Ball) else (set_b, set_a)
-        point = project(poly, ball.center)
-        dist = _norm(point - ball.center) - ball.radius
-    else:
-        A, B = set_a.vertices, set_b.vertices
-        D = (A[:, None, :] - B[None, :, :]).reshape(-1, A.shape[1])
-        corral, w = _min_norm_weights(D, PROJECT_MAX_ITER, "feasible_point")
-        rows = np.array(corral)
-        point = w @ A[rows // B.shape[0]]
-        dist = _norm(point - w @ B[rows % B.shape[0]])
-    if dist > tol:
-        raise EmptyIntersection(
-            "feasible_point", f"the sets are {dist:.3e} apart, above {tol:.1e}"
-        )
+    _check_tol(tol, "feasible_point")
+    (point,) = _feasible_points([(set_a, set_b)], tol)
+    if isinstance(point, Exception):
+        raise point
     return point
+
+
+def _feasible_points(pairs, tol):
+    """feasible_point of each pair (set_a, set_b) of one dimension, as its
+    point or as the error it raises.  The Wolfe runs of all pairs go
+    through _min_norm_weights as one stack, and the distances through one
+    _norms call; a ball and a polytope end in the NoConvergence of
+    project."""
+    balls = [(isinstance(a, Ball), isinstance(b, Ball)) for a, b in pairs]
+    problems = []
+    for (a, b), (ball_a, ball_b) in zip(pairs, balls):
+        if ball_a != ball_b:
+            ball, poly = (a, b) if ball_a else (b, a)
+            problems.append((poly.vertices - ball.center, "project"))
+        elif not ball_a:
+            A, B = a.vertices, b.vertices
+            problems.append(((A[:, None, :] - B[None, :, :]).reshape(-1, A.shape[1]), "feasible_point"))
+    ends = iter(_min_norm_weights(problems, PROJECT_MAX_ITER))
+    # per pair: its point (None for two balls, until their distance is
+    # known), and the vector and radii whose norm less the radii is the
+    # sets' distance
+    points, gaps, radii = [], [], []
+    for (a, b), (ball_a, ball_b) in zip(pairs, balls):
+        end = None if ball_a and ball_b else next(ends)
+        if end is None:
+            point, gap, r = None, b.center - a.center, (a.radius, b.radius)
+        elif isinstance(end, Exception):
+            point, gap, r = end, np.zeros(a.dim), (0.0, 0.0)
+        elif ball_a != ball_b:
+            ball, poly = (a, b) if ball_a else (b, a)
+            point = end[1] @ poly.vertices[end[0]]
+            gap, r = point - ball.center, (ball.radius, 0.0)
+        else:
+            rows, k = np.array(end[0]), len(b.vertices)
+            point = end[1] @ a.vertices[rows // k]
+            gap, r = point - end[1] @ b.vertices[rows % k], (0.0, 0.0)
+        points.append(point)
+        gaps.append(gap)
+        radii.append(r)
+    for i, (nrm, (ra, rb)) in enumerate(zip(_norms(np.array(gaps).T).tolist(), radii)):
+        if points[i] is None:
+            # two balls: the middle of the stretch of the segment between
+            # the centres that lies in both, measured from a's centre
+            points[i] = pairs[i][0].center.copy()
+            if nrm > 0:
+                lo, hi = max(nrm - rb, 0.0), min(ra, nrm)
+                points[i] += ((hi if lo > hi else 0.5 * (lo + hi)) / nrm) * gaps[i]
+        dist = nrm - ra - rb
+        if dist > tol and not isinstance(points[i], Exception):
+            points[i] = EmptyIntersection("feasible_point", f"the sets are {dist:.3e} apart, above {tol:.1e}")
+    return points
 
 
 def coordinate_bound(s, k):

@@ -11,7 +11,7 @@ from functools import partial
 
 import numpy as np
 
-from .convexsets import FEASIBLE_TOL, _blocks, _default_grid, _dot_paired, feasible_point
+from .convexsets import FEASIBLE_TOL, _blocks, _check_tol, _default_grid, _dot_paired, _feasible_points
 from .errors import (
     DimensionMismatch,
     EmptyFamily,
@@ -134,6 +134,7 @@ def saddle_build(phis, psis, tol=FEASIBLE_TOL):
     with slack 2 tol times the scale.  So 2^k phi and 2^k psi build the
     saddle of phi and psi, scaled, or fail the same way.
     """
+    _check_tol(tol, "saddle_build")
     phis = list(phis)
     psis = list(psis)
     if not phis or not psis:
@@ -162,14 +163,15 @@ def saddle_build(phis, psis, tol=FEASIBLE_TOL):
             f"some psi exceeds some phi by {worst:.3e} on the sphere grid",
         )
 
-    P, Q = len(phis), len(psis)
-    coeffs = np.empty((P, Q, n))
-    for i in range(P):
-        for j in range(Q):
-            coeffs[i, j] = feasible_point(phis[i].set, psis[j].set, tol=tol * scale)
+    # every pair's feasible_point in one stack; the first failing pair in
+    # row-major order raises
+    points = _feasible_points([(p.set, q.set) for p in phis for q in psis], tol * scale)
+    for point in points:
+        if isinstance(point, Exception):
+            raise point
 
     S = SaddleFamily(
-        coeffs,
+        np.array(points).reshape(len(phis), len(psis), n),
         phi_labels=[p.label or f"phi{i}" for i, p in enumerate(phis)],
         psi_labels=[q.label or f"psi{j}" for j, q in enumerate(psis)],
     )
