@@ -129,10 +129,13 @@ def saddle_build(phis, psis, tol=FEASIBLE_TOL):
     the default sphere grid.  Validates psi_j <= phi_i on that grid first,
     to tol times the scale (NotOrdered on failure), then intersects each
     subdifferential with each superdifferential, which may lie tol times
-    the scale apart (EmptyIntersection).  The bracket
+    the scale apart (EmptyIntersection).  All P x Q intersections are one
+    stack of the Wolfe kernel, each with the bits it gets alone; the first
+    failing pair in row-major order raises.  The bracket
     max_j psi_j <= minmax/maxmin <= min_i phi_i is re-checked on the grid
     with slack 2 tol times the scale.  So 2^k phi and 2^k psi build the
-    saddle of phi and psi, scaled, or fail the same way.
+    saddle of phi and psi, scaled, or fail the same way.  A tol that is not
+    finite and >= 0 raises ValueError.
     """
     _check_tol(tol, "saddle_build")
     phis = list(phis)
@@ -163,8 +166,6 @@ def saddle_build(phis, psis, tol=FEASIBLE_TOL):
             f"some psi exceeds some phi by {worst:.3e} on the sphere grid",
         )
 
-    # every pair's feasible_point in one stack; the first failing pair in
-    # row-major order raises
     points = _feasible_points([(p.set, q.set) for p in phis for q in psis], tol * scale)
     for point in points:
         if isinstance(point, Exception):
