@@ -399,33 +399,32 @@ def _by_key(items, key):
     return groups.values()
 
 
-# what numpy raises on non-finite data: FloatingPointError under
-# np.errstate(all="raise"), RuntimeWarning where warnings are errors, and
-# LinAlgError (a ValueError)
-_NUMPY_ERRORS = (ArithmeticError, ValueError, Warning)
-
-
 class _Wolfe:
-    """The state of one problem of _min_norm_weights: its rows D, the
-    operation named by its NoConvergence, and its corral with the corral's
-    rows P = D[corral], weights, span (U, rank), last ||x||^2 and major
-    cycle count; `end` holds the result."""
+    """The state of one problem of _min_norm_weights: its operands A and B,
+    their differences D, the operation named by its NoConvergence, and its
+    corral with the corral's rows P = D[corral], weights, span (U, rank),
+    last ||x||^2 and major cycle count; `end` holds the result."""
 
-    __slots__ = ("D", "op", "floor", "corral", "P", "w", "span", "last", "cycle", "minor", "end")
+    __slots__ = ("A", "B", "D", "op", "floor", "corral", "P", "w", "span", "last", "cycle", "minor", "end")
 
-    def __init__(self, D, op):
-        self.D, self.op = D, op
+    def __init__(self, A, B, op):
+        self.A, self.B, self.op = A, B, op
         self.w, self.span, self.last, self.cycle = np.ones(1), None, np.inf, 0
         self.minor, self.end = False, None
 
 
+def _differences(A, B):
+    """The rows A[..., i, :] - B[..., j, :] of stacked operands, row i * len(B) + j."""
+    return (A[..., :, None, :] - B[..., None, :, :]).reshape(*A.shape[:-2], -1, A.shape[-1])
+
+
 def _min_norm_weights(problems, max_iter):
-    """Wolfe's nearest point x = w @ D[corral] to 0 in the hull of D's rows,
-    for every (D, op) of problems at once.
+    """Wolfe's nearest point x = w @ D[corral] to 0 in the hull of the rows
+    of D, the differences A[i] - B[j] in row i * len(B) + j, for every
+    (A, B, op) of problems at once.
 
     Returns per problem its corral (row indices) and weights, all > 0, or
-    the error it ends in: NoConvergence(op), or what numpy raises on rows
-    that overflowed.  A major cycle adds the row with the smallest x.d;
+    NoConvergence(op).  A major cycle adds the row with the smallest x.d;
     minor cycles move to the corral's affine minimizer, dropping rows until
     every weight is > 0.  Stops at a Frank-Wolfe gap x.x - min_i x.d_i
     (which bounds (||x||^2 - min ||.||^2) / 2) of at most 0, or of at most
@@ -434,7 +433,9 @@ def _min_norm_weights(problems, max_iter):
     as it does after max_iter major cycles.
     The weights do not depend on D's scale: where max_i ||d_i||^2 lies
     outside _SAFE_SQ, D is first scaled by an exact power of two; inside it
-    the run sees D's own bits.
+    the run sees D's own bits.  Where it is not finite, a difference or its
+    square overflowed, and D is formed again from A / 2 and B / 2, whose
+    differences are finite, before that scaling.
 
     The problems run in lockstep: each round takes one major cycle of every
     problem between minor cycles, then one minor cycle of every problem in
@@ -443,43 +444,28 @@ def _min_norm_weights(problems, max_iter):
     the route of a call on that slice alone: a problem's bits do not
     depend on the other problems.
     """
-    try:
-        return _lockstep(problems, max_iter)
-    except _NUMPY_ERRORS:
-        if len(problems) == 1:
-            raise
-    # rows that overflowed can make numpy raise in one problem (its
-    # RuntimeWarning, where warnings are errors): then each problem runs
-    # alone, and ends in its own result or error
-    ends = []
-    for problem in problems:
-        try:
-            ends += _lockstep([problem], max_iter)
-        except _NUMPY_ERRORS as exc:
-            ends.append(exc)
-    return ends
-
-
-def _lockstep(problems, max_iter):
-    """The ends of _min_norm_weights, all problems in one lockstep run."""
-    probs = [_Wolfe(D, op) for D, op in problems]
-    for group in _by_key(probs, lambda p: p.D.shape):
-        D = np.array([p.D for p in group])
-        sq = np.einsum("pij,pij->pi", D, D)
-        for p, top, j in zip(group, sq.max(axis=1).tolist(), sq.argmin(axis=1).tolist()):
-            if not _SAFE_SQ[0] <= top <= _SAFE_SQ[1]:
-                p.D = np.ldexp(p.D, -np.frexp(np.abs(p.D).max())[1])
-                rescaled = np.einsum("ij,ij->i", p.D, p.D)
-                top, j = float(rescaled.max()), int(np.argmin(rescaled))
-            p.floor, p.corral, p.P = _GAP_FLOOR * top, [j], p.D[j : j + 1]
-    run = probs
-    while run:
-        major = [p for p in run if not p.minor]
-        for group in _by_key(major, lambda p: (p.D.shape, len(p.corral), None if p.span is None else p.span[1])):
-            _major_cycles(group, max_iter)
-        for group in _by_key([p for p in run if p.minor], lambda p: (len(p.corral), p.D.shape[1])):
-            _minor_cycles(group)
-        run = [p for p in run if p.end is None]
+    probs = [_Wolfe(A, B, op) for A, B, op in problems]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for group in _by_key(probs, lambda p: (p.A.shape, p.B.shape)):
+            D = _differences(np.array([p.A for p in group]), np.array([p.B for p in group]))
+            sq = np.einsum("pij,pij->pi", D, D)
+            for p, d, top, j in zip(group, D, sq.max(axis=1).tolist(), sq.argmin(axis=1).tolist()):
+                p.D = d
+                if not _SAFE_SQ[0] <= top <= _SAFE_SQ[1]:
+                    if not np.isfinite(top):
+                        p.D = _differences(0.5 * p.A, 0.5 * p.B)
+                    p.D = np.ldexp(p.D, -np.frexp(np.abs(p.D).max())[1])
+                    rescaled = np.einsum("ij,ij->i", p.D, p.D)
+                    top, j = float(rescaled.max()), int(np.argmin(rescaled))
+                p.floor, p.corral, p.P = _GAP_FLOOR * top, [j], p.D[j : j + 1]
+        run = probs
+        while run:
+            major = [p for p in run if not p.minor]
+            for group in _by_key(major, lambda p: (p.D.shape, len(p.corral), None if p.span is None else p.span[1])):
+                _major_cycles(group, max_iter)
+            for group in _by_key([p for p in run if p.minor], lambda p: (len(p.corral), p.D.shape[1])):
+                _minor_cycles(group)
+            run = [p for p in run if p.end is None]
     return [p.end for p in probs]
 
 
@@ -553,9 +539,11 @@ def _minor_cycles(group):
 def project(s, p, max_iter=PROJECT_MAX_ITER):
     """Nearest point q of s to p.
 
-    Balls are handled in closed form.  Polytopes run Wolfe's finite
-    min-norm-point method (_min_norm_weights, a stack of one problem) on
-    the vertices minus p; q is a convex combination of vertices.
+    Balls are handled in closed form.  For a polytope, q is the point
+    feasible_point finds for s and the radius-0 ball at p (_feasible_points,
+    with no bound on the distance): Wolfe's finite min-norm-point method
+    (_min_norm_weights) on the vertices minus p, a convex combination of
+    vertices.
     Certificate: the Frank-Wolfe gap x.x - min_i x.(v_i - p) at x = q - p
     is at most 0, or, where rounding stops progress first, at most 2^-42
     max_i ||v_i - p||^2; both are relative to the data, so the stop is the
@@ -572,24 +560,27 @@ def project(s, p, max_iter=PROJECT_MAX_ITER):
         if nrm <= s.radius:
             return p.copy()
         return s.center + (s.radius / nrm) * d
-    if isinstance(s, VPolytope):
-        (end,) = _min_norm_weights([(s.vertices - p, "project")], max_iter)
-        if isinstance(end, Exception):
-            raise end
-        corral, w = end
-        return w @ s.vertices[corral]
-    raise TypeError(f"unsupported set type {type(s).__name__}")
+    if not isinstance(s, VPolytope):
+        raise TypeError(f"unsupported set type {type(s).__name__}")
+    (q,) = _feasible_points([(s, Ball(p, 0.0))], np.inf, max_iter)
+    if isinstance(q, Exception):
+        raise q
+    return q
 
 
 def contains(s, a, tol):
-    """Membership test: dist(a, s) <= tol.  A NaN or infinite a, or a tol
-    that is not finite and > 0, raises ValueError."""
+    """Membership test: dist(a, s) <= tol, as feasible_point measures it for
+    s and the radius-0 ball at a.  A NaN or infinite a, or a tol that is
+    not finite and > 0, raises ValueError."""
     a = _check_point(s, a, "contains", finite=True)
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"contains: tol must be finite and > 0, got {tol!r}")
-    if isinstance(s, Ball):
-        return _norm(a - s.center) - s.radius <= tol
-    return _norm(a - project(s, a)) <= tol
+    (point,) = _feasible_points([(s, Ball(a, 0.0))], tol)
+    if isinstance(point, EmptyIntersection):
+        return False
+    if isinstance(point, Exception):
+        raise point
+    return True
 
 
 def _check_tol(tol, op):
@@ -606,8 +597,9 @@ def feasible_point(set_a, set_b, tol=FEASIBLE_TOL):
     polytope.  Two polytopes: Wolfe's method (see project) on the
     differences a_i - b_j; its weights give a in set_a and b in set_b with
     ||a - b|| the sets' distance, and a is returned.  Raises
-    EmptyIntersection when the distance is above tol, and ValueError
-    unless tol is finite and >= 0.  The one-pair case of _feasible_points.
+    EmptyIntersection when the distance is above tol, or beyond the float
+    range, and ValueError unless tol is finite and >= 0.  The one-pair case
+    of _feasible_points.
     """
     if set_a.dim != set_b.dim:
         raise DimensionMismatch(
@@ -620,54 +612,57 @@ def feasible_point(set_a, set_b, tol=FEASIBLE_TOL):
     return point
 
 
-def _feasible_points(pairs, tol):
+def _feasible_points(pairs, tol, max_iter=PROJECT_MAX_ITER):
     """feasible_point of each pair (set_a, set_b) of one dimension, as its
-    point or as the error it raises.  The Wolfe runs of all pairs go
-    through _min_norm_weights as one stack, and the distances through one
-    _norms call; a ball and a polytope end in the NoConvergence of
-    project."""
+    point or as the error it raises.  A ball and a polytope are the problem
+    (vertices, centre) of _min_norm_weights, two polytopes (vertices of a,
+    vertices of b); the problems of all pairs go through it as one stack,
+    and the distances through one _norms call.  A ball and a polytope end
+    in the NoConvergence of project.  A distance that overflows is inf,
+    above every finite tol."""
     balls = [(isinstance(a, Ball), isinstance(b, Ball)) for a, b in pairs]
     problems = []
     for (a, b), (ball_a, ball_b) in zip(pairs, balls):
         if ball_a != ball_b:
             ball, poly = (a, b) if ball_a else (b, a)
-            problems.append((poly.vertices - ball.center, "project"))
+            problems.append((poly.vertices, ball.center[None, :], "project"))
         elif not ball_a:
-            A, B = a.vertices, b.vertices
-            problems.append(((A[:, None, :] - B[None, :, :]).reshape(-1, A.shape[1]), "feasible_point"))
-    ends = iter(_min_norm_weights(problems, PROJECT_MAX_ITER))
+            problems.append((a.vertices, b.vertices, "feasible_point"))
+    ends = iter(_min_norm_weights(problems, max_iter))
     # per pair: its point (None for two balls, until their distance is
     # known), and the vector and radii whose norm less the radii is the
     # sets' distance
     points, gaps, radii = [], [], []
-    for (a, b), (ball_a, ball_b) in zip(pairs, balls):
-        end = None if ball_a and ball_b else next(ends)
-        if end is None:
-            point, gap, r = None, b.center - a.center, (a.radius, b.radius)
-        elif isinstance(end, Exception):
-            point, gap, r = end, np.zeros(a.dim), (0.0, 0.0)
-        elif ball_a != ball_b:
-            ball, poly = (a, b) if ball_a else (b, a)
-            point = end[1] @ poly.vertices[end[0]]
-            gap, r = point - ball.center, (ball.radius, 0.0)
-        else:
-            rows, k = np.array(end[0]), len(b.vertices)
-            point = end[1] @ a.vertices[rows // k]
-            gap, r = point - end[1] @ b.vertices[rows % k], (0.0, 0.0)
-        points.append(point)
-        gaps.append(gap)
-        radii.append(r)
-    for i, (nrm, (ra, rb)) in enumerate(zip(_norms(np.array(gaps).T).tolist(), radii)):
-        if points[i] is None:
+    with np.errstate(over="ignore"):
+        for (a, b), (ball_a, ball_b) in zip(pairs, balls):
+            end = None if ball_a and ball_b else next(ends)
+            if end is None:
+                point, gap, r = None, b.center - a.center, (a.radius, b.radius)
+            elif isinstance(end, Exception):
+                point, gap, r = end, np.zeros(a.dim), (0.0, 0.0)
+            elif ball_a != ball_b:
+                ball, poly = (a, b) if ball_a else (b, a)
+                point = end[1] @ poly.vertices[end[0]]
+                gap, r = point - ball.center, (ball.radius, 0.0)
+            else:
+                rows, k = np.array(end[0]), len(b.vertices)
+                point = end[1] @ a.vertices[rows // k]
+                gap, r = point - end[1] @ b.vertices[rows % k], (0.0, 0.0)
+            points.append(point)
+            gaps.append(gap)
+            radii.append(r)
+        norms = _norms(np.array(gaps).T).tolist()
+    for i, (nrm, (ra, rb)) in enumerate(zip(norms, radii)):
+        dist = nrm - ra - rb
+        if dist > tol and not isinstance(points[i], Exception):
+            points[i] = EmptyIntersection("feasible_point", f"the sets are {dist:.3e} apart, above {tol:.1e}")
+        elif points[i] is None:
             # two balls: the middle of the stretch of the segment between
             # the centres that lies in both, measured from a's centre
             points[i] = pairs[i][0].center.copy()
             if nrm > 0:
                 lo, hi = max(nrm - rb, 0.0), min(ra, nrm)
                 points[i] += ((hi if lo > hi else 0.5 * (lo + hi)) / nrm) * gaps[i]
-        dist = nrm - ra - rb
-        if dist > tol and not isinstance(points[i], Exception):
-            points[i] = EmptyIntersection("feasible_point", f"the sets are {dist:.3e} apart, above {tol:.1e}")
     return points
 
 

@@ -158,8 +158,10 @@ def saddle_build(phis, psis, tol=FEASIBLE_TOL):
     scale = float(np.abs(vals).max())
     hi = vals[: len(phis)].min(axis=0)
     lo = vals[len(phis) :].max(axis=0)
-    # rounded subtraction is monotone, so this is the largest psi_j - phi_i
-    worst = float((lo - hi).max())
+    # rounded subtraction is monotone, so this is the largest psi_j - phi_i;
+    # +inf where it overflows, which is not ordered
+    with np.errstate(over="ignore", invalid="ignore"):
+        worst = float((lo - hi).max())
     if worst > tol * scale:
         raise NotOrdered(
             "saddle_build",

@@ -77,15 +77,17 @@ class StepFunction:
         return self.values.size
 
     def value_at(self, t):
+        """The value at t in [0,1]: the one-point case of values_at."""
         t = float(t)
         if not 0.0 <= t <= 1.0:
             raise IndexOutOfRange("value_at", f"t={t} outside [0,1]")
-        idx = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
-        return float(self.values[min(idx, self.pieces - 1)])
+        return float(self.values_at(t)[0])
 
     def values_at(self, ts):
+        """The values at the points ts, each in [0,1] (NaN is not)."""
         ts = np.asarray(ts, dtype=float).reshape(-1)
-        if ts.size and (ts.min() < 0.0 or ts.max() > 1.0):
+        # min and max are NaN where a point is, which fails both comparisons
+        if ts.size and not (ts.min() >= 0.0 and ts.max() <= 1.0):
             raise IndexOutOfRange("values_at", "grid points must lie in [0,1]")
         idx = np.searchsorted(self.breakpoints, ts, side="right") - 1
         return self.values[np.minimum(idx, self.pieces - 1)]

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,6 +293,50 @@ def test_saddle_build_not_ordered_exits_3(capsys, tmp_path):
         '{"error": {"message": "some psi exceeds some phi by 5.000e-01 on the sphere grid", '
         '"operation": "saddle_build"}}\n'
     )
+
+
+@pytest.mark.parametrize(
+    "phis, psis, code",
+    [
+        (
+            [{"polytope": {"vertices": [[1e308, 1e308], [-1e308, -1e308], [1e308, -1e308]]}}],
+            [{"polytope": {"vertices": [[-1e308, 1e308], [1e308, 1e308]]}}],
+            0,
+        ),
+        (
+            [{"ball": {"center": [1.7e308, 0.0], "radius": 1.0}}],
+            [{"ball": {"center": [-1.7e308, 0.0], "radius": 1.0}}],
+            3,
+        ),
+    ],
+    ids=["polytopes-meeting-at-1e308", "balls-at-1.7e308"],
+)
+def test_extreme_saddle_documents_under_warnings_as_errors(tmp_path, phis, psis, code):
+    # the first pair meets at (1e308, 1e308), though its vertex differences
+    # overflow; in the second, psi - phi overflows on the grid.  Under
+    # python -W error a numpy warning would end the process in a traceback.
+    doc = {
+        "phis": [{"sublinear": {"subdiff": s}} for s in phis],
+        "psis": [{"superlinear": {"superdiff": s}} for s in psis],
+    }
+    inp = tmp_path / "family.json"
+    inp.write_text(json.dumps(doc))
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "homocalc", "saddle-build", "--family", str(inp)],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == code
+    if code == 0:
+        assert done.stderr == ""
+        out = json.loads(done.stdout, parse_constant=_reject_constant)
+        assert out["saddle"]["coeffs"] == [[[1e308, 1e308]]]
+    else:
+        assert done.stdout == ""
+        assert done.stderr.count("\n") == 1
+        err = json.loads(done.stderr, parse_constant=_reject_constant)
+        assert err["error"]["message"] == "some psi exceeds some phi by inf on the sphere grid"
 
 
 def test_unknown_builtin_exits_2(capsys):

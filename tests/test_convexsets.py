@@ -348,6 +348,10 @@ def _normal(a):
 )
 @example(np.array([4.0, -1.0, 2.5]), 0, "generic", 1000)
 @example(np.array([4.0, -1.0, 2.5]), 0, "generic", -1000)
+# vertices and point are finite at these k, but vertex minus point overflows
+@example(np.array([3.5, -3.5, 3.5]), 0, "generic", 1022)
+@example(np.array([3.5, -3.5, 3.5]), 0, "duplicate", 1022)
+@example(np.array([-3.9, 3.9, 0.0]), 0, "thin", 1022)
 def test_projection_commutes_with_power_of_two_scaling(p, seed, shape, k):
     V = _vertex_set(np.random.default_rng(seed), shape)
     Vk, pk = np.ldexp(V, k), np.ldexp(p, k)

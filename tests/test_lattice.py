@@ -108,6 +108,20 @@ def test_embed_step_to_grid():
     assert np.array_equal(e.coords, [1.0, 3.0])
 
 
+def test_step_functions_reject_nan_points():
+    f = StepFunction([0.0, 0.5, 1.0], [2.0, 5.0])
+    with pytest.raises(IndexOutOfRange, match="t=nan outside"):
+        f.value_at(float("nan"))
+    with pytest.raises(IndexOutOfRange, match="grid points must lie in"):
+        f.values_at([float("nan")])
+    with pytest.raises(IndexOutOfRange, match="grid points must lie in"):
+        embed_step_to_grid(f, [float("nan"), 0.2])
+    with pytest.raises(IndexOutOfRange):
+        PointEvalHom(float("nan"))
+    assert f.value_at(0.5) == 5.0 and f.value_at(1.0) == 5.0
+    assert f.values_at([0.2, 1.0, 0.5]).tolist() == [2.0, 5.0, 5.0]
+
+
 def test_embed_constant():
     c = StepFunction([0.0, 1.0], [5.0])
     assert np.array_equal(embed_step_to_grid(c, [0.1, 0.5, 0.9]).coords, [5.0, 5.0, 5.0])

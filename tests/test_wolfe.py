@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homocalc.convexsets import (
@@ -139,7 +139,7 @@ def _rows(n, k, shape, exp, seed):
     """A problem of _min_norm_weights: k rows in R^n, with 0 in their hull
     or not, scaled by 2^exp.  Shapes: generic, repeated rows, collinear,
     squashed to 1e-8 across a plane, or the differences a_i - b_j of two
-    overlapping polytopes, as feasible_point forms them."""
+    overlapping polytopes, as the kernel forms them."""
     rng = np.random.default_rng(seed)
     if shape == "difference":
         A, B = rng.uniform(-1.0, 1.0, (k, n)), rng.uniform(-0.5, 0.5, (2, n))
@@ -155,6 +155,16 @@ def _rows(n, k, shape, exp, seed):
     return np.ldexp(D, exp)
 
 
+def _overflowing(seed):
+    """Operands of a problem of _min_norm_weights in R^2 whose differences
+    overflow: a triangle and a segment with coordinates up to 1.7e308,
+    whose first vertices differ by 3.4e308 in the first coordinate."""
+    rng = np.random.default_rng(seed)
+    A, B = 1.7e308 * rng.uniform(-1.0, 1.0, (3, 2)), 1.7e308 * rng.uniform(-1.0, 1.0, (2, 2))
+    A[0, 0], B[0, 0] = 1.7e308, -1.7e308
+    return A, B, "feasible_point"
+
+
 _PROBLEM = st.tuples(
     st.integers(1, 5),
     st.integers(1, 7),
@@ -168,18 +178,24 @@ _PROBLEM = st.tuples(
 @given(
     st.lists(st.tuples(_PROBLEM, st.integers(1, 4)), min_size=1, max_size=8),
     st.sampled_from([0, 1, 2, PROJECT_MAX_ITER]),
+    st.one_of(st.none(), st.integers(0, 2**32 - 1)),
 )
-def test_a_stack_solves_each_problem_as_it_is_solved_alone(specs, max_iter):
+@example([((2, 6, "generic", 0, 7), 2), ((2, 3, "difference", 5, 8), 1)], PROJECT_MAX_ITER, 11)
+def test_a_stack_solves_each_problem_as_it_is_solved_alone(specs, max_iter, overflow):
     # each drawn problem appears in 1-4 copies of one shape, some scaled by
-    # another power of two, so that the stack holds groups of equal shapes
-    problems = []
+    # another power of two, so that the stack holds groups of equal shapes;
+    # with an `overflow` seed the stack opens with a problem whose
+    # differences overflow, which is solved as well
+    problems = [] if overflow is None else [_overflowing(overflow)]
     for (n, k, shape, exp, seed), copies in specs:
         for c in range(copies):
-            problems.append((_rows(n, k, shape, exp if c % 2 else 0, seed + c), "project"))
+            problems.append((_rows(n, k, shape, exp if c % 2 else 0, seed + c), np.zeros((1, n)), "project"))
     stacked = _min_norm_weights(problems, max_iter)
     for problem, end in zip(problems, stacked):
         (alone,) = _min_norm_weights([problem], max_iter)
         assert _end_bits(end) == _end_bits(alone)
+    if overflow is not None and max_iter == PROJECT_MAX_ITER:
+        assert not isinstance(stacked[0], Exception)
 
 
 def test_each_problem_of_a_stack_keeps_its_own_no_convergence():
@@ -189,9 +205,9 @@ def test_each_problem_of_a_stack_keeps_its_own_no_convergence():
     square = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
     triangle = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 1.0]])
     problems = [
-        (square - [2.0, 0.0], "feasible_point"),
-        (rng.uniform(-1.0, 1.0, (1, 3)), "project"),
-        (triangle - [2.0, 2.0], "project"),
+        (square - [2.0, 0.0], np.zeros((1, 2)), "feasible_point"),
+        (rng.uniform(-1.0, 1.0, (1, 3)), np.zeros((1, 3)), "project"),
+        (triangle - [2.0, 2.0], np.zeros((1, 2)), "project"),
     ]
     ends = _min_norm_weights(problems, 0)
     assert str(ends[0]) == "feasible_point: optimality gap 2.000e+00 after 0 major cycles"
@@ -203,23 +219,49 @@ def test_each_problem_of_a_stack_keeps_its_own_no_convergence():
     assert str(caught.value) == "project" + str(ends[0])[len("feasible_point") :]
 
 
-def test_an_error_numpy_raises_in_one_problem_ends_that_problem_alone():
-    # with warnings as errors, the rows that overflowed to +-inf raise
-    # RuntimeWarning in the stacked product: that problem ends in it, and
-    # the others end as they do alone
+def test_a_problem_whose_differences_overflow_is_solved_in_the_stack():
+    # with warnings as errors: the differences of big with itself overflow
+    # to +-inf, so the kernel forms them again from the halved operands and
+    # solves that problem at its zero rows, and the others end as they do
+    # alone
     square = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
     big = np.array([[1.7e308, 0.0], [-1.7e308, 1.0]])
-    with np.errstate(over="ignore"):
-        overflowed = (big[:, None, :] - big[None, :, :]).reshape(-1, 2)
-    problems = [(square - [2.0, 0.0], "feasible_point"), (overflowed, "feasible_point"), (square - [0.0, 3.0], "project")]
+    zero = np.zeros((1, 2))
+    problems = [(square - [2.0, 0.0], zero, "feasible_point"), (big, big, "feasible_point"), (square - [0.0, 3.0], zero, "project")]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ends = _min_norm_weights(problems, 0)
-        with pytest.raises(RuntimeWarning, match="invalid value encountered in matmul"):
-            _min_norm_weights(problems[1:2], 0)
         alone = [_min_norm_weights([problem], 0)[0] for problem in problems[::2]]
-    assert isinstance(ends[1], RuntimeWarning)
+    corral, w = ends[1]
+    assert corral == [0] and w.tolist() == [1.0]
     assert [_end_bits(end) for end in ends[::2]] == [_end_bits(end) for end in alone]
+
+
+def test_sets_beyond_the_float_range_apart_are_empty_without_a_warning():
+    # the centres' difference overflows, so the distance is inf
+    ball = Ball([1.7e308, 0.0], 1.0)
+    for other in (Ball([-1.7e308, 0.0], 1.0), VPolytope([[-1.7e308, 0.0]])):
+        for a, b in ((ball, other), (other, ball)):
+            with pytest.raises(EmptyIntersection) as caught:
+                feasible_point(a, b)
+            assert str(caught.value) == "feasible_point: the sets are inf apart, above 1.0e-09"
+    assert not contains(ball, [-1.7e308, 0.0], 1.0)
+    assert not contains(VPolytope([[1.7e308, 0.0], [1.7e308, 1.0]]), [-1.7e308, 0.0], 1.0)
+
+
+def test_sets_whose_vertex_differences_overflow_meet_where_they_meet():
+    # every vertex difference below is formed again from halved vertices:
+    # the foot of the perpendicular from p to the triangle's edge, and the
+    # one vertex two polytopes share
+    triangle = VPolytope([[1.7e308, 0.0], [-1.7e308, 1.0], [0.0, -1.7e308]])
+    q = project(triangle, [-1.7e308, 0.0])
+    assert q[0] == -1.7e308 and q[1] == pytest.approx(0.5, rel=1e-15)
+    assert contains(triangle, [-1.7e308, 0.0], 1.0)
+    assert not contains(triangle, [-1.7e308, -3.0], 1.0)
+    phi = VPolytope([[1e308, 1e308], [-1e308, -1e308], [1e308, -1e308]])
+    psi = VPolytope([[-1e308, 1e308], [1e308, 1e308]])
+    assert np.array_equal(feasible_point(phi, psi), [1e308, 1e308])
+    assert np.array_equal(feasible_point(Ball([-1.7e308, 1.0], 0.0), triangle), [-1.7e308, 1.0])
 
 
 def _edge_polygon():
