@@ -34,7 +34,7 @@ from .fcalc import (
     saddle_from_json,
     saddle_to_json,
 )
-from .homog import builtin, eval_family_detailed, function_from_json, map_from_json
+from .homog import _side_maps, builtin, eval_family_detailed, function_from_json
 from .lattice import RmElement, StepFunction, element_to_json
 
 EXIT_OK = 0
@@ -169,8 +169,8 @@ def _cmd_saddle_build(args):
         raise SchemaError(args.family, "$", "expected {'phis': [maps], 'psis': [maps]}")
     if not isinstance(doc["phis"], list) or not isinstance(doc["psis"], list):
         raise SchemaError(args.family, "phis/psis", "expected lists of maps")
-    phis = [map_from_json(o, args.family, f"phis[{i}]") for i, o in enumerate(doc["phis"])]
-    psis = [map_from_json(o, args.family, f"psis[{j}]") for j, o in enumerate(doc["psis"])]
+    phis = _side_maps(doc["phis"], "inf", args.family, "phis")
+    psis = _side_maps(doc["psis"], "sup", args.family, "psis")
     S = saddle_build(phis, psis, **_tol(args))
     _emit(saddle_to_json(S), args.out)
     return EXIT_OK

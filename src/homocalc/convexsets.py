@@ -41,11 +41,12 @@ _SAFE_SUM = (2.0**-960, 2.0**960)
 # holds in one block, so that the working set stays small for any batch;
 # a block of one index may hold more (see _blocks).
 _BLOCK_CELLS = 8192
-# The support plan of a polytope (_support_plan) keeps the vertices that come
-# within this fraction of a grid direction's width of its maximum, and covers
-# the others with boxes of at most _PLAN_GROUP vertices.
-_PLAN_MARGIN = 0.04
-_PLAN_GROUP = 16
+# The default grid of R^2 holds this many uniform angles.  Every unit vector
+# lies within a half step's chord, 2 sin(pi / (2 _CIRCLE_DENSITY)), of one of
+# them; _CIRCLE_CHORD adds a margin of 2^-20 for the rounding of the grid's
+# angles and norms and of the support plan's depth bound (_build_plan).
+_CIRCLE_DENSITY = 720
+_CIRCLE_CHORD = 2.0 * np.sin(np.pi / (2 * _CIRCLE_DENSITY)) * (1.0 + 2.0**-20)
 
 
 class VPolytope:
@@ -95,12 +96,12 @@ class Ball:
         return f"Ball(center in R^{self.dim}, radius={self.radius})"
 
 
-def _check_point(s, x, op, finite=False):
-    """x as a vector of s's dimension; with finite=True, also rejects NaN and inf."""
+def _check_point(s, x, op):
+    """x as a finite vector of s's dimension: NaN and inf raise ValueError."""
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != s.dim:
         raise DimensionMismatch(op, f"point has dim {x.size}, set has dim {s.dim}")
-    if finite and not np.isfinite(x).all():
+    if not np.isfinite(x).all():
         raise ValueError(f"{op}: point must be finite")
     return x
 
@@ -158,7 +159,8 @@ def _norm(x):
 
 
 def support(s, x):
-    """Support value max{a.x : a in s}: the one-point case of support_batch."""
+    """Support value max{a.x : a in s}: the one-point case of support_batch.
+    A NaN or infinite x raises ValueError."""
     x = _check_point(s, x, "support")
     return float(support_batch(s, x[None, :])[0])
 
@@ -199,118 +201,77 @@ def _support_plan(s, columns):
         if not s._columns or s._columns < len(_default_grid(s.dim)):
             s._columns += columns
             return ()
-        s._plan = _build_plan(s.vertices, _default_grid(s.dim).T)
+        s._plan = _build_plan(s.vertices)
     return s._plan
 
 
-def _build_plan(V, grid):
-    """(kept, boxes, rho) of the vertices V (k, n), or () where pruning cannot pay.
+def _build_plan(V):
+    """(kept, rho) of the vertices V (k, n), or () where pruning cannot pay.
 
-    kept (|K|, 1, n): the vertices within _PLAN_MARGIN of some grid
-    direction's width (max - min of v.g) of that direction's maximum.
-    boxes (B, 1, 2n): rows [centre, half-width] of boxes that cover the
-    other vertices in groups of at most _PLAN_GROUP (_groups, _boxes).
-    Where a box's bound c.g + r.|g| reaches the kept maximum at a grid
-    direction g, its group is halved, and a vertex alone there is kept.
-    rho = 2 n max|v| bounds every box's sum_d (|c_d| + r_d).  The grid
-    (n, g) is read in _blocks, so no k x g array is formed.  Returns () for
-    fewer than two groups' worth of vertices, when the largest vertex entry
-    lies outside [2^-960, 2^960], or once the kept vertices and the box
-    rows (two vertices' work each) exceed half the vertices.
+    A vertex v is dropped iff, at every direction g of the default grid,
+    fl(M(g) - fl(v.g)) > tau, where M(g) is the largest fold (_dot_paired)
+    of a vertex with g and tau = D c + 16 (n + 1) 2^-53 rho.  D is the
+    diagonal of V's bounding box (_norm, one step up), c the grid's
+    covering chord (0 on R^1, whose grid is {1, -1}; _CIRCLE_CHORD on R^2)
+    and rho = max_v sum_d |v_d|.  kept (|K|, 1, n) holds the other
+    vertices.  The grid is read in _blocks, so no k x g array is formed.
+    Returns () in R^3 and up, whose grids have no proven covering chord,
+    for fewer than 32 vertices, when the largest vertex entry lies outside
+    [2^-960, 2^960], or when more than half the vertices are kept.
     """
     k, n = V.shape
     top = float(np.abs(V).max())
-    if k < 2 * _PLAN_GROUP or not 2.0**-960 <= top <= 2.0**960:
+    if n > 2 or k < 32 or not 2.0**-960 <= top <= 2.0**960:
         return ()
+    grid = _default_grid(n).T
+    rho = float(np.abs(V).sum(axis=1).max())
+    diagonal = np.nextafter(_norm(V.max(axis=0) - V.min(axis=0)), np.inf)
+    tau = diagonal * (_CIRCLE_CHORD if n == 2 else 0.0) + 16 * (n + 1) * 2.0**-53 * rho
     keep = np.zeros(k, dtype=bool)
     for b in _blocks(grid.shape[1], k):
         dots = _dot_paired(V[:, None, :], grid[:, b])
-        hi, lo = dots.max(axis=0), dots.min(axis=0)
-        keep |= (dots >= hi - _PLAN_MARGIN * (hi - lo)).any(axis=1)
-    both = np.concatenate([grid, np.abs(grid)])
-    groups = _groups(V, np.flatnonzero(~keep), _PLAN_GROUP)
-    while 2 * (np.count_nonzero(keep) + 2 * len(groups)) <= k:
-        kept, boxes = V[keep][:, None, :], _boxes(V, groups)
-        reach = np.zeros(len(groups), dtype=bool)
-        for b in _blocks(grid.shape[1], max(len(kept), len(boxes))):
-            best = _dot_paired(kept, grid[:, b]).max(axis=0)
-            reach |= (_dot_paired(boxes, both[:, b]) >= best).any(axis=1)
-        if not reach.any():
-            return kept, boxes, 2.0 * n * top
-        split = [g for g, r in zip(groups, reach) if r]
-        groups = [g for g, r in zip(groups, reach) if not r]
-        for g in split:
-            if len(g) == 1:
-                keep[g] = True
-            else:
-                groups += _groups(V, g, (len(g) + 1) // 2)
-    return ()
+        keep |= (dots.max(axis=0) - dots <= tau).any(axis=1)
+    if 2 * np.count_nonzero(keep) > k:
+        return ()
+    return V[keep][:, None, :], rho
 
 
-def _groups(V, idx, size):
-    """The vertex indices idx, halved at the median of the widest coordinate
-    of their vertices until each group holds at most `size`."""
-    if len(idx) <= size:
-        return [idx]
-    P = V[idx]
-    idx = idx[np.argsort(P[:, np.argmax(P.max(axis=0) - P.min(axis=0))], kind="stable")]
-    half = len(idx) // 2
-    return _groups(V, idx[:half], size) + _groups(V, idx[half:], size)
-
-
-def _boxes(V, groups):
-    """Rows [centre, half-width], shape (B, 1, 2n), of boxes that hold the
-    vertices of each group exactly: |v_d - c_d| <= r_d, as the half-widths
-    are rounded one step up."""
-    rows = []
-    for g in groups:
-        lo, hi = V[g].min(axis=0), V[g].max(axis=0)
-        c = 0.5 * lo + 0.5 * hi
-        rows.append(np.concatenate([c, np.nextafter(np.maximum(hi - c, c - lo), np.inf)]))
-    return np.array(rows)[:, None, :]
-
-
-def _pruned_support(cols, vertices, kept, boxes, rho):
+def _pruned_support(cols, vertices, kept, rho):
     """_support_stack of one polytope at the columns of cols (n, c), bit for bit.
 
-    Takes a plan of _build_plan.  Per column x, with p = rho max_d |x_d|:
-      out = the largest fold (_dot_paired) of a kept vertex with x;
-      U = the largest fold of a box row [c, r] with [x, |x|];
-      the guard holds where fl(U + p (n + 1) 2^-49) < out, out != 0 and
-      2^-900 <= p <= 2^900.
-    A column where the guard holds takes out.  The columns where it fails,
-    NaN and infinite ones included, take the all-vertex fold of
+    Takes a plan of _build_plan.  Per column x, with p = rho max_d |x_d|,
+    out is the largest fold (_dot_paired) of a kept vertex with x.  A
+    column takes out where out != 0 and 2^-900 <= p <= 2^900.  The other
+    columns, NaN and infinite ones included, take the all-vertex fold of
     _support_stack, as one batch.  Where that gives 0 or NaN, whose sign
     can depend on the width of a block, each block of an all-vertex call
     (_blocks) that holds such a column is folded again whole.
 
-    Why out is then the all-vertex value: let v be a dropped vertex in the
-    box (c, r) and u = 2^-53.  Exactly, v.x <= c.x + r.|x| and
-    sum_d |v_d x_d| <= sum_d (|c_d| + r_d) |x_d| <= p.  A fold of m products
-    errs by at most 1.01 m u sum|terms| + m 2^-1074 (underflow), so
-    fl(v.x) <= c.x + r.|x| + 1.01 n u p + n 2^-1074 and
-    U >= c.x + r.|x| - 2.02 n u p - 2n 2^-1074; adding the slack rounds by
-    at most 1.01 u p.  The slack, at least 16 (n + 1) u p (1 - u) with
-    p >= 2^-900, exceeds (3.03 n + 1.01) u p + 3n 2^-1074, so every dropped
-    vertex's rounded value lies strictly below out.  out is neither 0 nor
-    NaN, so the order of the maximum cannot choose between +0 and -0 or
-    between NaN signs.  p <= 2^900 keeps every term finite.  None of this
-    depends on which vertices the plan keeps.
+    Why out is then the all-vertex value: let v be a dropped vertex,
+    u = 2^-53, and g a grid direction within the covering chord c of
+    x / ||x||.  A vertex w whose fold attains M(g) is kept, and exactly
+    (w - v).x / ||x|| >= (w - v).g - ||w - v|| c >= (w - v).g - D c.  A
+    fold of m products errs by at most 1.01 m u sum|terms| + m 2^-1074
+    (underflow), and sum_d |v_d y_d| <= rho max|y| for every vertex v.
+    The factor 1 + 2^-20 in c covers the rounding of the grid, of D, c and
+    tau, so the build's test gives (w - v).g - D c > (16 (n + 1) - 2.03 n
+    - 1) u rho, the underflow included as rho >= 2^-960.  At x, ||x|| >=
+    max|x|, so (w - v).x > (16 (n + 1) - 2.03 n - 1) u p, while the two
+    runtime folds err by at most 2.02 n u p + 2n 2^-1074 together; with
+    p >= 2^-900, every dropped vertex's rounded value lies strictly below
+    out.  out is neither 0 nor NaN, so the order of the maximum cannot
+    choose between +0 and -0 or between NaN signs.  p <= 2^900 keeps every
+    term finite.
     """
     n, count = cols.shape
     # support_batch passes points.T; the folds run faster on contiguous rows
     cols = np.ascontiguousarray(cols)
     out = np.empty(count)
-    bound = np.empty(count)
     with np.errstate(over="ignore", invalid="ignore"):
-        both = np.concatenate([cols, np.abs(cols)])
-        p = rho * both[n:].max(axis=0)
+        p = rho * np.abs(cols).max(axis=0)
         for b in _blocks(count, len(kept)):
             out[b] = _dot_paired(kept, cols[:, b]).max(axis=0)
-        for b in _blocks(count, len(boxes)):
-            bound[b] = _dot_paired(boxes, both[:, b]).max(axis=0)
-        bound += p * ((n + 1) * 2.0**-49)
-    redo = np.flatnonzero(~((bound < out) & (out != 0) & (p >= 2.0**-900) & (p <= 2.0**900)))
+    redo = np.flatnonzero(~((out != 0) & (p >= 2.0**-900) & (p <= 2.0**900)))
     if redo.size:
         out[redo] = _support_stack(cols[:, redo], vertices=vertices[:, None, :])
         # a maximum of 0 or NaN takes its sign from the width of its block
@@ -375,7 +336,8 @@ def support_argmax(s, x):
 
     Polytope vertices are ranked by the support kernel's own fold, so the
     vertex's fold with x is support(s, x) bitwise, and ties resolve to the
-    lowest vertex index; for a ball with x = 0 the center is returned.
+    lowest vertex index; for a ball with x = 0 the center is returned.  A
+    NaN or infinite x raises ValueError.
     """
     x = _check_point(s, x, "support_argmax")
     if isinstance(s, VPolytope):
@@ -551,14 +513,21 @@ def project(s, p, max_iter=PROJECT_MAX_ITER):
     major cycles run out.  A NaN or infinite p raises ValueError, as does a
     max_iter that is not an int >= 0.
     """
-    p = _check_point(s, p, "project", finite=True)
+    p = _check_point(s, p, "project")
     if not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
         raise ValueError(f"project: max_iter must be an int >= 0, got {max_iter!r}")
     if isinstance(s, Ball):
-        d = p - s.center
-        nrm = _norm(d)
+        with np.errstate(over="ignore"):
+            d = p - s.center
+            nrm = _norm(d)
         if nrm <= s.radius:
             return p.copy()
+        if nrm == np.inf:
+            # ||p - centre|| overflows: d from the halves, which is finite,
+            # scaled by an exact power of two so that its norm is too
+            d = 0.5 * p - 0.5 * s.center
+            d = np.ldexp(d, -np.frexp(np.abs(d).max())[1])
+            nrm = _norm(d)
         return s.center + (s.radius / nrm) * d
     if not isinstance(s, VPolytope):
         raise TypeError(f"unsupported set type {type(s).__name__}")
@@ -572,7 +541,7 @@ def contains(s, a, tol):
     """Membership test: dist(a, s) <= tol, as feasible_point measures it for
     s and the radius-0 ball at a.  A NaN or infinite a, or a tol that is
     not finite and > 0, raises ValueError."""
-    a = _check_point(s, a, "contains", finite=True)
+    a = _check_point(s, a, "contains")
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"contains: tol must be finite and > 0, got {tol!r}")
     (point,) = _feasible_points([(s, Ball(a, 0.0))], tol)
@@ -726,7 +695,7 @@ def sphere_grid(n, density):
 @lru_cache(maxsize=None)
 def _default_grid(n):
     """The default sphere grid of R^n, built once and read-only."""
-    grid = sphere_grid(n, 720 if n <= 2 else 2000)
+    grid = sphere_grid(n, _CIRCLE_DENSITY if n <= 2 else 2000)
     grid.flags.writeable = False
     return grid
 

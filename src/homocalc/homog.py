@@ -563,7 +563,9 @@ def map_from_json(obj, source="<inline>", path="map"):
     raise SchemaError(source, path, "expected a 'sublinear' or 'superlinear' key")
 
 
-def _family_from_map_list(objs, side, source, path):
+def _side_maps(objs, side, source, path):
+    """The maps of the JSON list objs at path: sublinear ones for side
+    "inf", superlinear ones for "sup"; another map is a SchemaError."""
     maps = [map_from_json(o, source, f"{path}[{i}]") for i, o in enumerate(objs)]
     want = SublinearMap if side == "inf" else SuperlinearMap
     for i, m in enumerate(maps):
@@ -571,6 +573,11 @@ def _family_from_map_list(objs, side, source, path):
             raise SchemaError(
                 source, f"{path}[{i}]", f"expected a {'sublinear' if side == 'inf' else 'superlinear'} map"
             )
+    return maps
+
+
+def _family_from_map_list(objs, side, source, path):
+    maps = _side_maps(objs, side, source, path)
     dims = {m.dim for m in maps}
     if len(dims) != 1:
         raise SchemaError(source, path, "maps have mixed dimensions")

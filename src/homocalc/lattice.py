@@ -37,6 +37,7 @@ class RmElement:
         return RmElement(float(scalar) * self.coords)
 
     def __le__(self, other):
+        _pair_check(self, other, "<=")
         return bool(np.all(self.coords <= other.coords))
 
     def __eq__(self, other):
@@ -100,6 +101,7 @@ class StepFunction:
         return StepFunction(self.breakpoints, float(scalar) * self.values)
 
     def __le__(self, other):
+        _pair_check(self, other, "<=")
         fa, fb = refine(self, other)
         return bool(np.all(fa.values <= fb.values))
 
@@ -123,10 +125,9 @@ class CoordinateHom:
     """R^m -> R, pick the j-th coordinate (1-based)."""
 
     def __init__(self, j):
-        j = int(j)
-        if j < 1:
-            raise IndexOutOfRange("CoordinateHom", "j must be >= 1")
-        self.j = j
+        if int(j) != j or j < 1:
+            raise IndexOutOfRange("CoordinateHom", f"j must be a whole number >= 1, got {j!r}")
+        self.j = int(j)
 
 
 class PointEvalHom:

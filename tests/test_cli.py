@@ -278,6 +278,22 @@ def test_values_beyond_the_float_range_exit_3(capsys, tmp_path, argv):
     assert [str(w.message) for w in caught] == []
 
 
+@pytest.mark.parametrize("side", ["phis", "psis"])
+def test_saddle_build_maps_on_the_wrong_side_exit_2(capsys, tmp_path, side):
+    sub = {"sublinear": {"subdiff": {"polytope": {"vertices": [[1, 0]]}}}}
+    sup = {"superlinear": {"superdiff": {"polytope": {"vertices": [[1, 0]]}}}}
+    doc = {"phis": [sup], "psis": [sup]} if side == "phis" else {"phis": [sub], "psis": [sub]}
+    inp = tmp_path / "wrong.json"
+    inp.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "saddle-build", "--family", str(inp))
+    assert (code, out) == (2, "")
+    kind = "sublinear" if side == "phis" else "superlinear"
+    assert json.loads(err) == {
+        "error": {"message": f"{inp}: {side}[0]: expected a {kind} map", "operation": "load"}
+    }
+    assert err.count("\n") == 1
+
+
 def test_saddle_build_not_ordered_exits_3(capsys, tmp_path):
     doc = {
         "phis": [{"sublinear": {"subdiff": {"ball": {"center": [0.0, 0.0], "radius": 0.5}}}}],

@@ -11,13 +11,11 @@ from homocalc import convexsets
 from homocalc.convexsets import (
     Ball,
     VPolytope,
+    _CIRCLE_CHORD,
     _blocks,
-    _boxes,
     _default_grid,
     _dot_paired,
-    _groups,
     _norms,
-    _pruned_support,
     contains,
     coordinate_bound,
     feasible_point,
@@ -160,6 +158,10 @@ def test_project_thin_triangle_gap_at_tight_tol():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_project_and_contains_reject_non_finite_points(bad):
     for s in (SQUARE, Ball([0.0, 0.0], 1.0)):
+        with pytest.raises(ValueError, match="support: point must be finite"):
+            support(s, [bad, 0.0])
+        with pytest.raises(ValueError, match="support_argmax: point must be finite"):
+            support_argmax(s, [0.0, bad])
         with pytest.raises(ValueError, match="project: point must be finite"):
             project(s, [bad, 0.0])
         with pytest.raises(ValueError, match="contains: point must be finite"):
@@ -448,26 +450,19 @@ def test_pruned_support_is_the_all_vertex_fold(n, k, shape, scale, seed):
         support_batch(P, _default_grid(n))
         assert _value_bits(support_batch(P, X.T)) == _value_bits(want)
         assert _value_bits(support_batch(P, -X.T)) == _value_bits(_all_vertex_fold(V, -X))
-        # the guard's soundness does not depend on which vertices are kept
-        kept = rng.random(k) < rng.uniform(0.05, 0.95)
-        kept[rng.integers(k)] = True
-        kept[rng.integers(k)] = False
-        boxes = _boxes(V, _groups(V, np.flatnonzero(~kept), 16))
-        plan = V[kept][:, None, :], boxes, 2.0 * n * np.abs(V).max()
-        assert _value_bits(_pruned_support(X, V, *plan)) == _value_bits(want)
 
 
 def test_a_planned_polytope_takes_the_pruned_path(monkeypatch):
     # 200 points uniform in [-3, 3]^2, as in the lift benchmark: few of them
-    # can attain a maximum, and the guard holds on every uniform column
+    # come near a maximum, and no uniform column falls back
     rng = np.random.default_rng(5)
     P = VPolytope(rng.uniform(-3.0, 3.0, size=(200, 2)))
     grid = _default_grid(2)
     support_batch(P, grid)
     assert P._plan is None  # the plan waits for a grid's worth of columns
     support_batch(P, grid)
-    kept, boxes, _ = P._plan
-    assert 2 * (len(kept) + 2 * len(boxes)) <= 200
+    kept, _ = P._plan
+    assert 2 * len(kept) <= 200
     X = rng.uniform(-5.0, 5.0, size=(2, 1000))
     want = _all_vertex_fold(P.vertices, X)
 
@@ -478,38 +473,132 @@ def test_a_planned_polytope_takes_the_pruned_path(monkeypatch):
     assert _value_bits(support_batch(P, X.T)) == _value_bits(want)
 
 
-@pytest.mark.parametrize(
-    "w, v, v_, x",
-    [
-        # v lies at the corner of the box of {v, v_}; the box's rounded bound
-        # falls two ulps below v.x and one below w.x: the slack covers it
-        (
-            [2.7726799071232624, 1.5084788439901458],
-            [2.772679907123263, 1.5084788439901458],
-            [2.7718595993289017, 1.507583481897386],
-            [1.518498715074279, 0.6465755741657495],
-        ),
-        # every product underflows, and the bound's rounding is absolute,
-        # not relative: p below 2^-900 falls back
-        (
-            [0.8281687116424215, 0.8941436398861405],
-            [0.8414892491193056, 0.910185675642783],
-            [0.6574030775873014, 0.8118628254961242],
-            [7e-323, 1.3e-322],
-        ),
-    ],
-    ids=["one-ulp", "subnormal"],
+def _planned(V):
+    """VPolytope(V) with its plan built: two default grids' worth of columns."""
+    P = VPolytope(V)
+    for _ in range(2):
+        support_batch(P, _default_grid(P.dim))
+    return P
+
+
+def _interior(seed, count):
+    return np.random.default_rng(seed).uniform(-1.0, 1.0, size=(count, 2))
+
+
+def _midway_directions(n):
+    """Unit columns (n, c) halfway between neighbouring default grid
+    directions: the directions farthest from the grid."""
+    if n == 1:
+        return np.array([[1.0, -1.0]])
+    step = 2.0 * np.pi / len(_default_grid(2))
+    theta = (np.arange(len(_default_grid(2))) + 0.5) * step
+    return np.array([np.cos(theta), np.sin(theta)])
+
+
+def _adversarial_vertices(rng, n, kind):
+    """200 vertices of one stress kind: a few on the unit circle (the
+    points +-1 on R^1) at directions midway between grid directions, a few
+    1e-16..1e-3 inside it, the rest deep inside; a sliver, whose vertex at
+    a midway direction e is the maximum only within a fraction of a grid
+    step of e (R^2); or a square of points offset by up to 1e6."""
+    if kind == "sliver" and n == 2:
+        mid = _midway_directions(2).T
+        e = mid[rng.integers(len(mid))]
+        t = np.array([-e[1], e[0]])
+        # at the grid directions next to e, the vertex e lies about half
+        # the plan's depth bound below base + t or base - t
+        base = e * (1.0 - 10.0 ** rng.uniform(-16, -3))
+        return np.vstack([e, base + t, base - t, rng.uniform(-0.3, 0.3, (197, 2))])
+    if kind == "square":
+        corners = np.array(list(itertools.product([-1.0, 1.0], repeat=n)))
+        inner = rng.uniform(-1.0, 1.0, (200 - len(corners), n))
+        return np.vstack([corners, inner]) + rng.uniform(-1e6, 1e6, n)
+    mid = _midway_directions(n).T
+    rim = mid[rng.choice(len(mid), 24 if n == 2 else 2, replace=n == 1)]
+    depth = np.concatenate([np.zeros(len(rim) // 2), 10.0 ** rng.uniform(-16, -3, len(rim) - len(rim) // 2)])
+    inner = rng.uniform(-0.5, 0.5, (200 - len(rim), n))
+    return np.vstack([rim * (1.0 - depth)[:, None], inner])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(1, 2),
+    st.sampled_from(["circle", "sliver", "square"]),
+    st.sampled_from([-900, 0, 900]),
+    st.integers(0, 2**31 - 1),
 )
-def test_the_guard_falls_back_where_a_dropped_vertex_beats_the_kept_one(w, v, v_, x):
-    # only w is kept; v is dropped, and its rounded value is above w's
-    V = np.array([w, v, v_])
-    X = np.array(x)[:, None]
-    want = _all_vertex_fold(V, X)
-    assert _dot_paired(V[0], X)[0] < want[0]
-    boxes = _boxes(V, [np.array([1, 2])])
-    assert _dot_paired(boxes[:, 0], np.concatenate([X, np.abs(X)]))[0] < _dot_paired(V[0], X)[0]
-    got = _pruned_support(X, V, V[:1, None, :], boxes, 2.0 * 2 * np.abs(V).max())
-    assert _value_bits(got) == _value_bits(want)
+@example(2, "circle", 0, 0)
+@example(2, "sliver", 0, 3)
+@example(2, "square", 900, 1)
+@example(1, "circle", -900, 2)
+def test_the_depth_certificate_holds_at_adversarial_columns(n, kind, scale, seed):
+    # columns at the directions farthest from the grid, at the vertices' own
+    # directions and at random binary exponents, each at random scales
+    rng = np.random.default_rng(seed)
+    V0 = _adversarial_vertices(rng, n, kind)
+    V = np.ldexp(V0, scale)
+    P = _planned(V)
+    assert P._plan
+    U = np.hstack([_midway_directions(n), V0.T, rng.uniform(-1.0, 1.0, (n, 400))])
+    # directions kept exactly, largest entry in [1/2, 1)
+    U = np.ldexp(U, -np.frexp(np.abs(U).max(axis=0))[1])
+    X = np.hstack([np.ldexp(U, rng.integers(-1074, 1024, U.shape[1])), np.ldexp(U, -scale)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sign in (1.0, -1.0):
+            assert _value_bits(support_batch(P, sign * X.T)) == _value_bits(_all_vertex_fold(V, sign * X))
+
+
+def test_the_circle_chord_covers_the_default_grid():
+    # every unit vector lies within half the largest angular gap of a grid
+    # direction, and within its chord of it: _build_plan's c must cover
+    # that chord and the grid's distance from the unit circle
+    grid = _default_grid(2)
+    theta = np.sort(np.arctan2(grid[:, 1], grid[:, 0]))
+    gaps = np.diff(np.append(theta, theta[0] + 2.0 * np.pi))
+    assert 2.0 * np.sin(gaps.max() / 4.0) + 2.0**-50 <= _CIRCLE_CHORD
+    assert np.abs(np.linalg.norm(grid, axis=1) - 1.0).max() <= 2.0**-50
+
+
+def test_a_vertex_one_ulp_above_the_kept_maximum_is_kept():
+    # v's first coordinate is one ulp above w's, and at x its fold is two
+    # ulps above w's: both lie within the depth bound of the maximum
+    w = [2.7726799071232624, 1.5084788439901458]
+    v = [2.772679907123263, 1.5084788439901458]
+    x = np.array([[1.518498715074279], [0.6465755741657495]])
+    V = np.vstack([w, v, _interior(3, 30)])
+    P = _planned(V)
+    kept, _ = P._plan
+    assert len(kept) <= 16
+    assert {tuple(r) for r in kept[:, 0]} >= {tuple(w), tuple(v)}
+    assert _dot_paired(V[0], x)[0] < _dot_paired(V[1], x)[0]
+    assert _value_bits(support_batch(P, x.T)) == _value_bits(_all_vertex_fold(V, x))
+
+
+def test_a_column_below_the_magnitude_range_falls_back(monkeypatch):
+    # v lies 0.14 inside the hull, deeper than the depth bound, so it is
+    # dropped; at x = (1, 1) 2^-1074 every product rounds to a whole
+    # multiple of 2^-1074, and v's fold (3 + 3) beats every kept one's
+    # (at most 3 + 2).  rho max|x| < 2^-900, so x takes the all-vertex fold.
+    hull = [[3.0, 2.4], [2.4, 3.0], [3.0, -3.0], [-3.0, 3.0], [-3.0, -3.0]]
+    v = [2.6, 2.6]
+    V = np.vstack([hull, [v], _interior(4, 30)])
+    P = _planned(V)
+    kept, rho = P._plan
+    assert tuple(v) not in {tuple(r) for r in kept[:, 0]}
+    x = np.array([[5e-324], [5e-324]])
+    want = _all_vertex_fold(V, x)
+    assert _dot_paired(kept, x).max() < want[0] == _dot_paired(np.array(v), x)[0]
+    assert rho * 5e-324 < 2.0**-900
+    calls = []
+    stack = convexsets._support_stack
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return stack(*args, **kwargs)
+
+    monkeypatch.setattr(convexsets, "_support_stack", counted)
+    assert _value_bits(support_batch(P, x.T)) == _value_bits(want)
+    assert calls == [(2, 1)]
 
 
 def test_a_tie_of_signed_zeros_takes_the_sign_of_the_all_vertex_blocks():
@@ -532,11 +621,13 @@ def test_a_tie_of_signed_zeros_takes_the_sign_of_the_all_vertex_blocks():
 
 
 def test_small_polytopes_are_never_planned():
-    # fewer than two boxes' worth of vertices: the all-vertex fold always
-    P = VPolytope(np.random.default_rng(2).uniform(-1.0, 1.0, size=(31, 3)))
-    for _ in range(3):
-        support_batch(P, _default_grid(3))
-    assert P._plan == ()
+    # fewer than 32 vertices, or a grid with no proven covering chord (R^3
+    # and up): the all-vertex fold always
+    for k, n in [(31, 3), (31, 2), (200, 3), (1000, 3), (1000, 4)]:
+        P = VPolytope(np.random.default_rng(2).uniform(-1.0, 1.0, size=(k, n)))
+        for _ in range(3):
+            support_batch(P, _default_grid(n))
+        assert P._plan == ()
 
 
 # The digest of support_batch on a polytope drawn as the lift benchmark

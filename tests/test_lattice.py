@@ -67,6 +67,24 @@ def test_join_lattice_mismatch():
         join(RmElement([1.0]), RmElement([1.0, 2.0]))
 
 
+def test_order_checks_its_operands_as_join_does():
+    assert RmElement([1.0, 2.0]) <= RmElement([1.0, 3.0])
+    assert not G <= F
+    with pytest.raises(DimensionMismatch):
+        RmElement([1.0, 2.0]) <= RmElement([1.0, 2.0, 3.0])
+    with pytest.raises(LatticeMismatch):
+        RmElement([1.0]) <= StepFunction([0.0, 1.0], [1.0])
+    with pytest.raises(LatticeMismatch):
+        F <= RmElement([1.0])
+
+
+def test_coordinate_hom_rejects_a_fractional_index():
+    assert CoordinateHom(2.0).j == 2
+    for j in (1.5, 0, -1):
+        with pytest.raises(IndexOutOfRange):
+            CoordinateHom(j)
+
+
 def test_refine_union_of_breakpoints():
     a = StepFunction([0.0, 0.5, 1.0], [1.0, 2.0])
     b = StepFunction([0.0, 1.0 / 3.0, 1.0], [4.0, 5.0])

@@ -264,6 +264,15 @@ def test_sets_whose_vertex_differences_overflow_meet_where_they_meet():
     assert np.array_equal(feasible_point(Ball([-1.7e308, 1.0], 0.0), triangle), [-1.7e308, 1.0])
 
 
+def test_projection_onto_a_ball_beyond_the_float_range_lands_on_the_ball():
+    # p minus the centre, or its norm, overflows: the direction comes from
+    # the halves, scaled by a power of two
+    assert project(Ball([1.7e308, 0.0], 1.0), [-1.7e308, 0.0]).tolist() == [1.7e308, 0.0]
+    assert project(Ball([1.7e308, 1.7e308], 1.0), [-1.7e308, -1.7e308]).tolist() == [1.7e308, 1.7e308]
+    q = project(Ball([0.0, 0.0], 1.0), [1.5e308, 1.5e308])
+    assert q.tolist() == pytest.approx([2.0**-0.5, 2.0**-0.5], rel=1e-15)
+
+
 def _edge_polygon():
     """A triangle whose one edge has its outward normal n0 half a step of
     the default grid of R^2 from the nearest grid directions, at distance 1:
