@@ -149,7 +149,9 @@ def _norms(cols):
     if odd.size:
         exp = np.frexp(np.abs(cols[:, odd]).max(axis=0))[1]
         scaled = np.ldexp(cols[:, odd], -exp)
-        out[odd] = np.ldexp(np.sqrt(_dot_paired(scaled.T, scaled)), exp)
+        # a norm beyond the float range is inf, with no warning
+        with np.errstate(over="ignore"):
+            out[odd] = np.ldexp(np.sqrt(_dot_paired(scaled.T, scaled)), exp)
     return out
 
 
@@ -191,10 +193,9 @@ def _support_plan(s, columns):
 
     Building a plan costs about one all-vertex evaluation at the directions
     of the default sphere grid, so s is planned only once it has been
-    evaluated at that many columns: a polytope evaluated once, such as a
-    fresh set in saddle_build or the suite's polygon, keeps the all-vertex
-    fold at the cost of a counter.  Vertices are read-only, so the plan
-    stays valid.
+    evaluated at that many columns: a polytope evaluated once, such as the
+    suite's polygon, keeps the all-vertex fold at the cost of a counter.
+    Vertices are read-only, so the plan stays valid.
     """
     if s._plan is None:
         # a first call is never planned, so it does not build the grid

@@ -45,7 +45,7 @@ class EnvelopeViolation(CalculusError):
 
 
 class NotOrdered(CalculusError):
-    """A saddle build found a superlinear member above a sublinear member."""
+    """A superdifferential lies more than tol x scale from a subdifferential."""
 
 
 class SaddleGap(CalculusError):

@@ -11,11 +11,13 @@ from functools import partial
 
 import numpy as np
 
-from .convexsets import FEASIBLE_TOL, _blocks, _check_tol, _default_grid, _dot_paired, _feasible_points
+from .convexsets import FEASIBLE_TOL, Ball, _blocks, _check_tol, _dot_paired, _feasible_points, _norm, _norms
 from .errors import (
     DimensionMismatch,
     EmptyFamily,
+    EmptyIntersection,
     LatticeMismatch,
+    NonFiniteResult,
     NotOrdered,
     SaddleGap,
     SchemaError,
@@ -125,17 +127,19 @@ class SaddleFamily:
 def saddle_build(phis, psis, tol=FEASIBLE_TOL):
     """Pairwise coefficients for an ordered (psi <= phi) pair of families.
 
-    tol is relative to the maps' scale: the largest |phi_i| or |psi_j| on
-    the default sphere grid.  Validates psi_j <= phi_i on that grid first,
-    to tol times the scale (NotOrdered on failure), then intersects each
-    subdifferential with each superdifferential, which may lie tol times
-    the scale apart (EmptyIntersection).  All P x Q intersections are one
-    stack of the Wolfe kernel, each with the bits it gets alone; the first
-    failing pair in row-major order raises.  The bracket
-    max_j psi_j <= minmax/maxmin <= min_i phi_i is re-checked on the grid
-    with slack 2 tol times the scale.  So 2^k phi and 2^k psi build the
-    saddle of phi and psi, scaled, or fail the same way.  A tol that is not
-    finite and >= 0 raises ValueError.
+    psi_j <= phi_i on the whole sphere exactly when superdiff(psi_j) meets
+    subdiff(phi_i), and the largest psi_j - phi_i over |x| = 1 is the sets'
+    distance, so intersecting the sets is the ordering check; no grid is
+    sampled.  tol is relative to the scale read from the sets: the largest
+    |a| over a vertex a of a polytope, or |centre| + radius for a ball,
+    which is the largest |phi_i| or |psi_j| on the unit sphere.  A scale
+    outside the float range raises NonFiniteResult.  All P x Q
+    intersections are one stack of the Wolfe kernel, each with the bits it
+    gets alone, and the first failing pair in row-major order raises: sets
+    more than tol times the scale apart as NotOrdered, naming the pair by
+    its labels, and any other error as it is.  So 2^k phi and 2^k psi
+    build the saddle of phi and psi, scaled, or fail the same way.  A tol
+    that is not finite and >= 0 raises ValueError.
     """
     _check_tol(tol, "saddle_build")
     phis = list(phis)
@@ -151,45 +155,23 @@ def saddle_build(phis, psis, tol=FEASIBLE_TOL):
     dims = {p.dim for p in phis} | {q.dim for q in psis}
     if len(dims) != 1:
         raise DimensionMismatch("saddle_build", f"mixed map dimensions {sorted(dims)}")
-    n = dims.pop()
 
-    grid = _default_grid(n)
-    vals = np.array([p(grid.T) for p in phis] + [q(grid.T) for q in psis])
-    scale = float(np.abs(vals).max())
-    hi = vals[: len(phis)].min(axis=0)
-    lo = vals[len(phis) :].max(axis=0)
-    # rounded subtraction is monotone, so this is the largest psi_j - phi_i;
-    # +inf where it overflows, which is not ordered
-    with np.errstate(over="ignore", invalid="ignore"):
-        worst = float((lo - hi).max())
-    if worst > tol * scale:
-        raise NotOrdered(
-            "saddle_build",
-            f"some psi exceeds some phi by {worst:.3e} on the sphere grid",
-        )
-
+    scale = max(
+        _norm(s.center) + s.radius if isinstance(s, Ball) else float(_norms(s.vertices.T).max())
+        for s in [m.set for m in phis + psis]
+    )
+    if not np.isfinite(scale):
+        raise NonFiniteResult("saddle_build", "the largest |a| over the maps' sets is outside the float range")
+    phi_labels = [p.label or f"phi{i}" for i, p in enumerate(phis)]
+    psi_labels = [q.label or f"psi{j}" for j, q in enumerate(psis)]
     points = _feasible_points([(p.set, q.set) for p in phis for q in psis], tol * scale)
-    for point in points:
+    for k, point in enumerate(points):
+        if isinstance(point, EmptyIntersection):
+            i, j = divmod(k, len(psis))
+            raise NotOrdered("saddle_build", f"{psi_labels[j]} exceeds {phi_labels[i]}: {point.message}")
         if isinstance(point, Exception):
             raise point
-
-    S = SaddleFamily(
-        np.array(points).reshape(len(phis), len(psis), n),
-        phi_labels=[p.label or f"phi{i}" for i, p in enumerate(phis)],
-        psi_labels=[q.label or f"psi{j}" for j, q in enumerate(psis)],
-    )
-    infsup, supinf = saddle_eval(S, grid)
-    slack = 2.0 * tol * scale
-    if (
-        np.any(infsup < lo - slack)
-        or np.any(infsup > hi + slack)
-        or np.any(supinf < lo - slack)
-        or np.any(supinf > hi + slack)
-    ):
-        raise NotOrdered(
-            "saddle_build", "saddle values escape the family bracket on the sphere grid"
-        )
-    return S
+    return SaddleFamily(np.array(points).reshape(len(phis), len(psis), -1), phi_labels, psi_labels)
 
 
 def saddle_eval(S, x):

@@ -11,9 +11,12 @@ import pytest
 
 from homocalc import cli
 from homocalc.cli import main
+from homocalc.convexsets import Ball, VPolytope
 from homocalc.fcalc import saddle_build, saddle_to_json
 from homocalc.homog import (
     PHFunction,
+    SublinearMap,
+    SuperlinearMap,
     WitnessFamily,
     angle_superlinear_family,
     builtin,
@@ -303,34 +306,88 @@ def test_saddle_build_not_ordered_exits_3(capsys, tmp_path):
     inp.write_text(json.dumps(doc))
     code, out, err = run(capsys, "saddle-build", "--family", str(inp))
     assert (code, out) == (3, "")
-    # the worst psi - phi gap on the default grid: the vertex's unit length
-    # against the ball's radius
+    # the sets' distance, the largest psi - phi on the sphere: the vertex's
+    # unit length against the ball's radius
     assert err == (
-        '{"error": {"message": "some psi exceeds some phi by 5.000e-01 on the sphere grid", '
+        '{"error": {"message": "psi0 exceeds phi0: the sets are 5.000e-01 apart, above 1.0e-09", '
         '"operation": "saddle_build"}}\n'
     )
 
 
+def _nested_families(seed, n, push):
+    """(phis, psis) around a random simplex in R^n.  The phis are the
+    simplex, a copy blown up about its centroid and a ball holding it; the
+    psis are a shrunken copy, the centroid as a radius-0 ball and one
+    vertex, which meets every phi set.  With push the vertex moves 1e-5 of
+    its distance from the centroid outwards: far above the default
+    tolerance, and far below 1e-3 of the sets' scale, since the ball's
+    |centre| + radius is at least 1.25 times that distance."""
+    rng = np.random.default_rng([seed, n])
+    core = rng.uniform(-1.0, 1.0, (n + 1, n))
+    cen = core.mean(axis=0)
+    reach = float(np.linalg.norm(core - cen, axis=1).max())
+    phis = [VPolytope(core), VPolytope(cen + 1.5 * (core - cen)), Ball(cen, 1.25 * reach)]
+    tip = cen + (1.0 + (1e-5 if push else 0.0)) * (core[0] - cen)
+    psis = [VPolytope(cen + 0.5 * (core - cen)), Ball(cen, 0.0), VPolytope([tip])]
+    return [SublinearMap(s) for s in phis], [SuperlinearMap(s) for s in psis]
+
+
+_SADDLE_BUILD_SHA256 = "ef7762b5fcbbd7d89c21fab1193c6f317f09bc6d0e058e5666b5bfb4b943cb32"
+
+
+def test_saddle_build_stdout_and_exit_codes_are_pinned(capsys, tmp_path):
+    # The disk against 32 tangents and nested families in R^2-R^5, each at
+    # the default tolerance and at 0, 1e-12 and 1e-3.  Stderr is left out,
+    # since it carries the wording of errors.  At --tol 0 an ordered pair
+    # that meets can exit 3: the distance Wolfe's method finds for touching
+    # sets may be a rounding residue of about 1e-16 above 0, so the
+    # verdict there pins that residue, which no ordering check changes.
+    cases = [([disk_map()], list(angle_superlinear_family(32).maps))]
+    cases += [_nested_families(seed, n, push) for seed, n in enumerate(range(2, 6)) for push in (False, True)]
+    sha, codes = hashlib.sha256(), []
+    for k, (phis, psis) in enumerate(cases):
+        inp = tmp_path / f"pair{k}.json"
+        inp.write_text(json.dumps({"phis": [map_to_json(m) for m in phis], "psis": [map_to_json(m) for m in psis]}))
+        for tol in ([], ["--tol", "0"], ["--tol", "1e-12"], ["--tol", "1e-3"]):
+            code, out, _ = run(capsys, "saddle-build", "--family", str(inp), *tol)
+            codes.append(code)
+            sha.update(f"{code}\n{out}".encode())
+    # default, 0, 1e-12, 1e-3: the disk builds at each; a nested family
+    # exits 3 only at 0, and a pushed one builds only at 1e-3
+    assert codes == [0, 0, 0, 0] + [0, 3, 0, 0, 3, 3, 3, 0] * 4
+    assert sha.hexdigest() == _SADDLE_BUILD_SHA256
+
+
 @pytest.mark.parametrize(
-    "phis, psis, code",
+    "phis, psis, code, message",
     [
         (
             [{"polytope": {"vertices": [[1e308, 1e308], [-1e308, -1e308], [1e308, -1e308]]}}],
             [{"polytope": {"vertices": [[-1e308, 1e308], [1e308, 1e308]]}}],
             0,
+            None,
         ),
         (
             [{"ball": {"center": [1.7e308, 0.0], "radius": 1.0}}],
             [{"ball": {"center": [-1.7e308, 0.0], "radius": 1.0}}],
             3,
+            "psi0 exceeds phi0: the sets are inf apart, above 1.7e+299",
+        ),
+        (
+            [{"polytope": {"vertices": [[1.5e308, 1.5e308]]}}],
+            [{"polytope": {"vertices": [[1.5e308, 1.5e308]]}}],
+            3,
+            "the largest |a| over the maps' sets is outside the float range",
         ),
     ],
-    ids=["polytopes-meeting-at-1e308", "balls-at-1.7e308"],
+    ids=["polytopes-meeting-at-1e308", "balls-at-1.7e308", "vertex-norm-beyond-the-float-range"],
 )
-def test_extreme_saddle_documents_under_warnings_as_errors(tmp_path, phis, psis, code):
+def test_extreme_saddle_documents_under_warnings_as_errors(tmp_path, phis, psis, code, message):
     # the first pair meets at (1e308, 1e308), though its vertex differences
-    # overflow; in the second, psi - phi overflows on the grid.  Under
-    # python -W error a numpy warning would end the process in a traceback.
+    # overflow; in the second, the centres' distance overflows; in the
+    # third, the vertex's norm, and so the maps' values on the unit sphere,
+    # leave the float range.  Under python -W error a numpy warning would
+    # end the process in a traceback.
     doc = {
         "phis": [{"sublinear": {"subdiff": s}} for s in phis],
         "psis": [{"superlinear": {"superdiff": s}} for s in psis],
@@ -352,7 +409,7 @@ def test_extreme_saddle_documents_under_warnings_as_errors(tmp_path, phis, psis,
         assert done.stdout == ""
         assert done.stderr.count("\n") == 1
         err = json.loads(done.stderr, parse_constant=_reject_constant)
-        assert err["error"]["message"] == "some psi exceeds some phi by inf on the sphere grid"
+        assert err == {"error": {"message": message, "operation": "saddle_build"}}
 
 
 def test_unknown_builtin_exits_2(capsys):

@@ -59,6 +59,9 @@ def test_support_batch_matches_pointwise():
     for s in (SQUARE, Ball([1.0, -1.0], 2.0)):
         batched = support_batch(s, pts)
         assert batched == pytest.approx([support(s, p) for p in pts])
+    # a finite column whose norm leaves the float range: inf, with no
+    # warning (which the warnings filter would make an error)
+    assert support_batch(Ball([0.0, 0.0], 1.0), [[1.5e308, 1.5e308]]).tolist() == [np.inf]
 
 
 _EXTREME_GRID = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1.1e-318, 0.1, -0.7, 1 / 3, 1.0, -3.0, 1e300, -1e300, 1.7e308]

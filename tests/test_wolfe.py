@@ -15,16 +15,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homocalc.convexsets import (
+    FEASIBLE_TOL,
     PROJECT_MAX_ITER,
     Ball,
     VPolytope,
+    _default_grid,
     _min_norm_weights,
     contains,
     feasible_point,
     project,
 )
-from homocalc.errors import CalculusError, EmptyIntersection, NoConvergence
-from homocalc.fcalc import saddle_build
+from homocalc.errors import CalculusError, EmptyIntersection, NoConvergence, NotOrdered
+from homocalc.fcalc import saddle_build, saddle_eval
 from homocalc.homog import SublinearMap, SuperlinearMap, angle_superlinear_family, disk_map
 
 
@@ -90,6 +92,38 @@ def test_saddle_build_coefficient_bytes_are_pinned():
         sha.update(saddle_build(phis, psis).coeffs.tobytes())
     sha.update(saddle_build([disk_map()], list(angle_superlinear_family(32).maps)).coeffs.tobytes())
     assert sha.hexdigest() == _SADDLE_SHA256
+
+
+def _scaled_map(m, k):
+    """m with its set scaled by 2^k, exactly."""
+    s = m.set
+    if isinstance(s, Ball):
+        return type(m)(Ball(np.ldexp(s.center, k), np.ldexp(s.radius, k)))
+    return type(m)(VPolytope(np.ldexp(s.vertices, k)))
+
+
+@pytest.mark.parametrize("k", [-600, 0, 600])
+def test_saddle_values_lie_in_the_family_bracket(k):
+    # every coefficient lies in subdiff(phi_i) cap superdiff(psi_j), so
+    # max_j psi_j <= infsup, supinf <= min_i phi_i on the whole sphere;
+    # on the default grid it holds to 2 tol times the sets' scale, the
+    # largest |a| over them
+    for seed, (n, shape) in enumerate(
+        (n, shape) for n in (2, 3, 4) for shape in ("simplex", "thin", "lowdim", "duplicate")
+    ):
+        rng = np.random.default_rng([seed, 0x5ADD])
+        phis, psis = _ordered_families(rng, n, shape, 8 if shape == "simplex" else 5)
+        scale = max(
+            np.linalg.norm(s.center) + s.radius if isinstance(s, Ball) else np.linalg.norm(s.vertices, axis=1).max()
+            for s in [m.set for m in phis + psis]
+        )
+        slack = 2.0 * FEASIBLE_TOL * np.ldexp(scale, k)
+        phis, psis = [_scaled_map(m, k) for m in phis], [_scaled_map(m, k) for m in psis]
+        grid = _default_grid(n)
+        hi = np.min([p(grid.T) for p in phis], axis=0) + slack
+        lo = np.max([q(grid.T) for q in psis], axis=0) - slack
+        for values in saddle_eval(saddle_build(phis, psis), grid):
+            assert np.all(lo <= values) and np.all(values <= hi), (n, shape)
 
 
 def _outcome(fn, *args):
@@ -277,7 +311,8 @@ def _edge_polygon():
     """A triangle whose one edge has its outward normal n0 half a step of
     the default grid of R^2 from the nearest grid directions, at distance 1:
     a point up to about 4e-3 beyond that edge stays below the triangle on
-    the grid, so saddle_build meets the gap only in feasible_point."""
+    the grid, so a check on the grid would miss the gap that the sets'
+    distance finds."""
     t0 = np.pi / 720
     n0, e = np.array([np.cos(t0), np.sin(t0)]), np.array([-np.sin(t0), np.cos(t0)])
     return VPolytope([n0 + e, n0 - e, [-2.0, 0.0]]), n0
@@ -286,18 +321,19 @@ def _edge_polygon():
 def test_saddle_build_raises_the_first_failing_pair_in_row_major_order():
     # pair (0, 1), a ball 2e-3 beyond the edge, fails before pair (0, 2),
     # a point 1e-3 beyond it; every pair of the big ball builds.  The
-    # messages are those of the pair-by-pair build, byte for byte.
+    # message names the pair and keeps feasible_point's distance and
+    # threshold, tol times the big ball's radius.
     phi, n0 = _edge_polygon()
     psis = [VPolytope([0.5 * n0]), Ball((1.0 + 2e-3 + 0.25) * n0, 0.25), VPolytope([(1.0 + 1e-3) * n0])]
     psis = [SuperlinearMap(s) for s in psis]
     big = SublinearMap(Ball([0.0, 0.0], 3.0))
-    for phis in ([SublinearMap(phi), big], [big, SublinearMap(phi)]):
-        with pytest.raises(EmptyIntersection) as caught:
+    for phis, name in (([SublinearMap(phi), big], "phi0"), ([big, SublinearMap(phi)], "phi1")):
+        with pytest.raises(NotOrdered) as caught:
             saddle_build(phis, psis)
-        assert str(caught.value) == "feasible_point: the sets are 2.000e-03 apart, above 3.0e-09"
-    with pytest.raises(EmptyIntersection) as caught:
+        assert str(caught.value) == f"saddle_build: psi1 exceeds {name}: the sets are 2.000e-03 apart, above 3.0e-09"
+    with pytest.raises(NotOrdered) as caught:
         saddle_build([big, SublinearMap(phi)], psis[::-1])
-    assert str(caught.value) == "feasible_point: the sets are 1.000e-03 apart, above 3.0e-09"
+    assert str(caught.value) == "saddle_build: psi0 exceeds phi1: the sets are 1.000e-03 apart, above 3.0e-09"
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
