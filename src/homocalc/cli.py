@@ -12,6 +12,7 @@ import inspect
 import json
 import os
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -253,7 +254,10 @@ def _add_options(p, *names):
         p.add_argument(flag, **kwargs)
 
 
+@lru_cache(maxsize=None)
 def _build_parser():
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged, so every main call can share it."""
     parser = _Parser(
         prog="homocalc",
         description="Functional calculus of positively homogeneous functions on vector lattices.",

@@ -9,6 +9,7 @@ grids that checks, envelopes and support plans sample directions from live
 here too.
 """
 
+import math
 from functools import lru_cache
 from statistics import NormalDist
 
@@ -58,7 +59,7 @@ class VPolytope:
             v = v.reshape(1, -1)
         if v.ndim != 2 or v.shape[0] == 0 or v.shape[1] == 0:
             raise ValueError("vertex array must be nonempty with shape (k, n)")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("vertices must be finite")
         v.flags.writeable = False
         self.vertices = v
@@ -79,10 +80,10 @@ class Ball:
 
     def __init__(self, center, radius):
         c = np.array(center, dtype=float, copy=True).reshape(-1)
-        if c.size == 0 or not np.all(np.isfinite(c)):
+        if c.size == 0 or not np.isfinite(c).all():
             raise ValueError("center must be a nonempty finite vector")
         r = float(radius)
-        if not np.isfinite(r) or r < 0:
+        if not math.isfinite(r) or r < 0:
             raise ValueError("radius must be finite and >= 0")
         c.flags.writeable = False
         self.center = c

@@ -19,7 +19,7 @@ class RmElement:
         c = np.array(coords, dtype=float, copy=True).reshape(-1)
         if c.size == 0:
             raise ValueError("coords must be nonempty")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ValueError("coords must be finite")
         c.flags.writeable = False
         self.coords = c
@@ -64,9 +64,9 @@ class StepFunction:
             raise ValueError("need k+1 breakpoints and k values")
         if b[0] != 0.0 or b[-1] != 1.0:
             raise ValueError("breakpoints must start at 0 and end at 1")
-        if np.any(np.diff(b) <= 0):
+        if (b[1:] - b[:-1] <= 0).any():
             raise ValueError("breakpoints must be strictly increasing")
-        if not (np.all(np.isfinite(b)) and np.all(np.isfinite(v))):
+        if not (np.isfinite(b).all() and np.isfinite(v).all()):
             raise ValueError("breakpoints and values must be finite")
         b.flags.writeable = False
         v.flags.writeable = False
@@ -90,8 +90,8 @@ class StepFunction:
         # min and max are NaN where a point is, which fails both comparisons
         if ts.size and not (ts.min() >= 0.0 and ts.max() <= 1.0):
             raise IndexOutOfRange("values_at", "grid points must lie in [0,1]")
-        idx = np.searchsorted(self.breakpoints, ts, side="right") - 1
-        return self.values[np.minimum(idx, self.pieces - 1)]
+        idx = self.breakpoints.searchsorted(ts, side="right") - 1
+        return self.values[idx.clip(None, self.pieces - 1)]
 
     def __add__(self, other):
         fa, fb = refine(self, other)

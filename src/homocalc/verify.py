@@ -11,13 +11,16 @@ tolerance here measures how well a family represents its function, not
 where an enumeration was cut short.
 
 The lift-heavy checks draw all their trials first, then lift the columns of
-every trial in one batched call per function and split the result back at
-the trial widths.  The lift gives a column the same bits in any batch, so
-each trial's values, digest and failure record are those of a lift of that
-trial alone.  check_interchange draws all its trials first as well, groups
-them by (set type, dimension, vertex count, side) and evaluates each group
-with two calls to the stacked support kernel, one over the group's lift
-columns and one over its point columns.
+every trial in one batched call per function and keep the results as one
+flat array, trial after trial, beside the trial widths.  One segmented
+maximum of |observed - expected| over that array finds the failing trials;
+only those are digested and recorded.  The lift gives a column the same
+bits in any batch, so each trial's values, digest and failure record are
+those of a lift of that trial alone.  check_interchange draws all its
+trials first as well, groups them by (set type, dimension, vertex count,
+side) and evaluates each group with two calls to the stacked support
+kernel, one over the group's lift columns and one over its point columns;
+a trial's coordinate is read off the group's lift, one element per group.
 """
 
 import hashlib
@@ -129,24 +132,43 @@ def _resolve(h):
     return builtin(h) if isinstance(h, str) else h
 
 
-def _per_trial(lift, blocks):
-    """lift applied once to the columns of all (n, m_t) blocks, split per block."""
-    if not blocks:
-        return []
-    whole = lift([RmElement(row) for row in np.hstack(blocks)])
-    return np.split(whole.coords, np.cumsum([b.shape[1] for b in blocks[:-1]], dtype=int))
+def _per_trial(lifts, blocks):
+    """The (n, m_t) blocks lifted, trial t by lifts[t % len(lifts)]: one
+    batched call per lift over the columns of all its trials.
+
+    Returns the lifted coordinates of every trial, trial after trial, as one
+    flat array, and the trial widths m_t.
+    """
+    widths = np.array([b.shape[1] for b in blocks], dtype=int)
+    ends = np.cumsum(widths)
+    flat = np.empty(widths.sum())
+    count = len(lifts)
+    for i, lift in enumerate(lifts):
+        share = blocks[i::count]
+        if not share:
+            continue
+        # a trial's columns end at `ends` in flat and at the share's own
+        # running width in its stack; the difference shifts every column
+        w = widths[i::count]
+        at = np.repeat(ends[i::count] - np.cumsum(w), w) + np.arange(w.sum())
+        flat[at] = lift([RmElement(row) for row in np.hstack(share)]).coords
+    return flat, widths
 
 
-def _worst_coordinate_failures(trials, tol):
-    """CheckFailures of the trials (digest inputs, observed, expected) whose
-    worst coordinate |observed - expected| is above tol; the digest is taken
-    for a failing trial only."""
+def _worst_coordinate_failures(inputs, got, want, widths, tol):
+    """CheckFailures of the trials whose worst coordinate |got - want| is
+    above tol, at that coordinate.
+
+    got and want are flat, trial after trial, with the trial widths given;
+    one segmented maximum finds the failing trials, and only for those is
+    the coordinate located and inputs(t), the digest's arrays, taken.
+    """
+    err = np.abs(got - want)
+    starts = np.cumsum(widths) - widths
     failures = []
-    for inputs, got, want in trials:
-        err = np.abs(got - want)
-        k = int(err.argmax())
-        if err[k] > tol:
-            failures.append(CheckFailure(_digest(*inputs), float(got[k]), float(want[k]), tol))
+    for t in np.flatnonzero(np.maximum.reduceat(err, starts) > tol).tolist():
+        k = starts[t] + int(err[starts[t] : starts[t] + widths[t]].argmax())
+        failures.append(CheckFailure(_digest(*inputs(t)), float(got[k]), float(want[k]), tol))
     return failures
 
 
@@ -163,9 +185,9 @@ def check_engine_vs_oracle(h="example-7.1", trials=500, tol=1e-6, seed=0, m=None
     for _ in range(trials):
         mt = int(m) if m is not None else int(rng.integers(1, 17))
         data.append(rng.uniform(-5.0, 5.0, size=(h.dim, mt)))
-    engine = _per_trial(partial(fc_semicontinuous, h), data)
-    truth = _per_trial(partial(oracle_fc, h), data)
-    failures = _worst_coordinate_failures(zip([(d,) for d in data], engine, truth), tol)
+    engine, widths = _per_trial([partial(fc_semicontinuous, h)], data)
+    truth, _ = _per_trial([partial(oracle_fc, h)], data)
+    failures = _worst_coordinate_failures(lambda t: (data[t],), engine, truth, widths, tol)
     return CheckReport(f"engine-vs-oracle[{h.name}]", trials, failures, seed)
 
 
@@ -188,7 +210,10 @@ def check_interchange(trials=1000, tol=1e-12, seed=0, fault_injection=False):
     All trials are drawn first and grouped by (set type, dimension, vertex
     count, side).  Each group makes two _support_stack calls, one over the
     lift columns of all its trials and one over their point columns; a
-    column's value is bitwise what the map gives it alone.
+    column's value is bitwise what the map gives it alone.  The group's lift
+    is one element, and coordinate j of a trial's lift is coordinate
+    offset + j of it, where offset counts the group's columns before the
+    trial's.
     """
     rng = _rng(seed, "interchange")
     draws, groups = [], {}
@@ -206,18 +231,24 @@ def check_interchange(trials=1000, tol=1e-12, seed=0, fault_injection=False):
     for (_, _, _, sign), members in groups.items():
         sets, blocks, js = zip(*(draws[t] for t in members))
         widths = [b.shape[1] for b in blocks]
-        lift_stack = _stack_sets([s for s, w in zip(sets, widths) for _ in range(w)])
+        cols = np.hstack(blocks)
+        # coordinate j of a trial's lift, 1-based in the group's lift
+        picks = np.cumsum(widths) - widths + js
+        set_stack = _stack_sets(sets)
+        # each set repeated once per column of its trial, on the set axis
+        lift_stack = {
+            key: np.repeat(a, widths, axis=int(key == "vertices")) for key, a in set_stack.items()
+        }
         if fault_injection:
             lift_stack = {key: a * (1.0 + 1e-3) for key, a in lift_stack.items()}
-        values = sign * _support_stack(sign * np.hstack(blocks), **lift_stack)
-        for t, j, v in zip(members, js, np.split(values, np.cumsum(widths[:-1]))):
-            lhs[t] = hom_eval(CoordinateHom(j), RmElement(v))
-        at = np.column_stack([b[:, j - 1] for b, j in zip(blocks, js)])
-        point[members] = sign * _support_stack(sign * at, **_stack_sets(sets))
-    failures = []
-    for (_, data, j), got, expected in zip(draws, lhs, point):
-        if abs(got - expected) > tol:
-            failures.append(CheckFailure(_digest(data, [j]), float(got), float(expected), tol))
+        lifted = RmElement(sign * _support_stack(sign * cols, **lift_stack))
+        for t, j in zip(members, picks.tolist()):
+            lhs[t] = hom_eval(CoordinateHom(j), lifted)
+        point[members] = sign * _support_stack(sign * cols[:, picks - 1], **set_stack)
+    failures = [
+        CheckFailure(_digest(draws[t][1], [draws[t][2]]), float(lhs[t]), float(point[t]), tol)
+        for t in np.flatnonzero(np.abs(lhs - point) > tol).tolist()
+    ]
     return CheckReport("interchange", trials, failures, seed)
 
 
@@ -237,12 +268,11 @@ def check_rep_independence(trials=100, tol=1e-3, seed=0, angles=720):
     poly_rep = _norm_via([circumscribed_polygon_map(angles)])
     both_rep = _norm_via([disk_map(), circumscribed_polygon_map(angles)])
     data = [rng.uniform(-5.0, 5.0, size=(2, int(rng.integers(1, 9)))) for _ in range(trials)]
-    exact = _per_trial(partial(fc_semicontinuous, disk_rep), data)
-    other = [None] * trials
-    other[0::2] = _per_trial(partial(fc_semicontinuous, poly_rep), data[0::2])
-    other[1::2] = _per_trial(partial(fc_semicontinuous, both_rep), data[1::2])
-    inputs = [(d, [t]) for t, d in enumerate(data)]
-    failures = _worst_coordinate_failures(zip(inputs, other, exact), tol)
+    exact, widths = _per_trial([partial(fc_semicontinuous, disk_rep)], data)
+    other, _ = _per_trial(
+        [partial(fc_semicontinuous, poly_rep), partial(fc_semicontinuous, both_rep)], data
+    )
+    failures = _worst_coordinate_failures(lambda t: (data[t], [t]), other, exact, widths, tol)
     return CheckReport("rep-independence", trials, failures, seed)
 
 
@@ -260,12 +290,9 @@ def check_continuous_agreement(trials=100, tol=1e-6, seed=0):
     for t in range(trials):
         m = int(rng.integers(1, 9))
         data.append(rng.uniform(-5.0, 5.0, size=(hs[t % count].dim, m)))
-    lo, hi = [None] * trials, [None] * trials
-    for i, h in enumerate(hs):
-        lo[i::count] = _per_trial(partial(fc_semicontinuous, h, side="sup"), data[i::count])
-        hi[i::count] = _per_trial(partial(fc_semicontinuous, h, side="inf"), data[i::count])
-    inputs = [(d, [t]) for t, d in enumerate(data)]
-    failures = _worst_coordinate_failures(zip(inputs, lo, hi), tol)
+    lo, widths = _per_trial([partial(fc_semicontinuous, h, side="sup") for h in hs], data)
+    hi, _ = _per_trial([partial(fc_semicontinuous, h, side="inf") for h in hs], data)
+    failures = _worst_coordinate_failures(lambda t: (data[t], [t]), lo, hi, widths, tol)
     return CheckReport("continuous-agreement", trials, failures, seed)
 
 
@@ -298,17 +325,18 @@ def check_sublattice_invariance(trials=200, seed=0):
         np.vstack([lattice.embed_step_to_grid(f, grid).coords for f in fs])
         for fs, grid in zip(tuples, grids)
     ]
-    on_steps, on_grid = [None] * trials, [None] * trials
-    for i, h in enumerate(hs):
-        lift = partial(fc_semicontinuous, h)
-        on_steps[i::count] = _per_trial(lift, [vals for _, vals in refined[i::count]])
-        on_grid[i::count] = _per_trial(lift, embedded[i::count])
-    inputs = [(grid, *[f.values for f in fs]) for fs, grid in zip(tuples, grids)]
+    lifts = [partial(fc_semicontinuous, h) for h in hs]
+    on_steps, pieces = _per_trial(lifts, [vals for _, vals in refined])
+    on_grid, widths = _per_trial(lifts, embedded)
+    ends = np.cumsum(pieces).tolist()
     on_steps_at_grid = [
-        lattice.embed_step_to_grid(StepFunction(bp, vals), grid).coords
-        for (bp, _), grid, vals in zip(refined, grids, on_steps)
+        lattice.embed_step_to_grid(StepFunction(bp, on_steps[end - k : end]), grid).coords
+        for (bp, _), grid, k, end in zip(refined, grids, pieces.tolist(), ends)
     ]
-    failures = _worst_coordinate_failures(zip(inputs, on_grid, on_steps_at_grid), 0.0)
+    failures = _worst_coordinate_failures(
+        lambda t: (grids[t], *[f.values for f in tuples[t]]),
+        on_grid, np.concatenate([on_grid[:0], *on_steps_at_grid]), widths, 0.0,
+    )
     return CheckReport("sublattice-invariance", trials, failures, seed)
 
 

@@ -518,3 +518,26 @@ def test_near_axis_values_match_the_closed_form(capsys, name, x, want):
 def test_fc_requires_elements(capsys):
     code, _, err = run(capsys, "fc", "--builtin", "example-7.1")
     assert code == 2
+
+
+# fc with two different --f lists, a bad flag, then eval: the parser serves
+# every call of a process, so neither the append default of --f nor a parse
+# error may leave anything behind for the next call
+_SEQUENCE = (
+    ("fc", "--builtin", "example-7.2", "--f", "2,5,-1", "--f", "3,-1,1"),
+    ("fc", "--builtin", "example-7.2", "--f", "1,0", "--f=-4,2"),
+    ("fc", "--builtin", "example-7.2", "--f", "1,0", "--bogus", "1"),
+    ("eval", "--builtin", "example-7.1", "--x", "3,-1"),
+)
+
+
+def test_calls_in_one_process_print_what_fresh_processes_print(capsys):
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    for argv in _SEQUENCE:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "homocalc", *argv],
+            cwd=root, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert [run(capsys, *argv)[0] for argv in _SEQUENCE] == [0, 0, 2, 0]

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -279,6 +280,34 @@ def test_vpolytope_rejects_nonfinite():
         VPolytope([[np.inf, 0.0]])
     with pytest.raises(ValueError):
         Ball([0.0], -1.0)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: VPolytope([]), "vertex array must be nonempty with shape (k, n)"),
+        (lambda: VPolytope([[0.0, np.nan]]), "vertices must be finite"),
+        (lambda: VPolytope([[1.0, 0.0], [-np.inf, 0.0]]), "vertices must be finite"),
+        (lambda: Ball([], 1.0), "center must be a nonempty finite vector"),
+        (lambda: Ball([np.nan, 0.0], 1.0), "center must be a nonempty finite vector"),
+        (lambda: Ball([0.0], -1.0), "radius must be finite and >= 0"),
+        (lambda: Ball([0.0], np.nan), "radius must be finite and >= 0"),
+        (lambda: Ball([0.0], np.inf), "radius must be finite and >= 0"),
+    ],
+    ids=[
+        "polytope-empty",
+        "polytope-nan",
+        "polytope-inf",
+        "ball-empty-centre",
+        "ball-nan-centre",
+        "ball-negative-radius",
+        "ball-nan-radius",
+        "ball-inf-radius",
+    ],
+)
+def test_set_constructor_rejections_keep_their_messages(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 @settings(max_examples=60, deadline=None)

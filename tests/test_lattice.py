@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -158,6 +160,58 @@ def test_step_function_validation():
         StepFunction([0.1, 1.0], [2.0])
     with pytest.raises(ValueError):
         StepFunction([0.0, 0.5, 0.5, 1.0], [1.0, 2.0, 3.0])
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+# The constructors check in a fixed order, and the order decides the message:
+# a NaN breakpoint passes the increasing check (NaN compares false) and is
+# caught as not finite, while an inf breakpoint fails the increasing check.
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: StepFunction([0.0], []), "need k+1 breakpoints and k values"),
+        (lambda: StepFunction([0.0, 0.5], [1.0, 2.0]), "need k+1 breakpoints and k values"),
+        (lambda: StepFunction([0.1, 1.0], [2.0]), "breakpoints must start at 0 and end at 1"),
+        (lambda: StepFunction([0.0, 0.9], [2.0]), "breakpoints must start at 0 and end at 1"),
+        (lambda: StepFunction([_NAN, 1.0], [2.0]), "breakpoints must start at 0 and end at 1"),
+        (
+            lambda: StepFunction([0.0, 0.5, 0.5, 1.0], [1.0, 2.0, 3.0]),
+            "breakpoints must be strictly increasing",
+        ),
+        (
+            lambda: StepFunction([0.0, 0.7, 0.5, 1.0], [1.0, 2.0, 3.0]),
+            "breakpoints must be strictly increasing",
+        ),
+        (lambda: StepFunction([0.0, _NAN, 1.0], [1.0, 2.0]), "breakpoints and values must be finite"),
+        (lambda: StepFunction([0.0, _INF, 1.0], [1.0, 2.0]), "breakpoints must be strictly increasing"),
+        (lambda: StepFunction([0.0, 1.0], [_NAN]), "breakpoints and values must be finite"),
+        (lambda: StepFunction([0.0, 1.0], [-_INF]), "breakpoints and values must be finite"),
+        (lambda: RmElement([]), "coords must be nonempty"),
+        (lambda: RmElement([1.0, _NAN]), "coords must be finite"),
+        (lambda: RmElement([_INF]), "coords must be finite"),
+    ],
+    ids=[
+        "step-one-breakpoint",
+        "step-too-few-breakpoints",
+        "step-starts-above-0",
+        "step-ends-below-1",
+        "step-starts-at-nan",
+        "step-repeated-breakpoint",
+        "step-decreasing-breakpoints",
+        "step-nan-breakpoint",
+        "step-inf-breakpoint",
+        "step-nan-value",
+        "step-inf-value",
+        "rm-empty",
+        "rm-nan",
+        "rm-inf",
+    ],
+)
+def test_constructor_rejections_keep_their_messages(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 def test_rm_order_and_arithmetic():

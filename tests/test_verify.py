@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from homocalc import verify
 from homocalc.cli import main
 from homocalc.homog import builtin
 from homocalc.lattice import RmElement, StepFunction
@@ -166,6 +167,19 @@ def test_suite_cli_stdout_is_pinned(capsys):
     assert _sha256(out) == SUITE_SEED_0_SHA256
 
 
+@pytest.mark.parametrize(
+    "seed, digest",
+    [
+        (1, "d88fa41e271128ee977c44e93a0db2471aadc7397c4ca6fb596364016b9539e0"),
+        (7, "9755d6a923d9087a1f47dc12b8618b1cfceacc8c719d391df347259b6d0763b4"),
+        (12345, "442af9f4a968e914823955dca974ffc21c44ae1f28838af46ead95d5772f6ffb"),
+    ],
+)
+def test_suite_cli_stdout_is_pinned_at_more_seeds(capsys, seed, digest):
+    assert main(["suite", "--seed", str(seed)]) == 0
+    assert _sha256(capsys.readouterr().out) == digest
+
+
 def test_python_m_homocalc_runs_the_cli():
     # a checkout with nothing installed: python -m homocalc with src on the path
     root = Path(__file__).resolve().parent.parent
@@ -237,15 +251,64 @@ def test_suite_runs_without_scipy():
             1000,
             "8f8f75de94febeea42daec38ab410ca04bf5b1f207720be5c7642710ea43a906",
         ),
+        (
+            # at tol 0 the last-bit differences between square-mean's
+            # tangent (sup) side and its inf side are recorded
+            lambda: check_continuous_agreement(tol=0.0, seed=1),
+            26,
+            "ed40016252f9c6d0f065d4dcda237b8aaa517447280f69f781f6c64aafedca55",
+        ),
     ],
     ids=[
         "engine-vs-oracle-tol0",
         "rep-independence-8-angles",
         "engine-vs-oracle-fixed-m",
         "interchange-fault-injection",
+        "continuous-agreement-tol0",
     ],
 )
 def test_forced_failure_records_are_pinned(run, failures, digest):
     report = run()
     assert len(report.failures) == failures
     assert _sha256(json.dumps(report.to_json(), sort_keys=True)) == digest
+
+
+def _counting(monkeypatch, name):
+    """Replace verify.<name> by a wrapper that counts its calls."""
+    calls = []
+    inner = getattr(verify, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(verify, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("trials", [10, 200])
+@pytest.mark.parametrize(
+    "check, lifts",
+    [
+        (check_engine_vs_oracle, 1),
+        (check_rep_independence, 3),
+        (check_continuous_agreement, 6),
+        (check_sublattice_invariance, 10),
+    ],
+    ids=["engine-vs-oracle", "rep-independence", "continuous-agreement", "sublattice-invariance"],
+)
+def test_checks_lift_each_function_once_whatever_the_trial_count(monkeypatch, check, lifts, trials):
+    # one batched lift per function and side, never one per trial
+    calls = _counting(monkeypatch, "fc_semicontinuous")
+    assert check(trials=trials, seed=11).cases == trials
+    assert len(calls) == lifts
+
+
+def test_interchange_builds_one_element_per_group(monkeypatch):
+    # each (set type, dimension, vertex count, side) group makes two
+    # _support_stack calls and lifts into one RmElement, whatever its size
+    elements = _counting(monkeypatch, "RmElement")
+    stacks = _counting(monkeypatch, "_support_stack")
+    report = check_interchange(trials=1000, seed=3)
+    assert report.passed and report.cases == 1000
+    assert len(stacks) % 2 == 0 and len(elements) <= len(stacks) // 2 <= 2 * 4 * 7
