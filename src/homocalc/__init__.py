@@ -30,6 +30,7 @@ from .errors import (
     NoConvergence,
     NonFiniteResult,
     NotOrdered,
+    NumericalError,
     SaddleGap,
     SchemaError,
     UnattainedBound,

@@ -1,10 +1,10 @@
 """Command line front door: JSON in, JSON out, deterministic bytes.
 
 Exit status: 0 success / checks passed, 1 check failure, 2 input error
-(bad flags, schema violations, dimension mismatches), 3 numerical failure
-(no convergence, saddle gap, empty intersection, ordering violations,
-results outside the float range, witnesses that miss their bound).  Every
-error, bad flags included, is one JSON line on stderr.
+(bad flags, schema violations, dimension mismatches), 3 numerical failure,
+any errors.NumericalError (no convergence, saddle gap, empty intersection,
+ordering violations, results outside the float range, witnesses that miss
+their bound).  Every error, bad flags included, is one JSON line on stderr.
 """
 
 import argparse
@@ -17,17 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import verify
-from .errors import (
-    CalculusError,
-    EmptyIntersection,
-    EnvelopeViolation,
-    NoConvergence,
-    NonFiniteResult,
-    NotOrdered,
-    SaddleGap,
-    SchemaError,
-    UnattainedBound,
-)
+from .errors import CalculusError, NumericalError, SchemaError
 from .fcalc import (
     fc_semicontinuous_detailed,
     saddle_build,
@@ -42,11 +32,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
-
-_NUMERICAL = (
-    NoConvergence, SaddleGap, EmptyIntersection, NotOrdered, EnvelopeViolation, NonFiniteResult,
-    UnattainedBound,
-)
 
 
 class _InputError(Exception):
@@ -320,7 +305,7 @@ def main(argv=None):
         return args.func(args)
     except _InputError as exc:
         return _fail(EXIT_INPUT, args.command, exc.message)
-    except _NUMERICAL as exc:
+    except NumericalError as exc:
         return _fail(EXIT_NUMERICAL, exc.operation, exc.message)
     except CalculusError as exc:
         return _fail(EXIT_INPUT, exc.operation, exc.message)

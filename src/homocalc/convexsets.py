@@ -685,13 +685,7 @@ def sphere_grid(n, density):
     i = np.arange(1, density + 1, dtype=float)
     u = (0.5 + np.outer(i, alphas)) % 1.0
     z = np.vectorize(NormalDist().inv_cdf, otypes=[float])(np.clip(u, 1e-12, 1.0 - 1e-12))
-    norms = np.linalg.norm(z, axis=1)
-    bad = norms < 1e-9
-    if np.any(bad):
-        z[bad] = 0.0
-        z[bad, 0] = 1.0
-        norms[bad] = 1.0
-    return z / norms[:, None]
+    return z / np.linalg.norm(z, axis=1)[:, None]
 
 
 @lru_cache(maxsize=None)

@@ -12,6 +12,10 @@ class CalculusError(Exception):
         super().__init__(f"{operation}: {message}")
 
 
+class NumericalError(CalculusError):
+    """A computation on valid input failed numerically; the CLI exits 3."""
+
+
 class DimensionMismatch(CalculusError):
     """Operands live in different coordinate dimensions."""
 
@@ -20,19 +24,19 @@ class LatticeMismatch(CalculusError):
     """Operands belong to different lattices or incompatible shapes."""
 
 
-class NoConvergence(CalculusError):
+class NoConvergence(NumericalError):
     """An iterative solve stopped above its optimality tolerance."""
 
 
-class EmptyIntersection(CalculusError):
+class EmptyIntersection(NumericalError):
     """Two sets are farther apart than the tolerance; the distance is computed exactly."""
 
 
-class NonFiniteResult(CalculusError):
+class NonFiniteResult(NumericalError):
     """A value computed from finite inputs is infinite or NaN: it lies outside the float range."""
 
 
-class UnattainedBound(CalculusError):
+class UnattainedBound(NumericalError):
     """A family's witness member does not attain the family's certified bound."""
 
 
@@ -40,15 +44,15 @@ class EmptyFamily(CalculusError):
     """A family evaluation was asked for with no members on the chosen side."""
 
 
-class EnvelopeViolation(CalculusError):
-    """Computed norm envelopes fail to bracket the function on the sphere grid."""
+class EnvelopeViolation(NumericalError):
+    """A function's family and its oracle disagree on the sphere grid."""
 
 
-class NotOrdered(CalculusError):
+class NotOrdered(NumericalError):
     """A superdifferential lies more than tol x scale from a subdifferential."""
 
 
-class SaddleGap(CalculusError):
+class SaddleGap(NumericalError):
     """The two saddle evaluation orders disagree beyond tolerance."""
 
 

@@ -139,7 +139,10 @@ def saddle_build(phis, psis, tol=FEASIBLE_TOL):
     more than tol times the scale apart as NotOrdered, naming the pair by
     its labels, and any other error as it is.  So 2^k phi and 2^k psi
     build the saddle of phi and psi, scaled, or fail the same way.  A tol
-    that is not finite and >= 0 raises ValueError.
+    that is not finite and >= 0 raises ValueError.  At tol=0 a pair builds
+    only where the computed distance is exactly 0: for sets that touch or
+    nest it is often a rounding residue of a few 1e-16, so such families
+    usually need a small positive tol.
     """
     _check_tol(tol, "saddle_build")
     phis = list(phis)

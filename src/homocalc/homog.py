@@ -7,15 +7,16 @@ Both are one evaluator with a sign and keep C in `.set`.  A PH function is
 represented by an inf-family of sublinear maps (upper semicontinuous side),
 a sup-family of superlinear maps (lower semicontinuous side), or both
 (continuous), optionally paired with a closed-form oracle used for
-cross-checks only: evaluation reads the families alone, and a lift reports
-its drift from the oracle as data (fcalc's max_residual).  A finite family
-is an explicit list of maps, and its value at a point is the extremum over
-every member's value; members that are linear maps of one class are
-evaluated as one stacked matrix, in their own arithmetic.  An infinite
-family is never enumerated: it names, per point, one member that attains
-its extremum (a witness), and its value is that member's value; where it
-also declares a certified bound, the witness value must equal the bound
-bitwise.
+cross-checks only: evaluation, sphere bounds and norm envelopes read the
+families alone; a lift reports its drift from the oracle as data (fcalc's
+max_residual), and the envelopes check the family against the oracle on a
+sphere-grid subsample.  A finite family is an explicit list of maps, and
+its value at a point is the extremum over every member's value; members
+that are linear maps of one class are evaluated as one stacked matrix, in
+their own arithmetic.  An infinite family is never enumerated: it names,
+per point, one member that attains its extremum (a witness), and its value
+is that member's value; where it also declares a certified bound, the
+witness value must equal the bound bitwise.
 
 Semicontinuity cannot be certified from finitely many samples; the kind tag
 is declarative and only the oracle/family agreement is checked numerically.
@@ -177,7 +178,7 @@ class PHFunction:
     kind is derived from which sides are present: "usc" (inf-family only),
     "lsc" (sup-family only) or "cts" (both).  The oracle, when present, is a
     vectorized closed form over arrays shaped (..., dim); it never feeds the
-    engine, only cross-checks and sphere grids.
+    engine, only cross-checks.
     """
 
     def __init__(self, name, dim, inf_family=None, sup_family=None, oracle=None):
@@ -285,58 +286,49 @@ def eval_family_detailed(h, x, side="auto"):
 # ---------------------------------------------------------------------------
 # envelopes on the sphere grid
 
-def _values_on_grid(h, grid):
+def _sphere_bounds(h, grid, op):
+    """(m, M) with -m = min and M = max of h's family over the rows of grid.
+
+    Where h has an oracle, it is read once, at every len(grid) // 128-th
+    row, and a family value that differs from it by more than
+    1e-6 (1 + |oracle|) raises EnvelopeViolation.
+    """
+    vals = _eval_columns(h, grid.T, "auto")[0]
     if h.oracle is not None:
-        return np.asarray(h.oracle(grid), dtype=float)
-    return _eval_columns(h, grid.T, "auto")[0]
+        stride = max(1, len(grid) // 128)
+        orc = np.asarray(h.oracle(grid[::stride]), dtype=float)
+        diff = np.abs(vals[::stride] - orc)
+        bad = np.nonzero(diff > 1e-6 * (1.0 + np.abs(orc)))[0]
+        if bad.size:
+            raise EnvelopeViolation(
+                op,
+                f"{h.name}: family and oracle disagree by {diff[bad[0]]:.3e} "
+                "on the sphere grid (bad oracle or coarse family)",
+            )
+    return float(-vals.min()), float(vals.max())
 
 
 def sphere_bounds(h):
-    """(m, M) with -m = min and M = max of h over the default sphere grid."""
-    vals = _values_on_grid(h, _default_grid(h.dim))
-    return float(-vals.min()), float(vals.max())
+    """(m, M) with -m = min and M = max of h's family over the default
+    sphere grid; an oracle is only cross-checked, as in domination_envelopes."""
+    return _sphere_bounds(h, _default_grid(h.dim), "sphere_bounds")
 
 
 def domination_envelopes(h, grid_density=None):
     """Norm envelopes (psi, phi) with psi <= h <= phi on the sphere grid.
 
-    psi = -m.||.|| (superdiff = ball of radius m), phi = M.||.||; negative
-    sphere bounds clamp to radius 0 so both maps stay genuinely super/sub
-    linear.  When both an oracle and a family are present they are
-    cross-checked on a grid subsample; disagreement raises
-    EnvelopeViolation, as does an actual bracket violation on the grid.
+    psi = -m.||.|| (superdiff = ball of radius m), phi = M.||.||, with
+    (-m, M) the min and max of h's family on the grid; negative sphere
+    bounds clamp to radius 0 so both maps stay genuinely super/sub linear.
+    An oracle never feeds the bounds: where h has one, it is cross-checked
+    against the family on a grid subsample, and disagreement raises
+    EnvelopeViolation.
     """
     grid = _default_grid(h.dim) if grid_density is None else sphere_grid(h.dim, int(grid_density))
-    vals = _values_on_grid(h, grid)
-    m, M = float(-vals.min()), float(vals.max())
-    m_env = max(m, 0.0)
-    M_env = max(M, 0.0)
+    m, M = (max(b, 0.0) for b in _sphere_bounds(h, grid, "domination_envelopes"))
     center = np.zeros(h.dim)
-    psi = SuperlinearMap(Ball(center, m_env), label=f"-{m_env:g}*norm")
-    phi = SublinearMap(Ball(center, M_env), label=f"{M_env:g}*norm")
-
-    norms = np.linalg.norm(grid, axis=1)
-    slack = 1e-12 * (1.0 + abs(m_env) + abs(M_env))
-    low = -m_env * norms
-    high = M_env * norms
-    if np.any(vals < low - slack) or np.any(vals > high + slack):
-        worst = max(float((low - vals).max()), float((vals - high).max()))
-        raise EnvelopeViolation(
-            "domination_envelopes",
-            f"{h.name}: grid values escape [-m, M] envelope by {worst:.3e}",
-        )
-    if h.oracle is not None:
-        stride = max(1, len(grid) // 128)
-        fam = _eval_columns(h, grid[::stride].T, "auto")[0]
-        orc = vals[::stride]
-        diff = np.abs(fam - orc)
-        bad = np.nonzero(diff > 1e-6 * (1.0 + np.abs(orc)))[0]
-        if bad.size:
-            raise EnvelopeViolation(
-                "domination_envelopes",
-                f"{h.name}: family and oracle disagree by {diff[bad[0]]:.3e} "
-                "on the sphere grid (bad oracle or coarse family)",
-            )
+    psi = SuperlinearMap(Ball(center, m), label=f"-{m:g}*norm")
+    phi = SublinearMap(Ball(center, M), label=f"{M:g}*norm")
     return psi, phi
 
 
@@ -590,7 +582,7 @@ def function_from_json(obj, source="<inline>"):
     body = obj["family"]
     if not isinstance(body, dict):
         raise SchemaError(source, "family", "expected an object")
-    maps = body.get("maps", body if "builtin" in body else None)
+    maps = body.get("maps")
     if isinstance(maps, dict) and "builtin" in maps:
         name = maps["builtin"]
         if not isinstance(name, str):

@@ -359,7 +359,8 @@ def check_saddle(trials=20, tol=1e-9, seed=0, corrupt=False):
     lifts.  Part two does the same for the euclidean norm against 32
     tangent maps, comparing fc_saddle to the same 32-angle sup-family lift.
     corrupt=True reverses one coefficient row, which must surface as a
-    recorded SaddleGap failure.
+    recorded SaddleGap failure.  Both parts compare against max(tol, 1e-12):
+    a tol below 1e-12 acts as 1e-12.
     """
     rng = _rng(seed, "saddle")
     failures = []

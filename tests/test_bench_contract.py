@@ -107,3 +107,45 @@ def test_representation_warning_stays_exported():
     # bench/workloads.py and bench/test_bench.py filter it by name
     assert issubclass(homocalc.RepresentationWarning, UserWarning)
     assert homocalc.RepresentationWarning is homocalc.homog.RepresentationWarning
+
+
+# bench/tracing.py's Tracer._on_return and wrap_oracle read these return
+# shapes; a change to any of them fails here instead of in a benchmark run
+
+
+def test_eval_family_detailed_returns_an_int_term_count():
+    for name in ("example-7.1", "abs-sum"):
+        _, terms = homocalc.eval_family_detailed(homocalc.builtin(name), [1.0, -2.0])
+        assert type(terms) is int
+
+
+@pytest.mark.parametrize(
+    "fs",
+    [
+        [homocalc.RmElement([1.0, -2.0]), homocalc.RmElement([3.0, 0.5])],
+        [homocalc.StepFunction([0.0, 0.5, 1.0], [1.0, -2.0]), homocalc.StepFunction([0.0, 1.0], [3.0])],
+    ],
+    ids=["rm", "step"],
+)
+def test_detailed_lift_returns_an_element_first(fs):
+    element = homocalc.fc_semicontinuous_detailed(homocalc.builtin("example-7.2"), fs)[0]
+    assert isinstance(element, (homocalc.RmElement, homocalc.StepFunction))
+    assert (element.values if hasattr(element, "values") else element.coords).size >= 1
+
+
+def test_common_refinement_returns_a_value_matrix_second():
+    fs = [homocalc.StepFunction([0.0, 0.5, 1.0], [1.0, -2.0]), homocalc.StepFunction([0.0, 0.25, 1.0], [3.0, 4.0])]
+    values = homocalc.common_refinement(fs)[1]
+    assert values.ndim == 2 and values.shape == (2, 3)
+
+
+def test_default_suite_reports_count_int_cases():
+    reports = homocalc.default_suite(seed=0)
+    assert reports and all(type(r.cases) is int for r in reports)
+
+
+def test_builtin_oracle_is_assignable():
+    h = homocalc.builtin("square-mean")
+    oracle = h.oracle
+    h.oracle = lambda pts: oracle(pts)
+    assert h.oracle is not oracle and callable(h.oracle)

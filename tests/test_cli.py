@@ -423,6 +423,47 @@ def test_bad_vector_exits_2(capsys):
     assert code == 2
 
 
+# the errors that mean a numerical failure on valid input; every other
+# CalculusError is an input error
+NUMERICAL_ERRORS = {
+    "NoConvergence", "EmptyIntersection", "NonFiniteResult", "UnattainedBound",
+    "EnvelopeViolation", "NotOrdered", "SaddleGap",
+}
+
+
+def _leaf_errors():
+    from homocalc import errors
+
+    classes = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.CalculusError)]
+    return sorted((c for c in classes if not c.__subclasses__()), key=lambda c: c.__name__)
+
+
+@pytest.mark.parametrize("cls", _leaf_errors(), ids=lambda c: c.__name__)
+def test_each_error_class_sets_the_exit_status(capsys, monkeypatch, cls):
+    error = cls("src", "path", "reason") if cls.__name__ == "SchemaError" else cls("op", "reason")
+
+    def fail(h, x):
+        raise error
+
+    monkeypatch.setattr(cli, "eval_family_detailed", fail)
+    code, out, err = run(capsys, "eval", "--builtin", "abs-sum", "--x", "1,2")
+    assert (code, out) == (3 if cls.__name__ in NUMERICAL_ERRORS else 2, "")
+    want = {"error": {"message": error.message, "operation": error.operation}}
+    assert err == json.dumps(want, sort_keys=True) + "\n"
+
+
+def test_every_numerical_error_is_a_leaf_class():
+    assert NUMERICAL_ERRORS <= {c.__name__ for c in _leaf_errors()}
+
+
+def test_builtin_outside_maps_exits_2(capsys, tmp_path):
+    inp = tmp_path / "short.json"
+    inp.write_text(json.dumps({"family": {"builtin": "abs-sum"}}))
+    code, out, err = run(capsys, "eval", "--family", str(inp), "--x", "1,2")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["message"].startswith(f"{inp}: family.kind: ")
+
+
 def test_schema_violation_reports_source_and_path(capsys, tmp_path):
     path = tmp_path / "fam.json"
     path.write_text(json.dumps({"family": {"kind": "usc", "maps": [{"nonsense": {}}]}}))

@@ -121,7 +121,7 @@ def test_the_oracle_feeds_only_the_lift_residual(name):
     for k in (1, 2):
         fc_semicontinuous_detailed(h, fs)
         assert calls == [(3, 2)] * k
-    domination_envelopes(h)  # its grid values come from the oracle, once
+    domination_envelopes(h)  # its cross-check reads the oracle, once
     assert len(calls) == 3
 
 

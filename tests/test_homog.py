@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homocalc.convexsets import Ball, VPolytope
+from homocalc.convexsets import Ball, VPolytope, _default_grid
 from homocalc.errors import (
     DimensionMismatch,
     EmptyFamily,
@@ -564,6 +564,21 @@ def test_domination_envelopes_detect_bad_oracle():
         domination_envelopes(bad)
 
 
+@pytest.mark.parametrize("name", ["example-7.1", "example-7.2", "square-mean", "abs-sum", "max-coord"])
+@pytest.mark.parametrize("grid_density", [None, 1000])
+def test_sphere_values_read_the_oracle_only_on_the_cross_check_rows(name, grid_density):
+    h = builtin(name)
+    grid = _default_grid(h.dim) if grid_density is None else sphere_grid(h.dim, grid_density)
+    rows = len(grid[:: max(1, len(grid) // 128)])
+    oracle, calls = h.oracle, []
+    h.oracle = lambda pts: calls.append(np.shape(pts)) or oracle(pts)
+    domination_envelopes(h, grid_density=grid_density)
+    assert calls == [(rows, h.dim)]
+    if grid_density is None:
+        sphere_bounds(h)
+        assert calls == [(rows, h.dim)] * 2
+
+
 @pytest.mark.parametrize("grid_density", [None, 1000])
 def test_domination_envelopes_cross_check_both_points_of_the_line(grid_density):
     # the sphere of R^1 is {1, -1} at any density; an oracle that is wrong
@@ -623,6 +638,19 @@ def test_function_from_json_builtin():
         function_from_json({"family": {"maps": {"builtin": "nope"}}})
     with pytest.raises(SchemaError):
         function_from_json({"family": {"kind": "lsc", "maps": {"builtin": "example-7.1"}}})
+
+
+@pytest.mark.parametrize(
+    "body, path",
+    [
+        ({"builtin": "example-7.1"}, "family.kind"),
+        ({"kind": "usc", "builtin": "example-7.1"}, "family.maps"),
+    ],
+)
+def test_function_from_json_reads_a_builtin_only_under_maps(body, path):
+    with pytest.raises(SchemaError) as exc:
+        function_from_json({"family": body})
+    assert exc.value.path == path
 
 
 def test_function_from_json_explicit_families():
