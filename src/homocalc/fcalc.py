@@ -71,10 +71,11 @@ def fc_semicontinuous(h, elements, side="auto"):
     """Lift a PH function through its representing family, per coordinate.
 
     All columns go through one batched family evaluation; a column gets the
-    same value as eval_family at that column alone.
+    same value as eval_family at that column alone.  The oracle is not
+    called: only fc_semicontinuous_detailed reads it, for max_residual.
     """
-    element, _ = fc_semicontinuous_detailed(h, elements, side=side)
-    return element
+    wrap, cols = _lift_columns("fc_semicontinuous", "function", h.dim, elements)
+    return wrap(_eval_columns(h, cols, side)[0])
 
 
 def fc_semicontinuous_detailed(h, elements, side="auto"):
@@ -183,7 +184,10 @@ def saddle_eval(S, x):
     x of shape (n,) gives two floats; points of shape (k, n) give two arrays
     of shape (k,).  Points go in _blocks of coefficient-by-point cells,
     summed coordinate by coordinate, so a point's values do not depend on
-    the other points.  Raises ValueError on a NaN or infinite point and
+    the other points.  With one row (P = 1) the min over rows is the
+    identity, and with one column (Q = 1) the max over columns is, so both
+    orderings reduce the same values in the same order and are computed
+    once.  Raises ValueError on a NaN or infinite point and
     NonFiniteResult on a value outside the float range.
     """
     pts = np.asarray(x, dtype=float)
@@ -200,7 +204,7 @@ def saddle_eval(S, x):
         for b in _blocks(pts.shape[0], P * Q):
             M = _dot_paired(S.coeffs[..., None, :], pts[b].T)
             out[0, b] = M.max(axis=1).min(axis=0)
-            out[1, b] = M.min(axis=0).max(axis=0)
+            out[1, b] = out[0, b] if 1 in (P, Q) else M.min(axis=0).max(axis=0)
         return out
 
     infsup, supinf = _finite_values(evaluate, pts, "saddle_eval", unit="point")

@@ -319,13 +319,14 @@ def domination_envelopes(h, grid_density=None):
 
     psi = -m.||.|| (superdiff = ball of radius m), phi = M.||.||, with
     (-m, M) the min and max of h's family on the grid; negative sphere
-    bounds clamp to radius 0 so both maps stay genuinely super/sub linear.
+    bounds, and -0.0, clamp to radius +0.0 so both maps stay genuinely
+    super/sub linear.
     An oracle never feeds the bounds: where h has one, it is cross-checked
     against the family on a grid subsample, and disagreement raises
     EnvelopeViolation.
     """
     grid = _default_grid(h.dim) if grid_density is None else sphere_grid(h.dim, int(grid_density))
-    m, M = (max(b, 0.0) for b in _sphere_bounds(h, grid, "domination_envelopes"))
+    m, M = (max(0.0, b) for b in _sphere_bounds(h, grid, "domination_envelopes"))
     center = np.zeros(h.dim)
     psi = SuperlinearMap(Ball(center, m), label=f"-{m:g}*norm")
     phi = SublinearMap(Ball(center, M), label=f"{M:g}*norm")

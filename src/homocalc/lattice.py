@@ -192,7 +192,15 @@ def refine(f, g):
 
 
 def common_refinement(fs):
-    """Shared breakpoints and the (n, pieces) value matrix of n step functions."""
+    """Shared breakpoints and the (n, pieces) value matrix of n step functions.
+
+    Every breakpoint of f is one of the shared ones, so piece i of f covers
+    exactly as many refined pieces as lie between its two breakpoints, and
+    its value is repeated that many times.  The union stays a pairwise
+    np.union1d chain in input order: one np.unique over all the arrays
+    returns the same points, but where the functions start at both 0.0 and
+    -0.0 it can keep the other zero first, so bp[0] would change sign.
+    """
     if not fs:
         raise LatticeMismatch("common_refinement", "need at least one step function")
     if not all(isinstance(f, StepFunction) for f in fs):
@@ -200,8 +208,7 @@ def common_refinement(fs):
     bp = fs[0].breakpoints
     for f in fs[1:]:
         bp = np.union1d(bp, f.breakpoints)
-    lefts = bp[:-1]
-    vals = np.stack([f.values_at(lefts) for f in fs])
+    vals = np.stack([np.repeat(f.values, np.diff(bp.searchsorted(f.breakpoints))) for f in fs])
     return bp, vals
 
 

@@ -149,10 +149,14 @@ def test_map_and_saddle_lifts_equal_single_column_lifts(n):
     psi = SuperlinearMap(VPolytope(verts))
     ball = SublinearMap(Ball(rng.uniform(-1.0, 1.0, n), 1.5))
     few = verts[:5]
-    S = saddle_build([SublinearMap(VPolytope(few))], [SuperlinearMap(VPolytope([v])) for v in few])
+    # one row (P = 1) and one column (Q = 1)
+    one_row = saddle_build([SublinearMap(VPolytope(few))], [SuperlinearMap(VPolytope([v])) for v in few])
+    one_col = saddle_build([SublinearMap(VPolytope([v])) for v in few], [SuperlinearMap(VPolytope(few))])
     X = rng.uniform(-5.0, 5.0, size=(n, 300))
     fs = [RmElement(row) for row in X]
-    lifts = ((fc_sublinear, phi), (fc_superlinear, psi), (fc_sublinear, ball), (fc_saddle, S))
+    lifts = (
+        (fc_sublinear, phi), (fc_superlinear, psi), (fc_sublinear, ball), (fc_saddle, one_row), (fc_saddle, one_col)
+    )
     for lift, m in lifts:
         assert _bits(lift(m, fs).coords) == _bits(_lifted_alone(lift, m, X))
 

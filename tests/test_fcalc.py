@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homocalc.convexsets import Ball, VPolytope, contains
+from homocalc.convexsets import Ball, VPolytope, _dot_paired, contains
 from homocalc.errors import (
     DimensionMismatch,
     EmptyFamily,
@@ -106,8 +106,8 @@ def test_fc_semicontinuous_detailed_diagnostics():
 
 @pytest.mark.parametrize("name", ["example-7.1", "example-7.2", "square-mean", "abs-sum", "max-coord"])
 def test_the_oracle_feeds_only_the_lift_residual(name):
-    # family evaluation never calls the oracle; a detailed lift calls it once
-    # over all its columns, for max_residual
+    # family evaluation and the plain lift never call the oracle; a detailed
+    # lift calls it once over all its columns, for max_residual
     h = builtin(name)
     calls = []
     oracle = h.oracle
@@ -118,11 +118,15 @@ def test_the_oracle_feeds_only_the_lift_residual(name):
             eval_family_detailed(h, [3.0, 4.0], side=side)
     assert calls == []
     fs = [RmElement([3.0, 1.0, 0.0]), RmElement([4.0, -1e-30, 0.0])]
-    for k in (1, 2):
-        fc_semicontinuous_detailed(h, fs)
+    # refined on [0, 0.25, 0.5, 1]: three columns, as for fs
+    steps = [StepFunction([0.0, 0.5, 1.0], [3.0, 1.0]), StepFunction([0.0, 0.25, 1.0], [4.0, -1e-30])]
+    for k, elements in enumerate((fs, steps, fs), start=1):
+        fc_semicontinuous(h, elements)
+        assert len(calls) == k - 1
+        fc_semicontinuous_detailed(h, elements)
         assert calls == [(3, 2)] * k
     domination_envelopes(h)  # its cross-check reads the oracle, once
-    assert len(calls) == 3
+    assert len(calls) == 4
 
 
 def test_fc_mismatches():
@@ -275,6 +279,24 @@ def test_saddle_eval_batches_points_and_rejects_non_finite():
             saddle_eval(S, bad)
     with pytest.raises(DimensionMismatch):
         saddle_eval(S, [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("shape", [(1, 6), (6, 1), (1, 1)], ids=["one-row", "one-column", "one-by-one"])
+def test_one_row_or_column_saddles_reduce_both_orderings_alike(shape):
+    # with one row or one column the two orderings reduce the same values in
+    # the same order, so supinf is computed once; the data hold +0/-0
+    # coefficient ties and zero points, where a different pairing of the
+    # maximum or minimum would show in the sign of a zero
+    rng = np.random.default_rng(11)
+    for n in (2, 3):
+        for _ in range(20):
+            coeffs = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], size=(*shape, n))
+            pts = rng.choice([-1.0, -0.0, 0.0, 3.0], size=(40, n))
+            pts[:4] = [[-0.0] * n, [0.0] * n, [-0.0] + [0.0] * (n - 1), [0.0] + [-0.0] * (n - 1)]
+            M = _dot_paired(coeffs[..., None, :], pts.T)
+            infsup, supinf = saddle_eval(SaddleFamily(coeffs), pts)
+            assert supinf.tobytes() == M.min(axis=0).max(axis=0).tobytes()
+            assert infsup.tobytes() == M.max(axis=1).min(axis=0).tobytes()
 
 
 def test_fc_saddle_singleton_linear():

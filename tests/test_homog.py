@@ -553,6 +553,14 @@ def test_domination_envelopes_clamp_negative_lower_bound():
     assert phi.set.radius == pytest.approx(1.0, abs=1e-9)
 
 
+def test_domination_envelopes_clamp_a_zero_bound_to_plus_zero():
+    # example 7.1 is 0 on much of the sphere: its grid minimum 0.0 negates to
+    # a lower bound of -0.0, which the clamp must turn into +0.0
+    psi, _ = domination_envelopes(builtin("example-7.1"))
+    assert psi.set.radius.hex() == "0x0.0p+0"
+    assert psi.label == "-0*norm"
+
+
 def test_domination_envelopes_detect_bad_oracle():
     bad = PHFunction(
         "bad-oracle",

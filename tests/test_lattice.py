@@ -153,6 +153,47 @@ def test_common_refinement_matrix():
     assert np.array_equal(vals, [[1.0, 3.0], [2.0, 2.0]])
 
 
+def _union_chain(fs):
+    bp = fs[0].breakpoints
+    for f in fs[1:]:
+        bp = np.union1d(bp, f.breakpoints)
+    return bp
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_common_refinement_bits_are_the_union_chain_and_the_point_values(seed):
+    # starts at 0.0 or -0.0, breakpoints one float apart and breakpoints
+    # shared between the functions
+    rng = np.random.default_rng(seed)
+    shared = rng.uniform(0.05, 0.95, size=3)
+
+    def rand_step():
+        inner = rng.uniform(0.05, 0.95, size=rng.integers(0, 5))
+        inner = np.concatenate([inner, np.nextafter(inner[:1], 1.0), shared[: rng.integers(0, 4)]])
+        bp = np.concatenate([[rng.choice([0.0, -0.0])], np.unique(inner), [1.0]])
+        return StepFunction(bp, rng.uniform(-5, 5, size=bp.size - 1))
+
+    fs = [rand_step() for _ in range(rng.integers(1, 5))]
+    bp, vals = common_refinement(fs)
+    assert bp.tobytes() == _union_chain(fs).tobytes()
+    assert vals.tobytes() == np.stack([f.values_at(bp[:-1]) for f in fs]).tobytes()
+
+
+def test_common_refinement_keeps_the_sign_of_a_leading_minus_zero():
+    # the chain starts at -0.0 here; one np.unique over all three breakpoint
+    # arrays sorts the equal zeros differently and starts at 0.0
+    fs = [
+        StepFunction([-0.0, 0.7, 0.92, 1.0], [1.0, 2.0, 3.0]),
+        StepFunction([-0.0, 0.3, 0.54, 1.0], [4.0, 5.0, 6.0]),
+        StepFunction([0.0, 1.0], [7.0]),
+    ]
+    bp, vals = common_refinement(fs)
+    assert bp[0].hex() == "-0x0.0p+0"
+    assert np.array_equal(bp, [0.0, 0.3, 0.54, 0.7, 0.92, 1.0])
+    assert np.array_equal(vals, [[1.0, 1.0, 1.0, 2.0, 3.0], [4.0, 5.0, 6.0, 6.0, 6.0], [7.0] * 5])
+
+
 def test_step_function_validation():
     with pytest.raises(ValueError):
         StepFunction([0.0, 0.5], [1.0, 2.0])
