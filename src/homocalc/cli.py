@@ -179,22 +179,13 @@ def _tol(args):
     return {} if args.tol is None else {"tol": args.tol}
 
 
-_CHECKS = {
-    "engine-vs-oracle": verify.check_engine_vs_oracle,
-    "interchange": verify.check_interchange,
-    "rep-independence": verify.check_rep_independence,
-    "continuous-agreement": verify.check_continuous_agreement,
-    "sublattice-invariance": verify.check_sublattice_invariance,
-    "saddle": verify.check_saddle,
-    "negative-controls": verify.negative_controls,
-}
 # the keyword argument that each flag besides --seed and --out sets; a check
 # reads the flag when its signature has that keyword
 _CHECK_KEYWORDS = {"builtin": "h", "tol": "tol"}
 
 
 def _cmd_check(args):
-    check = _CHECKS[args.name]
+    check = verify._check(args.name)
     keywords = inspect.signature(check).parameters
     kwargs = {}
     for flag, keyword in _CHECK_KEYWORDS.items():
@@ -276,7 +267,7 @@ def _build_parser():
     p.set_defaults(func=_cmd_saddle_eval)
 
     p = sub.add_parser("check", help="run one verification check")
-    p.add_argument("name", choices=sorted(_CHECKS))
+    p.add_argument("name", choices=sorted(verify._CHECKS))
     p.add_argument("--builtin", default=None, help="builtin for engine-vs-oracle")
     _add_options(p, "tol", "seed")
     p.set_defaults(func=_cmd_check)

@@ -184,11 +184,13 @@ def saddle_eval(S, x):
     x of shape (n,) gives two floats; points of shape (k, n) give two arrays
     of shape (k,).  Points go in _blocks of coefficient-by-point cells,
     summed coordinate by coordinate, so a point's values do not depend on
-    the other points.  With one row (P = 1) the min over rows is the
-    identity, and with one column (Q = 1) the max over columns is, so both
-    orderings reduce the same values in the same order and are computed
-    once.  Raises ValueError on a NaN or infinite point and
-    NonFiniteResult on a value outside the float range.
+    the other points, except the sign of a zero: where products tie at +0
+    and -0, numpy reduces a lone point with another pairing than a block of
+    several, so a point alone can get the other zero.  With one row
+    (P = 1) the min over rows is the identity, and with one column (Q = 1)
+    the max over columns is, so both orderings reduce the same values in
+    the same order and are computed once.  Raises ValueError on a NaN or
+    infinite point and NonFiniteResult on a value outside the float range.
     """
     pts = np.asarray(x, dtype=float)
     single = pts.ndim <= 1

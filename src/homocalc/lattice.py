@@ -29,9 +29,7 @@ class RmElement:
         return self.coords.size
 
     def __add__(self, other):
-        if not isinstance(other, RmElement) or other.m != self.m:
-            raise LatticeMismatch("add", "operands must be RmElements of equal dim")
-        return RmElement(self.coords + other.coords)
+        return _combine(self, other, "add", np.add)
 
     def __rmul__(self, scalar):
         return RmElement(float(scalar) * self.coords)
@@ -94,8 +92,7 @@ class StepFunction:
         return self.values[idx.clip(None, self.pieces - 1)]
 
     def __add__(self, other):
-        fa, fb = refine(self, other)
-        return StepFunction(fa.breakpoints, fa.values + fb.values)
+        return _combine(self, other, "add", np.add)
 
     def __rmul__(self, scalar):
         return StepFunction(self.breakpoints, float(scalar) * self.values)
@@ -167,20 +164,21 @@ def _pair_check(f, g, op):
     raise LatticeMismatch(op, "operands must be two RmElements or two StepFunctions")
 
 
+def _combine(f, g, op, ufunc):
+    """ufunc of two elements: coordinatewise, or piecewise on the common
+    refinement of two step functions."""
+    if _pair_check(f, g, op) == "rm":
+        return RmElement(ufunc(f.coords, g.coords))
+    bp, (fv, gv) = common_refinement([f, g])
+    return StepFunction(bp, ufunc(fv, gv))
+
+
 def join(f, g):
-    kind = _pair_check(f, g, "join")
-    if kind == "rm":
-        return RmElement(np.maximum(f.coords, g.coords))
-    fa, fb = refine(f, g)
-    return StepFunction(fa.breakpoints, np.maximum(fa.values, fb.values))
+    return _combine(f, g, "join", np.maximum)
 
 
 def meet(f, g):
-    kind = _pair_check(f, g, "meet")
-    if kind == "rm":
-        return RmElement(np.minimum(f.coords, g.coords))
-    fa, fb = refine(f, g)
-    return StepFunction(fa.breakpoints, np.minimum(fa.values, fb.values))
+    return _combine(f, g, "meet", np.minimum)
 
 
 def refine(f, g):

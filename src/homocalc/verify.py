@@ -21,6 +21,13 @@ trials first as well, groups them by (set type, dimension, vertex count,
 side) and evaluates each group with two calls to the stacked support
 kernel, one over the group's lift columns and one over its point columns;
 a trial's coordinate is read off the group's lift, one element per group.
+
+Every check that compares numbers records its failures through one path,
+_worst_coordinate_failures.  check_interchange gives it one coordinate
+per trial, and check_saddle one gap per case, held against 0.  One table,
+_CHECKS, names every check: the CLI's check command takes its names, _rng
+its seed tags and default_suite its functions, which are read from the
+module when called.
 """
 
 import hashlib
@@ -54,19 +61,29 @@ from .homog import (
 )
 from .lattice import CoordinateHom, RmElement, StepFunction, common_refinement, hom_eval
 
-_TAGS = {
-    "engine-vs-oracle": 0x0E0A,
-    "interchange": 0x1C4A,
-    "rep-independence": 0x2B1D,
-    "continuous-agreement": 0x3CA6,
-    "sublattice-invariance": 0x4511,
-    "saddle": 0x5ADD,
-    "negative-controls": 0x6AE6,
+# Each check by its CLI name: the seed tag of its generator and the name of
+# its function.  The function is read from the module when it is called, so
+# a wrapper set on the module attribute sees every call.  negative-controls
+# draws nothing itself, so its tag is never read.
+_CHECKS = {
+    "engine-vs-oracle": (0x0E0A, "check_engine_vs_oracle"),
+    "interchange": (0x1C4A, "check_interchange"),
+    "rep-independence": (0x2B1D, "check_rep_independence"),
+    "continuous-agreement": (0x3CA6, "check_continuous_agreement"),
+    "sublattice-invariance": (0x4511, "check_sublattice_invariance"),
+    "saddle": (0x5ADD, "check_saddle"),
+    "negative-controls": (0x6AE6, "negative_controls"),
 }
 
 
-def _rng(seed, tag):
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), _TAGS[tag]])))
+def _rng(seed, name):
+    tag = _CHECKS[name][0]
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), tag])))
+
+
+def _check(name):
+    """The function of the check called name."""
+    return globals()[_CHECKS[name][1]]
 
 
 def _digest(*arrays):
@@ -128,10 +145,6 @@ def oracle_fc(h, elements):
     return wrap(np.asarray(h.oracle(cols.T), dtype=float))
 
 
-def _resolve(h):
-    return builtin(h) if isinstance(h, str) else h
-
-
 def _per_trial(lifts, blocks):
     """The (n, m_t) blocks lifted, trial t by lifts[t % len(lifts)]: one
     batched call per lift over the columns of all its trials.
@@ -179,7 +192,7 @@ def check_engine_vs_oracle(h="example-7.1", trials=500, tol=1e-6, seed=0, m=None
     from 1..16 unless fixed.  A trial fails when any coordinate of the
     engine result strays from the oracle by more than tol.
     """
-    h = _resolve(h)
+    h = builtin(h) if isinstance(h, str) else h
     rng = _rng(seed, "engine-vs-oracle")
     data = []
     for _ in range(trials):
@@ -245,10 +258,9 @@ def check_interchange(trials=1000, tol=1e-12, seed=0, fault_injection=False):
         for t, j in zip(members, picks.tolist()):
             lhs[t] = hom_eval(CoordinateHom(j), lifted)
         point[members] = sign * _support_stack(sign * cols[:, picks - 1], **set_stack)
-    failures = [
-        CheckFailure(_digest(draws[t][1], [draws[t][2]]), float(lhs[t]), float(point[t]), tol)
-        for t in np.flatnonzero(np.abs(lhs - point) > tol).tolist()
-    ]
+    failures = _worst_coordinate_failures(
+        lambda t: (draws[t][1], [draws[t][2]]), lhs, point, np.ones(trials, dtype=int), tol
+    )
     return CheckReport("interchange", trials, failures, seed)
 
 
@@ -347,6 +359,16 @@ def _join_path(psis, fs):
     return acc
 
 
+def _saddle_gap(S, grid, refs, data, lifts):
+    """The largest difference of saddle_eval's min-max on grid from its
+    max-min and from each of refs, and of fc_saddle on data from each lift."""
+    infsup, supinf = saddle_eval(S, grid)
+    fs = [RmElement(row) for row in data]
+    via_saddle = fc_saddle(S, fs).coords
+    pairs = [(infsup, r) for r in (supinf, *refs)] + [(via_saddle, f(fs).coords) for f in lifts]
+    return max(float(np.abs(a - b).max()) for a, b in pairs)
+
+
 def check_saddle(trials=20, tol=1e-9, seed=0, corrupt=False):
     """Finite saddles: zero min-max/max-min gap and agreement with the lift.
 
@@ -358,59 +380,41 @@ def check_saddle(trials=20, tol=1e-9, seed=0, corrupt=False):
     the polytope map, and the lattice join of the per-vertex superlinear
     lifts.  Part two does the same for the euclidean norm against 32
     tangent maps, comparing fc_saddle to the same 32-angle sup-family lift.
-    corrupt=True reverses one coefficient row, which must surface as a
-    recorded SaddleGap failure.  Both parts compare against max(tol, 1e-12):
-    a tol below 1e-12 acts as 1e-12.
+    Each case gives one gap: the largest difference between saddle_eval's
+    min-max and max-min on the default grid, between min-max and the
+    polytope support there (part one), and between fc_saddle and the other
+    lifts.  The gap is held to max(tol, 1e-12): a tol below 1e-12 acts as
+    1e-12.  Every saddle built here has one row, so min-max and max-min are
+    one reduction and that difference is 0 by construction; only the
+    corrupted saddle has two orderings.  corrupt=True reverses one
+    coefficient row of the 32-tangent saddle, which must surface as a
+    recorded SaddleGap failure.
     """
     rng = _rng(seed, "saddle")
-    failures = []
-    cases = 0
+    inputs, gaps = [], []
     for _ in range(trials):
-        cases += 1
         n = int(rng.integers(2, 5))
         verts = rng.uniform(-3.0, 3.0, size=(int(rng.integers(1, 7)), n))
-        P = VPolytope(verts)
-        phi = SublinearMap(P, label="polytope-support")
+        phi = SublinearMap(VPolytope(verts), label="polytope-support")
         psis = [SuperlinearMap(VPolytope([v]), label=f"vertex{i}") for i, v in enumerate(verts)]
-        S = saddle_build([phi], psis)
         grid = _default_grid(n)
-        infsup, supinf = saddle_eval(S, grid)
-        gap = max(
-            float(np.abs(infsup - supinf).max()),
-            float(np.abs(infsup - phi(grid.T)).max()),
-        )
         data = rng.uniform(-5.0, 5.0, size=(n, 6))
-        fs = [RmElement(row) for row in data]
-        via_saddle = fc_saddle(S, fs)
-        via_map = fc_sublinear(phi, fs)
-        via_join = _join_path(psis, fs)
-        gap = max(
-            gap,
-            float(np.abs(via_saddle.coords - via_map.coords).max()),
-            float(np.abs(via_saddle.coords - via_join.coords).max()),
-        )
-        if gap > max(tol, 1e-12):
-            failures.append(CheckFailure(_digest(verts, data), gap, 0.0, max(tol, 1e-12)))
-
-    cases += 1
+        inputs.append((verts, data))
+        lifts = [partial(fc_sublinear, phi), partial(_join_path, psis)]
+        gaps.append(_saddle_gap(saddle_build([phi], psis), grid, [phi(grid.T)], data, lifts))
     angle_fam = angle_superlinear_family(32)
     S32 = saddle_build([disk_map()], list(angle_fam.maps))
     circle = _default_grid(2)
-    infsup, supinf = saddle_eval(S32, circle)
     data = rng.uniform(-5.0, 5.0, size=(2, 8))
-    fs = [RmElement(row) for row in data]
-    via_saddle = fc_saddle(S32, fs)
+    inputs.append((circle, data))
     h32 = PHFunction("angle-32", 2, sup_family=angle_fam)
-    via_family = fc_semicontinuous(h32, fs, side="sup")
-    worst = max(
-        float(np.abs(infsup - supinf).max()),
-        float(np.abs(via_saddle.coords - via_family.coords).max()),
+    gaps.append(_saddle_gap(S32, circle, [], data, [partial(fc_semicontinuous, h32, side="sup")]))
+    cases = len(gaps)
+    failures = _worst_coordinate_failures(
+        lambda t: inputs[t], np.array(gaps), np.zeros(cases), np.ones(cases, dtype=int), max(tol, 1e-12)
     )
-    if worst > max(tol, 1e-12):
-        failures.append(CheckFailure(_digest(circle, data), worst, 0.0, max(tol, 1e-12)))
 
     if corrupt:
-        cases += 1
         pair = np.array(S32.coeffs[0, [0, 8], :])  # tangent directions at 0 and 90 degrees
         bad = np.stack([pair, pair[::-1]])
         # the rows now disagree about which tangent answers which column, a
@@ -422,41 +426,32 @@ def check_saddle(trials=20, tol=1e-9, seed=0, corrupt=False):
             failures.append(CheckFailure(_digest(bad), str(exc), "no gap", SADDLE_TOL))
         else:
             failures.append(CheckFailure(_digest(bad), "no SaddleGap raised", "SaddleGap", SADDLE_TOL))
-    return CheckReport("saddle", cases, failures, seed)
+    return CheckReport("saddle", cases + corrupt, failures, seed)
 
 
 def negative_controls(seed=0):
     """The suite must be able to fail: injected faults must be caught."""
-    controls = [
-        ("fault-injected support", lambda: check_interchange(trials=8, seed=seed, fault_injection=True)),
-        ("corrupted saddle coefficient", lambda: check_saddle(trials=1, seed=seed, corrupt=True)),
+    controls = {
+        "fault-injected support": lambda: check_interchange(trials=8, seed=seed, fault_injection=True),
+        "corrupted saddle coefficient": lambda: check_saddle(trials=1, seed=seed, corrupt=True),
+    }
+    failures = [
+        CheckFailure(
+            hashlib.sha1(label.encode()).hexdigest()[:12],
+            "injected fault went undetected",
+            "at least one recorded failure",
+            0.0,
+        )
+        for label, run in controls.items()
+        if run().passed
     ]
-    failures = []
-    for label, run in controls:
-        report = run()
-        if report.passed:
-            failures.append(
-                CheckFailure(
-                    hashlib.sha1(label.encode()).hexdigest()[:12],
-                    "injected fault went undetected",
-                    "at least one recorded failure",
-                    0.0,
-                )
-            )
     return CheckReport("negative-controls", len(controls), failures, seed)
 
 
 def default_suite(seed=0):
-    """All checks at default settings, reports ordered by name."""
-    reports = [
-        check_engine_vs_oracle("example-7.1", seed=seed),
-        check_engine_vs_oracle("example-7.2", seed=seed),
-        check_engine_vs_oracle("square-mean", seed=seed),
-        check_interchange(seed=seed),
-        check_rep_independence(seed=seed),
-        check_continuous_agreement(seed=seed),
-        check_sublattice_invariance(seed=seed),
-        check_saddle(seed=seed),
-        negative_controls(seed=seed),
-    ]
+    """Every check at default settings, engine-vs-oracle once each on
+    example-7.1, example-7.2 and square-mean; reports ordered by name."""
+    runs = {name: [{}] for name in _CHECKS}
+    runs["engine-vs-oracle"] = [{"h": h} for h in ("example-7.1", "example-7.2", "square-mean")]
+    reports = [_check(name)(seed=seed, **kwargs) for name, each in runs.items() for kwargs in each]
     return sorted(reports, key=lambda r: r.name)

@@ -80,6 +80,20 @@ def test_order_checks_its_operands_as_join_does():
         F <= RmElement([1.0])
 
 
+@pytest.mark.parametrize(
+    "f, g",
+    [(RmElement([1.0, 2.0]), RmElement([1.0])), (RmElement([1.0]), F), (F, RmElement([1.0]))],
+    ids=["rm-dims", "rm-step", "step-rm"],
+)
+def test_addition_checks_its_operands_as_join_does(f, g):
+    with pytest.raises((DimensionMismatch, LatticeMismatch)) as joined:
+        join(f, g)
+    with pytest.raises((DimensionMismatch, LatticeMismatch)) as added:
+        f + g
+    assert type(added.value) is type(joined.value)
+    assert (added.value.operation, added.value.message) == ("add", joined.value.message)
+
+
 def test_coordinate_hom_rejects_a_fractional_index():
     assert CoordinateHom(2.0).j == 2
     for j in (1.5, 0, -1):

@@ -273,6 +273,33 @@ def test_forced_failure_records_are_pinned(run, failures, digest):
     assert _sha256(json.dumps(report.to_json(), sort_keys=True)) == digest
 
 
+@pytest.mark.parametrize(
+    "kwargs, failures, digest",
+    [
+        ({"seed": 0}, 22, "2896befe487b3fa8e1f6323a91a39c39022a1cd1c4444a5a46161d77e8155a45"),
+        # tol 0 is recorded as the 1e-12 floor
+        (
+            {"seed": 3, "trials": 7, "tol": 0.0},
+            9,
+            "0bf2c3f329b0e081ff12d45e7de07b7a1fb8f27a4bd1dbed2331ebeaf14742cd",
+        ),
+    ],
+    ids=["default", "tol0"],
+)
+def test_saddle_failure_records_are_pinned(monkeypatch, kwargs, failures, digest):
+    # the saddles' own gaps are exactly 0, so both parts are made to fail: the
+    # polytope lift (part one) and the 32-tangent lift (part two) come back
+    # scaled by 1 + 2^-20; the corrupted saddle adds its SaddleGap record
+    for name in ("fc_sublinear", "fc_semicontinuous"):
+        inner = getattr(verify, name)
+        monkeypatch.setattr(
+            verify, name, lambda *a, inner=inner, **k: RmElement(inner(*a, **k).coords * (1 + 2.0**-20))
+        )
+    report = check_saddle(corrupt=True, **kwargs)
+    assert len(report.failures) == failures
+    assert _sha256(json.dumps(report.to_json(), sort_keys=True)) == digest
+
+
 def _counting(monkeypatch, name):
     """Replace verify.<name> by a wrapper that counts its calls."""
     calls = []
@@ -312,3 +339,27 @@ def test_interchange_builds_one_element_per_group(monkeypatch):
     report = check_interchange(trials=1000, seed=3)
     assert report.passed and report.cases == 1000
     assert len(stacks) % 2 == 0 and len(elements) <= len(stacks) // 2 <= 2 * 4 * 7
+
+
+def test_the_check_table_drives_the_cli_and_the_suite(monkeypatch, capsys):
+    # the CLI offers exactly the table's names
+    assert main(["check", "no-such-check"]) == 2
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    offered = message.split("choose from", 1)[1].strip(" ()")
+    assert sorted(n.strip(" '") for n in offered.split(",")) == sorted(verify._CHECKS)
+    # default_suite calls every check through the module, so a wrapper set
+    # on a module attribute (as the benchmark's tracer sets) sees each call
+    names = [n for n in vars(verify) if n.startswith("check_")] + ["negative_controls"]
+    calls = {name: _counting(monkeypatch, name) for name in names}
+    reports = default_suite(seed=0)
+    assert len(reports) == 9
+    assert {r.name.split("[")[0] for r in reports} == set(verify._CHECKS)
+    assert {name: len(c) for name, c in calls.items()} == {
+        "check_engine_vs_oracle": 3,
+        "check_interchange": 2,
+        "check_rep_independence": 1,
+        "check_continuous_agreement": 1,
+        "check_sublattice_invariance": 1,
+        "check_saddle": 2,
+        "negative_controls": 1,
+    }
