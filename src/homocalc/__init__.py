@@ -16,7 +16,6 @@ from .convexsets import (
     set_from_json,
     set_to_json,
     support,
-    support_argmax,
     support_batch,
 )
 from .errors import (

@@ -3,10 +3,9 @@
 Two concrete representations are supported: V-polytopes (convex hulls of
 finitely many points) and closed Euclidean balls.  Everything downstream
 (sub/superlinear maps, saddle coefficients) reduces to the operations here:
-support values, support witnesses, membership, nearest-point projection,
-and a feasibility routine for intersections.  The deterministic sphere
-grids that checks, envelopes and support plans sample directions from live
-here too.
+support values, membership, nearest-point projection and a feasibility
+routine for intersections.  The deterministic sphere grids that checks,
+envelopes and support plans sample directions from live here too.
 """
 
 import math
@@ -115,6 +114,20 @@ def _blocks(count, cells):
     return [slice(a, a + step) for a in range(0, count, step)]
 
 
+def _reduce(ufunc, M, axis):
+    """ufunc.reduce(M, axis) along a member axis of M (..., columns), folded
+    member by member in order, so ties keep the later member in every column.
+
+    numpy folds a C-contiguous block of two or more columns member by
+    member, but reduces a lone column as one run with its own pairing; a
+    lone column is therefore reduced as two copies of itself.
+    """
+    M = np.ascontiguousarray(M)
+    if M.shape[-1] == 1:
+        return ufunc.reduce(np.concatenate((M, M), axis=-1), axis=axis)[..., :1]
+    return ufunc.reduce(M, axis=axis)
+
+
 def _dot_paired(A, X):
     """sum_d A[..., d] * X[d], broadcast: A (..., n) against X (n, ...).
 
@@ -174,8 +187,7 @@ def support_batch(s, points):
     The one-set case of _support_stack: the arrays of s are broadcast over
     every column.  A polytope with a pruning plan (_support_plan) takes
     _pruned_support instead, which gives the same bits.  A row's value does
-    not depend on the other rows, except for the sign of a NaN or of a zero
-    maximum (see _support_stack).
+    not depend on the other rows.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != s.dim:
@@ -242,12 +254,10 @@ def _pruned_support(cols, vertices, kept, rho):
     """_support_stack of one polytope at the columns of cols (n, c), bit for bit.
 
     Takes a plan of _build_plan.  Per column x, with p = rho max_d |x_d|,
-    out is the largest fold (_dot_paired) of a kept vertex with x.  A
-    column takes out where out != 0 and 2^-900 <= p <= 2^900.  The other
-    columns, NaN and infinite ones included, take the all-vertex fold of
-    _support_stack, as one batch.  Where that gives 0 or NaN, whose sign
-    can depend on the width of a block, each block of an all-vertex call
-    (_blocks) that holds such a column is folded again whole.
+    out is the largest fold (_dot_paired) of a kept vertex with x, taken
+    in vertex order (_reduce).  A column takes out where 2^-900 <= p <=
+    2^900.  The other columns, NaN and infinite ones included, take the
+    all-vertex fold of _support_stack, as one batch.
 
     Why out is then the all-vertex value: let v be a dropped vertex,
     u = 2^-53, and g a grid direction within the covering chord c of
@@ -261,9 +271,10 @@ def _pruned_support(cols, vertices, kept, rho):
     max|x|, so (w - v).x > (16 (n + 1) - 2.03 n - 1) u p, while the two
     runtime folds err by at most 2.02 n u p + 2n 2^-1074 together; with
     p >= 2^-900, every dropped vertex's rounded value lies strictly below
-    out.  out is neither 0 nor NaN, so the order of the maximum cannot
-    choose between +0 and -0 or between NaN signs.  p <= 2^900 keeps every
-    term finite.
+    out, so none is one of the tied maxima.  The vertex-order maximum keeps
+    the last of those, and the kept vertices keep their order, so out is
+    the all-vertex value, the sign of a zero included.  p <= 2^900 keeps
+    every term finite.
     """
     n, count = cols.shape
     # support_batch passes points.T; the folds run faster on contiguous rows
@@ -272,16 +283,10 @@ def _pruned_support(cols, vertices, kept, rho):
     with np.errstate(over="ignore", invalid="ignore"):
         p = rho * np.abs(cols).max(axis=0)
         for b in _blocks(count, len(kept)):
-            out[b] = _dot_paired(kept, cols[:, b]).max(axis=0)
-    redo = np.flatnonzero(~((out != 0) & (p >= 2.0**-900) & (p <= 2.0**900)))
+            out[b] = _reduce(np.maximum, _dot_paired(kept, cols[:, b]), 0)
+    redo = np.flatnonzero(~((p >= 2.0**-900) & (p <= 2.0**900)))
     if redo.size:
         out[redo] = _support_stack(cols[:, redo], vertices=vertices[:, None, :])
-        # a maximum of 0 or NaN takes its sign from the width of its block
-        # (see _support_stack): fold the blocks of an all-vertex call again
-        odd = (out == 0) | np.isnan(out)
-        for b in _blocks(count, len(vertices)) if odd.any() else ():
-            if odd[b].any():
-                out[b] = _support_stack(cols[:, b], vertices=vertices[:, None, :])
     return out
 
 
@@ -312,12 +317,8 @@ def _support_stack(cols, vertices=None, centers=None, radii=None):
     Give polytope vertices (k, c, n), or ball centers (c, n) and radii (c,);
     a set axis of length 1 broadcasts one set over every column.  Sums run
     coordinate by coordinate (_dot_paired) and polytopes take the maximum
-    over vertices in _blocks of vertex-by-column cells, so a column's value
-    does not depend on the other columns or sets.  The exceptions are a
-    NaN, where inf - inf meets the vertex maximum, and a maximum where
-    vertices tie at +0 and -0 (at x = 0, say): numpy's maximum over a block
-    of one column can return the other sign than over a wider block.  Every
-    caller rejects a NaN value.
+    in vertex order (_reduce) in _blocks of vertex-by-column cells, so a
+    column's value does not depend on the other columns or sets.
     """
     sets, n = (centers if vertices is None else vertices[0]).shape
     if cols.ndim != 2 or cols.shape[0] != n or sets not in (1, cols.shape[1]):
@@ -329,30 +330,8 @@ def _support_stack(cols, vertices=None, centers=None, radii=None):
     out = np.empty(cols.shape[1])
     for b in _blocks(cols.shape[1], vertices.shape[0]):
         block = vertices if vertices.shape[1] == 1 else vertices[:, b]
-        out[b] = _dot_paired(block, cols[:, b]).max(axis=0)
+        out[b] = _reduce(np.maximum, _dot_paired(block, cols[:, b]), 0)
     return out
-
-
-def support_argmax(s, x):
-    """A point of s attaining the support value in direction x.
-
-    Polytope vertices are ranked by the support kernel's own fold, so the
-    vertex's fold with x is support(s, x) bitwise, and ties resolve to the
-    lowest vertex index; for a ball with x = 0 the center is returned.  A
-    NaN or infinite x raises ValueError.
-    """
-    x = _check_point(s, x, "support_argmax")
-    if isinstance(s, VPolytope):
-        return s.vertices[int(np.argmax(_dot_paired(s.vertices, x)))].copy()
-    if isinstance(s, Ball):
-        top = np.abs(x).max()
-        if top == 0.0:
-            return s.center.copy()
-        # an exact power-of-two scaling first, so that a subnormal x still
-        # divides to a unit vector
-        x = np.ldexp(x, -np.frexp(top)[1])
-        return s.center + s.radius * (x / _norm(x))
-    raise TypeError(f"unsupported set type {type(s).__name__}")
 
 
 def _by_key(items, key):

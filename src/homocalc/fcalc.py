@@ -11,7 +11,7 @@ from functools import partial
 
 import numpy as np
 
-from .convexsets import FEASIBLE_TOL, Ball, _blocks, _check_tol, _dot_paired, _feasible_points, _norm, _norms
+from .convexsets import FEASIBLE_TOL, Ball, _blocks, _check_tol, _dot_paired, _feasible_points, _norm, _norms, _reduce
 from .errors import (
     DimensionMismatch,
     EmptyFamily,
@@ -183,14 +183,13 @@ def saddle_eval(S, x):
 
     x of shape (n,) gives two floats; points of shape (k, n) give two arrays
     of shape (k,).  Points go in _blocks of coefficient-by-point cells,
-    summed coordinate by coordinate, so a point's values do not depend on
-    the other points, except the sign of a zero: where products tie at +0
-    and -0, numpy reduces a lone point with another pairing than a block of
-    several, so a point alone can get the other zero.  With one row
-    (P = 1) the min over rows is the identity, and with one column (Q = 1)
-    the max over columns is, so both orderings reduce the same values in
-    the same order and are computed once.  Raises ValueError on a NaN or
-    infinite point and NonFiniteResult on a value outside the float range.
+    summed coordinate by coordinate and reduced in coefficient order
+    (_reduce), so a point's values do not depend on the other points.
+    With one row (P = 1) the min over rows is the identity, and with one
+    column (Q = 1) the max over columns is, so both orderings reduce the
+    same values in the same order and are computed once.  Raises ValueError
+    on a NaN or infinite point and NonFiniteResult on a value outside the
+    float range.
     """
     pts = np.asarray(x, dtype=float)
     single = pts.ndim <= 1
@@ -205,8 +204,8 @@ def saddle_eval(S, x):
         out = np.empty((2, pts.shape[0]))
         for b in _blocks(pts.shape[0], P * Q):
             M = _dot_paired(S.coeffs[..., None, :], pts[b].T)
-            out[0, b] = M.max(axis=1).min(axis=0)
-            out[1, b] = out[0, b] if 1 in (P, Q) else M.min(axis=0).max(axis=0)
+            out[0, b] = _reduce(np.minimum, _reduce(np.maximum, M, 1), 0)
+            out[1, b] = out[0, b] if 1 in (P, Q) else _reduce(np.maximum, _reduce(np.minimum, M, 0), 0)
         return out
 
     infsup, supinf = _finite_values(evaluate, pts, "saddle_eval", unit="point")

@@ -30,6 +30,7 @@ from .convexsets import (
     _blocks,
     _default_grid,
     _dot_paired,
+    _reduce,
     set_from_json,
     set_to_json,
     sphere_grid,
@@ -220,18 +221,14 @@ def _scan_columns(family, X, minimize):
     The fold of every member in order, over all columns at once, in member
     _blocks of k values per member: a block holds at most
     max(_BLOCK_CELLS, k) values.  Each block is reduced along its member
-    axis, and the blocks are folded from +inf (minimize) or -inf.  Across
-    two or more columns every step is elementwise and ties keep the later
-    member.  numpy reduces a single column along the member axis with
-    another pairing, so where members tie at +0 and -0 (or at NaNs of
-    either sign) one column alone can get the other zero (or NaN sign) than
-    the same column in a batch; every other value does not depend on the
-    batch.
+    axis in member order (_reduce), and the blocks are folded from +inf
+    (minimize) or -inf, so ties keep the later member and a column's value
+    does not depend on the batch.
     """
     fold, start = (np.minimum, np.inf) if minimize else (np.maximum, -np.inf)
     best = np.full(X.shape[1], start)
     for members in _blocks(len(family.maps), X.shape[1]):
-        best = fold(best, fold.reduce(family.values(X, members), axis=0))
+        best = fold(best, _reduce(fold, family.values(X, members), 0))
     return best
 
 

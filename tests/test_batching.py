@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import homocalc
@@ -20,17 +20,21 @@ from homocalc.convexsets import (
     _BLOCK_CELLS,
     Ball,
     VPolytope,
+    _default_grid,
+    _dot_paired,
     _stack_sets,
     _support_stack,
     support_batch,
 )
 from homocalc.errors import DimensionMismatch
 from homocalc.fcalc import (
+    SaddleFamily,
     fc_saddle,
     fc_semicontinuous,
     fc_sublinear,
     fc_superlinear,
     saddle_build,
+    saddle_eval,
 )
 from homocalc.homog import (
     FiniteFamily,
@@ -241,6 +245,12 @@ def _ball_polytope_family(rng, n, cls):
     return FiniteFamily([cls(s) for s in sets])
 
 
+# s = 1 eight times and then -1: the maps x -> s x (or s (x_1 + x_2)) tie
+# at +0 and -0 at x = 0, the last one at -0
+_NINE = [1.0] * 8 + [-1.0]
+_NINE_MAPS = FiniteFamily([SublinearMap(VPolytope([[s, s]])) for s in _NINE])
+
+
 @pytest.mark.parametrize(
     "family, minimize",
     [
@@ -248,8 +258,9 @@ def _ball_polytope_family(rng, n, cls):
         (angle_superlinear_family(720), False),
         (_ball_polytope_family(np.random.default_rng(17), 2, SublinearMap), True),
         (_ball_polytope_family(np.random.default_rng(19), 2, SuperlinearMap), False),
+        (_NINE_MAPS, True),
     ],
-    ids=["angles-32", "angles-720", "balls-polytopes-inf", "balls-polytopes-sup"],
+    ids=["angles-32", "angles-720", "balls-polytopes-inf", "balls-polytopes-sup", "nine-maps-inf"],
 )
 def test_scan_past_one_block_is_the_member_by_member_fold(family, minimize):
     # _BLOCK_CELLS + 1 columns leave room for one member per block, and one
@@ -347,6 +358,158 @@ def test_stack_needs_one_kind_of_set_and_matching_columns():
         _support_stack(np.ones((3, 2)), **_stack_sets([square, square]))
 
 
+# A column alone against the same column first, in the middle and alone in
+# the last _blocks block of a batch, with members that tie at +0 and -0
+# drawn from _SIGNED_ZERO_GRID.  The reference is the member-order fold,
+# np.minimum/np.maximum.accumulate(...)[-1]: ties keep the later member.
+
+_FINITE_TIES = [v for v in _SIGNED_ZERO_GRID if abs(v) < 1e300]  # no product overflows
+_NINE_CASE = (np.array(_NINE)[:, None], np.array([[0.0]]))  # members s of x -> s x, at x = 0
+
+
+@st.composite
+def _tie_case(draw, members, values=_SIGNED_ZERO_GRID):
+    """(members (k, n), x (n, 1)): k in `members`, entries drawn from values."""
+    n = draw(st.integers(1, 3))
+    entry = st.sampled_from(values)
+    vector = st.lists(entry, min_size=n, max_size=n)
+    rows = draw(st.lists(vector, min_size=members[0], max_size=members[1]))
+    return np.array(rows), np.array(draw(vector))[:, None]
+
+
+def _fill(values, rows, width):
+    return np.random.default_rng(rows * width).choice(values, size=(rows, width))
+
+
+def _assert_alone_as_in_batches(kernel, x, fill, steps, want):
+    """kernel(cols) at x alone is want, and so is its value in batches of x
+    and fill's columns: x first, and for blocks of each of `steps` columns,
+    x in the middle of the first block and alone in the last one."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _bits(kernel(x)) == _bits(want)
+        layouts = [(0, fill.shape[1])]
+        for step in steps:
+            layouts += [(step // 2, fill.shape[1]), (step, step)]
+        for before, end in layouts:
+            X = np.hstack([fill[:, :before], x, fill[:, before:end]])
+            assert _bits(kernel(X)[..., before : before + 1]) == _bits(want), (before, end)
+
+
+def _fold(ufunc, values, axis=0):
+    return ufunc.accumulate(values, axis=axis).take([-1], axis=axis).squeeze(axis)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_tie_case((9, 40)), st.booleans(), st.booleans())
+@example(_NINE_CASE, True, False)
+@example(_NINE_CASE, True, True)
+def test_a_scan_column_alone_is_the_member_order_fold_in_any_batch(case, stacked, minimize):
+    # one stacked matrix of one-vertex sublinear maps, or the per-member
+    # path when the classes alternate
+    V, x = case
+    classes = (SublinearMap, SublinearMap if stacked else SuperlinearMap)
+    family = FiniteFamily([classes[i % 2](VPolytope([v])) for i, v in enumerate(V)])
+    assert (family._stack is not None) == stacked
+    with np.errstate(over="ignore", invalid="ignore"):
+        members = np.array([m._values(x) for m in family.maps])
+    want = _fold(np.minimum if minimize else np.maximum, members)
+    fill = _fill(_SIGNED_ZERO_GRID, len(x), 24)
+    _assert_alone_as_in_batches(lambda cols: _scan_columns(family, cols, minimize), x, fill, [8], want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_tie_case((9, 31)))
+@example(_NINE_CASE)
+def test_an_unplanned_support_column_alone_is_the_vertex_order_fold_in_any_batch(case):
+    # fewer than 32 vertices: never planned, the all-vertex fold of
+    # support_batch in blocks of _BLOCK_CELLS // k columns
+    V, x = case
+    P = VPolytope(V)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _fold(np.maximum, _dot_paired(V[:, None, :], x))
+    fill = _fill(_SIGNED_ZERO_GRID, len(x), 2 * (_BLOCK_CELLS // len(V)))
+
+    def kernel(cols):
+        return support_batch(P, cols.T)
+
+    _assert_alone_as_in_batches(kernel, x, fill, [_BLOCK_CELLS // len(V)], want)
+    assert not P._plan
+
+
+def _tied_polygon():
+    """200 points uniform in [-3, -0.5] x [-1, 1] with (0, 1) and (-0, -1)
+    among them: at (1, 0) the two tie at +0 and -0 above every other vertex."""
+    rng = np.random.default_rng(0)
+    V = np.column_stack([rng.uniform(-3.0, -0.5, 200), rng.uniform(-1.0, 1.0, 200)])
+    V[98:100] = [[0.0, 1.0], [-0.0, -1.0]]
+    return V
+
+
+_TIED = _tied_polygon()
+_PLANNED = VPolytope(_TIED)
+for _ in range(2):
+    support_batch(_PLANNED, _default_grid(2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(_SIGNED_ZERO_GRID), min_size=2, max_size=2))
+@example([1.0, 0.0])
+@example([5e-324, -0.0])
+def test_a_planned_support_column_alone_is_the_vertex_order_fold_in_any_batch(x):
+    # the kept vertices' fold in blocks of _BLOCK_CELLS // len(kept) columns,
+    # and the all-vertex fold for columns outside the guard's range
+    kept, _ = _PLANNED._plan
+    x = np.array(x)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _fold(np.maximum, _dot_paired(_TIED[:, None, :], x))
+    steps = [_BLOCK_CELLS // len(kept), _BLOCK_CELLS // len(_TIED)]
+    fill = _fill(_SIGNED_ZERO_GRID, 2, 2 * steps[0])
+
+    def kernel(cols):
+        return support_batch(_PLANNED, cols.T)
+
+    _assert_alone_as_in_batches(kernel, x, fill, steps, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_tie_case((9, 24)))
+@example(_NINE_CASE)
+def test_a_stacked_support_column_alone_is_the_vertex_order_fold_in_any_batch(case):
+    # each column carries its own polytope below its point: rows n.. hold
+    # the k vertices, so the batch is a stack of one set per column
+    V, x = case
+    k, n = V.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _fold(np.maximum, _dot_paired(V[:, None, :], x))
+
+    def kernel(cols):
+        vertices = np.ascontiguousarray(cols[n:].reshape(k, n, -1).transpose(0, 2, 1))
+        return _support_stack(cols[:n], vertices=vertices)
+
+    fill = _fill(_SIGNED_ZERO_GRID, n + k * n, 2 * (_BLOCK_CELLS // k))
+    _assert_alone_as_in_batches(kernel, np.vstack([x, V.reshape(-1, 1)]), fill, [_BLOCK_CELLS // k], want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4), _tie_case((2, 12), _FINITE_TIES))
+@example(2, _NINE_CASE)
+def test_a_saddle_point_alone_is_the_member_order_fold_in_any_batch(P, case):
+    # P rows of the drawn Q coefficients, each later row a fixed
+    # permutation of the first; both orderings, min-max and max-min
+    row, x = case
+    rng = np.random.default_rng(len(row))
+    coeffs = np.array([row[rng.permutation(len(row))] if i else row for i in range(P)])
+    S = SaddleFamily(coeffs)
+    M = _dot_paired(coeffs[..., None, :], x)
+    want = np.array([
+        _fold(np.minimum, _fold(np.maximum, M, axis=1)),
+        _fold(np.maximum, _fold(np.minimum, M, axis=0)),
+    ])
+    step = _BLOCK_CELLS // M[..., 0].size
+    fill = _fill(_FINITE_TIES, len(x), 2 * step)
+    _assert_alone_as_in_batches(lambda cols: np.array(saddle_eval(S, cols.T)), x, fill, [step], want)
+
+
 def _names_read(path):
     """Every name a module reads: bare names, attributes and imports."""
     names = set()
@@ -364,4 +527,11 @@ def test_only_convexsets_reads_the_block_size():
     # one block policy: the other kernels loop over convexsets._blocks
     src = Path(homocalc.__file__).parent
     readers = [path.name for path in sorted(src.glob("*.py")) if "_BLOCK_CELLS" in _names_read(path)]
+    assert readers == ["convexsets.py"]
+
+
+def test_only_convexsets_reads_a_ufunc_reduce():
+    # one member order: the other kernels reduce through convexsets._reduce
+    src = Path(homocalc.__file__).parent
+    readers = [path.name for path in sorted(src.glob("*.py")) if "reduce" in _names_read(path)]
     assert readers == ["convexsets.py"]

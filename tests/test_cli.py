@@ -12,7 +12,7 @@ import pytest
 from homocalc import cli
 from homocalc.cli import main
 from homocalc.convexsets import Ball, VPolytope
-from homocalc.fcalc import saddle_build, saddle_to_json
+from homocalc.fcalc import SaddleFamily, saddle_build, saddle_eval, saddle_to_json
 from homocalc.homog import (
     PHFunction,
     SublinearMap,
@@ -205,6 +205,33 @@ def test_eval_family_file(capsys, tmp_path):
     code, out, _ = run(capsys, "eval", "--family", str(path), "--x", "3,4")
     assert code == 0
     assert json.loads(out)["value"] == pytest.approx(5.0)
+
+
+def test_a_zero_tie_gets_the_member_order_zero_alone_and_in_a_batch(capsys, tmp_path):
+    # nine linear maps x -> s x, s = 1 eight times and then -1: at x = 0 the
+    # members tie at +0 and -0, and the later member's -0.0 wins, whether
+    # the column is alone (eval) or one of two (fc)
+    signs = [1.0] * 8 + [-1.0]
+    doc = {"family": {"kind": "usc", "maps": [map_to_json(SublinearMap(VPolytope([[s]]))) for s in signs]}}
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "eval", "--family", str(path), "--x", "0")
+    assert code == 0 and '"value": -0.0' in out
+    alone = json.loads(out)["value"]
+    code, out, _ = run(capsys, "fc", "--family", str(path), "--f", "0,1")
+    assert code == 0
+    in_batch = json.loads(out)["element"]["rm"][0]
+    assert alone.hex() == in_batch.hex() == (-0.0).hex()
+    # the same coefficients as a 1 x 9 saddle: one point alone, and the
+    # same point in a request of two
+    saddle_path = tmp_path / "saddle.json"
+    S = SaddleFamily(np.array(signs).reshape(1, 9, 1))
+    saddle_path.write_text(json.dumps(saddle_to_json(S)))
+    code, out, _ = run(capsys, "saddle-eval", "--family", str(saddle_path), "--x", "0")
+    assert code == 0
+    doc = json.loads(out)
+    infsup, supinf = saddle_eval(S, [[0.0], [1.0]])
+    assert [doc["infsup"].hex(), doc["supinf"].hex()] == [infsup[0].hex(), supinf[0].hex()] == [(-0.0).hex()] * 2
 
 
 def test_saddle_build_and_eval(capsys, tmp_path):

@@ -13,7 +13,6 @@ from homocalc.convexsets import (
     Ball,
     VPolytope,
     _CIRCLE_CHORD,
-    _blocks,
     _default_grid,
     _dot_paired,
     _norms,
@@ -24,7 +23,6 @@ from homocalc.convexsets import (
     set_from_json,
     set_to_json,
     support,
-    support_argmax,
     support_batch,
 )
 from homocalc.errors import (
@@ -91,32 +89,6 @@ def test_norms_and_ball_support_bytes_are_pinned(n):
     assert sha.hexdigest() == _EXTREME_SHA256[n]
 
 
-def test_support_argmax_tie_lowest_index():
-    P = VPolytope([[1.0, 0.0], [0.0, 1.0]])
-    assert np.array_equal(support_argmax(P, [1.0, 1.0]), [1.0, 0.0])
-
-
-def test_support_argmax_attains_the_support_value_bitwise():
-    # a near-tie: a BLAS product ranked vertex 0 first, whose fold is one
-    # ulp below the support value
-    P = VPolytope(
-        [
-            [-0.7523581695908539, -0.16077617166858715, -1.700830195939053],
-            [-0.7523581695908541, -0.16077617166858715, -1.700830195939053],
-            [-0.37617908479542694, -0.08038808583429358, -0.8504150979695265],
-        ]
-    )
-    x = np.array([-3.3426884804772783, 3.071679300934898, -4.773894694531199])
-    a = support_argmax(P, x)
-    assert np.array_equal(a, P.vertices[1])
-    assert float(_dot_paired(a, x)).hex() == support(P, x).hex() == "0x1.44800b515f8ecp+3"
-
-
-def test_support_argmax_ball_zero_direction():
-    b = Ball([2.0, 3.0], 1.5)
-    assert np.array_equal(support_argmax(b, [0.0, 0.0]), [2.0, 3.0])
-
-
 def test_support_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         support(SQUARE, [1.0, 2.0, 3.0])
@@ -164,8 +136,6 @@ def test_project_and_contains_reject_non_finite_points(bad):
     for s in (SQUARE, Ball([0.0, 0.0], 1.0)):
         with pytest.raises(ValueError, match="support: point must be finite"):
             support(s, [bad, 0.0])
-        with pytest.raises(ValueError, match="support_argmax: point must be finite"):
-            support_argmax(s, [0.0, bad])
         with pytest.raises(ValueError, match="project: point must be finite"):
             project(s, [bad, 0.0])
         with pytest.raises(ValueError, match="contains: point must be finite"):
@@ -321,17 +291,6 @@ def test_support_is_sublinear_on_random_polytope(x, y, lam):
     assert support(P, lam * x) == pytest.approx(lam * fx, abs=1e-9 * scale)
 
 
-@settings(max_examples=60, deadline=None)
-@given(finite_vec(3))
-@example(np.array([0.0, 5e-324, 5e-324]))  # the norm rounds to 5e-324, so x / norm was (0, 1, 1)
-def test_support_witness_attains_value(x):
-    rng = np.random.default_rng(11)
-    for s in (VPolytope(rng.uniform(-3, 3, size=(6, 3))), Ball(rng.uniform(-1, 1, 3), 1.7)):
-        a = support_argmax(s, x)
-        assert contains(s, a, 1e-8)
-        assert float(a @ x) == pytest.approx(support(s, x), abs=1e-9 * (1 + np.abs(x).sum()))
-
-
 def _vertex_set(rng, shape):
     """Five vertices in R^3: generic, with repeats, on a line, on a plane or thin."""
     V = rng.uniform(-3, 3, size=(5, 3))
@@ -421,12 +380,9 @@ def test_coordinate_bound_dominates_vertices(seed, k):
 
 def _all_vertex_fold(V, X):
     """The reference: every vertex's coordinate-order fold at the columns of
-    X (n, c), maximum per column, block by block as an all-vertex call
-    takes them (the sign of a 0 or NaN maximum depends on a block's width)."""
-    out = np.empty(X.shape[1])
-    for b in _blocks(X.shape[1], len(V)):
-        out[b] = _dot_paired(V[:, None, :], X[:, b]).max(axis=0)
-    return out
+    X (n, c), folded per column vertex by vertex in order with np.maximum,
+    so ties keep the later vertex."""
+    return np.maximum.accumulate(_dot_paired(V[:, None, :], X), axis=0)[-1]
 
 
 def _value_bits(a):
@@ -634,11 +590,10 @@ def test_a_column_below_the_magnitude_range_falls_back(monkeypatch):
 
 
 def test_a_tie_of_signed_zeros_takes_the_sign_of_the_all_vertex_blocks():
-    # at x = (1, 0) the vertex (0, 1) gives +0 and (-0, -1) gives -0, and
-    # every other vertex less; which zero is the maximum depends on the
-    # width of the block (here +0 alone, -0 in a block of two).  x sits
-    # alone in the last block of an all-vertex call of 41 columns, and in
-    # a block of 40 in the middle of one.
+    # at x = (1, 0) the vertex (0, 1) gives +0 and the later (-0, -1) gives
+    # -0, and every other vertex less; the vertex-order maximum is -0.  x
+    # sits alone in the last block of an all-vertex call of 41 columns, and
+    # in a block of 40 in the middle of one.
     rng = np.random.default_rng(0)
     V = np.column_stack([rng.uniform(-3.0, -0.5, 200), rng.uniform(-1.0, 1.0, 200)])
     V[98:100] = [[0.0, 1.0], [-0.0, -1.0]]
@@ -648,8 +603,10 @@ def test_a_tie_of_signed_zeros_takes_the_sign_of_the_all_vertex_blocks():
     assert P._plan
     x = np.array([[1.0], [0.0]])
     U = np.random.default_rng(1).uniform(-5.0, 5.0, (2, 40))
-    for X in (np.hstack([U, x]), np.hstack([U[:, :20], x, U[:, 20:]])):
-        assert _value_bits(support_batch(P, X.T)) == _value_bits(_all_vertex_fold(V, X))
+    for X, at in ((np.hstack([U, x]), 40), (np.hstack([U[:, :20], x, U[:, 20:]]), 20)):
+        values = support_batch(P, X.T)
+        assert _value_bits(values) == _value_bits(_all_vertex_fold(V, X))
+        assert values[at].hex() == (-0.0).hex()
 
 
 def test_small_polytopes_are_never_planned():
