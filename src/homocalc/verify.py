@@ -10,17 +10,26 @@ value of a witness member that attains an infinite family's extremum, so a
 tolerance here measures how well a family represents its function, not
 where an enumeration was cut short.
 
+check_engine_vs_oracle, check_interchange and check_sublattice_invariance
+draw by quantity: each random quantity of every trial (widths, dimensions,
+vertex counts, sides, coordinates, columns, set arrays, breakpoints,
+values) comes from one generator call, in the order each docstring states,
+and is then split among the trials; the number of calls does not depend
+on the trial count.  A quantity of several arrays is one uniform draw cut
+into consecutive row-major pieces (_draw).
+
 The lift-heavy checks draw all their trials first, then lift the columns of
 every trial in one batched call per function and keep the results as one
 flat array, trial after trial, beside the trial widths.  One segmented
 maximum of |observed - expected| over that array finds the failing trials;
 only those are digested and recorded.  The lift gives a column the same
 bits in any batch, so each trial's values, digest and failure record are
-those of a lift of that trial alone.  check_interchange draws all its
-trials first as well, groups them by (set type, dimension, vertex count,
-side) and evaluates each group with two calls to the stacked support
-kernel, one over the group's lift columns and one over its point columns;
-a trial's coordinate is read off the group's lift, one element per group.
+those of a lift of that trial alone.  check_interchange groups its trials
+by (set type, dimension, vertex count, side), draws each group's sets
+straight into the stacked arrays of the stacked support kernel and
+evaluates the group with two calls to it, one over the group's lift
+columns and one over its point columns; a trial's coordinate is read off
+the group's lift, one element per group.
 
 Every check that compares numbers records its failures through one path,
 _worst_coordinate_failures.  check_interchange gives it one coordinate
@@ -31,12 +40,14 @@ module when called.
 """
 
 import hashlib
+import math
 from functools import partial
+from itertools import accumulate
 
 import numpy as np
 
 from . import lattice
-from .convexsets import Ball, VPolytope, _default_grid, _stack_sets, _support_stack
+from .convexsets import VPolytope, _default_grid, _support_stack
 from .errors import SaddleGap
 from .fcalc import (
     SADDLE_TOL,
@@ -145,6 +156,18 @@ def oracle_fc(h, elements):
     return wrap(np.asarray(h.oracle(cols.T), dtype=float))
 
 
+def _draw(rng, low, high, shapes):
+    """Arrays of the given shapes from one uniform draw on [low, high): the
+    draw is cut into consecutive pieces, one per shape, each filled in
+    row-major order."""
+    sizes = [math.prod(shape) for shape in shapes]
+    flat = rng.uniform(low, high, size=sum(sizes))
+    return [
+        flat[end - size : end].reshape(shape)
+        for shape, size, end in zip(shapes, sizes, accumulate(sizes))
+    ]
+
+
 def _per_trial(lifts, blocks):
     """The (n, m_t) blocks lifted, trial t by lifts[t % len(lifts)]: one
     batched call per lift over the columns of all its trials.
@@ -191,24 +214,20 @@ def check_engine_vs_oracle(h="example-7.1", trials=500, tol=1e-6, seed=0, m=None
     Each trial draws a tuple of R^m elements uniform in [-5, 5]; m is drawn
     from 1..16 unless fixed.  A trial fails when any coordinate of the
     engine result strays from the oracle by more than tol.
+
+    Draw order: every trial's width m (one integers call, none when m is
+    fixed), then every trial's (n, m) block, trial after trial (one uniform
+    call).  With m fixed this is one (trials, n, m) draw, which gives the
+    numbers of one (n, m) draw per trial.
     """
     h = builtin(h) if isinstance(h, str) else h
     rng = _rng(seed, "engine-vs-oracle")
-    data = []
-    for _ in range(trials):
-        mt = int(m) if m is not None else int(rng.integers(1, 17))
-        data.append(rng.uniform(-5.0, 5.0, size=(h.dim, mt)))
+    ms = [int(m)] * trials if m is not None else rng.integers(1, 17, size=trials).tolist()
+    data = _draw(rng, -5.0, 5.0, [(h.dim, mt) for mt in ms])
     engine, widths = _per_trial([partial(fc_semicontinuous, h)], data)
     truth, _ = _per_trial([partial(oracle_fc, h)], data)
     failures = _worst_coordinate_failures(lambda t: (data[t],), engine, truth, widths, tol)
     return CheckReport(f"engine-vs-oracle[{h.name}]", trials, failures, seed)
-
-
-def _random_set(rng, n):
-    if rng.random() < 0.5:
-        k = int(rng.integers(1, 7))
-        return VPolytope(rng.uniform(-3.0, 3.0, size=(k, n)))
-    return Ball(rng.uniform(-2.0, 2.0, size=n), float(rng.uniform(0.0, 2.0)))
 
 
 def check_interchange(trials=1000, tol=1e-12, seed=0, fault_injection=False):
@@ -217,49 +236,72 @@ def check_interchange(trials=1000, tol=1e-12, seed=0, fault_injection=False):
     For random draws of a set, a tuple, a coordinate and a side (the
     sublinear or the superlinear map of the set): evaluating the lifted
     element at the coordinate equals evaluating the map at that
-    coordinate's column.  fault_injection evaluates the lattice side with support data scaled by
-    1+1e-3, which must be caught.
+    coordinate's column.  fault_injection evaluates the lattice side with
+    support data scaled by 1+1e-3, which must be caught.
 
-    All trials are drawn first and grouped by (set type, dimension, vertex
-    count, side).  Each group makes two _support_stack calls, one over the
-    lift columns of all its trials and one over their point columns; a
-    column's value is bitwise what the map gives it alone.  The group's lift
-    is one element, and coordinate j of a trial's lift is coordinate
-    offset + j of it, where offset counts the group's columns before the
-    trial's.
+    Each trial has a dimension n in 1..4, a width m in 1..8, a set (a
+    polytope of 1..6 vertices in [-3, 3]^n, or a ball with center in
+    [-2, 2]^n and radius in [0, 2], each with probability 1/2), an
+    (n, m) tuple in [-5, 5], a coordinate j in 1..m and a side.  The
+    trials are grouped by (vertex count, 0 for a ball; dimension; side),
+    groups in increasing key order and a group's trials in trial order.
+
+    Draw order, one generator call each: the dimensions, the widths, the
+    set types, the vertex counts (drawn for every trial, read for the
+    polytopes), the coordinates, the sides; then, group after group, the
+    polytope groups' (k, c, n) vertex stacks, the ball groups' (c, n)
+    center stacks and their (c,) radii, where c is the group's trial
+    count; last every group's (n, columns) lift columns, the trials' tuples
+    side by side.
+
+    Each group makes two _support_stack calls, one over its lift columns
+    and one over its trials' point columns; a column's value is bitwise
+    what the map gives it alone.  The group's lift is one element, and
+    coordinate j of a trial's lift is coordinate offset + j of it, where
+    offset counts the group's columns before the trial's.
     """
     rng = _rng(seed, "interchange")
-    draws, groups = [], {}
-    for t in range(trials):
-        n = int(rng.integers(1, 5))
-        m = int(rng.integers(1, 9))
-        s = _random_set(rng, n)
-        data = rng.uniform(-5.0, 5.0, size=(n, m))
-        j = int(rng.integers(1, m + 1))
-        sign = -1.0 if rng.random() < 0.5 else 1.0
-        draws.append((s, data, j))
-        k = s.vertices.shape[0] if isinstance(s, VPolytope) else 0
-        groups.setdefault((type(s), n, k, sign), []).append(t)
-    lhs, point = np.empty(trials), np.empty(trials)
-    for (_, _, _, sign), members in groups.items():
-        sets, blocks, js = zip(*(draws[t] for t in members))
-        widths = [b.shape[1] for b in blocks]
-        cols = np.hstack(blocks)
+    n = rng.integers(1, 5, size=trials)
+    m = rng.integers(1, 9, size=trials)
+    polytope = rng.random(trials) < 0.5
+    k = np.where(polytope, rng.integers(1, 7, size=trials), 0)
+    j = rng.integers(1, m + 1)
+    sign = np.where(rng.random(trials) < 0.5, -1.0, 1.0)
+    # (k, n, side) as one number, in the same order
+    code = (k * 4 + n - 1) * 2 + (sign > 0)
+    groups = [np.flatnonzero(code == g) for g in np.unique(code)]
+    # (vertex count, dimension, trial count, columns) of each group
+    shapes = [(int(k[g[0]]), int(n[g[0]]), g.size, int(m[g].sum())) for g in groups]
+    vertices = iter(_draw(rng, -3.0, 3.0, [(kk, c, nn) for kk, nn, c, _ in shapes if kk]))
+    balls = [(c, nn) for kk, nn, c, _ in shapes if not kk]
+    centers = iter(_draw(rng, -2.0, 2.0, balls))
+    radii = iter(_draw(rng, 0.0, 2.0, [(c,) for c, _ in balls]))
+    columns = _draw(rng, -5.0, 5.0, [(nn, w) for _, nn, _, w in shapes])
+    lhs, point, blocks = np.empty(trials), np.empty(trials), [None] * trials
+    for members, (kk, _, _, _), cols in zip(groups, shapes, columns):
+        side = sign[members[0]]
+        if kk:
+            set_stack = {"vertices": next(vertices)}
+        else:
+            set_stack = {"centers": next(centers), "radii": next(radii)}
+        widths = m[members]
+        starts = np.cumsum(widths) - widths
         # coordinate j of a trial's lift, 1-based in the group's lift
-        picks = np.cumsum(widths) - widths + js
-        set_stack = _stack_sets(sets)
+        picks = starts + j[members]
         # each set repeated once per column of its trial, on the set axis
         lift_stack = {
             key: np.repeat(a, widths, axis=int(key == "vertices")) for key, a in set_stack.items()
         }
         if fault_injection:
             lift_stack = {key: a * (1.0 + 1e-3) for key, a in lift_stack.items()}
-        lifted = RmElement(sign * _support_stack(sign * cols, **lift_stack))
-        for t, j in zip(members, picks.tolist()):
-            lhs[t] = hom_eval(CoordinateHom(j), lifted)
-        point[members] = sign * _support_stack(sign * cols[:, picks - 1], **set_stack)
+        lifted = RmElement(side * _support_stack(side * cols, **lift_stack))
+        ends = starts + widths
+        for t, a, b, p in zip(members.tolist(), starts.tolist(), ends.tolist(), picks.tolist()):
+            blocks[t] = cols[:, a:b]
+            lhs[t] = hom_eval(CoordinateHom(p), lifted)
+        point[members] = side * _support_stack(side * cols[:, picks - 1], **set_stack)
     failures = _worst_coordinate_failures(
-        lambda t: (draws[t][1], [draws[t][2]]), lhs, point, np.ones(trials, dtype=int), tol
+        lambda t: (blocks[t], [j[t]]), lhs, point, np.ones(trials, dtype=int), tol
     )
     return CheckReport("interchange", trials, failures, seed)
 
@@ -308,12 +350,6 @@ def check_continuous_agreement(trials=100, tol=1e-6, seed=0):
     return CheckReport("continuous-agreement", trials, failures, seed)
 
 
-def _random_step(rng):
-    inner = np.unique(rng.uniform(0.05, 0.95, size=int(rng.integers(0, 5))))
-    bp = np.concatenate(([0.0], inner, [1.0]))
-    return StepFunction(bp, rng.uniform(-5.0, 5.0, size=bp.size - 1))
-
-
 def check_sublattice_invariance(trials=200, seed=0):
     """Lift-then-embed equals embed-then-lift, bitwise.
 
@@ -323,16 +359,32 @@ def check_sublattice_invariance(trials=200, seed=0):
     does), the grid side the embedded columns; both go through the batched
     evaluation, whose per-column results do not depend on the batch, so
     equality is exact, not approximate.
+
+    Trial t lifts by the function t mod 5 of its list, and each coordinate
+    of its tuple is a step function: 0 to 4 inner breakpoints uniform in
+    [0.05, 0.95] (duplicates merged), and one value in [-5, 5] per piece.
+    Draw order, one generator call each: every step function's count of
+    inner breakpoints, then all inner breakpoints, then all values, step
+    function after step function and trial after trial.
     """
     rng = _rng(seed, "sublattice-invariance")
     names = ["example-7.1", "example-7.2", "square-mean", "abs-sum", "max-coord"]
     hs = [builtin(name) for name in names]
     count = len(hs)
-    tuples = [[_random_step(rng) for _ in range(hs[t % count].dim)] for t in range(trials)]
+    dims = [hs[t % count].dim for t in range(trials)]
+    counts = rng.integers(0, 5, size=sum(dims)).tolist()
+    inner = [np.unique(a) for a in _draw(rng, 0.05, 0.95, [(c,) for c in counts])]
+    values = _draw(rng, -5.0, 5.0, [(a.size + 1,) for a in inner])
+    steps = iter(StepFunction(np.concatenate(([0.0], a, [1.0])), v) for a, v in zip(inner, values))
+    tuples = [[next(steps) for _ in range(d)] for d in dims]
     refined = [common_refinement(fs) for fs in tuples]
-    grids = [
-        np.sort(np.concatenate([bp[:-1], (bp[:-1] + bp[1:]) / 2.0, [1.0]])) for bp, _ in refined
-    ]
+    # each piece's left end and midpoint, then 1: bp rises strictly and a
+    # midpoint lies between its ends, so this is already in sorted order
+    grids = []
+    for bp, _ in refined:
+        grid = np.empty(2 * bp.size - 1)
+        grid[:-1:2], grid[1::2], grid[-1] = bp[:-1], (bp[:-1] + bp[1:]) / 2.0, 1.0
+        grids.append(grid)
     embedded = [
         np.vstack([lattice.embed_step_to_grid(f, grid).coords for f in fs])
         for fs, grid in zip(tuples, grids)

@@ -298,14 +298,6 @@ def _random_sets(rng, n, k, count, values=None):
     return [Ball(draw(n), float(np.abs(draw(())))) for _ in range(count)]
 
 
-def _value_bits(a):
-    # bitwise, except that every NaN is one NaN: where inf - inf meets a
-    # maximum, the NaN's sign bit depends on the batch width in
-    # support_batch itself, and every caller rejects a NaN value
-    a = np.asarray(a, dtype=np.float64)
-    return _bits(np.where(np.isnan(a), np.nan, a))
-
-
 def _assert_stack_is_per_set(sets, widths, cols):
     """_support_stack over sets repeated by widths equals support_batch of
     each set at its own columns, for x and -x."""
@@ -315,7 +307,7 @@ def _assert_stack_is_per_set(sets, widths, cols):
         stacked = _support_stack(sign * cols, **_stack_sets(repeated))
         for s, a, b in zip(sets, edges[:-1], edges[1:]):
             alone = support_batch(s, sign * cols[:, a:b].T)
-            assert _value_bits(stacked[a:b]) == _value_bits(alone), (s, sign, cols[:, a:b])
+            assert _bits(stacked[a:b]) == _bits(alone), (s, sign, cols[:, a:b])
 
 
 @pytest.mark.parametrize("n, k", _STACK_KINDS, ids=lambda v: str(v))

@@ -385,11 +385,9 @@ def _all_vertex_fold(V, X):
     return np.maximum.accumulate(_dot_paired(V[:, None, :], X), axis=0)[-1]
 
 
-def _value_bits(a):
-    """Float64 bytes with every NaN collapsed to one NaN."""
-    a = np.array(a, dtype=float)
-    a[np.isnan(a)] = np.nan
-    return a.tobytes()
+def _bits(a):
+    """The float64 bytes of a, NaN sign and payload included."""
+    return np.ascontiguousarray(np.asarray(a, dtype=float)).tobytes()
 
 
 _PRUNE_GRID = [*_EXTREME_GRID, np.inf, -np.inf, np.nan]
@@ -436,8 +434,8 @@ def test_pruned_support_is_the_all_vertex_fold(n, k, shape, scale, seed):
         want = _all_vertex_fold(V, X)
         # once through the default grid's worth of columns, so the plan is built
         support_batch(P, _default_grid(n))
-        assert _value_bits(support_batch(P, X.T)) == _value_bits(want)
-        assert _value_bits(support_batch(P, -X.T)) == _value_bits(_all_vertex_fold(V, -X))
+        assert _bits(support_batch(P, X.T)) == _bits(want)
+        assert _bits(support_batch(P, -X.T)) == _bits(_all_vertex_fold(V, -X))
 
 
 def test_a_planned_polytope_takes_the_pruned_path(monkeypatch):
@@ -458,7 +456,7 @@ def test_a_planned_polytope_takes_the_pruned_path(monkeypatch):
         raise AssertionError("a column fell back on the all-vertex fold")
 
     monkeypatch.setattr(convexsets, "_support_stack", no_fallback)
-    assert _value_bits(support_batch(P, X.T)) == _value_bits(want)
+    assert _bits(support_batch(P, X.T)) == _bits(want)
 
 
 def _planned(V):
@@ -533,7 +531,7 @@ def test_the_depth_certificate_holds_at_adversarial_columns(n, kind, scale, seed
     X = np.hstack([np.ldexp(U, rng.integers(-1074, 1024, U.shape[1])), np.ldexp(U, -scale)])
     with np.errstate(over="ignore", invalid="ignore"):
         for sign in (1.0, -1.0):
-            assert _value_bits(support_batch(P, sign * X.T)) == _value_bits(_all_vertex_fold(V, sign * X))
+            assert _bits(support_batch(P, sign * X.T)) == _bits(_all_vertex_fold(V, sign * X))
 
 
 def test_the_circle_chord_covers_the_default_grid():
@@ -559,7 +557,7 @@ def test_a_vertex_one_ulp_above_the_kept_maximum_is_kept():
     assert len(kept) <= 16
     assert {tuple(r) for r in kept[:, 0]} >= {tuple(w), tuple(v)}
     assert _dot_paired(V[0], x)[0] < _dot_paired(V[1], x)[0]
-    assert _value_bits(support_batch(P, x.T)) == _value_bits(_all_vertex_fold(V, x))
+    assert _bits(support_batch(P, x.T)) == _bits(_all_vertex_fold(V, x))
 
 
 def test_a_column_below_the_magnitude_range_falls_back(monkeypatch):
@@ -585,7 +583,7 @@ def test_a_column_below_the_magnitude_range_falls_back(monkeypatch):
         return stack(*args, **kwargs)
 
     monkeypatch.setattr(convexsets, "_support_stack", counted)
-    assert _value_bits(support_batch(P, x.T)) == _value_bits(want)
+    assert _bits(support_batch(P, x.T)) == _bits(want)
     assert calls == [(2, 1)]
 
 
@@ -605,7 +603,7 @@ def test_a_tie_of_signed_zeros_takes_the_sign_of_the_all_vertex_blocks():
     U = np.random.default_rng(1).uniform(-5.0, 5.0, (2, 40))
     for X, at in ((np.hstack([U, x]), 40), (np.hstack([U[:, :20], x, U[:, 20:]]), 20)):
         values = support_batch(P, X.T)
-        assert _value_bits(values) == _value_bits(_all_vertex_fold(V, X))
+        assert _bits(values) == _bits(_all_vertex_fold(V, X))
         assert values[at].hex() == (-0.0).hex()
 
 
@@ -632,7 +630,9 @@ def test_lift_polytope_support_bytes_are_pinned():
     sha = hashlib.sha256()
     with np.errstate(over="ignore", invalid="ignore"):
         for sign in (1.0, -1.0):
-            sha.update(_value_bits(support_batch(P, sign * X.T)))
+            values = support_batch(P, sign * X.T)
+            # the pin was recorded with every NaN collapsed to one NaN
+            sha.update(_bits(np.where(np.isnan(values), np.nan, values)))
     assert P._plan
     assert sha.hexdigest() == _LIFT_POLY_SHA256
 

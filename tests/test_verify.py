@@ -10,6 +10,7 @@ import pytest
 
 from homocalc import verify
 from homocalc.cli import main
+from homocalc.convexsets import Ball, VPolytope
 from homocalc.homog import builtin
 from homocalc.lattice import RmElement, StepFunction
 from homocalc.verify import (
@@ -151,7 +152,13 @@ def test_default_suite_deterministic():
 
 # SHA-256 pins of whole outputs.  The checks lift all their trials in one
 # batched call per function; these pins hold the bytes to what one lift per
-# trial gave, failure records included.
+# trial gave, failure records included.  engine-vs-oracle, interchange and
+# sublattice-invariance draw each quantity of all their trials in one
+# generator call, in the order their docstrings state, so a failure record
+# holds the data of that order.  With m fixed, engine-vs-oracle's one
+# (trials, n, m) draw gives the numbers of one (n, m) draw per trial, and
+# its record pin holds that.  A passing report holds no trial data, so the
+# suite pins do not depend on the draw order while every check passes.
 
 
 def _sha256(text):
@@ -231,8 +238,8 @@ def test_suite_runs_without_scipy():
     [
         (
             lambda: check_engine_vs_oracle("square-mean", tol=0.0, seed=1),
-            341,
-            "6fc357492416098281fea48c6a3fcc6c8f36dedf32161563470f6596c846f846",
+            353,
+            "2326f8656397afdf140d72c28e70d42f5b89c0c2849ea0eefb2cbe05ddf6226c",
         ),
         (
             lambda: check_rep_independence(angles=8, seed=5),
@@ -249,7 +256,7 @@ def test_suite_runs_without_scipy():
             # value, so this pins both sides of the check bitwise
             lambda: check_interchange(trials=1000, seed=3, fault_injection=True),
             1000,
-            "8f8f75de94febeea42daec38ab410ca04bf5b1f207720be5c7642710ea43a906",
+            "e9a02cf603b366e0b6f39278e86683c9d1899bfa9e5976821cc90e61d1432f12",
         ),
         (
             # at tol 0 the last-bit differences between square-mean's
@@ -339,6 +346,50 @@ def test_interchange_builds_one_element_per_group(monkeypatch):
     report = check_interchange(trials=1000, seed=3)
     assert report.passed and report.cases == 1000
     assert len(stacks) % 2 == 0 and len(elements) <= len(stacks) // 2 <= 2 * 4 * 7
+
+
+class _CountingGenerator:
+    """A generator that records the name of every method called on it."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self._calls.append(name)
+            return method(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize(
+    "check",
+    [check_engine_vs_oracle, check_interchange, check_sublattice_invariance],
+    ids=["engine-vs-oracle", "interchange", "sublattice-invariance"],
+)
+def test_checks_draw_each_quantity_in_one_call_whatever_the_trial_count(monkeypatch, check):
+    # the generator is called once per quantity, never once per trial, and
+    # interchange draws its sets straight into arrays: it builds no set
+    calls, sets = [], []
+    rng = verify._rng
+    monkeypatch.setattr(verify, "_rng", lambda seed, name: _CountingGenerator(rng(seed, name), calls))
+    for kind in (VPolytope, Ball):
+
+        def counted_init(self, *args, init=kind.__init__, **kwargs):
+            sets.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(kind, "__init__", counted_init)
+    made = {}
+    for trials in (10, 200):
+        calls.clear()
+        assert check(trials=trials, seed=11).cases == trials
+        made[trials] = list(calls)
+    assert made[10] == made[200] and len(made[10]) <= 10
+    if check is check_interchange:
+        assert sets == []
 
 
 def test_the_check_table_drives_the_cli_and_the_suite(monkeypatch, capsys):
