@@ -64,7 +64,6 @@ from .homog import (
     function_from_json,
     map_from_json,
     map_to_json,
-    sphere_bounds,
     sphere_grid,
 )
 from .lattice import (
@@ -79,7 +78,6 @@ from .lattice import (
     hom_eval,
     join,
     meet,
-    refine,
 )
 from .verify import (
     CheckFailure,

@@ -9,7 +9,7 @@ envelopes and support plans sample directions from live here too.
 """
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 from statistics import NormalDist
 
 import numpy as np
@@ -109,8 +109,10 @@ def _check_point(s, x, op):
 def _blocks(count, cells):
     """Slices of range(count) in blocks of max(1, _BLOCK_CELLS // cells)
     indices: the block policy of every batched kernel, where an index
-    stands for `cells` values."""
-    step = max(1, _BLOCK_CELLS // cells)
+    stands for `cells` values, counted as at least 1 so that an empty batch
+    is one block.  A block thus holds at most max(_BLOCK_CELLS, cells)
+    values."""
+    step = max(1, _BLOCK_CELLS // max(1, cells))
     return [slice(a, a + step) for a in range(0, count, step)]
 
 
@@ -126,6 +128,19 @@ def _reduce(ufunc, M, axis):
     if M.shape[-1] == 1:
         return ufunc.reduce(np.concatenate((M, M), axis=-1), axis=axis)[..., :1]
     return ufunc.reduce(M, axis=axis)
+
+
+def _fold(ufunc, rows, count, cells):
+    """The member-order fold of `count` members, each `cells` values wide.
+
+    rows(members) gives the values of a slice of members, one row per
+    member.  Members go in _blocks; each block is reduced in member order
+    (_reduce) and folded into the result of the blocks before it, so ties
+    keep the later member and a column's value does not depend on the
+    other columns.  The one member fold of the family scan and of both
+    support folds.
+    """
+    return reduce(ufunc, (_reduce(ufunc, rows(b), 0) for b in _blocks(count, cells)))
 
 
 def _dot_paired(A, X):
@@ -194,11 +209,14 @@ def support_batch(s, points):
         raise DimensionMismatch(
             "support", f"points have shape {pts.shape}, set has dim {s.dim}"
         )
-    if isinstance(s, VPolytope):
-        plan = _support_plan(s, pts.shape[0])
-        if plan:
-            return _pruned_support(pts.T, s.vertices, *plan)
-    return _support_stack(pts.T, **_stack_sets([s]))
+    if isinstance(s, Ball):
+        return _support_stack(pts.T, centers=s.center[None, :], radii=np.array([s.radius]))
+    if not isinstance(s, VPolytope):
+        raise TypeError(f"unsupported set type {type(s).__name__}")
+    plan = _support_plan(s, pts.shape[0])
+    if plan:
+        return _pruned_support(pts.T, s.vertices, *plan)
+    return _support_stack(pts.T, vertices=s.vertices[:, None, :])
 
 
 def _support_plan(s, columns):
@@ -254,10 +272,10 @@ def _pruned_support(cols, vertices, kept, rho):
     """_support_stack of one polytope at the columns of cols (n, c), bit for bit.
 
     Takes a plan of _build_plan.  Per column x, with p = rho max_d |x_d|,
-    out is the largest fold (_dot_paired) of a kept vertex with x, taken
-    in vertex order (_reduce).  A column takes out where 2^-900 <= p <=
-    2^900.  The other columns, NaN and infinite ones included, take the
-    all-vertex fold of _support_stack, as one batch.
+    out is _support_stack of the kept vertices alone: their largest fold
+    (_dot_paired) with x, taken in vertex order.  A column takes out where
+    2^-900 <= p <= 2^900.  The other columns, NaN and infinite ones
+    included, take the all-vertex fold of _support_stack, as one batch.
 
     Why out is then the all-vertex value: let v be a dropped vertex,
     u = 2^-53, and g a grid direction within the covering chord c of
@@ -276,39 +294,15 @@ def _pruned_support(cols, vertices, kept, rho):
     the all-vertex value, the sign of a zero included.  p <= 2^900 keeps
     every term finite.
     """
-    n, count = cols.shape
     # support_batch passes points.T; the folds run faster on contiguous rows
     cols = np.ascontiguousarray(cols)
-    out = np.empty(count)
     with np.errstate(over="ignore", invalid="ignore"):
         p = rho * np.abs(cols).max(axis=0)
-        for b in _blocks(count, len(kept)):
-            out[b] = _reduce(np.maximum, _dot_paired(kept, cols[:, b]), 0)
+        out = _support_stack(cols, vertices=kept)
     redo = np.flatnonzero(~((p >= 2.0**-900) & (p <= 2.0**900)))
     if redo.size:
         out[redo] = _support_stack(cols[:, redo], vertices=vertices[:, None, :])
     return out
-
-
-def _stack_sets(sets):
-    """The arrays of `sets`, one set per column, as keywords of _support_stack.
-
-    The sets share one type, one dimension and, for polytopes, one vertex
-    count: polytopes give vertices of shape (k, c, n), balls centers (c, n)
-    and radii (c,).
-    """
-    kind = type(sets[0])
-    if any(type(s) is not kind for s in sets):
-        raise TypeError("stacked sets must share one type")
-    # np.stack raises ValueError when the dimensions or vertex counts differ
-    if kind is VPolytope:
-        return {"vertices": np.stack([s.vertices for s in sets], axis=1)}
-    if kind is not Ball:
-        raise TypeError(f"unsupported set type {kind.__name__}")
-    return {
-        "centers": np.stack([s.center for s in sets]),
-        "radii": np.array([s.radius for s in sets]),
-    }
 
 
 def _support_stack(cols, vertices=None, centers=None, radii=None):
@@ -317,8 +311,8 @@ def _support_stack(cols, vertices=None, centers=None, radii=None):
     Give polytope vertices (k, c, n), or ball centers (c, n) and radii (c,);
     a set axis of length 1 broadcasts one set over every column.  Sums run
     coordinate by coordinate (_dot_paired) and polytopes take the maximum
-    in vertex order (_reduce) in _blocks of vertex-by-column cells, so a
-    column's value does not depend on the other columns or sets.
+    in vertex order over blocks of vertices (_fold), so a column's value
+    does not depend on the other columns or sets.
     """
     sets, n = (centers if vertices is None else vertices[0]).shape
     if cols.ndim != 2 or cols.shape[0] != n or sets not in (1, cols.shape[1]):
@@ -327,11 +321,7 @@ def _support_stack(cols, vertices=None, centers=None, radii=None):
         )
     if vertices is None:
         return _dot_paired(centers, cols) + radii * _norms(cols)
-    out = np.empty(cols.shape[1])
-    for b in _blocks(cols.shape[1], vertices.shape[0]):
-        block = vertices if vertices.shape[1] == 1 else vertices[:, b]
-        out[b] = _reduce(np.maximum, _dot_paired(block, cols[:, b]), 0)
-    return out
+    return _fold(np.maximum, lambda v: _dot_paired(vertices[v], cols), len(vertices), cols.shape[1])
 
 
 def _by_key(items, key):

@@ -11,7 +11,7 @@ from functools import partial
 
 import numpy as np
 
-from .convexsets import FEASIBLE_TOL, Ball, _blocks, _check_tol, _dot_paired, _feasible_points, _norm, _norms, _reduce
+from .convexsets import FEASIBLE_TOL, Ball, _blocks, _check_tol, _dot_paired, _expect_number_list, _feasible_points, _norm, _norms, _reduce
 from .errors import (
     DimensionMismatch,
     EmptyFamily,
@@ -110,9 +110,11 @@ class SaddleFamily:
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.ndim != 3:
             raise ValueError("coeffs must have shape (P, Q, n)")
+        P, Q, _ = coeffs.shape
+        if not P or not Q:
+            raise EmptyFamily("SaddleFamily", f"need at least one row and one column, got {P} x {Q}")
         self.coeffs = coeffs
         self.coeffs.setflags(write=False)
-        P, Q, _ = coeffs.shape
         self.phi_labels = tuple(phi_labels) if phi_labels else tuple(f"phi{i}" for i in range(P))
         self.psi_labels = tuple(psi_labels) if psi_labels else tuple(f"psi{j}" for j in range(Q))
 
@@ -256,6 +258,8 @@ def saddle_from_json(obj, source="<inline>"):
         raise SchemaError(source, "saddle.coeffs", "expected shape (P, Q, n)")
     if not np.all(np.isfinite(coeffs)):
         raise SchemaError(source, "saddle.coeffs", "coefficients must be finite")
+    for row in (row for plane in body["coeffs"] for row in plane):
+        _expect_number_list(row, source, "saddle.coeffs")
     labels = {}
     for key in ("phi_labels", "psi_labels"):
         if key in body:

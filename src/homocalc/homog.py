@@ -27,10 +27,9 @@ import numpy as np
 from .convexsets import (
     Ball,
     VPolytope,
-    _blocks,
     _default_grid,
     _dot_paired,
-    _reduce,
+    _fold,
     set_from_json,
     set_to_json,
     sphere_grid,
@@ -218,18 +217,12 @@ def _pick_side(h, side):
 def _scan_columns(family, X, minimize):
     """Extremum of a finite family at every column of X, shape (n, k).
 
-    The fold of every member in order, over all columns at once, in member
-    _blocks of k values per member: a block holds at most
-    max(_BLOCK_CELLS, k) values.  Each block is reduced along its member
-    axis in member order (_reduce), and the blocks are folded from +inf
-    (minimize) or -inf, so ties keep the later member and a column's value
-    does not depend on the batch.
+    The member-order fold (_fold) of every member, over all columns at
+    once, in blocks of members of k values each, so ties keep the later
+    member and a column's value does not depend on the batch.
     """
-    fold, start = (np.minimum, np.inf) if minimize else (np.maximum, -np.inf)
-    best = np.full(X.shape[1], start)
-    for members in _blocks(len(family.maps), X.shape[1]):
-        best = fold(best, _reduce(fold, family.values(X, members), 0))
-    return best
+    ufunc = np.minimum if minimize else np.maximum
+    return _fold(ufunc, lambda members: family.values(X, members), len(family.maps), X.shape[1])
 
 
 def _witness_columns(name, family, X):
@@ -307,12 +300,6 @@ def _sphere_bounds(h, grid, op):
                 "on the sphere grid (bad oracle or coarse family)",
             )
     return float(-vals.min()), float(vals.max())
-
-
-def sphere_bounds(h):
-    """(m, M) with -m = min and M = max of h's family over the default
-    sphere grid; an oracle is only cross-checked, as in domination_envelopes."""
-    return _sphere_bounds(h, _default_grid(h.dim), "sphere_bounds")
 
 
 def domination_envelopes(h, grid_density=None):

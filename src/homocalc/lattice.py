@@ -99,8 +99,8 @@ class StepFunction:
 
     def __le__(self, other):
         _pair_check(self, other, "<=")
-        fa, fb = refine(self, other)
-        return bool(np.all(fa.values <= fb.values))
+        _, (fv, gv) = common_refinement([self, other])
+        return bool(np.all(fv <= gv))
 
     def __eq__(self, other):
         if not isinstance(other, StepFunction):
@@ -179,14 +179,6 @@ def join(f, g):
 
 def meet(f, g):
     return _combine(f, g, "meet", np.minimum)
-
-
-def refine(f, g):
-    """Rewrite two step functions on the union of their breakpoints."""
-    if not (isinstance(f, StepFunction) and isinstance(g, StepFunction)):
-        raise LatticeMismatch("refine", "refine applies to StepFunctions")
-    bp, (fv, gv) = common_refinement([f, g])
-    return StepFunction(bp, fv), StepFunction(bp, gv)
 
 
 def common_refinement(fs):

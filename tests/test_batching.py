@@ -9,6 +9,7 @@ they also catch a flipped sign of zero.
 import ast
 import itertools
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,13 +17,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import homocalc
+from homocalc import convexsets
 from homocalc.convexsets import (
     _BLOCK_CELLS,
     Ball,
     VPolytope,
     _default_grid,
     _dot_paired,
-    _stack_sets,
     _support_stack,
     support_batch,
 )
@@ -298,13 +299,21 @@ def _random_sets(rng, n, k, count, values=None):
     return [Ball(draw(n), float(np.abs(draw(())))) for _ in range(count)]
 
 
+def _stacked(sets):
+    """The arrays of sets of one kind, one set per column, as keywords of
+    _support_stack: vertices (k, c, n), or centers (c, n) and radii (c,)."""
+    if isinstance(sets[0], VPolytope):
+        return {"vertices": np.stack([s.vertices for s in sets], axis=1)}
+    return {"centers": np.stack([s.center for s in sets]), "radii": np.array([s.radius for s in sets])}
+
+
 def _assert_stack_is_per_set(sets, widths, cols):
     """_support_stack over sets repeated by widths equals support_batch of
     each set at its own columns, for x and -x."""
     repeated = [s for s, w in zip(sets, widths) for _ in range(w)]
     edges = np.cumsum([0, *widths])
     for sign in (1.0, -1.0):
-        stacked = _support_stack(sign * cols, **_stack_sets(repeated))
+        stacked = _support_stack(sign * cols, **_stacked(repeated))
         for s, a, b in zip(sets, edges[:-1], edges[1:]):
             alone = support_batch(s, sign * cols[:, a:b].T)
             assert _bits(stacked[a:b]) == _bits(alone), (s, sign, cols[:, a:b])
@@ -340,14 +349,13 @@ def test_stacked_support_on_the_signed_zero_grid(n, k):
 
 def test_stack_needs_one_kind_of_set_and_matching_columns():
     square = VPolytope([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]])
-    with pytest.raises(TypeError):
-        _stack_sets([square, Ball([0.0, 0.0], 1.0)])
-    with pytest.raises(ValueError):
-        _stack_sets([square, VPolytope([[1.0, 1.0]])])
     with pytest.raises(DimensionMismatch):
-        _support_stack(np.ones((2, 3)), **_stack_sets([square, square]))
+        _support_stack(np.ones((2, 3)), **_stacked([square, square]))
     with pytest.raises(DimensionMismatch):
-        _support_stack(np.ones((3, 2)), **_stack_sets([square, square]))
+        _support_stack(np.ones((3, 2)), **_stacked([square, square]))
+    # support_batch takes a polytope or a ball, and nothing else of a dimension
+    with pytest.raises(TypeError, match="unsupported set type SimpleNamespace"):
+        support_batch(SimpleNamespace(dim=2), np.ones((3, 2)))
 
 
 # A column alone against the same column first, in the middle and alone in
@@ -482,6 +490,69 @@ def test_a_stacked_support_column_alone_is_the_vertex_order_fold_in_any_batch(ca
     _assert_alone_as_in_batches(kernel, np.vstack([x, V.reshape(-1, 1)]), fill, [_BLOCK_CELLS // k], want)
 
 
+def _swapped(V, i):
+    """V with rows i and i + 1 swapped."""
+    W = V.copy()
+    W[[i, i + 1]] = W[[i + 1, i]]
+    return W
+
+
+def _planned(V):
+    """VPolytope(V) with its plan built: two default grids' worth of columns."""
+    P = VPolytope(V)
+    for _ in range(2):
+        support_batch(P, _default_grid(2))
+    assert P._plan
+    return P
+
+
+# seven vertices of which the third and fourth tie at +0 and -0 at (1, 0),
+# above the others
+_SEAM_TIE = np.array([[-1.0, 5.0], [-2.0, 1.0], [0.0, 1.0], [-0.0, -1.0], [-1.0, 0.0], [-3.0, 2.0], [-0.5, 0.0]])
+
+
+def test_support_folds_are_the_vertex_order_fold_across_member_block_seams(monkeypatch):
+    # the all-vertex, pruned and stacked-set folds, with _BLOCK_CELLS cut so
+    # that the first vertex block ends between the two tied vertices (in
+    # either order): the fold of the blocks must be the fold of all vertices
+    X = np.hstack([[[1.0, 1.0], [0.0, 0.0]], np.random.default_rng(3).uniform(-5.0, 5.0, (2, 2))])
+    cases = []
+    for V in (_SEAM_TIE, _swapped(_SEAM_TIE, 2)):
+        P = VPolytope(V)
+        cases.append((V[:, None, :], 3, lambda cols, P=P: support_batch(P, cols.T)))
+    for V in (_TIED, _swapped(_TIED, 98)):
+        P = _planned(V)
+        kept = P._plan[0]
+        first = int(np.flatnonzero((kept[:, 0] == V[98]).all(axis=1))[0])
+        assert (kept[first + 1, 0] == V[99]).all()
+        cases.append((V[:, None, :], first + 1, lambda cols, P=P: support_batch(P, cols.T)))
+    stack = np.stack([_SEAM_TIE, _swapped(_SEAM_TIE, 2)] * 2, axis=1)
+    cases.append((stack, 3, lambda cols: _support_stack(cols, vertices=stack)))
+    for vertices, seam, kernel in cases:
+        monkeypatch.setattr(convexsets, "_BLOCK_CELLS", seam * X.shape[1])
+        assert convexsets._blocks(len(vertices), X.shape[1])[0] == slice(0, seam)
+        want = _fold(np.maximum, _dot_paired(vertices, X))
+        assert _bits(kernel(X)) == _bits(want)
+
+
+def test_empty_batches_give_empty_float_arrays():
+    # no column, or no point: every batched kernel returns an empty array
+    square, disk = VPolytope([[1.0, 1.0], [-1.0, -1.0]]), Ball([0.0, 0.0], 1.0)
+    values = [
+        support_batch(square, np.empty((0, 2))),
+        support_batch(disk, np.empty((0, 2))),
+        support_batch(_PLANNED, np.empty((0, 2))),
+        SublinearMap(square)(np.empty((2, 0))),
+        SuperlinearMap(disk)(np.empty((2, 0))),
+        _eval_columns(builtin("abs-sum"), np.empty((2, 0)), "inf")[0],
+        _eval_columns(builtin("abs-sum"), np.empty((2, 0)), "sup")[0],
+        _eval_columns(builtin("example-7.1"), np.empty((2, 0)), "inf")[0],
+        *saddle_eval(SaddleFamily(np.ones((2, 3, 2))), np.empty((0, 2))),
+    ]
+    for v in values:
+        assert isinstance(v, np.ndarray) and v.dtype == np.float64 and v.shape == (0,)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 4), _tie_case((2, 12), _FINITE_TIES))
 @example(2, _NINE_CASE)
@@ -520,6 +591,12 @@ def test_only_convexsets_reads_the_block_size():
     src = Path(homocalc.__file__).parent
     readers = [path.name for path in sorted(src.glob("*.py")) if "_BLOCK_CELLS" in _names_read(path)]
     assert readers == ["convexsets.py"]
+
+
+def test_the_family_scan_folds_through_convexsets():
+    # one member fold: homog's scan calls convexsets._fold, never its parts
+    read = _names_read(Path(homocalc.__file__).parent / "homog.py")
+    assert "_fold" in read and not read & {"_blocks", "_reduce"}
 
 
 def test_only_convexsets_reads_a_ufunc_reduce():

@@ -508,8 +508,10 @@ def test_schema_violation_reports_source_and_path(capsys, tmp_path):
         (["eval", "--x", "1,2"], {"maps": []}, "$: expected a 'family' object"),
         (["saddle-eval", "--x", "1,0"], {"saddle": {"coeffs": [[1.0, 2.0]]}}, "saddle.coeffs: expected shape (P, Q, n)"),
         (["saddle-eval", "--x", "1,0"], {"coeffs": []}, "$: expected a 'saddle' object"),
+        # a string or a boolean is no number, as in every other loader
+        (["saddle-eval", "--x", "2,3"], {"saddle": {"coeffs": [[["1", True]]]}}, "saddle.coeffs: expected a list of numbers"),
     ],
-    ids=["family-maps", "family-missing", "saddle-coeffs", "saddle-missing"],
+    ids=["family-maps", "family-missing", "saddle-coeffs", "saddle-missing", "saddle-coeffs-not-numbers"],
 )
 def test_schema_error_paths_start_at_the_document_root(capsys, tmp_path, command, doc, where):
     inp = tmp_path / "bad.json"

@@ -451,9 +451,13 @@ def test_a_planned_polytope_takes_the_pruned_path(monkeypatch):
     assert 2 * len(kept) <= 200
     X = rng.uniform(-5.0, 5.0, size=(2, 1000))
     want = _all_vertex_fold(P.vertices, X)
+    stack = convexsets._support_stack
 
-    def no_fallback(*args, **kwargs):
-        raise AssertionError("a column fell back on the all-vertex fold")
+    def no_fallback(cols, vertices):
+        # the kept fold passes the kept vertices, the fallback all 200
+        if len(vertices) == len(P.vertices):
+            raise AssertionError("a column fell back on the all-vertex fold")
+        return stack(cols, vertices=vertices)
 
     monkeypatch.setattr(convexsets, "_support_stack", no_fallback)
     assert _bits(support_batch(P, X.T)) == _bits(want)
@@ -578,9 +582,11 @@ def test_a_column_below_the_magnitude_range_falls_back(monkeypatch):
     calls = []
     stack = convexsets._support_stack
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].shape)
-        return stack(*args, **kwargs)
+    def counted(cols, vertices):
+        # the kept fold passes the kept vertices, the fallback all of V
+        if len(vertices) == len(V):
+            calls.append(cols.shape)
+        return stack(cols, vertices=vertices)
 
     monkeypatch.setattr(convexsets, "_support_stack", counted)
     assert _bits(support_batch(P, x.T)) == _bits(want)

@@ -346,6 +346,13 @@ def test_saddle_json_schema_errors():
         saddle_from_json({"saddle": {"coeffs": [[[1.0, "x"]]]}})
 
 
+@pytest.mark.parametrize("shape", [(0, 2, 2), (2, 0, 2)], ids=["no-rows", "no-columns"])
+def test_a_saddle_needs_a_row_and_a_column(shape):
+    # as saddle_build does for an empty side; an empty saddle has no value
+    with pytest.raises(EmptyFamily, match="at least one row and one column"):
+        SaddleFamily(np.empty(shape))
+
+
 def test_saddle_build_validations():
     with pytest.raises(EmptyFamily):
         saddle_build([], [PSI_11])

@@ -26,6 +26,7 @@ from homocalc.homog import (
     WitnessFamily,
     _eval_columns,
     _scan_columns,
+    _sphere_bounds,
     _witness_columns,
     angle_superlinear_family,
     builtin,
@@ -37,7 +38,6 @@ from homocalc.homog import (
     function_from_json,
     map_from_json,
     map_to_json,
-    sphere_bounds,
     sphere_grid,
 )
 from homocalc.lattice import RmElement
@@ -522,14 +522,19 @@ def test_kronecker_grid_rows_are_pinned(n, density, row, want):
     assert np.linalg.norm(g, axis=1) == pytest.approx(np.ones(density), rel=0, abs=1e-15)
 
 
+def _default_bounds(h):
+    """(m, M) of h's family over the default sphere grid, as the envelopes read them."""
+    return _sphere_bounds(h, _default_grid(h.dim), "domination_envelopes")
+
+
 def test_sphere_bounds_examples():
-    m, M = sphere_bounds(builtin("example-7.1"))
+    m, M = _default_bounds(builtin("example-7.1"))
     assert m == pytest.approx(0.0, abs=1e-12)
     assert M == pytest.approx(np.sqrt(2.0), abs=1e-9)
-    m, M = sphere_bounds(builtin("example-7.2"))
+    m, M = _default_bounds(builtin("example-7.2"))
     assert m == pytest.approx(1.0, abs=1e-9)
     assert M == pytest.approx(1.0, abs=1e-4)
-    m, M = sphere_bounds(builtin("square-mean"))
+    m, M = _default_bounds(builtin("square-mean"))
     assert m == pytest.approx(-1.0, abs=1e-9)
     assert M == pytest.approx(1.0, abs=1e-9)
 
@@ -583,7 +588,7 @@ def test_sphere_values_read_the_oracle_only_on_the_cross_check_rows(name, grid_d
     domination_envelopes(h, grid_density=grid_density)
     assert calls == [(rows, h.dim)]
     if grid_density is None:
-        sphere_bounds(h)
+        _default_bounds(h)
         assert calls == [(rows, h.dim)] * 2
 
 

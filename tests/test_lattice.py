@@ -23,7 +23,6 @@ from homocalc.lattice import (
     hom_eval,
     join,
     meet,
-    refine,
 )
 
 F = StepFunction([0.0, 0.5, 1.0], [1.0, 3.0])
@@ -104,7 +103,8 @@ def test_coordinate_hom_rejects_a_fractional_index():
 def test_refine_union_of_breakpoints():
     a = StepFunction([0.0, 0.5, 1.0], [1.0, 2.0])
     b = StepFunction([0.0, 1.0 / 3.0, 1.0], [4.0, 5.0])
-    a2, b2 = refine(a, b)
+    bp, (av, bv) = common_refinement([a, b])
+    a2, b2 = StepFunction(bp, av), StepFunction(bp, bv)
     expected = [0.0, 1.0 / 3.0, 0.5, 1.0]
     assert np.array_equal(a2.breakpoints, expected)
     assert np.array_equal(b2.breakpoints, expected)
@@ -114,7 +114,8 @@ def test_refine_union_of_breakpoints():
 
 
 def test_refine_self_is_identity():
-    a2, b2 = refine(F, F)
+    bp, (av, bv) = common_refinement([F, F])
+    a2, b2 = StepFunction(bp, av), StepFunction(bp, bv)
     assert a2 == F and b2 == F
 
 
@@ -314,7 +315,8 @@ def test_refine_preserves_pointwise_values(seed):
         bp = np.concatenate([[0.0], inner, [1.0]])
         return StepFunction(bp, rng.uniform(-5, 5, size=bp.size - 1))
     f, g = rand_step(), rand_step()
-    f2, g2 = refine(f, g)
+    bp, (fv, gv) = common_refinement([f, g])
+    f2, g2 = StepFunction(bp, fv), StepFunction(bp, gv)
     ts = rng.uniform(0.0, 1.0, size=10)
     for t in ts:
         assert f2.value_at(t) == f.value_at(t)
