@@ -307,6 +307,32 @@ def test_saddle_failure_records_are_pinned(monkeypatch, kwargs, failures, digest
     assert _sha256(json.dumps(report.to_json(), sort_keys=True)) == digest
 
 
+@pytest.mark.parametrize(
+    "seed, failures, digest",
+    [
+        (3, 158, "865b7356eeeed782c64544dd909616bbe62ed5bf04b36bc998c58d044b7b0b4b"),
+        (0, 164, "054f58892914aa8f91f5379eb47852d12a36f68c50577ea20bf12376ae0fa030"),
+    ],
+    ids=["sublattice-invariance-fault", "sublattice-invariance-fault-seed-0"],
+)
+def test_sublattice_invariance_failure_records_are_pinned(monkeypatch, seed, failures, digest):
+    # the two sides agree bitwise, so every 7th coordinate of each batched
+    # lift comes back scaled by 1 + 2^-20: the step side and the grid side
+    # then differ where one side's coordinate is scaled and the other's not,
+    # and each record holds the trial's grid, values and worst coordinate
+    inner = verify.fc_semicontinuous
+
+    def faulty(*args, **kwargs):
+        coords = inner(*args, **kwargs).coords.copy()
+        coords[::7] *= 1 + 2.0**-20
+        return RmElement(coords)
+
+    monkeypatch.setattr(verify, "fc_semicontinuous", faulty)
+    report = check_sublattice_invariance(seed=seed)
+    assert len(report.failures) == failures
+    assert _sha256(json.dumps(report.to_json(), sort_keys=True)) == digest
+
+
 def _counting(monkeypatch, name):
     """Replace verify.<name> by a wrapper that counts its calls."""
     calls = []
