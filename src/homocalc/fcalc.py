@@ -103,16 +103,20 @@ class SaddleFamily:
 
     Each coefficient is simultaneously below every value of phi_i and above
     every value of psi_j, so min-max and max-min over the matrix a[i,j].x
-    bracket any function sandwiched between the two families.
+    bracket any function sandwiched between the two families.  The tensor
+    has shape (P, Q, n): no rows or columns raise EmptyFamily, and n = 0
+    raises ValueError, as a set of dimension 0 does.
     """
 
     def __init__(self, coeffs, phi_labels=None, psi_labels=None):
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.ndim != 3:
             raise ValueError("coeffs must have shape (P, Q, n)")
-        P, Q, _ = coeffs.shape
+        P, Q, n = coeffs.shape
         if not P or not Q:
             raise EmptyFamily("SaddleFamily", f"need at least one row and one column, got {P} x {Q}")
+        if not n:
+            raise ValueError(f"need dimension n >= 1, got shape {coeffs.shape}")
         self.coeffs = coeffs
         self.coeffs.setflags(write=False)
         self.phi_labels = tuple(phi_labels) if phi_labels else tuple(f"phi{i}" for i in range(P))
@@ -269,4 +273,7 @@ def saddle_from_json(obj, source="<inline>"):
             if len(val) != coeffs.shape[0 if key == "phi_labels" else 1]:
                 raise SchemaError(source, f"saddle.{key}", "label count mismatch")
             labels[key] = val
-    return SaddleFamily(coeffs, **labels)
+    try:
+        return SaddleFamily(coeffs, **labels)
+    except ValueError as exc:
+        raise SchemaError(source, "saddle.coeffs", str(exc)) from exc

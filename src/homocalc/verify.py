@@ -29,7 +29,12 @@ by (set type, dimension, vertex count, side), draws each group's sets
 straight into the stacked arrays of the stacked support kernel and
 evaluates the group with two calls to it, one over the group's lift
 columns and one over its point columns; a trial's coordinate is read off
-the group's lift, one element per group.
+the group's lift, one element per group.  check_sublattice_invariance
+keeps its step tuples as flat arrays: one lexsort merges each function's
+duplicate breakpoints and one each trial's refinement, and the grids and
+the functions' values on them are flat arrays too (_draw_steps,
+_steps_on_grids), so it builds no StepFunction.  That refinement is its
+reference, as oracle_fc is for the built-ins.
 
 Every check that compares numbers records its failures through one path,
 _worst_coordinate_failures.  check_interchange gives it one coordinate
@@ -70,7 +75,7 @@ from .homog import (
     circumscribed_polygon_map,
     disk_map,
 )
-from .lattice import CoordinateHom, RmElement, StepFunction, common_refinement, hom_eval
+from .lattice import CoordinateHom, RmElement, hom_eval
 
 # Each check by its CLI name: the seed tag of its generator and the name of
 # its function.  The function is read from the module when it is called, so
@@ -350,6 +355,86 @@ def check_continuous_agreement(trials=100, tol=1e-6, seed=0):
     return CheckReport("continuous-agreement", trials, failures, seed)
 
 
+def _sorted_unique(segments, points):
+    """The (segment, point) pairs sorted by segment, then point, less
+    repeats: per segment, np.unique of its points, bit for bit where no
+    point is a zero."""
+    order = np.lexsort((points, segments))
+    segments, points = segments[order], points[order]
+    keep = np.ones(points.size, dtype=bool)
+    keep[1:] = (segments[1:] != segments[:-1]) | (points[1:] != points[:-1])
+    return segments[keep], points[keep]
+
+
+def _draw_steps(rng, dims):
+    """The step functions of every trial, trial t a tuple of dims[t], as flat
+    arrays, function after function and trial after trial.
+
+    A function has 0 to 4 inner breakpoints uniform in [0.05, 0.95],
+    duplicates merged, and one value in [-5, 5] per piece; its breakpoints
+    are 0, its inner breakpoints in increasing order, then 1.  Draw order,
+    one generator call each: every function's count of inner breakpoints,
+    then all inner breakpoints, then all values.
+
+    Returns the inner breakpoints, each function's count of them, and the
+    values, count + 1 per function.
+    """
+    functions = int(np.sum(dims))
+    counts = rng.integers(0, 5, size=functions)
+    owner = np.repeat(np.arange(functions), counts)
+    owner, inner = _sorted_unique(owner, rng.uniform(0.05, 0.95, size=counts.sum()))
+    sizes = np.bincount(owner, minlength=functions)
+    return inner, sizes, rng.uniform(-5.0, 5.0, size=(sizes + 1).sum())
+
+
+def _steps_on_grids(dims, inner, sizes, values):
+    """Each trial's grid and its step tuple's values at the refinement and
+    on the grid, from the flat arrays of _draw_steps.
+
+    A trial's refinement is 0, the union of its functions' inner
+    breakpoints in increasing order, then 1; its grid samples each refined
+    piece at its left end and midpoint, then 1, so the grid's even points
+    are the refinement.  A function's piece at t is the count of its own
+    inner breakpoints <= t, never read off the refinement, so a refinement
+    that missed a breakpoint shows as a jump inside a refined piece.
+
+    Returns, per trial, the grid, the (d, pieces) values at the refined
+    pieces' left ends (common_refinement's matrix) and the (d, grid points)
+    values on the grid (embed_step_to_grid of each function).
+    """
+    dims = np.asarray(dims, dtype=int)
+    trial = np.repeat(np.arange(dims.size), dims)
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    joined, points = _sorted_unique(trial[owner], inner)
+    pieces = np.bincount(joined, minlength=dims.size) + 1
+    # trial t's breakpoints follow 2 ends (0 and 1) of each earlier trial
+    first = np.cumsum(pieces + 1) - pieces - 1
+    bp = np.empty(int((pieces + 1).sum()))
+    bp[first], bp[first + pieces] = 0.0, 1.0
+    bp[np.arange(points.size) + 2 * joined + 1] = points
+    # the breakpoints and their midpoints interleaved, less the midpoint of
+    # one trial's 1 and the next trial's 0
+    woven = np.empty(max(2 * bp.size - 1, 0))
+    woven[::2], woven[1::2] = bp, (bp[:-1] + bp[1:]) / 2.0
+    grid = np.delete(woven, 2 * first[1:] - 1)
+    # one row per function, its trial's grid points, row after row
+    width = 2 * pieces + 1
+    grid_ends = np.cumsum(width)
+    row = width[trial]
+    at = np.repeat(grid_ends[trial] - np.cumsum(row), row) + np.arange(row.sum())
+    # each function's inner breakpoints in a row, padded with inf
+    own = np.full((sizes.size, int(sizes.max(initial=0))), np.inf)
+    own[owner, np.arange(inner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)] = inner
+    reader = np.repeat(np.arange(sizes.size), row)
+    piece = (own[reader] <= grid[at, None]).sum(axis=1)
+    sampled = values[np.repeat(np.cumsum(sizes + 1) - sizes - 1, row) + piece]
+    grids, on_grid = [], []
+    for d, w, g, b in zip(dims.tolist(), width.tolist(), grid_ends.tolist(), np.cumsum(dims * width).tolist()):
+        grids.append(grid[g - w : g])
+        on_grid.append(sampled[b - d * w : b].reshape(d, w))
+    return grids, [block[:, :-1:2] for block in on_grid], on_grid
+
+
 def check_sublattice_invariance(trials=200, seed=0):
     """Lift-then-embed equals embed-then-lift, bitwise.
 
@@ -366,40 +451,30 @@ def check_sublattice_invariance(trials=200, seed=0):
     Draw order, one generator call each: every step function's count of
     inner breakpoints, then all inner breakpoints, then all values, step
     function after step function and trial after trial.
+
+    The tuples, refinements, grids and embeddings are flat arrays over all
+    trials (_draw_steps, _steps_on_grids), which common_refinement and
+    embed_step_to_grid give bit for bit; no StepFunction is built.  Lifting
+    the step tuple is lifting its refined columns, and embedding the lift
+    reads piece j of a trial at its grid points 2j and 2j + 1, the last
+    piece also at 1.
     """
     rng = _rng(seed, "sublattice-invariance")
     names = ["example-7.1", "example-7.2", "square-mean", "abs-sum", "max-coord"]
     hs = [builtin(name) for name in names]
-    count = len(hs)
-    dims = [hs[t % count].dim for t in range(trials)]
-    counts = rng.integers(0, 5, size=sum(dims)).tolist()
-    inner = [np.unique(a) for a in _draw(rng, 0.05, 0.95, [(c,) for c in counts])]
-    values = _draw(rng, -5.0, 5.0, [(a.size + 1,) for a in inner])
-    steps = iter(StepFunction(np.concatenate(([0.0], a, [1.0])), v) for a, v in zip(inner, values))
-    tuples = [[next(steps) for _ in range(d)] for d in dims]
-    refined = [common_refinement(fs) for fs in tuples]
-    # each piece's left end and midpoint, then 1: bp rises strictly and a
-    # midpoint lies between its ends, so this is already in sorted order
-    grids = []
-    for bp, _ in refined:
-        grid = np.empty(2 * bp.size - 1)
-        grid[:-1:2], grid[1::2], grid[-1] = bp[:-1], (bp[:-1] + bp[1:]) / 2.0, 1.0
-        grids.append(grid)
-    embedded = [
-        np.vstack([lattice.embed_step_to_grid(f, grid).coords for f in fs])
-        for fs, grid in zip(tuples, grids)
-    ]
+    dims = np.resize([h.dim for h in hs], trials)
+    inner, sizes, values = _draw_steps(rng, dims)
+    grids, refined, embedded = _steps_on_grids(dims, inner, sizes, values)
     lifts = [partial(fc_semicontinuous, h) for h in hs]
-    on_steps, pieces = _per_trial(lifts, [vals for _, vals in refined])
+    on_steps, pieces = _per_trial(lifts, refined)
     on_grid, widths = _per_trial(lifts, embedded)
-    ends = np.cumsum(pieces).tolist()
-    on_steps_at_grid = [
-        lattice.embed_step_to_grid(StepFunction(bp, on_steps[end - k : end]), grid).coords
-        for (bp, _), grid, k, end in zip(refined, grids, pieces.tolist(), ends)
-    ]
+    local = np.arange(widths.sum()) - np.repeat(np.cumsum(widths) - widths, widths)
+    piece = np.repeat(np.cumsum(pieces) - pieces, widths) + np.minimum(local // 2, np.repeat(pieces - 1, widths))
+    # the digest hashes its arrays' bytes in turn, and a trial's functions'
+    # values lie side by side, so one slice digests as the separate arrays
+    bounds = np.concatenate(([0], np.cumsum(sizes + 1)))[np.concatenate(([0], np.cumsum(dims)))]
     failures = _worst_coordinate_failures(
-        lambda t: (grids[t], *[f.values for f in tuples[t]]),
-        on_grid, np.concatenate([on_grid[:0], *on_steps_at_grid]), widths, 0.0,
+        lambda t: (grids[t], values[bounds[t] : bounds[t + 1]]), on_grid, on_steps[piece], widths, 0.0
     )
     return CheckReport("sublattice-invariance", trials, failures, seed)
 

@@ -510,8 +510,10 @@ def test_schema_violation_reports_source_and_path(capsys, tmp_path):
         (["saddle-eval", "--x", "1,0"], {"coeffs": []}, "$: expected a 'saddle' object"),
         # a string or a boolean is no number, as in every other loader
         (["saddle-eval", "--x", "2,3"], {"saddle": {"coeffs": [[["1", True]]]}}, "saddle.coeffs: expected a list of numbers"),
+        # a saddle of dimension 0 is refused as it loads, before --x is read
+        (["saddle-eval", "--x", "1"], {"saddle": {"coeffs": [[[]]]}}, "saddle.coeffs: need dimension n >= 1, got shape (1, 1, 0)"),
     ],
-    ids=["family-maps", "family-missing", "saddle-coeffs", "saddle-missing", "saddle-coeffs-not-numbers"],
+    ids=["family-maps", "family-missing", "saddle-coeffs", "saddle-missing", "saddle-coeffs-not-numbers", "saddle-dim-0"],
 )
 def test_schema_error_paths_start_at_the_document_root(capsys, tmp_path, command, doc, where):
     inp = tmp_path / "bad.json"

@@ -353,6 +353,16 @@ def test_a_saddle_needs_a_row_and_a_column(shape):
         SaddleFamily(np.empty(shape))
 
 
+def test_a_saddle_needs_a_dimension():
+    # as VPolytope and Ball reject dimension 0; a saddle document with empty
+    # coefficient rows is a schema error at saddle.coeffs
+    with pytest.raises(ValueError, match="need dimension n >= 1"):
+        SaddleFamily(np.zeros((1, 1, 0)))
+    with pytest.raises(SchemaError) as info:
+        saddle_from_json({"saddle": {"coeffs": [[[]]]}})
+    assert info.value.path == "saddle.coeffs"
+
+
 def test_saddle_build_validations():
     with pytest.raises(EmptyFamily):
         saddle_build([], [PSI_11])

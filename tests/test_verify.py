@@ -391,20 +391,25 @@ class _CountingGenerator:
 
 
 @pytest.mark.parametrize(
-    "check",
-    [check_engine_vs_oracle, check_interchange, check_sublattice_invariance],
+    "check, unbuilt",
+    [
+        (check_engine_vs_oracle, ()),
+        (check_interchange, (VPolytope, Ball)),
+        (check_sublattice_invariance, (StepFunction,)),
+    ],
     ids=["engine-vs-oracle", "interchange", "sublattice-invariance"],
 )
-def test_checks_draw_each_quantity_in_one_call_whatever_the_trial_count(monkeypatch, check):
-    # the generator is called once per quantity, never once per trial, and
-    # interchange draws its sets straight into arrays: it builds no set
-    calls, sets = [], []
+def test_checks_draw_each_quantity_in_one_call_whatever_the_trial_count(monkeypatch, check, unbuilt):
+    # the generator is called once per quantity, never once per trial;
+    # interchange draws its sets straight into arrays, so it builds no set,
+    # and sublattice-invariance its step tuples, so it builds no StepFunction
+    calls, built = [], []
     rng = verify._rng
     monkeypatch.setattr(verify, "_rng", lambda seed, name: _CountingGenerator(rng(seed, name), calls))
-    for kind in (VPolytope, Ball):
+    for kind in (VPolytope, Ball, StepFunction):
 
-        def counted_init(self, *args, init=kind.__init__, **kwargs):
-            sets.append(self)
+        def counted_init(self, *args, kind=kind, init=kind.__init__, **kwargs):
+            built.append(kind)
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(kind, "__init__", counted_init)
@@ -414,8 +419,47 @@ def test_checks_draw_each_quantity_in_one_call_whatever_the_trial_count(monkeypa
         assert check(trials=trials, seed=11).cases == trials
         made[trials] = list(calls)
     assert made[10] == made[200] and len(made[10]) <= 10
-    if check is check_interchange:
-        assert sets == []
+    assert [kind for kind in built if kind in unbuilt] == []
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.shape, a.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+@pytest.mark.parametrize("trials", [0, 1, 3, 200])
+@pytest.mark.parametrize("dims", [(2,), (3, 1, 2, 4)], ids=["check-dims", "mixed-dims"])
+def test_the_step_grid_reference_is_the_lattice_layer(dims, trials, seed):
+    # the check's flat refinement and embedding against StepFunctions built
+    # from the same draws, one np.unique per function: common_refinement
+    # gives the grid's even points and the refined values, and
+    # embed_step_to_grid the grid blocks, bit for bit
+    dims = np.resize(dims, trials)
+    inner, sizes, values = verify._draw_steps(verify._rng(seed, "sublattice-invariance"), dims)
+    grids, refined, embedded = verify._steps_on_grids(dims, inner, sizes, values)
+    rng = verify._rng(seed, "sublattice-invariance")
+    counts = rng.integers(0, 5, size=int(dims.sum())).tolist()
+    raw = rng.uniform(0.05, 0.95, size=sum(counts))
+    uniques = [np.unique(raw[end - c : end]) for c, end in zip(counts, np.cumsum(counts).tolist())]
+    widths = [u.size + 1 for u in uniques]
+    drawn = rng.uniform(-5.0, 5.0, size=sum(widths))
+    assert _bits(inner) == _bits(np.concatenate([raw[:0], *uniques]))
+    assert sizes.tolist() == [u.size for u in uniques]
+    assert _bits(values) == _bits(drawn)
+    steps = iter(
+        StepFunction(np.concatenate(([0.0], u, [1.0])), drawn[end - w : end])
+        for u, w, end in zip(uniques, widths, np.cumsum(widths).tolist())
+    )
+    assert len(grids) == len(refined) == len(embedded) == trials
+    for d, grid, mat, block in zip(dims.tolist(), grids, refined, embedded):
+        fs = [next(steps) for _ in range(d)]
+        bp, vals = verify.lattice.common_refinement(fs)
+        mids = (bp[:-1] + bp[1:]) / 2.0
+        assert _bits(grid) == _bits(np.append(np.stack([bp[:-1], mids], axis=1).reshape(-1), 1.0))
+        assert _bits(mat) == _bits(vals)
+        assert _bits(block) == _bits(np.stack([verify.lattice.embed_step_to_grid(f, grid).coords for f in fs]))
+    assert next(steps, None) is None
 
 
 def test_the_check_table_drives_the_cli_and_the_suite(monkeypatch, capsys):
