@@ -429,7 +429,8 @@ def _steps_on_grids(dims, inner, sizes, values):
     piece = (own[reader] <= grid[at, None]).sum(axis=1)
     sampled = values[np.repeat(np.cumsum(sizes + 1) - sizes - 1, row) + piece]
     grids, on_grid = [], []
-    for d, w, g, b in zip(dims.tolist(), width.tolist(), grid_ends.tolist(), np.cumsum(dims * width).tolist()):
+    block_ends = np.cumsum(dims * width)
+    for d, w, g, b in zip(dims.tolist(), width.tolist(), grid_ends.tolist(), block_ends.tolist()):
         grids.append(grid[g - w : g])
         on_grid.append(sampled[b - d * w : b].reshape(d, w))
     return grids, [block[:, :-1:2] for block in on_grid], on_grid
@@ -468,8 +469,11 @@ def check_sublattice_invariance(trials=200, seed=0):
     lifts = [partial(fc_semicontinuous, h) for h in hs]
     on_steps, pieces = _per_trial(lifts, refined)
     on_grid, widths = _per_trial(lifts, embedded)
+    # piece j of a trial's step lift lands on its grid points 2j and 2j + 1,
+    # and the last piece also on 1
     local = np.arange(widths.sum()) - np.repeat(np.cumsum(widths) - widths, widths)
-    piece = np.repeat(np.cumsum(pieces) - pieces, widths) + np.minimum(local // 2, np.repeat(pieces - 1, widths))
+    piece = np.minimum(local // 2, np.repeat(pieces - 1, widths))
+    piece += np.repeat(np.cumsum(pieces) - pieces, widths)
     # the digest hashes its arrays' bytes in turn, and a trial's functions'
     # values lie side by side, so one slice digests as the separate arrays
     bounds = np.concatenate(([0], np.cumsum(sizes + 1)))[np.concatenate(([0], np.cumsum(dims)))]

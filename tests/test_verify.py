@@ -12,7 +12,7 @@ from homocalc import verify
 from homocalc.cli import main
 from homocalc.convexsets import Ball, VPolytope
 from homocalc.homog import builtin
-from homocalc.lattice import RmElement, StepFunction
+from homocalc.lattice import RmElement, StepFunction, common_refinement, embed_step_to_grid
 from homocalc.verify import (
     CheckReport,
     check_continuous_agreement,
@@ -454,11 +454,11 @@ def test_the_step_grid_reference_is_the_lattice_layer(dims, trials, seed):
     assert len(grids) == len(refined) == len(embedded) == trials
     for d, grid, mat, block in zip(dims.tolist(), grids, refined, embedded):
         fs = [next(steps) for _ in range(d)]
-        bp, vals = verify.lattice.common_refinement(fs)
+        bp, vals = common_refinement(fs)
         mids = (bp[:-1] + bp[1:]) / 2.0
         assert _bits(grid) == _bits(np.append(np.stack([bp[:-1], mids], axis=1).reshape(-1), 1.0))
         assert _bits(mat) == _bits(vals)
-        assert _bits(block) == _bits(np.stack([verify.lattice.embed_step_to_grid(f, grid).coords for f in fs]))
+        assert _bits(block) == _bits(np.stack([embed_step_to_grid(f, grid).coords for f in fs]))
     assert next(steps, None) is None
 
 
