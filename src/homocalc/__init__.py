@@ -13,10 +13,19 @@ from .convexsets import (
     coordinate_bound,
     feasible_point,
     project,
-    set_from_json,
-    set_to_json,
     support,
     support_batch,
+)
+from .documents import (
+    element_from_json,
+    element_to_json,
+    function_from_json,
+    map_from_json,
+    map_to_json,
+    saddle_from_json,
+    saddle_to_json,
+    set_from_json,
+    set_to_json,
 )
 from .errors import (
     CalculusError,
@@ -44,8 +53,6 @@ from .fcalc import (
     fc_superlinear,
     saddle_build,
     saddle_eval,
-    saddle_from_json,
-    saddle_to_json,
 )
 from .homog import (
     FiniteFamily,
@@ -61,9 +68,6 @@ from .homog import (
     domination_envelopes,
     eval_family,
     eval_family_detailed,
-    function_from_json,
-    map_from_json,
-    map_to_json,
     sphere_grid,
 )
 from .lattice import (
@@ -72,8 +76,6 @@ from .lattice import (
     RmElement,
     StepFunction,
     common_refinement,
-    element_from_json,
-    element_to_json,
     embed_step_to_grid,
     hom_eval,
     join,

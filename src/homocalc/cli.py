@@ -17,16 +17,11 @@ from functools import lru_cache
 import numpy as np
 
 from . import verify
+from .documents import element_to_json, function_from_json, pair_from_json, saddle_from_json, saddle_to_json
 from .errors import CalculusError, NumericalError, SchemaError
-from .fcalc import (
-    fc_semicontinuous_detailed,
-    saddle_build,
-    saddle_eval,
-    saddle_from_json,
-    saddle_to_json,
-)
-from .homog import _side_maps, builtin, eval_family_detailed, function_from_json
-from .lattice import RmElement, StepFunction, element_to_json
+from .fcalc import fc_semicontinuous_detailed, saddle_build, saddle_eval
+from .homog import builtin, eval_family_detailed
+from .lattice import RmElement, StepFunction
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -150,13 +145,7 @@ def _cmd_fc(args):
 def _cmd_saddle_build(args):
     if not args.family:
         raise _InputError("saddle-build needs --family FILE with {'phis': [...], 'psis': [...]}")
-    doc = _read_json(args.family)
-    if not isinstance(doc, dict) or "phis" not in doc or "psis" not in doc:
-        raise SchemaError(args.family, "$", "expected {'phis': [maps], 'psis': [maps]}")
-    if not isinstance(doc["phis"], list) or not isinstance(doc["psis"], list):
-        raise SchemaError(args.family, "phis/psis", "expected lists of maps")
-    phis = _side_maps(doc["phis"], "inf", args.family, "phis")
-    psis = _side_maps(doc["psis"], "sup", args.family, "psis")
+    phis, psis = pair_from_json(_read_json(args.family), args.family)
     S = saddle_build(phis, psis, **_tol(args))
     _emit(saddle_to_json(S), args.out)
     return EXIT_OK

@@ -19,7 +19,6 @@ from .errors import (
     EmptyIntersection,
     IndexOutOfRange,
     NoConvergence,
-    SchemaError,
 )
 
 # Default bound on the distance between two sets that feasible_point still
@@ -663,52 +662,3 @@ def _default_grid(n):
     grid = sphere_grid(n, _CIRCLE_DENSITY if n <= 2 else 2000)
     grid.flags.writeable = False
     return grid
-
-
-# ---------------------------------------------------------------------------
-# JSON encoding:  {"polytope": {"vertices": [[...], ...]}}
-#                 {"ball": {"center": [...], "radius": r}}
-
-def set_to_json(s):
-    if isinstance(s, VPolytope):
-        return {"polytope": {"vertices": s.vertices.tolist()}}
-    if isinstance(s, Ball):
-        return {"ball": {"center": s.center.tolist(), "radius": s.radius}}
-    raise TypeError(f"unsupported set type {type(s).__name__}")
-
-
-def _expect_number_list(obj, source, path):
-    if not isinstance(obj, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj
-    ):
-        raise SchemaError(source, path, "expected a list of numbers")
-    return [float(v) for v in obj]
-
-
-def set_from_json(obj, source="<inline>", path="set"):
-    if not isinstance(obj, dict):
-        raise SchemaError(source, path, "expected an object")
-    if "polytope" in obj:
-        body = obj["polytope"]
-        if not isinstance(body, dict) or "vertices" not in body:
-            raise SchemaError(source, f"{path}.polytope", "expected {'vertices': [[...]]}")
-        verts = body["vertices"]
-        if not isinstance(verts, list) or not verts:
-            raise SchemaError(source, f"{path}.polytope.vertices", "expected a nonempty list")
-        rows = []
-        for i, row in enumerate(verts):
-            rows.append(_expect_number_list(row, source, f"{path}.polytope.vertices[{i}]"))
-        widths = {len(r) for r in rows}
-        if len(widths) != 1:
-            raise SchemaError(source, f"{path}.polytope.vertices", "rows have mixed lengths")
-        return VPolytope(rows)
-    if "ball" in obj:
-        body = obj["ball"]
-        if not isinstance(body, dict) or "center" not in body or "radius" not in body:
-            raise SchemaError(source, f"{path}.ball", "expected {'center': [...], 'radius': r}")
-        center = _expect_number_list(body["center"], source, f"{path}.ball.center")
-        radius = body["radius"]
-        if not isinstance(radius, (int, float)) or isinstance(radius, bool) or radius < 0:
-            raise SchemaError(source, f"{path}.ball.radius", "expected a number >= 0")
-        return Ball(center, float(radius))
-    raise SchemaError(source, path, "expected a 'polytope' or 'ball' key")

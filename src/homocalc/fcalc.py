@@ -11,7 +11,7 @@ from functools import partial
 
 import numpy as np
 
-from .convexsets import FEASIBLE_TOL, Ball, _blocks, _check_tol, _dot_paired, _expect_number_list, _feasible_points, _norm, _norms, _reduce
+from .convexsets import FEASIBLE_TOL, Ball, _blocks, _check_tol, _dot_paired, _feasible_points, _norm, _norms, _reduce
 from .errors import (
     DimensionMismatch,
     EmptyFamily,
@@ -20,7 +20,6 @@ from .errors import (
     NonFiniteResult,
     NotOrdered,
     SaddleGap,
-    SchemaError,
 )
 from .homog import (
     SublinearMap,
@@ -236,44 +235,3 @@ def fc_saddle(S, elements):
             f"min-max and max-min differ by {gap[k]:.3e} at coordinate {k} (tol {SADDLE_TOL:g})",
         )
     return wrap(infsup)
-
-
-def saddle_to_json(S):
-    return {
-        "saddle": {
-            "coeffs": S.coeffs.tolist(),
-            "phi_labels": list(S.phi_labels),
-            "psi_labels": list(S.psi_labels),
-        }
-    }
-
-
-def saddle_from_json(obj, source="<inline>"):
-    if not isinstance(obj, dict) or "saddle" not in obj:
-        raise SchemaError(source, "$", "expected a 'saddle' object")
-    body = obj["saddle"]
-    if not isinstance(body, dict) or "coeffs" not in body:
-        raise SchemaError(source, "saddle", "expected {'coeffs': [[[...]]]}")
-    try:
-        coeffs = np.asarray(body["coeffs"], dtype=float)
-    except (TypeError, ValueError):
-        raise SchemaError(source, "saddle.coeffs", "expected a numeric 3-d array") from None
-    if coeffs.ndim != 3:
-        raise SchemaError(source, "saddle.coeffs", "expected shape (P, Q, n)")
-    if not np.all(np.isfinite(coeffs)):
-        raise SchemaError(source, "saddle.coeffs", "coefficients must be finite")
-    for row in (row for plane in body["coeffs"] for row in plane):
-        _expect_number_list(row, source, "saddle.coeffs")
-    labels = {}
-    for key in ("phi_labels", "psi_labels"):
-        if key in body:
-            val = body[key]
-            if not isinstance(val, list) or not all(isinstance(s, str) for s in val):
-                raise SchemaError(source, f"saddle.{key}", "expected a list of strings")
-            if len(val) != coeffs.shape[0 if key == "phi_labels" else 1]:
-                raise SchemaError(source, f"saddle.{key}", "label count mismatch")
-            labels[key] = val
-    try:
-        return SaddleFamily(coeffs, **labels)
-    except ValueError as exc:
-        raise SchemaError(source, "saddle.coeffs", str(exc)) from exc

@@ -30,8 +30,6 @@ from .convexsets import (
     _default_grid,
     _dot_paired,
     _fold,
-    set_from_json,
-    set_to_json,
     sphere_grid,
     support_batch,
 )
@@ -40,7 +38,6 @@ from .errors import (
     EmptyFamily,
     EnvelopeViolation,
     NonFiniteResult,
-    SchemaError,
     UnattainedBound,
     UnknownBuiltin,
 )
@@ -518,93 +515,3 @@ def builtin(name, **kwargs):
         known = ", ".join(sorted(_BUILTINS))
         raise UnknownBuiltin("builtin", f"unknown name {name!r}; known: {known}") from None
     return factory(**kwargs)
-
-
-# ---------------------------------------------------------------------------
-# JSON:  {"sublinear": {"subdiff": <set>, "label": s}}
-#        {"superlinear": {"superdiff": <set>, "label": s}}
-#        {"family": {"kind": "usc"|"lsc"|"cts", "maps": [...] | {"builtin": name}}}
-
-def map_to_json(m):
-    if isinstance(m, _SupportMap):
-        return {m.key: {m.set_key: set_to_json(m.set), "label": m.label}}
-    raise TypeError(f"unsupported map type {type(m).__name__}")
-
-
-def map_from_json(obj, source="<inline>", path="map"):
-    if not isinstance(obj, dict):
-        raise SchemaError(source, path, "expected an object")
-    for cls in (SublinearMap, SuperlinearMap):
-        if cls.key in obj:
-            body, where = obj[cls.key], f"{path}.{cls.key}"
-            if not isinstance(body, dict) or cls.set_key not in body:
-                raise SchemaError(source, where, f"expected {{'{cls.set_key}': <set>}}")
-            s = set_from_json(body[cls.set_key], source, f"{where}.{cls.set_key}")
-            return cls(s, label=str(body.get("label", "")))
-    raise SchemaError(source, path, "expected a 'sublinear' or 'superlinear' key")
-
-
-def _side_maps(objs, side, source, path):
-    """The maps of the JSON list objs at path: sublinear ones for side
-    "inf", superlinear ones for "sup"; another map is a SchemaError."""
-    maps = [map_from_json(o, source, f"{path}[{i}]") for i, o in enumerate(objs)]
-    want = SublinearMap if side == "inf" else SuperlinearMap
-    for i, m in enumerate(maps):
-        if not isinstance(m, want):
-            raise SchemaError(
-                source, f"{path}[{i}]", f"expected a {'sublinear' if side == 'inf' else 'superlinear'} map"
-            )
-    return maps
-
-
-def _family_from_map_list(objs, side, source, path):
-    maps = _side_maps(objs, side, source, path)
-    dims = {m.dim for m in maps}
-    if len(dims) != 1:
-        raise SchemaError(source, path, "maps have mixed dimensions")
-    return FiniteFamily(maps), dims.pop()
-
-
-def function_from_json(obj, source="<inline>"):
-    if not isinstance(obj, dict) or "family" not in obj:
-        raise SchemaError(source, "$", "expected a 'family' object")
-    body = obj["family"]
-    if not isinstance(body, dict):
-        raise SchemaError(source, "family", "expected an object")
-    maps = body.get("maps")
-    if isinstance(maps, dict) and "builtin" in maps:
-        name = maps["builtin"]
-        if not isinstance(name, str):
-            raise SchemaError(source, "family.maps.builtin", "expected a string")
-        try:
-            h = builtin(name)
-        except UnknownBuiltin as exc:
-            raise SchemaError(source, "family.maps.builtin", exc.message) from exc
-        kind = body.get("kind")
-        if kind is not None and kind != h.kind:
-            raise SchemaError(source, "family.kind", f"builtin {name!r} has kind {h.kind!r}, not {kind!r}")
-        return h
-    kind = body.get("kind")
-    if kind not in ("usc", "lsc", "cts"):
-        raise SchemaError(source, "family.kind", "expected 'usc', 'lsc' or 'cts'")
-    if maps is None:
-        raise SchemaError(source, "family.maps", "expected a map list or {'builtin': name}")
-    if kind == "cts":
-        if not isinstance(maps, dict) or "inf" not in maps or "sup" not in maps:
-            raise SchemaError(source, "family.maps", "continuous kind needs {'inf': [...], 'sup': [...]}")
-        if not isinstance(maps["inf"], list) or not maps["inf"]:
-            raise SchemaError(source, "family.maps.inf", "expected a nonempty list")
-        if not isinstance(maps["sup"], list) or not maps["sup"]:
-            raise SchemaError(source, "family.maps.sup", "expected a nonempty list")
-        inf_fam, dim_inf = _family_from_map_list(maps["inf"], "inf", source, "family.maps.inf")
-        sup_fam, dim_sup = _family_from_map_list(maps["sup"], "sup", source, "family.maps.sup")
-        if dim_inf != dim_sup:
-            raise SchemaError(source, "family.maps", "inf and sup sides have different dims")
-        return PHFunction("user-family", dim_inf, inf_family=inf_fam, sup_family=sup_fam)
-    if not isinstance(maps, list) or not maps:
-        raise SchemaError(source, "family.maps", "expected a nonempty list")
-    side = "inf" if kind == "usc" else "sup"
-    fam, dim = _family_from_map_list(maps, side, source, "family.maps")
-    if kind == "usc":
-        return PHFunction("user-family", dim, inf_family=fam)
-    return PHFunction("user-family", dim, sup_family=fam)

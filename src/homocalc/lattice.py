@@ -8,8 +8,7 @@ equality), no epsilon snapping.
 
 import numpy as np
 
-from .convexsets import _expect_number_list
-from .errors import DimensionMismatch, IndexOutOfRange, LatticeMismatch, SchemaError
+from .errors import DimensionMismatch, IndexOutOfRange, LatticeMismatch
 
 
 class RmElement:
@@ -214,42 +213,3 @@ def embed_step_to_grid(f, grid):
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
     return RmElement(f.values_at(grid))
-
-
-# --- JSON --------------------------------------------------------------------
-# {"rm": [..]} | {"step": {"breakpoints": [..], "values": [..]}}
-
-def element_to_json(f):
-    if isinstance(f, RmElement):
-        return {"rm": f.coords.tolist()}
-    if isinstance(f, StepFunction):
-        return {
-            "step": {
-                "breakpoints": f.breakpoints.tolist(),
-                "values": f.values.tolist(),
-            }
-        }
-    raise TypeError(f"unsupported element type {type(f).__name__}")
-
-
-def element_from_json(obj, source="<inline>", path="element"):
-    if not isinstance(obj, dict):
-        raise SchemaError(source, path, "expected an object")
-    if "rm" in obj:
-        coords = _expect_number_list(obj["rm"], source, f"{path}.rm")
-        if not coords:
-            raise SchemaError(source, f"{path}.rm", "expected a nonempty list")
-        return RmElement(coords)
-    if "step" in obj:
-        body = obj["step"]
-        if not isinstance(body, dict) or "breakpoints" not in body or "values" not in body:
-            raise SchemaError(
-                source, f"{path}.step", "expected {'breakpoints': [...], 'values': [...]}"
-            )
-        bp = _expect_number_list(body["breakpoints"], source, f"{path}.step.breakpoints")
-        vals = _expect_number_list(body["values"], source, f"{path}.step.values")
-        try:
-            return StepFunction(bp, vals)
-        except ValueError as exc:
-            raise SchemaError(source, f"{path}.step", str(exc)) from exc
-    raise SchemaError(source, path, "expected an 'rm' or 'step' key")

@@ -12,7 +12,8 @@ import pytest
 from homocalc import cli
 from homocalc.cli import main
 from homocalc.convexsets import Ball, VPolytope
-from homocalc.fcalc import SaddleFamily, saddle_build, saddle_eval, saddle_to_json
+from homocalc.documents import map_to_json, saddle_to_json
+from homocalc.fcalc import SaddleFamily, saddle_build, saddle_eval
 from homocalc.homog import (
     PHFunction,
     SublinearMap,
@@ -21,7 +22,6 @@ from homocalc.homog import (
     angle_superlinear_family,
     builtin,
     disk_map,
-    map_to_json,
 )
 
 

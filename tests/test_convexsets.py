@@ -20,11 +20,10 @@ from homocalc.convexsets import (
     coordinate_bound,
     feasible_point,
     project,
-    set_from_json,
-    set_to_json,
     support,
     support_batch,
 )
+from homocalc.documents import set_from_json, set_to_json
 from homocalc.errors import (
     DimensionMismatch,
     EmptyIntersection,

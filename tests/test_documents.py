@@ -6,11 +6,13 @@ what it built or the class and text of what it raised, so the pin covers
 every message byte as well as every accepted value.
 """
 
+import ast
 import copy
 import hashlib
 import json
 import random
 import re
+from pathlib import Path
 
 import homocalc
 from homocalc.homog import FiniteFamily
@@ -220,3 +222,28 @@ def test_the_corpus_reaches_every_schema_error_of_the_readers():
     sites = _schema_sites()
     missed = [site for site in _RAISE_SITES if not any(p == site[0] and r.startswith(site[1]) for p, r in sites)]
     assert missed == []
+
+
+def _schema_error_callers(tree):
+    """The top-level definitions of a module that call SchemaError(...)."""
+    return {
+        getattr(top, "name", "<module>")
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "SchemaError"
+    }
+
+
+def test_only_documents_knows_the_document_format():
+    # one document format: the math modules hold no reader or writer, and
+    # the CLI raises a SchemaError itself only for JSON text it cannot parse
+    src = Path(homocalc.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(src.glob("*.py"))}
+    callers = {name: found for name, tree in trees.items() if (found := _schema_error_callers(tree))}
+    assert sorted(callers) == ["cli.py", "documents.py"] and callers["cli.py"] == {"_read_json"}
+    for name in ("convexsets.py", "homog.py", "lattice.py", "fcalc.py"):
+        nodes = list(ast.walk(trees[name]))
+        defined = {node.name for node in nodes if isinstance(node, ast.FunctionDef) and node.name.endswith("_json")}
+        imported = {a.name for node in nodes if isinstance(node, ast.ImportFrom) for a in node.names}
+        assert (name, defined, "SchemaError" in imported) == (name, set(), False)

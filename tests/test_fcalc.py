@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homocalc.convexsets import Ball, VPolytope, _dot_paired, contains
+from homocalc.documents import saddle_from_json, saddle_to_json
 from homocalc.errors import (
     DimensionMismatch,
     EmptyFamily,
@@ -24,8 +25,6 @@ from homocalc.fcalc import (
     fc_superlinear,
     saddle_build,
     saddle_eval,
-    saddle_from_json,
-    saddle_to_json,
 )
 from homocalc.homog import (
     FiniteFamily,

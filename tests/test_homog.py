@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homocalc.convexsets import Ball, VPolytope, _default_grid
+from homocalc.documents import function_from_json, map_from_json, map_to_json
 from homocalc.errors import (
     DimensionMismatch,
     EmptyFamily,
@@ -35,9 +36,6 @@ from homocalc.homog import (
     domination_envelopes,
     eval_family,
     eval_family_detailed,
-    function_from_json,
-    map_from_json,
-    map_to_json,
     sphere_grid,
 )
 from homocalc.lattice import RmElement

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homocalc.documents import element_from_json, element_to_json
 from homocalc.errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -17,8 +18,6 @@ from homocalc.lattice import (
     RmElement,
     StepFunction,
     common_refinement,
-    element_from_json,
-    element_to_json,
     embed_step_to_grid,
     hom_eval,
     join,
