@@ -90,7 +90,8 @@ def _read_json(path):
             return json.load(fh)
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # malformed, non-UTF-8 or too deeply nested text
         raise SchemaError(path, "$", f"invalid JSON: {exc}") from None
 
 
@@ -106,10 +107,14 @@ def _load_function(args):
 
 def _emit(obj, out_path=None):
     text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    sys.stdout.write(text)
+    # the file first, so that a failed write leaves stdout empty
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _InputError(f"cannot write {out_path}: {exc}") from None
+    sys.stdout.write(text)
 
 
 def _seed(args):

@@ -571,6 +571,30 @@ def test_output_bytes_identical_and_out_file(capsys, tmp_path):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("command", [["eval", "--builtin", "abs-sum", "--x", "1,2"], ["suite"]], ids=["eval", "suite"])
+def test_a_failed_out_write_exits_2_with_nothing_on_stdout(capsys, tmp_path, command):
+    outfile = tmp_path / "missing" / "r.json"
+    code, out, err = run(capsys, *command, "--out", str(outfile))
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["operation"] == command[0] and error["message"].startswith(f"cannot write {outfile}: ")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [b'{"family": ', ("[" * 200_000 + "]" * 200_000).encode(), b'{"family": "\xff"}'],
+    ids=["malformed", "too-deep", "not-utf-8"],
+)
+@pytest.mark.parametrize("command", [["eval", "--x", "1,2"], ["saddle-eval", "--x", "1,2"]], ids=["eval", "saddle-eval"])
+def test_unreadable_json_text_is_a_schema_error_at_the_root(capsys, tmp_path, text, command):
+    inp = tmp_path / "bad.json"
+    inp.write_bytes(text)
+    code, out, err = run(capsys, command[0], "--family", str(inp), *command[1:])
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["operation"] == "load" and error["message"].startswith(f"{inp}: $: invalid JSON: ")
+
+
 @pytest.mark.parametrize(
     "name, x, want",
     [
