@@ -64,7 +64,8 @@ def _tagged(obj, tags, source, path, reason):
 
 
 def _built(make, source, path, *args, **kwargs):
-    """make(*args, **kwargs), with a ValueError as a SchemaError at path."""
+    """make(*args, **kwargs): a constructor's ValueError, such as a
+    non-finite number, becomes a SchemaError at the body's path."""
     try:
         return make(*args, **kwargs)
     except ValueError as exc:
@@ -88,12 +89,12 @@ def set_from_json(obj, source="<inline>", path="set"):
         rows = [_numbers(row, source, f"{where}.vertices[{i}]") for i, row in enumerate(verts)]
         if len({len(r) for r in rows}) != 1:
             raise SchemaError(source, f"{where}.vertices", "rows have mixed lengths")
-        return VPolytope(rows)
+        return _built(VPolytope, source, where, rows)
     center, radius = _fields(body, ("center", "radius"), source, where, "expected {'center': [...], 'radius': r}")
     center = _numbers(center, source, f"{where}.center")
     if not _is_number(radius) or radius < 0:
         raise SchemaError(source, f"{where}.radius", "expected a number >= 0")
-    return Ball(center, float(radius))
+    return _built(Ball, source, where, center, float(radius))
 
 
 _MAP_CLASSES = {cls.key: cls for cls in (SublinearMap, SuperlinearMap)}
@@ -189,7 +190,7 @@ def element_from_json(obj, source="<inline>", path="element"):
     tag, body = _tagged(obj, ("rm", "step"), source, path, "expected an 'rm' or 'step' key")
     where = f"{path}.{tag}"
     if tag == "rm":
-        return RmElement(_nonempty_list(_numbers(body, source, where), source, where))
+        return _built(RmElement, source, where, _nonempty_list(_numbers(body, source, where), source, where))
     bp, values = _fields(body, ("breakpoints", "values"), source, where, "expected {'breakpoints': [...], 'values': [...]}")
     bp = _numbers(bp, source, f"{where}.breakpoints")
     values = _numbers(values, source, f"{where}.values")

@@ -491,6 +491,10 @@ def test_builtin_outside_maps_exits_2(capsys, tmp_path):
     assert json.loads(err)["error"]["message"].startswith(f"{inp}: family.kind: ")
 
 
+def _usc(subdiff):
+    return {"family": {"kind": "usc", "maps": [{"sublinear": {"subdiff": subdiff}}]}}
+
+
 def test_schema_violation_reports_source_and_path(capsys, tmp_path):
     path = tmp_path / "fam.json"
     path.write_text(json.dumps({"family": {"kind": "usc", "maps": [{"nonsense": {}}]}}))
@@ -512,8 +516,17 @@ def test_schema_violation_reports_source_and_path(capsys, tmp_path):
         (["saddle-eval", "--x", "2,3"], {"saddle": {"coeffs": [[["1", True]]]}}, "saddle.coeffs: expected a list of numbers"),
         # a saddle of dimension 0 is refused as it loads, before --x is read
         (["saddle-eval", "--x", "1"], {"saddle": {"coeffs": [[[]]]}}, "saddle.coeffs: need dimension n >= 1, got shape (1, 1, 0)"),
+        # a set's own check on a value that parses as a number is at the set's body
+        (["eval", "--x", "1,2"], _usc({"ball": {"center": [0.0, 0.0], "radius": float("nan")}}), "family.maps[0].sublinear.subdiff.ball: radius must be finite and >= 0"),
+        (["eval", "--x", "1,2"], _usc({"ball": {"center": [], "radius": 1.0}}), "family.maps[0].sublinear.subdiff.ball: center must be a nonempty finite vector"),
+        (["eval", "--x", "1,2"], _usc({"polytope": {"vertices": [[1.0, float("inf")]]}}), "family.maps[0].sublinear.subdiff.polytope: vertices must be finite"),
+        (["eval", "--x", "1,2"], _usc({"polytope": {"vertices": [[]]}}), "family.maps[0].sublinear.subdiff.polytope: vertex array must be nonempty with shape (k, n)"),
+        (["saddle-build"], {"phis": [], "psis": [{"superlinear": {"superdiff": {"ball": {"center": [0.0], "radius": float("inf")}}}}]}, "psis[0].superlinear.superdiff.ball: radius must be finite and >= 0"),
     ],
-    ids=["family-maps", "family-missing", "saddle-coeffs", "saddle-missing", "saddle-coeffs-not-numbers", "saddle-dim-0"],
+    ids=[
+        "family-maps", "family-missing", "saddle-coeffs", "saddle-missing", "saddle-coeffs-not-numbers", "saddle-dim-0",
+        "ball-radius-nan", "ball-center-empty", "polytope-vertex-inf", "polytope-vertex-empty", "pair-ball-radius-inf",
+    ],
 )
 def test_schema_error_paths_start_at_the_document_root(capsys, tmp_path, command, doc, where):
     inp = tmp_path / "bad.json"

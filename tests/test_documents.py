@@ -77,10 +77,11 @@ _WRITTEN = [
     ("function", {"family": {"maps": {"builtin": "nope"}}}),
     ("saddle", {"saddle": {"coeffs": [[["1", True]]]}}),
     ("saddle", {"saddle": {"coeffs": [[[]]]}}),
+    ("element", {"rm": [1.0, float("inf")]}),
 ]
 
 _CORPUS_SIZE = 2000
-_CORPUS_SHA256 = "871789d52a5bda3b2f202b65f70967ddcf094ba19958ca292ab6d138e402f800"
+_CORPUS_SHA256 = "7534be091c44a132d76166edcc28f95da3bacc39b1841d5ee765490908502ad4"
 
 
 def _slots(node):
@@ -179,6 +180,10 @@ _RAISE_SITES = [
     ("set.ball", "expected {'center': [...], 'radius': r}"),
     ("set.ball.center", "expected a list of numbers"),
     ("set.ball.radius", "expected a number >= 0"),
+    ("set.polytope", "vertices must be finite"),
+    ("set.polytope", "vertex array must be nonempty with shape (k, n)"),
+    ("set.ball", "center must be a nonempty finite vector"),
+    ("set.ball", "radius must be finite and >= 0"),
     ("map", "expected an object"),
     ("map", "expected a 'sublinear' or 'superlinear' key"),
     ("map.sublinear", "expected {'subdiff': <set>}"),
@@ -202,6 +207,7 @@ _RAISE_SITES = [
     ("element", "expected an 'rm' or 'step' key"),
     ("element.rm", "expected a list of numbers"),
     ("element.rm", "expected a nonempty list"),
+    ("element.rm", "coords must be finite"),
     ("element.step", "expected {'breakpoints': [...], 'values': [...]}"),
     ("element.step.breakpoints", "expected a list of numbers"),
     ("element.step.values", "expected a list of numbers"),
