@@ -190,8 +190,11 @@ def element_from_json(obj, source="<inline>", path="element"):
     tag, body = _tagged(obj, ("rm", "step"), source, path, "expected an 'rm' or 'step' key")
     where = f"{path}.{tag}"
     if tag == "rm":
-        return _built(RmElement, source, where, _nonempty_list(_numbers(body, source, where), source, where))
-    bp, values = _fields(body, ("breakpoints", "values"), source, where, "expected {'breakpoints': [...], 'values': [...]}")
+        coords = _nonempty_list(_numbers(body, source, where), source, where)
+        return _built(RmElement, source, where, coords)
+    bp, values = _fields(
+        body, ("breakpoints", "values"), source, where, "expected {'breakpoints': [...], 'values': [...]}"
+    )
     bp = _numbers(bp, source, f"{where}.breakpoints")
     values = _numbers(values, source, f"{where}.values")
     return _built(StepFunction, source, where, bp, values)
