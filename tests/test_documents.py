@@ -1,9 +1,10 @@
 """The JSON document readers, pinned on a seeded corpus of damaged documents.
 
 Every document is a valid set, map, function, element or saddle document
-with a few random mutations.  Each reader's outcome is the writer's JSON of
-what it built or the class and text of what it raised, so the pin covers
-every message byte as well as every accepted value.
+with a few random mutations, or one of a few written documents.  Each
+reader's outcome is the writer's JSON of what it built or the class and
+text of what it raised, so the pin covers every message byte as well as
+every accepted value.
 """
 
 import ast
@@ -93,6 +94,8 @@ def _slots(node):
 
 
 def _mutate(doc, rng):
+    """doc with one random edit at a random slot; an edit that does not fit
+    the slot's value puts a piece of a base document there instead."""
     slots = list(_slots(doc))
     if not slots or rng.random() < 0.03:
         return copy.deepcopy(rng.choice(_JUNK + _BASES))
