@@ -17,8 +17,9 @@ This module alone knows the document format.  The shapes, where <set>,
     pair       {"phis": [<map>, ...], "psis": [<map>, ...]}, saddle-build's input
 
 A reader takes the document's source (a file name or "<inline>") and
-raises SchemaError(source, path, reason) for any other shape, with path
-starting at the document root.
+raises SchemaError(source, path, reason) for any other shape, and for a
+value that the set, element or saddle it builds refuses (such as NaN),
+with path starting at the document root.
 """
 
 import numpy as np
