@@ -441,11 +441,28 @@ def square_mean():
     """Euclidean norm on R^2 (continuous): the disk as inf-family, and as
     sup-family the tangent linear maps u.x over all unit vectors
     u = (cos t, sin t).  The sup-family's witness is the tangent at
-    t = atan2(y, x), the direction of the column itself.  It has no
+    t = atan2(y, x), the direction of the column itself, and its value is
+    the tangent's own u.x wherever no product underflows.  It has no
     bound_fn: its value is the norm only up to rounding."""
 
+    def unit_scaled(X):
+        # each column whose largest coordinate is normal, scaled by a power
+        # of two to below 1 in magnitude, and the exponents that undo it:
+        # arctan2 and the products see the same bits for x and for 2^k x,
+        # and no product underflows where the value is normal, so the
+        # value commutes with power-of-two scaling.  A column of subnormals
+        # and zeros keeps exponent 0 and is evaluated as it stands.
+        top = np.maximum(np.abs(X[0]), np.abs(X[1]))
+        e = np.where(top >= np.finfo(float).tiny, np.frexp(top)[1], 0)
+        return np.ldexp(X, -e), e
+
+    def witness(X):
+        (x, y), _ = unit_scaled(X)
+        return np.arctan2(y, x)
+
     def member(t, X):
-        return np.cos(t) * X[0] + np.sin(t) * X[1]
+        (x, y), e = unit_scaled(X)
+        return np.ldexp(np.cos(t) * x + np.sin(t) * y, e)
 
     def oracle(pts):
         pts = np.asarray(pts, dtype=float)
@@ -455,7 +472,7 @@ def square_mean():
         "square-mean",
         2,
         inf_family=FiniteFamily([disk_map()]),
-        sup_family=WitnessFamily(lambda X: np.arctan2(X[1], X[0]), member),
+        sup_family=WitnessFamily(witness, member),
         oracle=oracle,
     )
 
