@@ -16,10 +16,12 @@ This module alone knows the document format.  The shapes, where <set>,
                labels optional
     pair       {"phis": [<map>, ...], "psis": [<map>, ...]}, saddle-build's input
 
-A reader takes the document's source (a file name or "<inline>") and
-raises SchemaError(source, path, reason) for any other shape, and for a
-value that the set, element or saddle it builds refuses (such as NaN),
-with path starting at the document root.
+A label s is a string, and may be absent.  A reader takes the
+document's source (a file name or "<inline>") and raises
+SchemaError(source, path, reason) for any other shape, for an integer too
+large for a float (at that number's path), and for a value that the set,
+element or saddle it builds refuses (such as NaN), with path starting at
+the document root.
 """
 
 import numpy as np
@@ -35,11 +37,30 @@ def _is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _float(v, source, path):
+    """float(v) of a JSON number v; an integer too large for a float is a
+    SchemaError at path."""
+    try:
+        return float(v)
+    except OverflowError:
+        raise SchemaError(source, path, "integer too large for a float") from None
+
+
 def _numbers(obj, source, path):
     """obj as floats, if it is a list of JSON numbers."""
     if not isinstance(obj, list) or not all(_is_number(v) for v in obj):
         raise SchemaError(source, path, "expected a list of numbers")
-    return [float(v) for v in obj]
+    return [_float(v, source, f"{path}[{i}]") for i, v in enumerate(obj)]
+
+
+def _floats_everywhere(obj, source, path):
+    """Every number in the nested lists obj through _float, depth first, so
+    the first integer too large for a float raises at its path."""
+    if isinstance(obj, list):
+        for i, v in enumerate(obj):
+            _floats_everywhere(v, source, f"{path}[{i}]")
+    elif _is_number(obj):
+        _float(obj, source, path)
 
 
 def _nonempty_list(obj, source, path):
@@ -95,7 +116,7 @@ def set_from_json(obj, source="<inline>", path="set"):
     center = _numbers(center, source, f"{where}.center")
     if not _is_number(radius) or radius < 0:
         raise SchemaError(source, f"{where}.radius", "expected a number >= 0")
-    return _built(Ball, source, where, center, float(radius))
+    return _built(Ball, source, where, center, _float(radius, source, f"{where}.radius"))
 
 
 _MAP_CLASSES = {cls.key: cls for cls in (SublinearMap, SuperlinearMap)}
@@ -111,7 +132,11 @@ def map_from_json(obj, source="<inline>", path="map"):
     key, body = _tagged(obj, _MAP_CLASSES, source, path, "expected a 'sublinear' or 'superlinear' key")
     cls, where = _MAP_CLASSES[key], f"{path}.{key}"
     (s,) = _fields(body, (cls.set_key,), source, where, f"expected {{'{cls.set_key}': <set>}}")
-    return cls(set_from_json(s, source, f"{where}.{cls.set_key}"), label=str(body.get("label", "")))
+    s = set_from_json(s, source, f"{where}.{cls.set_key}")
+    label = body.get("label", "")
+    if not isinstance(label, str):
+        raise SchemaError(source, f"{where}.label", "expected a string")
+    return cls(s, label=label)
 
 
 def _side_maps(objs, side, source, path):
@@ -216,6 +241,9 @@ def saddle_from_json(obj, source="<inline>"):
     (rows,) = _fields(body, ("coeffs",), source, "saddle", "expected {'coeffs': [[[...]]]}")
     try:
         coeffs = np.asarray(rows, dtype=float)
+    except OverflowError:
+        _floats_everywhere(rows, source, "saddle.coeffs")
+        raise
     except (TypeError, ValueError):
         raise SchemaError(source, "saddle.coeffs", "expected a numeric 3-d array") from None
     if coeffs.ndim != 3:

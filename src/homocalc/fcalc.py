@@ -220,18 +220,39 @@ def saddle_eval(S, x):
 
 
 def fc_saddle(S, elements):
-    """Coordinatewise saddle value; the two orderings must agree within SADDLE_TOL.
+    """Coordinatewise saddle value; the two orderings must agree to within
+    SADDLE_TOL times the column's scale.
 
-    Returns the min-max ordering.  A per-coordinate disagreement beyond
-    SADDLE_TOL raises SaddleGap naming the worst coordinate.
+    Returns the min-max ordering.  A column's scale is the largest
+    sum_d |a_ijd x_d| over the coefficients, the size of the sums behind
+    its values.  It is summed with the coefficients and the column each
+    scaled by a power of two to a largest entry in [0.5, 1), and the gap
+    with them, so no sum overflows and the verdict is the same when the
+    column is scaled by a power of two.  Only columns with a nonzero gap
+    have their scale computed: a saddle with one row or one column, whose
+    orderings are one reduction, computes none.  A gap above SADDLE_TOL
+    times its scale raises SaddleGap naming the coordinate whose gap is the
+    largest share of its scale.
     """
     wrap, cols = _lift_columns("fc_saddle", "saddle", S.dim, elements)
     infsup, supinf = saddle_eval(S, cols.T)
     gap = np.abs(infsup - supinf)
-    k = int(gap.argmax())
-    if gap[k] > SADDLE_TOL:
-        raise SaddleGap(
-            "fc_saddle",
-            f"min-max and max-min differ by {gap[k]:.3e} at coordinate {k} (tol {SADDLE_TOL:g})",
-        )
+    odd = np.flatnonzero(gap)
+    if odd.size:
+        # a nonzero gap has a nonzero product behind it, so every maximum
+        # here, and every scale, is > 0
+        A, X = np.abs(S.coeffs), np.abs(cols[:, odd])
+        ea, ex = np.frexp(A.max())[1], np.frexp(X.max(axis=0))[1]
+        A, X = np.ldexp(A, -ea)[..., None, :], np.ldexp(X, -ex)
+        scale = np.empty(odd.size)
+        for b in _blocks(odd.size, S.shape[0] * S.shape[1]):
+            scale[b] = _dot_paired(A, X[:, b]).max(axis=(0, 1))
+        share = np.ldexp(gap[odd], -(ea + ex)) / scale
+        w = int(share.argmax())
+        if share[w] > SADDLE_TOL:
+            raise SaddleGap(
+                "fc_saddle",
+                f"min-max and max-min differ by {gap[odd[w]]:.3e} at coordinate {odd[w]}, "
+                f"{share[w]:.3e} times its scale (tol {SADDLE_TOL:g})",
+            )
     return wrap(infsup)

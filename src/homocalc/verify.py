@@ -36,9 +36,15 @@ the functions' values on them are flat arrays too (_draw_steps,
 _steps_on_grids), so it builds no StepFunction.  That refinement is its
 reference, as oracle_fc is for the built-ins.
 
+check_saddle builds one ordered two-sided saddle per dimension, with two
+rows that differ in one column, so min-max and max-min are two different
+reductions; each trial takes 6 columns of one family, and each family is
+checked with a fixed number of calls over all its trials' columns at once.
+
 Every check that compares numbers records its failures through one path,
 _worst_coordinate_failures.  check_interchange gives it one coordinate
-per trial, and check_saddle one gap per case, held against 0.  One table,
+per trial, and check_saddle one gap per column of a trial and one for
+its 32-tangent case, held against 0.  One table,
 _CHECKS, names every check: the CLI's check command takes its names, _rng
 its seed tags and default_suite its functions, which are read from the
 module when called.
@@ -52,7 +58,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import lattice
-from .convexsets import VPolytope, _default_grid, _support_stack
+from .convexsets import Ball, VPolytope, _default_grid, _support_stack
 from .errors import SaddleGap
 from .fcalc import (
     SADDLE_TOL,
@@ -483,69 +489,134 @@ def check_sublattice_invariance(trials=200, seed=0):
     return CheckReport("sublattice-invariance", trials, failures, seed)
 
 
-def _join_path(psis, fs):
-    acc = fc_superlinear(psis[0], fs)
-    for q in psis[1:]:
-        acc = lattice.join(acc, fc_superlinear(q, fs))
+def _lattice_path(op, lift, maps, fs):
+    """op (lattice.join or lattice.meet) folded over the lifts of fs by maps."""
+    acc = lift(maps[0], fs)
+    for m in maps[1:]:
+        acc = op(acc, lift(m, fs))
     return acc
 
 
-def _saddle_gap(S, grid, refs, data, lifts):
-    """The largest difference of saddle_eval's min-max on grid from its
-    max-min and from each of refs, and of fc_saddle on data from each lift."""
-    infsup, supinf = saddle_eval(S, grid)
-    fs = [RmElement(row) for row in data]
-    via_saddle = fc_saddle(S, fs).coords
-    pairs = [(infsup, r) for r in (supinf, *refs)] + [(via_saddle, f(fs).coords) for f in lifts]
-    return max(float(np.abs(a - b).max()) for a, b in pairs)
+def _saddle_family(rng, n):
+    """(core vertices, the two radii, phis, psis) of the ordered two-sided
+    family in R^n that check_saddle draws; its docstring gives the shapes."""
+    k = int(rng.integers(n + 1, 7))
+    verts = rng.uniform(-3.0, 3.0, size=(k, n))
+    grow, shrink = rng.uniform([1.05, 0.1], [1.5, 0.4])
+    centroid = verts.mean(axis=0)
+    radius = grow * float(np.linalg.norm(verts - centroid, axis=1).max())
+    radii = np.array([radius, shrink * radius])
+    phis = [
+        SublinearMap(VPolytope(verts), label="core"),
+        SublinearMap(Ball(centroid, radii[0]), label="enclosing-ball"),
+    ]
+    psis = [SuperlinearMap(VPolytope([v]), label=f"vertex{i}") for i, v in enumerate(verts)]
+    psis.append(SuperlinearMap(Ball(verts[0], radii[1]), label="vertex-ball"))
+    return verts, radii, phis, psis
+
+
+def _ordering_gap(S, cols):
+    """|min-max - max-min| of the saddle S at each of the columns cols."""
+    infsup, supinf = saddle_eval(S, cols.T)
+    return np.abs(infsup - supinf)
 
 
 def check_saddle(trials=20, tol=1e-9, seed=0, corrupt=False):
     """Finite saddles: zero min-max/max-min gap and agreement with the lift.
 
-    Part one builds exact-by-construction saddles from a random polytope
-    support (one sublinear map) against its vertex singletons (superlinear
-    maps):
-    every coefficient is forced to a vertex, both orderings collapse to the
-    support itself, and three paths must meet: fc_saddle, fc_sublinear of
-    the polytope map, and the lattice join of the per-vertex superlinear
-    lifts.  Part two does the same for the euclidean norm against 32
-    tangent maps, comparing fc_saddle to the same 32-angle sup-family lift.
-    Each case gives one gap: the largest difference between saddle_eval's
-    min-max and max-min on the default grid, between min-max and the
-    polytope support there (part one), and between fc_saddle and the other
-    lifts.  The gap is held to max(tol, 1e-12): a tol below 1e-12 acts as
-    1e-12.  Every saddle built here has one row, so min-max and max-min are
-    one reduction and that difference is 0 by construction; only the
-    corrupted saddle has two orderings.  corrupt=True reverses one
-    coefficient row of the 32-tangent saddle, which must surface as a
-    recorded SaddleGap failure.
+    Part one checks one ordered two-sided family per dimension n = 2, 3, 4
+    around a core polytope C of k = n+1..6 points uniform in [-3, 3]^n,
+    with centroid c:
+      phis: C, and the ball at c whose radius R is the largest |v - c| over
+        the core's points v times U(1.05, 1.5);
+      psis: the core's points as singletons, and the ball of radius
+        U(0.1, 0.4) R centred at the first core point.
+    Every phi holds C and every psi meets C, so the pair is ordered, its
+    saddle has P = 2 rows and Q = k + 1 columns, and min phi, max psi,
+    min-max and max-min all equal the support of C.  The rows differ in
+    the last column, where the two balls' coefficient is a point between c
+    and the first core point, so min-max and max-min are two different
+    reductions.  Every Wolfe problem of the build ends at corral size 1.
+
+    Trial t takes 6 data columns in [-5, 5]^n from the family of dimension
+    (2, 3, 4)[t % 3]; a dimension with no trials draws and builds nothing.
+    Each family is checked over all its trials' columns at once: one
+    saddle_build, one saddle_eval, one fc_saddle, one fc_sublinear of C,
+    the lattice join of the psis' fc_superlinear lifts and the lattice meet
+    of the phis' fc_sublinear lifts.  A trial's gap is the largest, over
+    its columns, of |min-max - max-min| and of each of fc_saddle, the join
+    and the meet's distance from C's support.
+
+    Part two checks the euclidean norm against 32 tangent maps: the
+    largest |min-max - max-min| on the default circle grid, and the largest
+    difference of fc_saddle from the same 32-angle sup-family lift at 8
+    columns, make one more case's gap.  Each gap is held to
+    max(tol, 1e-12): a tol below 1e-12 acts as 1e-12.
+
+    Draw order, one generator call each: for each n of (2, 3, 4) that has
+    trials, in that order, the vertex count k, the (k, n) core, the two
+    radius factors and the (n, 6 c) columns of its c trials, trial after
+    trial; then part two's (2, 8) columns.
+
+    corrupt=True adds two controls as one more case.  First the first
+    family's saddle with its ball row rolled one column along: each row
+    still holds every core point, so min-max is unchanged, but every column
+    now pairs two different points, so max-min falls below it wherever one
+    point is the unique maximiser.  Only |min-max - max-min| shows this
+    fault; its worst column at the family's columns is recorded like a
+    trial's.  (No single changed coefficient can split the two orderings
+    of these saddles: the rows share the k vertex columns.)  Then one
+    coefficient row of a 2 x 2 tangent saddle reversed, which must surface
+    as a recorded SaddleGap failure.
     """
     rng = _rng(seed, "saddle")
-    inputs, gaps = [], []
-    for _ in range(trials):
-        n = int(rng.integers(2, 5))
-        verts = rng.uniform(-3.0, 3.0, size=(int(rng.integers(1, 7)), n))
-        phi = SublinearMap(VPolytope(verts), label="polytope-support")
-        psis = [SuperlinearMap(VPolytope([v]), label=f"vertex{i}") for i, v in enumerate(verts)]
-        grid = _default_grid(n)
-        data = rng.uniform(-5.0, 5.0, size=(n, 6))
-        inputs.append((verts, data))
-        lifts = [partial(fc_sublinear, phi), partial(_join_path, psis)]
-        gaps.append(_saddle_gap(saddle_build([phi], psis), grid, [phi(grid.T)], data, lifts))
+    width = 6
+    got = np.empty(trials * width)
+    inputs = [None] * trials
+    control = None
+    for n in (2, 3, 4):
+        members = np.arange(n - 2, trials, 3)
+        if not members.size:
+            continue
+        verts, radii, phis, psis = _saddle_family(rng, n)
+        cols = rng.uniform(-5.0, 5.0, size=(n, width * members.size))
+        S = saddle_build(phis, psis)
+        fs = [RmElement(row) for row in cols]
+        want = fc_sublinear(phis[0], fs).coords
+        paths = [
+            fc_saddle(S, fs),
+            _lattice_path(lattice.join, fc_superlinear, psis, fs),
+            _lattice_path(lattice.meet, fc_sublinear, phis, fs),
+        ]
+        gaps = np.max([_ordering_gap(S, cols)] + [np.abs(p.coords - want) for p in paths], axis=0)
+        got[(members[:, None] * width + np.arange(width)).ravel()] = gaps
+        for t, block in zip(members.tolist(), np.split(cols, members.size, axis=1)):
+            inputs[t] = (verts, radii, block)
+        if corrupt and control is None:
+            control = np.array(S.coeffs), cols
     angle_fam = angle_superlinear_family(32)
     S32 = saddle_build([disk_map()], list(angle_fam.maps))
     circle = _default_grid(2)
     data = rng.uniform(-5.0, 5.0, size=(2, 8))
-    inputs.append((circle, data))
+    fs = [RmElement(row) for row in data]
     h32 = PHFunction("angle-32", 2, sup_family=angle_fam)
-    gaps.append(_saddle_gap(S32, circle, [], data, [partial(fc_semicontinuous, h32, side="sup")]))
-    cases = len(gaps)
+    lifted = fc_semicontinuous(h32, fs, side="sup").coords
+    gap32 = max(_ordering_gap(S32, circle.T).max(), np.abs(fc_saddle(S32, fs).coords - lifted).max())
+    got = np.append(got, gap32)
+    inputs.append((circle, data))
+    cases = trials + 1
     failures = _worst_coordinate_failures(
-        lambda t: inputs[t], np.array(gaps), np.zeros(cases), np.ones(cases, dtype=int), max(tol, 1e-12)
+        lambda t: inputs[t], got, np.zeros(got.size), np.append(np.full(trials, width), 1), max(tol, 1e-12)
     )
 
     if corrupt:
+        if control is not None:
+            coeffs, cols = control
+            coeffs[1] = np.roll(coeffs[1], 1, axis=0)
+            gaps = _ordering_gap(SaddleFamily(coeffs), cols)
+            failures += _worst_coordinate_failures(
+                lambda _: control, gaps, np.zeros(gaps.size), [gaps.size], max(tol, 1e-12)
+            )
         pair = np.array(S32.coeffs[0, [0, 8], :])  # tangent directions at 0 and 90 degrees
         bad = np.stack([pair, pair[::-1]])
         # the rows now disagree about which tangent answers which column, a

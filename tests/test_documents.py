@@ -16,6 +16,7 @@ import re
 from pathlib import Path
 
 import homocalc
+import homocalc.cli
 from homocalc.homog import FiniteFamily
 
 _SOURCE = "doc.json"
@@ -73,7 +74,7 @@ _BASES = _SETS + _MAPS + _FUNCTIONS + _ELEMENTS + _SADDLES
 # documents for the raise sites that the seeded mutations miss
 _WRITTEN = [
     ("function", {"family": {"kind": "usc", "maps": [_MAPS[0], _MAPS[2]]}}),
-    ("function", {"family": {"kind": "lsc", "maps": [_MAPS[3], _MAPS[1]]}}),
+    ("function", {"family": {"kind": "lsc", "maps": [_MAPS[2], _MAPS[1]]}}),
     ("function", {"family": {"kind": "usc", "maps": [_MAPS[0], _MAPS[4]]}}),
     ("function", {"family": {"maps": {"builtin": "nope"}}}),
     ("saddle", {"saddle": {"coeffs": [[["1", True]]]}}),
@@ -82,7 +83,7 @@ _WRITTEN = [
 ]
 
 _CORPUS_SIZE = 2000
-_CORPUS_SHA256 = "7534be091c44a132d76166edcc28f95da3bacc39b1841d5ee765490908502ad4"
+_CORPUS_SHA256 = "13c0a7ee8eb8c2fe6761754661a449182ed44524b40d2852d0c4b369610721f2"
 
 
 def _slots(node):
@@ -159,6 +160,65 @@ def test_the_readers_give_the_pinned_outcomes_on_a_seeded_corpus():
     assert hashlib.sha256(text.encode()).hexdigest() == _CORPUS_SHA256
 
 
+def test_what_a_reader_accepts_the_writer_gives_back():
+    # the writer's JSON read again gives the same writer's JSON: every float
+    # to the bit (json.dumps writes the shortest repr, the sign of zero too)
+    checked = 0
+    for name, read, write, _ in _READERS:
+        if write is None:
+            continue
+        for kind, doc in _corpus():
+            if kind != name:
+                continue
+            try:
+                first = json.dumps(write(read(doc, _SOURCE)), sort_keys=True)
+            except homocalc.CalculusError:
+                continue
+            assert json.dumps(write(read(json.loads(first), _SOURCE)), sort_keys=True) == first
+            checked += 1
+    assert checked > 100
+
+
+def _cli_requests(kind, doc):
+    """(argv less the file, document) of every request that reads doc or a
+    document holding it from a --family file."""
+    argvs = [
+        ["eval", "--x", "1,-2"],
+        ["fc", "--f", "1,-2", "--f", "0.5,3"],
+        ["saddle-eval", "--x", "1,-2"],
+        ["saddle-build"],
+    ]
+    requests = [(argv, doc) for argv in argvs]
+    if kind == "set":
+        pair = {"phis": [{"sublinear": {"subdiff": doc}}], "psis": [{"superlinear": {"superdiff": doc}}]}
+        requests.append((["saddle-build"], pair))
+    if kind == "map":
+        side = "usc" if isinstance(doc, dict) and "sublinear" in doc else "lsc"
+        requests.append((argvs[0], {"family": {"kind": side, "maps": [doc]}}))
+        requests.append((["saddle-build"], {"phis": [doc], "psis": [doc]}))
+    return requests
+
+
+def test_every_corpus_document_gets_one_json_answer_from_the_cli(tmp_path, capsys):
+    # no exception escapes cli.main and the exit code is 0, 2 or 3 (1 means
+    # a check did not pass); on 0 stdout is JSON, on 2 or 3 stdout is empty
+    # and stderr is one JSON error line
+    path = tmp_path / "doc.json"
+    codes = {}
+    for kind, doc in _corpus():
+        for argv, written in _cli_requests(kind, doc):
+            path.write_text(json.dumps(written), encoding="utf-8")
+            code = homocalc.cli.main([*argv, "--family", str(path)])
+            out, err = capsys.readouterr()
+            assert code in (0, 2, 3), (argv, written, code, err)
+            if code == 0:
+                json.loads(out)
+            else:
+                assert out == "" and err.count("\n") == 1 and "error" in json.loads(err)
+            codes[code] = codes.get(code, 0) + 1
+    assert set(codes) <= {0, 2, 3} and codes[0] and codes[2]
+
+
 def _schema_sites():
     """The distinct (path, reason) pairs of the corpus's SchemaErrors, with
     list indices written [i]."""
@@ -183,6 +243,7 @@ _RAISE_SITES = [
     ("set.ball", "expected {'center': [...], 'radius': r}"),
     ("set.ball.center", "expected a list of numbers"),
     ("set.ball.radius", "expected a number >= 0"),
+    ("map.superlinear.superdiff.ball.radius", "integer too large for a float"),
     ("set.polytope", "vertices must be finite"),
     ("set.polytope", "vertex array must be nonempty with shape (k, n)"),
     ("set.ball", "center must be a nonempty finite vector"),
@@ -191,6 +252,8 @@ _RAISE_SITES = [
     ("map", "expected a 'sublinear' or 'superlinear' key"),
     ("map.sublinear", "expected {'subdiff': <set>}"),
     ("map.superlinear", "expected {'superdiff': <set>}"),
+    ("map.sublinear.label", "expected a string"),
+    ("map.superlinear.label", "expected a string"),
     ("$", "expected a 'family' object"),
     ("family", "expected an object"),
     ("family.maps.builtin", "expected a string"),
@@ -211,6 +274,7 @@ _RAISE_SITES = [
     ("element.rm", "expected a list of numbers"),
     ("element.rm", "expected a nonempty list"),
     ("element.rm", "coords must be finite"),
+    ("element.rm[i]", "integer too large for a float"),
     ("element.step", "expected {'breakpoints': [...], 'values': [...]}"),
     ("element.step.breakpoints", "expected a list of numbers"),
     ("element.step.values", "expected a list of numbers"),
@@ -222,6 +286,7 @@ _RAISE_SITES = [
     ("saddle.coeffs", "coefficients must be finite"),
     ("saddle.coeffs", "expected a list of numbers"),
     ("saddle.coeffs", "need dimension n >= 1"),
+    ("saddle.coeffs[i][i][i]", "integer too large for a float"),
     ("saddle.phi_labels", "expected a list of strings"),
     ("saddle.psi_labels", "label count mismatch"),
 ]

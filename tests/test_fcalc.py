@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homocalc import verify
 from homocalc.convexsets import Ball, VPolytope, _dot_paired, contains
 from homocalc.documents import saddle_from_json, saddle_to_json
 from homocalc.errors import (
@@ -318,6 +319,67 @@ def test_fc_saddle_gap_detected():
     bad = SaddleFamily(np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]]))
     with pytest.raises(SaddleGap):
         fc_saddle(bad, [RmElement([2.0]), RmElement([-1.0])])
+
+
+def _family_saddles():
+    """Saddles of verify's ordered two-sided families (P = 2, Q > 1) in
+    R^2, R^3 and R^4, each also with its ball row shifted one column along,
+    as check_saddle's corrupted control shifts it."""
+    rng = np.random.default_rng(20261020)
+    saddles = []
+    for n in (2, 3, 4):
+        S = saddle_build(*verify._saddle_family(rng, n)[2:])
+        shifted = np.array(S.coeffs)
+        shifted[1] = np.roll(shifted[1], 1, axis=0)
+        saddles += [S, SaddleFamily(shifted)]
+    return saddles
+
+
+_SCALED_SADDLES = _family_saddles() + [
+    # check_saddle's corrupted 2 x 2 control: tangents at 0 and 90 degrees,
+    # one row reversed
+    SaddleFamily(np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]])),
+]
+
+
+def _gap_raised(S, cols):
+    try:
+        fc_saddle(S, [RmElement(row) for row in cols])
+    except SaddleGap:
+        return True
+    return False
+
+
+# a coordinate is 0 or at least 2^-20 in size, so with |k| <= 900 no product
+# of a coefficient and a scaled coordinate overflows or is subnormal
+_COORDS = st.one_of(st.just(0.0), st.floats(2.0**-20, 5.0), st.floats(-5.0, -(2.0**-20)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(range(len(_SCALED_SADDLES))), st.integers(1, 6), st.integers(-900, 900), st.data())
+def test_the_saddle_verdict_commutes_with_power_of_two_scaling(which, m, k, data):
+    S = _SCALED_SADDLES[which]
+    cols = np.array(data.draw(st.lists(st.lists(_COORDS, min_size=m, max_size=m), min_size=S.dim, max_size=S.dim)))
+    assert _gap_raised(S, np.ldexp(cols, k)) == _gap_raised(S, cols)
+
+
+def test_the_saddle_verdict_is_relative_to_the_columns_scale():
+    # the corrupted 2 x 2 saddle's gap is 1.5 times its scale at any
+    # magnitude; the absolute 1e-6 verdict let it pass below about 2^-20
+    bad = _SCALED_SADDLES[-1]
+    for k in (-1000, -60, -30, 0, 30, 1000):
+        with pytest.raises(SaddleGap, match="1.500e\\+00 times its scale"):
+            fc_saddle(bad, [RmElement([2.0 * 2.0**k]), RmElement([-2.0**k])])
+    # a scale beyond the float range: the coefficient (1, 1) at (1e308,
+    # -1e308) sums |1e308| + |1e308|, while every value is finite
+    wide = SaddleFamily(np.array([[[1.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 1.0]]]))
+    with pytest.raises(SaddleGap, match="differ by 1.000e\\+308 at coordinate 0, 5.000e-01 times"):
+        fc_saddle(wide, [RmElement([1e308]), RmElement([-1e308])])
+    # the families' own saddles are genuine: no verdict at any scale
+    for S in _SCALED_SADDLES[:-1:2]:
+        cols = np.random.default_rng(S.dim).uniform(-5.0, 5.0, size=(S.dim, 32))
+        for k in (-1000, 0, 1000):
+            assert not _gap_raised(S, np.ldexp(cols, k))
 
 
 def test_fc_saddle_on_steps():

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from homocalc import verify
+from homocalc import convexsets, verify
 from homocalc.cli import main
 from homocalc.convexsets import Ball, VPolytope
 from homocalc.homog import builtin
@@ -112,6 +112,65 @@ def test_check_saddle_corrupt_records_gap():
     report = check_saddle(trials=1, seed=7, corrupt=True)
     assert not report.passed
     assert any("min-max" in str(f.observed) for f in report.failures)
+
+
+def test_check_saddle_passes_at_seeds_below_100():
+    failing = [seed for seed in range(100) if not check_saddle(seed=seed).passed]
+    assert failing == []
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_the_corrupted_family_shows_only_in_the_ordering_gap(seed):
+    # the family saddle with its ball row shifted one column along keeps its
+    # min-max, the core's support, so only |min-max - max-min| records it:
+    # the family's record comes first, then the 2 x 2 control's SaddleGap
+    report = check_saddle(trials=1, seed=seed, corrupt=True)
+    assert report.cases == 3 and len(report.failures) == 2
+    family, control = report.failures
+    assert isinstance(family.observed, float) and family.observed > family.tolerance
+    assert family.expected == 0.0 and "min-max" in control.observed
+    rng = verify._rng(seed, "saddle")
+    verts, _, phis, psis = verify._saddle_family(rng, 2)
+    cols = rng.uniform(-5.0, 5.0, size=(2, 6))
+    coeffs = np.array(verify.saddle_build(phis, psis).coeffs)
+    coeffs[1] = np.roll(coeffs[1], 1, axis=0)
+    infsup, supinf = verify.saddle_eval(verify.SaddleFamily(coeffs), cols.T)
+    assert np.abs(infsup - phis[0](cols)).max() <= 1e-12
+    assert family.observed == np.abs(infsup - supinf).max()
+    assert family.digest == verify._digest(coeffs, cols)
+
+
+def test_the_saddle_trials_hold_the_ordering_gap(monkeypatch):
+    # max-min moved by 2^-20 of its size at every column, with every lift
+    # untouched: each trial and the 32-tangent case fail on the gap alone
+    inner = verify.saddle_eval
+
+    def shifted(S, x):
+        infsup, supinf = inner(S, x)
+        return infsup, supinf * (1 + 2.0**-20) + 2.0**-20
+
+    monkeypatch.setattr(verify, "saddle_eval", shifted)
+    report = check_saddle(trials=7, seed=3)
+    assert len(report.failures) == report.cases == 8
+
+
+def test_the_saddle_builds_run_no_minor_cycle(monkeypatch):
+    # every Wolfe problem of the families and of the 32-tangent saddle ends
+    # at corral size 1, so the check never reaches the SVD of a minor cycle
+    def refused(group):
+        raise AssertionError("a minor cycle ran")
+
+    monkeypatch.setattr(convexsets, "_minor_cycles", refused)
+    for seed in range(20):
+        assert check_saddle(seed=seed, corrupt=True).cases == 22
+
+
+@pytest.mark.parametrize("trials, builds", [(0, 1), (1, 2), (2, 3), (3, 4), (60, 4)])
+def test_check_saddle_builds_one_saddle_per_dimension(monkeypatch, trials, builds):
+    # one family per dimension that has trials, plus the 32-tangent saddle
+    calls = _counting(monkeypatch, "saddle_build")
+    assert check_saddle(trials=trials, seed=5).cases == trials + 1
+    assert len(calls) == builds
 
 
 def test_negative_controls_pass_when_faults_detected():
@@ -283,20 +342,21 @@ def test_forced_failure_records_are_pinned(run, failures, digest):
 @pytest.mark.parametrize(
     "kwargs, failures, digest",
     [
-        ({"seed": 0}, 22, "2896befe487b3fa8e1f6323a91a39c39022a1cd1c4444a5a46161d77e8155a45"),
+        ({"seed": 0}, 23, "bc9ea9c93fd94b0fd9adb6d7fe06b829c41c86badd44d00edbe8d708060f9fb0"),
         # tol 0 is recorded as the 1e-12 floor
         (
             {"seed": 3, "trials": 7, "tol": 0.0},
-            9,
-            "0bf2c3f329b0e081ff12d45e7de07b7a1fb8f27a4bd1dbed2331ebeaf14742cd",
+            10,
+            "c288719b6e197da0c0b871fa68d47ff02d869c76b7610dba8ad33dd2a9734427",
         ),
     ],
     ids=["default", "tol0"],
 )
 def test_saddle_failure_records_are_pinned(monkeypatch, kwargs, failures, digest):
-    # the saddles' own gaps are exactly 0, so both parts are made to fail: the
-    # polytope lift (part one) and the 32-tangent lift (part two) come back
-    # scaled by 1 + 2^-20; the corrupted saddle adds its SaddleGap record
+    # the saddles' own gaps are rounding at most, so both parts are made to
+    # fail: the core's lifts (part one) and the 32-tangent lift (part two)
+    # come back scaled by 1 + 2^-20; the corrupted family saddle adds its gap
+    # record and the corrupted 2 x 2 saddle its SaddleGap record
     for name in ("fc_sublinear", "fc_semicontinuous"):
         inner = getattr(verify, name)
         monkeypatch.setattr(
@@ -483,4 +543,19 @@ def test_the_check_table_drives_the_cli_and_the_suite(monkeypatch, capsys):
         "check_sublattice_invariance": 1,
         "check_saddle": 2,
         "negative_controls": 1,
+    }
+
+
+def test_the_suite_builds_six_saddles(monkeypatch):
+    # check_saddle builds one family saddle per dimension and the 32-tangent
+    # saddle, and its corrupted control one family and the 32-tangent saddle
+    # again; one fc_saddle per saddle built and the control's 2 x 2 saddle;
+    # one fc_superlinear per psi of each family (k + 1 for k core points)
+    names = ("saddle_build", "fc_saddle", "fc_superlinear")
+    calls = {name: _counting(monkeypatch, name) for name in names}
+    default_suite(seed=0)
+    assert {name: len(c) for name, c in calls.items()} == {
+        "saddle_build": 6,
+        "fc_saddle": 7,
+        "fc_superlinear": 28,
     }
