@@ -225,14 +225,20 @@ def _support_plan(s, columns):
     of the default sphere grid, so s is planned only once it has been
     evaluated at that many columns: a polytope evaluated once, such as the
     suite's polygon, keeps the all-vertex fold at the cost of a counter.
-    Vertices are read-only, so the plan stays valid.
+    A set in R^3 and up, whose grids have no proven covering chord, or of
+    fewer than 32 vertices is never planned: it caches () at once, without
+    the grid.  Vertices are read-only, so the plan stays valid.
     """
     if s._plan is None:
+        k, n = s.vertices.shape
+        if n > 2 or k < 32:
+            s._plan = ()
         # a first call is never planned, so it does not build the grid
-        if not s._columns or s._columns < len(_default_grid(s.dim)):
+        elif not s._columns or s._columns < len(_default_grid(s.dim)):
             s._columns += columns
             return ()
-        s._plan = _build_plan(s.vertices)
+        else:
+            s._plan = _build_plan(s.vertices)
     return s._plan
 
 
@@ -246,13 +252,12 @@ def _build_plan(V):
     covering chord (0 on R^1, whose grid is {1, -1}; _CIRCLE_CHORD on R^2)
     and rho = max_v sum_d |v_d|.  kept (|K|, 1, n) holds the other
     vertices.  The grid is read in _blocks, so no k x g array is formed.
-    Returns () in R^3 and up, whose grids have no proven covering chord,
-    for fewer than 32 vertices, when the largest vertex entry lies outside
-    [2^-960, 2^960], or when more than half the vertices are kept.
+    V lies in R^1 or R^2 and has at least 32 vertices (_support_plan).
+    Returns () when the largest vertex entry lies outside [2^-960, 2^960],
+    or when more than half the vertices are kept.
     """
     k, n = V.shape
-    top = float(np.abs(V).max())
-    if n > 2 or k < 32 or not 2.0**-960 <= top <= 2.0**960:
+    if not 2.0**-960 <= float(np.abs(V).max()) <= 2.0**960:
         return ()
     grid = _default_grid(n).T
     rho = float(np.abs(V).sum(axis=1).max())
@@ -601,7 +606,11 @@ def _feasible_points(pairs, tol, max_iter=PROJECT_MAX_ITER):
             points[i] = pairs[i][0].center.copy()
             if nrm > 0:
                 lo, hi = max(nrm - rb, 0.0), min(ra, nrm)
-                points[i] += ((hi if lo > hi else 0.5 * (lo + hi)) / nrm) * gaps[i]
+                mid = hi if lo > hi else 0.5 * (lo + hi)
+                if mid == math.inf:
+                    # lo + hi overflowed: halve each before the sum
+                    mid = 0.5 * lo + 0.5 * hi
+                points[i] += (mid / nrm) * gaps[i]
     return points
 
 

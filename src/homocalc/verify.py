@@ -25,16 +25,16 @@ maximum of |observed - expected| over that array finds the failing trials;
 only those are digested and recorded.  The lift gives a column the same
 bits in any batch, so each trial's values, digest and failure record are
 those of a lift of that trial alone.  check_interchange groups its trials
-by (set type, dimension, vertex count, side), draws each group's sets
-straight into the stacked arrays of the stacked support kernel and
-evaluates the group with two calls to it, one over the group's lift
-columns and one over its point columns; a trial's coordinate is read off
-the group's lift, one element per group.  check_sublattice_invariance
-keeps its step tuples as flat arrays: one lexsort merges each function's
-duplicate breakpoints and one each trial's refinement, and the grids and
-the functions' values on them are flat arrays too (_draw_steps,
-_steps_on_grids), so it builds no StepFunction.  That refinement is its
-reference, as oracle_fc is for the built-ins.
+by (set type, dimension, side), draws one set per group and evaluates the
+group through the public map path: one fc_sublinear or fc_superlinear
+call over the group's lift columns, and one call of the same map at its
+point columns; a trial's coordinate is read off the group's lift, one
+element per group.  check_sublattice_invariance keeps its step tuples as
+flat arrays: one lexsort merges each function's duplicate breakpoints and
+one each trial's refinement, and the grids and the functions' values on
+them are flat arrays too (_draw_steps, _steps_on_grids), so it builds no
+StepFunction.  That refinement is its reference, as oracle_fc is for the
+built-ins.
 
 check_saddle builds one ordered two-sided saddle per dimension, with two
 rows that differ in one column, so min-max and max-min are two different
@@ -58,7 +58,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import lattice
-from .convexsets import Ball, VPolytope, _default_grid, _support_stack
+from .convexsets import Ball, VPolytope
 from .errors import SaddleGap
 from .fcalc import (
     SADDLE_TOL,
@@ -247,70 +247,63 @@ def check_interchange(trials=1000, tol=1e-12, seed=0, fault_injection=False):
     For random draws of a set, a tuple, a coordinate and a side (the
     sublinear or the superlinear map of the set): evaluating the lifted
     element at the coordinate equals evaluating the map at that
-    coordinate's column.  fault_injection evaluates the lattice side with
-    support data scaled by 1+1e-3, which must be caught.
+    coordinate's column.  fault_injection lifts by the map of the set
+    scaled by 1+1e-3, which must be caught.
 
-    Each trial has a dimension n in 1..4, a width m in 1..8, a set (a
-    polytope of 1..6 vertices in [-3, 3]^n, or a ball with center in
-    [-2, 2]^n and radius in [0, 2], each with probability 1/2), an
-    (n, m) tuple in [-5, 5], a coordinate j in 1..m and a side.  The
-    trials are grouped by (vertex count, 0 for a ball; dimension; side),
-    groups in increasing key order and a group's trials in trial order.
+    Each trial has a dimension n in 1..4, a width m in 1..8, a set type
+    (polytope or ball, each with probability 1/2), an (n, m) tuple in
+    [-5, 5], a coordinate j in 1..m and a side.  The trials are grouped by
+    (set type, dimension, side), balls first, groups in increasing key
+    order and a group's trials in trial order; each group has one set: a
+    polytope of 32..48 vertices in [-3, 3]^1 or of 1..6 in [-3, 3]^n for
+    n > 1, or a ball with centre in [-2, 2]^n and radius in [0, 2].
 
     Draw order, one generator call each: the dimensions, the widths, the
-    set types, the vertex counts (drawn for every trial, read for the
-    polytopes), the coordinates, the sides; then, group after group, the
-    polytope groups' (k, c, n) vertex stacks, the ball groups' (c, n)
-    center stacks and their (c,) radii, where c is the group's trial
-    count; last every group's (n, columns) lift columns, the trials' tuples
-    side by side.
+    set types, the coordinates, the sides; then, group after group, the
+    polytope groups' vertex counts, their (k, n) vertices, the ball
+    groups' centres and their radii; last every group's (n, columns) lift
+    columns, the trials' tuples side by side.
 
-    Each group makes two _support_stack calls, one over its lift columns
-    and one over its trials' point columns; a column's value is bitwise
-    what the map gives it alone.  The group's lift is one element, and
-    coordinate j of a trial's lift is coordinate offset + j of it, where
-    offset counts the group's columns before the trial's.
+    Each group makes one fc_sublinear or fc_superlinear call over its lift
+    columns and one call of the same map at its trials' picked columns.
+    An R^1 polytope is planned at its map's second call (its default grid
+    has 2 rows), so there the point side takes the pruned support while
+    the lift took the all-vertex fold.  The group's lift is one element,
+    and coordinate j of a trial's lift is coordinate offset + j of it,
+    where offset counts the group's columns before the trial's.
     """
     rng = _rng(seed, "interchange")
     n = rng.integers(1, 5, size=trials)
     m = rng.integers(1, 9, size=trials)
     polytope = rng.random(trials) < 0.5
-    k = np.where(polytope, rng.integers(1, 7, size=trials), 0)
     j = rng.integers(1, m + 1)
-    sign = np.where(rng.random(trials) < 0.5, -1.0, 1.0)
-    # (k, n, side) as one number, in the same order
-    code = (k * 4 + n - 1) * 2 + (sign > 0)
+    superlinear = rng.random(trials) < 0.5
+    # (set type, n, side) as one number, in the same order
+    code = (polytope * 4 + n - 1) * 2 + superlinear
     groups = [np.flatnonzero(code == g) for g in np.unique(code)]
-    # (vertex count, dimension, trial count, columns) of each group
-    shapes = [(int(k[g[0]]), int(n[g[0]]), g.size, int(m[g].sum())) for g in groups]
-    vertices = iter(_draw(rng, -3.0, 3.0, [(kk, c, nn) for kk, nn, c, _ in shapes if kk]))
-    balls = [(c, nn) for kk, nn, c, _ in shapes if not kk]
-    centers = iter(_draw(rng, -2.0, 2.0, balls))
-    radii = iter(_draw(rng, 0.0, 2.0, [(c,) for c, _ in balls]))
-    columns = _draw(rng, -5.0, 5.0, [(nn, w) for _, nn, _, w in shapes])
+    firsts = [g[0] for g in groups]
+    dims, poly, sides = n[firsts], polytope[firsts], superlinear[firsts]
+    # an R^1 polytope of 32 or more vertices is planned from its second call
+    counts = rng.integers(np.where(dims[poly] == 1, 32, 1), np.where(dims[poly] == 1, 49, 7))
+    vertices = iter(_draw(rng, -3.0, 3.0, list(zip(counts.tolist(), dims[poly].tolist()))))
+    centers = iter(_draw(rng, -2.0, 2.0, [(d,) for d in dims[~poly].tolist()]))
+    radii = iter(rng.uniform(0.0, 2.0, size=len(groups) - len(counts)).tolist())
+    columns = _draw(rng, -5.0, 5.0, [(d, int(m[g].sum())) for d, g in zip(dims.tolist(), groups)])
     lhs, point, blocks = np.empty(trials), np.empty(trials), [None] * trials
-    for members, (kk, _, _, _), cols in zip(groups, shapes, columns):
-        side = sign[members[0]]
-        if kk:
-            set_stack = {"vertices": next(vertices)}
-        else:
-            set_stack = {"centers": next(centers), "radii": next(radii)}
+    for members, is_poly, side, cols in zip(groups, poly.tolist(), sides.tolist(), columns):
+        kind, data = (VPolytope, (next(vertices),)) if is_poly else (Ball, (next(centers), next(radii)))
+        Map, lift = (SuperlinearMap, fc_superlinear) if side else (SublinearMap, fc_sublinear)
+        f = Map(kind(*data))
+        lift_map = Map(kind(*(a * (1.0 + 1e-3) for a in data))) if fault_injection else f
+        lifted = lift(lift_map, [RmElement(row) for row in cols])
         widths = m[members]
         starts = np.cumsum(widths) - widths
         # coordinate j of a trial's lift, 1-based in the group's lift
         picks = starts + j[members]
-        # each set repeated once per column of its trial, on the set axis
-        lift_stack = {
-            key: np.repeat(a, widths, axis=int(key == "vertices")) for key, a in set_stack.items()
-        }
-        if fault_injection:
-            lift_stack = {key: a * (1.0 + 1e-3) for key, a in lift_stack.items()}
-        lifted = RmElement(side * _support_stack(side * cols, **lift_stack))
-        ends = starts + widths
-        for t, a, b, p in zip(members.tolist(), starts.tolist(), ends.tolist(), picks.tolist()):
-            blocks[t] = cols[:, a:b]
+        for t, a, w, p in zip(members.tolist(), starts.tolist(), widths.tolist(), picks.tolist()):
+            blocks[t] = cols[:, a : a + w]
             lhs[t] = hom_eval(CoordinateHom(p), lifted)
-        point[members] = side * _support_stack(side * cols[:, picks - 1], **set_stack)
+        point[members] = f(cols[:, picks - 1])
     failures = _worst_coordinate_failures(
         lambda t: (blocks[t], [j[t]]), lhs, point, np.ones(trials, dtype=int), tol
     )
@@ -548,9 +541,8 @@ def check_saddle(trials=20, tol=1e-9, seed=0, corrupt=False):
     and the meet's distance from C's support.
 
     Part two checks the euclidean norm against 32 tangent maps: the
-    largest |min-max - max-min| on the default circle grid, and the largest
-    difference of fc_saddle from the same 32-angle sup-family lift at 8
-    columns, make one more case's gap.  Each gap is held to
+    largest difference of fc_saddle from the same 32-angle sup-family lift
+    at 8 columns is one more case's gap.  Each gap is held to
     max(tol, 1e-12): a tol below 1e-12 acts as 1e-12.
 
     Draw order, one generator call each: for each n of (2, 3, 4) that has
@@ -596,14 +588,12 @@ def check_saddle(trials=20, tol=1e-9, seed=0, corrupt=False):
             control = np.array(S.coeffs), cols
     angle_fam = angle_superlinear_family(32)
     S32 = saddle_build([disk_map()], list(angle_fam.maps))
-    circle = _default_grid(2)
     data = rng.uniform(-5.0, 5.0, size=(2, 8))
     fs = [RmElement(row) for row in data]
     h32 = PHFunction("angle-32", 2, sup_family=angle_fam)
     lifted = fc_semicontinuous(h32, fs, side="sup").coords
-    gap32 = max(_ordering_gap(S32, circle.T).max(), np.abs(fc_saddle(S32, fs).coords - lifted).max())
-    got = np.append(got, gap32)
-    inputs.append((circle, data))
+    got = np.append(got, np.abs(fc_saddle(S32, fs).coords - lifted).max())
+    inputs.append((data,))
     cases = trials + 1
     failures = _worst_coordinate_failures(
         lambda t: inputs[t], got, np.zeros(got.size), np.append(np.full(trials, width), 1), max(tol, 1e-12)

@@ -439,6 +439,26 @@ def test_extreme_saddle_documents_under_warnings_as_errors(tmp_path, phis, psis,
         assert err == {"error": {"message": message, "operation": "saddle_build"}}
 
 
+def test_two_balls_meeting_at_1e308_build_under_warnings_as_errors(tmp_path):
+    # the middle of the stretch both balls hold lies at 1e308, though the
+    # sum of its ends overflows
+    doc = {
+        "phis": [{"sublinear": {"subdiff": {"ball": {"center": [0.0, 0.0], "radius": 1.5e308}}}}],
+        "psis": [{"superlinear": {"superdiff": {"ball": {"center": [1e308, 0.0], "radius": 0.0}}}}],
+    }
+    inp = tmp_path / "family.json"
+    inp.write_text(json.dumps(doc))
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "homocalc", "saddle-build", "--family", str(inp)],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    out = json.loads(done.stdout, parse_constant=_reject_constant)
+    assert out["saddle"]["coeffs"] == [[[1e308, 0.0]]]
+
+
 def test_unknown_builtin_exits_2(capsys):
     code, _, err = run(capsys, "eval", "--builtin", "nope", "--x", "1,1")
     assert code == 2

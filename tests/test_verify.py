@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -142,7 +143,9 @@ def test_the_corrupted_family_shows_only_in_the_ordering_gap(seed):
 
 def test_the_saddle_trials_hold_the_ordering_gap(monkeypatch):
     # max-min moved by 2^-20 of its size at every column, with every lift
-    # untouched: each trial and the 32-tangent case fail on the gap alone
+    # untouched: each trial fails on the gap alone.  The 32-tangent saddle
+    # has one row, so its two orderings are one reduction and its case
+    # compares fc_saddle with the lift only
     inner = verify.saddle_eval
 
     def shifted(S, x):
@@ -151,7 +154,7 @@ def test_the_saddle_trials_hold_the_ordering_gap(monkeypatch):
 
     monkeypatch.setattr(verify, "saddle_eval", shifted)
     report = check_saddle(trials=7, seed=3)
-    assert len(report.failures) == report.cases == 8
+    assert (len(report.failures), report.cases) == (7, 8)
 
 
 def test_the_saddle_builds_run_no_minor_cycle(monkeypatch):
@@ -315,7 +318,7 @@ def test_suite_runs_without_scipy():
             # value, so this pins both sides of the check bitwise
             lambda: check_interchange(trials=1000, seed=3, fault_injection=True),
             1000,
-            "e9a02cf603b366e0b6f39278e86683c9d1899bfa9e5976821cc90e61d1432f12",
+            "c6ab9372f0f1efa135143efbe0cd59239c1a46b8fb03f2cd63e3203938e65c2e",
         ),
         (
             # at tol 0 the last-bit differences between square-mean's
@@ -342,12 +345,12 @@ def test_forced_failure_records_are_pinned(run, failures, digest):
 @pytest.mark.parametrize(
     "kwargs, failures, digest",
     [
-        ({"seed": 0}, 23, "bc9ea9c93fd94b0fd9adb6d7fe06b829c41c86badd44d00edbe8d708060f9fb0"),
+        ({"seed": 0}, 23, "72b7b9805147c4ab3f508a80527a286d89e43fe4155bd21da27b096a3586d6f4"),
         # tol 0 is recorded as the 1e-12 floor
         (
             {"seed": 3, "trials": 7, "tol": 0.0},
             10,
-            "c288719b6e197da0c0b871fa68d47ff02d869c76b7610dba8ad33dd2a9734427",
+            "18e346187fa7873b8960514804ec207801e55495b823e380b20384bb69104d88",
         ),
     ],
     ids=["default", "tol0"],
@@ -425,13 +428,60 @@ def test_checks_lift_each_function_once_whatever_the_trial_count(monkeypatch, ch
 
 
 def test_interchange_builds_one_element_per_group(monkeypatch):
-    # each (set type, dimension, vertex count, side) group makes two
-    # _support_stack calls and lifts into one RmElement, whatever its size
-    elements = _counting(monkeypatch, "RmElement")
-    stacks = _counting(monkeypatch, "_support_stack")
-    report = check_interchange(trials=1000, seed=3)
+    # each (set type, dimension, side) group makes one fc_sublinear or
+    # fc_superlinear call, whatever its size: at 1000 trials all 2 x 4 x 2
+    # groups are drawn, one lift per side in each of 8 (set type, dimension)
+    sub = _counting(monkeypatch, "fc_sublinear")
+    sup = _counting(monkeypatch, "fc_superlinear")
+    report = check_interchange(seed=0)
     assert report.passed and report.cases == 1000
-    assert len(stacks) % 2 == 0 and len(elements) <= len(stacks) // 2 <= 2 * 4 * 7
+    assert (len(sub), len(sup)) == (8, 8)
+    sub.clear(), sup.clear()
+    assert check_interchange(trials=3, seed=0).cases == 3
+    assert 1 <= len(sub) + len(sup) <= 3
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_interchange_reaches_the_pruned_support(monkeypatch, seed):
+    # the point side is each map's second call, which plans an R^1
+    # polytope of 32 or more vertices: the pruned support must be taken,
+    # and give the lift's values
+    calls = []
+    inner = convexsets._pruned_support
+
+    def counted(*args):
+        calls.append(None)
+        return inner(*args)
+
+    monkeypatch.setattr(convexsets, "_pruned_support", counted)
+    assert check_interchange(seed=seed).passed
+    assert calls
+
+
+def test_verify_imports_no_private_convexsets_name():
+    # the checks reach the support kernels through the public map path, so
+    # verify holds no private array layout of convexsets
+    tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    from_convexsets = [a.name for node in imports if getattr(node, "module", None) == "convexsets" for a in node.names]
+    assert from_convexsets == ["Ball", "VPolytope"]
+    assert "convexsets" not in {a.name.split(".")[-1] for node in imports for a in node.names}
+
+
+def test_the_suite_builds_no_sphere_grid_above_r2(monkeypatch):
+    # a polytope that can never be planned (R^3 and up, or fewer than 32
+    # vertices) caches no plan without building its dimension's grid
+    dims = []
+    inner = convexsets.sphere_grid
+
+    def counted(n, density):
+        dims.append(n)
+        return inner(n, density)
+
+    convexsets._default_grid.cache_clear()
+    monkeypatch.setattr(convexsets, "sphere_grid", counted)
+    assert all(r.passed for r in default_suite(0))
+    assert dims and max(dims) <= 2
 
 
 class _CountingGenerator:
@@ -454,15 +504,15 @@ class _CountingGenerator:
     "check, unbuilt",
     [
         (check_engine_vs_oracle, ()),
-        (check_interchange, (VPolytope, Ball)),
+        (check_interchange, ()),
         (check_sublattice_invariance, (StepFunction,)),
     ],
     ids=["engine-vs-oracle", "interchange", "sublattice-invariance"],
 )
 def test_checks_draw_each_quantity_in_one_call_whatever_the_trial_count(monkeypatch, check, unbuilt):
     # the generator is called once per quantity, never once per trial;
-    # interchange draws its sets straight into arrays, so it builds no set,
-    # and sublattice-invariance its step tuples, so it builds no StepFunction
+    # sublattice-invariance draws its step tuples straight into arrays, so
+    # it builds no StepFunction
     calls, built = [], []
     rng = verify._rng
     monkeypatch.setattr(verify, "_rng", lambda seed, name: _CountingGenerator(rng(seed, name), calls))
@@ -550,12 +600,14 @@ def test_the_suite_builds_six_saddles(monkeypatch):
     # check_saddle builds one family saddle per dimension and the 32-tangent
     # saddle, and its corrupted control one family and the 32-tangent saddle
     # again; one fc_saddle per saddle built and the control's 2 x 2 saddle;
-    # one fc_superlinear per psi of each family (k + 1 for k core points)
+    # one fc_superlinear per psi of each family (k + 1 for k core points),
+    # 28 in all, and check_interchange one per superlinear group: 8 in its
+    # own run and 3 in the 8-trial run of negative_controls
     names = ("saddle_build", "fc_saddle", "fc_superlinear")
     calls = {name: _counting(monkeypatch, name) for name in names}
     default_suite(seed=0)
     assert {name: len(c) for name, c in calls.items()} == {
         "saddle_build": 6,
         "fc_saddle": 7,
-        "fc_superlinear": 28,
+        "fc_superlinear": 28 + 8 + 3,
     }

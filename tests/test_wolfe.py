@@ -307,6 +307,18 @@ def test_projection_onto_a_ball_beyond_the_float_range_lands_on_the_ball():
     assert q.tolist() == pytest.approx([2.0**-0.5, 2.0**-0.5], rel=1e-15)
 
 
+def test_two_balls_whose_stretch_ends_sum_beyond_the_float_range_meet_where_they_meet():
+    # the stretch of the centres' segment that lies in both balls ends at
+    # lo and hi from a's centre; where lo + hi overflows, each is halved
+    # before the sum, so the middle is finite and no warning is raised
+    a, b = Ball([0.0, 0.0], 1.5e308), Ball([1e308, 0.0], 0.0)
+    assert feasible_point(a, b).tolist() == [1e308, 0.0]
+    assert feasible_point(b, a).tolist() == [1e308, 0.0]
+    assert saddle_build([SublinearMap(a)], [SuperlinearMap(b)]).coeffs.tolist() == [[[1e308, 0.0]]]
+    wide = feasible_point(Ball([0.0, 0.0], 1.7e308), Ball([1.6e308, 0.0], 1e308))
+    assert wide.tolist() == [0.5 * 0.6e308 + 0.5 * 1.6e308, 0.0]
+
+
 def _edge_polygon():
     """A triangle whose one edge has its outward normal n0 half a step of
     the default grid of R^2 from the nearest grid directions, at distance 1:
