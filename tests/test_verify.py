@@ -436,7 +436,8 @@ def test_interchange_builds_one_element_per_group(monkeypatch):
     report = check_interchange(seed=0)
     assert report.passed and report.cases == 1000
     assert (len(sub), len(sup)) == (8, 8)
-    sub.clear(), sup.clear()
+    sub.clear()
+    sup.clear()
     assert check_interchange(trials=3, seed=0).cases == 3
     assert 1 <= len(sub) + len(sup) <= 3
 
@@ -470,7 +471,7 @@ def test_verify_imports_no_private_convexsets_name():
 
 def test_the_suite_builds_no_sphere_grid_above_r2(monkeypatch):
     # a polytope that can never be planned (R^3 and up, or fewer than 32
-    # vertices) caches no plan without building its dimension's grid
+    # vertices) caches the empty plan at once, without its dimension's grid
     dims = []
     inner = convexsets.sphere_grid
 
