@@ -9,7 +9,6 @@ with saddle representations and an independent verification suite.
 from .convexsets import (
     Ball,
     VPolytope,
-    contains,
     coordinate_bound,
     feasible_point,
     project,

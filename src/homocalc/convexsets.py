@@ -3,9 +3,9 @@
 Two concrete representations are supported: V-polytopes (convex hulls of
 finitely many points) and closed Euclidean balls.  Everything downstream
 (sub/superlinear maps, saddle coefficients) reduces to the operations here:
-support values, membership, nearest-point projection and a feasibility
-routine for intersections.  The deterministic sphere grids that checks,
-envelopes and support plans sample directions from live here too.
+support values, nearest-point projection and a feasibility routine for
+intersections.  The deterministic sphere grids that the domination
+envelopes and the support plans sample directions from live here too.
 """
 
 import math
@@ -24,7 +24,8 @@ from .errors import (
 # Default bound on the distance between two sets that feasible_point still
 # counts as meeting; saddle_build multiplies it by its maps' scale.
 FEASIBLE_TOL = 1e-9
-# Cap on the major cycles of Wolfe's min-norm-point method.
+# Cap on the major cycles of Wolfe's min-norm-point method, read by
+# _feasible_points when it is called.
 PROJECT_MAX_ITER = 100_000
 # Rounding floor of Wolfe's Frank-Wolfe gap, relative to the largest squared
 # distance from p to a vertex: 1024 machine epsilons.
@@ -198,10 +199,11 @@ def support(s, x):
 def support_batch(s, points):
     """Support values for each row of `points`, shape (k, n) -> (k,).
 
-    The one-set case of _support_stack: the arrays of s are broadcast over
-    every column.  A polytope with a pruning plan (_support_plan) takes
-    _pruned_support instead, which gives the same bits.  A row's value does
-    not depend on the other rows.
+    A ball's value is center.x + radius ||x||, summed coordinate by
+    coordinate (_dot_paired, _norms); a polytope's is the vertex-order fold
+    _vertex_support, or _pruned_support where it has a pruning plan
+    (_support_plan), which gives the same bits.  A row's value does not
+    depend on the other rows.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != s.dim:
@@ -209,13 +211,13 @@ def support_batch(s, points):
             "support", f"points have shape {pts.shape}, set has dim {s.dim}"
         )
     if isinstance(s, Ball):
-        return _support_stack(pts.T, centers=s.center[None, :], radii=np.array([s.radius]))
+        return _dot_paired(s.center, pts.T) + s.radius * _norms(pts.T)
     if not isinstance(s, VPolytope):
         raise TypeError(f"unsupported set type {type(s).__name__}")
     plan = _support_plan(s, pts.shape[0])
     if plan:
         return _pruned_support(pts.T, s.vertices, *plan)
-    return _support_stack(pts.T, vertices=s.vertices[:, None, :])
+    return _vertex_support(s.vertices, pts.T)
 
 
 def _support_plan(s, columns):
@@ -250,8 +252,9 @@ def _build_plan(V):
     of a vertex with g and tau = D c + 16 (n + 1) 2^-53 rho.  D is the
     diagonal of V's bounding box (_norm, one step up), c the grid's
     covering chord (0 on R^1, whose grid is {1, -1}; _CIRCLE_CHORD on R^2)
-    and rho = max_v sum_d |v_d|.  kept (|K|, 1, n) holds the other
-    vertices.  The grid is read in _blocks, so no k x g array is formed.
+    and rho = max_v sum_d |v_d|.  kept (|K|, n) holds the other vertices,
+    in vertex order.  The grid is read in _blocks, so no k x g array is
+    formed.
     V lies in R^1 or R^2 and has at least 32 vertices (_support_plan).
     Returns () when the largest vertex entry lies outside [2^-960, 2^960],
     or when more than half the vertices are kept.
@@ -269,17 +272,17 @@ def _build_plan(V):
         keep |= (dots.max(axis=0) - dots <= tau).any(axis=1)
     if 2 * np.count_nonzero(keep) > k:
         return ()
-    return V[keep][:, None, :], rho
+    return V[keep], rho
 
 
 def _pruned_support(cols, vertices, kept, rho):
-    """_support_stack of one polytope at the columns of cols (n, c), bit for bit.
+    """_vertex_support of one polytope at the columns of cols (n, c), bit for bit.
 
     Takes a plan of _build_plan.  Per column x, with p = rho max_d |x_d|,
-    out is _support_stack of the kept vertices alone: their largest fold
+    out is _vertex_support of the kept vertices alone: their largest fold
     (_dot_paired) with x, taken in vertex order.  A column takes out where
     2^-900 <= p <= 2^900.  The other columns, NaN and infinite ones
-    included, take the all-vertex fold of _support_stack, as one batch.
+    included, take the all-vertex _vertex_support, as one batch.
 
     Why out is then the all-vertex value: let v be a dropped vertex,
     u = 2^-53, and g a grid direction within the covering chord c of
@@ -302,30 +305,19 @@ def _pruned_support(cols, vertices, kept, rho):
     cols = np.ascontiguousarray(cols)
     with np.errstate(over="ignore", invalid="ignore"):
         p = rho * np.abs(cols).max(axis=0)
-        out = _support_stack(cols, vertices=kept)
+        out = _vertex_support(kept, cols)
     redo = np.flatnonzero(~((p >= 2.0**-900) & (p <= 2.0**900)))
     if redo.size:
-        out[redo] = _support_stack(cols[:, redo], vertices=vertices[:, None, :])
+        out[redo] = _vertex_support(vertices, cols[:, redo])
     return out
 
 
-def _support_stack(cols, vertices=None, centers=None, radii=None):
-    """Support value of the i-th stacked set at column i of cols (n, c), shape (c,).
-
-    Give polytope vertices (k, c, n), or ball centers (c, n) and radii (c,);
-    a set axis of length 1 broadcasts one set over every column.  Sums run
-    coordinate by coordinate (_dot_paired) and polytopes take the maximum
-    in vertex order over blocks of vertices (_fold), so a column's value
-    does not depend on the other columns or sets.
-    """
-    sets, n = (centers if vertices is None else vertices[0]).shape
-    if cols.ndim != 2 or cols.shape[0] != n or sets not in (1, cols.shape[1]):
-        raise DimensionMismatch(
-            "support", f"columns have shape {cols.shape}, stack has {sets} sets in R^{n}"
-        )
-    if vertices is None:
-        return _dot_paired(centers, cols) + radii * _norms(cols)
-    return _fold(np.maximum, lambda v: _dot_paired(vertices[v], cols), len(vertices), cols.shape[1])
+def _vertex_support(V, cols):
+    """The largest v.x over the rows v of V (k, n) at each column x of cols
+    (n, c), shape (c,): sums coordinate by coordinate (_dot_paired), the
+    maximum in vertex order over blocks of vertices (_fold), so a column's
+    value does not depend on the other columns."""
+    return _fold(np.maximum, lambda b: _dot_paired(V[b, None, :], cols), len(V), cols.shape[1])
 
 
 def _by_key(items, key):
@@ -473,7 +465,7 @@ def _minor_cycles(group):
             p.P, p.w = p.P[keep], w[keep]
 
 
-def project(s, p, max_iter=PROJECT_MAX_ITER):
+def project(s, p):
     """Nearest point q of s to p.
 
     Balls are handled in closed form.  For a polytope, q is the point
@@ -484,13 +476,11 @@ def project(s, p, max_iter=PROJECT_MAX_ITER):
     Certificate: the Frank-Wolfe gap x.x - min_i x.(v_i - p) at x = q - p
     is at most 0, or, where rounding stops progress first, at most 2^-42
     max_i ||v_i - p||^2; both are relative to the data, so the stop is the
-    same at every scale.  Raises NoConvergence otherwise, and when max_iter
-    major cycles run out.  A NaN or infinite p raises ValueError, as does a
-    max_iter that is not an int >= 0.
+    same at every scale.  Raises NoConvergence otherwise, and when
+    PROJECT_MAX_ITER major cycles run out.  A NaN or infinite p raises
+    ValueError.
     """
     p = _check_point(s, p, "project")
-    if not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
-        raise ValueError(f"project: max_iter must be an int >= 0, got {max_iter!r}")
     if isinstance(s, Ball):
         with np.errstate(over="ignore"):
             d = p - s.center
@@ -506,25 +496,10 @@ def project(s, p, max_iter=PROJECT_MAX_ITER):
         return s.center + (s.radius / nrm) * d
     if not isinstance(s, VPolytope):
         raise TypeError(f"unsupported set type {type(s).__name__}")
-    (q,) = _feasible_points([(s, Ball(p, 0.0))], np.inf, max_iter)
+    (q,) = _feasible_points([(s, Ball(p, 0.0))], np.inf)
     if isinstance(q, Exception):
         raise q
     return q
-
-
-def contains(s, a, tol):
-    """Membership test: dist(a, s) <= tol, as feasible_point measures it for
-    s and the radius-0 ball at a.  A NaN or infinite a, or a tol that is
-    not finite and > 0, raises ValueError."""
-    a = _check_point(s, a, "contains")
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"contains: tol must be finite and > 0, got {tol!r}")
-    (point,) = _feasible_points([(s, Ball(a, 0.0))], tol)
-    if isinstance(point, EmptyIntersection):
-        return False
-    if isinstance(point, Exception):
-        raise point
-    return True
 
 
 def _check_tol(tol, op):
@@ -556,14 +531,14 @@ def feasible_point(set_a, set_b, tol=FEASIBLE_TOL):
     return point
 
 
-def _feasible_points(pairs, tol, max_iter=PROJECT_MAX_ITER):
+def _feasible_points(pairs, tol):
     """feasible_point of each pair (set_a, set_b) of one dimension, as its
     point or as the error it raises.  A ball and a polytope are the problem
     (vertices, centre) of _min_norm_weights, two polytopes (vertices of a,
     vertices of b); the problems of all pairs go through it as one stack,
-    and the distances through one _norms call.  A ball and a polytope end
-    in the NoConvergence of project.  A distance that overflows is inf,
-    above every finite tol."""
+    capped at PROJECT_MAX_ITER major cycles, and the distances through one
+    _norms call.  A ball and a polytope end in the NoConvergence of
+    project.  A distance that overflows is inf, above every finite tol."""
     balls = [(isinstance(a, Ball), isinstance(b, Ball)) for a, b in pairs]
     problems = []
     for (a, b), (ball_a, ball_b) in zip(pairs, balls):
@@ -572,7 +547,7 @@ def _feasible_points(pairs, tol, max_iter=PROJECT_MAX_ITER):
             problems.append((poly.vertices, ball.center[None, :], "project"))
         elif not ball_a:
             problems.append((a.vertices, b.vertices, "feasible_point"))
-    ends = iter(_min_norm_weights(problems, max_iter))
+    ends = iter(_min_norm_weights(problems, PROJECT_MAX_ITER))
     # per pair: its point (None for two balls, until their distance is
     # known), and the vector and radii whose norm less the radii is the
     # sets' distance
@@ -618,17 +593,18 @@ def coordinate_bound(s, k):
     """Bound on the k-th coordinate (1-based) of any point of s.
 
     Equals max(support(s, e_k), support(s, -e_k)); every a in s satisfies
-    |a_k| <= that value.
+    |a_k| <= that value.  k must be a whole number in 1..n, as CoordinateHom
+    takes j; else IndexOutOfRange.
     """
-    if not 1 <= k <= s.dim:
-        raise IndexOutOfRange("coordinate_bound", f"k={k} outside 1..{s.dim}")
+    if int(k) != k or not 1 <= k <= s.dim:
+        raise IndexOutOfRange("coordinate_bound", f"k must be a whole number in 1..{s.dim}, got {k!r}")
     e = np.zeros(s.dim)
-    e[k - 1] = 1.0
+    e[int(k) - 1] = 1.0
     return max(support(s, e), support(s, -e))
 
 
 # ---------------------------------------------------------------------------
-# sphere grids: the directions of saddle checks, envelopes and support plans
+# sphere grids: the directions of domination envelopes and support plans
 
 def _kronecker_alphas(n):
     # root of x**(n+1) = x + 1, Newton from 1.5; deterministic
@@ -642,9 +618,15 @@ def sphere_grid(n, density):
     """Deterministic unit-sphere sample: uniform angles (n=2), Fibonacci
     spiral (n=3), Kronecker lattice through the Gaussian (n>=4), mapped by
     the standard library's inverse normal, statistics.NormalDist().inv_cdf
-    (Wichura's AS 241)."""
+    (Wichura's AS 241).  n must be a whole number >= 1 and density a whole
+    number >= 8; else ValueError."""
+    if int(n) != n or n < 1:
+        raise ValueError(f"grid dimension must be a whole number >= 1, got {n!r}")
+    if int(density) != density:
+        raise ValueError(f"grid density must be a whole number, got {density!r}")
     if density < 8:
         raise ValueError("grid density must be >= 8")
+    n, density = int(n), int(density)
     if n == 1:
         return np.array([[1.0], [-1.0]])
     if n == 2:

@@ -24,7 +24,7 @@ from homocalc.convexsets import (
     VPolytope,
     _default_grid,
     _dot_paired,
-    _support_stack,
+    _norms,
     support_batch,
 )
 from homocalc.errors import DimensionMismatch
@@ -279,12 +279,15 @@ def test_scan_past_one_block_is_the_member_by_member_fold(family, minimize):
         assert _bits(values) == _bits(fold)
 
 
-# The stacked support kernel against one support_batch call per set.  Its
-# columns are signed (x and -x), the two sides of a map.  The grid is that
-# of test_homog.py::test_finite_family_block_is_its_members_values.
+# support_batch of one set per call, as a lift stacks the runs of columns
+# that different sets answer.  Each set's values at its own run, computed
+# alone, must be its values in the full batch and the reference of its
+# kind: the vertex-order fold of a polytope, center.x + radius ||x|| of a
+# ball.  Columns are signed (x and -x), the two sides of a map.  The grid
+# is that of test_homog.py::test_finite_family_block_is_its_members_values.
 
 _SIGNED_ZERO_GRID = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 1.7e308, 3.0, -3.0]
-_STACK_KINDS = [(n, k) for n in (1, 2, 3, 4) for k in (1, 2, 3, 4, 5, 6, 0)]  # k = 0: balls
+_SET_KINDS = [(n, k) for n in (1, 2, 3, 4) for k in (1, 2, 3, 4, 5, 6, 0)]  # k = 0: balls
 
 
 def _random_sets(rng, n, k, count, values=None):
@@ -299,61 +302,66 @@ def _random_sets(rng, n, k, count, values=None):
     return [Ball(draw(n), float(np.abs(draw(())))) for _ in range(count)]
 
 
-def _stacked(sets):
-    """The arrays of sets of one kind, one set per column, as keywords of
-    _support_stack: vertices (k, c, n), or centers (c, n) and radii (c,)."""
-    if isinstance(sets[0], VPolytope):
-        return {"vertices": np.stack([s.vertices for s in sets], axis=1)}
-    return {"centers": np.stack([s.center for s in sets]), "radii": np.array([s.radius for s in sets])}
+def _reference_support(s, cols):
+    """The support values of s at the columns of cols (n, c), by its kind."""
+    if isinstance(s, Ball):
+        return _dot_paired(s.center, cols) + s.radius * _norms(cols)
+    return _fold(np.maximum, _dot_paired(s.vertices[:, None, :], cols))
 
 
-def _assert_stack_is_per_set(sets, widths, cols):
-    """_support_stack over sets repeated by widths equals support_batch of
-    each set at its own columns, for x and -x."""
-    repeated = [s for s, w in zip(sets, widths) for _ in range(w)]
-    edges = np.cumsum([0, *widths])
-    for sign in (1.0, -1.0):
-        stacked = _support_stack(sign * cols, **_stacked(repeated))
-        for s, a, b in zip(sets, edges[:-1], edges[1:]):
-            alone = support_batch(s, sign * cols[:, a:b].T)
-            assert _bits(stacked[a:b]) == _bits(alone), (s, sign, cols[:, a:b])
+def _assert_runs_are_per_set(sets, runs, cols):
+    """support_batch of each set at the columns cols (n, c) is its reference,
+    and at each of its runs (slices of columns), alone, its values in that
+    batch; for x and -x."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sign in (1.0, -1.0):
+            X = sign * cols
+            for s, own in zip(sets, runs):
+                full = support_batch(s, X.T)
+                assert _bits(full) == _bits(_reference_support(s, X)), (s, sign)
+                for run in own:
+                    assert _bits(support_batch(s, X[:, run].T)) == _bits(full[run]), (s, sign, X[:, run])
 
 
-@pytest.mark.parametrize("n, k", _STACK_KINDS, ids=lambda v: str(v))
+@pytest.mark.parametrize("n, k", _SET_KINDS, ids=lambda v: str(v))
 def test_stacked_support_is_per_set_support(n, k):
+    # each set answers one column of its own
     rng = np.random.default_rng(100 * n + k)
     sets = _random_sets(rng, n, k, 40)
-    _assert_stack_is_per_set(sets, [1] * 40, rng.uniform(-5.0, 5.0, size=(n, 40)))
+    _assert_runs_are_per_set(sets, [[slice(i, i + 1)] for i in range(40)], rng.uniform(-5.0, 5.0, size=(n, 40)))
 
 
-@pytest.mark.parametrize("n, k", _STACK_KINDS, ids=lambda v: str(v))
+@pytest.mark.parametrize("n, k", _SET_KINDS, ids=lambda v: str(v))
 def test_stacked_support_of_sets_spanning_several_columns(n, k):
     # the layout of a lift: each set answers its own run of 1..8 columns
     rng = np.random.default_rng(200 * n + k)
     sets = _random_sets(rng, n, k, 30)
-    widths = [int(w) for w in rng.integers(1, 9, size=30)]
-    _assert_stack_is_per_set(sets, widths, _columns(rng, n, sum(widths)))
+    edges = np.cumsum([0, *rng.integers(1, 9, size=30).tolist()]).tolist()
+    runs = [[slice(a, b)] for a, b in zip(edges[:-1], edges[1:])]
+    _assert_runs_are_per_set(sets, runs, _columns(rng, n, edges[-1]))
 
 
-@pytest.mark.parametrize("n, k", _STACK_KINDS, ids=lambda v: str(v))
+@pytest.mark.parametrize("n, k", _SET_KINDS, ids=lambda v: str(v))
 def test_stacked_support_on_the_signed_zero_grid(n, k):
     # sets and points with signed zeros, subnormals and huge entries; the
-    # sign of a zero value must match too
+    # sign of a zero value must match too.  Each of 8 sets takes every 8th
+    # column alone.
     rng = np.random.default_rng(300 * n + k)
     grid = np.array(list(itertools.product(_SIGNED_ZERO_GRID, repeat=n))).T
     cols = grid if grid.shape[1] <= 2000 else grid[:, rng.choice(grid.shape[1], 2000, replace=False)]
-    sets = _random_sets(rng, n, k, cols.shape[1], values=_SIGNED_ZERO_GRID)
-    with np.errstate(over="ignore", invalid="ignore"):
-        _assert_stack_is_per_set(sets, [1] * cols.shape[1], cols)
+    sets = _random_sets(rng, n, k, 8, values=_SIGNED_ZERO_GRID)
+    runs = [[slice(j, j + 1) for j in range(i, cols.shape[1], 8)] for i in range(8)]
+    _assert_runs_are_per_set(sets, runs, cols)
 
 
 def test_stack_needs_one_kind_of_set_and_matching_columns():
+    # support_batch takes a polytope or a ball, and points of its dimension
     square = VPolytope([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]])
-    with pytest.raises(DimensionMismatch):
-        _support_stack(np.ones((2, 3)), **_stacked([square, square]))
-    with pytest.raises(DimensionMismatch):
-        _support_stack(np.ones((3, 2)), **_stacked([square, square]))
-    # support_batch takes a polytope or a ball, and nothing else of a dimension
+    for s in (square, Ball([0.0, 0.0], 1.0)):
+        with pytest.raises(DimensionMismatch):
+            support_batch(s, np.ones((2, 3)))
+        with pytest.raises(DimensionMismatch):
+            support_batch(s, np.ones(2))
     with pytest.raises(TypeError, match="unsupported set type SimpleNamespace"):
         support_batch(SimpleNamespace(dim=2), np.ones((3, 2)))
 
@@ -471,25 +479,6 @@ def test_a_planned_support_column_alone_is_the_vertex_order_fold_in_any_batch(x)
     _assert_alone_as_in_batches(kernel, x, fill, steps, want)
 
 
-@settings(max_examples=40, deadline=None)
-@given(_tie_case((9, 24)))
-@example(_NINE_CASE)
-def test_a_stacked_support_column_alone_is_the_vertex_order_fold_in_any_batch(case):
-    # each column carries its own polytope below its point: rows n.. hold
-    # the k vertices, so the batch is a stack of one set per column
-    V, x = case
-    k, n = V.shape
-    with np.errstate(over="ignore", invalid="ignore"):
-        want = _fold(np.maximum, _dot_paired(V[:, None, :], x))
-
-    def kernel(cols):
-        vertices = np.ascontiguousarray(cols[n:].reshape(k, n, -1).transpose(0, 2, 1))
-        return _support_stack(cols[:n], vertices=vertices)
-
-    fill = _fill(_SIGNED_ZERO_GRID, n + k * n, 2 * (_BLOCK_CELLS // k))
-    _assert_alone_as_in_batches(kernel, np.vstack([x, V.reshape(-1, 1)]), fill, [_BLOCK_CELLS // k], want)
-
-
 def _swapped(V, i):
     """V with rows i and i + 1 swapped."""
     W = V.copy()
@@ -512,9 +501,9 @@ _SEAM_TIE = np.array([[-1.0, 5.0], [-2.0, 1.0], [0.0, 1.0], [-0.0, -1.0], [-1.0,
 
 
 def test_support_folds_are_the_vertex_order_fold_across_member_block_seams(monkeypatch):
-    # the all-vertex, pruned and stacked-set folds, with _BLOCK_CELLS cut so
-    # that the first vertex block ends between the two tied vertices (in
-    # either order): the fold of the blocks must be the fold of all vertices
+    # the all-vertex and pruned folds, with _BLOCK_CELLS cut so that the
+    # first vertex block ends between the two tied vertices (in either
+    # order): the fold of the blocks must be the fold of all vertices
     X = np.hstack([[[1.0, 1.0], [0.0, 0.0]], np.random.default_rng(3).uniform(-5.0, 5.0, (2, 2))])
     cases = []
     for V in (_SEAM_TIE, _swapped(_SEAM_TIE, 2)):
@@ -523,11 +512,9 @@ def test_support_folds_are_the_vertex_order_fold_across_member_block_seams(monke
     for V in (_TIED, _swapped(_TIED, 98)):
         P = _planned(V)
         kept = P._plan[0]
-        first = int(np.flatnonzero((kept[:, 0] == V[98]).all(axis=1))[0])
-        assert (kept[first + 1, 0] == V[99]).all()
+        first = int(np.flatnonzero((kept == V[98]).all(axis=1))[0])
+        assert (kept[first + 1] == V[99]).all()
         cases.append((V[:, None, :], first + 1, lambda cols, P=P: support_batch(P, cols.T)))
-    stack = np.stack([_SEAM_TIE, _swapped(_SEAM_TIE, 2)] * 2, axis=1)
-    cases.append((stack, 3, lambda cols: _support_stack(cols, vertices=stack)))
     for vertices, seam, kernel in cases:
         monkeypatch.setattr(convexsets, "_BLOCK_CELLS", seam * X.shape[1])
         assert convexsets._blocks(len(vertices), X.shape[1])[0] == slice(0, seam)

@@ -16,7 +16,6 @@ from homocalc.convexsets import (
     _default_grid,
     _dot_paired,
     _norms,
-    contains,
     coordinate_bound,
     feasible_point,
     project,
@@ -109,9 +108,10 @@ def test_project_interior_point_returned_for_ball():
     assert project(b, [4.0, 0.0]) == pytest.approx([2.0, 0.0])
 
 
-def test_project_no_convergence_with_tiny_iteration_cap():
+def test_project_no_convergence_with_tiny_iteration_cap(monkeypatch):
+    monkeypatch.setattr(convexsets, "PROJECT_MAX_ITER", 0)
     with pytest.raises(NoConvergence):
-        project(SQUARE, [2.0, 0.0], max_iter=0)
+        project(SQUARE, [2.0, 0.0])
 
 
 def test_project_thin_triangle_gap_at_tight_tol():
@@ -125,37 +125,36 @@ def test_project_thin_triangle_gap_at_tight_tol():
     )
     p = np.array([0.3897486148023525, -0.16807201777335612])
     q = project(tri, p)
-    assert contains(tri, q, 1e-12)
+    feasible_point(tri, Ball(q, 0.0), 1e-12)
     # nearest: no vertex lies beyond the plane through q normal to p - q
     assert ((tri.vertices - q) @ (p - q)).max() <= 1e-15
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_project_and_contains_reject_non_finite_points(bad):
+    # membership is feasible_point of the set and the radius-0 ball at the
+    # point, whose centre must be finite
     for s in (SQUARE, Ball([0.0, 0.0], 1.0)):
         with pytest.raises(ValueError, match="support: point must be finite"):
             support(s, [bad, 0.0])
         with pytest.raises(ValueError, match="project: point must be finite"):
             project(s, [bad, 0.0])
-        with pytest.raises(ValueError, match="contains: point must be finite"):
-            contains(s, [0.0, bad], 1e-9)
-
-
-def test_contains_requires_positive_tol():
-    with pytest.raises(ValueError):
-        contains(SQUARE, [0.0, 0.0], 0.0)
+        with pytest.raises(ValueError, match="center must be a nonempty finite vector"):
+            feasible_point(s, Ball([0.0, bad], 0.0), 1e-9)
 
 
 def test_contains_inside_and_outside():
-    assert contains(SQUARE, [0.3, -0.9], 1e-9)
-    assert not contains(SQUARE, [1.1, 0.0], 1e-3)
-    assert contains(Ball([0.0, 0.0], 1.0), [0.6, 0.8], 1e-9)
+    # a point lies in a set when feasible_point meets it with the set
+    feasible_point(SQUARE, Ball([0.3, -0.9], 0.0), 1e-9)
+    with pytest.raises(EmptyIntersection):
+        feasible_point(SQUARE, Ball([1.1, 0.0], 0.0), 1e-3)
+    feasible_point(Ball([0.0, 0.0], 1.0), Ball([0.6, 0.8], 0.0), 1e-9)
 
 
 def test_feasible_point_square_and_segment():
     a = feasible_point(SQUARE, SEGMENT)
-    assert contains(SQUARE, a, 1e-9)
-    assert contains(SEGMENT, a, 1e-9)
+    feasible_point(SQUARE, Ball(a, 0.0), 1e-9)
+    feasible_point(SEGMENT, Ball(a, 0.0), 1e-9)
 
 
 def test_feasible_point_singletons_forced():
@@ -175,7 +174,7 @@ def test_feasible_point_two_balls():
     assert np.array_equal(feasible_point(Ball([0.0, 0.0], 1.0), Ball([3.0, 0.0], 2.0)), [1.0, 0.0])
     # one ball inside the other
     a = feasible_point(Ball([0.0, 0.0], 5.0), Ball([1.0, 1.0], 0.5))
-    assert contains(Ball([1.0, 1.0], 0.5), a, 1e-12)
+    feasible_point(Ball([1.0, 1.0], 0.5), Ball(a, 0.0), 1e-12)
 
 
 def test_feasible_point_ball_and_polytope():
@@ -218,6 +217,9 @@ def test_coordinate_bound_values():
     P = VPolytope([[2.0, 3.0], [-1.0, 0.0]])
     assert coordinate_bound(P, 1) == pytest.approx(2.0)
     assert coordinate_bound(P, 2) == pytest.approx(3.0)
+    # any whole number type gives the same value
+    for k in (np.int64(2), 2.0):
+        assert coordinate_bound(P, k) == coordinate_bound(P, 2)
 
 
 def test_coordinate_bound_index_out_of_range():
@@ -226,6 +228,12 @@ def test_coordinate_bound_index_out_of_range():
     with pytest.raises(IndexOutOfRange):
         coordinate_bound(SQUARE, 0)
 
+
+@pytest.mark.parametrize("k", [1.5, "1"])
+def test_coordinate_bound_takes_a_whole_number(k):
+    # k is taken as CoordinateHom takes j: a whole number in 1..n
+    with pytest.raises(IndexOutOfRange, match="k must be a whole number in 1..2"):
+        coordinate_bound(SQUARE, k)
 
 def test_set_json_round_trip():
     for s in (SQUARE, Ball([1.0, 2.0], 0.5)):
@@ -319,7 +327,7 @@ def test_projection_is_nearest(p, seed, shape, scale):
     P = VPolytope(scale * _vertex_set(rng, shape))
     p = scale * p
     q = project(P, p)
-    assert contains(P, q, 1e-7)
+    feasible_point(P, Ball(q, 0.0), 1e-7)
     d = np.linalg.norm(p - q)
     w = rng.dirichlet(np.ones(len(P.vertices)), size=8)
     others = np.linalg.norm(w @ P.vertices - p, axis=1)
@@ -450,15 +458,15 @@ def test_a_planned_polytope_takes_the_pruned_path(monkeypatch):
     assert 2 * len(kept) <= 200
     X = rng.uniform(-5.0, 5.0, size=(2, 1000))
     want = _all_vertex_fold(P.vertices, X)
-    stack = convexsets._support_stack
+    fold = convexsets._vertex_support
 
-    def no_fallback(cols, vertices):
+    def no_fallback(V, cols):
         # the kept fold passes the kept vertices, the fallback all 200
-        if len(vertices) == len(P.vertices):
+        if len(V) == len(P.vertices):
             raise AssertionError("a column fell back on the all-vertex fold")
-        return stack(cols, vertices=vertices)
+        return fold(V, cols)
 
-    monkeypatch.setattr(convexsets, "_support_stack", no_fallback)
+    monkeypatch.setattr(convexsets, "_vertex_support", no_fallback)
     assert _bits(support_batch(P, X.T)) == _bits(want)
 
 
@@ -558,7 +566,7 @@ def test_a_vertex_one_ulp_above_the_kept_maximum_is_kept():
     P = _planned(V)
     kept, _ = P._plan
     assert len(kept) <= 16
-    assert {tuple(r) for r in kept[:, 0]} >= {tuple(w), tuple(v)}
+    assert {tuple(r) for r in kept} >= {tuple(w), tuple(v)}
     assert _dot_paired(V[0], x)[0] < _dot_paired(V[1], x)[0]
     assert _bits(support_batch(P, x.T)) == _bits(_all_vertex_fold(V, x))
 
@@ -573,21 +581,21 @@ def test_a_column_below_the_magnitude_range_falls_back(monkeypatch):
     V = np.vstack([hull, [v], _interior(4, 30)])
     P = _planned(V)
     kept, rho = P._plan
-    assert tuple(v) not in {tuple(r) for r in kept[:, 0]}
+    assert tuple(v) not in {tuple(r) for r in kept}
     x = np.array([[5e-324], [5e-324]])
     want = _all_vertex_fold(V, x)
     assert _dot_paired(kept, x).max() < want[0] == _dot_paired(np.array(v), x)[0]
     assert rho * 5e-324 < 2.0**-900
     calls = []
-    stack = convexsets._support_stack
+    fold = convexsets._vertex_support
 
-    def counted(cols, vertices):
+    def counted(W, cols):
         # the kept fold passes the kept vertices, the fallback all of V
-        if len(vertices) == len(V):
+        if len(W) == len(V):
             calls.append(cols.shape)
-        return stack(cols, vertices=vertices)
+        return fold(W, cols)
 
-    monkeypatch.setattr(convexsets, "_support_stack", counted)
+    monkeypatch.setattr(convexsets, "_vertex_support", counted)
     assert _bits(support_batch(P, x.T)) == _bits(want)
     assert calls == [(2, 1)]
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homocalc import verify
-from homocalc.convexsets import Ball, VPolytope, _dot_paired, contains
+from homocalc.convexsets import Ball, VPolytope, _dot_paired, feasible_point
 from homocalc.documents import saddle_from_json, saddle_to_json
 from homocalc.errors import (
     DimensionMismatch,
@@ -233,8 +233,9 @@ def test_saddle_build_random_polytopes_around_a_shared_base():
     psis = [VPolytope(base[rng.choice(6, 3, replace=False)]) for _ in range(7)]
     S = saddle_build([SublinearMap(phis[0])], [SuperlinearMap(psis[6])])
     a = S.coeffs[0, 0]
-    assert contains(phis[0], a, 1e-9)
-    assert contains(psis[6], a, 1e-9)
+    # a lies within 1e-9 of both sets
+    feasible_point(phis[0], Ball(a, 0.0), 1e-9)
+    feasible_point(psis[6], Ball(a, 0.0), 1e-9)
 
 
 def test_saddle_build_not_ordered():

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -486,9 +487,26 @@ def test_sphere_grid_shapes_and_norms():
         g = sphere_grid(n, density)
         assert g.shape[1] == n
         assert np.linalg.norm(g, axis=1) == pytest.approx(np.ones(g.shape[0]), abs=1e-9)
+        assert np.array_equal(sphere_grid(float(n), float(density)), g)
     assert sphere_grid(1, 8).shape == (2, 1)
     with pytest.raises(ValueError):
         sphere_grid(2, 4)
+
+
+@pytest.mark.parametrize(
+    "n, density, message",
+    [
+        (0, 8, "grid dimension must be a whole number >= 1, got 0"),
+        (-1, 8, "grid dimension must be a whole number >= 1, got -1"),
+        (2.5, 8, "grid dimension must be a whole number >= 1, got 2.5"),
+        (2, 8.5, "grid density must be a whole number, got 8.5"),
+        (2, 7, "grid density must be >= 8"),
+    ],
+    ids=["n-zero", "n-negative", "n-not-whole", "density-not-whole", "density-below-8"],
+)
+def test_sphere_grid_takes_whole_numbers(n, density, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sphere_grid(n, density)
 
 
 # rows of the Kronecker grids as scipy.special.ndtri built them; the standard

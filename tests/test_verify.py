@@ -12,6 +12,7 @@ import pytest
 from homocalc import convexsets, verify
 from homocalc.cli import main
 from homocalc.convexsets import Ball, VPolytope
+from homocalc.errors import SaddleGap
 from homocalc.homog import builtin
 from homocalc.lattice import RmElement, StepFunction, common_refinement, embed_step_to_grid
 from homocalc.verify import (
@@ -180,6 +181,59 @@ def test_negative_controls_pass_when_faults_detected():
     report = negative_controls(seed=8)
     assert report.passed
     assert report.cases == 2
+
+
+def _no_saddle_gap(monkeypatch):
+    """fc_saddle returns zeros where it would raise SaddleGap."""
+    inner = verify.fc_saddle
+
+    def silent(S, fs):
+        try:
+            return inner(S, fs)
+        except SaddleGap:
+            return RmElement(np.zeros(len(fs[0].coords)))
+
+    monkeypatch.setattr(verify, "fc_saddle", silent)
+
+
+def _no_ordering_gap(monkeypatch):
+    """_ordering_gap reads 0 at every column."""
+    monkeypatch.setattr(verify, "_ordering_gap", lambda S, cols: np.zeros(cols.shape[1]))
+
+
+@pytest.mark.parametrize(
+    "breaks",
+    [(_no_saddle_gap,), (_no_ordering_gap,), (_no_saddle_gap, _no_ordering_gap)],
+    ids=["saddle-gap", "ordering-gap", "both"],
+)
+def test_negative_controls_fail_when_a_saddle_fault_goes_undetected(monkeypatch, breaks):
+    # the corrupted saddles count as caught only when both the rolled-row
+    # family's gap is recorded and the 2 x 2 saddle raises SaddleGap
+    for brk in breaks:
+        brk(monkeypatch)
+    report = negative_controls(seed=0)
+    assert not report.passed
+    label = hashlib.sha1(b"corrupted saddle coefficient").hexdigest()[:12]
+    assert [f.digest for f in report.failures] == [label]
+
+
+def test_the_saddle_controls_are_check_saddles_first_family_and_tangents():
+    # negative_controls rebuilds only check_saddle's first R^2 family: its
+    # corrupted record is the one check_saddle(trials=1, corrupt=True)
+    # makes, and the 32 tangents at 0 and 90 degrees are the 32-tangent
+    # saddle's coefficients, bit for bit
+    for seed in (0, 8):
+        rng = verify._rng(seed, "saddle")
+        phis, psis = verify._saddle_family(rng, 2)[2:]
+        cols = rng.uniform(-5.0, 5.0, size=(2, 6))
+        control = np.array(verify.saddle_build(phis, psis).coeffs), cols
+        tangents = verify.angle_superlinear_family(32)
+        failures, caught = verify._corrupted_saddles(control, tangents, 1e-9)
+        report = check_saddle(trials=1, seed=seed, corrupt=True)
+        assert caught and [f.to_json() for f in failures] == [f.to_json() for f in report.failures]
+    S32 = verify.saddle_build([verify.disk_map()], list(tangents.maps))
+    pair = [tangents.maps[j].set.vertices[0] for j in (0, 8)]
+    assert np.array(pair).tobytes() == S32.coeffs[0, [0, 8]].tobytes()
 
 
 def test_report_json_shape():
@@ -592,23 +646,24 @@ def test_the_check_table_drives_the_cli_and_the_suite(monkeypatch, capsys):
         "check_rep_independence": 1,
         "check_continuous_agreement": 1,
         "check_sublattice_invariance": 1,
-        "check_saddle": 2,
+        "check_saddle": 1,
         "negative_controls": 1,
     }
 
 
-def test_the_suite_builds_six_saddles(monkeypatch):
+def test_the_suite_builds_five_saddles(monkeypatch):
     # check_saddle builds one family saddle per dimension and the 32-tangent
-    # saddle, and its corrupted control one family and the 32-tangent saddle
-    # again; one fc_saddle per saddle built and the control's 2 x 2 saddle;
-    # one fc_superlinear per psi of each family (k + 1 for k core points),
-    # 28 in all, and check_interchange one per superlinear group: 8 in its
-    # own run and 3 in the 8-trial run of negative_controls
+    # saddle, and negative_controls the first R^2 family again; one
+    # fc_saddle per saddle check_saddle builds and one for the controls'
+    # 2 x 2 saddle; one fc_superlinear per psi of check_saddle's families
+    # (k + 1 for k core points), 21 in all, and check_interchange one per
+    # superlinear group: 8 in its own run and 3 in the 8-trial run of
+    # negative_controls
     names = ("saddle_build", "fc_saddle", "fc_superlinear")
     calls = {name: _counting(monkeypatch, name) for name in names}
     default_suite(seed=0)
     assert {name: len(c) for name, c in calls.items()} == {
-        "saddle_build": 6,
-        "fc_saddle": 7,
-        "fc_superlinear": 28 + 8 + 3,
+        "saddle_build": 5,
+        "fc_saddle": 5,
+        "fc_superlinear": 21 + 8 + 3,
     }
