@@ -9,6 +9,7 @@ envelopes and the support plans sample directions from live here too.
 """
 
 import math
+import numbers
 from functools import lru_cache, reduce
 from statistics import NormalDist
 
@@ -94,6 +95,11 @@ class Ball:
 
     def __repr__(self):
         return f"Ball(center in R^{self.dim}, radius={self.radius})"
+
+
+def _whole(v):
+    """True when v is a real number of integer value, so not inf or NaN."""
+    return isinstance(v, numbers.Real) and float(v).is_integer()
 
 
 def _check_point(s, x, op):
@@ -596,7 +602,7 @@ def coordinate_bound(s, k):
     |a_k| <= that value.  k must be a whole number in 1..n, as CoordinateHom
     takes j; else IndexOutOfRange.
     """
-    if int(k) != k or not 1 <= k <= s.dim:
+    if not _whole(k) or not 1 <= k <= s.dim:
         raise IndexOutOfRange("coordinate_bound", f"k must be a whole number in 1..{s.dim}, got {k!r}")
     e = np.zeros(s.dim)
     e[int(k) - 1] = 1.0
@@ -620,9 +626,9 @@ def sphere_grid(n, density):
     the standard library's inverse normal, statistics.NormalDist().inv_cdf
     (Wichura's AS 241).  n must be a whole number >= 1 and density a whole
     number >= 8; else ValueError."""
-    if int(n) != n or n < 1:
+    if not _whole(n) or n < 1:
         raise ValueError(f"grid dimension must be a whole number >= 1, got {n!r}")
-    if int(density) != density:
+    if not _whole(density):
         raise ValueError(f"grid density must be a whole number, got {density!r}")
     if density < 8:
         raise ValueError("grid density must be >= 8")

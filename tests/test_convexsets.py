@@ -229,7 +229,7 @@ def test_coordinate_bound_index_out_of_range():
         coordinate_bound(SQUARE, 0)
 
 
-@pytest.mark.parametrize("k", [1.5, "1"])
+@pytest.mark.parametrize("k", [1.5, "1", np.inf, np.nan])
 def test_coordinate_bound_takes_a_whole_number(k):
     # k is taken as CoordinateHom takes j: a whole number in 1..n
     with pytest.raises(IndexOutOfRange, match="k must be a whole number in 1..2"):

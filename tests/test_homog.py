@@ -499,10 +499,12 @@ def test_sphere_grid_shapes_and_norms():
         (0, 8, "grid dimension must be a whole number >= 1, got 0"),
         (-1, 8, "grid dimension must be a whole number >= 1, got -1"),
         (2.5, 8, "grid dimension must be a whole number >= 1, got 2.5"),
+        (np.inf, 8, "grid dimension must be a whole number >= 1, got inf"),
         (2, 8.5, "grid density must be a whole number, got 8.5"),
+        (2, np.nan, "grid density must be a whole number, got nan"),
         (2, 7, "grid density must be >= 8"),
     ],
-    ids=["n-zero", "n-negative", "n-not-whole", "density-not-whole", "density-below-8"],
+    ids=["n-zero", "n-negative", "n-not-whole", "n-inf", "density-not-whole", "density-nan", "density-below-8"],
 )
 def test_sphere_grid_takes_whole_numbers(n, density, message):
     with pytest.raises(ValueError, match=re.escape(message)):
