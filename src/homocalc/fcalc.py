@@ -1,13 +1,14 @@
 """Functional calculus: lifting PH functions to vector lattices.
 
 The lift acts per coordinate: on R^m through the m coordinate columns, on
-step functions through the columns of the common refinement.  A lift
-evaluates all its columns as one batch, and every batched kernel (family
-scan, support, saddle) gives a column the same bits whatever batch it sits
-in, so embedding a step tuple on a grid and lifting commute bitwise.
+step functions through the columns of the common refinement.  Those
+columns come from lattice._columns, the one reader of a tuple of lattice
+elements, which join, meet, + and <= use too, so every tuple operation
+checks its operands one way.  A lift evaluates all its columns as one
+batch, and every batched kernel (family scan, support, saddle) gives a
+column the same bits whatever batch it sits in, so embedding a step tuple
+on a grid and lifting commute bitwise.
 """
-
-from functools import partial
 
 import numpy as np
 
@@ -16,7 +17,6 @@ from .errors import (
     DimensionMismatch,
     EmptyFamily,
     EmptyIntersection,
-    LatticeMismatch,
     NonFiniteResult,
     NotOrdered,
     SaddleGap,
@@ -27,28 +27,15 @@ from .homog import (
     _eval_columns,
     _finite_values,
 )
-from .lattice import RmElement, StepFunction, common_refinement
+from .lattice import _columns
 
 SADDLE_TOL = 1e-6
 
 
 def _lift_columns(op, what, dim, elements):
-    """(wrap, columns) of a lattice tuple: its value matrix, checked to have
-    dim rows, and the function that wraps one value per column back into
-    the tuple's lattice (R^m, or the common refinement of step functions)."""
-    elements = tuple(elements)
-    if not elements:
-        raise EmptyFamily("fc", "no lattice elements given")
-    if all(isinstance(f, RmElement) for f in elements):
-        dims = {f.m for f in elements}
-        if len(dims) != 1:
-            raise LatticeMismatch("fc", f"mixed R^m dimensions {sorted(dims)}")
-        wrap, cols = RmElement, np.vstack([f.coords for f in elements])
-    elif all(isinstance(f, StepFunction) for f in elements):
-        bp, cols = common_refinement(elements)
-        wrap = partial(StepFunction, bp)
-    else:
-        raise LatticeMismatch("fc", "elements mix R^m and step functions")
+    """lattice._columns of the tuple, whose column length must be dim: one
+    element per argument of the lifted map, function or saddle."""
+    wrap, cols = _columns(op, tuple(elements))
     if cols.shape[0] != dim:
         raise DimensionMismatch(op, f"{cols.shape[0]} elements, {what} expects {dim}")
     return wrap, cols
@@ -104,7 +91,9 @@ class SaddleFamily:
     every value of psi_j, so min-max and max-min over the matrix a[i,j].x
     bracket any function sandwiched between the two families.  The tensor
     has shape (P, Q, n): no rows or columns raise EmptyFamily, and n = 0
-    raises ValueError, as a set of dimension 0 does.
+    raises ValueError, as a set of dimension 0 does.  So do a coefficient
+    that is not finite and a label list whose length is not P (or Q), which
+    the document reader refuses too; labels are read with str.
     """
 
     def __init__(self, coeffs, phi_labels=None, psi_labels=None):
@@ -116,10 +105,12 @@ class SaddleFamily:
             raise EmptyFamily("SaddleFamily", f"need at least one row and one column, got {P} x {Q}")
         if not n:
             raise ValueError(f"need dimension n >= 1, got shape {coeffs.shape}")
+        if not np.isfinite(coeffs).all():
+            raise ValueError("coefficients must be finite")
         self.coeffs = coeffs
         self.coeffs.setflags(write=False)
-        self.phi_labels = tuple(phi_labels) if phi_labels else tuple(f"phi{i}" for i in range(P))
-        self.psi_labels = tuple(psi_labels) if psi_labels else tuple(f"psi{j}" for j in range(Q))
+        self.phi_labels = _labels(phi_labels, P, "phi")
+        self.psi_labels = _labels(psi_labels, Q, "psi")
 
     @property
     def shape(self):
@@ -128,6 +119,14 @@ class SaddleFamily:
     @property
     def dim(self):
         return self.coeffs.shape[2]
+
+
+def _labels(labels, count, prefix):
+    """The labels as strings, or prefix0, prefix1, ... where labels is None."""
+    labels = tuple(f"{prefix}{i}" for i in range(count)) if labels is None else tuple(map(str, labels))
+    if len(labels) != count:
+        raise ValueError(f"{prefix}_labels has {len(labels)} labels, need {count}")
+    return labels
 
 
 def saddle_build(phis, psis, tol=FEASIBLE_TOL):

@@ -310,7 +310,7 @@ def domination_envelopes(h, grid_density=None):
     against the family on a grid subsample, and disagreement raises
     EnvelopeViolation.
     """
-    grid = _default_grid(h.dim) if grid_density is None else sphere_grid(h.dim, int(grid_density))
+    grid = _default_grid(h.dim) if grid_density is None else sphere_grid(h.dim, grid_density)
     m, M = (max(0.0, b) for b in _sphere_bounds(h, grid, "domination_envelopes"))
     center = np.zeros(h.dim)
     psi = SuperlinearMap(Ball(center, m), label=f"-{m:g}*norm")

@@ -4,11 +4,17 @@ functions on [0,1] with pointwise order.
 Step functions use half-open pieces [t_{i-1}, t_i); the point t = 1 belongs
 to the last piece.  Refinement merges breakpoint sets exactly (float
 equality), no epsilon snapping.
+
+A tuple of elements becomes columns in one place, _columns: join, meet, +
+and <= read their operands there, and so does every lift in fcalc.
 """
+
+from functools import partial
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange, LatticeMismatch
+from .convexsets import _whole
+from .errors import DimensionMismatch, EmptyFamily, IndexOutOfRange, LatticeMismatch
 
 
 class RmElement:
@@ -34,8 +40,8 @@ class RmElement:
         return RmElement(float(scalar) * self.coords)
 
     def __le__(self, other):
-        _pair_check(self, other, "<=")
-        return bool(np.all(self.coords <= other.coords))
+        _, (f, g) = _columns("<=", (self, other))
+        return bool(np.all(f <= g))
 
     def __eq__(self, other):
         return isinstance(other, RmElement) and np.array_equal(self.coords, other.coords)
@@ -97,9 +103,8 @@ class StepFunction:
         return StepFunction(self.breakpoints, float(scalar) * self.values)
 
     def __le__(self, other):
-        _pair_check(self, other, "<=")
-        _, (fv, gv) = common_refinement([self, other])
-        return bool(np.all(fv <= gv))
+        _, (f, g) = _columns("<=", (self, other))
+        return bool(np.all(f <= g))
 
     def __eq__(self, other):
         if not isinstance(other, StepFunction):
@@ -121,7 +126,7 @@ class CoordinateHom:
     """R^m -> R, pick the j-th coordinate (1-based)."""
 
     def __init__(self, j):
-        if int(j) != j or j < 1:
+        if not _whole(j) or j < 1:
             raise IndexOutOfRange("CoordinateHom", f"j must be a whole number >= 1, got {j!r}")
         self.j = int(j)
 
@@ -153,23 +158,31 @@ def hom_eval(hom, f):
 
 # --- lattice operations ------------------------------------------------------
 
-def _pair_check(f, g, op):
-    if isinstance(f, RmElement) and isinstance(g, RmElement):
-        if f.m != g.m:
-            raise DimensionMismatch(op, f"elements have dims {f.m} and {g.m}")
-        return "rm"
-    if isinstance(f, StepFunction) and isinstance(g, StepFunction):
-        return "step"
-    raise LatticeMismatch(op, "operands must be two RmElements or two StepFunctions")
+def _columns(op, elements):
+    """(wrap, columns) of a tuple of lattice elements: one row per element,
+    one column per coordinate (R^m) or per piece of the common refinement
+    (step functions), and the function that wraps one value per column
+    back into the tuple's lattice.  Every tuple operation reads its
+    operands here: an empty tuple raises EmptyFamily, R^m elements of
+    different dimensions DimensionMismatch, and any other mix
+    LatticeMismatch, each naming op."""
+    if not elements:
+        raise EmptyFamily(op, "no lattice elements given")
+    if all(isinstance(f, RmElement) for f in elements):
+        dims = {f.m for f in elements}
+        if len(dims) != 1:
+            raise DimensionMismatch(op, f"elements have dims {sorted(dims)}")
+        return RmElement, np.array([f.coords for f in elements])
+    if all(isinstance(f, StepFunction) for f in elements):
+        bp, cols = common_refinement(elements)
+        return partial(StepFunction, bp), cols
+    raise LatticeMismatch(op, "elements must be all RmElements or all StepFunctions")
 
 
 def _combine(f, g, op, ufunc):
-    """ufunc of two elements: coordinatewise, or piecewise on the common
-    refinement of two step functions."""
-    if _pair_check(f, g, op) == "rm":
-        return RmElement(ufunc(f.coords, g.coords))
-    bp, (fv, gv) = common_refinement([f, g])
-    return StepFunction(bp, ufunc(fv, gv))
+    """ufunc of two elements, column by column."""
+    wrap, (a, b) = _columns(op, (f, g))
+    return wrap(ufunc(a, b))
 
 
 def join(f, g):

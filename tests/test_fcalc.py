@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -5,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homocalc import verify
+from homocalc import lattice, verify
 from homocalc.convexsets import Ball, VPolytope, _dot_paired, feasible_point
 from homocalc.documents import saddle_from_json, saddle_to_json
 from homocalc.errors import (
+    CalculusError,
     DimensionMismatch,
     EmptyFamily,
     LatticeMismatch,
@@ -134,10 +136,47 @@ def test_fc_mismatches():
         fc_sublinear(PHI_11, [RmElement([1.0, 2.0])])
     with pytest.raises(LatticeMismatch):
         fc_sublinear(PHI_11, [RmElement([1.0]), StepFunction([0.0, 1.0], [1.0])])
-    with pytest.raises(LatticeMismatch):
+    with pytest.raises(DimensionMismatch):
         fc_sublinear(PHI_11, [RmElement([1.0]), RmElement([1.0, 2.0])])
     with pytest.raises(EmptyFamily):
         fc_sublinear(PHI_11, [])
+
+
+# every operation on a tuple of lattice elements reads it through
+# lattice._columns; the detailed lift names the lift it details, as the CLI
+# prints it
+_TUPLE_OPS = {
+    "join": (lattice.join, "join"),
+    "meet": (lattice.meet, "meet"),
+    "add": (lambda f, g: f + g, "add"),
+    "le": (lambda f, g: f <= g, "<="),
+    "fc_sublinear": (lambda f, g: fc_sublinear(PHI_11, [f, g]), "fc_sublinear"),
+    "fc_superlinear": (lambda f, g: fc_superlinear(PSI_11, [f, g]), "fc_superlinear"),
+    "fc_semicontinuous": (lambda f, g: fc_semicontinuous(builtin("abs-sum"), [f, g]), "fc_semicontinuous"),
+    "fc_semicontinuous_detailed": (
+        lambda f, g: fc_semicontinuous_detailed(builtin("abs-sum"), [f, g]),
+        "fc_semicontinuous",
+    ),
+    "fc_saddle": (lambda f, g: fc_saddle(SaddleFamily([[[0.5, 0.5]]]), [f, g]), "fc_saddle"),
+    "oracle_fc": (lambda f, g: verify.oracle_fc(builtin("abs-sum"), [f, g]), "oracle_fc"),
+}
+
+
+@pytest.mark.parametrize("name", list(_TUPLE_OPS))
+@pytest.mark.parametrize(
+    "f, g, error",
+    [
+        (RmElement([1.0]), RmElement([1.0, 2.0]), DimensionMismatch),
+        (RmElement([1.0]), StepFunction([0.0, 1.0], [1.0]), LatticeMismatch),
+    ],
+    ids=["rm-dims", "rm-step"],
+)
+def test_every_tuple_operation_checks_its_operands_one_way(name, f, g, error):
+    op, operation = _TUPLE_OPS[name]
+    with pytest.raises(CalculusError) as info:
+        op(f, g)
+    assert type(info.value) is error
+    assert info.value.operation == operation
 
 
 @pytest.mark.parametrize(
@@ -423,6 +462,32 @@ def test_a_saddle_needs_a_dimension():
     with pytest.raises(SchemaError) as info:
         saddle_from_json({"saddle": {"coeffs": [[[]]]}})
     assert info.value.path == "saddle.coeffs"
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"coeffs": [[[np.inf, 0.0]]]}, "coefficients must be finite"),
+        ({"coeffs": [[[np.nan, 0.0]]]}, "coefficients must be finite"),
+        ({"coeffs": [[[1.0, 0.0]]], "phi_labels": ["a", "b", "c"]}, "phi_labels has 3 labels, need 1"),
+        ({"coeffs": [[[1.0, 0.0]]], "psi_labels": []}, "psi_labels has 0 labels, need 1"),
+    ],
+    ids=["inf", "nan", "phi-labels", "psi-labels"],
+)
+def test_a_saddle_refuses_what_its_reader_refuses(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        SaddleFamily(**kwargs)
+
+
+def test_a_labelled_saddle_round_trips():
+    built = saddle_build([PHI_11], [PSI_11])
+    labelled = SaddleFamily([[[0.5, 0.5]], [[1.0, 0.0]]], phi_labels=[7, "b"], psi_labels=("q",))
+    assert labelled.phi_labels == ("7", "b")
+    for S in (built, labelled):
+        S2 = saddle_from_json(json.loads(json.dumps(saddle_to_json(S))))
+        assert np.array_equal(S2.coeffs, S.coeffs)
+        assert (S2.phi_labels, S2.psi_labels) == (S.phi_labels, S.psi_labels)
+    assert (built.phi_labels, built.psi_labels) == (("pospart",), ("min",))
 
 
 def test_saddle_build_validations():

@@ -624,6 +624,17 @@ def test_domination_envelopes_cross_check_both_points_of_the_line(grid_density):
         domination_envelopes(bad, grid_density=grid_density)
 
 
+def test_domination_envelopes_take_the_grid_density_as_given():
+    # the density reaches sphere_grid uncut: 8.5 is refused, not read as 8,
+    # and a float of whole value builds the grid its int builds
+    h = builtin("abs-sum")
+    with pytest.raises(ValueError, match="grid density must be a whole number, got 8.5"):
+        domination_envelopes(h, grid_density=8.5)
+    for got, want in zip(domination_envelopes(h, grid_density=1000.0), domination_envelopes(h, grid_density=1000)):
+        assert (got.label, got.set.radius) == (want.label, want.set.radius)
+        assert np.array_equal(got.set.center, want.set.center)
+
+
 def test_angle_family_and_polygon_bracket_the_norm():
     fam = angle_superlinear_family(720)
     poly = circumscribed_polygon_map(720)
