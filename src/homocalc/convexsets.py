@@ -48,6 +48,10 @@ _BLOCK_CELLS = 8192
 # angles and norms and of the support plan's depth bound (_build_plan).
 _CIRCLE_DENSITY = 720
 _CIRCLE_CHORD = 2.0 * np.sin(np.pi / (2 * _CIRCLE_DENSITY)) * (1.0 + 2.0**-20)
+# Every Wolfe problem's first weights, shared and read-only: no code writes
+# a weight array in place.
+_ONE = np.ones(1)
+_ONE.flags.writeable = False
 
 
 class VPolytope:
@@ -344,7 +348,7 @@ class _Wolfe:
 
     def __init__(self, A, B, op):
         self.A, self.B, self.op = A, B, op
-        self.w, self.span, self.last, self.cycle = np.ones(1), None, np.inf, 0
+        self.w, self.span, self.last, self.cycle = _ONE, None, np.inf, 0
         self.minor, self.end = False, None
 
 
@@ -406,19 +410,25 @@ def _min_norm_weights(problems, max_iter):
 
 def _major_cycles(group, max_iter):
     """One major cycle of each problem of group; they share D's shape, the
-    corral's size and the span's rank."""
-    X = np.matmul(np.array([p.w for p in group])[:, None, :], np.array([p.P for p in group]))[:, 0]
+    corral's size and the span's rank.  The weights W and corral rows P are
+    stacked once; where some problem goes on, the grown corrals are made
+    once for the group, W with a zero column and P with the row D[g, J[g]],
+    and each problem that goes on takes its own row of both."""
+    W, P = np.array([p.w for p in group]), np.array([p.P for p in group])
+    X = np.matmul(W[:, None, :], P)[:, 0]
     if group[0].span is not None:
         # x is the corral's affine minimizer, so it is orthogonal to the
         # corral's edges; removing the rounding along them makes x.d_i
         # exact to rounding in ||x|| max ||d_i||, not in max ||d_i||^2.
         S = np.array([p.span[0] for p in group])[:, :, : group[0].span[1]]
         X -= np.matmul(S, np.matmul(S.transpose(0, 2, 1), X[:, :, None]))[:, :, 0]
-    G = np.matmul(np.array([p.D for p in group]), X[:, :, None])[:, :, 0]
-    J = G.argmin(axis=1)
+    D = np.array([p.D for p in group])
+    G = np.matmul(D, X[:, :, None])[:, :, 0]
+    J, at = G.argmin(axis=1), np.arange(len(group))
     XX = np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0]
-    for p, j, g, xx in zip(group, J.tolist(), G[np.arange(len(J)), J].tolist(), XX.tolist()):
-        gap = xx - g
+    grow = []
+    for g, (p, j, dx, xx) in enumerate(zip(group, J.tolist(), G[at, J].tolist(), XX.tolist())):
+        gap = xx - dx
         stalled = j in p.corral or xx >= p.last
         if gap <= 0 or (stalled and gap <= p.floor):
             p.end = p.corral, p.w
@@ -427,8 +437,12 @@ def _major_cycles(group, max_iter):
         else:
             p.last, p.cycle, p.minor = xx, p.cycle + 1, True
             p.corral.append(j)
-            p.P = np.concatenate((p.P, p.D[j : j + 1]))
-            p.w = np.concatenate((p.w, [0.0]))
+            grow.append(g)
+    if grow:
+        W = np.concatenate((W, np.zeros((len(group), 1))), axis=1)
+        P = np.concatenate((P, D[at, J][:, None, :]), axis=1)
+        for g in grow:
+            group[g].w, group[g].P = W[g], P[g]
 
 
 def _minor_cycles(group):
@@ -446,7 +460,7 @@ def _minor_cycles(group):
     else:
         E = (P[:, 1:] - P[:, :1]).transpose(0, 2, 1)
         U, sv, Vt = np.linalg.svd(E, full_matrices=False)
-        ranks = [sum(row) for row in (sv > sv[:, :1] * max(E.shape[1:]) * np.finfo(float).eps).tolist()]
+        ranks = (sv > sv[:, :1] * max(E.shape[1:]) * np.finfo(float).eps).sum(axis=1).tolist()
         solved = []
         for idx in _by_key(range(len(group)), ranks.__getitem__):
             r, sel = ranks[idx[0]], slice(None) if len(idx) == len(group) else idx
@@ -543,24 +557,30 @@ def _feasible_points(pairs, tol):
     (vertices, centre) of _min_norm_weights, two polytopes (vertices of a,
     vertices of b); the problems of all pairs go through it as one stack,
     capped at PROJECT_MAX_ITER major cycles, and the distances through one
-    _norms call.  A ball and a polytope end in the NoConvergence of
-    project.  A distance that overflows is inf, above every finite tol."""
+    _norms call.  A one-row problem (a one-vertex polytope against a ball or
+    another one-vertex polytope) skips the kernel: it ends there at its
+    first major cycle, at any scale and cap, with corral [0] and weights
+    [1.0], since x = d and the gap x.x - x.d is 0.  Its point is computed
+    from that end as the kernel's is, so a -0.0 coordinate comes out +0.0.
+    A ball and a polytope end in the NoConvergence of project.  A distance
+    that overflows is inf, above every finite tol."""
     balls = [(isinstance(a, Ball), isinstance(b, Ball)) for a, b in pairs]
+    # per pair: its Wolfe operands and operation, None for two balls
     problems = []
     for (a, b), (ball_a, ball_b) in zip(pairs, balls):
         if ball_a != ball_b:
             ball, poly = (a, b) if ball_a else (b, a)
             problems.append((poly.vertices, ball.center[None, :], "project"))
-        elif not ball_a:
-            problems.append((a.vertices, b.vertices, "feasible_point"))
-    ends = iter(_min_norm_weights(problems, PROJECT_MAX_ITER))
+        else:
+            problems.append(None if ball_a else (a.vertices, b.vertices, "feasible_point"))
+    solved = iter(_min_norm_weights([q for q in problems if q and len(q[0]) * len(q[1]) > 1], PROJECT_MAX_ITER))
+    ends = (None if q is None else ([0], _ONE) if len(q[0]) * len(q[1]) == 1 else next(solved) for q in problems)
     # per pair: its point (None for two balls, until their distance is
     # known), and the vector and radii whose norm less the radii is the
     # sets' distance
     points, gaps, radii = [], [], []
     with np.errstate(over="ignore"):
-        for (a, b), (ball_a, ball_b) in zip(pairs, balls):
-            end = None if ball_a and ball_b else next(ends)
+        for (a, b), (ball_a, ball_b), end in zip(pairs, balls, ends):
             if end is None:
                 point, gap, r = None, b.center - a.center, (a.radius, b.radius)
             elif isinstance(end, Exception):

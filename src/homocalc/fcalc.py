@@ -12,7 +12,7 @@ on a grid and lifting commute bitwise.
 
 import numpy as np
 
-from .convexsets import FEASIBLE_TOL, Ball, _blocks, _check_tol, _dot_paired, _feasible_points, _norm, _norms, _reduce
+from .convexsets import FEASIBLE_TOL, Ball, _blocks, _check_tol, _dot_paired, _feasible_points, _norms, _reduce
 from .errors import (
     DimensionMismatch,
     EmptyFamily,
@@ -93,11 +93,12 @@ class SaddleFamily:
     has shape (P, Q, n): no rows or columns raise EmptyFamily, and n = 0
     raises ValueError, as a set of dimension 0 does.  So do a coefficient
     that is not finite and a label list whose length is not P (or Q), which
-    the document reader refuses too; labels are read with str.
+    the document reader refuses too; labels are read with str.  The tensor
+    is a read-only copy, so the caller's array stays as it was.
     """
 
     def __init__(self, coeffs, phi_labels=None, psi_labels=None):
-        coeffs = np.asarray(coeffs, dtype=float)
+        coeffs = np.array(coeffs, dtype=float, copy=True)
         if coeffs.ndim != 3:
             raise ValueError("coeffs must have shape (P, Q, n)")
         P, Q, n = coeffs.shape
@@ -137,8 +138,10 @@ def saddle_build(phis, psis, tol=FEASIBLE_TOL):
     distance, so intersecting the sets is the ordering check; no grid is
     sampled.  tol is relative to the scale read from the sets: the largest
     |a| over a vertex a of a polytope, or |centre| + radius for a ball,
-    which is the largest |phi_i| or |psi_j| on the unit sphere.  A scale
-    outside the float range raises NonFiniteResult.  All P x Q
+    which is the largest |phi_i| or |psi_j| on the unit sphere.  The norms
+    of every vertex and centre come from one _norms pass, each with the
+    bits it gets alone, and each set's largest from one maximum.reduceat.
+    A scale outside the float range raises NonFiniteResult.  All P x Q
     intersections are one stack of the Wolfe kernel, each with the bits it
     gets alone, and the first failing pair in row-major order raises: sets
     more than tol times the scale apart as NotOrdered, naming the pair by
@@ -164,10 +167,13 @@ def saddle_build(phis, psis, tol=FEASIBLE_TOL):
     if len(dims) != 1:
         raise DimensionMismatch("saddle_build", f"mixed map dimensions {sorted(dims)}")
 
-    scale = max(
-        _norm(s.center) + s.radius if isinstance(s, Ball) else float(_norms(s.vertices.T).max())
-        for s in [m.set for m in phis + psis]
-    )
+    # one _norms call over every set's rows (a polytope's vertices, a ball's
+    # centre) as columns; _norms is per column, so each norm has its own bits
+    sets = [m.set for m in phis + psis]
+    rows = [s.center[None, :] if isinstance(s, Ball) else s.vertices for s in sets]
+    starts = np.cumsum([0] + [len(r) for r in rows[:-1]])
+    tops = np.maximum.reduceat(_norms(np.concatenate(rows).T), starts).tolist()
+    scale = max(t + s.radius if isinstance(s, Ball) else t for s, t in zip(sets, tops))
     if not np.isfinite(scale):
         raise NonFiniteResult("saddle_build", "the largest |a| over the maps' sets is outside the float range")
     phi_labels = [p.label or f"phi{i}" for i, p in enumerate(phis)]

@@ -454,6 +454,17 @@ def test_a_saddle_needs_a_row_and_a_column(shape):
         SaddleFamily(np.empty(shape))
 
 
+def test_a_saddle_copies_the_callers_array():
+    # as RmElement and StepFunction copy theirs: the caller's array stays
+    # writeable, and the saddle's own tensor is read-only
+    a = np.array([[[1.0, 0.0]]])
+    S = SaddleFamily(a)
+    assert a.flags.writeable and S.coeffs is not a
+    assert not S.coeffs.flags.writeable
+    a[0, 0, 0] = 5.0
+    assert S.coeffs.tolist() == [[[1.0, 0.0]]]
+
+
 def test_a_saddle_needs_a_dimension():
     # as VPolytope and Ball reject dimension 0; a saddle document with empty
     # coefficient rows is a schema error at saddle.coeffs

@@ -21,6 +21,7 @@ from homocalc.convexsets import (
     Ball,
     VPolytope,
     _default_grid,
+    _feasible_points,
     _min_norm_weights,
     feasible_point,
     project,
@@ -274,13 +275,15 @@ def test_a_problem_whose_differences_overflow_is_solved_in_the_stack():
 
 
 def test_sets_beyond_the_float_range_apart_are_empty_without_a_warning():
-    # the centres' difference overflows, so the distance is inf
+    # the centres' difference, or a one-point set's gap to the other set,
+    # overflows, so the distance is inf
     ball = Ball([1.7e308, 0.0], 1.0)
-    for other in (Ball([-1.7e308, 0.0], 1.0), VPolytope([[-1.7e308, 0.0]])):
-        for a, b in ((ball, other), (other, ball)):
-            with pytest.raises(EmptyIntersection) as caught:
-                feasible_point(a, b)
-            assert str(caught.value) == "feasible_point: the sets are inf apart, above 1.0e-09"
+    pairs = [(ball, Ball([-1.7e308, 0.0], 1.0)), (ball, VPolytope([[-1.7e308, 0.0]]))]
+    pairs += [(Ball([-1e308, 0.0], 0.0), VPolytope([[1e308, 0.0]])), (VPolytope([[1e308, 0.0]]), VPolytope([[-1e308, 0.0]]))]
+    for a, b in pairs + [(b, a) for a, b in pairs]:
+        with pytest.raises(EmptyIntersection) as caught:
+            feasible_point(a, b)
+        assert str(caught.value) == "feasible_point: the sets are inf apart, above 1.0e-09"
     for s in (ball, VPolytope([[1.7e308, 0.0], [1.7e308, 1.0]])):
         with pytest.raises(EmptyIntersection):
             feasible_point(s, Ball([-1.7e308, 0.0], 0.0), 1.0)
@@ -363,3 +366,115 @@ def test_tolerances_must_be_finite_and_not_negative(tol):
 def test_feasible_point_takes_a_zero_tolerance():
     assert np.array_equal(feasible_point(VPolytope([[2.0, -1.0]]), VPolytope([[2.0, -1.0]]), tol=0.0), [2.0, -1.0])
 
+
+
+def _counting_kernel(monkeypatch):
+    """The problems sent to _min_norm_weights from here on, as a list."""
+    sent, kernel = [], convexsets._min_norm_weights
+
+    def counting(problems, max_iter):
+        sent.extend(problems)
+        return kernel(problems, max_iter)
+
+    monkeypatch.setattr(convexsets, "_min_norm_weights", counting)
+    return sent
+
+
+def test_one_point_pairs_never_reach_the_kernel(monkeypatch):
+    # the disk against 32 tangents is 32 pairs of a ball and one vertex,
+    # and two one-vertex polytopes are one row too; a second vertex sends
+    # its pair to the kernel
+    sent = _counting_kernel(monkeypatch)
+    saddle_build([disk_map()], list(angle_superlinear_family(32).maps))
+    feasible_point(VPolytope([[0.5, -2.0]]), VPolytope([[0.5, -2.0]]))
+    assert sent == []
+    feasible_point(VPolytope([[0.5, -2.0], [1.0, 0.0]]), VPolytope([[0.5, -2.0]]))
+    assert len(sent) == 1
+
+
+def _kernel_point(pair, max_iter):
+    """The point of a one-row pair as the kernel's own end gives it, which
+    must be corral [0] and weights [1.0]."""
+    a, b = pair
+    if isinstance(a, Ball) or isinstance(b, Ball):
+        ball, poly = (a, b) if isinstance(a, Ball) else (b, a)
+        problem = (poly.vertices, ball.center[None, :], "project")
+    else:
+        poly, problem = a, (a.vertices, b.vertices, "feasible_point")
+    ((corral, w),) = _min_norm_weights([problem], max_iter)
+    assert corral == [0] and w.tobytes() == np.ones(1).tobytes()
+    return w @ poly.vertices[corral]
+
+
+@pytest.mark.parametrize("k", [-1070, -600, 0, 600])
+@pytest.mark.parametrize("max_iter", [0, PROJECT_MAX_ITER])
+def test_one_point_pairs_keep_the_kernels_bits(monkeypatch, k, max_iter):
+    # at every scale and cap; the -0.0 coordinates come back +0.0, as the
+    # kernel's product [1.0] @ vertices[[0]] gives them
+    monkeypatch.setattr(convexsets, "PROJECT_MAX_ITER", max_iter)
+    v = np.ldexp(np.array([-0.0, 1.5, -0.0]), k)
+    near = np.ldexp(np.array([2.0**-30, 1.5, 0.0]), k)
+    pairs = [
+        (VPolytope([v]), Ball(near, np.ldexp(1.0, k))),
+        (Ball(near, np.ldexp(1.0, k)), VPolytope([v])),
+        (VPolytope([v]), VPolytope([v])),
+        (VPolytope([v]), VPolytope([near])),
+    ]
+    points = _feasible_points(pairs, np.inf)
+    for pair, point in zip(pairs, points):
+        assert point.tobytes() == _kernel_point(pair, max_iter).tobytes()
+    assert not np.signbit(points[0]).any() and not np.signbit(points[2]).any()
+
+
+def _mixed_pair(kind, n, shape, exp, seed):
+    """A pair of sets in R^n scaled by 2^exp: two balls, a ball and a
+    one-vertex polytope, two one-vertex polytopes, a ball and a polytope or
+    two polytopes (in either order), some coordinates of a one-vertex
+    polytope set to -0.0."""
+    rng = np.random.default_rng([seed, 0x313])
+
+    def make(part):
+        if part == "ball":
+            return Ball(np.ldexp(rng.uniform(-1.0, 1.0, n), exp), np.ldexp(rng.uniform(0.0, 1.5), exp))
+        if part == "point":
+            v = rng.uniform(-1.0, 1.0, n)
+            return VPolytope([np.ldexp(np.where(rng.random(n) < 0.3, -0.0, v), exp)])
+        return VPolytope(np.ldexp(_core(rng, n, shape), exp))
+
+    return tuple(make(part) for part in kind.split("-"))
+
+
+_KINDS = ["ball-ball", "ball-point", "point-ball", "point-point", "ball-poly", "poly-ball", "poly-poly", "point-poly"]
+
+
+def _pair_outcome(point):
+    """A _feasible_points result as bytes: the point, or the error's class and message."""
+    if isinstance(point, Exception):
+        return f"{type(point).__name__}: {point}".encode()
+    return point.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 4),
+    st.lists(
+        st.tuples(
+            st.sampled_from(_KINDS),
+            st.sampled_from(["simplex", "thin", "lowdim", "duplicate"]),
+            st.sampled_from([0, 0, -600, 600]),
+            st.integers(0, 2**32 - 1),
+        ),
+        min_size=1,
+        max_size=10,
+    ),
+    st.sampled_from([0.0, 1e-9, 0.5, np.inf]),
+    st.randoms(use_true_random=False),
+)
+def test_a_mixed_stack_of_pairs_solves_each_pair_as_it_is_solved_alone(n, specs, tol, order):
+    # each drawn pair comes twice, the copy from the next seed, so that the
+    # stack holds groups of equal shapes that grow their corrals together
+    pairs = [_mixed_pair(kind, n, shape, exp, seed + c) for kind, shape, exp, seed in specs for c in range(2)]
+    order.shuffle(pairs)
+    for pair, point in zip(pairs, _feasible_points(pairs, tol)):
+        (alone,) = _feasible_points([pair], tol)
+        assert _pair_outcome(point) == _pair_outcome(alone)
