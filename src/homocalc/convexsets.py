@@ -102,8 +102,14 @@ class Ball:
 
 
 def _whole(v):
-    """True when v is a real number of integer value, so not inf or NaN."""
-    return isinstance(v, numbers.Real) and float(v).is_integer()
+    """True when v is a real number of integer value that a float holds, so
+    not inf, NaN or an int beyond the float range."""
+    if not isinstance(v, numbers.Real):
+        return False
+    try:
+        return float(v).is_integer()
+    except OverflowError:
+        return False
 
 
 def _check_point(s, x, op):

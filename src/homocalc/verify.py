@@ -13,23 +13,28 @@ where an enumeration was cut short.
 check_engine_vs_oracle, check_interchange and check_sublattice_invariance
 draw by quantity: each random quantity of every trial (widths, dimensions,
 vertex counts, sides, coordinates, columns, set arrays, breakpoints,
-values) comes from one generator call, in the order each docstring states,
-and is then split among the trials; the number of calls does not depend
-on the trial count.  A quantity of several arrays is one uniform draw cut
-into consecutive row-major pieces (_draw).
+values) comes from one generator call, in the order each docstring states;
+the number of calls does not depend on the trial count.  A quantity of
+several arrays is one uniform draw cut into consecutive row-major pieces
+(_draw); check_engine_vs_oracle gathers its tuples' draw straight into one
+column stack, the same pieces side by side (_draw_stack).
 
-The lift-heavy checks draw all their trials first, then lift the columns of
-every trial in one batched call per function and keep the results as one
-flat array, trial after trial, beside the trial widths.  One segmented
-maximum of |observed - expected| over that array finds the failing trials;
-only those are digested and recorded.  The lift gives a column the same
-bits in any batch, so each trial's values, digest and failure record are
-those of a lift of that trial alone.  check_interchange groups its trials
-by (set type, dimension, side), draws one set per group and evaluates the
-group through the public map path: one fc_sublinear or fc_superlinear
-call over the group's lift columns, and one call of the same map at its
-point columns; a trial's coordinate is read off the group's lift, one
-element per group.  check_sublattice_invariance keeps its step tuples as
+The lift-heavy checks keep their trials as one (n, columns) stack beside
+the trial widths, from the draw to the failure records.  Each function
+lifts the columns of all its trials, picked from the stack by one owner
+mask, in one batched call (_per_trial), and the results are one flat
+array, trial after trial.  One segmented maximum of |observed - expected|
+over that array finds the failing trials; only for those is a trial's own
+array cut out of the stack, digested and recorded.  The lift gives a
+column the same bits in any batch, so each trial's values, digest and
+failure record are those of a lift of that trial alone.
+check_interchange groups its trials by (set type, dimension, side), draws
+one set per group and evaluates the group through the public map path:
+one fc_sublinear or fc_superlinear call over the group's lift columns,
+and one call of the same map at its point columns; a trial's coordinate
+is read off the group's lift, one element per group, and a failing
+trial's tuple is cut out of its group's lift columns at its recorded
+start column.  check_sublattice_invariance keeps its step tuples as
 flat arrays: one lexsort merges each function's duplicate breakpoints and
 one each trial's refinement, and the grids and the functions' values on
 them are flat arrays too (_draw_steps, _steps_on_grids), so it builds no
@@ -179,27 +184,43 @@ def _draw(rng, low, high, shapes):
     ]
 
 
-def _per_trial(lifts, blocks):
-    """The (n, m_t) blocks lifted, trial t by lifts[t % len(lifts)]: one
-    batched call per lift over the columns of all its trials.
+def _draw_stack(rng, low, high, n, widths):
+    """The (n, w) arrays that _draw gives for these widths, side by side in
+    one (n, sum(widths)) stack: one uniform draw on [low, high), whose piece
+    t is block t in row-major order, and one gather."""
+    widths = np.asarray(widths, dtype=int)
+    flat = rng.uniform(low, high, size=n * int(widths.sum()))
+    owner = np.repeat(np.arange(widths.size), widths)
+    starts = (np.cumsum(widths) - widths)[owner]
+    # entry (r, c) of a block of `width` columns from column `start` on
+    # sits at n * start + r * width + (c - start) of the draw
+    at = (n - 1) * starts + np.arange(starts.size) + np.arange(n)[:, None] * widths[owner]
+    return flat[at]
+
+
+def _stacked(blocks):
+    """The (n, m_t) blocks side by side in one stack, and the widths m_t;
+    no blocks give an empty stack."""
+    widths = np.array([b.shape[1] for b in blocks], dtype=int)
+    return (np.hstack(blocks) if blocks else np.empty((0, 0))), widths
+
+
+def _per_trial(lifts, stack, widths):
+    """The columns of the stack lifted, trial t (widths[t] columns, trial
+    after trial) by lifts[t % len(lifts)]: one batched call per lift over
+    the columns of all its trials, picked by one owner mask.  Every lift
+    takes the stack's dimension.
 
     Returns the lifted coordinates of every trial, trial after trial, as one
-    flat array, and the trial widths m_t.
+    flat array.
     """
-    widths = np.array([b.shape[1] for b in blocks], dtype=int)
-    ends = np.cumsum(widths)
-    flat = np.empty(widths.sum())
     count = len(lifts)
-    for i, lift in enumerate(lifts):
-        share = blocks[i::count]
-        if not share:
-            continue
-        # a trial's columns end at `ends` in flat and at the share's own
-        # running width in its stack; the difference shifts every column
-        w = widths[i::count]
-        at = np.repeat(ends[i::count] - np.cumsum(w), w) + np.arange(w.sum())
-        flat[at] = lift([RmElement(row) for row in np.hstack(share)]).coords
-    return flat, widths
+    owner = np.repeat(np.arange(widths.size) % count, widths)
+    flat = np.empty(stack.shape[1])
+    for i, lift in enumerate(lifts[: widths.size]):
+        mine = owner == i
+        flat[mine] = lift([RmElement(row) for row in stack[:, mine]]).coords
+    return flat
 
 
 def _worst_coordinate_failures(inputs, got, want, widths, tol):
@@ -233,11 +254,14 @@ def check_engine_vs_oracle(h="example-7.1", trials=500, tol=1e-6, seed=0, m=None
     """
     h = builtin(h) if isinstance(h, str) else h
     rng = _rng(seed, "engine-vs-oracle")
-    ms = [int(m)] * trials if m is not None else rng.integers(1, 17, size=trials).tolist()
-    data = _draw(rng, -5.0, 5.0, [(h.dim, mt) for mt in ms])
-    engine, widths = _per_trial([partial(fc_semicontinuous, h)], data)
-    truth, _ = _per_trial([partial(oracle_fc, h)], data)
-    failures = _worst_coordinate_failures(lambda t: (data[t],), engine, truth, widths, tol)
+    widths = np.full(trials, int(m)) if m is not None else rng.integers(1, 17, size=trials)
+    stack = _draw_stack(rng, -5.0, 5.0, h.dim, widths)
+    engine = _per_trial([partial(fc_semicontinuous, h)], stack, widths)
+    truth = _per_trial([partial(oracle_fc, h)], stack, widths)
+    starts = np.cumsum(widths) - widths
+    failures = _worst_coordinate_failures(
+        lambda t: (stack[:, starts[t] : starts[t] + widths[t]],), engine, truth, widths, tol
+    )
     return CheckReport(f"engine-vs-oracle[{h.name}]", trials, failures, seed)
 
 
@@ -289,8 +313,10 @@ def check_interchange(trials=1000, tol=1e-12, seed=0, fault_injection=False):
     centers = iter(_draw(rng, -2.0, 2.0, [(d,) for d in dims[~poly].tolist()]))
     radii = iter(rng.uniform(0.0, 2.0, size=len(groups) - len(counts)).tolist())
     columns = _draw(rng, -5.0, 5.0, [(d, int(m[g].sum())) for d, g in zip(dims.tolist(), groups)])
-    lhs, point, blocks = np.empty(trials), np.empty(trials), [None] * trials
-    for members, is_poly, side, cols in zip(groups, poly.tolist(), sides.tolist(), columns):
+    lhs, point = np.empty(trials), np.empty(trials)
+    # each trial's group and its first column in the group's lift columns
+    group, start = np.empty(trials, dtype=int), np.empty(trials, dtype=int)
+    for g, (members, is_poly, side, cols) in enumerate(zip(groups, poly.tolist(), sides.tolist(), columns)):
         kind, data = (VPolytope, (next(vertices),)) if is_poly else (Ball, (next(centers), next(radii)))
         Map, lift = (SuperlinearMap, fc_superlinear) if side else (SublinearMap, fc_sublinear)
         f = Map(kind(*data))
@@ -300,12 +326,15 @@ def check_interchange(trials=1000, tol=1e-12, seed=0, fault_injection=False):
         starts = np.cumsum(widths) - widths
         # coordinate j of a trial's lift, 1-based in the group's lift
         picks = starts + j[members]
-        for t, a, w, p in zip(members.tolist(), starts.tolist(), widths.tolist(), picks.tolist()):
-            blocks[t] = cols[:, a : a + w]
-            lhs[t] = hom_eval(CoordinateHom(p), lifted)
+        lhs[members] = [hom_eval(CoordinateHom(p), lifted) for p in picks.tolist()]
         point[members] = f(cols[:, picks - 1])
+        group[members], start[members] = g, starts
     failures = _worst_coordinate_failures(
-        lambda t: (blocks[t], [j[t]]), lhs, point, np.ones(trials, dtype=int), tol
+        lambda t: (columns[group[t]][:, start[t] : start[t] + m[t]], [j[t]]),
+        lhs,
+        point,
+        np.ones(trials, dtype=int),
+        tol,
     )
     return CheckReport("interchange", trials, failures, seed)
 
@@ -326,9 +355,10 @@ def check_rep_independence(trials=100, tol=1e-3, seed=0, angles=720):
     poly_rep = _norm_via([circumscribed_polygon_map(angles)])
     both_rep = _norm_via([disk_map(), circumscribed_polygon_map(angles)])
     data = [rng.uniform(-5.0, 5.0, size=(2, int(rng.integers(1, 9)))) for _ in range(trials)]
-    exact, widths = _per_trial([partial(fc_semicontinuous, disk_rep)], data)
-    other, _ = _per_trial(
-        [partial(fc_semicontinuous, poly_rep), partial(fc_semicontinuous, both_rep)], data
+    stack, widths = _stacked(data)
+    exact = _per_trial([partial(fc_semicontinuous, disk_rep)], stack, widths)
+    other = _per_trial(
+        [partial(fc_semicontinuous, poly_rep), partial(fc_semicontinuous, both_rep)], stack, widths
     )
     failures = _worst_coordinate_failures(lambda t: (data[t], [t]), other, exact, widths, tol)
     return CheckReport("rep-independence", trials, failures, seed)
@@ -348,8 +378,9 @@ def check_continuous_agreement(trials=100, tol=1e-6, seed=0):
     for t in range(trials):
         m = int(rng.integers(1, 9))
         data.append(rng.uniform(-5.0, 5.0, size=(hs[t % count].dim, m)))
-    lo, widths = _per_trial([partial(fc_semicontinuous, h, side="sup") for h in hs], data)
-    hi, _ = _per_trial([partial(fc_semicontinuous, h, side="inf") for h in hs], data)
+    stack, widths = _stacked(data)
+    lo = _per_trial([partial(fc_semicontinuous, h, side="sup") for h in hs], stack, widths)
+    hi = _per_trial([partial(fc_semicontinuous, h, side="inf") for h in hs], stack, widths)
     failures = _worst_coordinate_failures(lambda t: (data[t], [t]), lo, hi, widths, tol)
     return CheckReport("continuous-agreement", trials, failures, seed)
 
@@ -466,8 +497,10 @@ def check_sublattice_invariance(trials=200, seed=0):
     inner, sizes, values = _draw_steps(rng, dims)
     grids, refined, embedded = _steps_on_grids(dims, inner, sizes, values)
     lifts = [partial(fc_semicontinuous, h) for h in hs]
-    on_steps, pieces = _per_trial(lifts, refined)
-    on_grid, widths = _per_trial(lifts, embedded)
+    refined, pieces = _stacked(refined)
+    embedded, widths = _stacked(embedded)
+    on_steps = _per_trial(lifts, refined, pieces)
+    on_grid = _per_trial(lifts, embedded, widths)
     # piece j of a trial's step lift lands on its grid points 2j and 2j + 1,
     # and the last piece also on 1
     local = np.arange(widths.sum()) - np.repeat(np.cumsum(widths) - widths, widths)

@@ -503,8 +503,21 @@ def test_sphere_grid_shapes_and_norms():
         (2, 8.5, "grid density must be a whole number, got 8.5"),
         (2, np.nan, "grid density must be a whole number, got nan"),
         (2, 7, "grid density must be >= 8"),
+        # whole, but beyond the float range: refused as inf is
+        (10**400, 8, f"grid dimension must be a whole number >= 1, got {10**400}"),
+        (2, 10**400, f"grid density must be a whole number, got {10**400}"),
     ],
-    ids=["n-zero", "n-negative", "n-not-whole", "n-inf", "density-not-whole", "density-nan", "density-below-8"],
+    ids=[
+        "n-zero",
+        "n-negative",
+        "n-not-whole",
+        "n-inf",
+        "density-not-whole",
+        "density-nan",
+        "density-below-8",
+        "n-beyond-float",
+        "density-beyond-float",
+    ],
 )
 def test_sphere_grid_takes_whole_numbers(n, density, message):
     with pytest.raises(ValueError, match=re.escape(message)):

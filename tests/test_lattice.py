@@ -94,7 +94,8 @@ def test_addition_checks_its_operands_as_join_does(f, g):
 
 def test_coordinate_hom_rejects_a_fractional_index():
     assert CoordinateHom(2.0).j == 2
-    for j in (1.5, 0, -1, float("inf"), float("nan"), None):
+    # 10**400 is whole but beyond the float range, refused as inf is
+    for j in (1.5, 0, -1, float("inf"), float("nan"), None, 10**400):
         with pytest.raises(IndexOutOfRange):
             CoordinateHom(j)
 

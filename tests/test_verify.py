@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from homocalc import convexsets, verify
 from homocalc.cli import main
@@ -590,6 +592,49 @@ def test_checks_draw_each_quantity_in_one_call_whatever_the_trial_count(monkeypa
 def _bits(a):
     a = np.asarray(a)
     return a.shape, a.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.lists(st.integers(0, 6), max_size=8),
+    st.sampled_from([(-5.0, 5.0), (-3.0, 3.0), (0.0, 2.0)]),
+    st.integers(0, 2**32 - 1),
+)
+@example(1, [], (-5.0, 5.0), 0)
+@example(3, [1], (-5.0, 5.0), 0)
+@example(4, [0, 2, 0], (-5.0, 5.0), 7)
+def test_the_stacked_draw_is_the_drawn_blocks_side_by_side(n, widths, bounds, seed):
+    # one uniform draw gathered into the stack gives, bit for bit, _draw's
+    # row-major (n, w) pieces side by side, and leaves the generator where
+    # _draw leaves it
+    stacked, blocks = verify._rng(seed, "engine-vs-oracle"), verify._rng(seed, "engine-vs-oracle")
+    stack = verify._draw_stack(stacked, *bounds, n, widths)
+    pieces = verify._draw(blocks, *bounds, [(n, w) for w in widths])
+    assert _bits(stack) == _bits(np.hstack([np.empty((n, 0)), *pieces]))
+    assert _bits(stacked.uniform(size=3)) == _bits(blocks.uniform(size=3))
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+@pytest.mark.parametrize("trials", [0, 1])
+@pytest.mark.parametrize(
+    "check, more",
+    [
+        (check_engine_vs_oracle, 0),
+        (check_interchange, 0),
+        (check_rep_independence, 0),
+        (check_continuous_agreement, 0),
+        (check_sublattice_invariance, 0),
+        # the saddle check adds its 32-tangent case to the trials
+        (check_saddle, 1),
+    ],
+    ids=["engine-vs-oracle", "interchange", "rep-independence", "continuous-agreement", "sublattice-invariance", "saddle"],
+)
+def test_checks_pass_at_no_trial_and_at_one(check, more, trials, seed):
+    # no trial is an empty stack and a passing report of no case; one trial
+    # is a stack of one block
+    report = check(trials=trials, seed=seed)
+    assert report.passed and report.cases == trials + more
 
 
 @pytest.mark.parametrize("seed", [0, 3, 11])
