@@ -419,10 +419,15 @@ def disk_map():
     return SublinearMap(Ball([0.0, 0.0], 1.0), label="euclidean")
 
 
+def _tangents(count):
+    """The directions (cos t, sin t) at t = 2 pi k / count, one row per k."""
+    theta = np.arange(count) * (2.0 * np.pi / count)
+    return np.column_stack([np.cos(theta), np.sin(theta)])
+
+
 def angle_superlinear_family(count):
     """Finite family of tangent linear maps (cos t, sin t) on a uniform grid."""
-    theta = np.arange(count) * (2.0 * np.pi / count)
-    T = np.column_stack([np.cos(theta), np.sin(theta)])
+    T = _tangents(count)
     maps = [SuperlinearMap(VPolytope([t]), label=f"tangent({k}/{count})") for k, t in enumerate(T)]
     return FiniteFamily(maps)
 

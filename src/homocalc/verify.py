@@ -31,15 +31,18 @@ failure record are those of a lift of that trial alone.
 check_interchange groups its trials by (set type, dimension, side), draws
 one set per group and evaluates the group through the public map path:
 one fc_sublinear or fc_superlinear call over the group's lift columns,
-and one call of the same map at its point columns; a trial's coordinate
-is read off the group's lift, one element per group, and a failing
-trial's tuple is cut out of its group's lift columns at its recorded
-start column.  check_sublattice_invariance keeps its step tuples as
-flat arrays: one lexsort merges each function's duplicate breakpoints and
-one each trial's refinement, and the grids and the functions' values on
-them are flat arrays too (_draw_steps, _steps_on_grids), so it builds no
-StepFunction.  That refinement is its reference, as oracle_fc is for the
-built-ins.
+and one call of the same map at its point columns.  The group's lift is one
+element: its first trial reads its coordinate through hom_eval of a
+CoordinateHom, the others by one index into the element's coordinates,
+and a failing trial's tuple is cut out of its group's lift columns at its
+recorded start column.  check_sublattice_invariance keeps its step tuples
+as flat arrays: one lexsort merges each function's duplicate breakpoints
+and one each trial's refinement, and the grids and the functions' values
+on them are flat arrays too (_draw_steps, _steps_on_grids), so it builds
+no StepFunction.  One gather makes the values on every grid one column
+stack, and one mask picks the refined columns from it; a trial's grid is
+cut out only for its failure record.  That refinement is its reference,
+as oracle_fc is for the built-ins.
 
 check_saddle builds one ordered two-sided saddle per dimension, with two
 rows that differ in one column, so min-max and max-min are two different
@@ -81,6 +84,7 @@ from .homog import (
     PHFunction,
     SublinearMap,
     SuperlinearMap,
+    _tangents,
     angle_superlinear_family,
     builtin,
     circumscribed_polygon_map,
@@ -184,18 +188,23 @@ def _draw(rng, low, high, shapes):
     ]
 
 
+def _side_by_side(flat, n, widths):
+    """The consecutive row-major (n, w) blocks of flat, one per width, side
+    by side in one (n, sum(widths)) stack, by one gather."""
+    owner = np.repeat(np.arange(widths.size), widths)
+    starts = (np.cumsum(widths) - widths)[owner]
+    # entry (r, c) of a block of `width` columns from column `start` on
+    # sits at n * start + r * width + (c - start) of flat
+    at = (n - 1) * starts + np.arange(starts.size) + np.arange(n)[:, None] * widths[owner]
+    return flat[at]
+
+
 def _draw_stack(rng, low, high, n, widths):
     """The (n, w) arrays that _draw gives for these widths, side by side in
     one (n, sum(widths)) stack: one uniform draw on [low, high), whose piece
     t is block t in row-major order, and one gather."""
     widths = np.asarray(widths, dtype=int)
-    flat = rng.uniform(low, high, size=n * int(widths.sum()))
-    owner = np.repeat(np.arange(widths.size), widths)
-    starts = (np.cumsum(widths) - widths)[owner]
-    # entry (r, c) of a block of `width` columns from column `start` on
-    # sits at n * start + r * width + (c - start) of the draw
-    at = (n - 1) * starts + np.arange(starts.size) + np.arange(n)[:, None] * widths[owner]
-    return flat[at]
+    return _side_by_side(rng.uniform(low, high, size=n * int(widths.sum())), n, widths)
 
 
 def _stacked(blocks):
@@ -294,7 +303,10 @@ def check_interchange(trials=1000, tol=1e-12, seed=0, fault_injection=False):
     has 2 rows), so there the point side takes the pruned support while
     the lift took the all-vertex fold.  The group's lift is one element,
     and coordinate j of a trial's lift is coordinate offset + j of it,
-    where offset counts the group's columns before the trial's.
+    where offset counts the group's columns before the trial's.  The
+    group's first trial reads it by hom_eval(CoordinateHom(offset + j)),
+    the others by one index into the element's coordinates, which gives
+    the same float.
     """
     rng = _rng(seed, "interchange")
     n = rng.integers(1, 5, size=trials)
@@ -324,9 +336,11 @@ def check_interchange(trials=1000, tol=1e-12, seed=0, fault_injection=False):
         lifted = lift(lift_map, [RmElement(row) for row in cols])
         widths = m[members]
         starts = np.cumsum(widths) - widths
-        # coordinate j of a trial's lift, 1-based in the group's lift
+        # coordinate j of a trial's lift, 1-based in the group's lift; the
+        # group's first trial reads it through the coordinate homomorphism
         picks = starts + j[members]
-        lhs[members] = [hom_eval(CoordinateHom(p), lifted) for p in picks.tolist()]
+        lhs[members] = lifted.coords[picks - 1]
+        lhs[members[0]] = hom_eval(CoordinateHom(int(picks[0])), lifted)
         point[members] = f(cols[:, picks - 1])
         group[members], start[members] = g, starts
     failures = _worst_coordinate_failures(
@@ -418,8 +432,8 @@ def _draw_steps(rng, dims):
 
 
 def _steps_on_grids(dims, inner, sizes, values):
-    """Each trial's grid and its step tuple's values at the refinement and
-    on the grid, from the flat arrays of _draw_steps.
+    """Each trial's grid and its step tuple's values on it, from the flat
+    arrays of _draw_steps.
 
     A trial's refinement is 0, the union of its functions' inner
     breakpoints in increasing order, then 1; its grid samples each refined
@@ -428,9 +442,11 @@ def _steps_on_grids(dims, inner, sizes, values):
     inner breakpoints <= t, never read off the refinement, so a refinement
     that missed a breakpoint shows as a jump inside a refined piece.
 
-    Returns, per trial, the grid, the (d, pieces) values at the refined
-    pieces' left ends (common_refinement's matrix) and the (d, grid points)
-    values on the grid (embed_step_to_grid of each function).
+    Returns every trial's grid as one flat array, trial after trial, the
+    grid widths, and the (d, grid points) values on each trial's grid
+    (embed_step_to_grid of each function) as consecutive row-major blocks
+    of one flat array.  A block's even columns but the last are the values
+    at the refined pieces' left ends (common_refinement's matrix).
     """
     dims = np.asarray(dims, dtype=int)
     trial = np.repeat(np.arange(dims.size), dims)
@@ -449,21 +465,14 @@ def _steps_on_grids(dims, inner, sizes, values):
     grid = np.delete(woven, 2 * first[1:] - 1)
     # one row per function, its trial's grid points, row after row
     width = 2 * pieces + 1
-    grid_ends = np.cumsum(width)
     row = width[trial]
-    at = np.repeat(grid_ends[trial] - np.cumsum(row), row) + np.arange(row.sum())
+    at = np.repeat(np.cumsum(width)[trial] - np.cumsum(row), row) + np.arange(row.sum())
     # each function's inner breakpoints in a row, padded with inf
     own = np.full((sizes.size, int(sizes.max(initial=0))), np.inf)
     own[owner, np.arange(inner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)] = inner
     reader = np.repeat(np.arange(sizes.size), row)
     piece = (own[reader] <= grid[at, None]).sum(axis=1)
-    sampled = values[np.repeat(np.cumsum(sizes + 1) - sizes - 1, row) + piece]
-    grids, on_grid = [], []
-    block_ends = np.cumsum(dims * width)
-    for d, w, g, b in zip(dims.tolist(), width.tolist(), grid_ends.tolist(), block_ends.tolist()):
-        grids.append(grid[g - w : g])
-        on_grid.append(sampled[b - d * w : b].reshape(d, w))
-    return grids, [block[:, :-1:2] for block in on_grid], on_grid
+    return grid, width, values[np.repeat(np.cumsum(sizes + 1) - sizes - 1, row) + piece]
 
 
 def check_sublattice_invariance(trials=200, seed=0):
@@ -485,32 +494,39 @@ def check_sublattice_invariance(trials=200, seed=0):
 
     The tuples, refinements, grids and embeddings are flat arrays over all
     trials (_draw_steps, _steps_on_grids), which common_refinement and
-    embed_step_to_grid give bit for bit; no StepFunction is built.  Lifting
-    the step tuple is lifting its refined columns, and embedding the lift
-    reads piece j of a trial at its grid points 2j and 2j + 1, the last
-    piece also at 1.
+    embed_step_to_grid give bit for bit; no StepFunction is built.  Every
+    function lifted here is on R^2, so the embedded blocks are gathered by
+    one index into one (2, grid points) stack, and the refined columns are
+    picked from it by one mask: lifting the step tuple is lifting its
+    refined columns.  Embedding the lift reads piece j of a trial at its
+    grid points 2j and 2j + 1, the last piece also at 1.  A trial's grid
+    and values are cut out of the flat arrays only for its failure record.
     """
     rng = _rng(seed, "sublattice-invariance")
     names = ["example-7.1", "example-7.2", "square-mean", "abs-sum", "max-coord"]
     hs = [builtin(name) for name in names]
     dims = np.resize([h.dim for h in hs], trials)
     inner, sizes, values = _draw_steps(rng, dims)
-    grids, refined, embedded = _steps_on_grids(dims, inner, sizes, values)
+    grid, widths, sampled = _steps_on_grids(dims, inner, sizes, values)
+    embedded = _side_by_side(sampled, hs[0].dim, widths)
+    starts = np.cumsum(widths) - widths
+    local = np.arange(widths.sum()) - np.repeat(starts, widths)
+    # a trial's refined pieces start at its even grid points, all but 1
+    left = (local % 2 == 0) & (local < np.repeat(widths - 1, widths))
     lifts = [partial(fc_semicontinuous, h) for h in hs]
-    refined, pieces = _stacked(refined)
-    embedded, widths = _stacked(embedded)
-    on_steps = _per_trial(lifts, refined, pieces)
+    on_steps = _per_trial(lifts, embedded[:, left], widths // 2)
     on_grid = _per_trial(lifts, embedded, widths)
-    # piece j of a trial's step lift lands on its grid points 2j and 2j + 1,
-    # and the last piece also on 1
-    local = np.arange(widths.sum()) - np.repeat(np.cumsum(widths) - widths, widths)
-    piece = np.minimum(local // 2, np.repeat(pieces - 1, widths))
-    piece += np.repeat(np.cumsum(pieces) - pieces, widths)
+    # grid points 2j and 2j + 1 read the lift of piece j, and 1 the last
+    piece = np.cumsum(left) - 1
     # the digest hashes its arrays' bytes in turn, and a trial's functions'
     # values lie side by side, so one slice digests as the separate arrays
     bounds = np.concatenate(([0], np.cumsum(sizes + 1)))[np.concatenate(([0], np.cumsum(dims)))]
     failures = _worst_coordinate_failures(
-        lambda t: (grids[t], values[bounds[t] : bounds[t + 1]]), on_grid, on_steps[piece], widths, 0.0
+        lambda t: (grid[starts[t] : starts[t] + widths[t]], values[bounds[t] : bounds[t + 1]]),
+        on_grid,
+        on_steps[piece],
+        widths,
+        0.0,
     )
     return CheckReport("sublattice-invariance", trials, failures, seed)
 
@@ -633,22 +649,22 @@ def check_saddle(trials=20, tol=1e-9, seed=0, corrupt=False):
     )
 
     if corrupt:
-        failures += _corrupted_saddles(control, angle_fam, tol)[0]
+        failures += _corrupted_saddles(control, _tangents(32)[[0, 8]], tol)[0]
     return CheckReport("saddle", cases + corrupt, failures, seed)
 
 
-def _corrupted_saddles(control, tangents, tol):
+def _corrupted_saddles(control, pair, tol):
     """The failure records of check_saddle's two corrupted controls, and
     whether both faults were caught.
 
     control is (coefficients, columns) of a family saddle, or None: its
     second row is rolled one column along, in place, and its worst
     |min-max - max-min| over the columns is recorded when above
-    max(tol, 1e-12).  Then the 2 x 2 saddle whose rows are tangents 0 and 8
-    of the 32 tangents (at 0 and 90 degrees), in both orders, must raise
-    SaddleGap in fc_saddle: its message is recorded, or "no SaddleGap
-    raised".  Caught means the family's gap was recorded and SaddleGap was
-    raised.
+    max(tol, 1e-12).  Then the 2 x 2 saddle whose rows are the two tangent
+    directions of pair (the callers pass tangents 0 and 8 of 32, at 0 and
+    90 degrees), in both orders, must raise SaddleGap in fc_saddle: its
+    message is recorded, or "no SaddleGap raised".  Caught means the
+    family's gap was recorded and SaddleGap was raised.
     """
     failures = []
     if control is not None:
@@ -659,7 +675,6 @@ def _corrupted_saddles(control, tangents, tol):
             lambda _: control, gaps, np.zeros(gaps.size), [gaps.size], max(tol, 1e-12)
         )
     caught = bool(failures)
-    pair = np.array([tangents.maps[j].set.vertices[0] for j in (0, 8)])
     bad = np.stack([pair, pair[::-1]])
     # the rows now disagree about which tangent answers which column, a
     # genuine non-saddle: min-max gives max(x0, x1), max-min gives min.
@@ -676,8 +691,8 @@ def negative_controls(seed=0):
     The fault-injected support is check_interchange's 8-trial run.  The
     corrupted saddles are check_saddle's controls (_corrupted_saddles) on
     the first family its run at this seed draws, in R^2 with 6 columns,
-    and on the 32 tangents; they count as caught only when both faults
-    are.  Only that family's saddle is built.
+    and on tangents 0 and 8 of 32; they count as caught only when both
+    faults are.  Only that family's saddle is built, and no tangent map.
     """
     rng = _rng(seed, "saddle")
     phis, psis = _saddle_family(rng, 2)[2:]
@@ -685,7 +700,7 @@ def negative_controls(seed=0):
     control = np.array(saddle_build(phis, psis).coeffs), cols
     caught = {
         "fault-injected support": not check_interchange(trials=8, seed=seed, fault_injection=True).passed,
-        "corrupted saddle coefficient": _corrupted_saddles(control, angle_superlinear_family(32), 1e-9)[1],
+        "corrupted saddle coefficient": _corrupted_saddles(control, _tangents(32)[[0, 8]], 1e-9)[1],
     }
     failures = [
         CheckFailure(

@@ -229,13 +229,12 @@ def test_the_saddle_controls_are_check_saddles_first_family_and_tangents():
         phis, psis = verify._saddle_family(rng, 2)[2:]
         cols = rng.uniform(-5.0, 5.0, size=(2, 6))
         control = np.array(verify.saddle_build(phis, psis).coeffs), cols
-        tangents = verify.angle_superlinear_family(32)
-        failures, caught = verify._corrupted_saddles(control, tangents, 1e-9)
+        pair = verify._tangents(32)[[0, 8]]
+        failures, caught = verify._corrupted_saddles(control, pair, 1e-9)
         report = check_saddle(trials=1, seed=seed, corrupt=True)
         assert caught and [f.to_json() for f in failures] == [f.to_json() for f in report.failures]
-    S32 = verify.saddle_build([verify.disk_map()], list(tangents.maps))
-    pair = [tangents.maps[j].set.vertices[0] for j in (0, 8)]
-    assert np.array(pair).tobytes() == S32.coeffs[0, [0, 8]].tobytes()
+    S32 = verify.saddle_build([verify.disk_map()], list(verify.angle_superlinear_family(32).maps))
+    assert pair.tobytes() == S32.coeffs[0, [0, 8]].tobytes()
 
 
 def test_report_json_shape():
@@ -483,6 +482,26 @@ def test_checks_lift_each_function_once_whatever_the_trial_count(monkeypatch, ch
     assert len(calls) == lifts
 
 
+@pytest.mark.parametrize("trials", [10, 1000])
+def test_interchange_reads_one_coordinate_per_group_through_hom_eval(monkeypatch, trials):
+    # each group's first trial reads its coordinate through hom_eval and the
+    # rest by one index into the group's lift: one call per group and lift,
+    # at most 16, whatever the trial count
+    sub = _counting(monkeypatch, "fc_sublinear")
+    sup = _counting(monkeypatch, "fc_superlinear")
+    calls = _counting(monkeypatch, "hom_eval")
+    assert check_interchange(trials=trials, seed=11).passed
+    assert 1 <= len(calls) == len(sub) + len(sup) <= 16
+
+
+def test_a_planted_coordinate_fault_fails_the_suite(monkeypatch):
+    # a hom_eval that reads one coordinate past the asked one must fail
+    # check_interchange, and so the suite
+    monkeypatch.setattr(verify, "hom_eval", lambda hom, f: float(f.coords[hom.j % f.m]))
+    assert not check_interchange(seed=0).passed
+    assert not all(r.passed for r in default_suite(0))
+
+
 def test_interchange_builds_one_element_per_group(monkeypatch):
     # each (set type, dimension, side) group makes one fc_sublinear or
     # fc_superlinear call, whatever its size: at 1000 trials all 2 x 4 x 2
@@ -642,33 +661,43 @@ def test_checks_pass_at_no_trial_and_at_one(check, more, trials, seed):
 @pytest.mark.parametrize("dims", [(2,), (3, 1, 2, 4)], ids=["check-dims", "mixed-dims"])
 def test_the_step_grid_reference_is_the_lattice_layer(dims, trials, seed):
     # the check's flat refinement and embedding against StepFunctions built
-    # from the same draws, one np.unique per function: common_refinement
-    # gives the grid's even points and the refined values, and
-    # embed_step_to_grid the grid blocks, bit for bit
+    # from the same draws, one np.unique per function: each trial's grid and
+    # block cut out of the flat arrays, common_refinement gives the grid's
+    # even points and the refined values (the block's even columns but the
+    # last), and embed_step_to_grid the block, bit for bit; with one
+    # dimension the check's stack holds the blocks side by side
     dims = np.resize(dims, trials)
     inner, sizes, values = verify._draw_steps(verify._rng(seed, "sublattice-invariance"), dims)
-    grids, refined, embedded = verify._steps_on_grids(dims, inner, sizes, values)
+    grid, widths, sampled = verify._steps_on_grids(dims, inner, sizes, values)
     rng = verify._rng(seed, "sublattice-invariance")
     counts = rng.integers(0, 5, size=int(dims.sum())).tolist()
     raw = rng.uniform(0.05, 0.95, size=sum(counts))
     uniques = [np.unique(raw[end - c : end]) for c, end in zip(counts, np.cumsum(counts).tolist())]
-    widths = [u.size + 1 for u in uniques]
-    drawn = rng.uniform(-5.0, 5.0, size=sum(widths))
+    pieces = [u.size + 1 for u in uniques]
+    drawn = rng.uniform(-5.0, 5.0, size=sum(pieces))
     assert _bits(inner) == _bits(np.concatenate([raw[:0], *uniques]))
     assert sizes.tolist() == [u.size for u in uniques]
     assert _bits(values) == _bits(drawn)
     steps = iter(
         StepFunction(np.concatenate(([0.0], u, [1.0])), drawn[end - w : end])
-        for u, w, end in zip(uniques, widths, np.cumsum(widths).tolist())
+        for u, w, end in zip(uniques, pieces, np.cumsum(pieces).tolist())
     )
-    assert len(grids) == len(refined) == len(embedded) == trials
-    for d, grid, mat, block in zip(dims.tolist(), grids, refined, embedded):
+    stack = verify._side_by_side(sampled, 2, widths) if set(dims.tolist()) == {2} else None
+    assert widths.size == trials
+    grid_end = block_end = 0
+    for d, w in zip(dims.tolist(), widths.tolist()):
+        grid_end, block_end = grid_end + w, block_end + d * w
+        cut = grid[grid_end - w : grid_end]
+        block = sampled[block_end - d * w : block_end].reshape(d, w)
         fs = [next(steps) for _ in range(d)]
         bp, vals = common_refinement(fs)
         mids = (bp[:-1] + bp[1:]) / 2.0
-        assert _bits(grid) == _bits(np.append(np.stack([bp[:-1], mids], axis=1).reshape(-1), 1.0))
-        assert _bits(mat) == _bits(vals)
-        assert _bits(block) == _bits(np.stack([embed_step_to_grid(f, grid).coords for f in fs]))
+        assert _bits(cut) == _bits(np.append(np.stack([bp[:-1], mids], axis=1).reshape(-1), 1.0))
+        assert _bits(block[:, :-1:2]) == _bits(vals)
+        assert _bits(block) == _bits(np.stack([embed_step_to_grid(f, cut).coords for f in fs]))
+        if stack is not None:
+            assert _bits(stack[:, grid_end - w : grid_end]) == _bits(block)
+    assert (grid_end, block_end) == (grid.size, sampled.size)
     assert next(steps, None) is None
 
 
