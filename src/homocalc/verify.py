@@ -10,24 +10,25 @@ value of a witness member that attains an infinite family's extremum, so a
 tolerance here measures how well a family represents its function, not
 where an enumeration was cut short.
 
-check_engine_vs_oracle, check_interchange and check_sublattice_invariance
-draw by quantity: each random quantity of every trial (widths, dimensions,
-vertex counts, sides, coordinates, columns, set arrays, breakpoints,
-values) comes from one generator call, in the order each docstring states;
-the number of calls does not depend on the trial count.  A quantity of
-several arrays is one uniform draw cut into consecutive row-major pieces
-(_draw); check_engine_vs_oracle gathers its tuples' draw straight into one
-column stack, the same pieces side by side (_draw_stack).
+Every check draws by quantity: each random quantity of every trial
+(widths, dimensions, vertex counts, sides, coordinates, columns, set
+arrays, breakpoints, values) comes from one generator call, in the order
+each docstring states; the number of calls does not grow with the trial
+count.  A quantity of several arrays is one uniform draw cut into
+consecutive row-major pieces (_draw); check_engine_vs_oracle,
+check_rep_independence and check_continuous_agreement gather their
+tuples' draw straight into one column stack, the same pieces side by side
+(_draw_stack).
 
-The lift-heavy checks keep their trials as one (n, columns) stack beside
-the trial widths, from the draw to the failure records.  Each function
-lifts the columns of all its trials, picked from the stack by one owner
-mask, in one batched call (_per_trial), and the results are one flat
-array, trial after trial.  One segmented maximum of |observed - expected|
+Those three keep their trials as one (n, columns) stack beside the trial
+widths, from the draw to the failure records.  Each function lifts the
+columns of all its trials, picked from the stack by one owner mask, in
+one batched call (_per_trial), and the results are one flat array, trial
+after trial.  One segmented maximum of |observed - expected|
 over that array finds the failing trials; only for those is a trial's own
-array cut out of the stack, digested and recorded.  The lift gives a
-column the same bits in any batch, so each trial's values, digest and
-failure record are those of a lift of that trial alone.
+array cut out of the stack (_blocks), digested and recorded.  The lift
+gives a column the same bits in any batch, so each trial's values, digest
+and failure record are those of a lift of that trial alone.
 check_interchange groups its trials by (set type, dimension, side), draws
 one set per group and evaluates the group through the public map path:
 one fc_sublinear or fc_superlinear call over the group's lift columns,
@@ -35,14 +36,11 @@ and one call of the same map at its point columns.  The group's lift is one
 element: its first trial reads its coordinate through hom_eval of a
 CoordinateHom, the others by one index into the element's coordinates,
 and a failing trial's tuple is cut out of its group's lift columns at its
-recorded start column.  check_sublattice_invariance keeps its step tuples
-as flat arrays: one lexsort merges each function's duplicate breakpoints
-and one each trial's refinement, and the grids and the functions' values
-on them are flat arrays too (_draw_steps, _steps_on_grids), so it builds
-no StepFunction.  One gather makes the values on every grid one column
-stack, and one mask picks the refined columns from it; a trial's grid is
-cut out only for its failure record.  That refinement is its reference,
-as oracle_fc is for the built-ins.
+recorded start column.  check_sublattice_invariance lifts real step
+tuples: one tuple of two StepFunctions per built-in, each trial a slot of
+[0, 1] in it, so the step side runs the lattice's own refinement and the
+grid side its embedding; it reads the step lift onto the grid by piece
+index, and builds the same number of step functions at any trial count.
 
 check_saddle builds one ordered two-sided saddle per dimension, with two
 rows that differ in one column, so min-max and max-min are two different
@@ -90,7 +88,7 @@ from .homog import (
     circumscribed_polygon_map,
     disk_map,
 )
-from .lattice import CoordinateHom, RmElement, hom_eval
+from .lattice import CoordinateHom, RmElement, StepFunction, embed_step_to_grid, hom_eval
 
 # Each check by its CLI name: the seed tag of its generator and the name of
 # its function.  The function is read from the module when it is called, so
@@ -188,30 +186,25 @@ def _draw(rng, low, high, shapes):
     ]
 
 
-def _side_by_side(flat, n, widths):
-    """The consecutive row-major (n, w) blocks of flat, one per width, side
-    by side in one (n, sum(widths)) stack, by one gather."""
-    owner = np.repeat(np.arange(widths.size), widths)
-    starts = (np.cumsum(widths) - widths)[owner]
-    # entry (r, c) of a block of `width` columns from column `start` on
-    # sits at n * start + r * width + (c - start) of flat
-    at = (n - 1) * starts + np.arange(starts.size) + np.arange(n)[:, None] * widths[owner]
-    return flat[at]
-
-
 def _draw_stack(rng, low, high, n, widths):
     """The (n, w) arrays that _draw gives for these widths, side by side in
     one (n, sum(widths)) stack: one uniform draw on [low, high), whose piece
     t is block t in row-major order, and one gather."""
     widths = np.asarray(widths, dtype=int)
-    return _side_by_side(rng.uniform(low, high, size=n * int(widths.sum())), n, widths)
+    flat = rng.uniform(low, high, size=n * int(widths.sum()))
+    owner = np.repeat(np.arange(widths.size), widths)
+    starts = (np.cumsum(widths) - widths)[owner]
+    # entry (r, c) of a block of `width` columns from column `start` on
+    # sits at n * start + r * width + (c - start) of the draw
+    at = (n - 1) * starts + np.arange(starts.size) + np.arange(n)[:, None] * widths[owner]
+    return flat[at]
 
 
-def _stacked(blocks):
-    """The (n, m_t) blocks side by side in one stack, and the widths m_t;
-    no blocks give an empty stack."""
-    widths = np.array([b.shape[1] for b in blocks], dtype=int)
-    return (np.hstack(blocks) if blocks else np.empty((0, 0))), widths
+def _blocks(stack, widths):
+    """The function of t that cuts trial t's (n, widths[t]) block out of the
+    stack, trial after trial."""
+    starts = np.cumsum(widths) - widths
+    return lambda t: stack[:, starts[t] : starts[t] + widths[t]]
 
 
 def _per_trial(lifts, stack, widths):
@@ -267,10 +260,8 @@ def check_engine_vs_oracle(h="example-7.1", trials=500, tol=1e-6, seed=0, m=None
     stack = _draw_stack(rng, -5.0, 5.0, h.dim, widths)
     engine = _per_trial([partial(fc_semicontinuous, h)], stack, widths)
     truth = _per_trial([partial(oracle_fc, h)], stack, widths)
-    starts = np.cumsum(widths) - widths
-    failures = _worst_coordinate_failures(
-        lambda t: (stack[:, starts[t] : starts[t] + widths[t]],), engine, truth, widths, tol
-    )
+    block = _blocks(stack, widths)
+    failures = _worst_coordinate_failures(lambda t: (block(t),), engine, truth, widths, tol)
     return CheckReport(f"engine-vs-oracle[{h.name}]", trials, failures, seed)
 
 
@@ -363,18 +354,22 @@ def check_rep_independence(trials=100, tol=1e-3, seed=0, angles=720):
     The disk singleton is exact; the circumscribed regular polygon
     overestimates by sec(pi/angles) - 1 relative, so coarse grids (say 8
     angles) are expected to fail, documenting resolution dependence.
+
+    Draw order, one generator call each: every trial's width in 1..8, then
+    every trial's (2, width) tuple in [-5, 5], trial after trial.
     """
     rng = _rng(seed, "rep-independence")
     disk_rep = _norm_via([disk_map()])
     poly_rep = _norm_via([circumscribed_polygon_map(angles)])
     both_rep = _norm_via([disk_map(), circumscribed_polygon_map(angles)])
-    data = [rng.uniform(-5.0, 5.0, size=(2, int(rng.integers(1, 9)))) for _ in range(trials)]
-    stack, widths = _stacked(data)
+    widths = rng.integers(1, 9, size=trials)
+    stack = _draw_stack(rng, -5.0, 5.0, 2, widths)
     exact = _per_trial([partial(fc_semicontinuous, disk_rep)], stack, widths)
     other = _per_trial(
         [partial(fc_semicontinuous, poly_rep), partial(fc_semicontinuous, both_rep)], stack, widths
     )
-    failures = _worst_coordinate_failures(lambda t: (data[t], [t]), other, exact, widths, tol)
+    block = _blocks(stack, widths)
+    failures = _worst_coordinate_failures(lambda t: (block(t), [t]), other, exact, widths, tol)
     return CheckReport("rep-independence", trials, failures, seed)
 
 
@@ -383,151 +378,86 @@ def check_continuous_agreement(trials=100, tol=1e-6, seed=0):
 
     abs-sum and max-coord carry exact finite families on both sides;
     square-mean's sup side is the tangent at each column's own direction,
-    which is the norm up to rounding.  All three are held to tol.
+    which is the norm up to rounding.  All three are held to tol.  Trial t
+    lifts by the built-in t mod 3 of that list; all three are on R^2.
+
+    Draw order, one generator call each: every trial's width in 1..8, then
+    every trial's (2, width) tuple in [-5, 5], trial after trial.
     """
     rng = _rng(seed, "continuous-agreement")
     hs = [builtin("abs-sum"), builtin("max-coord"), builtin("square-mean")]
-    count = len(hs)
-    data = []
-    for t in range(trials):
-        m = int(rng.integers(1, 9))
-        data.append(rng.uniform(-5.0, 5.0, size=(hs[t % count].dim, m)))
-    stack, widths = _stacked(data)
+    widths = rng.integers(1, 9, size=trials)
+    stack = _draw_stack(rng, -5.0, 5.0, 2, widths)
     lo = _per_trial([partial(fc_semicontinuous, h, side="sup") for h in hs], stack, widths)
     hi = _per_trial([partial(fc_semicontinuous, h, side="inf") for h in hs], stack, widths)
-    failures = _worst_coordinate_failures(lambda t: (data[t], [t]), lo, hi, widths, tol)
+    block = _blocks(stack, widths)
+    failures = _worst_coordinate_failures(lambda t: (block(t), [t]), lo, hi, widths, tol)
     return CheckReport("continuous-agreement", trials, failures, seed)
-
-
-def _sorted_unique(segments, points):
-    """The (segment, point) pairs sorted by segment, then point, less
-    repeats: per segment, np.unique of its points, bit for bit where no
-    point is a zero."""
-    order = np.lexsort((points, segments))
-    segments, points = segments[order], points[order]
-    keep = np.ones(points.size, dtype=bool)
-    keep[1:] = (segments[1:] != segments[:-1]) | (points[1:] != points[:-1])
-    return segments[keep], points[keep]
-
-
-def _draw_steps(rng, dims):
-    """The step functions of every trial, trial t a tuple of dims[t], as flat
-    arrays, function after function and trial after trial.
-
-    A function has 0 to 4 inner breakpoints uniform in [0.05, 0.95],
-    duplicates merged, and one value in [-5, 5] per piece; its breakpoints
-    are 0, its inner breakpoints in increasing order, then 1.  Draw order,
-    one generator call each: every function's count of inner breakpoints,
-    then all inner breakpoints, then all values.
-
-    Returns the inner breakpoints, each function's count of them, and the
-    values, count + 1 per function.
-    """
-    functions = int(np.sum(dims))
-    counts = rng.integers(0, 5, size=functions)
-    owner = np.repeat(np.arange(functions), counts)
-    owner, inner = _sorted_unique(owner, rng.uniform(0.05, 0.95, size=counts.sum()))
-    sizes = np.bincount(owner, minlength=functions)
-    return inner, sizes, rng.uniform(-5.0, 5.0, size=(sizes + 1).sum())
-
-
-def _steps_on_grids(dims, inner, sizes, values):
-    """Each trial's grid and its step tuple's values on it, from the flat
-    arrays of _draw_steps.
-
-    A trial's refinement is 0, the union of its functions' inner
-    breakpoints in increasing order, then 1; its grid samples each refined
-    piece at its left end and midpoint, then 1, so the grid's even points
-    are the refinement.  A function's piece at t is the count of its own
-    inner breakpoints <= t, never read off the refinement, so a refinement
-    that missed a breakpoint shows as a jump inside a refined piece.
-
-    Returns every trial's grid as one flat array, trial after trial, the
-    grid widths, and the (d, grid points) values on each trial's grid
-    (embed_step_to_grid of each function) as consecutive row-major blocks
-    of one flat array.  A block's even columns but the last are the values
-    at the refined pieces' left ends (common_refinement's matrix).
-    """
-    dims = np.asarray(dims, dtype=int)
-    trial = np.repeat(np.arange(dims.size), dims)
-    owner = np.repeat(np.arange(sizes.size), sizes)
-    joined, points = _sorted_unique(trial[owner], inner)
-    pieces = np.bincount(joined, minlength=dims.size) + 1
-    # trial t's breakpoints follow 2 ends (0 and 1) of each earlier trial
-    first = np.cumsum(pieces + 1) - pieces - 1
-    bp = np.empty(int((pieces + 1).sum()))
-    bp[first], bp[first + pieces] = 0.0, 1.0
-    bp[np.arange(points.size) + 2 * joined + 1] = points
-    # the breakpoints and their midpoints interleaved, less the midpoint of
-    # one trial's 1 and the next trial's 0
-    woven = np.empty(max(2 * bp.size - 1, 0))
-    woven[::2], woven[1::2] = bp, (bp[:-1] + bp[1:]) / 2.0
-    grid = np.delete(woven, 2 * first[1:] - 1)
-    # one row per function, its trial's grid points, row after row
-    width = 2 * pieces + 1
-    row = width[trial]
-    at = np.repeat(np.cumsum(width)[trial] - np.cumsum(row), row) + np.arange(row.sum())
-    # each function's inner breakpoints in a row, padded with inf
-    own = np.full((sizes.size, int(sizes.max(initial=0))), np.inf)
-    own[owner, np.arange(inner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)] = inner
-    reader = np.repeat(np.arange(sizes.size), row)
-    piece = (own[reader] <= grid[at, None]).sum(axis=1)
-    return grid, width, values[np.repeat(np.cumsum(sizes + 1) - sizes - 1, row) + piece]
 
 
 def check_sublattice_invariance(trials=200, seed=0):
     """Lift-then-embed equals embed-then-lift, bitwise.
 
-    Random step tuples with independent partitions; the grid samples every
-    piece of the common refinement at its left endpoint and midpoint.  The
-    step side lifts the refinement's columns (what a lift of the step tuple
-    does), the grid side the embedded columns; both go through the batched
-    evaluation, whose per-column results do not depend on the batch, so
-    equality is exact, not approximate.
+    Each built-in of the list lifts one tuple of two StepFunctions, and
+    trial t is slot s = t // 5 of built-in t mod 5: the sub-interval
+    [s/k, (s+1)/k] of that built-in's tuple, where k is its trial count.
+    Every slot edge is a breakpoint of both functions, and each function
+    has 0 to 4 inner breakpoints in each slot, at (s + u)/k with u uniform
+    in [0.05, 0.95], and one value in [-5, 5] per piece; so no piece spans
+    two slots and the trials are independent.  One np.union1d per
+    function merges its slot edges and inner breakpoints.
 
-    Trial t lifts by the function t mod 5 of its list, and each coordinate
-    of its tuple is a step function: 0 to 4 inner breakpoints uniform in
-    [0.05, 0.95] (duplicates merged), and one value in [-5, 5] per piece.
-    Draw order, one generator call each: every step function's count of
-    inner breakpoints, then all inner breakpoints, then all values, step
-    function after step function and trial after trial.
+    The step side is fc_semicontinuous of the tuple, through the lattice's
+    own refinement.  Its grid is each piece of that lift at its left end
+    and midpoint, then 1; the grid side lifts embed_step_to_grid of the
+    tuple's functions there.  Both go through the batched evaluation,
+    whose per-column results do not depend on the batch, so equality is
+    exact, not approximate.  The step lift is read onto the grid by piece
+    index, grid points 2j and 2j + 1 reading piece j and 1 the last piece,
+    never by evaluating it: point evaluation is a lattice homomorphism too,
+    so a fault there would move both sides alike.  A trial's grid points
+    are those of its slot.
 
-    The tuples, refinements, grids and embeddings are flat arrays over all
-    trials (_draw_steps, _steps_on_grids), which common_refinement and
-    embed_step_to_grid give bit for bit; no StepFunction is built.  Every
-    function lifted here is on R^2, so the embedded blocks are gathered by
-    one index into one (2, grid points) stack, and the refined columns are
-    picked from it by one mask: lifting the step tuple is lifting its
-    refined columns.  Embedding the lift reads piece j of a trial at its
-    grid points 2j and 2j + 1, the last piece also at 1.  A trial's grid
-    and values are cut out of the flat arrays only for its failure record.
+    Draw order, one generator call each: every trial's count of inner
+    breakpoints of each function, (trials, 2) in row-major order; then
+    those inner breakpoints' u, in the same order; then every function's
+    values, piece after piece, function after function and built-in after
+    built-in.  A built-in with no trial draws and lifts nothing.  The
+    failures are recorded built-in after built-in, each in trial order,
+    and each digests the trial's grid points and its functions' values on
+    its slot.
     """
     rng = _rng(seed, "sublattice-invariance")
     names = ["example-7.1", "example-7.2", "square-mean", "abs-sum", "max-coord"]
-    hs = [builtin(name) for name in names]
-    dims = np.resize([h.dim for h in hs], trials)
-    inner, sizes, values = _draw_steps(rng, dims)
-    grid, widths, sampled = _steps_on_grids(dims, inner, sizes, values)
-    embedded = _side_by_side(sampled, hs[0].dim, widths)
-    starts = np.cumsum(widths) - widths
-    local = np.arange(widths.sum()) - np.repeat(starts, widths)
-    # a trial's refined pieces start at its even grid points, all but 1
-    left = (local % 2 == 0) & (local < np.repeat(widths - 1, widths))
-    lifts = [partial(fc_semicontinuous, h) for h in hs]
-    on_steps = _per_trial(lifts, embedded[:, left], widths // 2)
-    on_grid = _per_trial(lifts, embedded, widths)
-    # grid points 2j and 2j + 1 read the lift of piece j, and 1 the last
-    piece = np.cumsum(left) - 1
-    # the digest hashes its arrays' bytes in turn, and a trial's functions'
-    # values lie side by side, so one slice digests as the separate arrays
-    bounds = np.concatenate(([0], np.cumsum(sizes + 1)))[np.concatenate(([0], np.cumsum(dims)))]
-    failures = _worst_coordinate_failures(
-        lambda t: (grid[starts[t] : starts[t] + widths[t]], values[bounds[t] : bounds[t + 1]]),
-        on_grid,
-        on_steps[piece],
-        widths,
-        0.0,
-    )
+    hs = [builtin(name) for name in names[:trials]]
+    # every built-in here is on R^2: a tuple of two functions
+    count, n = len(names), 2
+    slots = np.array([len(range(b, trials, count)) for b in range(len(hs))], dtype=int)
+    edges = [np.arange(k + 1) / k for k in slots]
+    counts = rng.integers(0, 5, size=(trials, n))
+    trial, side = np.divmod(np.repeat(np.arange(counts.size), counts.ravel()), n)
+    points = (trial // count + rng.uniform(0.05, 0.95, size=trial.size)) / slots[trial % count]
+    owner = trial % count * n + side
+    bps = [np.union1d(edges[f // n], points[owner == f]) for f in range(len(hs) * n)]
+    values = _draw(rng, -5.0, 5.0, [(bp.size - 1,) for bp in bps])
+    steps = [StepFunction(bp, v) for bp, v in zip(bps, values)]
+    failures = []
+    for b, h in enumerate(hs):
+        fs = steps[b * n : (b + 1) * n]
+        lifted = fc_semicontinuous(h, fs)
+        bp = lifted.breakpoints
+        grid = np.append(np.stack([bp[:-1], (bp[:-1] + bp[1:]) / 2.0], axis=1).ravel(), 1.0)
+        on_grid = fc_semicontinuous(h, [embed_step_to_grid(f, grid) for f in fs]).coords
+        # grid points 2j and 2j + 1 read piece j of the step lift, and 1 the last
+        on_steps = np.append(np.repeat(lifted.values, 2), lifted.values[-1])
+        widths = 2 * np.diff(bp.searchsorted(edges[b]))
+        widths[-1] += 1
+        # a trial's grid points, and each function's values, on its slot
+        arrays = [grid] + [f.values for f in fs]
+        cuts = [np.append(0, np.cumsum(widths))] + [f.breakpoints.searchsorted(edges[b]) for f in fs]
+        failures += _worst_coordinate_failures(
+            lambda s: [a[c[s] : c[s + 1]] for a, c in zip(arrays, cuts)], on_grid, on_steps, widths, 0.0
+        )
     return CheckReport("sublattice-invariance", trials, failures, seed)
 
 

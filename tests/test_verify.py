@@ -11,12 +11,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from homocalc import convexsets, verify
+from homocalc import convexsets, lattice, verify
 from homocalc.cli import main
-from homocalc.convexsets import Ball, VPolytope
 from homocalc.errors import SaddleGap
 from homocalc.homog import builtin
-from homocalc.lattice import RmElement, StepFunction, common_refinement, embed_step_to_grid
+from homocalc.lattice import RmElement, StepFunction
 from homocalc.verify import (
     CheckReport,
     check_continuous_agreement,
@@ -269,13 +268,13 @@ def test_default_suite_deterministic():
 
 # SHA-256 pins of whole outputs.  The checks lift all their trials in one
 # batched call per function; these pins hold the bytes to what one lift per
-# trial gave, failure records included.  engine-vs-oracle, interchange and
-# sublattice-invariance draw each quantity of all their trials in one
-# generator call, in the order their docstrings state, so a failure record
-# holds the data of that order.  With m fixed, engine-vs-oracle's one
-# (trials, n, m) draw gives the numbers of one (n, m) draw per trial, and
-# its record pin holds that.  A passing report holds no trial data, so the
-# suite pins do not depend on the draw order while every check passes.
+# trial gave, failure records included.  Every check draws each quantity
+# of all its trials in one generator call, in the order its docstring
+# states, so a failure record holds the data of that order.  With m fixed,
+# engine-vs-oracle's one (trials, n, m) draw gives the numbers of one
+# (n, m) draw per trial, and its record pin holds that.  A passing report
+# holds no trial data, so the suite pins do not depend on the draw order
+# while every check passes.
 
 
 def _sha256(text):
@@ -361,7 +360,7 @@ def test_suite_runs_without_scipy():
         (
             lambda: check_rep_independence(angles=8, seed=5),
             50,
-            "b550a03905329511ef42aece3e474646d80a294e9113f452a6b0e47d650ffc96",
+            "a8a861dd7a32a3a0dd65c032802b43ef691d6778bc1fdac0d7aa61785123f140",
         ),
         (
             lambda: check_engine_vs_oracle("square-mean", trials=100, tol=0.0, seed=3, m=5),
@@ -379,8 +378,8 @@ def test_suite_runs_without_scipy():
             # at tol 0 the last-bit differences between square-mean's
             # tangent (sup) side and its inf side are recorded
             lambda: check_continuous_agreement(tol=0.0, seed=1),
-            26,
-            "ed40016252f9c6d0f065d4dcda237b8aaa517447280f69f781f6c64aafedca55",
+            25,
+            "cb7ed871e0d06c22f0e3b6da8817ec53388864ac5e8a01a5222f1969652d5ee2",
         ),
     ],
     ids=[
@@ -428,22 +427,25 @@ def test_saddle_failure_records_are_pinned(monkeypatch, kwargs, failures, digest
 @pytest.mark.parametrize(
     "seed, failures, digest",
     [
-        (3, 158, "865b7356eeeed782c64544dd909616bbe62ed5bf04b36bc998c58d044b7b0b4b"),
-        (0, 164, "054f58892914aa8f91f5379eb47852d12a36f68c50577ea20bf12376ae0fa030"),
+        (3, 149, "7b96d8256e80818b967a39c19df775480460f93662ec7d7f3cf0a27030f374c3"),
+        (0, 159, "cf416b49047e0181d659de5e02d32bdb8cfac9be1e0c5d114ad82eb1754b1656"),
     ],
     ids=["sublattice-invariance-fault", "sublattice-invariance-fault-seed-0"],
 )
 def test_sublattice_invariance_failure_records_are_pinned(monkeypatch, seed, failures, digest):
-    # the two sides agree bitwise, so every 7th coordinate of each batched
-    # lift comes back scaled by 1 + 2^-20: the step side and the grid side
-    # then differ where one side's coordinate is scaled and the other's not,
-    # and each record holds the trial's grid, values and worst coordinate
+    # the two sides agree bitwise, so every 7th value of each lift, of a
+    # StepFunction on the step side and of an RmElement on the grid side,
+    # comes back scaled by 1 + 2^-20: the sides then differ where one
+    # side's value is scaled and the other's not, and each record holds
+    # the trial's grid points, its drawn values and its worst grid point
     inner = verify.fc_semicontinuous
 
     def faulty(*args, **kwargs):
-        coords = inner(*args, **kwargs).coords.copy()
-        coords[::7] *= 1 + 2.0**-20
-        return RmElement(coords)
+        lifted = inner(*args, **kwargs)
+        step = isinstance(lifted, StepFunction)
+        scaled = (lifted.values if step else lifted.coords).copy()
+        scaled[::7] *= 1 + 2.0**-20
+        return StepFunction(lifted.breakpoints, scaled) if step else RmElement(scaled)
 
     monkeypatch.setattr(verify, "fc_semicontinuous", faulty)
     report = check_sublattice_invariance(seed=seed)
@@ -577,35 +579,70 @@ class _CountingGenerator:
 
 
 @pytest.mark.parametrize(
-    "check, unbuilt",
+    "check, steps",
     [
-        (check_engine_vs_oracle, ()),
-        (check_interchange, ()),
-        (check_sublattice_invariance, (StepFunction,)),
+        (check_engine_vs_oracle, 0),
+        (check_interchange, 0),
+        (check_rep_independence, 0),
+        (check_continuous_agreement, 0),
+        # two StepFunctions per built-in, and the step lift of each pair
+        (check_sublattice_invariance, 15),
     ],
-    ids=["engine-vs-oracle", "interchange", "sublattice-invariance"],
+    ids=["engine-vs-oracle", "interchange", "rep-independence", "continuous-agreement", "sublattice-invariance"],
 )
-def test_checks_draw_each_quantity_in_one_call_whatever_the_trial_count(monkeypatch, check, unbuilt):
-    # the generator is called once per quantity, never once per trial;
-    # sublattice-invariance draws its step tuples straight into arrays, so
-    # it builds no StepFunction
+def test_checks_draw_each_quantity_in_one_call_whatever_the_trial_count(monkeypatch, check, steps):
+    # the generator is called once per quantity, never once per trial, and
+    # sublattice-invariance builds one step tuple per built-in, not one
+    # per trial
     calls, built = [], []
     rng = verify._rng
     monkeypatch.setattr(verify, "_rng", lambda seed, name: _CountingGenerator(rng(seed, name), calls))
-    for kind in (VPolytope, Ball, StepFunction):
+    init = StepFunction.__init__
 
-        def counted_init(self, *args, kind=kind, init=kind.__init__, **kwargs):
-            built.append(kind)
-            init(self, *args, **kwargs)
+    def counted_init(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
 
-        monkeypatch.setattr(kind, "__init__", counted_init)
+    monkeypatch.setattr(StepFunction, "__init__", counted_init)
     made = {}
     for trials in (10, 200):
         calls.clear()
+        built.clear()
         assert check(trials=trials, seed=11).cases == trials
-        made[trials] = list(calls)
-    assert made[10] == made[200] and len(made[10]) <= 10
-    assert [kind for kind in built if kind in unbuilt] == []
+        made[trials] = list(calls), len(built)
+    assert made[10] == made[200] and len(made[10][0]) <= 10 and made[10][1] == steps
+
+
+def _left_values_at(self, ts):
+    # values_at with searchsorted(..., side="left"): a point at a breakpoint
+    # reads the piece before it, and 0 the last piece
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+    idx = self.breakpoints.searchsorted(ts, side="left") - 1
+    return self.values[idx.clip(None, self.pieces - 1)]
+
+
+def _refinement_less_a_breakpoint(inner):
+    # common_refinement less its last inner breakpoint, each function's
+    # values repeated over the pieces that are left
+    def refine(fs):
+        bp = inner(fs)[0]
+        bp = np.delete(bp, -2) if bp.size > 2 else bp
+        return bp, np.stack([np.repeat(f.values, np.diff(bp.searchsorted(f.breakpoints))) for f in fs])
+
+    return refine
+
+
+@pytest.mark.parametrize("fault", ["values-at-left", "refinement-drops-a-breakpoint"])
+def test_a_planted_step_lattice_fault_fails_the_suite(monkeypatch, fault):
+    # the step check lifts real step tuples through the lattice's own
+    # refinement and embedding, and reads the step lift onto the grid by
+    # piece index, so a fault in either fails it, and so the suite
+    if fault == "values-at-left":
+        monkeypatch.setattr(StepFunction, "values_at", _left_values_at)
+    else:
+        monkeypatch.setattr(lattice, "common_refinement", _refinement_less_a_breakpoint(lattice.common_refinement))
+    assert not check_sublattice_invariance(seed=0).passed
+    assert not all(r.passed for r in default_suite(0))
 
 
 def _bits(a):
@@ -654,51 +691,6 @@ def test_checks_pass_at_no_trial_and_at_one(check, more, trials, seed):
     # is a stack of one block
     report = check(trials=trials, seed=seed)
     assert report.passed and report.cases == trials + more
-
-
-@pytest.mark.parametrize("seed", [0, 3, 11])
-@pytest.mark.parametrize("trials", [0, 1, 3, 200])
-@pytest.mark.parametrize("dims", [(2,), (3, 1, 2, 4)], ids=["check-dims", "mixed-dims"])
-def test_the_step_grid_reference_is_the_lattice_layer(dims, trials, seed):
-    # the check's flat refinement and embedding against StepFunctions built
-    # from the same draws, one np.unique per function: each trial's grid and
-    # block cut out of the flat arrays, common_refinement gives the grid's
-    # even points and the refined values (the block's even columns but the
-    # last), and embed_step_to_grid the block, bit for bit; with one
-    # dimension the check's stack holds the blocks side by side
-    dims = np.resize(dims, trials)
-    inner, sizes, values = verify._draw_steps(verify._rng(seed, "sublattice-invariance"), dims)
-    grid, widths, sampled = verify._steps_on_grids(dims, inner, sizes, values)
-    rng = verify._rng(seed, "sublattice-invariance")
-    counts = rng.integers(0, 5, size=int(dims.sum())).tolist()
-    raw = rng.uniform(0.05, 0.95, size=sum(counts))
-    uniques = [np.unique(raw[end - c : end]) for c, end in zip(counts, np.cumsum(counts).tolist())]
-    pieces = [u.size + 1 for u in uniques]
-    drawn = rng.uniform(-5.0, 5.0, size=sum(pieces))
-    assert _bits(inner) == _bits(np.concatenate([raw[:0], *uniques]))
-    assert sizes.tolist() == [u.size for u in uniques]
-    assert _bits(values) == _bits(drawn)
-    steps = iter(
-        StepFunction(np.concatenate(([0.0], u, [1.0])), drawn[end - w : end])
-        for u, w, end in zip(uniques, pieces, np.cumsum(pieces).tolist())
-    )
-    stack = verify._side_by_side(sampled, 2, widths) if set(dims.tolist()) == {2} else None
-    assert widths.size == trials
-    grid_end = block_end = 0
-    for d, w in zip(dims.tolist(), widths.tolist()):
-        grid_end, block_end = grid_end + w, block_end + d * w
-        cut = grid[grid_end - w : grid_end]
-        block = sampled[block_end - d * w : block_end].reshape(d, w)
-        fs = [next(steps) for _ in range(d)]
-        bp, vals = common_refinement(fs)
-        mids = (bp[:-1] + bp[1:]) / 2.0
-        assert _bits(cut) == _bits(np.append(np.stack([bp[:-1], mids], axis=1).reshape(-1), 1.0))
-        assert _bits(block[:, :-1:2]) == _bits(vals)
-        assert _bits(block) == _bits(np.stack([embed_step_to_grid(f, cut).coords for f in fs]))
-        if stack is not None:
-            assert _bits(stack[:, grid_end - w : grid_end]) == _bits(block)
-    assert (grid_end, block_end) == (grid.size, sampled.size)
-    assert next(steps, None) is None
 
 
 def test_the_check_table_drives_the_cli_and_the_suite(monkeypatch, capsys):
