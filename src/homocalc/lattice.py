@@ -6,9 +6,15 @@ to the last piece.  Refinement merges breakpoint sets exactly (float
 equality), no epsilon snapping.
 
 A tuple of elements becomes columns in one place, _columns: join, meet, +
-and <= read their operands there, and so does every lift in fcalc.
+and <= read their operands there, and so does every lift in fcalc.  A
+step tuple's refinement belongs to the tuple, not to the map lifted, so
+_columns keeps the last step tuple it refined: keyed on its elements'
+breakpoints and values arrays, by identity, it holds that tuple's shared
+breakpoints and (n, pieces) columns, both read-only, until the next step
+refinement.  Consecutive operations on one tuple refine it once.
 """
 
+import operator
 from functools import partial
 
 import numpy as np
@@ -158,6 +164,11 @@ def hom_eval(hom, f):
 
 # --- lattice operations ------------------------------------------------------
 
+# The last step tuple refined: (key, bp, cols), key its elements' breakpoints
+# and values arrays in order.  Holding them keeps their ids from reuse.
+_refined = ((), None, None)
+
+
 def _columns(op, elements):
     """(wrap, columns) of a tuple of lattice elements: one row per element,
     one column per coordinate (R^m) or per piece of the common refinement
@@ -165,7 +176,14 @@ def _columns(op, elements):
     back into the tuple's lattice.  Every tuple operation reads its
     operands here: an empty tuple raises EmptyFamily, R^m elements of
     different dimensions DimensionMismatch, and any other mix
-    LatticeMismatch, each naming op."""
+    LatticeMismatch, each naming op.
+
+    A step tuple whose breakpoints and values arrays are, in order, the
+    very arrays of the last step tuple refined gets that refinement again;
+    any other calls common_refinement and replaces the memo.  The memo's
+    breakpoints and columns are read-only, so a caller writing into them
+    raises instead of changing later lifts."""
+    global _refined
     if not elements:
         raise EmptyFamily(op, "no lattice elements given")
     if all(isinstance(f, RmElement) for f in elements):
@@ -174,7 +192,13 @@ def _columns(op, elements):
             raise DimensionMismatch(op, f"elements have dims {sorted(dims)}")
         return RmElement, np.array([f.coords for f in elements])
     if all(isinstance(f, StepFunction) for f in elements):
-        bp, cols = common_refinement(elements)
+        key = tuple(a for f in elements for a in (f.breakpoints, f.values))
+        last, bp, cols = _refined
+        if len(key) != len(last) or not all(map(operator.is_, key, last)):
+            bp, cols = common_refinement(elements)
+            bp.flags.writeable = False
+            cols.flags.writeable = False
+            _refined = key, bp, cols
         return partial(StepFunction, bp), cols
     raise LatticeMismatch(op, "elements must be all RmElements or all StepFunctions")
 
@@ -202,6 +226,10 @@ def common_refinement(fs):
     np.union1d chain in input order: one np.unique over all the arrays
     returns the same points, but where the functions start at both 0.0 and
     -0.0 it can keep the other zero first, so bp[0] would change sign.
+
+    It caches nothing: the tuple path, _columns, keeps the last tuple's
+    refinement and calls this, through the module attribute, for any
+    other tuple.
     """
     if not fs:
         raise LatticeMismatch("common_refinement", "need at least one step function")

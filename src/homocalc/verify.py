@@ -408,9 +408,12 @@ def check_sublattice_invariance(trials=200, seed=0):
     function merges its slot edges and inner breakpoints.
 
     The step side is fc_semicontinuous of the tuple, through the lattice's
-    own refinement.  Its grid is each piece of that lift at its left end
-    and midpoint, then 1; the grid side lifts embed_step_to_grid of the
-    tuple's functions there.  Both go through the batched evaluation,
+    own refinement.  Its breakpoints must be, bit for bit, the np.union1d
+    of the two functions' breakpoints; where they are not, the built-in
+    records one failure digesting both arrays, with the two piece counts
+    as observed and expected.  Its grid is each piece of that lift at its
+    left end and midpoint, then 1; the grid side lifts embed_step_to_grid
+    of the tuple's functions there.  Both go through the batched evaluation,
     whose per-column results do not depend on the batch, so equality is
     exact, not approximate.  The step lift is read onto the grid by piece
     index, grid points 2j and 2j + 1 reading piece j and 1 the last piece,
@@ -423,9 +426,9 @@ def check_sublattice_invariance(trials=200, seed=0):
     those inner breakpoints' u, in the same order; then every function's
     values, piece after piece, function after function and built-in after
     built-in.  A built-in with no trial draws and lifts nothing.  The
-    failures are recorded built-in after built-in, each in trial order,
-    and each digests the trial's grid points and its functions' values on
-    its slot.
+    failures are recorded built-in after built-in: its breakpoint failure,
+    if any, then its trials' in trial order, each digesting the trial's
+    grid points and its functions' values on its slot.
     """
     rng = _rng(seed, "sublattice-invariance")
     names = ["example-7.1", "example-7.2", "square-mean", "abs-sum", "max-coord"]
@@ -446,6 +449,9 @@ def check_sublattice_invariance(trials=200, seed=0):
         fs = steps[b * n : (b + 1) * n]
         lifted = fc_semicontinuous(h, fs)
         bp = lifted.breakpoints
+        union = np.union1d(fs[0].breakpoints, fs[1].breakpoints)
+        if bp.tobytes() != union.tobytes():
+            failures.append(CheckFailure(_digest(bp, union), lifted.pieces, union.size - 1, 0.0))
         grid = np.append(np.stack([bp[:-1], (bp[:-1] + bp[1:]) / 2.0], axis=1).ravel(), 1.0)
         on_grid = fc_semicontinuous(h, [embed_step_to_grid(f, grid) for f in fs]).coords
         # grid points 2j and 2j + 1 read piece j of the step lift, and 1 the last

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homocalc import lattice
+from homocalc.convexsets import Ball, VPolytope
 from homocalc.documents import element_from_json, element_to_json
 from homocalc.errors import (
     DimensionMismatch,
@@ -12,6 +14,8 @@ from homocalc.errors import (
     LatticeMismatch,
     SchemaError,
 )
+from homocalc.fcalc import SaddleFamily, fc_saddle, fc_semicontinuous, fc_sublinear, fc_superlinear
+from homocalc.homog import SublinearMap, SuperlinearMap, builtin
 from homocalc.lattice import (
     CoordinateHom,
     PointEvalHom,
@@ -343,3 +347,79 @@ def test_order_absorption_on_rm():
     b = RmElement([0.5, 4.0, 2.0])
     assert join(a, meet(a, b)) == a
     assert meet(a, join(a, b)) == a
+
+
+def _pair():
+    return (
+        StepFunction([0.0, 0.3, 0.5, 1.0], [1.0, -2.0, 4.0]),
+        StepFunction([0.0, 0.5, 0.8, 1.0], [3.0, 0.5, -1.0]),
+    )
+
+
+def _fresh(fs):
+    return tuple(StepFunction(f.breakpoints, f.values) for f in fs)
+
+
+def _counted_refinement(monkeypatch):
+    calls = []
+    inner = lattice.common_refinement
+
+    def counted(fs):
+        calls.append(len(fs))
+        return inner(fs)
+
+    monkeypatch.setattr(lattice, "common_refinement", counted)
+    return calls
+
+
+def _result_bits(out):
+    if isinstance(out, StepFunction):
+        return out.breakpoints.tobytes(), out.values.tobytes()
+    return out
+
+
+_ON_A_PAIR = {
+    "fc_semicontinuous": lambda fs: fc_semicontinuous(builtin("example-7.1"), fs),
+    "fc_sublinear": lambda fs: fc_sublinear(SublinearMap(Ball([0.0, 0.0], 1.0)), fs),
+    "fc_superlinear": lambda fs: fc_superlinear(SuperlinearMap(VPolytope([[1.0, 0.0], [0.0, 1.0]])), fs),
+    "fc_saddle": lambda fs: fc_saddle(SaddleFamily([[[0.5, 0.5]]]), fs),
+    "join": lambda fs: join(*fs),
+    "meet": lambda fs: meet(*fs),
+    "+": lambda fs: fs[0] + fs[1],
+    "<=": lambda fs: fs[0] <= fs[1],
+}
+
+
+def test_consecutive_operations_on_one_step_tuple_refine_it_once(monkeypatch):
+    # every lift, join, meet, + and <= of one tuple reads one refinement,
+    # and each result is bitwise that of a fresh, equal tuple, which misses
+    pair = _pair()
+    calls = _counted_refinement(monkeypatch)
+    got = {name: _result_bits(op(pair)) for name, op in _ON_A_PAIR.items()}
+    assert calls == [2]
+    for name, op in _ON_A_PAIR.items():
+        assert _result_bits(op(_fresh(pair))) == got[name], name
+    assert len(calls) == 1 + len(_ON_A_PAIR)
+
+
+def test_the_refinement_memo_misses_on_any_other_tuple(monkeypatch):
+    f, g = _pair()
+    h = StepFunction([0.0, 0.9, 1.0], [2.0, -3.0])
+    calls = _counted_refinement(monkeypatch)
+    # A, B, A: the memo holds one tuple
+    for pair in ((f, g), (f, h), (f, g)):
+        join(*pair)
+    assert len(calls) == 3
+    # the same elements in another order
+    assert _result_bits(meet(g, f)) == _result_bits(meet(*_fresh((g, f))))
+    assert len(calls) == 5
+    # an element whose values were reassigned is another tuple
+    f.values = -f.values
+    assert _result_bits(meet(g, f)) == _result_bits(meet(*_fresh((g, f))))
+    assert len(calls) == 7
+
+
+def test_step_columns_are_read_only():
+    _, cols = lattice._columns("join", _pair())
+    with pytest.raises(ValueError):
+        cols[0, 0] = 0.0

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from homocalc import convexsets, lattice, verify
+from homocalc import convexsets, fcalc, lattice, verify
 from homocalc.cli import main
 from homocalc.errors import SaddleGap
 from homocalc.homog import builtin
@@ -621,27 +621,61 @@ def _left_values_at(self, ts):
     return self.values[idx.clip(None, self.pieces - 1)]
 
 
-def _refinement_less_a_breakpoint(inner):
-    # common_refinement less its last inner breakpoint, each function's
-    # values repeated over the pieces that are left
+def _refinement_less_a_breakpoint(inner, at):
+    # common_refinement less its inner breakpoint at index at, each
+    # function's values repeated over the pieces that are left
     def refine(fs):
         bp = inner(fs)[0]
-        bp = np.delete(bp, -2) if bp.size > 2 else bp
+        bp = np.delete(bp, at) if bp.size > 2 else bp
         return bp, np.stack([np.repeat(f.values, np.diff(bp.searchsorted(f.breakpoints))) for f in fs])
 
     return refine
 
 
-@pytest.mark.parametrize("fault", ["values-at-left", "refinement-drops-a-breakpoint"])
+@pytest.mark.parametrize(
+    "fault", ["values-at-left", "refinement-drops-a-breakpoint", "refinement-drops-the-first-breakpoint"]
+)
 def test_a_planted_step_lattice_fault_fails_the_suite(monkeypatch, fault):
     # the step check lifts real step tuples through the lattice's own
-    # refinement and embedding, and reads the step lift onto the grid by
-    # piece index, so a fault in either fails it, and so the suite
+    # refinement and embedding, reads the step lift onto the grid by piece
+    # index and holds its breakpoints to the tuple's own union, so a fault
+    # in either fails it at every seed, and so the suite
     if fault == "values-at-left":
         monkeypatch.setattr(StepFunction, "values_at", _left_values_at)
     else:
-        monkeypatch.setattr(lattice, "common_refinement", _refinement_less_a_breakpoint(lattice.common_refinement))
-    assert not check_sublattice_invariance(seed=0).passed
+        at = -2 if fault == "refinement-drops-a-breakpoint" else 1
+        monkeypatch.setattr(lattice, "common_refinement", _refinement_less_a_breakpoint(lattice.common_refinement, at))
+    for seed in range(6):
+        assert not check_sublattice_invariance(seed=seed).passed
+    assert not all(r.passed for r in default_suite(0))
+
+
+def _stale_columns(inner):
+    # lattice._columns with a memo that ignores its key: a step tuple of
+    # the length last refined gets that refinement
+    last = {}
+
+    def columns(op, elements):
+        if len(elements) in last and all(isinstance(f, StepFunction) for f in elements):
+            return last[len(elements)]
+        out = inner(op, elements)
+        if isinstance(elements[0], StepFunction):
+            last[len(elements)] = out
+        return out
+
+    return columns
+
+
+def test_a_stale_refinement_memo_fails_the_suite(monkeypatch):
+    # each built-in's step lift must have its own tuple's breakpoints, so a
+    # memo that hands built-in 1 the refinement of built-in 0 fails the check
+    stale = _stale_columns(lattice._columns)
+    monkeypatch.setattr(lattice, "_columns", stale)
+    monkeypatch.setattr(fcalc, "_columns", stale)
+    report = check_sublattice_invariance(seed=0)
+    # its first record is built-in 1's breakpoint failure: two piece counts
+    assert isinstance(report.failures[0].observed, int)
+    assert report.failures[0].observed != report.failures[0].expected
     assert not all(r.passed for r in default_suite(0))
 
 
