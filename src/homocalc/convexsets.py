@@ -297,8 +297,10 @@ def _pruned_support(cols, vertices, kept, rho):
     Takes a plan of _build_plan.  Per column x, with p = rho max_d |x_d|,
     out is _vertex_support of the kept vertices alone: their largest fold
     (_dot_paired) with x, taken in vertex order.  A column takes out where
-    2^-900 <= p <= 2^900.  The other columns, NaN and infinite ones
-    included, take the all-vertex _vertex_support, as one batch.
+    2^-900 <= p <= 2^900, and when the least and the largest p of the batch
+    show that every column does, out is returned with no per-column mask.
+    The other columns, NaN and infinite ones included, take the all-vertex
+    _vertex_support, as one batch.
 
     Why out is then the all-vertex value: let v be a dropped vertex,
     u = 2^-53, and g a grid direction within the covering chord c of
@@ -322,6 +324,9 @@ def _pruned_support(cols, vertices, kept, rho):
     with np.errstate(over="ignore", invalid="ignore"):
         p = rho * np.abs(cols).max(axis=0)
         out = _vertex_support(kept, cols)
+    # one min and one max clear the usual batch; a NaN p fails both
+    if p.size and p.min() >= 2.0**-900 and p.max() <= 2.0**900:
+        return out
     redo = np.flatnonzero(~((p >= 2.0**-900) & (p <= 2.0**900)))
     if redo.size:
         out[redo] = _vertex_support(vertices, cols[:, redo])

@@ -4,10 +4,12 @@ The lift acts per coordinate: on R^m through the m coordinate columns, on
 step functions through the columns of the common refinement.  Those
 columns come from lattice._columns, the one reader of a tuple of lattice
 elements, which join, meet, + and <= use too, so every tuple operation
-checks its operands one way.  A lift evaluates all its columns as one
-batch, and every batched kernel (family scan, support, saddle) gives a
-column the same bits whatever batch it sits in, so embedding a step tuple
-on a grid and lifting commute bitwise.
+checks its operands one way.  A lift's values are checked finite once,
+by the evaluator that computes them, and _columns' wrap does not check
+them again.  A lift evaluates all its columns as one batch, and every
+batched kernel (family scan, support, saddle) gives a column the same bits
+whatever batch it sits in, so embedding a step tuple on a grid and lifting
+commute bitwise.
 """
 
 import numpy as np
@@ -196,10 +198,11 @@ def saddle_eval(S, x):
     summed coordinate by coordinate and reduced in coefficient order
     (_reduce), so a point's values do not depend on the other points.
     With one row (P = 1) the min over rows is the identity, and with one
-    column (Q = 1) the max over columns is, so both orderings reduce the
-    same values in the same order and are computed once.  Raises ValueError
-    on a NaN or infinite point and NonFiniteResult on a value outside the
-    float range.
+    column (Q = 1) the max over columns is, so both orderings are one
+    reduction, computed once: the max over the row, or the min over the
+    column, bitwise the two-reduction value, and the second result is a
+    copy of the first.  Raises ValueError on a NaN or infinite point and
+    NonFiniteResult on a value outside the float range.
     """
     pts = np.asarray(x, dtype=float)
     single = pts.ndim <= 1
@@ -209,16 +212,23 @@ def saddle_eval(S, x):
             "saddle_eval", f"points have shape {pts.shape}, saddle has dim {S.dim}"
         )
     P, Q = S.shape
+    once = 1 in (P, Q)
 
     def evaluate():
-        out = np.empty((2, pts.shape[0]))
+        out = np.empty(pts.shape[0] if once else (2, pts.shape[0]))
         for b in _blocks(pts.shape[0], P * Q):
             M = _dot_paired(S.coeffs[..., None, :], pts[b].T)
-            out[0, b] = _reduce(np.minimum, _reduce(np.maximum, M, 1), 0)
-            out[1, b] = out[0, b] if 1 in (P, Q) else _reduce(np.maximum, _reduce(np.minimum, M, 0), 0)
+            if P == 1:
+                out[b] = _reduce(np.maximum, M[0], 0)
+            elif Q == 1:
+                out[b] = _reduce(np.minimum, M[:, 0], 0)
+            else:
+                out[0, b] = _reduce(np.minimum, _reduce(np.maximum, M, 1), 0)
+                out[1, b] = _reduce(np.maximum, _reduce(np.minimum, M, 0), 0)
         return out
 
-    infsup, supinf = _finite_values(evaluate, pts, "saddle_eval", unit="point")
+    values = _finite_values(evaluate, pts, "saddle_eval", unit="point")
+    infsup, supinf = (values, values.copy()) if once else values
     if single:
         return float(infsup[0]), float(supinf[0])
     return infsup, supinf
@@ -234,13 +244,16 @@ def fc_saddle(S, elements):
     scaled by a power of two to a largest entry in [0.5, 1), and the gap
     with them, so no sum overflows and the verdict is the same when the
     column is scaled by a power of two.  Only columns with a nonzero gap
-    have their scale computed: a saddle with one row or one column, whose
-    orderings are one reduction, computes none.  A gap above SADDLE_TOL
-    times its scale raises SaddleGap naming the coordinate whose gap is the
-    largest share of its scale.
+    have their scale computed.  A saddle with one row or one column, whose
+    orderings are one reduction, has no gap at all: its lift returns
+    straight after saddle_eval.  A gap above SADDLE_TOL times its scale
+    raises SaddleGap naming the coordinate whose gap is the largest share
+    of its scale.
     """
     wrap, cols = _lift_columns("fc_saddle", "saddle", S.dim, elements)
     infsup, supinf = saddle_eval(S, cols.T)
+    if 1 in S.shape:
+        return wrap(infsup)
     gap = np.abs(infsup - supinf)
     odd = np.flatnonzero(gap)
     if odd.size:

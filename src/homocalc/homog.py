@@ -88,8 +88,12 @@ class _SupportMap:
         return self.set.dim
 
     def _values(self, cols):
-        # at the columns of cols (n, k), unchecked: a family scan lets a member
-        # overflow on the way to a finite extremum
+        """sign * support(sign * x) at the columns of cols (n, k), unchecked: a
+        family scan lets a member overflow on the way to a finite extremum.
+        A sublinear map reads cols.T as it is, since 1.0 * x is x bitwise
+        (signed zeros and NaN included); a superlinear map flips both."""
+        if self.sign > 0:
+            return support_batch(self.set, cols.T)
         return self.sign * support_batch(self.set, self.sign * cols.T)
 
     def __call__(self, x):

@@ -12,6 +12,13 @@ _columns keeps the last step tuple it refined: keyed on its elements'
 breakpoints and values arrays, by identity, it holds that tuple's shared
 breakpoints and (n, pieces) columns, both read-only, until the next step
 refinement.  Consecutive operations on one tuple refine it once.
+
+Each value is checked once.  _columns checks a new refinement's
+breakpoints as StepFunction does, and wraps values back through the
+private constructors RmElement._of and StepFunction._of, which check only
+their count: a lift's values were checked finite where they were
+computed, and join, meet, + and oracle values are checked by _finite.  A
+step result shares the refinement's read-only breakpoints.
 """
 
 import operator
@@ -23,17 +30,57 @@ from .convexsets import _whole
 from .errors import DimensionMismatch, EmptyFamily, IndexOutOfRange, LatticeMismatch
 
 
+def _frozen(a):
+    """a as a flat, read-only float copy."""
+    a = np.array(a, dtype=float, copy=True).reshape(-1)
+    a.flags.writeable = False
+    return a
+
+
+def _check_dim(m):
+    """RmElement's check of its dimension m."""
+    if m == 0:
+        raise ValueError("coords must be nonempty")
+
+
+def _check_pieces(b, pieces):
+    """StepFunction's first check: k+1 breakpoints b for k values."""
+    if b.size < 2 or pieces != b.size - 1:
+        raise ValueError("need k+1 breakpoints and k values")
+
+
+def _check_breakpoints(b, pieces):
+    """StepFunction's checks of its breakpoints b for `pieces` values, in
+    its order; its values' own check, finiteness, comes last."""
+    _check_pieces(b, pieces)
+    if b[0] != 0.0 or b[-1] != 1.0:
+        raise ValueError("breakpoints must start at 0 and end at 1")
+    if (b[1:] - b[:-1] <= 0).any():
+        raise ValueError("breakpoints must be strictly increasing")
+    if not np.isfinite(b).all():
+        raise ValueError(StepFunction._not_finite)
+
+
 class RmElement:
     """A vector in R^m."""
 
+    _not_finite = "coords must be finite"
+
     def __init__(self, coords):
-        c = np.array(coords, dtype=float, copy=True).reshape(-1)
-        if c.size == 0:
-            raise ValueError("coords must be nonempty")
+        c = _frozen(coords)
+        _check_dim(c.size)
         if not np.isfinite(c).all():
-            raise ValueError("coords must be finite")
-        c.flags.writeable = False
+            raise ValueError(self._not_finite)
         self.coords = c
+
+    @classmethod
+    def _of(cls, coords):
+        """The element of coords whose finiteness was checked where they were
+        computed, as a read-only copy: only their count is checked."""
+        f = cls.__new__(cls)
+        f.coords = _frozen(coords)
+        _check_dim(f.m)
+        return f
 
     @property
     def m(self):
@@ -66,21 +113,26 @@ class StepFunction:
     values: one per piece (length k), piece i covers [t_i, t_{i+1}).
     """
 
+    _not_finite = "breakpoints and values must be finite"
+
     def __init__(self, breakpoints, values):
-        b = np.array(breakpoints, dtype=float, copy=True).reshape(-1)
-        v = np.array(values, dtype=float, copy=True).reshape(-1)
-        if b.size < 2 or v.size != b.size - 1:
-            raise ValueError("need k+1 breakpoints and k values")
-        if b[0] != 0.0 or b[-1] != 1.0:
-            raise ValueError("breakpoints must start at 0 and end at 1")
-        if (b[1:] - b[:-1] <= 0).any():
-            raise ValueError("breakpoints must be strictly increasing")
-        if not (np.isfinite(b).all() and np.isfinite(v).all()):
-            raise ValueError("breakpoints and values must be finite")
-        b.flags.writeable = False
-        v.flags.writeable = False
+        b, v = _frozen(breakpoints), _frozen(values)
+        _check_breakpoints(b, v.size)
+        if not np.isfinite(v).all():
+            raise ValueError(self._not_finite)
         self.breakpoints = b
         self.values = v
+
+    @classmethod
+    def _of(cls, bp, values):
+        """The step function of checked read-only breakpoints bp, shared, and
+        of values whose finiteness was checked where they were computed, as a
+        read-only copy: only their count is checked."""
+        f = cls.__new__(cls)
+        f.breakpoints = bp
+        f.values = _frozen(values)
+        _check_pieces(bp, f.pieces)
+        return f
 
     @property
     def pieces(self):
@@ -172,11 +224,15 @@ _refined = ((), None, None)
 def _columns(op, elements):
     """(wrap, columns) of a tuple of lattice elements: one row per element,
     one column per coordinate (R^m) or per piece of the common refinement
-    (step functions), and the function that wraps one value per column
-    back into the tuple's lattice.  Every tuple operation reads its
-    operands here: an empty tuple raises EmptyFamily, R^m elements of
-    different dimensions DimensionMismatch, and any other mix
-    LatticeMismatch, each naming op.
+    (step functions), and the function that wraps one value per column,
+    already checked finite, back into the tuple's lattice (RmElement._of,
+    StepFunction._of on the shared breakpoints).  Every tuple operation
+    reads its operands here: an empty tuple raises EmptyFamily, R^m
+    elements of different dimensions DimensionMismatch, and any other mix
+    LatticeMismatch, each naming op.  A new refinement is checked once,
+    before it is kept, as StepFunction checks its breakpoints and with its
+    messages, so elements whose breakpoints were reassigned to ones the
+    constructor refuses raise ValueError here.
 
     A step tuple whose breakpoints and values arrays are, in order, the
     very arrays of the last step tuple refined gets that refinement again;
@@ -190,23 +246,33 @@ def _columns(op, elements):
         dims = {f.m for f in elements}
         if len(dims) != 1:
             raise DimensionMismatch(op, f"elements have dims {sorted(dims)}")
-        return RmElement, np.array([f.coords for f in elements])
+        return RmElement._of, np.array([f.coords for f in elements])
     if all(isinstance(f, StepFunction) for f in elements):
         key = tuple(a for f in elements for a in (f.breakpoints, f.values))
         last, bp, cols = _refined
         if len(key) != len(last) or not all(map(operator.is_, key, last)):
             bp, cols = common_refinement(elements)
+            _check_breakpoints(bp, cols.shape[1])
             bp.flags.writeable = False
             cols.flags.writeable = False
             _refined = key, bp, cols
-        return partial(StepFunction, bp), cols
+        return partial(StepFunction._of, bp), cols
     raise LatticeMismatch(op, "elements must be all RmElements or all StepFunctions")
 
 
+def _finite(f):
+    """f, wrapped from values nothing has checked, refused with its
+    constructor's ValueError where a value is not finite."""
+    if not np.isfinite(f.coords if isinstance(f, RmElement) else f.values).all():
+        raise ValueError(f._not_finite)
+    return f
+
+
 def _combine(f, g, op, ufunc):
-    """ufunc of two elements, column by column."""
+    """ufunc of two elements, column by column, checked by _finite, so an
+    overflowing + raises ValueError."""
     wrap, (a, b) = _columns(op, (f, g))
-    return wrap(ufunc(a, b))
+    return _finite(wrap(ufunc(a, b)))
 
 
 def join(f, g):

@@ -88,7 +88,7 @@ from .homog import (
     circumscribed_polygon_map,
     disk_map,
 )
-from .lattice import CoordinateHom, RmElement, StepFunction, embed_step_to_grid, hom_eval
+from .lattice import CoordinateHom, RmElement, StepFunction, _finite, embed_step_to_grid, hom_eval
 
 # Each check by its CLI name: the seed tag of its generator and the name of
 # its function.  The function is read from the module when it is called, so
@@ -167,11 +167,12 @@ class CheckReport:
 
 
 def oracle_fc(h, elements):
-    """Closed-form lift: apply the oracle per coordinate / per piece."""
+    """Closed-form lift: apply the oracle per coordinate / per piece.  Its
+    values are checked finite as the constructors check them (_finite)."""
     if h.oracle is None:
         raise ValueError(f"{h.name} has no oracle")
     wrap, cols = _lift_columns("oracle_fc", "function", h.dim, elements)
-    return wrap(np.asarray(h.oracle(cols.T), dtype=float))
+    return _finite(wrap(np.asarray(h.oracle(cols.T), dtype=float)))
 
 
 def _draw(rng, low, high, shapes):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homocalc import lattice, verify
-from homocalc.convexsets import Ball, VPolytope, _dot_paired, feasible_point
+from homocalc.convexsets import Ball, VPolytope, _dot_paired, _reduce, feasible_point
 from homocalc.documents import saddle_from_json, saddle_to_json
 from homocalc.errors import (
     CalculusError,
@@ -337,6 +337,32 @@ def test_one_row_or_column_saddles_reduce_both_orderings_alike(shape):
             infsup, supinf = saddle_eval(SaddleFamily(coeffs), pts)
             assert supinf.tobytes() == M.min(axis=0).max(axis=0).tobytes()
             assert infsup.tobytes() == M.max(axis=1).min(axis=0).tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 40, 3000])
+@pytest.mark.parametrize("shape", [(1, 6), (6, 1), (1, 1)], ids=["one-row", "one-column", "one-by-one"])
+def test_one_row_or_column_saddles_keep_the_two_reduction_bits(shape, k):
+    # saddle_eval reduces such a saddle once and fc_saddle returns straight
+    # after it; both keep the bits of the two orderings as two _reduce calls
+    # each, at one column and at many (3000 points span three blocks of a
+    # six-cell saddle), where products tie at +0.0 and -0.0
+    rng = np.random.default_rng(23)
+    coeffs = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], size=(*shape, 2))
+    pts = rng.choice([-1.0, -0.0, 0.0, 3.0], size=(k, 2))
+    pts[:4] = [[-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0], [0.0, 0.0]][:k]
+    M = _dot_paired(coeffs[..., None, :], pts.T)
+    infsup = _reduce(np.minimum, _reduce(np.maximum, M, 1), 0)
+    supinf = _reduce(np.maximum, _reduce(np.minimum, M, 0), 0)
+    if k > 1:
+        zeros = infsup[infsup == 0.0]
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+    S = SaddleFamily(coeffs)
+    got = saddle_eval(S, pts)
+    assert [v.tobytes() for v in got] == [infsup.tobytes(), supinf.tobytes()]
+    assert not np.shares_memory(*got)
+    assert np.array(saddle_eval(S, pts[0])).tobytes() == np.array([infsup[0], supinf[0]]).tobytes()
+    lifted = fc_saddle(S, [RmElement(c) for c in pts.T])
+    assert lifted.coords.tobytes() == infsup.tobytes()
 
 
 def test_fc_saddle_singleton_linear():

@@ -12,10 +12,19 @@ from homocalc.errors import (
     DimensionMismatch,
     IndexOutOfRange,
     LatticeMismatch,
+    NonFiniteResult,
     SchemaError,
 )
-from homocalc.fcalc import SaddleFamily, fc_saddle, fc_semicontinuous, fc_sublinear, fc_superlinear
-from homocalc.homog import SublinearMap, SuperlinearMap, builtin
+from homocalc.fcalc import SaddleFamily, fc_saddle, fc_semicontinuous, fc_sublinear, fc_superlinear, saddle_build
+from homocalc.homog import (
+    PHFunction,
+    SublinearMap,
+    SuperlinearMap,
+    WitnessFamily,
+    angle_superlinear_family,
+    builtin,
+    disk_map,
+)
 from homocalc.lattice import (
     CoordinateHom,
     PointEvalHom,
@@ -423,3 +432,118 @@ def test_step_columns_are_read_only():
     _, cols = lattice._columns("join", _pair())
     with pytest.raises(ValueError):
         cols[0, 0] = 0.0
+
+
+# --- each lift checks and wraps its values once --------------------------------
+
+
+def test_an_overflowing_sum_still_raises_its_constructor_message():
+    # + checks its values as the constructors do; a lift's wrap does not
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="^coords must be finite$"):
+            RmElement([1.5e308]) + RmElement([1.5e308])
+        with pytest.raises(ValueError, match="^breakpoints and values must be finite$"):
+            StepFunction([0.0, 0.5, 1.0], [1.5e308, 1.0]) + StepFunction([0.0, 1.0], [1.5e308])
+
+
+_ON_R1 = {
+    "fc_semicontinuous": lambda fs: fc_semicontinuous(builtin("max-coord", n=1), fs),
+    "fc_sublinear": lambda fs: fc_sublinear(SublinearMap(VPolytope([[1.0], [-2.0]])), fs),
+    "fc_superlinear": lambda fs: fc_superlinear(SuperlinearMap(Ball([0.5], 1.0)), fs),
+    "fc_saddle": lambda fs: fc_saddle(SaddleFamily([[[1.0], [-0.5]]]), fs),
+}
+
+
+@pytest.mark.parametrize("lift", list(_ON_R1))
+@pytest.mark.parametrize(
+    "bp, values, message",
+    [
+        # the refinement of f alone is its own breakpoints, which the check
+        # of a new refinement in _columns refuses with the constructor's
+        # message
+        ([0.0, _NAN, 1.0], [1.0, 2.0], "need k+1 breakpoints and k values"),
+        ([0.0, 0.5, 0.5, 1.0], [1.0, 2.0, 3.0], "breakpoints must be strictly increasing"),
+        # common_refinement itself fails on these
+        ([0.0, 0.7, 0.5, 1.0], [1.0, 2.0, 3.0], None),
+    ],
+    ids=["nan", "repeated", "unsorted"],
+)
+def test_a_lift_refuses_reassigned_breakpoints(lift, bp, values, message):
+    f = StepFunction([0.0, 1.0], [1.0])
+    f.breakpoints, f.values = np.array(bp), np.array(values)
+    # a refused refinement is not kept: the same tuple is refused again
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message and f"^{re.escape(message)}$"):
+            _ON_R1[lift]([f])
+
+
+def test_a_lift_of_too_few_values_still_raises_the_constructor_message():
+    # a witness member that drops the last column: the wrap still counts
+    # the values, as the constructors do
+    h = PHFunction("short", 1, inf_family=WitnessFamily(lambda X: None, lambda _, X: X[0, :-1]))
+    with pytest.raises(ValueError, match="^coords must be nonempty$"):
+        fc_semicontinuous(h, [RmElement([2.0])])
+    with pytest.raises(ValueError, match="^need k\\+1 breakpoints and k values$"):
+        fc_semicontinuous(h, [StepFunction([0.0, 0.5, 1.0], [1.0, 2.0])])
+
+
+_BEYOND = {
+    "fc_semicontinuous": lambda fs: fc_semicontinuous(builtin("abs-sum"), fs),
+    "fc_sublinear": lambda fs: fc_sublinear(SublinearMap(VPolytope([[1.0, 1.0]])), fs),
+    "fc_superlinear": lambda fs: fc_superlinear(SuperlinearMap(Ball([0.0, 0.0], 1.0)), fs),
+    "fc_saddle-one-row": lambda fs: fc_saddle(SaddleFamily([[[1.0, 1.0], [0.5, 0.5]]]), fs),
+    "fc_saddle-one-column": lambda fs: fc_saddle(SaddleFamily([[[1.0, 1.0]], [[2.0, 2.0]]]), fs),
+}
+
+
+@pytest.mark.parametrize("lift", list(_BEYOND))
+def test_a_lift_beyond_the_float_range_still_raises(lift):
+    # (1.7e308, 1.7e308) has every value above 2.4e308 in size
+    for f in (RmElement([1.0, 1.7e308]), StepFunction([0.0, 0.5, 1.0], [1.0, 1.7e308])):
+        with pytest.raises(NonFiniteResult, match="at (column|point) 1 is outside the float range"):
+            _BEYOND[lift]([f, f])
+
+
+def _six_lifts():
+    # the maps of the benchmark's lift workload: two witness families, a
+    # witness sup-family, a 200-vertex polygon and its mirror, and the
+    # one-row saddle of the disk against 32 tangents
+    verts = np.random.default_rng(3).uniform(-3.0, 3.0, size=(200, 2))
+    saddle = saddle_build([disk_map()], list(angle_superlinear_family(32).maps))
+    h71, h72, hsq = builtin("example-7.1"), builtin("example-7.2"), builtin("square-mean")
+    phi, psi = SublinearMap(VPolytope(verts)), SuperlinearMap(VPolytope(verts))
+    return [
+        lambda fs: fc_semicontinuous(h71, fs),
+        lambda fs: fc_semicontinuous(h72, fs),
+        lambda fs: fc_semicontinuous(hsq, fs, side="sup"),
+        lambda fs: fc_sublinear(phi, fs),
+        lambda fs: fc_superlinear(psi, fs),
+        lambda fs: fc_saddle(saddle, fs),
+    ]
+
+
+def test_a_tuple_lifted_through_six_maps_is_checked_and_wrapped_once(monkeypatch):
+    rng = np.random.default_rng(17)
+    pair = tuple(
+        StepFunction(np.concatenate(([0.0], np.sort(rng.uniform(0.01, 0.99, 40)), [1.0])), rng.uniform(-5, 5, 41))
+        for _ in range(2)
+    )
+    grid = common_refinement(pair)[0][:-1]
+    rms = tuple(embed_step_to_grid(f, grid) for f in pair)
+    lifts = _six_lifts()
+    want = [(_result_bits(lift(_fresh(pair))), lift(rms).coords.tobytes()) for lift in lifts]
+    monkeypatch.setattr(lattice, "_refined", ((), None, None))
+
+    checked, built = [], []
+    check = lattice._check_breakpoints
+    monkeypatch.setattr(lattice, "_check_breakpoints", lambda *args: checked.append(None) or check(*args))
+    for cls in (StepFunction, RmElement):
+        monkeypatch.setattr(cls, "__init__", lambda self, *args: built.append(type(self)))
+    got = [(lift(pair), lift(rms)) for lift in lifts]
+    assert len(checked) == 1 and built == []
+    bp = lattice._refined[1]
+    assert not bp.flags.writeable
+    for (on_steps, on_rms), (step_bits, rm_bits) in zip(got, want):
+        assert on_steps.breakpoints is bp
+        assert _result_bits(on_steps) == step_bits and on_rms.coords.tobytes() == rm_bits
+        assert not on_steps.values.flags.writeable and not on_rms.coords.flags.writeable

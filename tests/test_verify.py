@@ -56,6 +56,18 @@ def test_oracle_fc_steps():
     assert np.array_equal(r.values, [2.0, -1.0])
 
 
+def test_oracle_fc_beyond_the_float_range_raises_the_constructor_message():
+    # a lift's wrap checks no value again, so oracle_fc checks its oracle's
+    # values as the constructors do, with their messages
+    big = [1.0, 1.7e308]
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="^coords must be finite$"):
+            oracle_fc(builtin("abs-sum"), [RmElement(big), RmElement(big)])
+        f = StepFunction([0.0, 0.5, 1.0], big)
+        with pytest.raises(ValueError, match="^breakpoints and values must be finite$"):
+            oracle_fc(builtin("abs-sum"), [f, f])
+
+
 def test_oracle_fc_requires_oracle():
     from homocalc.homog import FiniteFamily, PHFunction, disk_map
 
@@ -593,17 +605,23 @@ class _CountingGenerator:
 def test_checks_draw_each_quantity_in_one_call_whatever_the_trial_count(monkeypatch, check, steps):
     # the generator is called once per quantity, never once per trial, and
     # sublattice-invariance builds one step tuple per built-in, not one
-    # per trial
+    # per trial; a build is a checked StepFunction or a lift's unchecked
+    # wrap, StepFunction._of
     calls, built = [], []
     rng = verify._rng
     monkeypatch.setattr(verify, "_rng", lambda seed, name: _CountingGenerator(rng(seed, name), calls))
-    init = StepFunction.__init__
+    init, of = StepFunction.__init__, StepFunction._of.__func__
 
     def counted_init(self, *args, **kwargs):
         built.append(None)
         init(self, *args, **kwargs)
 
+    def counted_of(cls, *args):
+        built.append(None)
+        return of(cls, *args)
+
     monkeypatch.setattr(StepFunction, "__init__", counted_init)
+    monkeypatch.setattr(StepFunction, "_of", classmethod(counted_of))
     made = {}
     for trials in (10, 200):
         calls.clear()
