@@ -12,6 +12,7 @@ import inspect
 import json
 import os
 import sys
+from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
@@ -105,7 +106,7 @@ def _load_function(args):
     raise _InputError("need --builtin NAME or --family FILE")
 
 
-def _emit(obj, out_path=None):
+def _emit(obj, out_path):
     text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     # the file first, so that a failed write leaves stdout empty
     if out_path:
@@ -133,8 +134,7 @@ def _cmd_eval(args):
     h = _load_function(args)
     x = _parse_vector(args.x, "--x")
     value, terms = eval_family_detailed(h, x)
-    _emit({"value": value, "diagnostics": {"family_terms_used": terms}}, args.out)
-    return EXIT_OK
+    return {"value": value, "diagnostics": {"family_terms_used": terms}}, EXIT_OK
 
 
 def _cmd_fc(args):
@@ -143,8 +143,7 @@ def _cmd_fc(args):
         raise _InputError("need at least one --f element")
     fs = [_parse_element(f, args.lattice) for f in args.f]
     element, diagnostics = fc_semicontinuous_detailed(h, fs)
-    _emit({"element": element_to_json(element), "diagnostics": diagnostics}, args.out)
-    return EXIT_OK
+    return {"element": element_to_json(element), "diagnostics": diagnostics}, EXIT_OK
 
 
 def _cmd_saddle_build(args):
@@ -152,8 +151,7 @@ def _cmd_saddle_build(args):
         raise _InputError("saddle-build needs --family FILE with {'phis': [...], 'psis': [...]}")
     phis, psis = pair_from_json(_read_json(args.family), args.family)
     S = saddle_build(phis, psis, **_tol(args))
-    _emit(saddle_to_json(S), args.out)
-    return EXIT_OK
+    return saddle_to_json(S), EXIT_OK
 
 
 def _cmd_saddle_eval(args):
@@ -164,8 +162,7 @@ def _cmd_saddle_eval(args):
     if x.size != S.dim:
         raise _InputError(f"--x has dim {x.size}, saddle has dim {S.dim}")
     infsup, supinf = saddle_eval(S, x)
-    _emit({"infsup": infsup, "supinf": supinf}, args.out)
-    return EXIT_OK
+    return {"infsup": infsup, "supinf": supinf}, EXIT_OK
 
 
 def _tol(args):
@@ -189,15 +186,13 @@ def _cmd_check(args):
                 raise _InputError(f"check {args.name} does not read --{flag}; drop it")
             kwargs[keyword] = value
     report = check(seed=_seed(args), **kwargs)
-    _emit(report.to_json(), args.out)
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    return report.to_json(), EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
 def _cmd_suite(args):
     reports = verify.default_suite(seed=_seed(args))
     passed = all(r.passed for r in reports)
-    _emit({"passed": passed, "reports": [r.to_json() for r in reports]}, args.out)
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
+    return {"passed": passed, "reports": [r.to_json() for r in reports]}, EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 def _tolerance(text):
@@ -218,10 +213,17 @@ _OPTIONS = {
 }
 
 
-def _add_options(p, *names):
-    for name in (*names, "out"):
-        flag, kwargs = _OPTIONS[name]
+@contextmanager
+def _command(sub, name, func, help, *options):
+    """The parser of subcommand name, which runs func, for its own
+    arguments; once they are added, the shared options named and --out
+    follow them."""
+    p = sub.add_parser(name, help=help)
+    yield p
+    for option in (*options, "out"):
+        flag, kwargs = _OPTIONS[option]
         p.add_argument(flag, **kwargs)
+    p.set_defaults(func=func)
 
 
 @lru_cache(maxsize=None)
@@ -234,41 +236,30 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", help="evaluate a PH function at a point")
-    p.add_argument("--builtin", default=None)
-    p.add_argument("--family", default=None, help="JSON file with a family document")
-    p.add_argument("--x", required=True, help="point, comma-separated")
-    _add_options(p)
-    p.set_defaults(func=_cmd_eval)
+    with _command(sub, "eval", _cmd_eval, "evaluate a PH function at a point") as p:
+        p.add_argument("--builtin")
+        p.add_argument("--family", help="JSON file with a family document")
+        p.add_argument("--x", required=True, help="point, comma-separated")
 
-    p = sub.add_parser("fc", help="lift a PH function over lattice elements")
-    p.add_argument("--builtin", default=None)
-    p.add_argument("--family", default=None)
-    p.add_argument("--f", action="append", default=[], help="lattice element (repeat per argument)")
-    p.add_argument("--lattice", choices=("rm", "step"), default="rm")
-    _add_options(p)
-    p.set_defaults(func=_cmd_fc)
+    with _command(sub, "fc", _cmd_fc, "lift a PH function over lattice elements") as p:
+        p.add_argument("--builtin")
+        p.add_argument("--family")
+        p.add_argument("--f", action="append", default=[], help="lattice element (repeat per argument)")
+        p.add_argument("--lattice", choices=("rm", "step"), default="rm")
 
-    p = sub.add_parser("saddle-build", help="build saddle coefficients from map families")
-    p.add_argument("--family", default=None, help="JSON file: {'phis': [maps], 'psis': [maps]}")
-    _add_options(p, "tol")
-    p.set_defaults(func=_cmd_saddle_build)
+    with _command(sub, "saddle-build", _cmd_saddle_build, "build saddle coefficients from map families", "tol") as p:
+        p.add_argument("--family", help="JSON file: {'phis': [maps], 'psis': [maps]}")
 
-    p = sub.add_parser("saddle-eval", help="evaluate a saddle document at a point")
-    p.add_argument("--family", default=None, help="JSON file holding a saddle document")
-    p.add_argument("--x", required=True)
-    _add_options(p)
-    p.set_defaults(func=_cmd_saddle_eval)
+    with _command(sub, "saddle-eval", _cmd_saddle_eval, "evaluate a saddle document at a point") as p:
+        p.add_argument("--family", help="JSON file holding a saddle document")
+        p.add_argument("--x", required=True)
 
-    p = sub.add_parser("check", help="run one verification check")
-    p.add_argument("name", choices=sorted(verify._CHECKS))
-    p.add_argument("--builtin", default=None, help="builtin for engine-vs-oracle")
-    _add_options(p, "tol", "seed")
-    p.set_defaults(func=_cmd_check)
+    with _command(sub, "check", _cmd_check, "run one verification check", "tol", "seed") as p:
+        p.add_argument("name", choices=sorted(verify._CHECKS))
+        p.add_argument("--builtin", help="builtin for engine-vs-oracle")
 
-    p = sub.add_parser("suite", help="run the full verification suite")
-    _add_options(p, "seed")
-    p.set_defaults(func=_cmd_suite)
+    with _command(sub, "suite", _cmd_suite, "run the full verification suite", "seed"):
+        pass
 
     return parser
 
@@ -287,7 +278,10 @@ def main(argv=None):
     except _InputError as exc:
         return _fail(EXIT_INPUT, exc.operation, exc.message)
     try:
-        return args.func(args)
+        # every command returns its JSON document and its exit status
+        document, code = args.func(args)
+        _emit(document, args.out)
+        return code
     except _InputError as exc:
         return _fail(EXIT_INPUT, args.command, exc.message)
     except NumericalError as exc:

@@ -22,6 +22,8 @@ Semicontinuity cannot be certified from finitely many samples; the kind tag
 is declarative and only the oracle/family agreement is checked numerically.
 """
 
+from itertools import product
+
 import numpy as np
 
 from .convexsets import (
@@ -204,15 +206,12 @@ class PHFunction:
 def _pick_side(h, side):
     if side == "auto":
         side = "inf" if h.inf_family is not None else "sup"
-    if side == "inf":
-        if h.inf_family is None:
-            raise EmptyFamily("eval_family", f"{h.name}: no inf-family")
-        return "inf", h.inf_family
-    if side == "sup":
-        if h.sup_family is None:
-            raise EmptyFamily("eval_family", f"{h.name}: no sup-family")
-        return "sup", h.sup_family
-    raise ValueError(f"side must be 'auto', 'inf' or 'sup', got {side!r}")
+    if side not in ("inf", "sup"):
+        raise ValueError(f"side must be 'auto', 'inf' or 'sup', got {side!r}")
+    family = h.inf_family if side == "inf" else h.sup_family
+    if family is None:
+        raise EmptyFamily("eval_family", f"{h.name}: no {side}-family")
+    return side, family
 
 
 def _scan_columns(family, X, minimize):
@@ -486,41 +485,36 @@ def square_mean():
     )
 
 
-def abs_sum(n=2):
-    """l1 norm on R^n (continuous)."""
-    from itertools import product
+def _polytope_function(name, vertices, label, labels, oracle):
+    """The support function of the rows of vertices, continuous: as its
+    inf-family the polytope's SublinearMap, labelled label, and as its
+    sup-family the linear SuperlinearMap of each vertex, labelled by
+    labels in vertex order."""
+    inf_family = FiniteFamily([SublinearMap(VPolytope(vertices), label=label)])
+    sup_family = FiniteFamily([SuperlinearMap(VPolytope([v]), label=lab) for v, lab in zip(vertices, labels)])
+    return PHFunction(name, vertices.shape[1], inf_family, sup_family, oracle)
 
+
+def abs_sum(n=2):
+    """l1 norm on R^n (continuous): the support function of the 2^n sign
+    vectors, in product order, labelled l1 and sign0, sign1, ..."""
     signs = np.array(list(product([-1.0, 1.0], repeat=n)))
-    sup_maps = [SuperlinearMap(VPolytope([s]), label=f"sign{k}") for k, s in enumerate(signs)]
 
     def oracle(pts):
         return np.abs(np.asarray(pts, dtype=float)).sum(axis=-1)
 
-    return PHFunction(
-        "abs-sum",
-        n,
-        inf_family=FiniteFamily([SublinearMap(VPolytope(signs), label="l1")]),
-        sup_family=FiniteFamily(sup_maps),
-        oracle=oracle,
-    )
+    return _polytope_function("abs-sum", signs, "l1", [f"sign{k}" for k in range(len(signs))], oracle)
 
 
 def max_coord(n=2):
-    """Largest coordinate on R^n (continuous); subdifferential is the
-    standard simplex."""
-    eye = np.eye(n)
-    sup_maps = [SuperlinearMap(VPolytope([eye[k]]), label=f"coord{k + 1}") for k in range(n)]
+    """Largest coordinate on R^n (continuous): the support function of the
+    standard basis, whose hull is the standard simplex, labelled max and
+    coord1, ..., coordn."""
 
     def oracle(pts):
         return np.asarray(pts, dtype=float).max(axis=-1)
 
-    return PHFunction(
-        "max-coord",
-        n,
-        inf_family=FiniteFamily([SublinearMap(VPolytope(eye), label="max")]),
-        sup_family=FiniteFamily(sup_maps),
-        oracle=oracle,
-    )
+    return _polytope_function("max-coord", np.eye(n), "max", [f"coord{k + 1}" for k in range(n)], oracle)
 
 
 _BUILTINS = {

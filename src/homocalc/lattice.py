@@ -61,7 +61,20 @@ def _check_breakpoints(b, pieces):
         raise ValueError(StepFunction._not_finite)
 
 
-class RmElement:
+class _Element:
+    """The operators RmElement and StepFunction share: + and <= read both
+    operands through _columns, which refuses a mix of lattices or of
+    dimensions."""
+
+    def __add__(self, other):
+        return _combine(self, other, "add", np.add)
+
+    def __le__(self, other):
+        _, (f, g) = _columns("<=", (self, other))
+        return bool(np.all(f <= g))
+
+
+class RmElement(_Element):
     """A vector in R^m."""
 
     _not_finite = "coords must be finite"
@@ -86,15 +99,8 @@ class RmElement:
     def m(self):
         return self.coords.size
 
-    def __add__(self, other):
-        return _combine(self, other, "add", np.add)
-
     def __rmul__(self, scalar):
         return RmElement(float(scalar) * self.coords)
-
-    def __le__(self, other):
-        _, (f, g) = _columns("<=", (self, other))
-        return bool(np.all(f <= g))
 
     def __eq__(self, other):
         return isinstance(other, RmElement) and np.array_equal(self.coords, other.coords)
@@ -106,7 +112,7 @@ class RmElement:
         return f"RmElement({self.coords.tolist()})"
 
 
-class StepFunction:
+class StepFunction(_Element):
     """Piecewise-constant function on [0,1].
 
     breakpoints: 0 = t_0 < t_1 < ... < t_k = 1 (length k+1)
@@ -154,15 +160,8 @@ class StepFunction:
         idx = self.breakpoints.searchsorted(ts, side="right") - 1
         return self.values[idx.clip(None, self.pieces - 1)]
 
-    def __add__(self, other):
-        return _combine(self, other, "add", np.add)
-
     def __rmul__(self, scalar):
         return StepFunction(self.breakpoints, float(scalar) * self.values)
-
-    def __le__(self, other):
-        _, (f, g) = _columns("<=", (self, other))
-        return bool(np.all(f <= g))
 
     def __eq__(self, other):
         if not isinstance(other, StepFunction):

@@ -20,15 +20,17 @@ check_rep_independence and check_continuous_agreement gather their
 tuples' draw straight into one column stack, the same pieces side by side
 (_draw_stack).
 
-Those three keep their trials as one (n, columns) stack beside the trial
-widths, from the draw to the failure records.  Each function lifts the
-columns of all its trials, picked from the stack by one owner mask, in
-one batched call (_per_trial), and the results are one flat array, trial
-after trial.  One segmented maximum of |observed - expected|
-over that array finds the failing trials; only for those is a trial's own
-array cut out of the stack (_blocks), digested and recorded.  The lift
-gives a column the same bits in any batch, so each trial's values, digest
-and failure record are those of a lift of that trial alone.
+Those three share one comparison body, _compare_lifts: it keeps the
+trials as one (n, columns) stack beside the trial widths, from the draw
+to the failure records.  Each function of either side lifts the columns
+of all its trials, picked from the stack by one owner mask, in one
+batched call, and each side's results are one flat array, trial after
+trial.  One segmented maximum of |observed - expected| over the two
+arrays finds the failing trials; only for those is a trial's own block
+cut out of the stack, digested (engine-vs-oracle digests the block, the
+other two the block and the trial index) and recorded.  The lift gives a
+column the same bits in any batch, so each trial's values, digest and
+failure record are those of a lift of that trial alone.
 check_interchange groups its trials by (set type, dimension, side), draws
 one set per group and evaluates the group through the public map path:
 one fc_sublinear or fc_superlinear call over the group's lift columns,
@@ -201,31 +203,6 @@ def _draw_stack(rng, low, high, n, widths):
     return flat[at]
 
 
-def _blocks(stack, widths):
-    """The function of t that cuts trial t's (n, widths[t]) block out of the
-    stack, trial after trial."""
-    starts = np.cumsum(widths) - widths
-    return lambda t: stack[:, starts[t] : starts[t] + widths[t]]
-
-
-def _per_trial(lifts, stack, widths):
-    """The columns of the stack lifted, trial t (widths[t] columns, trial
-    after trial) by lifts[t % len(lifts)]: one batched call per lift over
-    the columns of all its trials, picked by one owner mask.  Every lift
-    takes the stack's dimension.
-
-    Returns the lifted coordinates of every trial, trial after trial, as one
-    flat array.
-    """
-    count = len(lifts)
-    owner = np.repeat(np.arange(widths.size) % count, widths)
-    flat = np.empty(stack.shape[1])
-    for i, lift in enumerate(lifts[: widths.size]):
-        mine = owner == i
-        flat[mine] = lift([RmElement(row) for row in stack[:, mine]]).coords
-    return flat
-
-
 def _worst_coordinate_failures(inputs, got, want, widths, tol):
     """CheckFailures of the trials whose worst coordinate |got - want| is
     above tol, at that coordinate.
@@ -243,6 +220,35 @@ def _worst_coordinate_failures(inputs, got, want, widths, tol):
     return failures
 
 
+def _compare_lifts(name, seed, rng, n, widths, got, want, tol, numbered=True):
+    """The CheckReport of trials drawn as one stack and lifted two ways.
+
+    The (n, widths[t]) block of every trial t is drawn uniform in [-5, 5]
+    into one column stack (_draw_stack).  got and want are lists of lifts:
+    trial t's columns are lifted by got[t % len(got)] and by
+    want[t % len(want)], in one batched call per lift over the columns of
+    all its trials, picked by one owner mask.  A trial fails when a
+    coordinate of the two lifts differs by more than tol; only then is its
+    block cut out of the stack and digested, with the trial index when
+    numbered.
+    """
+    stack = _draw_stack(rng, -5.0, 5.0, n, widths)
+    values = np.empty((2, stack.shape[1]))
+    for flat, lifts in zip(values, (got, want)):
+        owner = np.repeat(np.arange(widths.size) % len(lifts), widths)
+        for i, lift in enumerate(lifts[: widths.size]):
+            mine = owner == i
+            flat[mine] = lift([RmElement(row) for row in stack[:, mine]]).coords
+    starts = np.cumsum(widths) - widths
+
+    def inputs(t):
+        block = stack[:, starts[t] : starts[t] + widths[t]]
+        return (block, [t]) if numbered else (block,)
+
+    failures = _worst_coordinate_failures(inputs, *values, widths, tol)
+    return CheckReport(name, widths.size, failures, seed)
+
+
 def check_engine_vs_oracle(h="example-7.1", trials=500, tol=1e-6, seed=0, m=None):
     """Family-scan engine against the closed-form oracle on random tuples.
 
@@ -258,12 +264,9 @@ def check_engine_vs_oracle(h="example-7.1", trials=500, tol=1e-6, seed=0, m=None
     h = builtin(h) if isinstance(h, str) else h
     rng = _rng(seed, "engine-vs-oracle")
     widths = np.full(trials, int(m)) if m is not None else rng.integers(1, 17, size=trials)
-    stack = _draw_stack(rng, -5.0, 5.0, h.dim, widths)
-    engine = _per_trial([partial(fc_semicontinuous, h)], stack, widths)
-    truth = _per_trial([partial(oracle_fc, h)], stack, widths)
-    block = _blocks(stack, widths)
-    failures = _worst_coordinate_failures(lambda t: (block(t),), engine, truth, widths, tol)
-    return CheckReport(f"engine-vs-oracle[{h.name}]", trials, failures, seed)
+    name = f"engine-vs-oracle[{h.name}]"
+    engine, truth = [partial(fc_semicontinuous, h)], [partial(oracle_fc, h)]
+    return _compare_lifts(name, seed, rng, h.dim, widths, engine, truth, tol, numbered=False)
 
 
 def check_interchange(trials=1000, tol=1e-12, seed=0, fault_injection=False):
@@ -364,14 +367,9 @@ def check_rep_independence(trials=100, tol=1e-3, seed=0, angles=720):
     poly_rep = _norm_via([circumscribed_polygon_map(angles)])
     both_rep = _norm_via([disk_map(), circumscribed_polygon_map(angles)])
     widths = rng.integers(1, 9, size=trials)
-    stack = _draw_stack(rng, -5.0, 5.0, 2, widths)
-    exact = _per_trial([partial(fc_semicontinuous, disk_rep)], stack, widths)
-    other = _per_trial(
-        [partial(fc_semicontinuous, poly_rep), partial(fc_semicontinuous, both_rep)], stack, widths
-    )
-    block = _blocks(stack, widths)
-    failures = _worst_coordinate_failures(lambda t: (block(t), [t]), other, exact, widths, tol)
-    return CheckReport("rep-independence", trials, failures, seed)
+    other = [partial(fc_semicontinuous, poly_rep), partial(fc_semicontinuous, both_rep)]
+    exact = [partial(fc_semicontinuous, disk_rep)]
+    return _compare_lifts("rep-independence", seed, rng, 2, widths, other, exact, tol)
 
 
 def check_continuous_agreement(trials=100, tol=1e-6, seed=0):
@@ -388,12 +386,9 @@ def check_continuous_agreement(trials=100, tol=1e-6, seed=0):
     rng = _rng(seed, "continuous-agreement")
     hs = [builtin("abs-sum"), builtin("max-coord"), builtin("square-mean")]
     widths = rng.integers(1, 9, size=trials)
-    stack = _draw_stack(rng, -5.0, 5.0, 2, widths)
-    lo = _per_trial([partial(fc_semicontinuous, h, side="sup") for h in hs], stack, widths)
-    hi = _per_trial([partial(fc_semicontinuous, h, side="inf") for h in hs], stack, widths)
-    block = _blocks(stack, widths)
-    failures = _worst_coordinate_failures(lambda t: (block(t), [t]), lo, hi, widths, tol)
-    return CheckReport("continuous-agreement", trials, failures, seed)
+    lo = [partial(fc_semicontinuous, h, side="sup") for h in hs]
+    hi = [partial(fc_semicontinuous, h, side="inf") for h in hs]
+    return _compare_lifts("continuous-agreement", seed, rng, 2, widths, lo, hi, tol)
 
 
 def check_sublattice_invariance(trials=200, seed=0):
@@ -500,7 +495,14 @@ def _ordering_gap(S, cols):
     return np.abs(infsup - supinf)
 
 
-def check_saddle(trials=20, tol=1e-9, seed=0, corrupt=False):
+# check_saddle's default tolerance, and the tangent directions of its
+# 2 x 2 control: tangents 0 and 8 of 32, at 0 and 90 degrees.
+# negative_controls reads both.
+_SADDLE_CHECK_TOL = 1e-9
+_CONTROL_PAIR = _tangents(32)[[0, 8]]
+
+
+def check_saddle(trials=20, tol=_SADDLE_CHECK_TOL, seed=0, corrupt=False):
     """Finite saddles: zero min-max/max-min gap and agreement with the lift.
 
     Part one checks one ordered two-sided family per dimension n = 2, 3, 4
@@ -586,7 +588,7 @@ def check_saddle(trials=20, tol=1e-9, seed=0, corrupt=False):
     )
 
     if corrupt:
-        failures += _corrupted_saddles(control, _tangents(32)[[0, 8]], tol)[0]
+        failures += _corrupted_saddles(control, _CONTROL_PAIR, tol)[0]
     return CheckReport("saddle", cases + corrupt, failures, seed)
 
 
@@ -598,10 +600,10 @@ def _corrupted_saddles(control, pair, tol):
     second row is rolled one column along, in place, and its worst
     |min-max - max-min| over the columns is recorded when above
     max(tol, 1e-12).  Then the 2 x 2 saddle whose rows are the two tangent
-    directions of pair (the callers pass tangents 0 and 8 of 32, at 0 and
-    90 degrees), in both orders, must raise SaddleGap in fc_saddle: its
-    message is recorded, or "no SaddleGap raised".  Caught means the
-    family's gap was recorded and SaddleGap was raised.
+    directions of pair (the callers pass _CONTROL_PAIR), in both orders,
+    must raise SaddleGap in fc_saddle: its message is recorded, or "no
+    SaddleGap raised".  Caught means the family's gap was recorded and
+    SaddleGap was raised.
     """
     failures = []
     if control is not None:
@@ -637,7 +639,7 @@ def negative_controls(seed=0):
     control = np.array(saddle_build(phis, psis).coeffs), cols
     caught = {
         "fault-injected support": not check_interchange(trials=8, seed=seed, fault_injection=True).passed,
-        "corrupted saddle coefficient": _corrupted_saddles(control, _tangents(32)[[0, 8]], 1e-9)[1],
+        "corrupted saddle coefficient": _corrupted_saddles(control, _CONTROL_PAIR, _SADDLE_CHECK_TOL)[1],
     }
     failures = [
         CheckFailure(

@@ -198,6 +198,27 @@ def test_argument_errors_are_one_json_line_with_exit_2(capsys, tmp_path, argv):
     assert json.loads(err)["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "command, digest",
+    [
+        ("eval", "13cd262f37b9e783ee79fc54ebd42183c2be1528970c735d99b793d9c2ca72f2"),
+        ("fc", "d19794bbfd9fdd3c01a090455aeba48babbb90d9ba0321285d15d51ecaaadb88"),
+        ("saddle-build", "b2f75148ce4dab3882776553fe6d58a3d43d3686c1a0cef6b5638c9f008e5394"),
+        ("saddle-eval", "d62b06e1f912cafd92e57336d4f079c99db9c2f0225b27da461369a124ff8718"),
+        ("check", "45f14ccbf1eacd2b8b9f6632085998603a6bf03fad4920a7b2a8657e2dfde2d3"),
+        ("suite", "644ea4ca6710618df945cb556ae32fb1db711cd95b5f6c75d750e7f7ca17ff89"),
+    ],
+)
+def test_subcommand_help_is_pinned(capsys, monkeypatch, command, digest):
+    # each command's own arguments come before the shared options, in the
+    # usage line and in the list; argparse wraps the text at $COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    assert exit_.value.code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_eval_family_file(capsys, tmp_path):
     doc = {"family": {"kind": "usc", "maps": [map_to_json(disk_map())]}}
     path = tmp_path / "family.json"

@@ -108,6 +108,26 @@ def test_abs_sum_and_max_coord():
     assert eval_family(m, [3.0, -4.0], side="sup") == pytest.approx(3.0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_two_sided_polytope_builtins_are_pinned(n):
+    # abs-sum is the sign vectors in product order, max-coord the rows of
+    # the identity: each as one polytope on the inf side and as one linear
+    # map per vertex on the sup side, in vertex order
+    signs = np.array(list(itertools.product([-1.0, 1.0], repeat=n)))
+    cases = [("abs-sum", signs, "l1", "sign{}", 0), ("max-coord", np.eye(n), "max", "coord{}", 1)]
+    for name, vertices, label, labels, first in cases:
+        h = builtin(name, n=n)
+        assert (h.name, h.kind, h.dim) == (name, "cts", n)
+        inf, sup = (
+            [(type(m).__name__, m.label, m.set.vertices.shape, m.set.vertices.tobytes()) for m in family.maps]
+            for family in (h.inf_family, h.sup_family)
+        )
+        assert inf == [("SublinearMap", label, vertices.shape, vertices.tobytes())]
+        assert sup == [
+            ("SuperlinearMap", labels.format(k + first), (1, n), v.tobytes()) for k, v in enumerate(vertices)
+        ]
+
+
 def test_eval_family_side_errors():
     h = builtin("example-7.1")
     with pytest.raises(EmptyFamily):
