@@ -5,7 +5,9 @@ finitely many points) and closed Euclidean balls.  Everything downstream
 (sub/superlinear maps, saddle coefficients) reduces to the operations here:
 support values, nearest-point projection and a feasibility routine for
 intersections.  The deterministic sphere grids that the domination
-envelopes and the support plans sample directions from live here too.
+envelopes and the support plans sample directions from live here too,
+with the one circle of directions, _tangents: sphere_grid's grid of R^2
+and the directions of homog's tangent maps.
 """
 
 import math
@@ -463,23 +465,23 @@ def _minor_cycles(group):
     on the edges from the first row, by SVD with lstsq's rank cut, so
     duplicate, collinear or coplanar rows are no error; the solves go by
     rank.  A v > 0 becomes the weights; else w steps towards v until the
-    first weight reaches 0, and that row leaves the corral.
+    first weight reaches 0, and that row leaves the corral.  Every corral
+    size takes this one path: a one-row corral has no edges, so its SVD
+    has rank 0, v is [1.0] and its span has width 0, along which the next
+    major cycle's edge correction subtracts exact zeros.
     """
     P = np.array([p.P for p in group])
-    if P.shape[1] == 1:
-        solved = [(group, np.ones((len(group), 1)), [None] * len(group))]
-    else:
-        E = (P[:, 1:] - P[:, :1]).transpose(0, 2, 1)
-        U, sv, Vt = np.linalg.svd(E, full_matrices=False)
-        ranks = (sv > sv[:, :1] * max(E.shape[1:]) * np.finfo(float).eps).sum(axis=1).tolist()
-        solved = []
-        for idx in _by_key(range(len(group)), ranks.__getitem__):
-            r, sel = ranks[idx[0]], slice(None) if len(idx) == len(group) else idx
-            Ur = U[sel]
-            y = np.matmul(Ur[:, :, :r].transpose(0, 2, 1), P[sel][:, 0, :, None])[:, :, 0] / sv[sel][:, :r]
-            z = -np.matmul(Vt[sel][:, :r].transpose(0, 2, 1), y[:, :, None])[:, :, 0]
-            v = np.concatenate([1.0 - z.sum(axis=1, keepdims=True), z], axis=1)
-            solved.append(([group[i] for i in idx], v, [(u, r) for u in Ur]))
+    E = (P[:, 1:] - P[:, :1]).transpose(0, 2, 1)
+    U, sv, Vt = np.linalg.svd(E, full_matrices=False)
+    ranks = (sv > sv[:, :1] * max(E.shape[1:]) * np.finfo(float).eps).sum(axis=1).tolist()
+    solved = []
+    for idx in _by_key(range(len(group)), ranks.__getitem__):
+        r, sel = ranks[idx[0]], slice(None) if len(idx) == len(group) else idx
+        Ur = U[sel]
+        y = np.matmul(Ur[:, :, :r].transpose(0, 2, 1), P[sel][:, 0, :, None])[:, :, 0] / sv[sel][:, :r]
+        z = -np.matmul(Vt[sel][:, :r].transpose(0, 2, 1), y[:, :, None])[:, :, 0]
+        v = np.concatenate([1.0 - z.sum(axis=1, keepdims=True), z], axis=1)
+        solved.append(([group[i] for i in idx], v, [(u, r) for u in Ur]))
     for members, V, spans in solved:
         for p, v, span, taken in zip(members, V, spans, (V.min(axis=1) > 0).tolist()):
             if taken:
@@ -643,6 +645,14 @@ def coordinate_bound(s, k):
 # ---------------------------------------------------------------------------
 # sphere grids: the directions of domination envelopes and support plans
 
+def _tangents(count):
+    """The directions (cos t, sin t) at t = 2 pi k / count, one row per k:
+    the one circle of directions, sphere_grid's on R^2 and homog's tangent
+    maps'."""
+    theta = np.arange(count) * (2.0 * np.pi / count)
+    return np.column_stack([np.cos(theta), np.sin(theta)])
+
+
 def _kronecker_alphas(n):
     # root of x**(n+1) = x + 1, Newton from 1.5; deterministic
     phi = 1.5
@@ -667,8 +677,7 @@ def sphere_grid(n, density):
     if n == 1:
         return np.array([[1.0], [-1.0]])
     if n == 2:
-        theta = np.arange(density) * (2.0 * np.pi / density)
-        return np.column_stack([np.cos(theta), np.sin(theta)])
+        return _tangents(density)
     if n == 3:
         i = np.arange(density, dtype=float)
         offset = 2.0 / density

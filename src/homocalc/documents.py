@@ -22,6 +22,11 @@ SchemaError(source, path, reason) for any other shape, for an integer too
 large for a float (at that number's path), and for a value that the set,
 element or saddle it builds refuses (such as NaN), with path starting at
 the document root.
+
+The map tags are one table here, _MAP_TAGS: "sublinear", with set key
+"subdiff", for a SublinearMap, and "superlinear", with "superdiff", for a
+SuperlinearMap.  map_to_json, map_from_json and the side checks of
+function and pair documents read it; the map classes hold no tag.
 """
 
 import numpy as np
@@ -29,7 +34,7 @@ import numpy as np
 from .convexsets import Ball, VPolytope
 from .errors import SchemaError, UnknownBuiltin
 from .fcalc import SaddleFamily
-from .homog import FiniteFamily, PHFunction, SublinearMap, SuperlinearMap, _SupportMap, builtin
+from .homog import FiniteFamily, PHFunction, SublinearMap, SuperlinearMap, builtin
 from .lattice import RmElement, StepFunction
 
 
@@ -119,20 +124,22 @@ def set_from_json(obj, source="<inline>", path="set"):
     return _built(Ball, source, where, center, _float(radius, source, f"{where}.radius"))
 
 
-_MAP_CLASSES = {cls.key: cls for cls in (SublinearMap, SuperlinearMap)}
+# each map document's tag: its map class and the key of its set
+_MAP_TAGS = {"sublinear": (SublinearMap, "subdiff"), "superlinear": (SuperlinearMap, "superdiff")}
 
 
 def map_to_json(m):
-    if isinstance(m, _SupportMap):
-        return {m.key: {m.set_key: set_to_json(m.set), "label": m.label}}
+    for key, (cls, set_key) in _MAP_TAGS.items():
+        if isinstance(m, cls):
+            return {key: {set_key: set_to_json(m.set), "label": m.label}}
     raise TypeError(f"unsupported map type {type(m).__name__}")
 
 
 def map_from_json(obj, source="<inline>", path="map"):
-    key, body = _tagged(obj, _MAP_CLASSES, source, path, "expected a 'sublinear' or 'superlinear' key")
-    cls, where = _MAP_CLASSES[key], f"{path}.{key}"
-    (s,) = _fields(body, (cls.set_key,), source, where, f"expected {{'{cls.set_key}': <set>}}")
-    s = set_from_json(s, source, f"{where}.{cls.set_key}")
+    key, body = _tagged(obj, _MAP_TAGS, source, path, "expected a 'sublinear' or 'superlinear' key")
+    (cls, set_key), where = _MAP_TAGS[key], f"{path}.{key}"
+    (s,) = _fields(body, (set_key,), source, where, f"expected {{'{set_key}': <set>}}")
+    s = set_from_json(s, source, f"{where}.{set_key}")
     label = body.get("label", "")
     if not isinstance(label, str):
         raise SchemaError(source, f"{where}.label", "expected a string")
@@ -143,10 +150,10 @@ def _side_maps(objs, side, source, path):
     """The maps of the JSON list objs at path: sublinear ones for side
     "inf", superlinear ones for "sup"; another map is a SchemaError."""
     maps = [map_from_json(o, source, f"{path}[{i}]") for i, o in enumerate(objs)]
-    want = SublinearMap if side == "inf" else SuperlinearMap
+    key = "sublinear" if side == "inf" else "superlinear"
     for i, m in enumerate(maps):
-        if not isinstance(m, want):
-            raise SchemaError(source, f"{path}[{i}]", f"expected a {want.key} map")
+        if not isinstance(m, _MAP_TAGS[key][0]):
+            raise SchemaError(source, f"{path}[{i}]", f"expected a {key} map")
     return maps
 
 

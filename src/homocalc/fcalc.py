@@ -159,12 +159,10 @@ def saddle_build(phis, psis, tol=FEASIBLE_TOL):
     psis = list(psis)
     if not phis or not psis:
         raise EmptyFamily("saddle_build", "need at least one map on each side")
-    for i, p in enumerate(phis):
-        if not isinstance(p, SublinearMap):
-            raise TypeError(f"phis[{i}] is not a SublinearMap")
-    for j, q in enumerate(psis):
-        if not isinstance(q, SuperlinearMap):
-            raise TypeError(f"psis[{j}] is not a SuperlinearMap")
+    for name, maps, cls in (("phis", phis, SublinearMap), ("psis", psis, SuperlinearMap)):
+        for i, m in enumerate(maps):
+            if not isinstance(m, cls):
+                raise TypeError(f"{name}[{i}] is not a {cls.__name__}")
     dims = {p.dim for p in phis} | {q.dim for q in psis}
     if len(dims) != 1:
         raise DimensionMismatch("saddle_build", f"mixed map dimensions {sorted(dims)}")

@@ -32,6 +32,7 @@ from .convexsets import (
     _default_grid,
     _dot_paired,
     _fold,
+    _tangents,
     sphere_grid,
     support_batch,
 )
@@ -81,7 +82,7 @@ class _SupportMap:
 
     def __init__(self, s, label=""):
         if not isinstance(s, (VPolytope, Ball)):
-            raise TypeError(f"{self.set_key} must be a VPolytope or Ball")
+            raise TypeError(f"{type(self).__name__}: the set must be a VPolytope or Ball")
         self.set = s
         self.label = str(label)
 
@@ -112,14 +113,12 @@ class SublinearMap(_SupportMap):
     """Support function of its subdifferential `set`: x -> max{a.x : a in set}."""
 
     sign = 1.0
-    key, set_key = "sublinear", "subdiff"
 
 
 class SuperlinearMap(_SupportMap):
     """Minimum over its superdifferential `set`: x -> min{a.x : a in set}."""
 
     sign = -1.0
-    key, set_key = "superlinear", "superdiff"
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +258,7 @@ def _eval_columns(h, X, side):
 
 def eval_family(h, x, side="auto"):
     """Value of h at x through its representing family."""
-    value, _ = eval_family_detailed(h, x, side=side)
-    return value
+    return eval_family_detailed(h, x, side=side)[0]
 
 
 def eval_family_detailed(h, x, side="auto"):
@@ -420,12 +418,6 @@ def sign_switch():
 
 def disk_map():
     return SublinearMap(Ball([0.0, 0.0], 1.0), label="euclidean")
-
-
-def _tangents(count):
-    """The directions (cos t, sin t) at t = 2 pi k / count, one row per k."""
-    theta = np.arange(count) * (2.0 * np.pi / count)
-    return np.column_stack([np.cos(theta), np.sin(theta)])
 
 
 def angle_superlinear_family(count):

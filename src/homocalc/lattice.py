@@ -19,6 +19,12 @@ private constructors RmElement._of and StepFunction._of, which check only
 their count: a lift's values were checked finite where they were
 computed, and join, meet, + and oracle values are checked by _finite.  A
 step result shares the refinement's read-only breakpoints.
+
+Both lattices' elements follow one protocol, written once on their base
+_Element: each class names its arrays in _arrays (("coords",) for
+RmElement, ("breakpoints", "values") for StepFunction), equality and the
+hash read them, and _finite, the last check of both public constructors,
+reads the last one.
 """
 
 import operator
@@ -62,9 +68,20 @@ def _check_breakpoints(b, pieces):
 
 
 class _Element:
-    """The operators RmElement and StepFunction share: + and <= read both
+    """The protocol RmElement and StepFunction share.  + and <= read both
     operands through _columns, which refuses a mix of lattices or of
-    dimensions."""
+    dimensions.  Equality and hashing read the arrays named in the class
+    tuple _arrays: elements are equal when the other is of the element's
+    own class and every array is equal (np.array_equal, so 0.0 == -0.0),
+    and each array is hashed with its zeros made +0.0, so equal elements
+    hash equal.  _finite checks the last array named."""
+
+    def __eq__(self, other):
+        same = isinstance(other, type(self))
+        return same and all(np.array_equal(getattr(self, a), getattr(other, a)) for a in self._arrays)
+
+    def __hash__(self):
+        return hash(tuple((getattr(self, a) + 0.0).tobytes() for a in self._arrays))
 
     def __add__(self, other):
         return _combine(self, other, "add", np.add)
@@ -77,14 +94,13 @@ class _Element:
 class RmElement(_Element):
     """A vector in R^m."""
 
+    _arrays = ("coords",)
     _not_finite = "coords must be finite"
 
     def __init__(self, coords):
-        c = _frozen(coords)
-        _check_dim(c.size)
-        if not np.isfinite(c).all():
-            raise ValueError(self._not_finite)
-        self.coords = c
+        self.coords = _frozen(coords)
+        _check_dim(self.coords.size)
+        _finite(self)
 
     @classmethod
     def _of(cls, coords):
@@ -102,12 +118,6 @@ class RmElement(_Element):
     def __rmul__(self, scalar):
         return RmElement(float(scalar) * self.coords)
 
-    def __eq__(self, other):
-        return isinstance(other, RmElement) and np.array_equal(self.coords, other.coords)
-
-    def __hash__(self):
-        return hash(self.coords.tobytes())
-
     def __repr__(self):
         return f"RmElement({self.coords.tolist()})"
 
@@ -119,15 +129,13 @@ class StepFunction(_Element):
     values: one per piece (length k), piece i covers [t_i, t_{i+1}).
     """
 
+    _arrays = ("breakpoints", "values")
     _not_finite = "breakpoints and values must be finite"
 
     def __init__(self, breakpoints, values):
-        b, v = _frozen(breakpoints), _frozen(values)
-        _check_breakpoints(b, v.size)
-        if not np.isfinite(v).all():
-            raise ValueError(self._not_finite)
-        self.breakpoints = b
-        self.values = v
+        self.breakpoints, self.values = _frozen(breakpoints), _frozen(values)
+        _check_breakpoints(self.breakpoints, self.values.size)
+        _finite(self)
 
     @classmethod
     def _of(cls, bp, values):
@@ -162,16 +170,6 @@ class StepFunction(_Element):
 
     def __rmul__(self, scalar):
         return StepFunction(self.breakpoints, float(scalar) * self.values)
-
-    def __eq__(self, other):
-        if not isinstance(other, StepFunction):
-            return False
-        return np.array_equal(self.breakpoints, other.breakpoints) and np.array_equal(
-            self.values, other.values
-        )
-
-    def __hash__(self):
-        return hash((self.breakpoints.tobytes(), self.values.tobytes()))
 
     def __repr__(self):
         return f"StepFunction({self.pieces} pieces)"
@@ -260,9 +258,11 @@ def _columns(op, elements):
 
 
 def _finite(f):
-    """f, wrapped from values nothing has checked, refused with its
-    constructor's ValueError where a value is not finite."""
-    if not np.isfinite(f.coords if isinstance(f, RmElement) else f.values).all():
+    """f, refused with its constructor's ValueError where a value, the
+    last array its class names in _arrays, is not finite: the constructors'
+    last check, and the check of values wrapped by _of that nothing has
+    checked."""
+    if not np.isfinite(getattr(f, f._arrays[-1])).all():
         raise ValueError(f._not_finite)
     return f
 

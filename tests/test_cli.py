@@ -691,3 +691,55 @@ def test_calls_in_one_process_print_what_fresh_processes_print(capsys):
         )
         assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
     assert [run(capsys, *argv)[0] for argv in _SEQUENCE] == [0, 0, 2, 0]
+
+
+@pytest.mark.parametrize(
+    "argv, operation, message",
+    [
+        (["eval", "--builtin", "abs-sum", "--x", ","], "eval", "--x: empty vector"),
+        (
+            ["fc", "--builtin", "abs-sum", "--lattice", "step", "--f", "0,1"],
+            "fc",
+            "--f for step lattice needs 'breakpoints|values', e.g. 0,0.5,1|2,5",
+        ),
+        (
+            ["fc", "--builtin", "abs-sum", "--lattice", "step", "--f", "0,0.5|1,2"],
+            "fc",
+            "--f: need k+1 breakpoints and k values",
+        ),
+        (["eval", "--family", "MISSING", "--x", "1,2"], "eval", None),
+        (["eval", "--family", "DIRECTORY", "--x", "1,2"], "eval", None),
+        (
+            ["eval", "--builtin", "abs-sum", "--family", "FAMILY", "--x", "1,2"],
+            "eval",
+            "give either --builtin or --family, not both",
+        ),
+        (["fc", "--f", "1", "--f", "2"], "fc", "need --builtin NAME or --family FILE"),
+        (["saddle-build"], "saddle-build", "saddle-build needs --family FILE with {'phis': [...], 'psis': [...]}"),
+        (["saddle-eval", "--x", "1,2"], "saddle-eval", "saddle-eval needs --family FILE holding a saddle document"),
+        (
+            ["saddle-build", "--family", "FAMILY", "--tol", "abc"],
+            "homocalc saddle-build",
+            "argument --tol: expected a finite number >= 0, got 'abc'",
+        ),
+    ],
+    ids=[
+        "x-comma", "step-without-bar", "step-refused", "family-missing", "family-directory",
+        "builtin-and-family", "neither", "saddle-build-no-family", "saddle-eval-no-family", "tol-abc",
+    ],
+)
+def test_each_input_error_exits_2_with_one_line_naming_its_operation(capsys, tmp_path, argv, operation, message):
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps({"family": {"kind": "usc", "maps": [map_to_json(disk_map())]}}))
+    files = {"FAMILY": str(family), "MISSING": str(tmp_path / "missing.json"), "DIRECTORY": str(tmp_path)}
+    argv = [files.get(a, a) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.endswith("\n") and err.count("\n") == 1
+    error = json.loads(err)["error"]
+    assert error["operation"] == operation
+    if message is None:
+        # the reader's own text, which names the file
+        assert error["message"].startswith(f"cannot read {argv[2]}: ")
+    else:
+        assert error["message"] == message

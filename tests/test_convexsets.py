@@ -667,3 +667,33 @@ def test_planning_a_polygon_holds_no_vertex_by_grid_array():
             tracemalloc.stop()
     assert P._plan == ()
     assert max(peaks) <= 280_374 + 65_536
+
+
+def test_a_polygon_beyond_two_to_the_960_is_never_planned_and_keeps_the_all_vertex_bits():
+    # 40 vertices in R^2, so only the size of its entries keeps it unplanned
+    rng = np.random.default_rng(8)
+    V = np.ldexp(rng.uniform(-1.0, 1.0, size=(40, 2)), 970)
+    P = _planned(V)
+    assert P._plan == ()
+    X = rng.uniform(-5.0, 5.0, size=(2, 300))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _bits(support_batch(P, X.T)) == _bits(_all_vertex_fold(V, X))
+
+
+def test_feasible_point_refuses_sets_of_different_dimensions():
+    with pytest.raises(DimensionMismatch, match="sets have dims 2 and 3"):
+        feasible_point(SQUARE, Ball([0.0, 0.0, 0.0], 1.0))
+
+
+def test_project_refuses_what_is_not_a_set():
+    class Cloud:
+        dim = 2
+
+    with pytest.raises(TypeError, match="^unsupported set type Cloud$"):
+        project(Cloud(), [0.0, 1.0])
+
+
+def test_set_reprs_are_pinned():
+    assert repr(SQUARE) == "VPolytope(4 vertices in R^2)"
+    assert repr(VPolytope([1.0, 2.0, 3.0])) == "VPolytope(1 vertices in R^3)"
+    assert repr(Ball([0.0, 1.0], 2.5)) == "Ball(center in R^2, radius=2.5)"

@@ -8,12 +8,18 @@ every accepted value.
 """
 
 import ast
+import contextlib
 import copy
 import hashlib
+import io
 import json
 import random
 import re
 from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import homocalc
 import homocalc.cli
@@ -321,3 +327,108 @@ def test_only_documents_knows_the_document_format():
         defined = {node.name for node in nodes if isinstance(node, ast.FunctionDef) and node.name.endswith("_json")}
         imported = {a.name for node in nodes if isinstance(node, ast.ImportFrom) for a in node.names}
         assert (name, defined, "SchemaError" in imported) == (name, set(), False)
+
+
+# --- the document contract of cli.main, under hypothesis -----------------------
+
+_DISK = {"sublinear": {"subdiff": {"ball": {"center": [0.0, 0.0], "radius": 1.0}}, "label": "disk"}}
+_TRIANGLE = {"sublinear": {"subdiff": {"polytope": {"vertices": [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]}}}}
+_POINT = {"superlinear": {"superdiff": {"polytope": {"vertices": [[0.5, 0.0]]}}, "label": "pt"}}
+_SMALL_BALL = {"superlinear": {"superdiff": {"ball": {"center": [0.0, 0.25], "radius": 0.25}}}}
+# (command less --family, document) of every document kind, each valid
+_CONTRACT_BASES = [
+    (["eval", "--x", "1,-2"], {"family": {"kind": "usc", "maps": [_DISK, _TRIANGLE]}}),
+    (["fc", "--f", "1,-2", "--f", "0.5,3"], {"family": {"kind": "lsc", "maps": [_POINT, _SMALL_BALL]}}),
+    (["fc", "--f", "1,-2", "--f", "0.5,3"], {"family": {"kind": "cts", "maps": {"inf": [_DISK], "sup": [_POINT]}}}),
+    (["eval", "--x", "3,-4"], {"family": {"kind": "cts", "maps": {"builtin": "abs-sum"}}}),
+    (["saddle-build"], {"phis": [_DISK, _TRIANGLE], "psis": [_POINT, _SMALL_BALL]}),
+    (
+        ["saddle-eval", "--x", "1,-2"],
+        {"saddle": {"coeffs": [[[1.0, 0.0], [0.5, 0.5]], [[0.0, 1.0], [0.25, 0.0]]], "phi_labels": ["a", "b"]}},
+    ),
+]
+# wrong types, NaN as a number and as a string, inf, ints beyond the float
+# range, empty and ragged lists; "delete" drops the slot (a missing key).
+# The valid numbers keep some documents valid, and the huge ones send
+# some of those beyond the float range.
+_CONTRACT_EDITS = [
+    "x", "NaN", True, None, {}, float("nan"), float("inf"), -float("inf"), 10**400, -(10**400),
+    [], [[]], [[1.0], [1.0, 2.0]], [1.0, [2.0]], "delete", "ragged",
+    3, -0.0, 2.5, 5e-324, 1e308, -1e308,
+]
+
+
+def _edited(doc, data):
+    """doc with one or two of _CONTRACT_EDITS, each at a slot drawn by data."""
+    for _ in range(data.draw(st.integers(1, 2))):
+        slots = list(_slots(doc))
+        if not slots:
+            break
+        parent, key = data.draw(st.sampled_from(slots))
+        edit = data.draw(st.sampled_from(_CONTRACT_EDITS))
+        if edit == "delete":
+            del parent[key]
+        elif edit == "ragged":
+            # a list one entry longer, or a value wrapped in a list
+            value = parent[key]
+            parent[key] = value + [value[-1] if value else 1.0] if isinstance(value, list) else [value]
+        else:
+            parent[key] = copy.deepcopy(edit)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def contract_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract") / "doc.json"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_CONTRACT_BASES), st.data())
+def test_every_mutated_document_keeps_the_cli_contract(contract_file, base, data):
+    argv, doc = base
+    doc = _edited(copy.deepcopy(doc), data)
+    contract_file.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = homocalc.cli.main([*argv, "--family", str(contract_file)])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3), (doc, code)
+    if code in (0, 1):
+        assert err == "" and out.endswith("\n")
+        json.loads(out)
+    else:
+        assert out == "" and err.endswith("\n") and err.count("\n") == 1
+        assert set(json.loads(err)) == {"error"}
+
+
+def test_pair_from_json_refuses_sides_that_are_not_lists():
+    for doc in ({"phis": {}, "psis": []}, {"phis": [], "psis": "x"}):
+        with pytest.raises(homocalc.SchemaError, match="phis/psis: expected lists of maps$"):
+            homocalc.documents.pair_from_json(doc, _SOURCE)
+
+
+@pytest.mark.parametrize(
+    "write, what",
+    [
+        (homocalc.set_to_json, homocalc.disk_map()),
+        (homocalc.map_to_json, homocalc.Ball([0.0], 1.0)),
+        (homocalc.element_to_json, [1.0, 2.0]),
+    ],
+    ids=["set", "map", "element"],
+)
+def test_each_writer_refuses_an_unsupported_type(write, what):
+    kind = write.__name__.removesuffix("_to_json")
+    with pytest.raises(TypeError, match=f"^unsupported {kind} type {type(what).__name__}$"):
+        write(what)
+
+
+@pytest.mark.parametrize(
+    "doc", [_DISK, _TRIANGLE, _POINT, _SMALL_BALL], ids=["sub-ball", "sub-polytope", "super-polytope", "super-ball"]
+)
+def test_a_map_document_is_written_back_as_it_was_read(doc):
+    # the tags of both map kinds, on both set kinds; an absent label reads as ""
+    want = copy.deepcopy(doc)
+    for body in want.values():
+        body.setdefault("label", "")
+    assert homocalc.map_to_json(homocalc.map_from_json(doc)) == want
+    assert homocalc.map_to_json(homocalc.map_from_json(want)) == want

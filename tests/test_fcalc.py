@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homocalc import lattice, verify
+from homocalc import convexsets, fcalc, lattice, verify
 from homocalc.convexsets import Ball, VPolytope, _dot_paired, _reduce, feasible_point
 from homocalc.documents import saddle_from_json, saddle_to_json
 from homocalc.errors import (
@@ -14,6 +14,7 @@ from homocalc.errors import (
     DimensionMismatch,
     EmptyFamily,
     LatticeMismatch,
+    NoConvergence,
     NonFiniteResult,
     NotOrdered,
     SaddleGap,
@@ -563,3 +564,35 @@ def test_fc_semicontinuous_between_envelopes(seed):
     hi = fc_sublinear(phi, fs)
     assert np.all(lo.coords <= mid.coords + 1e-9)
     assert np.all(mid.coords <= hi.coords + 1e-9)
+
+
+def test_a_saddle_family_refuses_a_two_dimensional_array():
+    with pytest.raises(ValueError, match=r"^coeffs must have shape \(P, Q, n\)$"):
+        SaddleFamily(np.zeros((2, 2)))
+
+
+def test_saddle_build_names_a_sublinear_map_among_the_psis():
+    psis = [SuperlinearMap(VPolytope([[0.0, 0.0]])), SublinearMap(VPolytope([[0.0, 0.0]]))]
+    with pytest.raises(TypeError, match=r"^psis\[1\] is not a SuperlinearMap$"):
+        saddle_build([disk_map()], psis)
+
+
+def test_saddle_build_refuses_a_vertex_whose_norm_overflows():
+    # each entry is finite, but |(1.5e308, 1.5e308)| is not
+    phi = SublinearMap(VPolytope([[1.5e308, 1.5e308]]))
+    with pytest.raises(NonFiniteResult, match="outside the float range"):
+        saddle_build([phi], [SuperlinearMap(VPolytope([[0.0, 0.0]]))])
+
+
+def test_saddle_build_raises_the_kernels_no_convergence_unchanged(monkeypatch):
+    # two multi-vertex polytopes whose first Wolfe step is not optimal, and
+    # no major cycle allowed: the kernel's own error reaches the caller
+    monkeypatch.setattr(convexsets, "PROJECT_MAX_ITER", 0)
+    ends = []
+    feasible = fcalc._feasible_points
+    monkeypatch.setattr(fcalc, "_feasible_points", lambda *args: ends.extend(feasible(*args)) or ends)
+    square = SublinearMap(VPolytope([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]))
+    triangle = SuperlinearMap(VPolytope([[0.2, 0.1], [0.5, 0.1], [0.2, 0.6]]))
+    with pytest.raises(NoConvergence, match="after 0 major cycles") as raised:
+        saddle_build([square], [triangle])
+    assert raised.value is ends[0] and raised.value.operation == "feasible_point"

@@ -788,3 +788,14 @@ def test_builtin_families_bracket_oracle(seed):
     assert h1.oracle(x[:, 0]) <= _members("example-7.1", x, 0, 64).min() + 1e-12
     h2 = builtin("example-7.2")  # sup-family: every member is below h
     assert _members("example-7.2", x, 0, 64).max() <= h2.oracle(x[:, 0]) + 1e-12
+
+
+def test_a_ph_function_with_neither_family_is_refused():
+    with pytest.raises(EmptyFamily, match="nothing: needs at least one family side"):
+        PHFunction("nothing", 2)
+
+
+def test_map_reprs_are_pinned():
+    assert repr(SublinearMap(Ball([0.0, 0.0], 1.0), label="disk")) == "SublinearMap('disk')"
+    assert repr(SuperlinearMap(VPolytope([[1.0, 2.0]]))) == "SuperlinearMap(VPolytope(1 vertices in R^2))"
+    assert repr(SuperlinearMap(Ball([0.0], 0.5))) == "SuperlinearMap(Ball(center in R^1, radius=0.5))"

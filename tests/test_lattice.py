@@ -547,3 +547,94 @@ def test_a_tuple_lifted_through_six_maps_is_checked_and_wrapped_once(monkeypatch
         assert on_steps.breakpoints is bp
         assert _result_bits(on_steps) == step_bits and on_rms.coords.tobytes() == rm_bits
         assert not on_steps.values.flags.writeable and not on_rms.coords.flags.writeable
+
+
+# --- the element protocol: equality, hashing and the constructors' checks ----
+
+_ONE_OF_EACH = {
+    "rm": (lambda v: RmElement([v, 1.0]), lambda v: RmElement([v, 2.0])),
+    "step": (lambda v: StepFunction([0.0, 0.5, 1.0], [v, 1.0]), lambda v: StepFunction([0.0, 0.25, 1.0], [v, 1.0])),
+}
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (RmElement([0.0, 1.0]), RmElement([-0.0, 1.0])),
+        (StepFunction([0.0, 1.0], [0.0]), StepFunction([0.0, 1.0], [-0.0])),
+        (StepFunction([0.0, 0.5, 1.0], [1.0, 2.0]), StepFunction([-0.0, 0.5, 1.0], [1.0, 2.0])),
+    ],
+    ids=["rm", "step-values", "step-breakpoints"],
+)
+def test_equal_elements_with_opposite_zeros_hash_equal(a, b):
+    # 0.0 == -0.0, so the two elements are equal and must hash equal
+    assert a == b and b == a
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("make, other", list(_ONE_OF_EACH.values()), ids=list(_ONE_OF_EACH))
+def test_equal_values_compare_and_hash_equal_and_different_values_do_not_compare_equal(make, other):
+    assert make(3.5) == make(3.5) and hash(make(3.5)) == hash(make(3.5))
+    assert not make(3.5) != make(3.5)
+    assert make(3.5) != make(4.0) and not make(3.5) == make(4.0)
+    # another partition or another coordinate
+    assert make(3.5) != other(3.5)
+
+
+def test_an_element_never_equals_another_kind_holding_the_same_numbers():
+    rm = RmElement([0.0, 1.0])
+    step = StepFunction([0.0, 1.0], [1.0])
+    for other in (StepFunction([0.0, 1.0], [0.0]), [0.0, 1.0], np.array([0.0, 1.0]), (0.0, 1.0)):
+        assert rm != other and not rm == other
+    for other in (RmElement([1.0]), RmElement([0.0, 1.0]), [1.0], np.array([1.0]), 1.0):
+        assert step != other and not step == other
+
+
+@pytest.mark.parametrize("make, other", list(_ONE_OF_EACH.values()), ids=list(_ONE_OF_EACH))
+def test_elements_work_as_dict_keys(make, other):
+    table = {make(1.0): "a", other(1.0): "b", make(2.0): "c"}
+    assert len(table) == 3
+    assert table[make(1.0)] == "a" and table[other(1.0)] == "b" and table[make(2.0)] == "c"
+    table[make(1.0)] = "d"
+    assert table[make(1.0)] == "d" and len(table) == 3 and make(5.0) not in table
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: StepFunction([0.0, 0.5, 0.4, 1.0], [1.0, _NAN, 2.0]), "breakpoints must be strictly increasing"),
+        (lambda: StepFunction([0.0, 0.5], [_NAN, 1.0]), "need k+1 breakpoints and k values"),
+    ],
+    ids=["unsorted", "count"],
+)
+def test_a_step_functions_breakpoints_are_refused_before_a_nan_value(make, message):
+    # the value's own check, finiteness, is the constructor's last
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_element_reprs_are_pinned():
+    assert repr(RmElement([1.0, -0.0, 2.5])) == "RmElement([1.0, -0.0, 2.5])"
+    assert repr(StepFunction([0.0, 0.25, 0.5, 1.0], [1.0, 2.0, 3.0])) == "StepFunction(3 pieces)"
+
+
+def test_hom_eval_refuses_a_point_evaluation_of_an_rm_element_and_an_unknown_descriptor():
+    with pytest.raises(LatticeMismatch, match="PointEvalHom applies to StepFunction"):
+        hom_eval(PointEvalHom(0.5), RmElement([1.0]))
+    with pytest.raises(TypeError, match="^unknown homomorphism object$"):
+        hom_eval(object(), RmElement([1.0]))
+
+
+def test_common_refinement_refuses_no_functions_and_a_non_step_element():
+    with pytest.raises(LatticeMismatch, match="need at least one step function"):
+        common_refinement([])
+    with pytest.raises(LatticeMismatch, match="all inputs must be StepFunctions"):
+        common_refinement([F, RmElement([1.0])])
+
+
+def test_embed_step_to_grid_refuses_a_non_step_element_and_an_empty_grid():
+    with pytest.raises(LatticeMismatch, match="first argument must be a StepFunction"):
+        embed_step_to_grid(RmElement([1.0]), [0.5])
+    with pytest.raises(ValueError, match="^grid must be nonempty$"):
+        embed_step_to_grid(F, [])

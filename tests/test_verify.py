@@ -785,3 +785,10 @@ def test_the_suite_builds_five_saddles(monkeypatch):
         "fc_saddle": 5,
         "fc_superlinear": 21 + 8 + 3,
     }
+
+
+def test_report_and_failure_reprs_are_pinned():
+    failure = verify.CheckFailure("abc123", 1.5, 2.0, 1e-9)
+    assert repr(failure) == "CheckFailure(abc123, observed=1.5, expected=2.0)"
+    assert repr(CheckReport("saddle", 7, [failure, failure], 3)) == "CheckReport('saddle', cases=7, 2 failures)"
+    assert repr(CheckReport("saddle", 7, [], 3)) == "CheckReport('saddle', cases=7, passed)"

@@ -478,3 +478,21 @@ def test_a_mixed_stack_of_pairs_solves_each_pair_as_it_is_solved_alone(n, specs,
     for pair, point in zip(pairs, _feasible_points(pairs, tol)):
         (alone,) = _feasible_points([pair], tol)
         assert _pair_outcome(point) == _pair_outcome(alone)
+
+
+def test_a_minor_cycle_on_a_one_row_corral_gives_the_weight_one():
+    # a corral left with one row: its affine minimizer is that row, weight
+    # 1.0, and the next major cycle ends there with a zero gap
+    group = []
+    for d in ([3.0, -4.0, 0.5], [-0.0, 2.0, 1e-300]):
+        p = convexsets._Wolfe(np.array([d]), np.zeros((1, 3)), "project")
+        p.D = np.array([d])
+        p.floor, p.corral, p.P, p.w, p.minor = 0.0, [0], p.D[:1], np.array([0.75]), True
+        group.append(p)
+    convexsets._minor_cycles(group)
+    for p in group:
+        assert p.w.tolist() == [1.0] and p.w.dtype == np.float64
+        assert p.corral == [0] and p.minor is False and p.end is None
+    convexsets._major_cycles(group, PROJECT_MAX_ITER)
+    for p in group:
+        assert p.end[0] == [0] and p.end[1].tolist() == [1.0]
